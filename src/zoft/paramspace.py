@@ -3,6 +3,9 @@
 Perturbation noise is never stored: every draw is regenerated bit-exactly from a
 (seed, stream) pair, consumed block by block, so a perturbation can be applied,
 reversed, and re-applied without keeping a second parameter-sized buffer alive.
+A walk regenerates the noise in fixed-size chunks into reused scratch, so its
+own memory is O(chunk) at any dimension, and it can apply several moves along
+one regeneration.
 """
 
 from __future__ import annotations
@@ -19,24 +22,10 @@ from .errors import InvalidScaleError, NumericOverflowError, PartitionMismatchEr
 # rng streams derived from the same user seed.
 _NOISE_TAG = 0x5A0F7B10C
 
-# Test hook: counts full-length (d-sized) scratch buffers handed out by this
-# module.  The in-place walk must not bump it.
-_full_buffer_allocs = 0
-
-
-def full_buffer_alloc_count() -> int:
-    return _full_buffer_allocs
-
-
-def reset_full_buffer_alloc_count() -> None:
-    global _full_buffer_allocs
-    _full_buffer_allocs = 0
-
-
-def _new_full_buffer(d: int) -> np.ndarray:
-    global _full_buffer_allocs
-    _full_buffer_allocs += 1
-    return np.empty(d, dtype=np.float64)
+# A walk regenerates noise this many float64 values (256 KiB) at a time.
+# Generator draws fill their output sequentially, so chunk seams do not change
+# the stream.
+_CHUNK = 32768
 
 
 class BlockPartition:
@@ -61,6 +50,13 @@ class BlockPartition:
         self.slices = tuple(
             slice(o, o + s) for o, s in zip(offs, sizes)
         )
+        # the noise walk's plan: (slice, length, block index) of every chunk
+        self.chunks = tuple(
+            (slice(lo, min(lo + _CHUNK, o + s)), min(_CHUNK, o + s - lo), i)
+            for i, (o, s) in enumerate(zip(offs, sizes))
+            for lo in range(o, o + s, _CHUNK)
+        )
+        self.max_chunk = min(_CHUNK, max(sizes))
 
     @property
     def n_blocks(self) -> int:
@@ -208,7 +204,7 @@ def sample_block_noise(
     regeneration is bit-exact and scales enter only as per-block multipliers.
     """
     _check_scales(partition, scales)
-    u = _new_full_buffer(partition.total)
+    u = np.empty(partition.total)
     gen = _stream_rng(seed)
     for i, (sl, n) in enumerate(zip(partition.slices, partition.py_sizes)):
         u[sl] = scales.stds[i] * gen.standard_normal(n)
@@ -216,34 +212,34 @@ def sample_block_noise(
 
 
 def perturb_in_place(
-    theta: ParamVector, scales: PerturbScales, seed: NoiseSeed, step: float
+    theta: ParamVector, scales: PerturbScales, seed: NoiseSeed, *steps: float
 ) -> None:
-    """theta <- theta + step * u(seed, scales), regenerating u block by block.
+    """theta <- theta + step * u(seed, scales) for each step in order.
 
-    Only block-sized scratch is allocated, never a second d-sized buffer, which
-    is the whole point of the store-a-seed design.
+    u is regenerated once, chunk by chunk, and every step is applied to a chunk
+    before the next is drawn, so the result is bit-identical to one call per
+    step.  Scratch is two chunk-sized buffers, never a block- or d-sized one,
+    which is the whole point of the store-a-seed design.
     """
     partition = theta.partition
     _check_scales(partition, scales)
     values = theta.values
     stds = scales.stds
     gen = _stream_rng(seed)
-    for i, (sl, n) in enumerate(zip(partition.slices, partition.py_sizes)):
-        values[sl] += (step * stds[i]) * gen.standard_normal(n)
-    # one cheap reduction: any inf/nan entry makes the sum non-finite
+    z_buf = np.empty(partition.max_chunk)
+    move_buf = np.empty(partition.max_chunk)
+    for sl, n, i in partition.chunks:
+        z = z_buf[:n]
+        move = move_buf[:n]
+        dst = values[sl]
+        gen.standard_normal(out=z)
+        for step in steps:
+            np.multiply(z, step * stds[i], out=move)
+            dst += move
+    # one cheap reduction: any inf/nan entry makes the sum non-finite, and a
+    # finite move never makes a non-finite entry finite again
     if not np.isfinite(values.sum()):
         raise NumericOverflowError("perturbation produced non-finite parameters")
-
-
-def save_values(theta: ParamVector) -> np.ndarray:
-    """Buffered mode: snapshot theta for bit-exact restoration (counts as a full buffer)."""
-    global _full_buffer_allocs
-    _full_buffer_allocs += 1
-    return theta.values.copy()
-
-
-def restore_values(theta: ParamVector, snapshot: np.ndarray) -> None:
-    theta.values[:] = snapshot
 
 
 def block_stats(theta: ParamVector, block: int) -> tuple[float, float]:

@@ -2,9 +2,11 @@
 
 Each step generates per-block standard deviations (from the scale network, or
 all ones in the plain-MeZO baseline), renormalizes them to the fixed variance
-budget sum_i d_i s_i^2 = d, forms the central-difference gradient estimate with
-an in-place +eps / -2eps / +eps walk, and applies the update by regenerating
-the same noise from its seed.
+budget sum_i d_i s_i^2 = d, and forms the central-difference gradient estimate
+by walking theta in place to theta + eps*u and then to theta - eps*u.  A third
+regeneration of the same noise from its seed moves theta back by +eps and
+applies the update -lr*c*u in one fused walk, so a step regenerates u three
+times and never stores it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pertnn as pertnn_mod
-from .errors import DivergenceError, InvalidScaleError
+from .errors import DivergenceError, InvalidScaleError, NumericOverflowError
 from .paramspace import (
     BlockPartition,
     NoiseSeed,
@@ -58,7 +60,7 @@ class LossPair:
 
     def __post_init__(self):
         if not (math.isfinite(self.plus) and math.isfinite(self.minus)):
-            raise ValueError(f"non-finite perturbed losses ({self.plus}, {self.minus})")
+            raise NumericOverflowError(f"non-finite perturbed losses ({self.plus}, {self.minus})")
 
 
 @dataclass
@@ -99,6 +101,22 @@ def normalize_scales(raw: PerturbScales) -> PerturbScales:
     return PerturbScales(raw.stds * factor, raw.partition)
 
 
+def _two_point(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
+               epsilon: float, loss_fn):
+    """Two-point estimate that leaves theta at theta - eps*u.
+
+    The caller moves theta back with a +eps walk of the same seed, alone or
+    fused with the update.  Non-finite losses raise before that move.
+    """
+    perturb_in_place(theta, scales, seed, +epsilon)
+    loss_plus = float(loss_fn(theta.values))
+    perturb_in_place(theta, scales, seed, -2.0 * epsilon)
+    loss_minus = float(loss_fn(theta.values))
+    pair = LossPair(loss_plus, loss_minus)
+    coeff = (loss_plus - loss_minus) / (2.0 * epsilon)
+    return GradEstimate(coeff, seed, scales), pair
+
+
 def spsa_estimate(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
                   epsilon: float, loss_fn):
     """Two-point estimate via the in-place walk; returns (GradEstimate, LossPair).
@@ -106,14 +124,9 @@ def spsa_estimate(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
     theta is temporarily perturbed to theta + eps*u and theta - eps*u and
     restored by the final +eps move; no copy of theta is made.
     """
+    estimate, pair = _two_point(theta, scales, seed, epsilon, loss_fn)
     perturb_in_place(theta, scales, seed, +epsilon)
-    loss_plus = float(loss_fn(theta.values))
-    perturb_in_place(theta, scales, seed, -2.0 * epsilon)
-    loss_minus = float(loss_fn(theta.values))
-    perturb_in_place(theta, scales, seed, +epsilon)
-    pair = LossPair(loss_plus, loss_minus)
-    coeff = (loss_plus - loss_minus) / (2.0 * epsilon)
-    return GradEstimate(coeff, seed, scales), pair
+    return estimate, pair
 
 
 def apply_estimate(theta: ParamVector, estimate: GradEstimate, learning_rate: float) -> None:
@@ -161,8 +174,13 @@ def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
     current_loss = float(loss_fn(theta.values))
     scales = _scales_for_step(theta, state, config, pertnn, current_loss)
     seed = NoiseSeed(config.seed, stream=t)
-    estimate, pair = spsa_estimate(theta, scales, seed, config.epsilon, loss_fn)
-    apply_estimate(theta, estimate, config.learning_rate)
+    estimate, pair = _two_point(theta, scales, seed, config.epsilon, loss_fn)
+    # the restore and the update share one regeneration of u; the update is
+    # skipped exactly when apply_estimate would skip it
+    moves = (+config.epsilon,)
+    if estimate.coeff != 0.0 and config.learning_rate != 0.0:
+        moves += (-config.learning_rate * estimate.coeff,)
+    perturb_in_place(theta, scales, seed, *moves)
     state.prev_losses = pair
     state.prev_scales = scales.stds.copy()
     state.t = t
@@ -175,7 +193,7 @@ def run_finetune(model, config: ZOConfig, pertnn=None) -> list[StepRecord]:
 
     The model provides init_theta / sample_batch / loss.  A fresh batch is
     sampled every step.  Aborts with DivergenceError once the loss exceeds
-    1e6 x the initial loss.
+    1e6 x the initial loss, or once a loss or a parameter becomes non-finite.
     """
     theta = ParamVector(model.init_theta(config.seed), model.partition)
     state = OptState()
@@ -183,7 +201,10 @@ def run_finetune(model, config: ZOConfig, pertnn=None) -> list[StepRecord]:
     initial_loss = None
     for t in range(1, config.steps + 1):
         batch = model.sample_batch(config.batch_size, config.seed * 1000003 + t)
-        record = step(theta, state, batch, config, model.loss, pertnn)
+        try:
+            record = step(theta, state, batch, config, model.loss, pertnn)
+        except NumericOverflowError as exc:
+            raise DivergenceError(f"non-finite value at step {t}: {exc}") from exc
         records.append(record)
         if initial_loss is None:
             initial_loss = abs(record.loss) + 1e-300

@@ -9,13 +9,15 @@ asserted so performance regressions fail loudly.
 """
 
 import filecmp
+import hashlib
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zoft import cli, pertnn
+from zoft import cli, pertnn, zo_optimizer
 from zoft.errors import DivergenceError
 from zoft.meta_trainer import MetaConfig, TaskState, meta_grad, train
 from zoft.paramspace import (
@@ -23,9 +25,7 @@ from zoft.paramspace import (
     NoiseSeed,
     ParamVector,
     PerturbScales,
-    full_buffer_alloc_count,
     perturb_in_place,
-    reset_full_buffer_alloc_count,
     sample_block_noise,
 )
 from zoft.bounds import verify_bound
@@ -422,16 +422,33 @@ class TestSeededRegeneration:
             perturb_in_place(theta, scales, seed, +eps)
         assert np.allclose(theta.values, start, rtol=1e-12, atol=0)
 
-    def test_full_run_allocates_no_parameter_sized_buffer(self):
-        family = race_family()
-        task = family.make_task(0)
+    def test_full_run_allocates_no_parameter_sized_buffer(self, monkeypatch):
+        # every noise walk of a finetuner run at d=1e6 allocates at most a
+        # tenth of the parameter bytes, and a step regenerates the noise 3 times
+        task = make_rank_family([750_000, 250_000], [100.0, 10.0], [1.0, 1.0], seed=0)
         net = pertnn.init(task.partition, 8, NoiseSeed(0))
-        reset_full_buffer_alloc_count()
-        run_finetune(
-            task, ZOConfig(learning_rate=0.02, steps=100, mode="finetuner", seed=0),
-            net,
-        )
-        assert full_buffer_alloc_count() == 0
+        peaks = []
+
+        def traced_walk(*args):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            perturb_in_place(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+        monkeypatch.setattr(zo_optimizer, "perturb_in_place", traced_walk)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            run_finetune(
+                task, ZOConfig(learning_rate=1e-7, steps=3, mode="finetuner", seed=0),
+                net,
+            )
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(peaks) == 3 * 3
+        assert max(peaks) <= 0.1 * 8 * task.dim
 
 
 TASK_SECTION = """
@@ -456,7 +473,26 @@ seed = 0
 """
 
 
+# The largest block (40000) spans two noise chunks.
+WIDE_TASK_SECTION = """
+[task]
+kind = quadratic
+block_sizes = 40000, 24, 1
+ranks = 400.0, 8.0, 1.0
+opnorms = 1.0, 0.5, 1.0
+seed = 0
+"""
+
+
 class TestCLIDeterminism:
+    # SHA-256 of trajectory.csv for WIDE_TASK_SECTION, recorded with the
+    # unchunked four-walk optimizer step; any change to the noise stream or to
+    # the update arithmetic shows up here
+    RECORDED_DIGESTS = {
+        "mezo": "2fed04118ec6ebdf9167893491ef16e8161368aa5e35ab934db06431129ed134",
+        "finetuner": "2348819661fb44f93bd607f571e4c526dd0fd5feeace309187d7c36693e36ad5",
+    }
+
     CONFIGS = {
         "train-finetuner": TASK_SECTION + TRAIN_SECTION,
         "finetune": TASK_SECTION + """
@@ -527,3 +563,22 @@ seed = 0
             assert self._dirs_identical(outs[0], outs[1]), command
             assert self._dirs_identical(outs[0], outs[2]), command
         assert time.perf_counter() - start < 60.0
+
+    @pytest.mark.parametrize("mode", ["mezo", "finetuner"])
+    def test_finetune_matches_recorded_digest(self, tmp_path, mode):
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text(WIDE_TASK_SECTION + f"""
+[finetune]
+mode = {mode}
+seeds = 0, 1
+lr = 1e-5
+steps = 20
+batch_size = 1
+""", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        partition = QuadraticFamily(block_sizes=(40000, 24, 1)).partition()
+        pertnn.save(pertnn.init(partition, 8, NoiseSeed(0)), out / "finetuner.ckpt")
+        assert cli.main(["finetune", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == self.RECORDED_DIGESTS[mode]

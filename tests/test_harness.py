@@ -265,6 +265,31 @@ batch_size = 4
         assert cli.main(["finetune", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 3
 
+    def test_non_finite_loss_is_divergence(self, tmp_path):
+        # lr=1e155 overflows the loss to inf after one update
+        cfg = write_config(tmp_path, TASK + """
+[finetune]
+mode = mezo
+seeds = 0
+lr = 1e155
+steps = 20
+batch_size = 4
+
+[sweep]
+methods = mezo
+seeds = 0
+lr_grid = 0.001, 0.01, 1e155
+steps = 20
+batch_size = 4
+""")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["finetune", "--config", str(cfg),
+                             "--out", str(tmp_path / "f")]) == 3
+            assert cli.main(["sweep-lr", "--config", str(cfg),
+                             "--out", str(tmp_path / "s")]) == 0
+        flags = (tmp_path / "s" / "sweep_flags.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[3] for line in flags][-1] == "diverged"
+
     def test_bound_violation_exception(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, "[task]\nkind = quadratic\nblock_sizes = 4\n")
 

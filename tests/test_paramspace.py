@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,14 +14,11 @@ from zoft.paramspace import (
     NoiseSeed,
     ParamVector,
     PerturbScales,
+    _CHUNK,
     _stream_rng,
     block_stats,
-    full_buffer_alloc_count,
     perturb_in_place,
-    reset_full_buffer_alloc_count,
     sample_block_noise,
-    save_values,
-    restore_values,
 )
 
 _NOISE_TAG = 0x5A0F7B10C
@@ -27,6 +26,26 @@ _NOISE_TAG = 0x5A0F7B10C
 
 def two_block_partition():
     return BlockPartition([("w", 3), ("b", 5)])
+
+
+def multi_chunk_partition():
+    # one block over two full chunks plus a ragged tail, then a 1-entry block
+    return BlockPartition([("big", 2 * _CHUNK + 123), ("one", 1), ("small", 5)])
+
+
+def traced_peak_bytes(fn) -> int:
+    """Peak traced memory while fn runs, above what was live when it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 class TestBlockPartition:
@@ -173,24 +192,37 @@ class TestPerturbInPlace:
         assert np.allclose(theta.values, start, rtol=1e-12, atol=0)
 
     def test_in_place_mode_allocates_no_full_buffer(self):
-        p = two_block_partition()
+        # a single 2e6-entry block: a walk, fused or not, allocates only chunk
+        # scratch, at most a tenth of the parameter bytes
+        p = BlockPartition([("w", 2_000_000)])
         sc = PerturbScales.unit(p)
-        theta = ParamVector(np.zeros(8), p)
-        reset_full_buffer_alloc_count()
-        for k in range(5):
-            perturb_in_place(theta, sc, NoiseSeed(0, stream=k), 0.1)
-        assert full_buffer_alloc_count() == 0
+        theta = ParamVector(np.zeros(p.total), p)
+        bound = 0.1 * theta.values.nbytes
+        seed = NoiseSeed(0)
+        assert traced_peak_bytes(lambda: perturb_in_place(theta, sc, seed, 0.1)) <= bound
+        assert traced_peak_bytes(
+            lambda: perturb_in_place(theta, sc, seed, 1e-3, -0.1)) <= bound
 
-    def test_buffered_paths_are_counted(self):
-        p = two_block_partition()
-        theta = ParamVector(np.zeros(8), p)
-        reset_full_buffer_alloc_count()
-        snap = save_values(theta)
-        sample_block_noise(p, PerturbScales.unit(p), NoiseSeed(0))
-        assert full_buffer_alloc_count() == 2
-        theta.values[:] = 3.0
-        restore_values(theta, snap)
-        assert np.array_equal(theta.values, np.zeros(8))
+    def test_chunked_walk_draws_the_reference_noise(self):
+        p = multi_chunk_partition()
+        sc = PerturbScales(np.array([0.7, 1.3, 2.0]), p)
+        seed = NoiseSeed(5, stream=2)
+        theta = ParamVector(np.zeros(p.total), p)
+        perturb_in_place(theta, sc, seed, 1.0)
+        assert np.array_equal(theta.values, sample_block_noise(p, sc, seed))
+
+    def test_fused_moves_equal_sequential_walks(self):
+        p = multi_chunk_partition()
+        sc = PerturbScales(np.array([0.7, 1.3, 2.0]), p)
+        start = np.random.default_rng(0).normal(size=p.total)
+        fused = ParamVector(start.copy(), p)
+        sequential = ParamVector(start.copy(), p)
+        for stream in range(3):
+            seed = NoiseSeed(3, stream=stream)
+            perturb_in_place(fused, sc, seed, 1e-3, -0.37)
+            perturb_in_place(sequential, sc, seed, 1e-3)
+            perturb_in_place(sequential, sc, seed, -0.37)
+        assert np.array_equal(fused.values, sequential.values)
 
     def test_partition_mismatch_rejected(self):
         other = BlockPartition([("w", 4), ("b", 4)])

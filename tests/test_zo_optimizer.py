@@ -8,6 +8,7 @@ from zoft.paramspace import (
     NoiseSeed,
     ParamVector,
     PerturbScales,
+    _CHUNK,
     sample_block_noise,
 )
 from zoft.testbeds import QuadraticTask, make_rank_family
@@ -15,7 +16,9 @@ from zoft import pertnn
 from zoft.zo_optimizer import (
     LossPair,
     OptState,
+    StepRecord,
     ZOConfig,
+    _scales_for_step,
     apply_estimate,
     normalize_scales,
     run_finetune,
@@ -33,6 +36,22 @@ def quadratic():
     rng = np.random.default_rng(1)
     return QuadraticTask(partition(), eigs=rng.uniform(0.2, 2.0, 8),
                          theta_star=rng.normal(size=8))
+
+
+def reference_step(theta, state, batch, config, loss_of, pertnn=None):
+    """step as four walks: spsa_estimate restores theta, apply_estimate updates it."""
+    t = state.t + 1
+    loss_fn = lambda values: loss_of(values, batch)
+    current_loss = float(loss_fn(theta.values))
+    scales = _scales_for_step(theta, state, config, pertnn, current_loss)
+    seed = NoiseSeed(config.seed, stream=t)
+    estimate, pair = spsa_estimate(theta, scales, seed, config.epsilon, loss_fn)
+    apply_estimate(theta, estimate, config.learning_rate)
+    state.prev_losses = pair
+    state.prev_scales = scales.stds.copy()
+    state.t = t
+    return StepRecord(t=t, loss=current_loss, losses=pair,
+                      scales=scales.stds.copy(), coeff=estimate.coeff)
 
 
 class TestNormalizeScales:
@@ -160,6 +179,24 @@ class TestStep:
         assert rec1.t == 1 and rec2.t == 2
         assert rec1.loss == pytest.approx(l0)
 
+    @pytest.mark.parametrize("mode", ["mezo", "finetuner"])
+    @pytest.mark.parametrize("lr", [1e-5, 0.0])
+    def test_fused_walk_matches_four_walk_reference(self, mode, lr):
+        # one block over two full chunks plus a ragged tail, then a 1-entry block
+        task = make_rank_family([2 * _CHUNK + 123, 1, 5], [40.0, 1.0, 3.0],
+                                [1.0, 0.5, 2.0], seed=0)
+        net = pertnn.init(task.partition, hidden=8, seed=NoiseSeed(1))
+        config = ZOConfig(lr, 50, mode=mode, seed=3)
+        fused = ParamVector(task.init_theta(3), task.partition)
+        reference = fused.copy()
+        fused_state, reference_state = OptState(), OptState()
+        for t in range(1, 51):
+            a = step(fused, fused_state, t, config, task.loss, net)
+            b = reference_step(reference, reference_state, t, config, task.loss, net)
+            assert np.array_equal(fused.values, reference.values)
+            assert (a.t, a.loss, a.losses, a.coeff) == (b.t, b.loss, b.losses, b.coeff)
+            assert np.array_equal(a.scales, b.scales)
+
     def test_step_features_layout(self):
         theta = ParamVector(np.arange(8.0), partition())
         f = step_features(theta, LossPair(2.0, 1.0), np.array([0.5, 0.25]))
@@ -194,6 +231,12 @@ class TestRunFinetune:
         task = make_rank_family([4, 4], [4.0, 4.0], [5.0, 5.0], seed=0)
         with pytest.raises(DivergenceError):
             run_finetune(task, ZOConfig(5.0, 500, mode="mezo", seed=0))
+
+    def test_non_finite_loss_is_divergence(self):
+        task = make_rank_family([4, 4], [4.0, 4.0], [1.0, 1.0], seed=0)
+        with pytest.raises(DivergenceError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_finetune(task, ZOConfig(1e155, 20, mode="mezo", seed=0))
 
     def test_finetuner_runs_with_fresh_network(self):
         task = quadratic()
