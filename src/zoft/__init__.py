@@ -9,7 +9,7 @@ from .paramspace import (
     perturb_in_place,
     sample_block_noise,
 )
-from .pertnn import PertNNInput, PertNNParams
+from .pertnn import PertNNParams
 from .zo_optimizer import LossPair, StepRecord, ZOConfig, normalize_scales, run_finetune
 from .meta_trainer import MetaConfig, TaskState, train
 from .testbeds import MLPTask, QuadraticFamily, QuadraticTask, make_rank_family
@@ -32,7 +32,6 @@ __all__ = [
     "MLPTask",
     "NoiseSeed",
     "ParamVector",
-    "PertNNInput",
     "PertNNParams",
     "PerturbScales",
     "QuadraticFamily",

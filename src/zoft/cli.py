@@ -36,19 +36,31 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default="zoft_out", help="output directory")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the task seed from the config")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="worker threads (default: ZOFT_THREADS or 1)")
+        cmd.add_argument("--threads", default=None,
+                         help="worker threads, >= 1 (default: ZOFT_THREADS or 1)")
         cmd.add_argument("--timing", action="store_true",
                          help="record real wall times (output no longer byte-stable)")
     return parser
 
 
+def _threads(flag) -> int:
+    """Worker threads from --threads, else ZOFT_THREADS, else 1; must be >= 1."""
+    where, raw = "--threads", flag
+    if flag is None:
+        where, raw = "ZOFT_THREADS", os.environ.get("ZOFT_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"{where}={raw!r} is not an integer") from None
+    if threads < 1:
+        raise ConfigError(f"{where}={threads} must be >= 1")
+    return threads
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("ZOFT_THREADS", "1"))
     try:
+        threads = _threads(args.threads)
         cfg = ExperimentConfig.load(args.config)
         if args.seed is not None and cfg.has_section("task"):
             cfg._parser.set("task", "seed", str(args.seed))

@@ -116,7 +116,7 @@ def _init_scale(cfg: ExperimentConfig, n_blocks: int):
     return tuple(values)
 
 
-def build_task_source(cfg: ExperimentConfig, seed_override: int | None = None):
+def build_task_source(cfg: ExperimentConfig):
     """Construct the testbed described by [task].
 
     Returns (kind, source): for kind "quadratic" the source is a
@@ -126,8 +126,6 @@ def build_task_source(cfg: ExperimentConfig, seed_override: int | None = None):
     cfg.require_section("task")
     kind = cfg.get_str("task", "kind")
     seed = cfg.get_int("task", "seed", 0)
-    if seed_override is not None:
-        seed = seed_override
     if kind == "quadratic":
         block_sizes = cfg.get_int_list("task", "block_sizes")
         family = QuadraticFamily(

@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import meta_trainer, pertnn as pertnn_mod
 from .config import ExperimentConfig, build_task_source
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DimensionMismatchError, DivergenceError
 from .paramspace import NoiseSeed
 from .testbeds import make_rank_family
 from .zo_optimizer import ZOConfig, run_finetune
@@ -116,13 +116,12 @@ def _sorted_rows(rows: list[str]) -> list[str]:
     return sorted(rows, key=key)
 
 
-def _meta_train(cfg: ExperimentConfig, family, seed: int, normalize=True,
-                reset=True):
-    """Train a finetuner per [train]; returns (pertnn, MetaLog, tasks)."""
+def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True):
+    """Meta-train a finetuner on `tasks` per [train]; returns (pertnn, MetaLog)."""
     cfg.require_section("train")
-    n_tasks = cfg.get_int("train", "tasks", 1)
     steps = cfg.get_int("train", "steps")
     reset_period = cfg.get_int("train", "reset_period", 50)
+    seed = cfg.get_int("train", "seed", 0)
     meta_cfg = meta_trainer.MetaConfig(
         eta1=cfg.get_float("train", "eta1"),
         eta2=cfg.get_float("train", "eta2"),
@@ -133,21 +132,27 @@ def _meta_train(cfg: ExperimentConfig, family, seed: int, normalize=True,
         seed=seed,
         normalize=normalize,
     )
-    tasks = family.make_tasks(n_tasks)
     hidden = cfg.get_int("train", "hidden", 64)
     init_params = pertnn_mod.init(tasks[0].partition, hidden, NoiseSeed(seed))
-    trained, log = meta_trainer.train(meta_cfg, tasks, init_params)
-    return trained, log, tasks
+    return meta_trainer.train(meta_cfg, tasks, init_params)
 
 
-def _load_checkpoint_if_needed(cfg: ExperimentConfig, section, methods, out_dir: Path):
+def _load_checkpoint_if_needed(cfg: ExperimentConfig, section, methods, out_dir: Path,
+                               partition):
+    """Load the section's checkpoint when a method needs it, for `partition`."""
     if not any(m == "finetuner" for m in methods):
         return None
     name = cfg.get_str(section, "checkpoint", "finetuner.ckpt")
     path = Path(name)
     if not path.is_absolute():
         path = out_dir / name
-    return pertnn_mod.load(path)
+    params = pertnn_mod.load(path)
+    if params.block_names != partition.names:
+        raise DimensionMismatchError(
+            f"{path}: checkpoint blocks {list(params.block_names)} do not match "
+            f"the model's blocks {list(partition.names)}"
+        )
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +164,9 @@ def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     kind, source = build_task_source(cfg)
     if kind != "quadratic":
         raise ConfigError("train-finetuner currently expects a quadratic task family")
-    seed = cfg.get_int("train", "seed", 0)
-    trained, log, _tasks = _meta_train(
-        cfg, source, seed, normalize=cfg.get_bool("train", "normalize", True)
+    tasks = source.make_tasks(cfg.get_int("train", "tasks", 1))
+    trained, log = _meta_train(
+        cfg, tasks, normalize=cfg.get_bool("train", "normalize", True)
     )
     ckpt = out_dir / cfg.get_str("train", "checkpoint", "finetuner.ckpt")
     ckpt.parent.mkdir(parents=True, exist_ok=True)
@@ -189,11 +194,12 @@ def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     steps = cfg.get_int("finetune", "steps")
     epsilon = cfg.get_float("finetune", "epsilon", 1e-3)
     batch_size = cfg.get_int("finetune", "batch_size", 16)
-    params = _load_checkpoint_if_needed(cfg, "finetune", [method], out_dir)
     if kind == "quadratic":
         model = source.make_task(cfg.get_int("finetune", "task_index", 0))
     else:
         model = source(cfg.get_str("finetune", "granularity", "block"))
+    params = _load_checkpoint_if_needed(cfg, "finetune", [method], out_dir,
+                                        model.partition)
 
     def job(seed):
         return _execute_run(model, method, lr, steps, epsilon, batch_size, seed,
@@ -230,8 +236,9 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     task_start = cfg.get_int("compare", "task_start", 0)
     threshold = cfg.get_float("compare", "threshold", 0.5)
     window = cfg.get_float("compare", "final_window", 0.1)
-    params = _load_checkpoint_if_needed(cfg, "compare", methods, out_dir)
     tasks = source.make_tasks(n_tasks, start=task_start)
+    params = _load_checkpoint_if_needed(cfg, "compare", methods, out_dir,
+                                        tasks[0].partition)
 
     jobs = [(model, method, lr, seed)
             for model in tasks for method in methods
@@ -327,11 +334,12 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     batch_size = cfg.get_int("sweep", "batch_size", 16)
     plateau_ratio = cfg.get_float("sweep", "plateau_ratio", 0.9)
     window = cfg.get_float("sweep", "final_window", 0.1)
-    params = _load_checkpoint_if_needed(cfg, "sweep", methods, out_dir)
     if kind == "quadratic":
         model = source.make_task(cfg.get_int("sweep", "task_index", 0))
     else:
         model = source(cfg.get_str("sweep", "granularity", "block"))
+    params = _load_checkpoint_if_needed(cfg, "sweep", methods, out_dir,
+                                        model.partition)
 
     jobs = [(method, lr, seed) for method in methods for lr in lr_grid for seed in seeds]
 
@@ -386,7 +394,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
         cells = [("partition=block", "block"), ("partition=layer", "layer")]
         for cell_name, granularity in cells:
             model = source(granularity)
-            trained = _train_on_mlp(cfg, model)
+            trained, _ = _meta_train(cfg, [model])
             def job(seed, model=model, trained=trained):
                 return _execute_run(model, "finetuner", lr, steps, epsilon,
                                     batch_size, seed, trained, timing=timing)
@@ -397,12 +405,11 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
             raise ConfigError("[ablate] reset/normalization axes need a quadratic family")
         reset_values = [True, False] if "reset" in axes else [True]
         norm_values = [True, False] if "normalization" in axes else [True]
-        train_seed = cfg.get_int("train", "seed", 0)
+        tasks = source.make_tasks(cfg.get_int("train", "tasks", 1))
         for reset in reset_values:
             for norm in norm_values:
                 cell_name = f"reset={'on' if reset else 'off'}+norm={'on' if norm else 'off'}"
-                trained, _, _ = _meta_train(cfg, source, train_seed,
-                                            normalize=norm, reset=reset)
+                trained, _ = _meta_train(cfg, tasks, normalize=norm, reset=reset)
                 model = source.make_task(eval_task_index)
                 def job(seed, model=model, trained=trained, norm=norm):
                     return _execute_run(model, "finetuner", lr, steps, epsilon,
@@ -413,26 +420,6 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
                     lines.append(f"{cell_name},{result.seed},{_fmt(final)}")
     _write_lines(out_dir / "ablation.csv", lines)
     return 0
-
-
-def _train_on_mlp(cfg: ExperimentConfig, model):
-    """Meta-train a finetuner directly on one MLP task."""
-    cfg.require_section("train")
-    meta_cfg = meta_trainer.MetaConfig(
-        eta1=cfg.get_float("train", "eta1"),
-        eta2=cfg.get_float("train", "eta2"),
-        steps=cfg.get_int("train", "steps"),
-        epsilon=cfg.get_float("train", "epsilon", 1e-3),
-        reset_period=cfg.get_int("train", "reset_period", 50),
-        batch_size=cfg.get_int("train", "batch_size", 16),
-        seed=cfg.get_int("train", "seed", 0),
-    )
-    init_params = pertnn_mod.init(
-        model.partition, cfg.get_int("train", "hidden", 64),
-        NoiseSeed(meta_cfg.seed),
-    )
-    trained, _ = meta_trainer.train(meta_cfg, [model], init_params)
-    return trained
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,

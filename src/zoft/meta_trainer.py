@@ -16,9 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pertnn as pertnn_mod
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, NumericOverflowError
 from .paramspace import ParamVector, PerturbScales
-from .zo_optimizer import DIVERGENCE_FACTOR, LossPair, step_features
+from .zo_optimizer import (
+    DIVERGENCE_FACTOR,
+    LossPair,
+    normalize_scales,
+    normalize_scales_vjp,
+    step_features,
+)
 
 _Z_TAG = 0x2E7A2
 _SHUFFLE_TAG = 0x5F0FF1E
@@ -69,20 +75,8 @@ class MetaEval:
     used_stds: np.ndarray
     u: np.ndarray
     theta1: np.ndarray
-    caches: list
+    cache: pertnn_mod.ForwardCache
     z: np.ndarray
-
-
-def _scales_and_caches(theta, pertnn, task_state, prev_pair, normalize):
-    features = step_features(theta, prev_pair, task_state.scales)
-    raws, caches = pertnn_mod.forward_all(pertnn, features)
-    if normalize:
-        d = theta.partition.total
-        budget = float(theta.partition.sizes @ raws**2)
-        used = raws * np.sqrt(d / budget)
-    else:
-        used = raws.copy()
-    return raws, used, caches
 
 
 def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
@@ -93,7 +87,12 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     if prev_pair is None:
         l0 = float(task.loss(theta.values, batch))
         prev_pair = LossPair(l0, l0)
-    raws, used, caches = _scales_and_caches(theta, pertnn, task_state, prev_pair, normalize)
+    features = step_features(theta, prev_pair, task_state.scales)
+    raws, cache = pertnn_mod.forward_all(pertnn, features)
+    if normalize:
+        used = normalize_scales(PerturbScales(raws, theta.partition)).stds
+    else:
+        used = raws.copy()
     u = np.repeat(used, theta.partition.sizes) * z
     loss_plus = float(task.loss(theta.values + epsilon * u, batch))
     loss_minus = float(task.loss(theta.values - epsilon * u, batch))
@@ -102,7 +101,7 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     l_zo = float(task.loss(theta1, batch))
     return MetaEval(
         l_zo=l_zo, coeff=coeff, loss_pair=LossPair(loss_plus, loss_minus),
-        raw_stds=raws, used_stds=used, u=u, theta1=theta1, caches=caches, z=z,
+        raw_stds=raws, used_stds=used, u=u, theta1=theta1, cache=cache, z=z,
     )
 
 
@@ -112,31 +111,20 @@ def meta_grad(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
 
     The coefficient c is frozen, so the only omega-dependence is through
     u = s'(omega) * z:  dL/ds'_i = -eta1 * c * <grad L(theta1)|_i, z_i>, then
-    the normalization Jacobian (which couples blocks) and each block's
-    analytic backward pass.
+    the normalization's vector-Jacobian product (which couples blocks) and one
+    batched backward pass through every block's network.
     """
     ev = meta_loss(theta, pertnn, task, task_state, batch,
                    config.epsilon, config.eta1, z, config.normalize)
-    partition = theta.partition
     g1 = task.grad(ev.theta1, batch)
-    d_used = np.array(
-        [-config.eta1 * ev.coeff * float(g1[partition.block_slice(i)] @ z[partition.block_slice(i)])
-         for i in range(partition.n_blocks)]
-    )
+    # one BLAS dot per block: no batched reduction over ragged blocks
+    # reproduces its summation order, and the trajectory depends on its bits
+    dots = np.array([float(g1[sl] @ z[sl]) for sl in theta.partition.slices])
+    d_used = -config.eta1 * ev.coeff * dots
+    d_raw = d_used
     if config.normalize:
-        raws = ev.raw_stds
-        sizes = partition.sizes.astype(np.float64)
-        budget = float(sizes @ raws**2)
-        factor = np.sqrt(partition.total / budget)
-        # d s'_i / d s_k = factor * (delta_ik - s'_i d_k s_k / (factor * budget))
-        inner = float(d_used @ ev.used_stds)
-        d_raw = factor * d_used - (sizes * raws / budget) * inner
-    else:
-        d_raw = d_used
-    grads = pertnn.zeros_like()
-    for i in range(partition.n_blocks):
-        block_grad, _ = pertnn_mod.backward(pertnn, ev.caches[i], float(d_raw[i]))
-        grads.add_scaled(block_grad, 1.0)
+        d_raw = normalize_scales_vjp(PerturbScales(ev.raw_stds, theta.partition), d_used)
+    grads, _ = pertnn_mod.backward(pertnn, ev.cache, d_raw)
     return grads, ev
 
 
@@ -199,7 +187,12 @@ def train(config: MetaConfig, tasks, pertnn, theta0: np.ndarray | None = None):
             z = np.random.default_rng([_Z_TAG, config.seed, t, int(idx)]).standard_normal(
                 partition.total
             )
-            record = meta_step(theta, pertnn, task, states[idx], batch, config, z)
+            try:
+                record = meta_step(theta, pertnn, task, states[idx], batch, config, z)
+            except NumericOverflowError as exc:
+                raise DivergenceError(
+                    f"non-finite value in meta-training at step {t}: {exc}"
+                ) from exc
             record.t = t
             log.records.append(record)
             if initial_loss is None:

@@ -1,9 +1,14 @@
 """Per-block scale generator: a two-layer tanh MLP with a softplus output head.
 
-One independent network per parameter block maps five step statistics
-(last two perturbed losses, last scale, current block mean and variance)
-to one positive raw standard deviation.  Forward and backward passes are
-closed-form; checkpoints are a line-oriented text format.
+Every parameter block has its own network mapping five step statistics (last
+two perturbed losses, last scale, current block mean and variance) to one
+positive raw standard deviation.  The B networks share one hidden width H and
+are stored stacked along a leading block axis: W1 (B, H, 5), b1 (B, H),
+W2 (B, H) and b2 (B,).  One batched forward and one batched backward serve any
+set of blocks, from a single block to all of them.  Batched `@` reproduces the
+per-block products bit for bit; the sigmoid in the backward pass stays the
+scalar `math.exp` form, because numpy's vectorised exp rounds differently.
+Checkpoints are a line-oriented text format.
 """
 
 from __future__ import annotations
@@ -31,32 +36,11 @@ _INIT_TAG = 0x1417BEE
 _B2_INIT = math.log(math.e - 1.0)
 
 
-@dataclass
-class PertNNInput:
-    """Features for one block at one step."""
-
-    loss_plus: float
-    loss_minus: float
-    prev_scale: float
-    mean: float
-    var: float
-
-    def as_array(self) -> np.ndarray:
-        x = np.array(
-            [self.loss_plus, self.loss_minus, self.prev_scale, self.mean, self.var],
-            dtype=np.float64,
-        )
-        if not np.all(np.isfinite(x)):
-            raise NumericOverflowError(f"non-finite feature vector {x}")
-        if self.prev_scale <= 0:
-            raise ValueError(f"prev_scale must be positive, got {self.prev_scale}")
-        return x
-
-
 class PertNNParams:
-    """Weights of every block's network.
+    """Weights of every block's network, stacked along the block axis.
 
-    Per block i: w1[i] (hidden x 5), b1[i] (hidden,), w2[i] (hidden,), b2[i] scalar.
+    w1 (B, hidden, 5), b1 (B, hidden), w2 (B, hidden), b2 (B,); block i's
+    network is w1[i], b1[i], w2[i], b2[i].
     """
 
     def __init__(self, block_names, hidden, w1, b1, w2, b2):
@@ -64,78 +48,61 @@ class PertNNParams:
             raise ValueError(f"hidden width must be >= 1, got {hidden}")
         self.block_names = tuple(block_names)
         self.hidden = int(hidden)
-        self.w1 = [np.asarray(m, dtype=np.float64) for m in w1]
-        self.b1 = [np.asarray(v, dtype=np.float64) for v in b1]
-        self.w2 = [np.asarray(v, dtype=np.float64) for v in w2]
-        self.b2 = [float(s) for s in b2]
-        for i, name in enumerate(self.block_names):
-            if self.w1[i].shape != (self.hidden, N_FEATURES):
-                raise ValueError(f"block {name}: W1 shape {self.w1[i].shape}")
-            if self.b1[i].shape != (self.hidden,):
-                raise ValueError(f"block {name}: b1 shape {self.b1[i].shape}")
-            if self.w2[i].shape != (self.hidden,):
-                raise ValueError(f"block {name}: W2 shape {self.w2[i].shape}")
-            for arr in (self.w1[i], self.b1[i], self.w2[i]):
-                if not np.all(np.isfinite(arr)):
-                    raise NumericOverflowError(f"block {name}: non-finite weights")
-            if not math.isfinite(self.b2[i]):
-                raise NumericOverflowError(f"block {name}: non-finite bias")
+        n, h = len(self.block_names), self.hidden
+        shapes = {"W1": (n, h, N_FEATURES), "b1": (n, h), "W2": (n, h), "b2": (n,)}
+        arrays = []
+        for (what, shape), arr in zip(shapes.items(), (w1, b1, w2, b2)):
+            arr = np.asarray(arr, dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"{what} shape {arr.shape}, expected {shape}")
+            if not np.isfinite(arr).all():
+                name = self.block_names[np.argwhere(~np.isfinite(arr))[0][0]]
+                raise NumericOverflowError(f"block {name}: non-finite {what}")
+            arrays.append(arr)
+        self.w1, self.b1, self.w2, self.b2 = arrays
 
     @property
     def n_blocks(self) -> int:
         return len(self.block_names)
 
+    @property
+    def arrays(self) -> tuple:
+        return (self.w1, self.b1, self.w2, self.b2)
+
     def copy(self) -> "PertNNParams":
-        return PertNNParams(
-            self.block_names,
-            self.hidden,
-            [m.copy() for m in self.w1],
-            [v.copy() for v in self.b1],
-            [v.copy() for v in self.w2],
-            list(self.b2),
-        )
+        return PertNNParams(self.block_names, self.hidden,
+                            *(a.copy() for a in self.arrays))
 
     def zeros_like(self) -> "PertNNParams":
-        return PertNNParams(
-            self.block_names,
-            self.hidden,
-            [np.zeros_like(m) for m in self.w1],
-            [np.zeros_like(v) for v in self.b1],
-            [np.zeros_like(v) for v in self.w2],
-            [0.0] * self.n_blocks,
-        )
+        return PertNNParams(self.block_names, self.hidden,
+                            *(np.zeros_like(a) for a in self.arrays))
 
     def add_scaled(self, other: "PertNNParams", factor: float) -> None:
         """In-place self += factor * other (used for SGD updates)."""
         if other.block_names != self.block_names or other.hidden != self.hidden:
             raise PartitionMismatchError("parameter shapes do not match")
-        for i in range(self.n_blocks):
-            self.w1[i] += factor * other.w1[i]
-            self.b1[i] += factor * other.b1[i]
-            self.w2[i] += factor * other.w2[i]
-            self.b2[i] += factor * other.b2[i]
+        for mine, theirs in zip(self.arrays, other.arrays):
+            mine += factor * theirs
 
     def equals(self, other: "PertNNParams") -> bool:
         return (
             self.block_names == other.block_names
             and self.hidden == other.hidden
-            and all(np.array_equal(a, b) for a, b in zip(self.w1, other.w1))
-            and all(np.array_equal(a, b) for a, b in zip(self.b1, other.b1))
-            and all(np.array_equal(a, b) for a, b in zip(self.w2, other.w2))
-            and self.b2 == other.b2
+            and all(np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays))
         )
 
 
 @dataclass
 class ForwardCache:
-    block: int
+    """Activations of one forward pass over `blocks` (an int or a slice).
+
+    x, h and y carry a leading block axis when `blocks` is a slice.
+    """
+
+    blocks: int | slice
     x: np.ndarray
     h: np.ndarray  # tanh activations
-    y: float  # pre-softplus output
-
-
-def _softplus(y: float) -> float:
-    return float(np.logaddexp(0.0, y))
+    y: np.ndarray  # pre-softplus output
 
 
 def _sigmoid(y: float) -> float:
@@ -146,86 +113,88 @@ def _sigmoid(y: float) -> float:
     return e / (1.0 + e)
 
 
-def forward(params: PertNNParams, inp, block: int):
-    """Run block `block`'s network; returns (raw_std, cache).
+def _forward(params: PertNNParams, x: np.ndarray, blocks):
+    """raw = softplus(W2 . tanh(W1 x + b1) + b2) for the selected blocks.
 
-    raw_std = softplus(W2 . tanh(W1 x + b1) + b2) > 0.
+    An int selects one block (x is (5,)); a slice selects a batch (x is
+    (n, 5)).  Basic indexing takes views, so no weight is copied.
     """
-    x = inp.as_array() if isinstance(inp, PertNNInput) else np.asarray(inp, dtype=np.float64)
-    pre = params.w1[block] @ x + params.b1[block]
-    h = np.tanh(pre)
-    y = float(params.w2[block] @ h + params.b2[block])
-    raw = _softplus(y)
-    if not math.isfinite(raw):
-        raise NumericOverflowError(
-            f"non-finite activation in block {params.block_names[block]}"
-        )
-    return raw, ForwardCache(block=block, x=x, h=h, y=y)
+    w1, b1, w2, b2 = (a[blocks] for a in params.arrays)
+    h = np.tanh((w1 @ x[..., None])[..., 0] + b1)
+    y = (w2[..., None, :] @ h[..., None])[..., 0, 0] + b2
+    raw = np.logaddexp(0.0, y)
+    if not np.all(np.isfinite(raw)):
+        names = np.atleast_1d(np.array(params.block_names)[blocks])
+        bad = names[~np.isfinite(np.atleast_1d(raw))]
+        raise NumericOverflowError(f"non-finite activation in blocks {', '.join(bad)}")
+    return raw, ForwardCache(blocks=blocks, x=x, h=h, y=y)
 
 
-def backward(params: PertNNParams, cache: ForwardCache, upstream: float):
-    """Exact gradients of upstream * raw_std for one block.
-
-    Returns (grad_params, grad_input) where grad_params is zero outside
-    cache.block.
-    """
-    i = cache.block
-    if not (0 <= i < params.n_blocks):
-        raise ContractViolationError(f"cache block {i} out of range")
-    if cache.h.shape != (params.hidden,) or cache.x.shape != (N_FEATURES,):
-        raise ContractViolationError("cache does not match these parameters")
-    grads = params.zeros_like()
-    dy = upstream * _sigmoid(cache.y)
-    grads.w2[i][:] = dy * cache.h
-    grads.b2[i] = dy
-    dpre = (dy * params.w2[i]) * (1.0 - cache.h**2)
-    grads.w1[i][:] = np.outer(dpre, cache.x)
-    grads.b1[i][:] = dpre
-    grad_input = params.w1[i].T @ dpre
-    return grads, grad_input
+def forward(params: PertNNParams, x, block: int):
+    """Run block `block`'s network on one feature vector; returns (raw_std, cache)."""
+    raw, cache = _forward(params, np.asarray(x, dtype=np.float64), block)
+    return float(raw), cache
 
 
 def forward_all(params: PertNNParams, features: np.ndarray):
-    """Forward every block; features is (n_blocks, 5).  Returns (raw_stds, caches)."""
+    """Forward every block; features is (n_blocks, 5).  Returns (raw_stds, cache)."""
     if features.shape != (params.n_blocks, N_FEATURES):
         raise PartitionMismatchError(
             f"expected features of shape ({params.n_blocks}, {N_FEATURES}), "
             f"got {features.shape}"
         )
-    raws = np.empty(params.n_blocks)
-    caches = []
-    for i in range(params.n_blocks):
-        raws[i], cache = forward(params, features[i], i)
-        caches.append(cache)
-    return raws, caches
+    return _forward(params, features, slice(None))
+
+
+def backward(params: PertNNParams, cache: ForwardCache, upstream):
+    """Exact gradients of sum_i upstream_i * raw_std_i over the cached blocks.
+
+    `upstream` is a scalar or one value per cached block.  Returns
+    (grad_params, grad_input): grad_params is zero outside the cached blocks
+    and grad_input has the shape of cache.x.
+    """
+    try:
+        w1, w2 = params.w1[cache.blocks], params.w2[cache.blocks]
+    except IndexError as exc:
+        raise ContractViolationError(f"cache blocks {cache.blocks!r} out of range") from exc
+    if cache.h.shape != w2.shape or cache.x.shape != w1.shape[:-2] + (N_FEATURES,):
+        raise ContractViolationError("cache does not match these parameters")
+    sig = np.reshape([_sigmoid(v) for v in np.ravel(cache.y).tolist()], np.shape(cache.y))
+    dy = upstream * sig
+    dpre = (dy[..., None] * w2) * (1.0 - cache.h**2)
+    grads = params.zeros_like()
+    grads.w2[cache.blocks] = dy[..., None] * cache.h
+    grads.b2[cache.blocks] = dy
+    grads.w1[cache.blocks] = dpre[..., :, None] * cache.x[..., None, :]
+    grads.b1[cache.blocks] = dpre
+    grad_input = (w1.swapaxes(-1, -2) @ dpre[..., None])[..., 0]
+    return grads, grad_input
 
 
 def init(partition: BlockPartition, hidden: int = 64, seed: NoiseSeed = NoiseSeed(0)) -> PertNNParams:
-    """Small uniform init (+-1/sqrt(fan_in)); b2 set so output at zero input ~ 1."""
-    if hidden < 1:
-        raise ValueError(f"hidden width must be >= 1, got {hidden}")
-    w1, b1, w2, b2 = [], [], [], []
+    """Small uniform init (+-1/sqrt(fan_in)); b2 set so output at zero input ~ 1.
+
+    Each block draws from its own stream, so a block's weights do not depend
+    on how many blocks come before it.
+    """
+    params = constant_params(partition, hidden)
+    lim1 = 1.0 / math.sqrt(N_FEATURES)
+    lim2 = 1.0 / math.sqrt(hidden)
     for i in range(partition.n_blocks):
         rng = np.random.default_rng([_INIT_TAG, seed.seed, seed.stream, i])
-        lim1 = 1.0 / math.sqrt(N_FEATURES)
-        lim2 = 1.0 / math.sqrt(hidden)
-        w1.append(rng.uniform(-lim1, lim1, size=(hidden, N_FEATURES)))
-        b1.append(rng.uniform(-lim1, lim1, size=hidden))
-        w2.append(rng.uniform(-lim2, lim2, size=hidden))
-        b2.append(_B2_INIT)
-    return PertNNParams(partition.names, hidden, w1, b1, w2, b2)
+        params.w1[i] = rng.uniform(-lim1, lim1, size=(hidden, N_FEATURES))
+        params.b1[i] = rng.uniform(-lim1, lim1, size=hidden)
+        params.w2[i] = rng.uniform(-lim2, lim2, size=hidden)
+    return params
 
 
 def constant_params(partition: BlockPartition, hidden: int = 64) -> PertNNParams:
     """All-zero weights with b2 = ln(e-1): every block outputs exactly 1."""
     n = partition.n_blocks
     return PertNNParams(
-        partition.names,
-        hidden,
-        [np.zeros((hidden, N_FEATURES)) for _ in range(n)],
-        [np.zeros(hidden) for _ in range(n)],
-        [np.zeros(hidden) for _ in range(n)],
-        [_B2_INIT] * n,
+        partition.names, hidden,
+        np.zeros((n, hidden, N_FEATURES)), np.zeros((n, hidden)),
+        np.zeros((n, hidden)), np.full(n, _B2_INIT),
     )
 
 
@@ -282,6 +251,8 @@ def load(path) -> PertNNParams:
         raise DimensionMismatchError(f"malformed header {lines[1]!r}") from exc
     if features != N_FEATURES:
         raise DimensionMismatchError(f"unsupported feature count {features}")
+    if n_blocks < 1 or hidden < 1:
+        raise DimensionMismatchError(f"header declares {n_blocks} blocks of width {hidden}")
 
     names, w1, b1, w2, b2 = [], [], [], [], []
     pos = 2

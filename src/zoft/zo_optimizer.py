@@ -90,15 +90,31 @@ class OptState:
     t: int = 0
 
 
-def normalize_scales(raw: PerturbScales) -> PerturbScales:
-    """Rescale so that sum_i d_i s_i^2 = d, preserving pairwise ratios."""
+def _budget_factor(raw: PerturbScales) -> tuple[float, float]:
+    """The variance budget sum_i d_i s_i^2 of raw and the factor sqrt(d / budget)."""
     if np.any(raw.stds <= 0):
         raise InvalidScaleError(f"cannot normalize non-positive scales {raw.stds}")
     budget = raw.budget()
     if budget <= 0 or not np.isfinite(budget):
         raise InvalidScaleError(f"invalid variance budget {budget}")
-    factor = np.sqrt(raw.partition.total / budget)
+    return budget, np.sqrt(raw.partition.total / budget)
+
+
+def normalize_scales(raw: PerturbScales) -> PerturbScales:
+    """Rescale so that sum_i d_i s_i^2 = d, preserving pairwise ratios."""
+    _, factor = _budget_factor(raw)
     return PerturbScales(raw.stds * factor, raw.partition)
+
+
+def normalize_scales_vjp(raw: PerturbScales, upstream: np.ndarray) -> np.ndarray:
+    """Pull a gradient w.r.t. normalize_scales(raw).stds back to raw.stds.
+
+    With s' = factor * s:  d s'_i / d s_k = factor * delta_ik - s'_i d_k s_k / budget,
+    which couples every block through the shared budget.
+    """
+    budget, factor = _budget_factor(raw)
+    inner = float(upstream @ (raw.stds * factor))
+    return factor * upstream - (raw.partition.sizes * raw.stds / budget) * inner
 
 
 def _two_point(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,

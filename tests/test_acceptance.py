@@ -484,6 +484,29 @@ seed = 0
 """
 
 
+# Five uneven blocks, so the budget normalization couples every block.
+META_SECTION = """
+[task]
+kind = quadratic
+block_sizes = 48, 16, 7, 1, 30
+ranks = 24.0, 16.0, 3.0, 1.0, 5.0
+opnorms = 1.0, 0.05, 0.5, 2.0, 0.2
+shift_scale = 1.0
+init_scale = 0.204, 1.58, 0.5, 1.0, 0.8
+seed = 0
+
+[train]
+tasks = 3
+steps = 40
+eta1 = 0.05
+eta2 = 0.05
+reset_period = 15
+batch_size = 4
+hidden = 16
+seed = 3
+"""
+
+
 class TestCLIDeterminism:
     # SHA-256 of trajectory.csv for WIDE_TASK_SECTION, recorded with the
     # unchunked four-walk optimizer step; any change to the noise stream or to
@@ -491,6 +514,12 @@ class TestCLIDeterminism:
     RECORDED_DIGESTS = {
         "mezo": "2fed04118ec6ebdf9167893491ef16e8161368aa5e35ab934db06431129ed134",
         "finetuner": "2348819661fb44f93bd607f571e4c526dd0fd5feeace309187d7c36693e36ad5",
+    }
+    # SHA-256 of the train-finetuner outputs for META_SECTION, recorded with
+    # the per-block scale network (one forward and one backward per block)
+    RECORDED_META_DIGESTS = {
+        "finetuner.ckpt": "2ba845c291613ca9fe9148fdf97e98431071a4f77ed008447e96312af45099ac",
+        "meta_log.csv": "6a351f34e4e2164f0d69cf87d9a7e45c764c9650be5db6c8c10f7cb601cd900d",
     }
 
     CONFIGS = {
@@ -582,3 +611,11 @@ batch_size = 1
         assert cli.main(["finetune", "--config", str(cfg), "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
         assert digest == self.RECORDED_DIGESTS[mode]
+
+    def test_train_finetuner_matches_recorded_digest(self, tmp_path):
+        cfg = tmp_path / "meta.ini"
+        cfg.write_text(META_SECTION, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 0
+        for name, want in self.RECORDED_META_DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name

@@ -81,13 +81,6 @@ class TestBuildTaskSource:
         assert list(task.partition.sizes) == [4, 8]
         assert task.effective_ranks() == pytest.approx([1.0, 4.0])
 
-    def test_seed_override(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASIC)
-        _, a = build_task_source(cfg)
-        _, b = build_task_source(cfg, seed_override=99)
-        ta, tb = a.make_task(0), b.make_task(0)
-        assert not (ta.theta_star == tb.theta_star).all()
-
     def test_per_block_init_scale(self, tmp_path):
         cfg = write_cfg(tmp_path, BASIC + "\n[DEFAULT]\n")
         cfg._parser.set("task", "init_scale", "0.5, 2.0")

@@ -290,6 +290,54 @@ batch_size = 4
         flags = (tmp_path / "s" / "sweep_flags.csv").read_text().splitlines()[1:]
         assert [line.split(",")[3] for line in flags][-1] == "diverged"
 
+    def test_checkpoint_for_other_partition_rejected(self, tmp_path, capsys):
+        # a checkpoint trained on blocks block0/block1 must not drive the
+        # MLP's layer1/layer2 partition, although both have two blocks
+        out = tmp_path / "o"
+        train = write_config(tmp_path, TASK + TRAIN, name="train.ini")
+        assert cli.main(["train-finetuner", "--config", str(train),
+                         "--out", str(out)]) == 0
+        finetune = write_config(tmp_path, """
+[task]
+kind = mlp
+
+[finetune]
+mode = finetuner
+granularity = layer
+seeds = 0
+lr = 0.05
+steps = 5
+""", name="finetune.ini")
+        assert cli.main(["finetune", "--config", str(finetune),
+                         "--out", str(out)]) == 2
+        assert "do not match" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_meta_training_overflow_is_divergence(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TASK + TRAIN.replace("eta1 = 0.05", "eta1 = 1e200"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["train-finetuner", "--config", str(cfg),
+                             "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "zoft: divergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_threads_flag(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, TASK + "[finetune]\nmode = mezo\nseeds = 0\n"
+                           "lr = 0.05\nsteps = 3\n")
+        assert cli.main(["finetune", "--config", str(cfg), "--out",
+                         str(tmp_path / "o"), "--threads", value]) == 2
+        assert "zoft: config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_threads_env(self, tmp_path, capsys, monkeypatch, value):
+        cfg = write_config(tmp_path, TASK + "[finetune]\nmode = mezo\nseeds = 0\n"
+                           "lr = 0.05\nsteps = 3\n")
+        monkeypatch.setenv("ZOFT_THREADS", value)
+        assert cli.main(["finetune", "--config", str(cfg), "--out",
+                         str(tmp_path / "o")]) == 2
+        assert "zoft: config error" in capsys.readouterr().err
+
     def test_bound_violation_exception(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, "[task]\nkind = quadratic\nblock_sizes = 4\n")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from zoft.meta_trainer import (
 )
 from zoft.paramspace import BlockPartition, NoiseSeed, ParamVector
 from zoft.testbeds import QuadraticFamily, QuadraticTask
-from zoft.zo_optimizer import LossPair
+from zoft.zo_optimizer import LossPair, step_features
 from zoft import pertnn
 
 
@@ -148,19 +150,93 @@ class TestMetaGrad:
             assert abs(grads.b2[i]) <= 1e-12
 
 
+def _reference_sigmoid(y):
+    return 1.0 / (1.0 + math.exp(-y)) if y >= 0 else math.exp(y) / (1.0 + math.exp(y))
+
+
+def reference_meta_grad(theta, net, task, state, batch, config, z):
+    """The meta-gradient computed one block at a time: per-block forward,
+    inline budget normalization and its Jacobian, per-block backward."""
+    part = theta.partition
+    l0 = float(task.loss(theta.values, batch))
+    feats = step_features(theta, state.loss_pair or LossPair(l0, l0), state.scales)
+    hs, ys, raws = [], [], []
+    for i in range(part.n_blocks):
+        h = np.tanh(net.w1[i] @ feats[i] + net.b1[i])
+        y = float(net.w2[i] @ h + net.b2[i])
+        hs.append(h)
+        ys.append(y)
+        raws.append(float(np.logaddexp(0.0, y)))
+    raws = np.array(raws)
+    sizes = part.sizes.astype(np.float64)
+    budget = float(sizes @ raws**2)
+    factor = np.sqrt(part.total / budget)
+    used = raws * factor if config.normalize else raws.copy()
+    u = np.repeat(used, part.sizes) * z
+    eps = config.epsilon
+    coeff = (float(task.loss(theta.values + eps * u, batch))
+             - float(task.loss(theta.values - eps * u, batch))) / (2.0 * eps)
+    g1 = task.grad(theta.values - config.eta1 * coeff * u, batch)
+    d_used = np.array([-config.eta1 * coeff * float(g1[sl] @ z[sl])
+                       for sl in part.slices])
+    if config.normalize:
+        d_raw = factor * d_used - (sizes * raws / budget) * float(d_used @ used)
+    else:
+        d_raw = d_used
+    grads = net.zeros_like()
+    for i in range(part.n_blocks):
+        dy = float(d_raw[i]) * _reference_sigmoid(ys[i])
+        grads.w2[i] = dy * hs[i]
+        grads.b2[i] = dy
+        dpre = (dy * net.w2[i]) * (1.0 - hs[i] ** 2)
+        grads.w1[i] = np.outer(dpre, feats[i])
+        grads.b1[i] = dpre
+    return raws, grads
+
+
+class TestStackedNetworkBitExact:
+    @pytest.mark.parametrize("n_blocks", [1, 2, 33])
+    @pytest.mark.parametrize("hidden", [1, 2, 32])
+    def test_batched_passes_equal_per_block_reference(self, n_blocks, hidden):
+        rng = np.random.default_rng(1000 * n_blocks + hidden)
+        part = BlockPartition([(f"b{i}", int(s))
+                               for i, s in enumerate(rng.integers(1, 10, n_blocks))])
+        task = QuadraticTask(part, eigs=rng.uniform(0.2, 2.0, part.total),
+                             theta_star=rng.normal(size=part.total))
+        theta = ParamVector(task.init_theta(0), part)
+        net = pertnn.init(part, hidden=hidden, seed=NoiseSeed(n_blocks))
+        # outputs of both signs reach both branches of the stable sigmoid
+        net.b2[:] = rng.uniform(-4.0, 4.0, n_blocks)
+        state = TaskState(scales=rng.uniform(0.5, 2.0, n_blocks),
+                          loss_pair=LossPair(1.5, 1.25))
+        z = rng.standard_normal(part.total)
+        for normalize in (True, False):
+            config = MetaConfig(eta1=0.05, eta2=0.0, steps=1, seed=0,
+                                normalize=normalize)
+            ref_raws, ref_grads = reference_meta_grad(theta, net, task, state, 0,
+                                                      config, z)
+            feats = step_features(theta, state.loss_pair, state.scales)
+            raws, _ = pertnn.forward_all(net, feats)
+            assert np.array_equal(raws, ref_raws)
+            grads, ev = meta_grad(theta, net, task, state, 0, config, z)
+            assert np.array_equal(ev.raw_stds, ref_raws)
+            for got, want in zip(grads.arrays, ref_grads.arrays):
+                assert np.array_equal(got, want)
+
+
 class TestMetaStepAndTrain:
     def test_meta_step_updates_network_and_model(self):
         task = two_block_task()
         theta = ParamVector(task.init_theta(0), task.partition)
         before_theta = theta.values.copy()
         net = pertnn.init(task.partition, hidden=4, seed=NoiseSeed(0))
-        before_b2 = list(net.b2)
+        before_b2 = net.b2.copy()
         config = MetaConfig(eta1=0.05, eta2=0.1, steps=1, seed=0)
         state = TaskState.fresh(2)
         z = np.random.default_rng(1).standard_normal(5)
         rec = meta_step(theta, net, task, state, 0, config, z)
         assert not np.array_equal(theta.values, before_theta)
-        assert net.b2 != before_b2
+        assert not np.array_equal(net.b2, before_b2)
         assert state.loss_pair is not None
         assert rec.loss == pytest.approx(task.loss(before_theta, 0))
 

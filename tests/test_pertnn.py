@@ -76,10 +76,10 @@ class TestForward:
         assert raw == pytest.approx(expected, rel=1e-15)
 
     def test_input_validation(self):
-        with pytest.raises(NumericOverflowError):
-            pertnn.PertNNInput(np.nan, 0.0, 1.0, 0.0, 0.0).as_array()
-        with pytest.raises(ValueError):
-            pertnn.PertNNInput(0.0, 0.0, 0.0, 0.0, 0.0).as_array()
+        features = np.ones((2, 5))
+        features[1, 3] = np.nan
+        with pytest.raises(NumericOverflowError), np.errstate(invalid="ignore"):
+            pertnn.forward_all(random_params(), features)
 
     def test_forward_all_shape_check(self):
         params = random_params()
