@@ -18,7 +18,7 @@ from zoft.meta_trainer import MetaConfig, train
 from zoft.paramspace import NoiseSeed
 from zoft.pertnn import init as pertnn_init
 from zoft.testbeds import QuadraticFamily
-from zoft.zo_optimizer import ZOConfig, run_finetune
+from zoft.zo_optimizer import ZOConfig, run_population
 
 
 def steps_to_half(records):
@@ -45,27 +45,26 @@ def main():
     print(f"{'method':<12}{'best lr':>9}{'median steps to half loss':>28}"
           f"{'median final':>16}")
     for method, params in (("mezo", None), ("finetuner", trained)):
-        by_lr = {}
-        for lr in grid:
-            steps, finals = [], []
-            for seed in range(5):
-                try:
-                    recs = run_finetune(
-                        held_out,
-                        ZOConfig(learning_rate=lr, steps=400, mode=method, seed=seed),
-                        params,
-                    )
-                except DivergenceError:
-                    steps.append(401)
-                    finals.append(float("inf"))
+        steps = {lr: [] for lr in grid}
+        finals = {lr: [] for lr in grid}
+        for seed in range(5):
+            # the runs of one seed share every noise draw: one population
+            # steps the whole lr grid at once
+            config = ZOConfig(learning_rate=0.0, steps=400, mode=method, seed=seed)
+            outcomes = run_population([held_out] * len(grid), grid, config, params)
+            for lr, recs in zip(grid, outcomes):
+                if isinstance(recs, DivergenceError):
+                    steps[lr].append(401)
+                    finals[lr].append(float("inf"))
                     continue
                 stt = steps_to_half(recs)
-                steps.append(stt if stt is not None else 401)
-                finals.append(np.mean([r.loss for r in recs[-40:]]))
-            by_lr[lr] = (float(np.median(finals)), float(np.median(steps)))
+                steps[lr].append(stt if stt is not None else 401)
+                finals[lr].append(np.mean([r.loss for r in recs[-40:]]))
+        by_lr = {lr: (float(np.median(finals[lr])), float(np.median(steps[lr])))
+                 for lr in grid}
         lr = min(grid, key=lambda v: by_lr[v])
-        final, steps = by_lr[lr]
-        print(f"{method:<12}{lr:>9g}{steps:>28g}{final:>16.4f}")
+        final, median_steps = by_lr[lr]
+        print(f"{method:<12}{lr:>9g}{median_steps:>28g}{final:>16.4f}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Command line entry point.
 
-Exit codes: 0 success, 2 config error, 3 numeric divergence, 4 bound violation.
+Exit codes: 0 success, 2 config error, 3 numeric divergence (including
+invalid perturbation scales), 4 bound violation.
 """
 
 from __future__ import annotations
@@ -37,14 +38,20 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the task seed from the config")
         cmd.add_argument("--threads", default=None,
-                         help="worker threads, >= 1 (default: ZOFT_THREADS or 1)")
+                         help="deprecated and ignored: runs that share a seed "
+                              "and a method step together in one batched pass; "
+                              "still checked to be an integer >= 1 (default: "
+                              "ZOFT_THREADS or 1)")
         cmd.add_argument("--timing", action="store_true",
                          help="record real wall times (output no longer byte-stable)")
     return parser
 
 
 def _threads(flag) -> int:
-    """Worker threads from --threads, else ZOFT_THREADS, else 1; must be >= 1."""
+    """Thread count from --threads, else ZOFT_THREADS, else 1; must be >= 1.
+
+    Deprecated: the value is validated for compatibility and then ignored.
+    """
     where, raw = "--threads", flag
     if flag is None:
         where, raw = "ZOFT_THREADS", os.environ.get("ZOFT_THREADS", "1")
@@ -60,12 +67,11 @@ def _threads(flag) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        threads = _threads(args.threads)
+        _threads(args.threads)
         cfg = ExperimentConfig.load(args.config)
         if args.seed is not None and cfg.has_section("task"):
-            cfg._parser.set("task", "seed", str(args.seed))
-        code = _COMMANDS[args.command](cfg, Path(args.out), threads=threads,
-                                       timing=args.timing)
+            cfg.set("task", "seed", str(args.seed))
+        code = _COMMANDS[args.command](cfg, Path(args.out), timing=args.timing)
     except (ConfigError, CheckpointError, FileNotFoundError) as exc:
         print(f"zoft: config error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,11 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: {exc}") from exc
         return cls(parser, str(path))
 
+    def set(self, section: str, key: str, value: str) -> None:
+        """Set (or override) one key; the section must exist."""
+        self.require_section(section)
+        self._parser.set(section, key, value)
+
     def has_section(self, section: str) -> bool:
         return self._parser.has_section(section)
 

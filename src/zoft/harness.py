@@ -1,17 +1,17 @@
 """Experiment runner backing the CLI: comparison protocol, sweeps, ablations,
 bound campaigns, and CSV emission.
 
-All commands are deterministic under a fixed config: independent runs may be
-farmed out to a thread pool, but result rows are merged in a fixed sort order
-before writing, and wall-time columns default to 0 so reruns are byte-identical
-(pass timing=True to record real times at the cost of that guarantee).
+All commands are deterministic under a fixed config: the runs that share a
+noise seed and a method step together as one population, result rows are
+merged in a fixed sort order before writing, and wall-time columns default to
+0 so reruns are byte-identical (pass timing=True to record real times at the
+cost of that guarantee).
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from .config import ExperimentConfig, build_task_source
 from .errors import ConfigError, DimensionMismatchError, DivergenceError
 from .paramspace import NoiseSeed
 from .testbeds import make_rank_family
-from .zo_optimizer import ZOConfig, run_finetune
+from .zo_optimizer import ZOConfig, run_population
 
 RUN_ROW_HEADER = "experiment,method,task,seed,lr,step,loss,wall_ms,scale_min,scale_med,scale_max"
 
@@ -36,14 +36,6 @@ def _write_lines(path: Path, lines) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _map_jobs(fn, jobs, threads: int):
-    """Order-preserving map over independent jobs."""
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +72,32 @@ class RunResult:
         return None
 
 
-def _execute_run(model, method, lr, steps, epsilon, batch_size, seed, pertnn,
-                 normalize=True, timing=False) -> RunResult:
-    config = ZOConfig(
-        learning_rate=lr, steps=steps, epsilon=epsilon, batch_size=batch_size,
-        mode=method, seed=seed, normalize=normalize,
-    )
-    start = time.perf_counter()
-    diverged = False
-    try:
-        records = run_finetune(model, config, pertnn if method == "finetuner" else None)
-    except DivergenceError:
-        records, diverged = [], True
-    wall = (time.perf_counter() - start) * 1e3 if timing else 0.0
-    return RunResult(method, model.name, seed, lr, records, diverged, wall)
+def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
+               timing=False) -> list[RunResult]:
+    """Run every (model, method, lr, seed) job; returns RunResults in job order.
+
+    Jobs that share a seed and a method differ only in model and learning
+    rate, so each such group runs as one population (see run_population).
+    With timing, each run's wall time is its population's split evenly.
+    """
+    groups: dict = {}
+    for k, (_, method, _, seed) in enumerate(jobs):
+        groups.setdefault((seed, method), []).append(k)
+    results = [None] * len(jobs)
+    for (seed, method), ks in groups.items():
+        config = ZOConfig(learning_rate=0.0, steps=steps, epsilon=epsilon,
+                          batch_size=batch_size, mode=method, seed=seed,
+                          normalize=normalize)
+        start = time.perf_counter()
+        outcomes = run_population([jobs[k][0] for k in ks], [jobs[k][2] for k in ks],
+                                  config, pertnn if method == "finetuner" else None)
+        wall = (time.perf_counter() - start) * 1e3 / len(ks) if timing else 0.0
+        for k, outcome in zip(ks, outcomes):
+            model, _, lr, _ = jobs[k]
+            diverged = isinstance(outcome, DivergenceError)
+            results[k] = RunResult(method, model.name, seed, lr,
+                                   [] if diverged else outcome, diverged, wall)
+    return results
 
 
 def _run_rows(experiment: str, result: RunResult) -> list[str]:
@@ -159,8 +163,7 @@ def _load_checkpoint_if_needed(cfg: ExperimentConfig, section, methods, out_dir:
 # Commands
 
 
-def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
-                        timing: bool = False) -> int:
+def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
     kind, source = build_task_source(cfg)
     if kind != "quadratic":
         raise ConfigError("train-finetuner currently expects a quadratic task family")
@@ -180,8 +183,7 @@ def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     return 0
 
 
-def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
-                 timing: bool = False) -> int:
+def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
     kind, source = build_task_source(cfg)
     cfg.require_section("finetune")
     method = cfg.get_str("finetune", "mode", "mezo")
@@ -201,11 +203,8 @@ def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     params = _load_checkpoint_if_needed(cfg, "finetune", [method], out_dir,
                                         model.partition)
 
-    def job(seed):
-        return _execute_run(model, method, lr, steps, epsilon, batch_size, seed,
-                            params, timing=timing)
-
-    results = _map_jobs(job, seeds, threads)
+    results = _run_cells([(model, method, lr, seed) for seed in seeds],
+                         steps, epsilon, batch_size, params, timing=timing)
     experiment = cfg.get_str("finetune", "experiment", "finetune")
     rows = []
     for result in results:
@@ -218,8 +217,7 @@ def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     return 0
 
 
-def cmd_compare(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
-                timing: bool = False) -> int:
+def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
     kind, source = build_task_source(cfg)
     if kind != "quadratic":
         raise ConfigError("compare expects a quadratic task family")
@@ -243,13 +241,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     jobs = [(model, method, lr, seed)
             for model in tasks for method in methods
             for seed in seeds for lr in lr_grid]
-
-    def job(args):
-        model, method, lr, seed = args
-        return _execute_run(model, method, lr, steps, epsilon, batch_size, seed,
-                            params, timing=timing)
-
-    results = _map_jobs(job, jobs, threads)
+    results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing)
     by_cell: dict = {}
     for result in results:
         by_cell.setdefault((result.method, result.task, result.seed), []).append(result)
@@ -316,8 +308,7 @@ def _compare_summary(methods, tasks, seeds, best, steps):
     return lines
 
 
-def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
-                 timing: bool = False) -> int:
+def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
     kind, source = build_task_source(cfg)
     cfg.require_section("sweep")
     methods = cfg.get_str_list("sweep", "methods", ["mezo", "finetuner"])
@@ -341,14 +332,9 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     params = _load_checkpoint_if_needed(cfg, "sweep", methods, out_dir,
                                         model.partition)
 
-    jobs = [(method, lr, seed) for method in methods for lr in lr_grid for seed in seeds]
-
-    def job(args):
-        method, lr, seed = args
-        return _execute_run(model, method, lr, steps, epsilon, batch_size, seed,
-                            params, timing=timing)
-
-    results = _map_jobs(job, jobs, threads)
+    jobs = [(model, method, lr, seed)
+            for method in methods for lr in lr_grid for seed in seeds]
+    results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing)
     experiment = cfg.get_str("sweep", "experiment", "sweep")
     curve_rows, flag_lines = [], ["method,lr,seed,flag,final_mean"]
     for result in sorted(results, key=lambda r: (r.method, r.lr, r.seed)):
@@ -367,8 +353,7 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     return 0
 
 
-def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
-               timing: bool = False) -> int:
+def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
     kind, source = build_task_source(cfg)
     cfg.require_section("ablate")
     axes = cfg.get_str_list("ablate", "axes")
@@ -395,10 +380,9 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
         for cell_name, granularity in cells:
             model = source(granularity)
             trained, _ = _meta_train(cfg, [model])
-            def job(seed, model=model, trained=trained):
-                return _execute_run(model, "finetuner", lr, steps, epsilon,
-                                    batch_size, seed, trained, timing=timing)
-            for result in _map_jobs(job, seeds, threads):
+            jobs = [(model, "finetuner", lr, seed) for seed in seeds]
+            for result in _run_cells(jobs, steps, epsilon, batch_size, trained,
+                                     timing=timing):
                 lines.append(f"{cell_name},{result.seed},{_fmt(result.final_window_mean(window))}")
     else:
         if kind != "quadratic":
@@ -411,19 +395,16 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
                 cell_name = f"reset={'on' if reset else 'off'}+norm={'on' if norm else 'off'}"
                 trained, _ = _meta_train(cfg, tasks, normalize=norm, reset=reset)
                 model = source.make_task(eval_task_index)
-                def job(seed, model=model, trained=trained, norm=norm):
-                    return _execute_run(model, "finetuner", lr, steps, epsilon,
-                                        batch_size, seed, trained,
-                                        normalize=norm, timing=timing)
-                for result in _map_jobs(job, seeds, threads):
+                jobs = [(model, "finetuner", lr, seed) for seed in seeds]
+                for result in _run_cells(jobs, steps, epsilon, batch_size, trained,
+                                         normalize=norm, timing=timing):
                     final = result.final_window_mean(window) if not result.diverged else float("inf")
                     lines.append(f"{cell_name},{result.seed},{_fmt(final)}")
     _write_lines(out_dir / "ablation.csv", lines)
     return 0
 
 
-def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
-                      timing: bool = False) -> int:
+def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
     cfg.require_section("bounds")
     cfg.require_section("task")
     block_sizes = cfg.get_int_list("task", "block_sizes")
@@ -449,10 +430,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
     seed = cfg.get_int("bounds", "seed", 0)
     shift_scale = cfg.get_float("task", "shift_scale", 1.0)
 
-    jobs = [(ranks, eta) for ranks in profiles for eta in etas]
-
-    def job(args):
-        ranks, eta = args
+    def cell(ranks, eta):
         task = make_rank_family(block_sizes, ranks, opnorms, init_scale=shift_scale,
                                 seed=seed)
         theta = task.init_theta(seed)
@@ -462,7 +440,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, threads: int = 1,
         )
         return ranks, eta, report
 
-    results = _map_jobs(job, jobs, threads)
+    results = [cell(ranks, eta) for ranks in profiles for eta in etas]
     lines = ["ranks,eta,mezo_bound,blockwise_unit,blockwise_optimal,"
              "mc_mean,mc_stderr,closed_form,ok"]
     any_violation = False

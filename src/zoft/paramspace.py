@@ -5,12 +5,13 @@ Perturbation noise is never stored: every draw is regenerated bit-exactly from a
 reversed, and re-applied without keeping a second parameter-sized buffer alive.
 A walk regenerates the noise in fixed-size chunks into reused scratch, so its
 own memory is O(chunk) at any dimension, and it can apply several moves along
-one regeneration.
+one regeneration.  Parameters and scales may carry a leading row axis: the
+rows of a population share one noise stream, so one draw serves every row.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -82,14 +83,14 @@ class BlockPartition:
 
 @dataclass
 class ParamVector:
-    """A length-d float64 vector tied to a partition."""
+    """A length-d float64 vector, or (R, d) rows of them, tied to a partition."""
 
     values: np.ndarray
     partition: BlockPartition
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.partition.total,):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.partition.total:
             raise PartitionMismatchError(
                 f"vector length {self.values.shape} does not match partition "
                 f"total {self.partition.total}"
@@ -103,7 +104,10 @@ class ParamVector:
 
 @dataclass
 class PerturbScales:
-    """One standard deviation per block; the sampling law is u|block i = stds[i] * z."""
+    """One standard deviation per block; the sampling law is u|block i = stds[i] * z.
+
+    stds is (n_blocks,), or (R, n_blocks) with one row per population row.
+    """
 
     stds: np.ndarray
     partition: BlockPartition
@@ -111,14 +115,14 @@ class PerturbScales:
 
     def __post_init__(self):
         self.stds = np.asarray(self.stds, dtype=np.float64)
-        if self.stds.shape != (self.partition.n_blocks,):
+        if self.stds.ndim not in (1, 2) or self.stds.shape[-1] != self.partition.n_blocks:
             raise PartitionMismatchError(
                 f"expected {self.partition.n_blocks} scales, got {self.stds.shape}"
             )
-        if not np.all(np.isfinite(self.stds)):
+        if not np.isfinite(self.stds).all():
             raise InvalidScaleError("scales must be finite")
         lo = 0.0 if self.allow_zero else None
-        if lo is None and np.any(self.stds <= 0):
+        if lo is None and (self.stds <= 0).any():
             raise InvalidScaleError(f"scales must be strictly positive, got {self.stds}")
         if self.allow_zero and np.any(self.stds < 0):
             raise InvalidScaleError(f"scales must be nonnegative, got {self.stds}")
@@ -144,8 +148,6 @@ class NoiseSeed:
     stream: int = 0
 
 
-_rng_local = threading.local()
-
 # Stream stride: odd constant near 2**128 / golden ratio, the same spacing
 # numpy's PCG64.jumped uses.  Power-of-two strides are unsafe here: A**(2**k)
 # is congruent to 1 modulo a large power of two, which leaves the low state
@@ -159,11 +161,17 @@ def _base_rng_state(seed: int):
     return np.random.PCG64(np.random.SeedSequence([_NOISE_TAG, seed])).state
 
 
+@lru_cache(maxsize=None)
+def _generator() -> np.random.Generator:
+    """The one generator every walk rewinds, made on first use.  Walks never
+    interleave: the package runs single-threaded, and a walk draws all of
+    its noise before returning."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 @lru_cache(maxsize=8192)
 def _stream_rng_state(seed: int, stream: int):
-    bg = getattr(_rng_local, "scratch", None)
-    if bg is None:
-        bg = _rng_local.scratch = np.random.PCG64(0)
+    bg = _generator().bit_generator
     bg.state = _base_rng_state(seed)
     if stream:
         bg.advance((stream * _STREAM_STRIDE) & _STATE_MASK)
@@ -175,15 +183,12 @@ def _stream_rng(seed: NoiseSeed) -> np.random.Generator:
 
     Stream k of a given seed is PCG64 seeded from (tag, seed) and advanced by
     k * stride states; blocks are drawn from it sequentially in partition
-    order.  Stream states are cached and a thread-local generator is rewound
+    order.  Stream states are cached and the module's generator is rewound
     to the cached state, since the same stream is replayed several times per
     optimizer step.
     """
-    gen = getattr(_rng_local, "gen", None)
-    if gen is None:
-        _rng_local.bg = np.random.PCG64(0)
-        gen = _rng_local.gen = np.random.Generator(_rng_local.bg)
-    _rng_local.bg.state = _stream_rng_state(seed.seed, seed.stream)
+    gen = _generator()
+    gen.bit_generator.state = _stream_rng_state(seed.seed, seed.stream)
     return gen
 
 
@@ -212,40 +217,56 @@ def sample_block_noise(
 
 
 def perturb_in_place(
-    theta: ParamVector, scales: PerturbScales, seed: NoiseSeed, *steps: float
+    theta: ParamVector, scales: PerturbScales, seed: NoiseSeed, *steps
 ) -> None:
     """theta <- theta + step * u(seed, scales) for each step in order.
 
-    u is regenerated once, chunk by chunk, and every step is applied to a chunk
+    theta may hold (R, d) rows, scales (R, n_blocks) rows and each step one
+    value per row; every row sees the same z, so z is drawn once for all.  u
+    is regenerated once, chunk by chunk, and every step is applied to a chunk
     before the next is drawn, so the result is bit-identical to one call per
-    step.  Scratch is two chunk-sized buffers, never a block- or d-sized one,
-    which is the whole point of the store-a-seed design.
+    step and per row.  Scratch is one chunk of z and one chunk per row, never
+    a block- or d-sized buffer, which is the whole point of the store-a-seed
+    design.
+
+    A vector that became non-finite raises NumericOverflowError.  Rows are
+    left to the caller to check, since one row's overflow must not stop the
+    others.
     """
     partition = theta.partition
     _check_scales(partition, scales)
-    values = theta.values
-    stds = scales.stds
+    rows, stds = theta.values, scales.stds
+    if rows.ndim == 2:
+        # per-row factors step * stds[i] as one (R, 1) column per block; a
+        # vector keeps the scalar factors that numpy multiplies fastest
+        stds = stds.reshape(-1, partition.n_blocks).T[..., None]
+        steps = [np.asarray(step)[..., None] for step in steps]
     gen = _stream_rng(seed)
     z_buf = np.empty(partition.max_chunk)
-    move_buf = np.empty(partition.max_chunk)
+    move_buf = np.empty(rows.shape[:-1] + (partition.max_chunk,))
     for sl, n, i in partition.chunks:
         z = z_buf[:n]
-        move = move_buf[:n]
-        dst = values[sl]
+        move = move_buf[..., :n]
+        dst = rows[..., sl]
         gen.standard_normal(out=z)
         for step in steps:
             np.multiply(z, step * stds[i], out=move)
             dst += move
     # one cheap reduction: any inf/nan entry makes the sum non-finite, and a
     # finite move never makes a non-finite entry finite again
-    if not np.isfinite(values.sum()):
+    if theta.values.ndim == 1 and not math.isfinite(rows.sum()):
         raise NumericOverflowError("perturbation produced non-finite parameters")
 
 
-def block_stats(theta: ParamVector, block: int) -> tuple[float, float]:
-    """Arithmetic mean and population variance (divide by d_i) of one block."""
-    sl = theta.partition.block_slice(block)
-    vals = theta.values[sl]
-    mean = float(vals.mean())
-    var = float(vals.var())  # numpy default ddof=0 is the population variance
+def block_stats(theta: ParamVector, block: int):
+    """Arithmetic mean and population variance (divide by d_i) of one block.
+
+    Floats for a vector; (R,) arrays, one entry per row, for rows.
+    """
+    vals = theta.values[..., theta.partition.block_slice(block)]
+    # numpy's default ddof=0 is the population variance; a row reduction sums
+    # each row exactly as the same reduction over that row alone
+    mean, var = vals.mean(axis=-1), vals.var(axis=-1)
+    if vals.ndim == 1:
+        return float(mean), float(var)
     return mean, var

@@ -117,7 +117,8 @@ def _forward(params: PertNNParams, x: np.ndarray, blocks):
     """raw = softplus(W2 . tanh(W1 x + b1) + b2) for the selected blocks.
 
     An int selects one block (x is (5,)); a slice selects a batch (x is
-    (n, 5)).  Basic indexing takes views, so no weight is copied.
+    (n, 5), or (R, n, 5) for R rows of features).  Basic indexing takes views,
+    so no weight is copied.
     """
     w1, b1, w2, b2 = (a[blocks] for a in params.arrays)
     h = np.tanh((w1 @ x[..., None])[..., 0] + b1)
@@ -125,7 +126,7 @@ def _forward(params: PertNNParams, x: np.ndarray, blocks):
     raw = np.logaddexp(0.0, y)
     if not np.all(np.isfinite(raw)):
         names = np.atleast_1d(np.array(params.block_names)[blocks])
-        bad = names[~np.isfinite(np.atleast_1d(raw))]
+        bad = names[~np.isfinite(raw).reshape(-1, len(names)).all(axis=0)]
         raise NumericOverflowError(f"non-finite activation in blocks {', '.join(bad)}")
     return raw, ForwardCache(blocks=blocks, x=x, h=h, y=y)
 
@@ -137,10 +138,12 @@ def forward(params: PertNNParams, x, block: int):
 
 
 def forward_all(params: PertNNParams, features: np.ndarray):
-    """Forward every block; features is (n_blocks, 5).  Returns (raw_stds, cache)."""
-    if features.shape != (params.n_blocks, N_FEATURES):
+    """Forward every block; features is (n_blocks, 5), or (R, n_blocks, 5) for
+    R rows in one batched pass.  Returns (raw_stds, cache); raw_stds has the
+    features' shape without the last axis."""
+    if features.ndim not in (2, 3) or features.shape[-2:] != (params.n_blocks, N_FEATURES):
         raise PartitionMismatchError(
-            f"expected features of shape ({params.n_blocks}, {N_FEATURES}), "
+            f"expected features of shape ([R,] {params.n_blocks}, {N_FEATURES}), "
             f"got {features.shape}"
         )
     return _forward(params, features, slice(None))

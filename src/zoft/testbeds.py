@@ -89,12 +89,18 @@ class QuadraticTask:
         rng = np.random.default_rng([_QNOISE_TAG, self.seed, int(batch)])
         return rng.normal(0.0, np.sqrt(self.noise_tau / self.dim), size=self.dim)
 
-    def loss(self, values: np.ndarray, batch=0) -> float:
+    def loss(self, values: np.ndarray, batch=0):
+        """The loss of a (d,) vector, or one loss per row of (R, d) rows."""
         delta = values - self.theta_star
-        out = 0.5 * float(delta @ (self.eigs * delta))
+        if values.ndim == 1:
+            out = 0.5 * float(delta @ (self.eigs * delta))
+        else:
+            # vecdot runs one BLAS dot per row, so each row's loss has the
+            # bits of the vector loss
+            out = 0.5 * np.vecdot(delta, self.eigs * delta)
         xi = self._batch_noise(batch)
         if xi is not None:
-            out += float(xi @ delta)
+            out += float(xi @ delta) if values.ndim == 1 else np.vecdot(delta, xi)
         return out
 
     def grad(self, values: np.ndarray, batch=0) -> np.ndarray:
@@ -273,7 +279,13 @@ class MLPTask:
         replace = batch_size > self.n_samples
         return rng.choice(self.n_samples, size=batch_size, replace=replace)
 
-    def loss(self, values: np.ndarray, batch) -> float:
+    def loss(self, values: np.ndarray, batch):
+        """The loss of a (d,) vector, or one loss per row of (R, d) rows."""
+        if values.ndim == 2:
+            return np.array([self._loss(row, batch) for row in values])
+        return self._loss(values, batch)
+
+    def _loss(self, values: np.ndarray, batch) -> float:
         w1, b1, w2, b2 = self._unpack(values)
         xb, yb = self.X[batch], self.y[batch]
         hidden = np.tanh(xb @ w1 + b1)

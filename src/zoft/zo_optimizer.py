@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pertnn as pertnn_mod
-from .errors import DivergenceError, InvalidScaleError, NumericOverflowError
+from .errors import (
+    DivergenceError,
+    InvalidScaleError,
+    NumericOverflowError,
+    PartitionMismatchError,
+)
 from .paramspace import (
     BlockPartition,
     NoiseSeed,
@@ -55,11 +60,15 @@ class ZOConfig:
 
 @dataclass
 class LossPair:
-    plus: float
-    minus: float
+    """The two perturbed losses of a step: floats for one run, or (R,) arrays
+    for a population, whose rows `step` checks one by one."""
+
+    plus: float | np.ndarray
+    minus: float | np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.plus) and math.isfinite(self.minus)):
+        if isinstance(self.plus, float) and not (
+                math.isfinite(self.plus) and math.isfinite(self.minus)):
             raise NumericOverflowError(f"non-finite perturbed losses ({self.plus}, {self.minus})")
 
 
@@ -74,6 +83,9 @@ class GradEstimate:
 
 @dataclass
 class StepRecord:
+    """One step of one run.  `step` on a population returns one record whose
+    fields hold one entry per row."""
+
     t: int
     loss: float  # pre-update, unperturbed
     losses: LossPair
@@ -90,20 +102,32 @@ class OptState:
     t: int = 0
 
 
-def _budget_factor(raw: PerturbScales) -> tuple[float, float]:
-    """The variance budget sum_i d_i s_i^2 of raw and the factor sqrt(d / budget)."""
-    if np.any(raw.stds <= 0):
+def _budget_factor(raw: PerturbScales):
+    """The variance budget sum_i d_i s_i^2 of raw and the factor sqrt(d / budget).
+
+    Floats for one set of scales; (R,) arrays for (R, n_blocks) rows.
+    """
+    if (raw.stds <= 0).any():
         raise InvalidScaleError(f"cannot normalize non-positive scales {raw.stds}")
-    budget = raw.budget()
-    if budget <= 0 or not np.isfinite(budget):
+    if raw.stds.ndim == 1:
+        budget = raw.budget()
+        valid = budget > 0 and math.isfinite(budget)
+    else:
+        # vecdot runs one BLAS dot per row, as budget() does; a matrix
+        # product may sum in another order, and every trajectory depends on
+        # these bits
+        budget = np.vecdot(raw.stds**2, raw.partition.sizes)
+        valid = (budget > 0).all() and np.isfinite(budget).all()
+    if not valid:
         raise InvalidScaleError(f"invalid variance budget {budget}")
     return budget, np.sqrt(raw.partition.total / budget)
 
 
 def normalize_scales(raw: PerturbScales) -> PerturbScales:
-    """Rescale so that sum_i d_i s_i^2 = d, preserving pairwise ratios."""
+    """Rescale so that sum_i d_i s_i^2 = d, preserving pairwise ratios (per row
+    for rows of scales)."""
     _, factor = _budget_factor(raw)
-    return PerturbScales(raw.stds * factor, raw.partition)
+    return PerturbScales(raw.stds * factor[..., None], raw.partition)
 
 
 def normalize_scales_vjp(raw: PerturbScales, upstream: np.ndarray) -> np.ndarray:
@@ -117,32 +141,22 @@ def normalize_scales_vjp(raw: PerturbScales, upstream: np.ndarray) -> np.ndarray
     return factor * upstream - (raw.partition.sizes * raw.stds / budget) * inner
 
 
-def _two_point(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
-               epsilon: float, loss_fn):
-    """Two-point estimate that leaves theta at theta - eps*u.
+def spsa_estimate(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
+                  epsilon: float, loss_fn):
+    """Two-point estimate via the in-place walk; returns (GradEstimate, LossPair).
 
-    The caller moves theta back with a +eps walk of the same seed, alone or
-    fused with the update.  Non-finite losses raise before that move.
+    theta is temporarily perturbed to theta + eps*u and theta - eps*u and
+    restored by the final +eps move; no copy of theta is made.  Non-finite
+    losses raise before the restore.
     """
     perturb_in_place(theta, scales, seed, +epsilon)
     loss_plus = float(loss_fn(theta.values))
     perturb_in_place(theta, scales, seed, -2.0 * epsilon)
     loss_minus = float(loss_fn(theta.values))
     pair = LossPair(loss_plus, loss_minus)
+    perturb_in_place(theta, scales, seed, +epsilon)
     coeff = (loss_plus - loss_minus) / (2.0 * epsilon)
     return GradEstimate(coeff, seed, scales), pair
-
-
-def spsa_estimate(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
-                  epsilon: float, loss_fn):
-    """Two-point estimate via the in-place walk; returns (GradEstimate, LossPair).
-
-    theta is temporarily perturbed to theta + eps*u and theta - eps*u and
-    restored by the final +eps move; no copy of theta is made.
-    """
-    estimate, pair = _two_point(theta, scales, seed, epsilon, loss_fn)
-    perturb_in_place(theta, scales, seed, +epsilon)
-    return estimate, pair
 
 
 def apply_estimate(theta: ParamVector, estimate: GradEstimate, learning_rate: float) -> None:
@@ -154,54 +168,254 @@ def apply_estimate(theta: ParamVector, estimate: GradEstimate, learning_rate: fl
 
 def step_features(theta: ParamVector, prev_losses: LossPair,
                   prev_scales: np.ndarray) -> np.ndarray:
-    """(n_blocks, 5) feature matrix: l+, l-, previous scale, block mean, block var."""
+    """(n_blocks, 5) feature matrix: l+, l-, previous scale, block mean, block var.
+
+    For (R, d) rows it is (R, n_blocks, 5); prev_losses then holds (R,)
+    arrays and prev_scales is (n_blocks,) or (R, n_blocks).
+    """
     n = theta.partition.n_blocks
-    features = np.empty((n, pertnn_mod.N_FEATURES))
+    features = np.empty(theta.values.shape[:-1] + (n, pertnn_mod.N_FEATURES))
+    features[..., 0] = np.asarray(prev_losses.plus)[..., None]
+    features[..., 1] = np.asarray(prev_losses.minus)[..., None]
+    features[..., 2] = prev_scales
     for i in range(n):
-        mean, var = block_stats(theta, i)
-        features[i] = (prev_losses.plus, prev_losses.minus, prev_scales[i], mean, var)
+        features[..., i, 3], features[..., i, 4] = block_stats(theta, i)
     return features
 
 
-def _scales_for_step(theta, state, config, pertnn, current_loss):
+def _flag(failures, bad, error) -> None:
+    """Record `error` for every row where `bad` holds; raise it when the
+    caller keeps no failure record."""
+    if not bad.any():
+        return
+    if failures is None:
+        raise error
+    for r in np.flatnonzero(bad).tolist():
+        failures.setdefault(r, error)
+
+
+def _scales_of(pertnn, features, partition, normalize) -> PerturbScales:
+    raws, _ = pertnn_mod.forward_all(pertnn, features)
+    raw_scales = PerturbScales(raws, partition)
+    return normalize_scales(raw_scales) if normalize else raw_scales
+
+
+def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
     partition = theta.partition
+    lead = theta.values.shape[:-1]  # () for one run, (R,) for rows
     if config.mode == "mezo":
-        return PerturbScales.unit(partition)
+        return PerturbScales(np.ones(lead + (partition.n_blocks,)), partition)
     if pertnn is None:
         raise ValueError("finetuner mode requires scale-network parameters")
-    prev_losses = state.prev_losses or LossPair(current_loss, current_loss)
+    prev_losses = state.prev_losses
+    if prev_losses is None:
+        prev_losses = LossPair(current_loss, current_loss)  # raises for one vector
+        if lead:
+            _flag(failures, ~np.isfinite(current_loss),
+                  NumericOverflowError(f"non-finite loss {current_loss}"))
     prev_scales = (state.prev_scales if state.prev_scales is not None
                    else np.ones(partition.n_blocks))
     features = step_features(theta, prev_losses, prev_scales)
-    raws, _ = pertnn_mod.forward_all(pertnn, features)
-    raw_scales = PerturbScales(raws, partition)
-    return normalize_scales(raw_scales) if config.normalize else raw_scales
+    try:
+        return _scales_of(pertnn, features, partition, config.normalize)
+    except (NumericOverflowError, InvalidScaleError):
+        if not lead:
+            raise
+    # some row failed: redo the rows one by one so that only the failing ones
+    # are flagged; unit scales stand in for them until the step ends
+    stds = np.ones(lead + (partition.n_blocks,))
+    for r in range(len(stds)):
+        try:
+            stds[r] = _scales_of(pertnn, features[r], partition, config.normalize).stds
+        except (NumericOverflowError, InvalidScaleError) as exc:
+            _flag(failures, np.arange(len(stds)) == r, exc)
+    return PerturbScales(stds, partition)
 
 
 def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
-         loss_of, pertnn=None) -> StepRecord:
+         loss_of, pertnn=None, learning_rates=None, failures=None) -> StepRecord:
     """One optimizer step; mutates theta and state.
 
     ``loss_of(values, batch)`` is the batch loss oracle; both perturbed
     evaluations use the same batch.
+
+    theta may hold (R, d) rows: a population of runs that share config, and
+    so every noise draw, and differ in their losses (loss_of maps the rows to
+    R losses) and in `learning_rates`, one per row (config.learning_rate by
+    default).  The record's fields then hold one entry per row.  A failure (a
+    non-finite value or invalid scales) raises; given a `failures` dict, each
+    failing row is recorded there as row -> error instead, and the other rows
+    step on unchanged.
     """
     t = state.t + 1
-    loss_fn = lambda values: loss_of(values, batch)
-    current_loss = float(loss_fn(theta.values))
-    scales = _scales_for_step(theta, state, config, pertnn, current_loss)
+    single = theta.values.ndim == 1
+    lr = (config.learning_rate if learning_rates is None
+          else np.asarray(learning_rates, dtype=np.float64))
+
+    def losses():
+        out = loss_of(theta.values, batch)
+        return float(out) if single else out
+
+    current_loss = losses()
+    scales = _scales_for_step(theta, state, config, pertnn, current_loss, failures)
     seed = NoiseSeed(config.seed, stream=t)
-    estimate, pair = _two_point(theta, scales, seed, config.epsilon, loss_fn)
-    # the restore and the update share one regeneration of u; the update is
-    # skipped exactly when apply_estimate would skip it
-    moves = (+config.epsilon,)
-    if estimate.coeff != 0.0 and config.learning_rate != 0.0:
-        moves += (-config.learning_rate * estimate.coeff,)
-    perturb_in_place(theta, scales, seed, *moves)
+    perturb_in_place(theta, scales, seed, +config.epsilon)  # raises for one vector
+    plus = losses()
+    perturb_in_place(theta, scales, seed, -2.0 * config.epsilon)
+    minus = losses()
+    pair = LossPair(plus, minus)  # raises for one vector
+    if not single:
+        _flag(failures, ~(np.isfinite(plus) & np.isfinite(minus)),
+              NumericOverflowError("non-finite perturbed losses"))
+    coeff = (plus - minus) / (2.0 * config.epsilon)
+    # the restore and the update share one regeneration of u; a row skips the
+    # update exactly when apply_estimate would skip it (its zero move adds
+    # +-0, which changes no entry a walk can leave behind: only -0 + +0
+    # differs, and a walk's nonzero moves never leave a -0)
+    update = np.where((coeff == 0.0) | (lr == 0.0), 0.0, -lr * coeff)
+    if update.any():
+        perturb_in_place(theta, scales, seed, +config.epsilon, update)
+    else:
+        perturb_in_place(theta, scales, seed, +config.epsilon)
+    if not single:
+        # once per step: an inf/nan entry makes its row's sum non-finite, and
+        # no later move of the step makes it finite again
+        _flag(failures, ~np.isfinite(theta.values.sum(axis=1)),
+              NumericOverflowError("perturbation produced non-finite parameters"))
     state.prev_losses = pair
     state.prev_scales = scales.stds.copy()
     state.t = t
     return StepRecord(t=t, loss=current_loss, losses=pair,
-                      scales=scales.stds.copy(), coeff=estimate.coeff)
+                      scales=scales.stds.copy(), coeff=coeff)
+
+
+def _runs(models) -> list:
+    """(model, rows) for each run of consecutive rows that share one model."""
+    runs, lo = [], 0
+    for r in range(1, len(models) + 1):
+        if r == len(models) or models[r] is not models[lo]:
+            runs.append((models[lo], slice(lo, r)))
+            lo = r
+    return runs
+
+
+def _initial_rows(models, seed: int) -> np.ndarray:
+    """(R, d) starting rows; one model's rows share one init_theta call.  A
+    single row stays a plain (d,) vector."""
+    if len(models) == 1:
+        return models[0].init_theta(seed)
+    values = np.empty((len(models), models[0].partition.total))
+    for model, rows in _runs(models):
+        values[rows] = model.init_theta(seed)
+    return values
+
+
+def _divergence(t: int, error: Exception) -> DivergenceError:
+    what = "invalid scales" if isinstance(error, InvalidScaleError) else "non-finite value"
+    out = DivergenceError(f"{what} at step {t}: {error}")
+    out.__cause__ = error
+    return out
+
+
+def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> list:
+    """Run one seeded two-point fine-tuning run per row, all in one batched pass.
+
+    Row r runs models[r] from models[r].init_theta(config.seed) at
+    learning_rates[r]; config.learning_rate is not used.  The rows share the
+    rest of config, so every noise draw serves all of them, and each row's
+    trajectory equals its single run bit for bit.  The models must share one
+    partition; consecutive rows of one model share each loss call.
+
+    Returns one entry per row: its list of StepRecords, or the DivergenceError
+    that ended it.  A row diverges once its loss exceeds 1e6 x its initial
+    loss, or once a loss, a parameter or a scale becomes non-finite or
+    invalid; it then leaves the population and the others go on unchanged.
+    A population of one row steps it as a plain (d,) vector, which takes
+    numpy's scalar fast paths and raises at its first failure.
+    """
+    models = list(models)
+    lrs = np.array(learning_rates, dtype=np.float64)
+    if not models or lrs.shape != (len(models),):
+        raise ValueError("need one learning rate per model, and at least one model")
+    if np.any(lrs < 0):
+        raise ValueError("learning rate must be nonnegative")
+    partition = models[0].partition
+    if any(model.partition != partition for model in models):
+        raise PartitionMismatchError("population models must share one partition")
+    theta = ParamVector(_initial_rows(models, config.seed), partition)
+    state = OptState()
+    live = list(range(len(models)))  # the caller's row of each population row
+    outcomes = [[] for _ in models]
+    initial = None
+    runs = _runs(models)
+
+    def loss_of(values, batches):
+        if len(runs) == 1:
+            return runs[0][0].loss(values, batches[0])
+        out = np.empty(len(values))
+        for (model, rows), batch in zip(runs, batches):
+            out[rows] = model.loss(values[rows], batch)
+        return out
+
+    rates = lrs if theta.values.ndim == 2 else lrs[0]
+    for t in range(1, config.steps + 1):
+        key = config.seed * 1000003 + t
+        batches = [model.sample_batch(config.batch_size, key) for model, _ in runs]
+        failures = {}
+        try:
+            record = step(theta, state, batches, config, loss_of, pertnn,
+                          learning_rates=rates, failures=failures)
+        except (NumericOverflowError, InvalidScaleError) as exc:
+            # only a plain vector raises: the population's one row has failed
+            outcomes[live[0]] = _divergence(t, exc)
+            break
+        # a plain vector's record is its row's record
+        records = [record] if theta.values.ndim == 1 else _row_records(record, failures)
+        if initial is None:
+            initial = [None if rec is None else abs(rec.loss) + 1e-300
+                       for rec in records]
+        keep = []
+        for k, (r, rec) in enumerate(zip(live, records)):
+            if k in failures:
+                outcomes[r] = _divergence(t, failures[k])
+            elif abs(rec.loss) > DIVERGENCE_FACTOR * initial[k]:
+                outcomes[r] = DivergenceError(
+                    f"loss {rec.loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x "
+                    f"initial loss at step {t}")
+            else:
+                keep.append(k)
+                outcomes[r].append(rec)
+        if len(keep) < len(live):
+            if not keep:
+                break
+            _keep_rows(theta, state, keep)
+            rates = rates[keep]
+            initial = [initial[k] for k in keep]
+            live = [live[k] for k in keep]
+            runs = _runs([models[r] for r in live])
+    return outcomes
+
+
+def _row_records(record: StepRecord, failures: dict) -> list:
+    """Each row's record of a population step (None for a failed row)."""
+    loss, coeff = record.loss.tolist(), record.coeff.tolist()
+    plus, minus = record.losses.plus.tolist(), record.losses.minus.tolist()
+    return [None if k in failures else
+            StepRecord(t=record.t, loss=loss[k], losses=LossPair(plus[k], minus[k]),
+                       scales=scales.copy(), coeff=coeff[k])
+            for k, scales in enumerate(record.scales)]
+
+
+def _keep_rows(theta: ParamVector, state: OptState, keep: list) -> None:
+    """Drop every population row not in `keep` (ascending), in place."""
+    values = theta.values
+    for new, old in enumerate(keep):
+        if new != old:
+            values[new] = values[old]
+    theta.values = values[:len(keep)]
+    state.prev_losses = LossPair(state.prev_losses.plus[keep],
+                                 state.prev_losses.minus[keep])
+    state.prev_scales = state.prev_scales[keep]
 
 
 def run_finetune(model, config: ZOConfig, pertnn=None) -> list[StepRecord]:
@@ -209,24 +423,10 @@ def run_finetune(model, config: ZOConfig, pertnn=None) -> list[StepRecord]:
 
     The model provides init_theta / sample_batch / loss.  A fresh batch is
     sampled every step.  Aborts with DivergenceError once the loss exceeds
-    1e6 x the initial loss, or once a loss or a parameter becomes non-finite.
+    1e6 x the initial loss, or once a loss, a parameter or a scale becomes
+    non-finite or invalid.  This is the one-row case of run_population.
     """
-    theta = ParamVector(model.init_theta(config.seed), model.partition)
-    state = OptState()
-    records: list[StepRecord] = []
-    initial_loss = None
-    for t in range(1, config.steps + 1):
-        batch = model.sample_batch(config.batch_size, config.seed * 1000003 + t)
-        try:
-            record = step(theta, state, batch, config, model.loss, pertnn)
-        except NumericOverflowError as exc:
-            raise DivergenceError(f"non-finite value at step {t}: {exc}") from exc
-        records.append(record)
-        if initial_loss is None:
-            initial_loss = abs(record.loss) + 1e-300
-        if abs(record.loss) > DIVERGENCE_FACTOR * initial_loss:
-            raise DivergenceError(
-                f"loss {record.loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x "
-                f"initial loss at step {t}"
-            )
-    return records
+    [outcome] = run_population([model], [config.learning_rate], config, pertnn)
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome

@@ -35,6 +35,7 @@ from zoft.zo_optimizer import (
     ZOConfig,
     normalize_scales,
     run_finetune,
+    run_population,
     spsa_estimate,
     step_features,
 )
@@ -56,20 +57,25 @@ def train_race_net(family, seed=0):
     return net
 
 
-def run_once(model, method, lr, seed, net, steps=400, batch_size=1,
-             normalize=True):
-    """(final_window_mean, steps_to_half, diverged) for one fine-tuning run."""
-    config = ZOConfig(learning_rate=lr, steps=steps, batch_size=batch_size,
+def run_cells(models, lrs, method, seed, net, steps=400, batch_size=1,
+              normalize=True):
+    """(final_window_mean, steps_to_half, diverged) for each (model, lr) run,
+    all run as one population."""
+    config = ZOConfig(learning_rate=0.0, steps=steps, batch_size=batch_size,
                       mode=method, seed=seed, normalize=normalize)
-    try:
-        recs = run_finetune(model, config, net if method == "finetuner" else None)
-    except DivergenceError:
-        return float("inf"), steps + 1, True
-    k = max(1, steps // 10)
-    final = float(np.mean([r.loss for r in recs[-k:]]))
-    target = 0.5 * recs[0].loss
-    stt = next((r.t for r in recs if r.loss <= target), steps + 1)
-    return final, stt, False
+    outcomes = run_population(models, lrs, config,
+                              net if method == "finetuner" else None)
+    cells = []
+    for recs in outcomes:
+        if isinstance(recs, DivergenceError):
+            cells.append((float("inf"), steps + 1, True))
+            continue
+        k = max(1, steps // 10)
+        final = float(np.mean([r.loss for r in recs[-k:]]))
+        target = 0.5 * recs[0].loss
+        stt = next((r.t for r in recs if r.loss <= target), steps + 1)
+        cells.append((final, stt, False))
+    return cells
 
 
 class TestEstimatorMean:
@@ -311,18 +317,21 @@ class TestConvergenceRace:
 
         wins = total = 0
         steps_m, steps_f = [], []
-        for task in held_out:
-            for seed in range(10):
-                best = {}
-                for method in ("mezo", "finetuner"):
-                    runs = [(run_once(task, method, lr, seed, net), lr)
-                            for lr in grid]
+        models = [task for task in held_out for _ in grid]
+        for seed in range(10):
+            best = {}
+            for method in ("mezo", "finetuner"):
+                # one population per seed and method: every task x lr cell
+                cells = run_cells(models, grid * len(held_out), method, seed, net)
+                for k in range(len(held_out)):
+                    runs = list(zip(cells[k * len(grid):(k + 1) * len(grid)], grid))
                     (final, stt, _), lr = min(runs, key=lambda r: (r[0][0], r[1]))
-                    best[method] = stt
+                    best[k, method] = stt
+            for k in range(len(held_out)):
                 total += 1
-                wins += best["finetuner"] < best["mezo"]
-                steps_m.append(best["mezo"])
-                steps_f.append(best["finetuner"])
+                wins += best[k, "finetuner"] < best[k, "mezo"]
+                steps_m.append(best[k, "mezo"])
+                steps_f.append(best[k, "finetuner"])
 
         assert wins >= 0.8 * total
         assert np.median(steps_f) <= 0.8 * np.median(steps_m)
@@ -343,14 +352,13 @@ class TestLearningRateRobustness:
         stats = {}
         for method in ("mezo", "finetuner"):
             diverged = 0
-            finals = {}
-            for lr in grid:
-                fs = []
-                for seed in range(5):
-                    final, _, div = run_once(task, method, lr, seed, net)
+            fs = {lr: [] for lr in grid}
+            for seed in range(5):
+                cells = run_cells([task] * len(grid), grid, method, seed, net)
+                for lr, (final, _, div) in zip(grid, cells):
                     diverged += div
-                    fs.append(final)
-                finals[lr] = float(np.median(fs))
+                    fs[lr].append(final)
+            finals = {lr: float(np.median(f)) for lr, f in fs.items()}
             stats[method] = (diverged, min(finals.values()))
 
         assert stats["finetuner"][0] <= stats["mezo"][0]
@@ -372,8 +380,8 @@ class TestAblations:
                                  seed=0, normalize=norm)
                 net, _ = train(cfg, tasks,
                                pertnn.init(tasks[0].partition, 32, NoiseSeed(0)))
-                fs = [run_once(task, "finetuner", 0.05, seed, net,
-                               normalize=norm)[0]
+                fs = [run_cells([task], [0.05], "finetuner", seed, net,
+                                normalize=norm)[0][0]
                       for seed in range(10)]
                 medians[(reset, norm)] = float(np.median(fs))
         best = min(medians, key=medians.get)
@@ -390,8 +398,8 @@ class TestAblations:
                              batch_size=16, seed=1)
             net, _ = train(cfg, [model],
                            pertnn.init(model.partition, 32, NoiseSeed(1)))
-            fs = [run_once(model, "finetuner", 0.2, seed, net,
-                           batch_size=16)[0]
+            fs = [run_cells([model], [0.2], "finetuner", seed, net,
+                            batch_size=16)[0][0]
                   for seed in range(10)]
             medians[granularity] = float(np.median(fs))
         assert medians["block"] <= medians["layer"]

@@ -83,13 +83,13 @@ class TestBuildTaskSource:
 
     def test_per_block_init_scale(self, tmp_path):
         cfg = write_cfg(tmp_path, BASIC + "\n[DEFAULT]\n")
-        cfg._parser.set("task", "init_scale", "0.5, 2.0")
+        cfg.set("task", "init_scale", "0.5, 2.0")
         _, source = build_task_source(cfg)
         assert source.init_scale == (0.5, 2.0)
 
     def test_init_scale_wrong_length(self, tmp_path):
         cfg = write_cfg(tmp_path, BASIC)
-        cfg._parser.set("task", "init_scale", "0.5, 2.0, 3.0")
+        cfg.set("task", "init_scale", "0.5, 2.0, 3.0")
         with pytest.raises(ConfigError, match="init_scale"):
             build_task_source(cfg)
 

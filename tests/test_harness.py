@@ -313,6 +313,38 @@ steps = 5
         assert "do not match" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
+    def test_invalid_scales_are_divergence(self, tmp_path, capsys):
+        # b2 = -800 makes one block's softplus underflow to a scale of 0
+        out = tmp_path / "o"
+        train = write_config(tmp_path, TASK + TRAIN, name="train.ini")
+        assert cli.main(["train-finetuner", "--config", str(train),
+                         "--out", str(out)]) == 0
+        ckpt = out / "finetuner.ckpt"
+        lines = ckpt.read_text(encoding="utf-8").splitlines()
+        hidden = 8
+        lines[2 + 1 + hidden + 2] = "-800"  # block0's b2 line
+        ckpt.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, TASK + """
+[finetune]
+mode = finetuner
+seeds = 0
+lr = 0.05
+steps = 5
+
+[sweep]
+methods = mezo, finetuner
+seeds = 0
+lr_grid = 0.001, 0.01, 0.1
+steps = 5
+""", name="run.ini")
+        assert cli.main(["finetune", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "zoft: divergence" in capsys.readouterr().err
+        assert cli.main(["sweep-lr", "--config", str(cfg), "--out", str(out)]) == 0
+        flags = [line.split(",")
+                 for line in (out / "sweep_flags.csv").read_text().splitlines()[1:]]
+        assert {f[3] for f in flags if f[0] == "finetuner"} == {"diverged"}
+        assert "diverged" not in {f[3] for f in flags if f[0] == "mezo"}
+
     def test_meta_training_overflow_is_divergence(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TASK + TRAIN.replace("eta1 = 0.05", "eta1 = 1e200"))
         with np.errstate(over="ignore", invalid="ignore"):

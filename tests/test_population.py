@@ -1,0 +1,168 @@
+"""Population runs: every row equals its own single run, bit for bit.
+
+The reference is the single-run loop over one parameter vector: `step` on a
+(d,) vector, which raises at the first non-finite value or invalid scale.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from zoft import pertnn
+from zoft.errors import (
+    DivergenceError,
+    InvalidScaleError,
+    NumericOverflowError,
+    PartitionMismatchError,
+)
+from zoft.paramspace import (
+    BlockPartition,
+    NoiseSeed,
+    ParamVector,
+    PerturbScales,
+    perturb_in_place,
+)
+from zoft.testbeds import MLPTask, QuadraticFamily, make_rank_family
+from zoft.zo_optimizer import (
+    DIVERGENCE_FACTOR,
+    OptState,
+    ZOConfig,
+    run_finetune,
+    run_population,
+    step,
+)
+
+
+def reference_run(model, config, net):
+    """The single-run loop: records, or None where the run diverges."""
+    theta = ParamVector(model.init_theta(config.seed), model.partition)
+    state = OptState()
+    records, initial = [], None
+    for t in range(1, config.steps + 1):
+        batch = model.sample_batch(config.batch_size, config.seed * 1000003 + t)
+        try:
+            record = step(theta, state, batch, config, model.loss, net)
+        except (NumericOverflowError, InvalidScaleError):
+            return None
+        records.append(record)
+        if initial is None:
+            initial = abs(record.loss) + 1e-300
+        if abs(record.loss) > DIVERGENCE_FACTOR * initial:
+            return None
+    return records
+
+
+def assert_rows_match(models, lrs, config, net):
+    outcomes = run_population(models, lrs, config, net)
+    assert len(outcomes) == len(models)
+    for model, lr, outcome in zip(models, lrs, outcomes):
+        single = ZOConfig(lr, config.steps, config.epsilon, config.batch_size,
+                          config.mode, config.seed, config.normalize)
+        want = reference_run(model, single, net)
+        if want is None:
+            assert isinstance(outcome, DivergenceError), (model.name, lr)
+            with pytest.raises(DivergenceError):
+                run_finetune(model, single, net)
+            continue
+        assert not isinstance(outcome, DivergenceError), (model.name, lr)
+        assert len(outcome) == len(want)
+        for got, ref in zip(outcome, want):
+            assert (got.t, got.loss, got.coeff) == (ref.t, ref.loss, ref.coeff)
+            assert (got.losses.plus, got.losses.minus) == (ref.losses.plus,
+                                                           ref.losses.minus)
+            assert np.array_equal(got.scales, ref.scales)
+    return outcomes
+
+
+def race_family():
+    return QuadraticFamily(
+        block_sizes=(48, 16), ranks=(48.0, 16.0), opnorms=(1.0, 0.05),
+        shift_scale=1.0, init_scale=(0.204, 1.58), seed=0,
+    )
+
+
+class TestRowsEqualSingleRuns:
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("mode", ["mezo", "finetuner"])
+    def test_race_family(self, mode, normalize):
+        # 0.125 diverges for mezo by the loss guard and 1e155 by overflow, so
+        # rows leave the population at different steps
+        tasks = race_family().make_tasks(2, start=100)
+        net = pertnn.init(tasks[0].partition, 16, NoiseSeed(4))
+        lrs = [0.02, 0.05, 0.125, 1e155]
+        models = [task for task in tasks for _ in lrs]
+        config = ZOConfig(0.0, 150, mode=mode, seed=3, normalize=normalize)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = assert_rows_match(models, lrs * 2, config, net)
+        assert not isinstance(outcomes[0], DivergenceError)
+        assert isinstance(outcomes[3], DivergenceError)
+
+    def test_mlp_block_partition(self):
+        model = MLPTask(n_in=4, n_hidden=8, n_out=3, n_samples=120,
+                        data_seed=0, granularity="block")
+        net = pertnn.init(model.partition, 8, NoiseSeed(1))
+        config = ZOConfig(0.0, 60, batch_size=16, mode="finetuner", seed=2)
+        assert_rows_match([model] * 3, [0.05, 0.2, 1.0], config, net)
+
+    @pytest.mark.parametrize("mode", ["mezo", "finetuner"])
+    def test_wide_partition(self, mode):
+        # the 40000-entry block spans two noise chunks; lr 0 skips every
+        # update while the other rows apply theirs
+        model = make_rank_family([40000, 24, 1], [400.0, 8.0, 1.0],
+                                 [1.0, 0.5, 1.0], seed=0)
+        net = pertnn.init(model.partition, 8, NoiseSeed(0))
+        config = ZOConfig(0.0, 8, mode=mode, seed=0)
+        assert_rows_match([model] * 3, [1e-5, 0.0, 3e-5], config, net)
+
+
+class TestFailures:
+    def test_invalid_scales_leave_only_their_row(self):
+        # h = tanh(l+) and y = 100 h - 800: the far task's loss keeps its
+        # softplus at e^-701 > 0, the near task's underflows it to 0, an
+        # invalid scale for that row alone
+        far = make_rank_family([4, 4], [2.0, 3.0], [1.0, 1.0], seed=0)
+        near = make_rank_family([4, 4], [2.0, 3.0], [1.0, 1.0], init_scale=1e-8,
+                                seed=0)
+        net = pertnn.constant_params(far.partition, 1)
+        net.w1[:, 0, 0] = 1.0
+        net.w2[:, 0] = 100.0
+        net.b2[:] = -800.0
+        config = ZOConfig(0.0, 5, mode="finetuner", seed=0, normalize=False)
+        outcomes = assert_rows_match([far, far, near], [0.05, 0.1, 0.05], config, net)
+        assert [isinstance(o, DivergenceError) for o in outcomes] == [False, False, True]
+        assert isinstance(outcomes[2].__cause__, InvalidScaleError)
+        with pytest.raises(DivergenceError, match="invalid scales"):
+            run_finetune(near, config, net)
+
+    def test_rejects_mismatched_inputs(self):
+        model = make_rank_family([4, 4], [2.0, 3.0], [1.0, 1.0], seed=0)
+        other = make_rank_family([4, 5], [2.0, 3.0], [1.0, 1.0], seed=0)
+        config = ZOConfig(0.05, 2, seed=0)
+        with pytest.raises(ValueError):
+            run_population([model, model], [0.05], config)
+        with pytest.raises(ValueError):
+            run_population([model], [-0.1], config)
+        with pytest.raises(PartitionMismatchError):
+            run_population([model, other], [0.05, 0.05], config)
+
+
+def test_population_walk_allocates_no_parameter_sized_buffer():
+    # R rows share each chunk of z: scratch is one chunk of z and one per
+    # row, at most a tenth of the rows' parameter bytes
+    p = BlockPartition([("a", 750_000), ("b", 250_000)])
+    rows = 2
+    theta = ParamVector(np.zeros((rows, p.total)), p)
+    scales = PerturbScales(np.array([[1.0, 2.0], [0.5, 1.5]]), p)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        perturb_in_place(theta, scales, NoiseSeed(0, 1), 1e-3, np.array([-0.1, 0.2]))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 0.1 * theta.values.nbytes
