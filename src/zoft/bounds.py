@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundViolationError, DegenerateBoundError
-from .paramspace import PerturbScales
+from .paramspace import _CHUNK, BlockPartition, PerturbScales
 from .testbeds import QuadraticTask
 
 _MC_TAG = 0x0B0C4D
@@ -120,8 +120,6 @@ def optimal_scales(inputs: BoundInputs) -> PerturbScales:
     KKT stationarity gives sigma_j^2 = max(0, (a_j - mu d_j) / (2 b_j)); the
     multiplier mu is found by bisection on the (monotone) budget residual.
     """
-    from .paramspace import BlockPartition
-
     a, b = _bound_coeffs(inputs)
     if np.all(b == 0):
         raise DegenerateBoundError("all quadratic bound coefficients are zero")
@@ -182,8 +180,13 @@ def _block_arrays(task: QuadraticTask, theta: np.ndarray):
     return g, slices
 
 
+def _step_sizes(eta) -> list:
+    """One step size or a sequence of them, as a list of Python floats."""
+    return [float(e) for e in np.atleast_1d(np.asarray(eta, dtype=np.float64))]
+
+
 def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
-                      eta: float, epsilon: float = 1e-3, mode: str = "closed_form",
+                      eta, epsilon: float = 1e-3, mode: str = "closed_form",
                       scheme: str = "blockwise", law: str = "gaussian",
                       n: int = 100_000, seed: int = 0):
     """E[L(theta_1) - L(theta_0)] for one ZO step on a deterministic quadratic.
@@ -200,7 +203,12 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
     stated for).  Both have E[u u'] = diag(s_i^2 I), but their fourth moments
     differ by a factor dim/(dim+2) in the quadratic term.
 
-    Returns ``(mean, stderr)``; stderr is None in closed form.
+    ``eta`` is one step size or a sequence of them.  In Monte Carlo every step
+    size is scored from the same n samples, which are drawn once, block by
+    block, in chunks of about 256 KiB (see the README's Bounds note).
+
+    Returns ``(mean, stderr)``: floats for one step size, arrays with one
+    entry per step size for a sequence; stderr is None in closed form.
     """
     if task.noise_tau != 0.0:
         raise ValueError("expected_decrease requires a deterministic quadratic (tau=0)")
@@ -208,6 +216,10 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
         raise ValueError(f"unknown scheme {scheme!r}")
     if law not in ("gaussian", "sphere"):
         raise ValueError(f"unknown law {law!r}")
+    if mode not in ("closed_form", "monte_carlo"):
+        raise ValueError(f"unknown mode {mode!r}")
+    single = np.ndim(eta) == 0
+    etas = _step_sizes(eta)
     g, slices = _block_arrays(task, theta)
     stds = scales.stds
 
@@ -217,48 +229,58 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
 
     if mode == "closed_form":
         if scheme == "blockwise":
-            total = 0.0
+            terms = []
             for i, sl in enumerate(slices):
-                v = stds[i] ** 2
                 gj, hj = g[sl], task.eigs[sl]
                 gamma = float(gj @ gj)
                 quad = gamma * float(hj.sum()) + 2.0 * float(gj @ (hj * gj))
-                total += (-eta * v * gamma
-                          + 0.5 * eta**2 * v**2 * fourth_factor(len(gj)) * quad)
-            return total, None
-        dvec = scales.per_coordinate() ** 2
-        gdg = float(g @ (dvec * g))
-        tr_dh = float(dvec @ task.eigs)
-        gdhdg = float((dvec * g) @ (task.eigs * (dvec * g)))
-        quad = gdg * tr_dh + 2.0 * gdhdg
-        return -eta * gdg + 0.5 * eta**2 * fourth_factor(len(g)) * quad, None
+                terms.append((stds[i] ** 2, gamma, fourth_factor(len(gj)), quad))
+            means = []
+            for e in etas:
+                total = 0.0
+                for v, gamma, factor, quad in terms:
+                    total += -e * v * gamma + 0.5 * e**2 * v**2 * factor * quad
+                means.append(total)
+        else:
+            dvec = scales.per_coordinate() ** 2
+            gdg = float(g @ (dvec * g))
+            tr_dh = float(dvec @ task.eigs)
+            gdhdg = float((dvec * g) @ (task.eigs * (dvec * g)))
+            quad = gdg * tr_dh + 2.0 * gdhdg
+            factor = fourth_factor(len(g))
+            means = [-e * gdg + 0.5 * e**2 * factor * quad for e in etas]
+        return (means[0] if single else np.array(means)), None
 
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def draw(rng, count, dim):
-        z = rng.standard_normal((count, dim))
-        if law == "sphere":
-            z *= np.sqrt(dim) / np.linalg.norm(z, axis=1, keepdims=True)
-        return z
-
-    rng = np.random.default_rng([_MC_TAG, seed])
-    delta = np.zeros(n)
+    if n < 2:
+        raise ValueError(f"monte_carlo needs n >= 2 samples for a stderr, got {n}")
     if scheme == "blockwise":
-        for i, sl in enumerate(slices):
-            u = stds[i] * draw(rng, n, len(g[sl]))
-            c = u @ g[sl]
-            quad = np.einsum("nk,k,nk->n", u, task.eigs[sl], u)
-            delta += -eta * c**2 + 0.5 * eta**2 * c**2 * quad
+        parts = [(g[sl], task.eigs[sl], stds[i]) for i, sl in enumerate(slices)]
     else:
-        per_coord = scales.per_coordinate()
-        u = per_coord * draw(rng, n, len(g))
-        c = u @ g
-        quad = np.einsum("nk,k,nk->n", u, task.eigs, u)
-        delta = -eta * c**2 + 0.5 * eta**2 * c**2 * quad
-    mean = float(delta.mean())
-    stderr = float(delta.std(ddof=1) / np.sqrt(n))
-    return mean, stderr
+        parts = [(g, task.eigs, scales.per_coordinate())]
+    rng = np.random.default_rng([_MC_TAG, seed])
+    delta = np.zeros((len(etas), n))
+    for gj, hj, s in parts:
+        dim = len(gj)
+        rows = max(1, _CHUNK // dim)
+        # standard_normal fills row after row, so drawing a block's n rows
+        # chunk by chunk consumes the stream exactly as one (n, dim) draw, and
+        # the norms and the einsum are row by row; only BLAS's `u @ gj` may
+        # round a chunk's last rows differently from one (n, dim) product
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            z = rng.standard_normal((hi - lo, dim))
+            if law == "sphere":
+                z *= np.sqrt(dim) / np.linalg.norm(z, axis=1, keepdims=True)
+            u = s * z
+            c2 = (u @ gj) ** 2
+            quad = np.einsum("nk,k,nk->n", u, hj, u)
+            for k, e in enumerate(etas):
+                delta[k, lo:hi] += -e * c2 + 0.5 * e**2 * c2 * quad
+    means = [float(row.mean()) for row in delta]
+    stderrs = [float(row.std(ddof=1) / np.sqrt(n)) for row in delta]
+    if single:
+        return means[0], stderrs[0]
+    return np.array(means), np.array(stderrs)
 
 
 @dataclass
@@ -284,9 +306,9 @@ class BoundReport:
 
 
 def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
-                 eta: float, epsilon: float = 1e-3, n: int = 100_000,
+                 eta, epsilon: float = 1e-3, n: int = 100_000,
                  seed: int = 0, law: str = "sphere",
-                 raise_on_violation: bool = False) -> BoundReport:
+                 raise_on_violation: bool = False) -> BoundReport | list[BoundReport]:
     """Evaluate both bounds against the measured expected decrease.
 
     Checks, each recorded as a violation string when it fails:
@@ -297,8 +319,35 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
     The default sampling law is the norm-controlled "sphere" one the bounds
     are derived for; with ``law="gaussian"`` the quadratic term grows by a
     factor (d_j + 2)/d_j per block, so small blocks can exceed the bound.
+
+    ``eta`` is one step size, giving one BoundReport, or a sequence of them,
+    giving one report per step size, all measured from one Monte-Carlo draw.
     """
-    inputs = BoundInputs.from_task(task, theta, eta)
+    single = np.ndim(eta) == 0
+    etas = _step_sizes(eta)
+    if not etas:
+        raise ValueError("verify_bound needs at least one step size")
+    # validates every step size before the draw
+    inputs = [BoundInputs.from_task(task, theta, e) for e in etas]
+    mc_means, mc_stderrs = expected_decrease(
+        task, theta, scales, etas, epsilon, mode="monte_carlo", law=law, n=n, seed=seed
+    )
+    closed, _ = expected_decrease(task, theta, scales, etas, epsilon,
+                                  mode="closed_form", law=law)
+    reports = [
+        _report(inp, task, scales, float(m), float(s), float(c))
+        for inp, m, s, c in zip(inputs, mc_means, mc_stderrs, closed)
+    ]
+    violations = [v for report in reports for v in report.violations]
+    if raise_on_violation and violations:
+        raise BoundViolationError("; ".join(violations))
+    return reports[0] if single else reports
+
+
+def _report(inputs: BoundInputs, task: QuadraticTask, scales: PerturbScales,
+            mc_mean: float, mc_stderr: float, closed: float) -> BoundReport:
+    """The bounds at one step size, checked against its measured decrease."""
+    eta = inputs.eta
     mz = mezo_bound(inputs)
     bw_unit = blockwise_bound(inputs)
     bw_given = blockwise_bound(inputs, scales)
@@ -307,11 +356,6 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
     else:
         opt = optimal_scales(inputs)
     bw_opt = blockwise_bound(inputs, opt)
-    mc_mean, mc_stderr = expected_decrease(
-        task, theta, scales, eta, epsilon, mode="monte_carlo", law=law, n=n, seed=seed
-    )
-    closed, _ = expected_decrease(task, theta, scales, eta, epsilon,
-                                  mode="closed_form", law=law)
 
     violations = []
     slack = 4.0 * mc_stderr
@@ -334,7 +378,7 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
             f"closed form {closed:.6e} and Monte-Carlo {mc_mean:.6e} "
             f"disagree beyond {slack:.2e}"
         )
-    report = BoundReport(
+    return BoundReport(
         eta=eta, smoothness=inputs.smoothness, ranks=inputs.ranks,
         grad_sqnorms=inputs.grad_sqnorms, scale_stds=scales.stds.copy(),
         mezo_bound=mz, blockwise_unit=bw_unit, blockwise_given=bw_given,
@@ -342,6 +386,3 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
         mc_mean=mc_mean, mc_stderr=mc_stderr, closed_form=closed,
         violations=violations,
     )
-    if raise_on_violation and violations:
-        raise BoundViolationError("; ".join(violations))
-    return report

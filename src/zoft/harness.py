@@ -10,6 +10,7 @@ cost of that guarantee).
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from . import bounds as bounds_mod
 from . import meta_trainer, pertnn as pertnn_mod
 from .config import ExperimentConfig, build_task_source
 from .errors import ConfigError, DimensionMismatchError, DivergenceError
-from .paramspace import NoiseSeed
+from .paramspace import NoiseSeed, PerturbScales
 from .testbeds import make_rank_family
 from .zo_optimizer import ZOConfig, run_population
 
@@ -30,6 +31,22 @@ RUN_ROW_HEADER = "experiment,method,task,seed,lr,step,loss,wall_ms,scale_min,sca
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _check_rates(section: str, key: str, values: list) -> list:
+    """The learning rates or step sizes read from [section] `key`, checked.
+
+    Each must be a finite number >= 0, and there must be at least one, so a
+    bad value is a config error before any run or meta-training starts.
+    """
+    if not values:
+        raise ConfigError(f"[{section}] {key} must be non-empty")
+    bad = [v for v in values if not (math.isfinite(v) and v >= 0.0)]
+    if bad:
+        raise ConfigError(
+            f"[{section}] {key} must be finite and >= 0, got {', '.join(map(_fmt, bad))}"
+        )
+    return values
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -192,7 +209,7 @@ def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
     seeds = cfg.get_int_list("finetune", "seeds")
     if not seeds:
         raise ConfigError("[finetune] seeds must be non-empty")
-    lr = cfg.get_float("finetune", "lr")
+    lr = _check_rates("finetune", "lr", [cfg.get_float("finetune", "lr")])[0]
     steps = cfg.get_int("finetune", "steps")
     epsilon = cfg.get_float("finetune", "epsilon", 1e-3)
     batch_size = cfg.get_int("finetune", "batch_size", 16)
@@ -226,7 +243,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
     seeds = cfg.get_int_list("compare", "seeds")
     if not seeds:
         raise ConfigError("[compare] seeds must be non-empty")
-    lr_grid = cfg.get_float_list("compare", "lr_grid")
+    lr_grid = _check_rates("compare", "lr_grid", cfg.get_float_list("compare", "lr_grid"))
     steps = cfg.get_int("compare", "steps")
     epsilon = cfg.get_float("compare", "epsilon", 1e-3)
     batch_size = cfg.get_int("compare", "batch_size", 16)
@@ -315,10 +332,12 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
     seeds = cfg.get_int_list("sweep", "seeds")
     if not seeds:
         raise ConfigError("[sweep] seeds must be non-empty")
-    lr_grid = sorted(cfg.get_float_list("sweep", "lr_grid"))
-    if len(lr_grid) < 3 or lr_grid[-1] < 100.0 * lr_grid[0]:
+    lr_grid = sorted(_check_rates("sweep", "lr_grid", cfg.get_float_list("sweep", "lr_grid")))
+    positive = [lr for lr in lr_grid if lr > 0.0]
+    if len(lr_grid) < 3 or not positive or positive[-1] < 100.0 * positive[0]:
         raise ConfigError(
-            "[sweep] lr_grid needs >= 3 values spanning >= 2 orders of magnitude"
+            "[sweep] lr_grid needs >= 3 values whose positive entries span "
+            ">= 2 orders of magnitude"
         )
     steps = cfg.get_int("sweep", "steps")
     epsilon = cfg.get_float("sweep", "epsilon", 1e-3)
@@ -365,7 +384,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
     if not seeds:
         raise ConfigError("[ablate] seeds must be non-empty")
     steps = cfg.get_int("ablate", "steps")
-    lr = cfg.get_float("ablate", "lr")
+    lr = _check_rates("ablate", "lr", [cfg.get_float("ablate", "lr")])[0]
     epsilon = cfg.get_float("ablate", "epsilon", 1e-3)
     batch_size = cfg.get_int("ablate", "batch_size", 16)
     window = cfg.get_float("ablate", "final_window", 0.1)
@@ -425,33 +444,34 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, timing: bool = False
                 f"for {len(block_sizes)} blocks"
             )
         profiles.append(ranks)
-    etas = cfg.get_float_list("bounds", "etas")
+    if not profiles:
+        raise ConfigError("[bounds] rank_profiles must be non-empty")
+    etas = _check_rates("bounds", "etas", cfg.get_float_list("bounds", "etas"))
     samples = cfg.get_int("bounds", "samples", 100_000)
+    if samples < 2:
+        raise ConfigError(f"[bounds] samples={samples} must be >= 2 for a Monte-Carlo stderr")
     seed = cfg.get_int("bounds", "seed", 0)
     shift_scale = cfg.get_float("task", "shift_scale", 1.0)
 
-    def cell(ranks, eta):
-        task = make_rank_family(block_sizes, ranks, opnorms, init_scale=shift_scale,
-                                seed=seed)
-        theta = task.init_theta(seed)
-        from .paramspace import PerturbScales
-        report = bounds_mod.verify_bound(
-            task, theta, PerturbScales.unit(task.partition), eta, n=samples, seed=seed
-        )
-        return ranks, eta, report
-
-    results = [cell(ranks, eta) for ranks in profiles for eta in etas]
     lines = ["ranks,eta,mezo_bound,blockwise_unit,blockwise_optimal,"
              "mc_mean,mc_stderr,closed_form,ok"]
     any_violation = False
-    for ranks, eta, report in results:
+    for ranks in profiles:
+        task = make_rank_family(block_sizes, ranks, opnorms, init_scale=shift_scale,
+                                seed=seed)
+        # one Monte-Carlo draw per profile scores every step size
+        reports = bounds_mod.verify_bound(
+            task, task.init_theta(seed), PerturbScales.unit(task.partition), etas,
+            n=samples, seed=seed,
+        )
         rank_str = "|".join(_fmt(r) for r in ranks)
-        lines.append(",".join([
-            rank_str, _fmt(eta), _fmt(report.mezo_bound), _fmt(report.blockwise_unit),
-            _fmt(report.blockwise_optimal), _fmt(report.mc_mean),
-            _fmt(report.mc_stderr), _fmt(report.closed_form), str(int(report.ok)),
-        ]))
-        if not report.ok:
-            any_violation = True
+        for eta, report in zip(etas, reports):
+            lines.append(",".join([
+                rank_str, _fmt(eta), _fmt(report.mezo_bound),
+                _fmt(report.blockwise_unit), _fmt(report.blockwise_optimal),
+                _fmt(report.mc_mean), _fmt(report.mc_stderr),
+                _fmt(report.closed_form), str(int(report.ok)),
+            ]))
+            any_violation |= not report.ok
     _write_lines(out_dir / "bounds.csv", lines)
     return 4 if any_violation else 0

@@ -290,11 +290,13 @@ class TestDecreaseBounds:
         for ranks in profiles:
             task = make_rank_family(block_sizes, ranks, [1.0, 1.0], seed=0)
             theta = task.init_theta(0)
-            for eta in etas:
-                report = verify_bound(
-                    task, theta, PerturbScales.unit(task.partition), eta,
-                    n=100_000, seed=0,
-                )
+            # one Monte-Carlo draw per profile scores every step size
+            reports = verify_bound(
+                task, theta, PerturbScales.unit(task.partition), etas,
+                n=100_000, seed=0,
+            )
+            assert [report.eta for report in reports] == etas
+            for report in reports:
                 slack = 4.0 * report.mc_stderr
                 assert report.ok
                 assert report.mc_mean <= report.blockwise_unit + slack
@@ -492,6 +494,20 @@ seed = 0
 """
 
 
+# Three rank profiles x three step sizes; 50001 samples leave a ragged last
+# chunk in both blocks (4096 and 1365 rows per chunk).
+BOUNDS_SECTION = """
+[task]
+block_sizes = 8, 24
+
+[bounds]
+rank_profiles = 1,24; 2,16; 4,8
+etas = 0.02, 0.03, 0.05
+samples = 50001
+seed = 0
+"""
+
+
 # Five uneven blocks, so the budget normalization couples every block.
 META_SECTION = """
 [task]
@@ -529,6 +545,9 @@ class TestCLIDeterminism:
         "finetuner.ckpt": "2ba845c291613ca9fe9148fdf97e98431071a4f77ed008447e96312af45099ac",
         "meta_log.csv": "6a351f34e4e2164f0d69cf87d9a7e45c764c9650be5db6c8c10f7cb601cd900d",
     }
+    # SHA-256 of bounds.csv for BOUNDS_SECTION, recorded with one unchunked
+    # Monte-Carlo draw per (rank profile, step size) cell
+    RECORDED_BOUNDS_DIGEST = "acec03d26e9fa7794374024df1987c0927a37132a8de0520385938c88758c29c"
 
     CONFIGS = {
         "train-finetuner": TASK_SECTION + TRAIN_SECTION,
@@ -627,3 +646,11 @@ batch_size = 1
         assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 0
         for name, want in self.RECORDED_META_DIGESTS.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+
+    def test_verify_bounds_matches_recorded_digest(self, tmp_path):
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text(BOUNDS_SECTION, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "bounds.csv").read_bytes()).hexdigest()
+        assert digest == self.RECORDED_BOUNDS_DIGEST

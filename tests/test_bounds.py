@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zoft.bounds import (
+    _MC_TAG,
     BoundInputs,
     blockwise_bound,
     expected_decrease,
@@ -19,6 +22,37 @@ from zoft.testbeds import QuadraticTask, make_rank_family
 def identity_task(d):
     p = BlockPartition([("all", d)])
     return QuadraticTask(p, eigs=np.ones(d), theta_star=np.zeros(d))
+
+
+def reference_monte_carlo(task, theta, scales, eta, scheme, law, n, seed):
+    """One step size from one unchunked (n, d_i) draw per block: the loop the
+    shared, chunked draw replaced, kept as the reference it must reproduce."""
+
+    def draw(rng, count, dim):
+        z = rng.standard_normal((count, dim))
+        if law == "sphere":
+            z *= np.sqrt(dim) / np.linalg.norm(z, axis=1, keepdims=True)
+        return z
+
+    g = task.grad(theta, 0)
+    parts = task.partition
+    slices = [parts.block_slice(i) for i in range(parts.n_blocks)]
+    stds = scales.stds
+    rng = np.random.default_rng([_MC_TAG, seed])
+    delta = np.zeros(n)
+    if scheme == "blockwise":
+        for i, sl in enumerate(slices):
+            u = stds[i] * draw(rng, n, len(g[sl]))
+            c = u @ g[sl]
+            quad = np.einsum("nk,k,nk->n", u, task.eigs[sl], u)
+            delta += -eta * c**2 + 0.5 * eta**2 * c**2 * quad
+    else:
+        per_coord = scales.per_coordinate()
+        u = per_coord * draw(rng, n, len(g))
+        c = u @ g
+        quad = np.einsum("nk,k,nk->n", u, task.eigs, u)
+        delta = -eta * c**2 + 0.5 * eta**2 * c**2 * quad
+    return float(delta.mean()), float(delta.std(ddof=1) / np.sqrt(n))
 
 
 class TestRankCoefficient:
@@ -276,3 +310,116 @@ class TestVerifyBound:
         a = verify_bound(task, theta, sc, eta=0.02, n=20_000, seed=9)
         b = verify_bound(task, theta, sc, eta=0.02, n=20_000, seed=9)
         assert a.mc_mean == b.mc_mean and a.mc_stderr == b.mc_stderr
+
+    def test_sequence_of_etas_gives_one_report_each(self):
+        task = make_rank_family([3, 5], [1.0, 4.0], [1.0, 1.0], seed=0)
+        theta = task.init_theta(0)
+        sc = PerturbScales.unit(task.partition)
+        etas = [0.0, 0.02, 0.05]
+        reports = verify_bound(task, theta, sc, etas, n=20_000, seed=3)
+        assert [r.eta for r in reports] == etas
+        for eta, shared in zip(etas, reports):
+            alone = verify_bound(task, theta, sc, eta, n=20_000, seed=3)
+            for name in ("mezo_bound", "blockwise_unit", "blockwise_given",
+                         "blockwise_optimal", "mc_mean", "mc_stderr", "closed_form"):
+                assert getattr(shared, name) == getattr(alone, name), name
+            assert np.array_equal(shared.optimal_stds, alone.optimal_stds)
+            assert shared.violations == alone.violations
+
+    def test_bad_step_sizes_and_sample_counts_rejected(self):
+        task = make_rank_family([3, 5], [1.0, 4.0], [1.0, 1.0], seed=0)
+        theta = task.init_theta(0)
+        sc = PerturbScales.unit(task.partition)
+        with pytest.raises(ValueError):
+            verify_bound(task, theta, sc, [], n=100)
+        with pytest.raises(ValueError):
+            verify_bound(task, theta, sc, [0.02, -0.01], n=100)
+        with pytest.raises(ValueError):
+            verify_bound(task, theta, sc, 0.02, n=1)
+
+
+class TestSharedChunkedDraw:
+    """Monte Carlo draws each block once for every step size, in chunks of
+    about 32768 values: 4096 rows of the 8-block, 1365 of the 24-block and
+    1024 of the joint 32-value vector."""
+
+    ETAS = [0.0, 0.02, 0.03, 0.05]
+
+    def case(self, blocks, ranks):
+        task = make_rank_family(blocks, ranks, [1.0] * len(blocks), seed=2)
+        theta = task.init_theta(5)
+        stds = np.linspace(0.6, 1.4, len(blocks))
+        sc = PerturbScales(stds * np.sqrt(task.partition.total
+                                          / float(task.partition.sizes @ stds**2)),
+                           task.partition)
+        return task, theta, sc
+
+    @pytest.mark.parametrize("law", ["gaussian", "sphere"])
+    @pytest.mark.parametrize("scheme", ["blockwise", "joint"])
+    # below every chunk, one 8-block chunk (four joint chunks), and a multiple
+    # of no chunk
+    @pytest.mark.parametrize("n", [1000, 4096, 10_001])
+    def test_equals_per_eta_unchunked_reference(self, scheme, law, n):
+        task, theta, sc = self.case([8, 24], [2.0, 16.0])
+        means, stderrs = expected_decrease(task, theta, sc, self.ETAS,
+                                           mode="monte_carlo", scheme=scheme,
+                                           law=law, n=n, seed=7)
+        assert means.shape == stderrs.shape == (len(self.ETAS),)
+        for k, eta in enumerate(self.ETAS):
+            ref = reference_monte_carlo(task, theta, sc, eta, scheme, law, n, 7)
+            assert (means[k], stderrs[k]) == ref
+            # one step size alone runs the same chunked draw
+            assert expected_decrease(task, theta, sc, eta, mode="monte_carlo",
+                                     scheme=scheme, law=law, n=n,
+                                     seed=7) == ref
+
+    @pytest.mark.parametrize("law", ["gaussian", "sphere"])
+    @pytest.mark.parametrize("scheme", ["blockwise", "joint"])
+    def test_block_wider_than_a_chunk(self, scheme, law):
+        # a 40000-value block is drawn one row per chunk.  The draw, the norms
+        # and the einsum reproduce the reference row for row, but OpenBLAS's
+        # matrix-vector product sums a one-row call with another kernel than
+        # the rows of an (n, 40000) call, so c, and with it the mean, can
+        # differ in the last bits here; the narrower blocks above are exact
+        task, theta, sc = self.case([40000, 3], [100.0, 2.0])
+        n = 6
+        means, stderrs = expected_decrease(task, theta, sc, self.ETAS,
+                                           mode="monte_carlo", scheme=scheme,
+                                           law=law, n=n, seed=1)
+        for k, eta in enumerate(self.ETAS):
+            ref_mean, ref_stderr = reference_monte_carlo(task, theta, sc, eta,
+                                                         scheme, law, n, 1)
+            assert means[k] == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
+            assert stderrs[k] == pytest.approx(ref_stderr, rel=1e-12, abs=0.0)
+            assert expected_decrease(task, theta, sc, eta, mode="monte_carlo",
+                                     scheme=scheme, law=law, n=n,
+                                     seed=1) == (means[k], stderrs[k])
+
+    def test_closed_form_takes_a_sequence(self):
+        task, theta, sc = self.case([8, 24], [2.0, 16.0])
+        for scheme in ("blockwise", "joint"):
+            values, stderr = expected_decrease(task, theta, sc, self.ETAS,
+                                               scheme=scheme, law="sphere")
+            assert stderr is None
+            assert list(values) == [
+                expected_decrease(task, theta, sc, eta, scheme=scheme,
+                                  law="sphere")[0]
+                for eta in self.ETAS
+            ]
+
+    def test_peak_memory_of_one_profile(self):
+        # three step sizes at 1e5 samples: the unchunked draw per step size
+        # peaked at 48.8 MB; the shared draw holds one (3, n) delta array
+        # (2.4 MB) and one chunk of samples
+        task = make_rank_family([8, 24], [2.0, 16.0], [1.0, 1.0], seed=0)
+        theta = task.init_theta(0)
+        sc = PerturbScales.unit(task.partition)
+        tracemalloc.start()
+        try:
+            reports = verify_bound(task, theta, sc, [0.02, 0.03, 0.05],
+                                   n=100_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(report.ok for report in reports)
+        assert peak <= 8 * 2**20, peak

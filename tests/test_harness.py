@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from zoft import cli
+from zoft import cli, harness
 from zoft.config import ExperimentConfig
 from zoft.errors import BoundViolationError, ConfigError
 from zoft.harness import (
@@ -370,6 +370,45 @@ steps = 5
                          str(tmp_path / "o")]) == 2
         assert "zoft: config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", [
+        "rank_profiles = 1,4\netas = 0.02\nsamples = 1\n",
+        "rank_profiles = 1,4\netas = 0.02, -0.01\nsamples = 100\n",
+        "rank_profiles = 1,4\netas =\nsamples = 100\n",
+        "rank_profiles =\netas = 0.02\nsamples = 100\n",
+    ], ids=["one-sample", "negative-eta", "no-etas", "no-profiles"])
+    def test_bad_verify_bounds_input(self, tmp_path, capsys, bounds):
+        # one sample has no stderr, so every check passed vacuously; a
+        # negative eta was a traceback; no etas or profiles wrote a
+        # header-only bounds.csv
+        cfg = write_config(tmp_path, "[task]\nblock_sizes = 4, 8\n\n[bounds]\n"
+                           "seed = 0\n" + bounds)
+        out = tmp_path / "o"
+        assert cli.main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "zoft: config error" in capsys.readouterr().err
+        assert not (out / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("finetune", "[finetune]\nmode = mezo\nseeds = 0\nlr = -0.05\nsteps = 3\n"),
+        ("compare", "[compare]\nmethods = mezo\nseeds = 0\nlr_grid = 0.01, -0.05\n"
+                    "steps = 3\n"),
+        ("compare", "[compare]\nmethods = mezo\nseeds = 0\nlr_grid =\nsteps = 3\n"),
+        ("sweep-lr", "[sweep]\nmethods = mezo\nseeds = 0\nlr_grid = 0.001, 0.01, -0.1\n"
+                     "steps = 3\n"),
+        ("sweep-lr", "[sweep]\nmethods = mezo\nseeds = 0\nlr_grid = 0.001, 0.01, nan\n"
+                     "steps = 3\n"),
+        ("ablate", TRAIN + "[ablate]\naxes = reset\nseeds = 0\nlr = -0.05\nsteps = 3\n"),
+    ], ids=["finetune", "compare", "compare-empty", "sweep-lr", "sweep-lr-nan", "ablate"])
+    def test_bad_learning_rate(self, tmp_path, capsys, monkeypatch, command, section):
+        # a config error before any meta-training or fine-tuning starts
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the learning rates were checked")
+
+        monkeypatch.setattr(harness, "_meta_train", never)
+        monkeypatch.setattr(harness, "run_population", never)
+        cfg = write_config(tmp_path, TASK + section)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "zoft: config error" in capsys.readouterr().err
+
     def test_bound_violation_exception(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, "[task]\nkind = quadratic\nblock_sizes = 4\n")
 
@@ -408,6 +447,28 @@ steps = 5
 """)
         with pytest.raises(ConfigError, match="lr_grid"):
             cmd_sweep_lr(cfg2, tmp_path / "o")
+
+    def test_span_counts_positive_rates_only(self, tmp_path):
+        # 0.0 would make any grid span "two orders of magnitude"
+        cfg = load_config(tmp_path, TASK + """
+[sweep]
+methods = mezo
+seeds = 0
+lr_grid = 0.0, 0.001, 0.002
+steps = 5
+""")
+        with pytest.raises(ConfigError, match="lr_grid"):
+            cmd_sweep_lr(cfg, tmp_path / "o")
+        cfg2 = load_config(tmp_path, TASK + """
+[sweep]
+methods = mezo
+seeds = 0
+lr_grid = 0.0, 0.001, 0.1
+steps = 5
+""")
+        assert cmd_sweep_lr(cfg2, tmp_path / "o") == 0
+        flags = (tmp_path / "o" / "sweep_flags.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in flags[1:]] == ["0", "0.001", "0.1"]
 
     def test_flags_cover_regimes(self, tmp_path):
         cfg = load_config(tmp_path, TASK + """
