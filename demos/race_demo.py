@@ -21,9 +21,9 @@ from zoft.testbeds import QuadraticFamily
 from zoft.zo_optimizer import ZOConfig, run_population
 
 
-def steps_to_half(records):
-    target = 0.5 * records[0].loss
-    return next((r.t for r in records if r.loss <= target), None)
+def steps_to_half(loss):
+    hits = np.flatnonzero(loss <= 0.5 * loss[0])
+    return int(hits[0]) + 1 if len(hits) else None
 
 
 def main():
@@ -52,14 +52,14 @@ def main():
             # steps the whole lr grid at once
             config = ZOConfig(learning_rate=0.0, steps=400, mode=method, seed=seed)
             outcomes = run_population([held_out] * len(grid), grid, config, params)
-            for lr, recs in zip(grid, outcomes):
-                if isinstance(recs, DivergenceError):
+            for lr, traj in zip(grid, outcomes):
+                if isinstance(traj, DivergenceError):
                     steps[lr].append(401)
                     finals[lr].append(float("inf"))
                     continue
-                stt = steps_to_half(recs)
+                stt = steps_to_half(traj.loss)
                 steps[lr].append(stt if stt is not None else 401)
-                finals[lr].append(np.mean([r.loss for r in recs[-40:]]))
+                finals[lr].append(np.mean(traj.loss[-40:]))
         by_lr = {lr: (float(np.median(finals[lr])), float(np.median(steps[lr])))
                  for lr in grid}
         lr = min(grid, key=lambda v: by_lr[v])

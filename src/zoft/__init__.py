@@ -10,7 +10,14 @@ from .paramspace import (
     sample_block_noise,
 )
 from .pertnn import PertNNParams
-from .zo_optimizer import LossPair, StepRecord, ZOConfig, normalize_scales, run_finetune
+from .zo_optimizer import (
+    LossPair,
+    StepRecord,
+    Trajectory,
+    ZOConfig,
+    normalize_scales,
+    run_finetune,
+)
 from .meta_trainer import MetaConfig, TaskState, train
 from .testbeds import MLPTask, QuadraticFamily, QuadraticTask, make_rank_family
 from .bounds import (
@@ -38,6 +45,7 @@ __all__ = [
     "QuadraticTask",
     "StepRecord",
     "TaskState",
+    "Trajectory",
     "ZOConfig",
     "block_stats",
     "blockwise_bound",

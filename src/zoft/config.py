@@ -7,6 +7,7 @@ ConfigError naming the offending section and key.
 from __future__ import annotations
 
 import configparser
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -108,9 +109,30 @@ class ExperimentConfig:
             raise ConfigError(f"{self.path}: [{section}] {key} must be a list of numbers") from exc
 
 
+def check_range(section: str, key: str, values, low: float = -math.inf,
+                strict: bool = False):
+    """The number or list of numbers read from [section] `key`, checked.
+
+    A list must be non-empty, and every value must be finite and >= low
+    (> low when strict), so that a bad value is a config error (exit 2)
+    before any run or meta-training starts.
+    """
+    items = values if isinstance(values, list) else [values]
+    if not items:
+        raise ConfigError(f"[{section}] {key} must be non-empty")
+    bad = [v for v in items
+           if not (-math.inf < v < math.inf and (v > low if strict else v >= low))]
+    if bad:
+        bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
+        raise ConfigError(
+            f"[{section}] {key} must be finite{bound}, got {', '.join(map(str, bad))}"
+        )
+    return values
+
+
 def _init_scale(cfg: ExperimentConfig, n_blocks: int):
     """[task] init_scale: a single number, or one per block."""
-    values = cfg.get_float_list("task", "init_scale", [1.0])
+    values = check_range("task", "init_scale", cfg.get_float_list("task", "init_scale", [1.0]))
     if len(values) == 1:
         return values[0]
     if len(values) != n_blocks:
@@ -119,6 +141,12 @@ def _init_scale(cfg: ExperimentConfig, n_blocks: int):
             f"got {len(values)}"
         )
     return tuple(values)
+
+
+def task_opnorms(cfg: ExperimentConfig, n_blocks: int) -> list:
+    """[task] opnorms, each finite and > 0 (default: 1 per block)."""
+    return check_range("task", "opnorms", cfg.get_float_list("task", "opnorms", [1.0] * n_blocks),
+                       0.0, strict=True)
 
 
 def build_task_source(cfg: ExperimentConfig):
@@ -130,17 +158,18 @@ def build_task_source(cfg: ExperimentConfig):
     """
     cfg.require_section("task")
     kind = cfg.get_str("task", "kind")
-    seed = cfg.get_int("task", "seed", 0)
+    seed = check_range("task", "seed", cfg.get_int("task", "seed", 0), 0)
     if kind == "quadratic":
         block_sizes = cfg.get_int_list("task", "block_sizes")
         family = QuadraticFamily(
             block_sizes=tuple(block_sizes),
             ranks=tuple(cfg.get_float_list("task", "ranks", [1.0] * len(block_sizes))),
-            opnorms=tuple(cfg.get_float_list("task", "opnorms", [1.0] * len(block_sizes))),
+            opnorms=tuple(task_opnorms(cfg, len(block_sizes))),
             opnorm_jitter=cfg.get_float("task", "opnorm_jitter", 0.0),
             shift_scale=cfg.get_float("task", "shift_scale", 1.0),
             init_scale=_init_scale(cfg, len(block_sizes)),
-            noise_tau=cfg.get_float("task", "noise_tau", 0.0),
+            noise_tau=check_range("task", "noise_tau", cfg.get_float("task", "noise_tau", 0.0),
+                                  0.0),
             seed=seed,
         )
         return kind, family

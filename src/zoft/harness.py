@@ -10,7 +10,6 @@ cost of that guarantee).
 
 from __future__ import annotations
 
-import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -20,11 +19,11 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import meta_trainer, pertnn as pertnn_mod
-from .config import ExperimentConfig, build_task_source
+from .config import ExperimentConfig, build_task_source, check_range, task_opnorms
 from .errors import ConfigError, DimensionMismatchError, DivergenceError
 from .paramspace import NoiseSeed, PerturbScales
 from .testbeds import make_rank_family
-from .zo_optimizer import ZOConfig, run_population
+from .zo_optimizer import Trajectory, ZOConfig, run_population
 
 RUN_ROW_HEADER = "experiment,method,task,seed,lr,step,loss,wall_ms,scale_min,scale_med,scale_max"
 
@@ -33,20 +32,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _check_rates(section: str, key: str, values: list) -> list:
-    """The learning rates or step sizes read from [section] `key`, checked.
-
-    Each must be a finite number >= 0, and there must be at least one, so a
-    bad value is a config error before any run or meta-training starts.
-    """
-    if not values:
-        raise ConfigError(f"[{section}] {key} must be non-empty")
-    bad = [v for v in values if not (math.isfinite(v) and v >= 0.0)]
-    if bad:
-        raise ConfigError(
-            f"[{section}] {key} must be finite and >= 0, got {', '.join(map(_fmt, bad))}"
-        )
-    return values
+def _run_settings(cfg: ExperimentConfig, section: str):
+    """[section]'s seeds, steps, epsilon and batch_size, checked."""
+    return (
+        check_range(section, "seeds", cfg.get_int_list(section, "seeds"), 0),
+        check_range(section, "steps", cfg.get_int(section, "steps"), 0),
+        check_range(section, "epsilon", cfg.get_float(section, "epsilon", 1e-3), 0.0,
+                    strict=True),
+        check_range(section, "batch_size", cfg.get_int(section, "batch_size", 16), 1),
+    )
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -65,28 +59,32 @@ class RunResult:
     task: str
     seed: int
     lr: float
-    records: list  # empty when diverged
-    diverged: bool
+    trajectory: Trajectory | None  # None when diverged
     wall_ms: float
 
     @property
+    def diverged(self) -> bool:
+        return self.trajectory is None
+
+    @property
+    def _loss(self) -> np.ndarray:
+        return np.empty(0) if self.trajectory is None else self.trajectory.loss
+
+    @property
     def initial_loss(self) -> float:
-        return self.records[0].loss if self.records else float("nan")
+        return float(self._loss[0]) if len(self._loss) else float("nan")
 
     def final_window_mean(self, window: float = 0.1) -> float:
-        if self.diverged or not self.records:
+        if not len(self._loss):
             return float("inf")
-        k = max(1, int(round(window * len(self.records))))
-        return float(np.mean([r.loss for r in self.records[-k:]]))
+        k = max(1, int(round(window * len(self._loss))))
+        return float(np.mean(self._loss[-k:]))
 
     def steps_to_threshold(self, ratio: float = 0.5):
-        if not self.records:
+        if not len(self._loss):
             return None
-        target = ratio * self.records[0].loss
-        for rec in self.records:
-            if rec.loss <= target:
-                return rec.t
-        return None
+        hits = np.flatnonzero(self._loss <= ratio * self._loss[0])
+        return int(hits[0]) + 1 if len(hits) else None
 
 
 def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
@@ -111,23 +109,23 @@ def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
         wall = (time.perf_counter() - start) * 1e3 / len(ks) if timing else 0.0
         for k, outcome in zip(ks, outcomes):
             model, _, lr, _ = jobs[k]
-            diverged = isinstance(outcome, DivergenceError)
-            results[k] = RunResult(method, model.name, seed, lr,
-                                   [] if diverged else outcome, diverged, wall)
+            trajectory = None if isinstance(outcome, DivergenceError) else outcome
+            results[k] = RunResult(method, model.name, seed, lr, trajectory, wall)
     return results
 
 
 def _run_rows(experiment: str, result: RunResult) -> list[str]:
-    rows = []
-    per_step_ms = result.wall_ms / max(1, len(result.records))
-    for rec in result.records:
-        smin, smed, smax = (np.min(rec.scales), np.median(rec.scales), np.max(rec.scales))
-        rows.append(",".join([
-            experiment, result.method, result.task, str(result.seed),
-            _fmt(result.lr), str(rec.t), _fmt(rec.loss), _fmt(per_step_ms),
-            _fmt(smin), _fmt(smed), _fmt(smax),
-        ]))
-    return rows
+    traj = result.trajectory
+    if traj is None:
+        return []
+    head = ",".join([experiment, result.method, result.task, str(result.seed),
+                     _fmt(result.lr)])
+    per_step_ms = _fmt(result.wall_ms / max(1, len(traj)))
+    columns = (traj.loss, traj.scales.min(axis=1), np.median(traj.scales, axis=1),
+               traj.scales.max(axis=1))
+    return [f"{head},{t},{_fmt(loss)},{per_step_ms},{_fmt(smin)},{_fmt(smed)},{_fmt(smax)}"
+            for t, (loss, smin, smed, smax)
+            in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
 
 
 def _sorted_rows(rows: list[str]) -> list[str]:
@@ -142,7 +140,7 @@ def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True):
     cfg.require_section("train")
     steps = cfg.get_int("train", "steps")
     reset_period = cfg.get_int("train", "reset_period", 50)
-    seed = cfg.get_int("train", "seed", 0)
+    seed = check_range("train", "seed", cfg.get_int("train", "seed", 0), 0)
     meta_cfg = meta_trainer.MetaConfig(
         eta1=cfg.get_float("train", "eta1"),
         eta2=cfg.get_float("train", "eta2"),
@@ -206,13 +204,8 @@ def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
     method = cfg.get_str("finetune", "mode", "mezo")
     if method not in ("mezo", "finetuner"):
         raise ConfigError(f"[finetune] mode={method!r} must be mezo or finetuner")
-    seeds = cfg.get_int_list("finetune", "seeds")
-    if not seeds:
-        raise ConfigError("[finetune] seeds must be non-empty")
-    lr = _check_rates("finetune", "lr", [cfg.get_float("finetune", "lr")])[0]
-    steps = cfg.get_int("finetune", "steps")
-    epsilon = cfg.get_float("finetune", "epsilon", 1e-3)
-    batch_size = cfg.get_int("finetune", "batch_size", 16)
+    seeds, steps, epsilon, batch_size = _run_settings(cfg, "finetune")
+    lr = check_range("finetune", "lr", cfg.get_float("finetune", "lr"), 0.0)
     if kind == "quadratic":
         model = source.make_task(cfg.get_int("finetune", "task_index", 0))
     else:
@@ -240,13 +233,8 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
         raise ConfigError("compare expects a quadratic task family")
     cfg.require_section("compare")
     methods = cfg.get_str_list("compare", "methods", ["mezo", "finetuner"])
-    seeds = cfg.get_int_list("compare", "seeds")
-    if not seeds:
-        raise ConfigError("[compare] seeds must be non-empty")
-    lr_grid = _check_rates("compare", "lr_grid", cfg.get_float_list("compare", "lr_grid"))
-    steps = cfg.get_int("compare", "steps")
-    epsilon = cfg.get_float("compare", "epsilon", 1e-3)
-    batch_size = cfg.get_int("compare", "batch_size", 16)
+    seeds, steps, epsilon, batch_size = _run_settings(cfg, "compare")
+    lr_grid = check_range("compare", "lr_grid", cfg.get_float_list("compare", "lr_grid"), 0.0)
     n_tasks = cfg.get_int("compare", "tasks", 1)
     task_start = cfg.get_int("compare", "task_start", 0)
     threshold = cfg.get_float("compare", "threshold", 0.5)
@@ -329,19 +317,14 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
     kind, source = build_task_source(cfg)
     cfg.require_section("sweep")
     methods = cfg.get_str_list("sweep", "methods", ["mezo", "finetuner"])
-    seeds = cfg.get_int_list("sweep", "seeds")
-    if not seeds:
-        raise ConfigError("[sweep] seeds must be non-empty")
-    lr_grid = sorted(_check_rates("sweep", "lr_grid", cfg.get_float_list("sweep", "lr_grid")))
+    seeds, steps, epsilon, batch_size = _run_settings(cfg, "sweep")
+    lr_grid = sorted(check_range("sweep", "lr_grid", cfg.get_float_list("sweep", "lr_grid"), 0.0))
     positive = [lr for lr in lr_grid if lr > 0.0]
     if len(lr_grid) < 3 or not positive or positive[-1] < 100.0 * positive[0]:
         raise ConfigError(
             "[sweep] lr_grid needs >= 3 values whose positive entries span "
             ">= 2 orders of magnitude"
         )
-    steps = cfg.get_int("sweep", "steps")
-    epsilon = cfg.get_float("sweep", "epsilon", 1e-3)
-    batch_size = cfg.get_int("sweep", "batch_size", 16)
     plateau_ratio = cfg.get_float("sweep", "plateau_ratio", 0.9)
     window = cfg.get_float("sweep", "final_window", 0.1)
     if kind == "quadratic":
@@ -380,13 +363,8 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
     unknown = [a for a in axes if a not in known]
     if unknown:
         raise ConfigError(f"[ablate] unknown axes {unknown}; choose from {sorted(known)}")
-    seeds = cfg.get_int_list("ablate", "seeds")
-    if not seeds:
-        raise ConfigError("[ablate] seeds must be non-empty")
-    steps = cfg.get_int("ablate", "steps")
-    lr = _check_rates("ablate", "lr", [cfg.get_float("ablate", "lr")])[0]
-    epsilon = cfg.get_float("ablate", "epsilon", 1e-3)
-    batch_size = cfg.get_int("ablate", "batch_size", 16)
+    seeds, steps, epsilon, batch_size = _run_settings(cfg, "ablate")
+    lr = check_range("ablate", "lr", cfg.get_float("ablate", "lr"), 0.0)
     window = cfg.get_float("ablate", "final_window", 0.1)
     eval_task_index = cfg.get_int("ablate", "task_index", 0)
 
@@ -427,7 +405,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, timing: bool = False
     cfg.require_section("bounds")
     cfg.require_section("task")
     block_sizes = cfg.get_int_list("task", "block_sizes")
-    opnorms = cfg.get_float_list("task", "opnorms", [1.0] * len(block_sizes))
+    opnorms = task_opnorms(cfg, len(block_sizes))
     profiles_raw = cfg.get_str("bounds", "rank_profiles")
     profiles = []
     for chunk in profiles_raw.split(";"):
@@ -446,11 +424,11 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, timing: bool = False
         profiles.append(ranks)
     if not profiles:
         raise ConfigError("[bounds] rank_profiles must be non-empty")
-    etas = _check_rates("bounds", "etas", cfg.get_float_list("bounds", "etas"))
+    etas = check_range("bounds", "etas", cfg.get_float_list("bounds", "etas"), 0.0)
     samples = cfg.get_int("bounds", "samples", 100_000)
     if samples < 2:
         raise ConfigError(f"[bounds] samples={samples} must be >= 2 for a Monte-Carlo stderr")
-    seed = cfg.get_int("bounds", "seed", 0)
+    seed = check_range("bounds", "seed", cfg.get_int("bounds", "seed", 0), 0)
     shift_scale = cfg.get_float("task", "shift_scale", 1.0)
 
     lines = ["ranks,eta,mezo_bound,blockwise_unit,blockwise_optimal,"

@@ -24,8 +24,8 @@ from .errors import InvalidScaleError, NumericOverflowError, PartitionMismatchEr
 _NOISE_TAG = 0x5A0F7B10C
 
 # A walk regenerates noise this many float64 values (256 KiB) at a time.
-# Generator draws fill their output sequentially, so chunk seams do not change
-# the stream.
+# Generator draws fill their output sequentially, so where a span starts or
+# ends, within a block or across blocks, does not change the stream.
 _CHUNK = 32768
 
 
@@ -51,13 +51,8 @@ class BlockPartition:
         self.slices = tuple(
             slice(o, o + s) for o, s in zip(offs, sizes)
         )
-        # the noise walk's plan: (slice, length, block index) of every chunk
-        self.chunks = tuple(
-            (slice(lo, min(lo + _CHUNK, o + s)), min(_CHUNK, o + s - lo), i)
-            for i, (o, s) in enumerate(zip(offs, sizes))
-            for lo in range(o, o + s, _CHUNK)
-        )
-        self.max_chunk = min(_CHUNK, max(sizes))
+        self.spans = _span_plan(offs, sizes)
+        self.max_span = min(_CHUNK, self.total)
 
     @property
     def n_blocks(self) -> int:
@@ -79,6 +74,29 @@ class BlockPartition:
     def __repr__(self):
         parts = ", ".join(f"{n}:{s}" for n, s in zip(self.names, self.sizes))
         return f"BlockPartition({parts})"
+
+
+def _span_plan(offsets, sizes) -> tuple:
+    """The noise walk's plan: [0, d) cut into spans of up to _CHUNK values.
+
+    A span may cover several blocks, and a block wider than a chunk spreads
+    over several spans.  Each span is (slice, length, pieces), with one
+    (sub-slice of the span, block index) piece per block it covers, in
+    partition order.
+    """
+    total, n = offsets[-1] + sizes[-1], len(sizes)
+    spans, i = [], 0
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        pieces = []
+        while i < n and offsets[i] < hi:
+            end = offsets[i] + sizes[i]
+            pieces.append((slice(max(offsets[i], lo) - lo, min(end, hi) - lo), i))
+            if end > hi:
+                break  # the block goes on in the next span
+            i += 1
+        spans.append((slice(lo, hi), hi - lo, tuple(pieces)))
+    return tuple(spans)
 
 
 @dataclass
@@ -223,11 +241,12 @@ def perturb_in_place(
 
     theta may hold (R, d) rows, scales (R, n_blocks) rows and each step one
     value per row; every row sees the same z, so z is drawn once for all.  u
-    is regenerated once, chunk by chunk, and every step is applied to a chunk
-    before the next is drawn, so the result is bit-identical to one call per
-    step and per row.  Scratch is one chunk of z and one chunk per row, never
-    a block- or d-sized buffer, which is the whole point of the store-a-seed
-    design.
+    is regenerated once, span by span (see _span_plan): each span's z is drawn
+    in one call, scaled block by block, and every step is applied to it
+    before the next span is drawn, so the result is bit-identical to one call
+    per step, per row and per block.  Scratch is one chunk of z and one chunk
+    per row, never a block- or d-sized buffer, which is the whole point of
+    the store-a-seed design.
 
     A vector that became non-finite raises NumericOverflowError.  Rows are
     left to the caller to check, since one row's overflow must not stop the
@@ -242,15 +261,16 @@ def perturb_in_place(
         stds = stds.reshape(-1, partition.n_blocks).T[..., None]
         steps = [np.asarray(step)[..., None] for step in steps]
     gen = _stream_rng(seed)
-    z_buf = np.empty(partition.max_chunk)
-    move_buf = np.empty(rows.shape[:-1] + (partition.max_chunk,))
-    for sl, n, i in partition.chunks:
+    z_buf = np.empty(partition.max_span)
+    move_buf = np.empty(rows.shape[:-1] + (partition.max_span,))
+    for sl, n, pieces in partition.spans:
         z = z_buf[:n]
         move = move_buf[..., :n]
         dst = rows[..., sl]
         gen.standard_normal(out=z)
         for step in steps:
-            np.multiply(z, step * stds[i], out=move)
+            for part, i in pieces:
+                np.multiply(z[part], step * stds[i], out=move[..., part])
             dst += move
     # one cheap reduction: any inf/nan entry makes the sum non-finite, and a
     # finite move never makes a non-finite entry finite again

@@ -89,18 +89,13 @@ class QuadraticTask:
         rng = np.random.default_rng([_QNOISE_TAG, self.seed, int(batch)])
         return rng.normal(0.0, np.sqrt(self.noise_tau / self.dim), size=self.dim)
 
-    def loss(self, values: np.ndarray, batch=0):
-        """The loss of a (d,) vector, or one loss per row of (R, d) rows."""
+    def loss(self, values: np.ndarray, batch=0) -> float:
+        """The loss of a (d,) vector; QuadraticRows evaluates rows of tasks."""
         delta = values - self.theta_star
-        if values.ndim == 1:
-            out = 0.5 * float(delta @ (self.eigs * delta))
-        else:
-            # vecdot runs one BLAS dot per row, so each row's loss has the
-            # bits of the vector loss
-            out = 0.5 * np.vecdot(delta, self.eigs * delta)
+        out = 0.5 * float(delta @ (self.eigs * delta))
         xi = self._batch_noise(batch)
         if xi is not None:
-            out += float(xi @ delta) if values.ndim == 1 else np.vecdot(delta, xi)
+            out += float(xi @ delta)
         return out
 
     def grad(self, values: np.ndarray, batch=0) -> np.ndarray:
@@ -125,6 +120,55 @@ class QuadraticTask:
     def init_theta(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng([_QINIT_TAG, self.seed, int(seed)])
         return self.theta_star + self._init_sigma * rng.standard_normal(self.dim)
+
+
+class QuadraticRows:
+    """The loss oracle of a population of (R, d) rows, row r on tasks[r].
+
+    The rows' optima and spectra are stacked into (R, d) arrays, so one call
+    evaluates every row, and each row's loss has the bits of its task's
+    vector loss: np.vecdot runs one BLAS dot per row, as `QuadraticTask.loss`
+    does (an einsum or a matrix product may sum in another order).
+    Minibatch noise is drawn once per task and batch key.
+    """
+
+    def __init__(self, tasks):
+        self.tasks = list(tasks)
+        self.eigs = np.stack([task.eigs for task in self.tasks])
+        self.theta_star = np.stack([task.theta_star for task in self.tasks])
+        self.noisy = any(task.noise_tau != 0.0 for task in self.tasks)
+        self._key, self._xi = None, None
+
+    def batch(self, batch_size: int, key: int):
+        # a quadratic batch is its key, whatever the task
+        return self.tasks[0].sample_batch(batch_size, key)
+
+    def keep(self, rows) -> None:
+        """Drop every row not in `rows` (ascending), as the population does."""
+        self.tasks = [self.tasks[k] for k in rows]
+        self.eigs, self.theta_star = self.eigs[rows], self.theta_star[rows]
+        if self._xi is not None:
+            self._xi = self._xi[rows]
+
+    def _noise(self, batch) -> np.ndarray:
+        if batch != self._key:
+            # a noise-free task's row stays zero: adding its +0 leaves the
+            # non-negative quadratic term's bits unchanged
+            xi, drawn = np.zeros_like(self.theta_star), {}
+            for r, task in enumerate(self.tasks):
+                if id(task) not in drawn:
+                    drawn[id(task)] = task._batch_noise(batch)
+                if drawn[id(task)] is not None:
+                    xi[r] = drawn[id(task)]
+            self._key, self._xi = batch, xi
+        return self._xi
+
+    def __call__(self, values: np.ndarray, batch) -> np.ndarray:
+        delta = values - self.theta_star
+        out = 0.5 * np.vecdot(delta, self.eigs * delta)
+        if self.noisy:
+            out += np.vecdot(delta, self._noise(batch))
+        return out
 
 
 def make_rank_family(block_sizes, ranks, opnorms, **kwargs) -> QuadraticTask:

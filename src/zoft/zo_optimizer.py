@@ -31,6 +31,7 @@ from .paramspace import (
     block_stats,
     perturb_in_place,
 )
+from .testbeds import QuadraticRows, QuadraticTask
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -91,6 +92,24 @@ class StepRecord:
     losses: LossPair
     scales: np.ndarray  # per-block stds actually used for sampling
     coeff: float
+
+
+@dataclass
+class Trajectory:
+    """One run's steps as columns: entry k holds step k + 1."""
+
+    loss: np.ndarray  # (T,) pre-update, unperturbed
+    plus: np.ndarray  # (T,) perturbed losses
+    minus: np.ndarray
+    coeff: np.ndarray  # (T,)
+    scales: np.ndarray  # (T, n_blocks) per-block stds actually used for sampling
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(1, len(self.loss) + 1)
+
+    def __len__(self) -> int:
+        return len(self.loss)
 
 
 @dataclass
@@ -317,6 +336,39 @@ def _divergence(t: int, error: Exception) -> DivergenceError:
     return out
 
 
+class _ModelRuns:
+    """The loss oracle of rows whose models are called one run of rows at a
+    time (see _runs); a single row calls its model's vector loss."""
+
+    def __init__(self, models):
+        self.models = models
+        self.runs = _runs(models)
+
+    def keep(self, rows) -> None:
+        """Drop every row not in `rows` (ascending)."""
+        self.models = [self.models[k] for k in rows]
+        self.runs = _runs(self.models)
+
+    def batch(self, batch_size: int, key: int) -> list:
+        return [model.sample_batch(batch_size, key) for model, _ in self.runs]
+
+    def __call__(self, values, batches):
+        if len(self.runs) == 1:
+            return self.runs[0][0].loss(values, batches[0])
+        out = np.empty(len(values))
+        for (model, rows), batch in zip(self.runs, batches):
+            out[rows] = model.loss(values[rows], batch)
+        return out
+
+
+def _loss_oracle(models):
+    """One stacked call for two or more quadratic rows, else one call per run
+    of rows that share a model."""
+    if len(models) > 1 and all(type(model) is QuadraticTask for model in models):
+        return QuadraticRows(models)
+    return _ModelRuns(models)
+
+
 def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> list:
     """Run one seeded two-point fine-tuning run per row, all in one batched pass.
 
@@ -324,14 +376,15 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
     learning_rates[r]; config.learning_rate is not used.  The rows share the
     rest of config, so every noise draw serves all of them, and each row's
     trajectory equals its single run bit for bit.  The models must share one
-    partition; consecutive rows of one model share each loss call.
+    partition; a population of quadratic tasks evaluates every row in one
+    stacked loss call, other models' consecutive rows share each loss call.
 
-    Returns one entry per row: its list of StepRecords, or the DivergenceError
-    that ended it.  A row diverges once its loss exceeds 1e6 x its initial
-    loss, or once a loss, a parameter or a scale becomes non-finite or
-    invalid; it then leaves the population and the others go on unchanged.
-    A population of one row steps it as a plain (d,) vector, which takes
-    numpy's scalar fast paths and raises at its first failure.
+    Returns one entry per row: its Trajectory, or the DivergenceError that
+    ended it.  A row diverges once its loss exceeds 1e6 x its initial loss,
+    or once a loss, a parameter or a scale becomes non-finite or invalid; it
+    then leaves the population and the others go on unchanged.  A population
+    of one row steps it as a plain (d,) vector, which takes numpy's scalar
+    fast paths and raises at its first failure.
     """
     models = list(models)
     lrs = np.array(learning_rates, dtype=np.float64)
@@ -344,69 +397,60 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
         raise PartitionMismatchError("population models must share one partition")
     theta = ParamVector(_initial_rows(models, config.seed), partition)
     state = OptState()
-    live = list(range(len(models)))  # the caller's row of each population row
-    outcomes = [[] for _ in models]
+    loss_of = _loss_oracle(models)
+    # the columns of every row's trajectory, filled step by step
+    n_rows, n_steps = len(models), config.steps
+    loss, plus, minus, coeff = np.empty((4, n_rows, n_steps))
+    scales = np.empty((n_rows, n_steps, partition.n_blocks))
+    live = np.arange(n_rows)  # the caller's row of each population row
+    outcomes = [None] * n_rows
     initial = None
-    runs = _runs(models)
-
-    def loss_of(values, batches):
-        if len(runs) == 1:
-            return runs[0][0].loss(values, batches[0])
-        out = np.empty(len(values))
-        for (model, rows), batch in zip(runs, batches):
-            out[rows] = model.loss(values[rows], batch)
-        return out
-
     rates = lrs if theta.values.ndim == 2 else lrs[0]
-    for t in range(1, config.steps + 1):
-        key = config.seed * 1000003 + t
-        batches = [model.sample_batch(config.batch_size, key) for model, _ in runs]
+    for t in range(1, n_steps + 1):
+        batch = loss_of.batch(config.batch_size, config.seed * 1000003 + t)
         failures = {}
         try:
-            record = step(theta, state, batches, config, loss_of, pertnn,
+            record = step(theta, state, batch, config, loss_of, pertnn,
                           learning_rates=rates, failures=failures)
         except (NumericOverflowError, InvalidScaleError) as exc:
             # only a plain vector raises: the population's one row has failed
             outcomes[live[0]] = _divergence(t, exc)
+            live = live[:0]
             break
-        # a plain vector's record is its row's record
-        records = [record] if theta.values.ndim == 1 else _row_records(record, failures)
+        now = np.atleast_1d(record.loss)
+        loss[live, t - 1] = now
+        plus[live, t - 1] = record.losses.plus
+        minus[live, t - 1] = record.losses.minus
+        coeff[live, t - 1] = record.coeff
+        scales[live, t - 1] = record.scales
         if initial is None:
-            initial = [None if rec is None else abs(rec.loss) + 1e-300
-                       for rec in records]
-        keep = []
-        for k, (r, rec) in enumerate(zip(live, records)):
-            if k in failures:
-                outcomes[r] = _divergence(t, failures[k])
-            elif abs(rec.loss) > DIVERGENCE_FACTOR * initial[k]:
-                outcomes[r] = DivergenceError(
-                    f"loss {rec.loss:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x "
-                    f"initial loss at step {t}")
+            initial = np.abs(now) + 1e-300
+        blown = np.abs(now) > DIVERGENCE_FACTOR * initial
+        if not (failures or blown.any()):
+            continue
+        failed = np.zeros(len(live), dtype=bool)
+        failed[list(failures)] = True
+        blown &= ~failed
+        for k in np.flatnonzero(failed | blown).tolist():
+            if failed[k]:
+                outcomes[live[k]] = _divergence(t, failures[k])
             else:
-                keep.append(k)
-                outcomes[r].append(rec)
-        if len(keep) < len(live):
-            if not keep:
-                break
-            _keep_rows(theta, state, keep)
-            rates = rates[keep]
-            initial = [initial[k] for k in keep]
-            live = [live[k] for k in keep]
-            runs = _runs([models[r] for r in live])
+                outcomes[live[k]] = DivergenceError(
+                    f"loss {now[k]:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x "
+                    f"initial loss at step {t}")
+        keep = np.flatnonzero(~(failed | blown))
+        live = live[keep]
+        if not len(live):
+            break
+        _keep_rows(theta, state, keep)
+        loss_of.keep(keep)
+        rates, initial = rates[keep], initial[keep]
+    for r in live.tolist():
+        outcomes[r] = Trajectory(loss[r], plus[r], minus[r], coeff[r], scales[r])
     return outcomes
 
 
-def _row_records(record: StepRecord, failures: dict) -> list:
-    """Each row's record of a population step (None for a failed row)."""
-    loss, coeff = record.loss.tolist(), record.coeff.tolist()
-    plus, minus = record.losses.plus.tolist(), record.losses.minus.tolist()
-    return [None if k in failures else
-            StepRecord(t=record.t, loss=loss[k], losses=LossPair(plus[k], minus[k]),
-                       scales=scales.copy(), coeff=coeff[k])
-            for k, scales in enumerate(record.scales)]
-
-
-def _keep_rows(theta: ParamVector, state: OptState, keep: list) -> None:
+def _keep_rows(theta: ParamVector, state: OptState, keep) -> None:
     """Drop every population row not in `keep` (ascending), in place."""
     values = theta.values
     for new, old in enumerate(keep):
@@ -418,7 +462,7 @@ def _keep_rows(theta: ParamVector, state: OptState, keep: list) -> None:
     state.prev_scales = state.prev_scales[keep]
 
 
-def run_finetune(model, config: ZOConfig, pertnn=None) -> list[StepRecord]:
+def run_finetune(model, config: ZOConfig, pertnn=None) -> Trajectory:
     """Run T steps of seeded two-point fine-tuning on a testbed model.
 
     The model provides init_theta / sample_batch / loss.  A fresh batch is

@@ -66,14 +66,14 @@ def run_cells(models, lrs, method, seed, net, steps=400, batch_size=1,
     outcomes = run_population(models, lrs, config,
                               net if method == "finetuner" else None)
     cells = []
-    for recs in outcomes:
-        if isinstance(recs, DivergenceError):
+    for traj in outcomes:
+        if isinstance(traj, DivergenceError):
             cells.append((float("inf"), steps + 1, True))
             continue
         k = max(1, steps // 10)
-        final = float(np.mean([r.loss for r in recs[-k:]]))
-        target = 0.5 * recs[0].loss
-        stt = next((r.t for r in recs if r.loss <= target), steps + 1)
+        final = float(np.mean(traj.loss[-k:]))
+        hits = np.flatnonzero(traj.loss <= 0.5 * traj.loss[0])
+        stt = int(traj.t[hits[0]]) if len(hits) else steps + 1
         cells.append((final, stt, False))
     return cells
 
@@ -115,14 +115,15 @@ class TestVarianceBudget:
         family = race_family()
         task = family.make_task(0)
         net = pertnn.init(task.partition, 8, NoiseSeed(3))
-        recs = run_finetune(
+        traj = run_finetune(
             task, ZOConfig(learning_rate=0.02, steps=50, mode="finetuner", seed=0),
             net,
         )
         d = task.partition.total
         sizes = task.partition.sizes
-        for rec in recs:
-            budget = float(sizes @ rec.scales**2)
+        assert traj.scales.shape == (50, task.partition.n_blocks)
+        for scales in traj.scales:
+            budget = float(sizes @ scales**2)
             assert abs(budget - d) <= 1e-12 * d
 
     def test_normalization_preserves_ratios(self):

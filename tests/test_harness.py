@@ -1,5 +1,3 @@
-import types
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from zoft.harness import (
     cmd_ablate,
     cmd_sweep_lr,
 )
+from zoft.zo_optimizer import Trajectory
 
 TASK = """
 [task]
@@ -36,6 +35,26 @@ seed = 0
 """
 
 
+FINETUNE = """
+[finetune]
+mode = mezo
+seeds = 0
+lr = 0.05
+steps = 3
+"""
+
+BOUNDS = """
+[task]
+block_sizes = 4, 8
+
+[bounds]
+rank_profiles = 1, 4
+etas = 0.02
+samples = 100
+seed = 0
+"""
+
+
 def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -47,8 +66,10 @@ def load_config(tmp_path, text):
 
 
 def fake_result(losses, lr=0.1, diverged=False):
-    records = [types.SimpleNamespace(t=i + 1, loss=l) for i, l in enumerate(losses)]
-    return RunResult("mezo", "quad0", 0, lr, records, diverged, 0.0)
+    n = len(losses)
+    traj = Trajectory(np.array(losses, dtype=float), np.zeros(n), np.zeros(n),
+                      np.zeros(n), np.ones((n, 2)))
+    return RunResult("mezo", "quad0", 0, lr, None if diverged else traj, 0.0)
 
 
 class TestRunResult:
@@ -407,6 +428,51 @@ steps = 5
         monkeypatch.setattr(harness, "run_population", never)
         cfg = write_config(tmp_path, TASK + section)
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "zoft: config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, flags", [
+        ("verify-bounds", BOUNDS.replace("seed = 0", "seed = -1"), []),
+        ("finetune", TASK.replace("seed = 0", "seed = -1") + FINETUNE, []),
+        ("train-finetuner", TASK + TRAIN.replace("seed = 0", "seed = -1"), []),
+        ("finetune", TASK + FINETUNE.replace("seeds = 0", "seeds = 0, -2"), []),
+        ("compare", TASK + "[compare]\nmethods = mezo\nseeds = -1\nlr_grid = 0.01\n"
+                    "steps = 3\n", []),
+        ("sweep-lr", TASK + "[sweep]\nmethods = mezo\nseeds = -1\n"
+                     "lr_grid = 0.001, 0.01, 0.1\nsteps = 3\n", []),
+        ("ablate", TASK + TRAIN + "[ablate]\naxes = reset\nseeds = -1\nlr = 0.05\n"
+                   "steps = 3\n", []),
+        ("finetune", TASK + FINETUNE, ["--seed", "-4"]),
+    ], ids=["bounds-seed", "task-seed", "train-seed", "finetune-seeds", "compare-seeds",
+            "sweep-seeds", "ablate-seeds", "seed-flag"])
+    def test_negative_seed(self, tmp_path, capsys, command, text, flags):
+        # numpy's seeding rejected these with a ValueError traceback
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert "zoft: config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("finetune", TASK.replace("opnorms = 1.0, 1.0", "opnorms = 1.0, inf") + FINETUNE),
+        ("verify-bounds", BOUNDS.replace("block_sizes = 4, 8",
+                                         "block_sizes = 4, 8\nopnorms = 1, inf")),
+        ("finetune", TASK + "init_scale = nan\n" + FINETUNE),
+        ("finetune", TASK + "noise_tau = -1\n" + FINETUNE),
+        ("finetune", TASK + FINETUNE.replace("steps = 3", "steps = -3")),
+        ("finetune", TASK + FINETUNE + "epsilon = 0\n"),
+        ("finetune", TASK + FINETUNE + "batch_size = 0\n"),
+    ], ids=["opnorms-inf", "bounds-opnorms-inf", "init-scale-nan", "negative-noise-tau",
+            "negative-steps", "zero-epsilon", "zero-batch-size"])
+    def test_bad_task_or_run_number(self, tmp_path, capsys, monkeypatch, command, text):
+        # unchecked, these diverge (exit 3), write nan bounds (exit 0) or
+        # raise a traceback (exit 1); each must be a config error before any run
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the config was checked")
+
+        monkeypatch.setattr(harness, "run_population", never)
+        monkeypatch.setattr(harness.bounds_mod, "verify_bound", never)
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "zoft: config error" in capsys.readouterr().err
 
     def test_bound_violation_exception(self, tmp_path, monkeypatch):

@@ -211,6 +211,33 @@ class TestPerturbInPlace:
         perturb_in_place(theta, sc, seed, 1.0)
         assert np.array_equal(theta.values, sample_block_noise(p, sc, seed))
 
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_span_plan_draws_the_per_block_reference(self, rows):
+        # 40 tiny blocks share the first span, a block wider than a chunk
+        # crosses span seams, and the last span is ragged; every block gets
+        # its own scale, so a piece scaled by another block's std, or spans
+        # drawn out of order, move the values
+        rng = np.random.default_rng(7)
+        sizes = [int(s) for s in rng.integers(1, 9, size=40)]
+        sizes += [_CHUNK + 1000, 3, 2 * _CHUNK - 7, 11]
+        p = BlockPartition([(f"b{i}", s) for i, s in enumerate(sizes)])
+        assert len(p.spans) == -(-p.total // _CHUNK) and len(p.spans[0][2]) > 40
+        assert p.total % _CHUNK
+        stds = 1.0 + np.arange(p.n_blocks) / 8.0
+        seed = NoiseSeed(9, stream=3)
+        reference = sample_block_noise(p, PerturbScales(stds, p), seed)
+        if rows:
+            factors = np.array([1.0, 0.5, 2.0])
+            theta = ParamVector(np.zeros((rows, p.total)), p)
+            perturb_in_place(theta, PerturbScales(np.outer(factors, stds), p), seed, 1.0)
+            for row, f in zip(theta.values, factors):
+                assert np.array_equal(row, sample_block_noise(
+                    p, PerturbScales(f * stds, p), seed))
+        else:
+            theta = ParamVector(np.zeros(p.total), p)
+            perturb_in_place(theta, PerturbScales(stds, p), seed, 1.0)
+            assert np.array_equal(theta.values, reference)
+
     def test_fused_moves_equal_sequential_walks(self):
         p = multi_chunk_partition()
         sc = PerturbScales(np.array([0.7, 1.3, 2.0]), p)

@@ -23,7 +23,13 @@ from zoft.paramspace import (
     PerturbScales,
     perturb_in_place,
 )
-from zoft.testbeds import MLPTask, QuadraticFamily, make_rank_family
+from zoft.testbeds import (
+    MLPTask,
+    QuadraticFamily,
+    QuadraticRows,
+    QuadraticTask,
+    make_rank_family,
+)
 from zoft.zo_optimizer import (
     DIVERGENCE_FACTOR,
     OptState,
@@ -67,11 +73,16 @@ def assert_rows_match(models, lrs, config, net):
             continue
         assert not isinstance(outcome, DivergenceError), (model.name, lr)
         assert len(outcome) == len(want)
-        for got, ref in zip(outcome, want):
-            assert (got.t, got.loss, got.coeff) == (ref.t, ref.loss, ref.coeff)
-            assert (got.losses.plus, got.losses.minus) == (ref.losses.plus,
-                                                           ref.losses.minus)
-            assert np.array_equal(got.scales, ref.scales)
+        columns = {
+            "t": [rec.t for rec in want],
+            "loss": [rec.loss for rec in want],
+            "plus": [rec.losses.plus for rec in want],
+            "minus": [rec.losses.minus for rec in want],
+            "coeff": [rec.coeff for rec in want],
+            "scales": [rec.scales for rec in want],
+        }
+        for name, ref in columns.items():
+            assert np.array_equal(getattr(outcome, name), np.array(ref)), (name, lr)
     return outcomes
 
 
@@ -114,6 +125,56 @@ class TestRowsEqualSingleRuns:
         net = pertnn.init(model.partition, 8, NoiseSeed(0))
         config = ZOConfig(0.0, 8, mode=mode, seed=0)
         assert_rows_match([model] * 3, [1e-5, 0.0, 3e-5], config, net)
+
+
+class TestStackedQuadraticOracle:
+    def test_rows_equal_each_tasks_vector_loss(self):
+        # noisy and noise-free tasks mixed, repeated rows, then compaction
+        family = race_family()
+        noisy = QuadraticFamily(**{**vars(family), "noise_tau": 0.7})
+        tasks = [noisy.make_task(3), family.make_task(4), noisy.make_task(5)]
+        rows_of = [tasks[0], tasks[0], tasks[1], tasks[2], tasks[2]]
+        oracle = QuadraticRows(rows_of)
+        values = np.random.default_rng(0).normal(size=(5, 64))
+        for key in (11, 11, 12):
+            want = [task.loss(row, key) for task, row in zip(rows_of, values)]
+            assert np.array_equal(oracle(values, key), np.array(want))
+        keep = [1, 2, 4]
+        oracle.keep(keep)
+        want = [rows_of[k].loss(values[k], 12) for k in keep]
+        assert np.array_equal(oracle(values[keep], 12), np.array(want))
+        want = [rows_of[k].loss(values[k], 13) for k in keep]
+        assert np.array_equal(oracle(values[keep], 13), np.array(want))
+
+    @pytest.mark.parametrize("mode", ["mezo", "finetuner"])
+    def test_noisy_family_with_a_row_diverging_mid_run(self, mode, monkeypatch):
+        # 0.45 leaves the population by the loss guard after some steps,
+        # 1e155 by overflow, so the stacked rows are compacted twice; no row
+        # may reach the per-task loss
+        family = QuadraticFamily(**{**vars(race_family()), "noise_tau": 0.5})
+        tasks = family.make_tasks(3, start=100)
+        net = pertnn.init(tasks[0].partition, 16, NoiseSeed(4))
+        lrs = [0.02, 0.05, 0.45, 1e155]
+        models = [task for task in tasks for _ in lrs]
+        config = ZOConfig(0.0, 120, mode=mode, seed=5)
+        calls = []
+        vector_loss = QuadraticTask.loss
+
+        def counted(self, values, batch=0):
+            calls.append(values.ndim)
+            return vector_loss(self, values, batch)
+
+        monkeypatch.setattr(QuadraticTask, "loss", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = run_population(models, lrs * 3, config, net)
+        assert calls == []
+        monkeypatch.setattr(QuadraticTask, "loss", vector_loss)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_rows_match(models, lrs * 3, config, net)
+        diverged = [o for o in outcomes if isinstance(o, DivergenceError)]
+        assert 0 < len(diverged) < len(outcomes)
+        guard = [o for o in diverged if "exceeded" in str(o)]
+        assert guard and all(int(str(o).rsplit(" ", 1)[1]) > 1 for o in guard)
 
 
 class TestFailures:
@@ -166,3 +227,27 @@ def test_population_walk_allocates_no_parameter_sized_buffer():
         if started:
             tracemalloc.stop()
     assert peak <= 0.1 * theta.values.nbytes
+
+
+def test_columnar_trajectories_halve_the_record_objects_peak():
+    # the race population of 2 tasks x 3 rates, mezo, 400 steps; the 0.08
+    # rows diverge.  Per-row StepRecord and LossPair objects peaked at
+    # 708 KB (tracemalloc, Python 3.11, numpy 2.4); columns need a fraction
+    tasks = race_family().make_tasks(2, start=100)
+    lrs = [0.02, 0.05, 0.08]
+    models = [task for task in tasks for _ in lrs]
+    config = ZOConfig(0.0, 400, mode="mezo", seed=0)
+    run_population(models, lrs * 2, config)  # warm caches
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        outcomes = run_population(models, lrs * 2, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert [isinstance(o, DivergenceError) for o in outcomes] == [False, False, True] * 2
+    assert peak <= 708_000 // 2

@@ -210,22 +210,23 @@ class TestStep:
 class TestRunFinetune:
     def test_loss_decreases_on_easy_quadratic(self):
         task = make_rank_family([4, 4], [4.0, 4.0], [1.0, 1.0], seed=0)
-        records = run_finetune(task, ZOConfig(0.1, 300, mode="mezo", seed=0))
-        assert len(records) == 300
-        tail = np.mean([r.loss for r in records[-30:]])
-        assert tail < 0.2 * records[0].loss
+        traj = run_finetune(task, ZOConfig(0.1, 300, mode="mezo", seed=0))
+        assert len(traj) == 300
+        assert np.array_equal(traj.t, np.arange(1, 301))
+        tail = np.mean(traj.loss[-30:])
+        assert tail < 0.2 * traj.loss[0]
 
     def test_deterministic(self):
         task = quadratic()
         a = run_finetune(task, ZOConfig(0.05, 50, mode="mezo", seed=7))
         b = run_finetune(task, ZOConfig(0.05, 50, mode="mezo", seed=7))
-        assert [r.loss for r in a] == [r.loss for r in b]
+        assert np.array_equal(a.loss, b.loss)
 
     def test_seed_changes_trajectory(self):
         task = quadratic()
         a = run_finetune(task, ZOConfig(0.05, 20, mode="mezo", seed=7))
         b = run_finetune(task, ZOConfig(0.05, 20, mode="mezo", seed=8))
-        assert [r.loss for r in a] != [r.loss for r in b]
+        assert not np.array_equal(a.loss, b.loss)
 
     def test_divergence_guard(self):
         task = make_rank_family([4, 4], [4.0, 4.0], [5.0, 5.0], seed=0)
@@ -241,9 +242,9 @@ class TestRunFinetune:
     def test_finetuner_runs_with_fresh_network(self):
         task = quadratic()
         net = pertnn.init(partition(), hidden=8, seed=NoiseSeed(0))
-        records = run_finetune(task, ZOConfig(0.05, 40, mode="finetuner", seed=0), net)
-        assert len(records) == 40
-        assert all(np.all(np.isfinite(r.scales)) for r in records)
+        traj = run_finetune(task, ZOConfig(0.05, 40, mode="finetuner", seed=0), net)
+        assert len(traj) == 40
+        assert traj.scales.shape == (40, 2) and np.all(np.isfinite(traj.scales))
 
 
 class TestZOConfigValidation:
