@@ -12,7 +12,7 @@ import numpy as np
 
 from zoft.paramspace import NoiseSeed, ParamVector, PerturbScales, sample_block_noise
 from zoft.testbeds import make_rank_family
-from zoft.zo_optimizer import spsa_estimate
+from zoft.zo_optimizer import two_point
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     theta = ParamVector(task.theta_star + np.linspace(0.3, 1.1, p.total), p)
     scales = PerturbScales(np.array([2.0, 0.5]), p)
     eps = 1e-4
-    loss_fn = lambda v: task.loss(v, None)
+    losses = lambda: task.loss(theta.values, None)
     grad = task.grad(theta.values, None)
 
     n = 20_000
@@ -29,8 +29,9 @@ def main():
     sq = np.zeros(p.total)
     for k in range(n):
         seed = NoiseSeed(0, stream=k)
-        est, _ = spsa_estimate(theta, scales, seed, eps, loss_fn)
-        ghat = est.coeff * sample_block_noise(p, scales, seed)
+        # learning rate 0: the walk's last move only restores theta
+        _, coeff = two_point(theta, scales, seed, eps, losses, 0.0)
+        ghat = coeff * sample_block_noise(p, scales, seed)
         acc += ghat
         sq += ghat * ghat
     mean = acc / n

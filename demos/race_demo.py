@@ -50,7 +50,7 @@ def main():
         for seed in range(5):
             # the runs of one seed share every noise draw: one population
             # steps the whole lr grid at once
-            config = ZOConfig(learning_rate=0.0, steps=400, mode=method, seed=seed)
+            config = ZOConfig(steps=400, mode=method, seed=seed)
             outcomes = run_population([held_out] * len(grid), grid, config, params)
             for lr, traj in zip(grid, outcomes):
                 if isinstance(traj, DivergenceError):

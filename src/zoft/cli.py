@@ -7,7 +7,6 @@ invalid perturbation scales), 4 bound violation.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -36,41 +35,20 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="INI experiment config")
         cmd.add_argument("--out", default="zoft_out", help="output directory")
         cmd.add_argument("--seed", type=int, default=None,
-                         help="override the task seed from the config")
-        cmd.add_argument("--threads", default=None,
-                         help="deprecated and ignored: runs that share a seed "
-                              "and a method step together in one batched pass; "
-                              "still checked to be an integer >= 1 (default: "
-                              "ZOFT_THREADS or 1)")
+                         help="override the config's [task] seed "
+                              "([bounds] seed for verify-bounds)")
         cmd.add_argument("--timing", action="store_true",
                          help="record real wall times (output no longer byte-stable)")
     return parser
 
 
-def _threads(flag) -> int:
-    """Thread count from --threads, else ZOFT_THREADS, else 1; must be >= 1.
-
-    Deprecated: the value is validated for compatibility and then ignored.
-    """
-    where, raw = "--threads", flag
-    if flag is None:
-        where, raw = "ZOFT_THREADS", os.environ.get("ZOFT_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}={raw!r} is not an integer") from None
-    if threads < 1:
-        raise ConfigError(f"{where}={threads} must be >= 1")
-    return threads
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _threads(args.threads)
         cfg = ExperimentConfig.load(args.config)
-        if args.seed is not None and cfg.has_section("task"):
-            cfg.set("task", "seed", str(args.seed))
+        section = "bounds" if args.command == "verify-bounds" else "task"
+        if args.seed is not None and cfg.has_section(section):
+            cfg.set(section, "seed", str(args.seed))
         code = _COMMANDS[args.command](cfg, Path(args.out), timing=args.timing)
     except (ConfigError, CheckpointError, FileNotFoundError) as exc:
         print(f"zoft: config error: {exc}", file=sys.stderr)

@@ -100,9 +100,8 @@ def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
         groups.setdefault((seed, method), []).append(k)
     results = [None] * len(jobs)
     for (seed, method), ks in groups.items():
-        config = ZOConfig(learning_rate=0.0, steps=steps, epsilon=epsilon,
-                          batch_size=batch_size, mode=method, seed=seed,
-                          normalize=normalize)
+        config = ZOConfig(steps=steps, epsilon=epsilon, batch_size=batch_size,
+                          mode=method, seed=seed, normalize=normalize)
         start = time.perf_counter()
         outcomes = run_population([jobs[k][0] for k in ks], [jobs[k][2] for k in ks],
                                   config, pertnn if method == "finetuner" else None)

@@ -41,7 +41,6 @@ class MetaConfig:
     batch_size: int = 16
     seed: int = 0
     normalize: bool = True
-    loss_ratio_reset: float | None = None  # optional: also reset once loss < ratio * initial
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.eta1 <= 0 or self.eta2 < 0:
@@ -201,10 +200,7 @@ def train(config: MetaConfig, tasks, pertnn, theta0: np.ndarray | None = None):
                 raise DivergenceError(
                     f"meta-training loss {record.loss:.3e} diverged at step {t}"
                 )
-        do_reset = t % config.reset_period == 0
-        if not do_reset and config.loss_ratio_reset is not None:
-            do_reset = abs(log.records[-1].loss) < config.loss_ratio_reset * initial_loss
-        if do_reset:
+        if t % config.reset_period == 0:
             theta.values[:] = theta0
             log.reset_steps.append(t)
             log.records[-1].reset = True

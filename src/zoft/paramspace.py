@@ -61,9 +61,6 @@ class BlockPartition:
     def block_slice(self, i: int) -> slice:
         return self.slices[i]
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def __eq__(self, other):
         return (
             isinstance(other, BlockPartition)

@@ -4,10 +4,10 @@ Every parameter block has its own network mapping five step statistics (last
 two perturbed losses, last scale, current block mean and variance) to one
 positive raw standard deviation.  The B networks share one hidden width H and
 are stored stacked along a leading block axis: W1 (B, H, 5), b1 (B, H),
-W2 (B, H) and b2 (B,).  One batched forward and one batched backward serve any
-set of blocks, from a single block to all of them.  Batched `@` reproduces the
-per-block products bit for bit; the sigmoid in the backward pass stays the
-scalar `math.exp` form, because numpy's vectorised exp rounds differently.
+W2 (B, H) and b2 (B,).  One batched forward and one batched backward serve
+every block at once.  Batched `@` reproduces the per-block products bit for
+bit; the sigmoid in the backward pass stays the scalar `math.exp` form,
+because numpy's vectorised exp rounds differently.
 Checkpoints are a line-oriented text format.
 """
 
@@ -94,12 +94,8 @@ class PertNNParams:
 
 @dataclass
 class ForwardCache:
-    """Activations of one forward pass over `blocks` (an int or a slice).
+    """Activations of one forward pass over every block, block axis leading."""
 
-    x, h and y carry a leading block axis when `blocks` is a slice.
-    """
-
-    blocks: int | slice
     x: np.ndarray
     h: np.ndarray  # tanh activations
     y: np.ndarray  # pre-softplus output
@@ -113,63 +109,46 @@ def _sigmoid(y: float) -> float:
     return e / (1.0 + e)
 
 
-def _forward(params: PertNNParams, x: np.ndarray, blocks):
-    """raw = softplus(W2 . tanh(W1 x + b1) + b2) for the selected blocks.
-
-    An int selects one block (x is (5,)); a slice selects a batch (x is
-    (n, 5), or (R, n, 5) for R rows of features).  Basic indexing takes views,
-    so no weight is copied.
-    """
-    w1, b1, w2, b2 = (a[blocks] for a in params.arrays)
-    h = np.tanh((w1 @ x[..., None])[..., 0] + b1)
-    y = (w2[..., None, :] @ h[..., None])[..., 0, 0] + b2
-    raw = np.logaddexp(0.0, y)
-    if not np.all(np.isfinite(raw)):
-        names = np.atleast_1d(np.array(params.block_names)[blocks])
-        bad = names[~np.isfinite(raw).reshape(-1, len(names)).all(axis=0)]
-        raise NumericOverflowError(f"non-finite activation in blocks {', '.join(bad)}")
-    return raw, ForwardCache(blocks=blocks, x=x, h=h, y=y)
-
-
-def forward(params: PertNNParams, x, block: int):
-    """Run block `block`'s network on one feature vector; returns (raw_std, cache)."""
-    raw, cache = _forward(params, np.asarray(x, dtype=np.float64), block)
-    return float(raw), cache
-
-
 def forward_all(params: PertNNParams, features: np.ndarray):
-    """Forward every block; features is (n_blocks, 5), or (R, n_blocks, 5) for
-    R rows in one batched pass.  Returns (raw_stds, cache); raw_stds has the
-    features' shape without the last axis."""
+    """raw = softplus(W2 . tanh(W1 x + b1) + b2) for every block.
+
+    features is (n_blocks, 5), or (R, n_blocks, 5) for R rows in one batched
+    pass.  Returns (raw_stds, cache); raw_stds has the features' shape without
+    the last axis.
+    """
     if features.ndim not in (2, 3) or features.shape[-2:] != (params.n_blocks, N_FEATURES):
         raise PartitionMismatchError(
             f"expected features of shape ([R,] {params.n_blocks}, {N_FEATURES}), "
             f"got {features.shape}"
         )
-    return _forward(params, features, slice(None))
+    h = np.tanh((params.w1 @ features[..., None])[..., 0] + params.b1)
+    y = (params.w2[..., None, :] @ h[..., None])[..., 0, 0] + params.b2
+    raw = np.logaddexp(0.0, y)
+    if not np.all(np.isfinite(raw)):
+        names = np.array(params.block_names)
+        bad = names[~np.isfinite(raw).reshape(-1, len(names)).all(axis=0)]
+        raise NumericOverflowError(f"non-finite activation in blocks {', '.join(bad)}")
+    return raw, ForwardCache(x=features, h=h, y=y)
 
 
 def backward(params: PertNNParams, cache: ForwardCache, upstream):
-    """Exact gradients of sum_i upstream_i * raw_std_i over the cached blocks.
+    """Exact gradients of sum_i upstream_i * raw_std_i over every block.
 
-    `upstream` is a scalar or one value per cached block.  Returns
-    (grad_params, grad_input): grad_params is zero outside the cached blocks
-    and grad_input has the shape of cache.x.
+    `upstream` is a scalar or one value per block, and the cache is of one
+    (n_blocks, 5) feature matrix.  Returns (grad_params, grad_input);
+    grad_input has the shape of cache.x.
     """
-    try:
-        w1, w2 = params.w1[cache.blocks], params.w2[cache.blocks]
-    except IndexError as exc:
-        raise ContractViolationError(f"cache blocks {cache.blocks!r} out of range") from exc
+    w1, w2 = params.w1, params.w2
     if cache.h.shape != w2.shape or cache.x.shape != w1.shape[:-2] + (N_FEATURES,):
         raise ContractViolationError("cache does not match these parameters")
     sig = np.reshape([_sigmoid(v) for v in np.ravel(cache.y).tolist()], np.shape(cache.y))
     dy = upstream * sig
     dpre = (dy[..., None] * w2) * (1.0 - cache.h**2)
     grads = params.zeros_like()
-    grads.w2[cache.blocks] = dy[..., None] * cache.h
-    grads.b2[cache.blocks] = dy
-    grads.w1[cache.blocks] = dpre[..., :, None] * cache.x[..., None, :]
-    grads.b1[cache.blocks] = dpre
+    grads.w2[:] = dy[..., None] * cache.h
+    grads.b2[:] = dy
+    grads.w1[:] = dpre[..., :, None] * cache.x[..., None, :]
+    grads.b1[:] = dpre
     grad_input = (w1.swapaxes(-1, -2) @ dpre[..., None])[..., 0]
     return grads, grad_input
 

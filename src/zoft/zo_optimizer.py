@@ -6,13 +6,13 @@ budget sum_i d_i s_i^2 = d, and forms the central-difference gradient estimate
 by walking theta in place to theta + eps*u and then to theta - eps*u.  A third
 regeneration of the same noise from its seed moves theta back by +eps and
 applies the update -lr*c*u in one fused walk, so a step regenerates u three
-times and never stores it.
+times and never stores it.  `two_point` is that walk, and the only copy of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
     PartitionMismatchError,
 )
 from .paramspace import (
-    BlockPartition,
     NoiseSeed,
     ParamVector,
     PerturbScales,
@@ -38,7 +37,6 @@ DIVERGENCE_FACTOR = 1e6
 
 @dataclass
 class ZOConfig:
-    learning_rate: float
     steps: int
     epsilon: float = 1e-3
     batch_size: int = 1
@@ -49,8 +47,6 @@ class ZOConfig:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.batch_size < 1:
@@ -71,15 +67,6 @@ class LossPair:
         if isinstance(self.plus, float) and not (
                 math.isfinite(self.plus) and math.isfinite(self.minus)):
             raise NumericOverflowError(f"non-finite perturbed losses ({self.plus}, {self.minus})")
-
-
-@dataclass
-class GradEstimate:
-    """A descent direction c * u, stored as (c, seed, scales) for regeneration."""
-
-    coeff: float
-    seed: NoiseSeed
-    scales: PerturbScales
 
 
 @dataclass
@@ -160,31 +147,6 @@ def normalize_scales_vjp(raw: PerturbScales, upstream: np.ndarray) -> np.ndarray
     return factor * upstream - (raw.partition.sizes * raw.stds / budget) * inner
 
 
-def spsa_estimate(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
-                  epsilon: float, loss_fn):
-    """Two-point estimate via the in-place walk; returns (GradEstimate, LossPair).
-
-    theta is temporarily perturbed to theta + eps*u and theta - eps*u and
-    restored by the final +eps move; no copy of theta is made.  Non-finite
-    losses raise before the restore.
-    """
-    perturb_in_place(theta, scales, seed, +epsilon)
-    loss_plus = float(loss_fn(theta.values))
-    perturb_in_place(theta, scales, seed, -2.0 * epsilon)
-    loss_minus = float(loss_fn(theta.values))
-    pair = LossPair(loss_plus, loss_minus)
-    perturb_in_place(theta, scales, seed, +epsilon)
-    coeff = (loss_plus - loss_minus) / (2.0 * epsilon)
-    return GradEstimate(coeff, seed, scales), pair
-
-
-def apply_estimate(theta: ParamVector, estimate: GradEstimate, learning_rate: float) -> None:
-    """theta <- theta - lr * c * u, regenerating u from the stored seed."""
-    if estimate.coeff != 0.0 and learning_rate != 0.0:
-        perturb_in_place(theta, estimate.scales, estimate.seed,
-                         -learning_rate * estimate.coeff)
-
-
 def step_features(theta: ParamVector, prev_losses: LossPair,
                   prev_scales: np.ndarray) -> np.ndarray:
     """(n_blocks, 5) feature matrix: l+, l-, previous scale, block mean, block var.
@@ -251,25 +213,62 @@ def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
     return PerturbScales(stds, partition)
 
 
+def two_point(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
+              epsilon: float, losses, learning_rate, failures=None):
+    """The in-place two-point walk and update; returns (LossPair, coeff).
+
+    theta walks to theta + eps*u and to theta - eps*u, where ``losses()``
+    evaluates it, and then one fused walk moves it back by +eps and applies
+    theta <- theta - lr * c * u with c = (l+ - l-) / (2 eps): three
+    regenerations of u from `seed`, and no copy of theta or u.  A learning
+    rate of 0 makes the last walk a plain restore.
+
+    For (R, d) rows, ``losses()`` returns R losses, `learning_rate` holds
+    one rate per row, and the pair and coeff one entry per row.  Non-finite
+    losses raise before the restore; given a `failures` dict, rows record
+    them there instead (see step).
+    """
+    perturb_in_place(theta, scales, seed, +epsilon)  # raises for one vector
+    plus = losses()
+    perturb_in_place(theta, scales, seed, -2.0 * epsilon)
+    minus = losses()
+    pair = LossPair(plus, minus)  # raises for one vector
+    coeff = (plus - minus) / (2.0 * epsilon)
+    # the restore and the update share one regeneration of u; a run with a
+    # zero coefficient or rate gets the plain restore (a zero move adds +-0,
+    # which changes no entry a walk can leave behind: only -0 + +0 differs,
+    # and a walk's nonzero moves never leave a -0).  A vector decides on
+    # Python floats, which costs a fraction of np.where on 0-d arrays.
+    if theta.values.ndim == 1:
+        skip = coeff == 0.0 or learning_rate == 0.0
+        moves = () if skip else (-learning_rate * coeff,)
+    else:
+        _flag(failures, ~(np.isfinite(plus) & np.isfinite(minus)),
+              NumericOverflowError("non-finite perturbed losses"))
+        lr = np.asarray(learning_rate, dtype=np.float64)
+        update = np.where((coeff == 0.0) | (lr == 0.0), 0.0, -lr * coeff)
+        moves = (update,) if update.any() else ()
+    perturb_in_place(theta, scales, seed, +epsilon, *moves)
+    return pair, coeff
+
+
 def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
-         loss_of, pertnn=None, learning_rates=None, failures=None) -> StepRecord:
-    """One optimizer step; mutates theta and state.
+         loss_of, learning_rate, pertnn=None, failures=None) -> StepRecord:
+    """One optimizer step at `learning_rate`; mutates theta and state.
 
     ``loss_of(values, batch)`` is the batch loss oracle; both perturbed
     evaluations use the same batch.
 
     theta may hold (R, d) rows: a population of runs that share config, and
     so every noise draw, and differ in their losses (loss_of maps the rows to
-    R losses) and in `learning_rates`, one per row (config.learning_rate by
-    default).  The record's fields then hold one entry per row.  A failure (a
-    non-finite value or invalid scales) raises; given a `failures` dict, each
-    failing row is recorded there as row -> error instead, and the other rows
-    step on unchanged.
+    R losses) and in `learning_rate`, then one rate per row.  The record's
+    fields then hold one entry per row.  A failure (a non-finite value or
+    invalid scales) raises; given a `failures` dict, each failing row is
+    recorded there as row -> error instead, and the other rows step on
+    unchanged.
     """
     t = state.t + 1
     single = theta.values.ndim == 1
-    lr = (config.learning_rate if learning_rates is None
-          else np.asarray(learning_rates, dtype=np.float64))
 
     def losses():
         out = loss_of(theta.values, batch)
@@ -277,25 +276,8 @@ def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
 
     current_loss = losses()
     scales = _scales_for_step(theta, state, config, pertnn, current_loss, failures)
-    seed = NoiseSeed(config.seed, stream=t)
-    perturb_in_place(theta, scales, seed, +config.epsilon)  # raises for one vector
-    plus = losses()
-    perturb_in_place(theta, scales, seed, -2.0 * config.epsilon)
-    minus = losses()
-    pair = LossPair(plus, minus)  # raises for one vector
-    if not single:
-        _flag(failures, ~(np.isfinite(plus) & np.isfinite(minus)),
-              NumericOverflowError("non-finite perturbed losses"))
-    coeff = (plus - minus) / (2.0 * config.epsilon)
-    # the restore and the update share one regeneration of u; a row skips the
-    # update exactly when apply_estimate would skip it (its zero move adds
-    # +-0, which changes no entry a walk can leave behind: only -0 + +0
-    # differs, and a walk's nonzero moves never leave a -0)
-    update = np.where((coeff == 0.0) | (lr == 0.0), 0.0, -lr * coeff)
-    if update.any():
-        perturb_in_place(theta, scales, seed, +config.epsilon, update)
-    else:
-        perturb_in_place(theta, scales, seed, +config.epsilon)
+    pair, coeff = two_point(theta, scales, NoiseSeed(config.seed, stream=t),
+                            config.epsilon, losses, learning_rate, failures)
     if not single:
         # once per step: an inf/nan entry makes its row's sum non-finite, and
         # no later move of the step makes it finite again
@@ -373,11 +355,11 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
     """Run one seeded two-point fine-tuning run per row, all in one batched pass.
 
     Row r runs models[r] from models[r].init_theta(config.seed) at
-    learning_rates[r]; config.learning_rate is not used.  The rows share the
-    rest of config, so every noise draw serves all of them, and each row's
-    trajectory equals its single run bit for bit.  The models must share one
-    partition; a population of quadratic tasks evaluates every row in one
-    stacked loss call, other models' consecutive rows share each loss call.
+    learning_rates[r].  The rows share config, so every noise draw serves all
+    of them, and each row's trajectory equals its single run bit for bit.
+    The models must share one partition; a population of quadratic tasks
+    evaluates every row in one stacked loss call, other models' consecutive
+    rows share each loss call.
 
     Returns one entry per row: its Trajectory, or the DivergenceError that
     ended it.  A row diverges once its loss exceeds 1e6 x its initial loss,
@@ -410,8 +392,8 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
         batch = loss_of.batch(config.batch_size, config.seed * 1000003 + t)
         failures = {}
         try:
-            record = step(theta, state, batch, config, loss_of, pertnn,
-                          learning_rates=rates, failures=failures)
+            record = step(theta, state, batch, config, loss_of, rates, pertnn,
+                          failures=failures)
         except (NumericOverflowError, InvalidScaleError) as exc:
             # only a plain vector raises: the population's one row has failed
             outcomes[live[0]] = _divergence(t, exc)
@@ -462,7 +444,7 @@ def _keep_rows(theta: ParamVector, state: OptState, keep) -> None:
     state.prev_scales = state.prev_scales[keep]
 
 
-def run_finetune(model, config: ZOConfig, pertnn=None) -> Trajectory:
+def run_finetune(model, learning_rate: float, config: ZOConfig, pertnn=None) -> Trajectory:
     """Run T steps of seeded two-point fine-tuning on a testbed model.
 
     The model provides init_theta / sample_batch / loss.  A fresh batch is
@@ -470,7 +452,7 @@ def run_finetune(model, config: ZOConfig, pertnn=None) -> Trajectory:
     1e6 x the initial loss, or once a loss, a parameter or a scale becomes
     non-finite or invalid.  This is the one-row case of run_population.
     """
-    [outcome] = run_population([model], [config.learning_rate], config, pertnn)
+    [outcome] = run_population([model], [learning_rate], config, pertnn)
     if isinstance(outcome, DivergenceError):
         raise outcome
     return outcome

@@ -36,9 +36,27 @@ from zoft.zo_optimizer import (
     normalize_scales,
     run_finetune,
     run_population,
-    spsa_estimate,
     step_features,
+    two_point,
 )
+
+
+def forward_block(params, x, block):
+    """Block `block`'s raw std for the feature vector x, read from forward_all
+    on a feature matrix with x in row `block` and zeros elsewhere."""
+    features = np.zeros((params.n_blocks, pertnn.N_FEATURES))
+    features[block] = x
+    raws, cache = pertnn.forward_all(params, features)
+    return float(raws[block]), cache
+
+
+def backward_block(params, cache, upstream, block):
+    """backward with `upstream` on block `block` and 0 on the others; returns
+    the parameter gradients and the gradient of that block's features."""
+    vector = np.zeros(params.n_blocks)
+    vector[block] = upstream
+    grads, grad_input = pertnn.backward(params, cache, vector)
+    return grads, grad_input[block]
 
 
 def race_family():
@@ -61,8 +79,8 @@ def run_cells(models, lrs, method, seed, net, steps=400, batch_size=1,
               normalize=True):
     """(final_window_mean, steps_to_half, diverged) for each (model, lr) run,
     all run as one population."""
-    config = ZOConfig(learning_rate=0.0, steps=steps, batch_size=batch_size,
-                      mode=method, seed=seed, normalize=normalize)
+    config = ZOConfig(steps=steps, batch_size=batch_size, mode=method, seed=seed,
+                      normalize=normalize)
     outcomes = run_population(models, lrs, config,
                               net if method == "finetuner" else None)
     cells = []
@@ -88,8 +106,9 @@ class TestEstimatorMean:
         theta = ParamVector(task.theta_star + np.linspace(0.3, 1.1, p.total), p)
         scales = PerturbScales(np.array([2.0, 0.5]), p)
         eps = 1e-4
-        loss_fn = lambda v: task.loss(v, None)
+        losses = lambda: task.loss(theta.values, None)
         grad = task.grad(theta.values, None)
+        base = theta.values.copy()
 
         n, chunk = 100_000, 1000
         sums = np.zeros(p.total)
@@ -97,9 +116,12 @@ class TestEstimatorMean:
         buf = np.empty((chunk, p.total))
         for c in range(n // chunk):
             for j in range(chunk):
-                seed = NoiseSeed(0, stream=c * chunk + j)
-                est, _ = spsa_estimate(theta, scales, seed, eps, loss_fn)
-                buf[j] = est.coeff * sample_block_noise(p, scales, seed)
+                # at learning rate 1 the update walk leaves theta at
+                # base - c*u: read c*u from it, then put theta back
+                two_point(theta, scales, NoiseSeed(0, stream=c * chunk + j), eps,
+                          losses, 1.0)
+                np.subtract(base, theta.values, out=buf[j])
+                theta.values[:] = base
             sums += buf.sum(axis=0)
             sqs += (buf * buf).sum(axis=0)
         mean = sums / n
@@ -116,7 +138,7 @@ class TestVarianceBudget:
         task = family.make_task(0)
         net = pertnn.init(task.partition, 8, NoiseSeed(3))
         traj = run_finetune(
-            task, ZOConfig(learning_rate=0.02, steps=50, mode="finetuner", seed=0),
+            task, 0.02, ZOConfig(steps=50, mode="finetuner", seed=0),
             net,
         )
         d = task.partition.total
@@ -155,8 +177,8 @@ class TestGradientExactness:
             x = rng.normal(size=5)
             block = int(rng.integers(0, 2))
             upstream = float(rng.uniform(0.5, 2.0))
-            _, cache = pertnn.forward(params, x, block)
-            grads, gin = pertnn.backward(params, cache, upstream)
+            _, cache = forward_block(params, x, block)
+            grads, gin = backward_block(params, cache, upstream, block)
             eps = 1e-6
             arrays = [(params.w1[block], grads.w1[block]),
                       (params.b1[block], grads.b1[block]),
@@ -165,9 +187,9 @@ class TestGradientExactness:
                 for j in rng.integers(0, arr.size, size=2):
                     old = arr.flat[j]
                     arr.flat[j] = old + eps
-                    up = pertnn.forward(params, x, block)[0]
+                    up = forward_block(params, x, block)[0]
                     arr.flat[j] = old - eps
-                    dn = pertnn.forward(params, x, block)[0]
+                    dn = forward_block(params, x, block)[0]
                     arr.flat[j] = old
                     fd = upstream * (up - dn) / (2 * eps)
                     denom = max(abs(fd), abs(garr.flat[j]), 1e-8)
@@ -176,8 +198,8 @@ class TestGradientExactness:
                 xp, xm = x.copy(), x.copy()
                 xp[j] += eps
                 xm[j] -= eps
-                fd = upstream * (pertnn.forward(params, xp, block)[0]
-                                 - pertnn.forward(params, xm, block)[0]) / (2 * eps)
+                fd = upstream * (forward_block(params, xp, block)[0]
+                                 - forward_block(params, xm, block)[0]) / (2 * eps)
                 denom = max(abs(fd), abs(gin[j]), 1e-8)
                 worst_net = max(worst_net, abs(fd - gin[j]) / denom)
 
@@ -452,7 +474,7 @@ class TestSeededRegeneration:
             tracemalloc.start()
         try:
             run_finetune(
-                task, ZOConfig(learning_rate=1e-7, steps=3, mode="finetuner", seed=0),
+                task, 1e-7, ZOConfig(steps=3, mode="finetuner", seed=0),
                 net,
             )
         finally:
@@ -606,16 +628,15 @@ seed = 0
         return all(filecmp.cmp(a / n, b / n, shallow=False) for n in names_a)
 
     def test_every_command_is_byte_identical_across_runs(self, tmp_path):
-        # same config run twice, plus a multi-threaded rerun, must produce
-        # byte-identical output files; under 1 minute for all commands
+        # same config run three times must produce byte-identical output
+        # files; under 1 minute for all commands
         start = time.perf_counter()
         for command, text in self.CONFIGS.items():
             cfg = tmp_path / f"{command}.ini"
             cfg.write_text(text, encoding="utf-8")
             outs = [tmp_path / f"{command}-{k}" for k in range(3)]
-            for out, threads in zip(outs, ("1", "1", "3")):
-                code = cli.main([command, "--config", str(cfg),
-                                 "--out", str(out), "--threads", threads])
+            for out in outs:
+                code = cli.main([command, "--config", str(cfg), "--out", str(out)])
                 assert code == 0, command
             assert self._dirs_identical(outs[0], outs[1]), command
             assert self._dirs_identical(outs[0], outs[2]), command

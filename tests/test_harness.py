@@ -141,7 +141,7 @@ batch_size = 4
         assert self.run(["finetune", "--config", cfg, "--out", out]) == 0
         assert (out / "trajectory.csv").exists()
 
-    def test_compare_outputs_and_thread_determinism(self, tmp_path):
+    def test_compare_outputs_are_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, TASK + """
 [compare]
 methods = mezo
@@ -153,10 +153,8 @@ task_start = 10
 batch_size = 4
 """)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert self.run(["compare", "--config", cfg, "--out", out1,
-                         "--threads", 1]) == 0
-        assert self.run(["compare", "--config", cfg, "--out", out2,
-                         "--threads", 3]) == 0
+        assert self.run(["compare", "--config", cfg, "--out", out1]) == 0
+        assert self.run(["compare", "--config", cfg, "--out", out2]) == 0
         for name in ("compare.csv", "summary.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         header = (out1 / "compare.csv").read_text().splitlines()[0]
@@ -198,18 +196,17 @@ batch_size = 4
         assert t1 != t2
         assert t2 == (o3 / "trajectory.csv").read_bytes()
 
-    def test_env_thread_default(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, TASK + """
-[finetune]
-mode = mezo
-seeds = 0, 1
-lr = 0.05
-steps = 10
-batch_size = 4
-""")
-        monkeypatch.setenv("ZOFT_THREADS", "2")
-        out = tmp_path / "out"
-        assert self.run(["finetune", "--config", cfg, "--out", out]) == 0
+    def test_seed_flag_sets_the_bounds_seed(self, tmp_path):
+        # verify-bounds seeds from [bounds], so --seed must override that
+        cfg = write_config(tmp_path, BOUNDS)
+        seeded = write_config(tmp_path, BOUNDS.replace("seed = 0", "seed = 5"), "s5.ini")
+        o1, o2, o3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        assert self.run(["verify-bounds", "--config", cfg, "--out", o1]) == 0
+        assert self.run(["verify-bounds", "--config", cfg, "--out", o2, "--seed", 5]) == 0
+        assert self.run(["verify-bounds", "--config", seeded, "--out", o3]) == 0
+        flagged = (o2 / "bounds.csv").read_bytes()
+        assert flagged != (o1 / "bounds.csv").read_bytes()
+        assert flagged == (o3 / "bounds.csv").read_bytes()
 
     def test_verify_bounds_campaign(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -249,6 +246,26 @@ steps = 5
 """)
         assert cli.main(["finetune", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("value", ["1", "3"])
+    def test_removed_threads_flag_is_rejected(self, tmp_path, capsys, value):
+        # --threads is gone: even a formerly valid count is an unknown argument
+        cfg = write_config(tmp_path, TASK + FINETUNE)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                      "--threads", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_threads_variable_is_ignored(self, tmp_path, monkeypatch):
+        # ZOFT_THREADS=abc used to exit 2; now it changes nothing
+        cfg = write_config(tmp_path, TASK + FINETUNE)
+        assert cli.main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setenv("ZOFT_THREADS", "abc")
+        assert cli.main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
+                == (tmp_path / "b" / "trajectory.csv").read_bytes())
 
     def test_missing_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path, TASK + """
@@ -373,23 +390,6 @@ steps = 5
                              "--out", str(tmp_path / "o")])
         assert code == 3
         assert "zoft: divergence" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_threads_flag(self, tmp_path, capsys, value):
-        cfg = write_config(tmp_path, TASK + "[finetune]\nmode = mezo\nseeds = 0\n"
-                           "lr = 0.05\nsteps = 3\n")
-        assert cli.main(["finetune", "--config", str(cfg), "--out",
-                         str(tmp_path / "o"), "--threads", value]) == 2
-        assert "zoft: config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-    def test_bad_threads_env(self, tmp_path, capsys, monkeypatch, value):
-        cfg = write_config(tmp_path, TASK + "[finetune]\nmode = mezo\nseeds = 0\n"
-                           "lr = 0.05\nsteps = 3\n")
-        monkeypatch.setenv("ZOFT_THREADS", value)
-        assert cli.main(["finetune", "--config", str(cfg), "--out",
-                         str(tmp_path / "o")]) == 2
-        assert "zoft: config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bounds", [
         "rank_profiles = 1,4\netas = 0.02\nsamples = 1\n",

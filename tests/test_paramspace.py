@@ -54,7 +54,6 @@ class TestBlockPartition:
         assert p.total == 6
         assert list(p.offsets) == [0, 2, 5]
         assert p.block_slice(1) == slice(2, 5)
-        assert p.index("c") == 2
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -41,24 +41,42 @@ def unflatten_into(params, flat):
         pos += 1
 
 
+def forward_block(params, x, block):
+    """Block `block`'s raw std for the feature vector x, read from forward_all
+    on a feature matrix with x in row `block` and zeros elsewhere."""
+    features = np.zeros((params.n_blocks, pertnn.N_FEATURES))
+    features[block] = x
+    raws, cache = pertnn.forward_all(params, features)
+    return float(raws[block]), cache
+
+
+def backward_block(params, cache, upstream, block):
+    """backward with `upstream` on block `block` and 0 on the others; returns
+    the parameter gradients and the gradient of that block's features."""
+    vector = np.zeros(params.n_blocks)
+    vector[block] = upstream
+    grads, grad_input = pertnn.backward(params, cache, vector)
+    return grads, grad_input[block]
+
+
 class TestForward:
     def test_output_positive(self):
         params = random_params()
         x = np.array([3.0, -2.0, 1.0, 0.5, 0.1])
         for i in range(2):
-            raw, _ = pertnn.forward(params, x, i)
+            raw, _ = forward_block(params, x, i)
             assert raw > 0
 
     def test_zero_input_fresh_network(self):
         # b1 is random under init, so only the all-zero-weight network is
         # guaranteed to emit exactly 1
         params = pertnn.constant_params(partition(), hidden=3)
-        raw, _ = pertnn.forward(params, np.zeros(5), 0)
+        raw, _ = forward_block(params, np.zeros(5), 0)
         assert raw == pytest.approx(1.0, rel=1e-15)
 
     def test_constant_network_ignores_input(self):
         params = pertnn.constant_params(partition(), hidden=3)
-        raw, _ = pertnn.forward(params, np.array([9.0, -4.0, 2.0, 1.0, 7.0]), 1)
+        raw, _ = forward_block(params, np.array([9.0, -4.0, 2.0, 1.0, 7.0]), 1)
         assert raw == pytest.approx(1.0, rel=1e-15)
 
     def test_oracle_value(self):
@@ -72,7 +90,7 @@ class TestForward:
         )
         x = np.array([0.3, 0.0, 1.0, 0.0, 0.0])
         expected = math.log1p(math.exp(2.0 * math.tanh(0.8) + 0.25))
-        raw, _ = pertnn.forward(p, x, 0)
+        raw, _ = forward_block(p, x, 0)
         assert raw == pytest.approx(expected, rel=1e-15)
 
     def test_input_validation(self):
@@ -96,8 +114,8 @@ class TestBackward:
             x = rng.normal(size=5)
             block = trial % 2
             upstream = float(rng.normal())
-            raw, cache = pertnn.forward(params, x, block)
-            grads, gin = pertnn.backward(params, cache, upstream)
+            raw, cache = forward_block(params, x, block)
+            grads, gin = backward_block(params, cache, upstream, block)
 
             flat = flatten(params)
             gflat = flatten(grads)
@@ -108,10 +126,10 @@ class TestBackward:
                 bumped = flat.copy()
                 bumped[j] += eps
                 unflatten_into(probe, bumped)
-                up, _ = pertnn.forward(probe, x, block)
+                up, _ = forward_block(probe, x, block)
                 bumped[j] -= 2 * eps
                 unflatten_into(probe, bumped)
-                dn, _ = pertnn.forward(probe, x, block)
+                dn, _ = forward_block(probe, x, block)
                 fd = upstream * (up - dn) / (2 * eps)
                 denom = max(abs(fd), abs(gflat[j]), 1e-8)
                 worst = max(worst, abs(fd - gflat[j]) / denom)
@@ -120,23 +138,23 @@ class TestBackward:
                 xp, xm = x.copy(), x.copy()
                 xp[j] += eps
                 xm[j] -= eps
-                fd = upstream * (pertnn.forward(params, xp, block)[0]
-                                 - pertnn.forward(params, xm, block)[0]) / (2 * eps)
+                fd = upstream * (forward_block(params, xp, block)[0]
+                                 - forward_block(params, xm, block)[0]) / (2 * eps)
                 denom = max(abs(fd), abs(gin[j]), 1e-8)
                 worst = max(worst, abs(fd - gin[j]) / denom)
         assert worst <= 1e-6
 
     def test_gradient_zero_outside_block(self):
         params = random_params()
-        _, cache = pertnn.forward(params, np.ones(5), 0)
-        grads, _ = pertnn.backward(params, cache, 1.0)
+        _, cache = forward_block(params, np.ones(5), 0)
+        grads, _ = backward_block(params, cache, 1.0, 0)
         assert np.all(grads.w1[1] == 0)
         assert grads.b2[1] == 0.0
 
     def test_stale_cache_rejected(self):
         params = random_params(hidden=4)
         other = random_params(hidden=7)
-        _, cache = pertnn.forward(other, np.ones(5), 0)
+        _, cache = forward_block(other, np.ones(5), 0)
         with pytest.raises(ContractViolationError):
             pertnn.backward(params, cache, 1.0)
 

@@ -40,7 +40,7 @@ from zoft.zo_optimizer import (
 )
 
 
-def reference_run(model, config, net):
+def reference_run(model, lr, config, net):
     """The single-run loop: records, or None where the run diverges."""
     theta = ParamVector(model.init_theta(config.seed), model.partition)
     state = OptState()
@@ -48,7 +48,7 @@ def reference_run(model, config, net):
     for t in range(1, config.steps + 1):
         batch = model.sample_batch(config.batch_size, config.seed * 1000003 + t)
         try:
-            record = step(theta, state, batch, config, model.loss, net)
+            record = step(theta, state, batch, config, model.loss, lr, net)
         except (NumericOverflowError, InvalidScaleError):
             return None
         records.append(record)
@@ -63,13 +63,11 @@ def assert_rows_match(models, lrs, config, net):
     outcomes = run_population(models, lrs, config, net)
     assert len(outcomes) == len(models)
     for model, lr, outcome in zip(models, lrs, outcomes):
-        single = ZOConfig(lr, config.steps, config.epsilon, config.batch_size,
-                          config.mode, config.seed, config.normalize)
-        want = reference_run(model, single, net)
+        want = reference_run(model, lr, config, net)
         if want is None:
             assert isinstance(outcome, DivergenceError), (model.name, lr)
             with pytest.raises(DivergenceError):
-                run_finetune(model, single, net)
+                run_finetune(model, lr, config, net)
             continue
         assert not isinstance(outcome, DivergenceError), (model.name, lr)
         assert len(outcome) == len(want)
@@ -103,7 +101,7 @@ class TestRowsEqualSingleRuns:
         net = pertnn.init(tasks[0].partition, 16, NoiseSeed(4))
         lrs = [0.02, 0.05, 0.125, 1e155]
         models = [task for task in tasks for _ in lrs]
-        config = ZOConfig(0.0, 150, mode=mode, seed=3, normalize=normalize)
+        config = ZOConfig(150, mode=mode, seed=3, normalize=normalize)
         with np.errstate(over="ignore", invalid="ignore"):
             outcomes = assert_rows_match(models, lrs * 2, config, net)
         assert not isinstance(outcomes[0], DivergenceError)
@@ -113,7 +111,7 @@ class TestRowsEqualSingleRuns:
         model = MLPTask(n_in=4, n_hidden=8, n_out=3, n_samples=120,
                         data_seed=0, granularity="block")
         net = pertnn.init(model.partition, 8, NoiseSeed(1))
-        config = ZOConfig(0.0, 60, batch_size=16, mode="finetuner", seed=2)
+        config = ZOConfig(60, batch_size=16, mode="finetuner", seed=2)
         assert_rows_match([model] * 3, [0.05, 0.2, 1.0], config, net)
 
     @pytest.mark.parametrize("mode", ["mezo", "finetuner"])
@@ -123,7 +121,7 @@ class TestRowsEqualSingleRuns:
         model = make_rank_family([40000, 24, 1], [400.0, 8.0, 1.0],
                                  [1.0, 0.5, 1.0], seed=0)
         net = pertnn.init(model.partition, 8, NoiseSeed(0))
-        config = ZOConfig(0.0, 8, mode=mode, seed=0)
+        config = ZOConfig(8, mode=mode, seed=0)
         assert_rows_match([model] * 3, [1e-5, 0.0, 3e-5], config, net)
 
 
@@ -156,7 +154,7 @@ class TestStackedQuadraticOracle:
         net = pertnn.init(tasks[0].partition, 16, NoiseSeed(4))
         lrs = [0.02, 0.05, 0.45, 1e155]
         models = [task for task in tasks for _ in lrs]
-        config = ZOConfig(0.0, 120, mode=mode, seed=5)
+        config = ZOConfig(120, mode=mode, seed=5)
         calls = []
         vector_loss = QuadraticTask.loss
 
@@ -189,17 +187,17 @@ class TestFailures:
         net.w1[:, 0, 0] = 1.0
         net.w2[:, 0] = 100.0
         net.b2[:] = -800.0
-        config = ZOConfig(0.0, 5, mode="finetuner", seed=0, normalize=False)
+        config = ZOConfig(5, mode="finetuner", seed=0, normalize=False)
         outcomes = assert_rows_match([far, far, near], [0.05, 0.1, 0.05], config, net)
         assert [isinstance(o, DivergenceError) for o in outcomes] == [False, False, True]
         assert isinstance(outcomes[2].__cause__, InvalidScaleError)
         with pytest.raises(DivergenceError, match="invalid scales"):
-            run_finetune(near, config, net)
+            run_finetune(near, 0.05, config, net)
 
     def test_rejects_mismatched_inputs(self):
         model = make_rank_family([4, 4], [2.0, 3.0], [1.0, 1.0], seed=0)
         other = make_rank_family([4, 5], [2.0, 3.0], [1.0, 1.0], seed=0)
-        config = ZOConfig(0.05, 2, seed=0)
+        config = ZOConfig(2, seed=0)
         with pytest.raises(ValueError):
             run_population([model, model], [0.05], config)
         with pytest.raises(ValueError):
@@ -236,7 +234,7 @@ def test_columnar_trajectories_halve_the_record_objects_peak():
     tasks = race_family().make_tasks(2, start=100)
     lrs = [0.02, 0.05, 0.08]
     models = [task for task in tasks for _ in lrs]
-    config = ZOConfig(0.0, 400, mode="mezo", seed=0)
+    config = ZOConfig(400, mode="mezo", seed=0)
     run_population(models, lrs * 2, config)  # warm caches
     started = not tracemalloc.is_tracing()
     if started:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zoft.errors import DivergenceError, InvalidScaleError
+from zoft.errors import DivergenceError, InvalidScaleError, NumericOverflowError
 from zoft.paramspace import (
     BlockPartition,
     NoiseSeed,
     ParamVector,
     PerturbScales,
     _CHUNK,
+    perturb_in_place,
     sample_block_noise,
 )
 from zoft.testbeds import QuadraticTask, make_rank_family
@@ -19,12 +20,11 @@ from zoft.zo_optimizer import (
     StepRecord,
     ZOConfig,
     _scales_for_step,
-    apply_estimate,
     normalize_scales,
     run_finetune,
-    spsa_estimate,
     step,
     step_features,
+    two_point,
 )
 
 
@@ -38,20 +38,29 @@ def quadratic():
                          theta_star=rng.normal(size=8))
 
 
-def reference_step(theta, state, batch, config, loss_of, pertnn=None):
-    """step as four walks: spsa_estimate restores theta, apply_estimate updates it."""
+def reference_step(theta, state, batch, config, loss_of, learning_rate, pertnn=None):
+    """step as four walks: +eps, -2eps and +eps restore theta, then a fourth
+    walk applies -lr * c * u (skipped when c or lr is 0)."""
     t = state.t + 1
-    loss_fn = lambda values: loss_of(values, batch)
-    current_loss = float(loss_fn(theta.values))
+    loss = lambda: float(loss_of(theta.values, batch))
+    current_loss = loss()
     scales = _scales_for_step(theta, state, config, pertnn, current_loss)
     seed = NoiseSeed(config.seed, stream=t)
-    estimate, pair = spsa_estimate(theta, scales, seed, config.epsilon, loss_fn)
-    apply_estimate(theta, estimate, config.learning_rate)
+    eps = config.epsilon
+    perturb_in_place(theta, scales, seed, +eps)
+    plus = loss()
+    perturb_in_place(theta, scales, seed, -2.0 * eps)
+    minus = loss()
+    perturb_in_place(theta, scales, seed, +eps)
+    coeff = (plus - minus) / (2.0 * eps)
+    if coeff != 0.0 and learning_rate != 0.0:
+        perturb_in_place(theta, scales, seed, -learning_rate * coeff)
+    pair = LossPair(plus, minus)
     state.prev_losses = pair
     state.prev_scales = scales.stds.copy()
     state.t = t
     return StepRecord(t=t, loss=current_loss, losses=pair,
-                      scales=scales.stds.copy(), coeff=estimate.coeff)
+                      scales=scales.stds.copy(), coeff=coeff)
 
 
 class TestNormalizeScales:
@@ -93,17 +102,17 @@ class TestSPSAEstimate:
         sc = PerturbScales(np.array([0.5, 1.5]), partition())
         seed = NoiseSeed(9, stream=3)
         g = task.grad(theta.values.copy())
-        est, pair = spsa_estimate(theta, sc, seed, 1e-3, lambda v: task.loss(v))
+        pair, coeff = two_point(theta, sc, seed, 1e-3, lambda: task.loss(theta.values), 0.0)
         u = sample_block_noise(partition(), sc, seed)
-        assert est.coeff == pytest.approx(float(u @ g), rel=1e-8)
+        assert coeff == pytest.approx(float(u @ g), rel=1e-8)
         assert pair.plus != pair.minus
 
     def test_theta_restored(self):
         task = quadratic()
         start = task.init_theta(0)
         theta = ParamVector(start.copy(), partition())
-        spsa_estimate(theta, PerturbScales.unit(partition()), NoiseSeed(1), 1e-3,
-                      lambda v: task.loss(v))
+        two_point(theta, PerturbScales.unit(partition()), NoiseSeed(1), 1e-3,
+                  lambda: task.loss(theta.values), 0.0)
         assert np.allclose(theta.values, start, rtol=1e-12, atol=0)
 
     def test_estimator_mean_is_preconditioned_gradient(self):
@@ -117,8 +126,8 @@ class TestSPSAEstimate:
         sq = np.zeros(8)
         for k in range(n):
             seed = NoiseSeed(0, stream=k)
-            est, _ = spsa_estimate(theta, sc, seed, 1e-3, lambda v: task.loss(v))
-            ghat = est.coeff * sample_block_noise(partition(), sc, seed)
+            _, coeff = two_point(theta, sc, seed, 1e-3, lambda: task.loss(theta.values), 0.0)
+            ghat = coeff * sample_block_noise(partition(), sc, seed)
             acc += ghat
             sq += ghat**2
         mean = acc / n
@@ -127,26 +136,81 @@ class TestSPSAEstimate:
         assert np.all(np.abs(mean - expected) < 4 * se)
 
 
-class TestApplyEstimate:
+class TestTwoPointUpdate:
     def test_regenerates_the_same_direction(self):
         task = quadratic()
         theta = ParamVector(task.init_theta(0), partition())
         sc = PerturbScales(np.array([1.0, 2.0]), partition())
         seed = NoiseSeed(4, stream=1)
-        est, _ = spsa_estimate(theta, sc, seed, 1e-3, lambda v: task.loss(v))
         before = theta.values.copy()
-        apply_estimate(theta, est, 0.1)
+        _, coeff = two_point(theta, sc, seed, 1e-3, lambda: task.loss(theta.values), 0.1)
         u = sample_block_noise(partition(), sc, seed)
-        assert np.allclose(theta.values, before - 0.1 * est.coeff * u,
+        assert np.allclose(theta.values, before - 0.1 * coeff * u,
                            rtol=1e-12, atol=1e-15)
+
+    def test_rows_match_single_vector_calls(self):
+        # each row of a population walk equals its own vector walk bit for bit
+        task = quadratic()
+        rows = ParamVector(np.stack([task.init_theta(k) for k in range(3)]), partition())
+        sc = PerturbScales(np.array([1.0, 2.0]), partition())
+        seed = NoiseSeed(4, stream=1)
+        rates = np.array([0.1, 0.0, 0.3])
+        singles = [ParamVector(row.copy(), partition()) for row in rows.values]
+        pair, coeff = two_point(rows, sc, seed, 1e-3,
+                                lambda: np.array([task.loss(r) for r in rows.values]), rates)
+        for r, single in enumerate(singles):
+            p, c = two_point(single, sc, seed, 1e-3, lambda: task.loss(single.values), rates[r])
+            assert np.array_equal(rows.values[r], single.values)
+            assert (pair.plus[r], pair.minus[r], coeff[r]) == (p.plus, p.minus, c)
+
+    def test_zero_coefficient_is_a_plain_restore(self):
+        # a flat loss gives c = 0, and the update walk then moves theta as lr = 0 does
+        start = quadratic().init_theta(0)
+        sc = PerturbScales(np.array([1.0, 2.0]), partition())
+        moved, restored = (ParamVector(start.copy(), partition()) for _ in range(2))
+        _, coeff = two_point(moved, sc, NoiseSeed(4), 1e-3, lambda: 1.0, 0.1)
+        two_point(restored, sc, NoiseSeed(4), 1e-3, lambda: 1.0, 0.0)
+        assert coeff == 0.0
+        assert np.array_equal(moved.values, restored.values)
+
+    def test_vector_raises_on_non_finite_loss(self):
+        theta = ParamVector(quadratic().init_theta(0), partition())
+        with pytest.raises(NumericOverflowError):
+            two_point(theta, PerturbScales.unit(partition()), NoiseSeed(1), 1e-3,
+                      lambda: float("inf"), 0.1)
+
+    def test_row_failure_is_recorded_and_spares_the_other_rows(self):
+        task = quadratic()
+        start = np.stack([task.init_theta(k) for k in range(3)])
+        sc = PerturbScales(np.array([1.0, 2.0]), partition())
+        seed = NoiseSeed(4, stream=1)
+
+        def losses(theta):
+            out = np.array([task.loss(r) for r in theta.values])
+            out[1] = np.nan
+            return out
+
+        raising = ParamVector(start.copy(), partition())
+        with pytest.raises(NumericOverflowError):
+            two_point(raising, sc, seed, 1e-3, lambda: losses(raising), np.full(3, 0.1))
+        rows = ParamVector(start.copy(), partition())
+        failures = {}
+        with np.errstate(invalid="ignore"):
+            two_point(rows, sc, seed, 1e-3, lambda: losses(rows), np.full(3, 0.1), failures)
+        assert list(failures) == [1]
+        assert isinstance(failures[1], NumericOverflowError)
+        for r in (0, 2):
+            single = ParamVector(start[r].copy(), partition())
+            two_point(single, sc, seed, 1e-3, lambda: task.loss(single.values), 0.1)
+            assert np.array_equal(rows.values[r], single.values)
 
 
 class TestStep:
     def test_mezo_uses_unit_scales(self):
         task = quadratic()
         theta = ParamVector(task.init_theta(0), partition())
-        rec = step(theta, OptState(), 0, ZOConfig(0.05, 1, mode="mezo", seed=0),
-                   task.loss)
+        rec = step(theta, OptState(), 0, ZOConfig(1, mode="mezo", seed=0),
+                   task.loss, 0.05)
         assert np.all(rec.scales == 1.0)
 
     def test_budget_invariant_every_step(self):
@@ -154,10 +218,10 @@ class TestStep:
         theta = ParamVector(task.init_theta(0), partition())
         state = OptState()
         net = pertnn.init(partition(), hidden=8, seed=NoiseSeed(2))
-        config = ZOConfig(0.05, 1, mode="finetuner", seed=0)
+        config = ZOConfig(1, mode="finetuner", seed=0)
         d = partition().total
         for t in range(30):
-            rec = step(theta, state, t, config, task.loss, net)
+            rec = step(theta, state, t, config, task.loss, 0.05, net)
             budget = float(partition().sizes @ rec.scales**2)
             assert budget == pytest.approx(d, rel=1e-12)
 
@@ -165,17 +229,17 @@ class TestStep:
         task = quadratic()
         theta = ParamVector(task.init_theta(0), partition())
         with pytest.raises(ValueError):
-            step(theta, OptState(), 0, ZOConfig(0.05, 1, mode="finetuner", seed=0),
-                 task.loss)
+            step(theta, OptState(), 0, ZOConfig(1, mode="finetuner", seed=0),
+                 task.loss, 0.05)
 
     def test_records_pre_update_loss_and_time(self):
         task = quadratic()
         theta = ParamVector(task.init_theta(0), partition())
         state = OptState()
-        config = ZOConfig(0.05, 2, mode="mezo", seed=0)
+        config = ZOConfig(2, mode="mezo", seed=0)
         l0 = task.loss(theta.values.copy())
-        rec1 = step(theta, state, 0, config, task.loss)
-        rec2 = step(theta, state, 0, config, task.loss)
+        rec1 = step(theta, state, 0, config, task.loss, 0.05)
+        rec2 = step(theta, state, 0, config, task.loss, 0.05)
         assert rec1.t == 1 and rec2.t == 2
         assert rec1.loss == pytest.approx(l0)
 
@@ -186,13 +250,13 @@ class TestStep:
         task = make_rank_family([2 * _CHUNK + 123, 1, 5], [40.0, 1.0, 3.0],
                                 [1.0, 0.5, 2.0], seed=0)
         net = pertnn.init(task.partition, hidden=8, seed=NoiseSeed(1))
-        config = ZOConfig(lr, 50, mode=mode, seed=3)
+        config = ZOConfig(50, mode=mode, seed=3)
         fused = ParamVector(task.init_theta(3), task.partition)
         reference = fused.copy()
         fused_state, reference_state = OptState(), OptState()
         for t in range(1, 51):
-            a = step(fused, fused_state, t, config, task.loss, net)
-            b = reference_step(reference, reference_state, t, config, task.loss, net)
+            a = step(fused, fused_state, t, config, task.loss, lr, net)
+            b = reference_step(reference, reference_state, t, config, task.loss, lr, net)
             assert np.array_equal(fused.values, reference.values)
             assert (a.t, a.loss, a.losses, a.coeff) == (b.t, b.loss, b.losses, b.coeff)
             assert np.array_equal(a.scales, b.scales)
@@ -210,7 +274,7 @@ class TestStep:
 class TestRunFinetune:
     def test_loss_decreases_on_easy_quadratic(self):
         task = make_rank_family([4, 4], [4.0, 4.0], [1.0, 1.0], seed=0)
-        traj = run_finetune(task, ZOConfig(0.1, 300, mode="mezo", seed=0))
+        traj = run_finetune(task, 0.1, ZOConfig(300, mode="mezo", seed=0))
         assert len(traj) == 300
         assert np.array_equal(traj.t, np.arange(1, 301))
         tail = np.mean(traj.loss[-30:])
@@ -218,42 +282,46 @@ class TestRunFinetune:
 
     def test_deterministic(self):
         task = quadratic()
-        a = run_finetune(task, ZOConfig(0.05, 50, mode="mezo", seed=7))
-        b = run_finetune(task, ZOConfig(0.05, 50, mode="mezo", seed=7))
+        a = run_finetune(task, 0.05, ZOConfig(50, mode="mezo", seed=7))
+        b = run_finetune(task, 0.05, ZOConfig(50, mode="mezo", seed=7))
         assert np.array_equal(a.loss, b.loss)
 
     def test_seed_changes_trajectory(self):
         task = quadratic()
-        a = run_finetune(task, ZOConfig(0.05, 20, mode="mezo", seed=7))
-        b = run_finetune(task, ZOConfig(0.05, 20, mode="mezo", seed=8))
+        a = run_finetune(task, 0.05, ZOConfig(20, mode="mezo", seed=7))
+        b = run_finetune(task, 0.05, ZOConfig(20, mode="mezo", seed=8))
         assert not np.array_equal(a.loss, b.loss)
 
     def test_divergence_guard(self):
         task = make_rank_family([4, 4], [4.0, 4.0], [5.0, 5.0], seed=0)
         with pytest.raises(DivergenceError):
-            run_finetune(task, ZOConfig(5.0, 500, mode="mezo", seed=0))
+            run_finetune(task, 5.0, ZOConfig(500, mode="mezo", seed=0))
 
     def test_non_finite_loss_is_divergence(self):
         task = make_rank_family([4, 4], [4.0, 4.0], [1.0, 1.0], seed=0)
         with pytest.raises(DivergenceError, match="non-finite"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            run_finetune(task, ZOConfig(1e155, 20, mode="mezo", seed=0))
+            run_finetune(task, 1e155, ZOConfig(20, mode="mezo", seed=0))
+
+    @pytest.mark.parametrize("lr", [-0.1, -5e-324, -np.inf])
+    def test_rejects_negative_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_finetune(quadratic(), lr, ZOConfig(5, mode="mezo", seed=0))
 
     def test_finetuner_runs_with_fresh_network(self):
         task = quadratic()
         net = pertnn.init(partition(), hidden=8, seed=NoiseSeed(0))
-        traj = run_finetune(task, ZOConfig(0.05, 40, mode="finetuner", seed=0), net)
+        traj = run_finetune(task, 0.05, ZOConfig(40, mode="finetuner", seed=0), net)
         assert len(traj) == 40
         assert traj.scales.shape == (40, 2) and np.all(np.isfinite(traj.scales))
 
 
 class TestZOConfigValidation:
     @pytest.mark.parametrize("kwargs", [
-        dict(learning_rate=-1.0, steps=1),
-        dict(learning_rate=0.1, steps=-1),
-        dict(learning_rate=0.1, steps=1, epsilon=0.0),
-        dict(learning_rate=0.1, steps=1, batch_size=0),
-        dict(learning_rate=0.1, steps=1, mode="adam"),
+        dict(steps=-1),
+        dict(steps=1, epsilon=0.0),
+        dict(steps=1, batch_size=0),
+        dict(steps=1, mode="adam"),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
