@@ -149,6 +149,11 @@ def task_opnorms(cfg: ExperimentConfig, n_blocks: int) -> list:
                        0.0, strict=True)
 
 
+def task_block_sizes(cfg: ExperimentConfig) -> list:
+    """[task] block_sizes, each >= 1."""
+    return check_range("task", "block_sizes", cfg.get_int_list("task", "block_sizes"), 1)
+
+
 def build_task_source(cfg: ExperimentConfig):
     """Construct the testbed described by [task].
 
@@ -160,7 +165,7 @@ def build_task_source(cfg: ExperimentConfig):
     kind = cfg.get_str("task", "kind")
     seed = check_range("task", "seed", cfg.get_int("task", "seed", 0), 0)
     if kind == "quadratic":
-        block_sizes = cfg.get_int_list("task", "block_sizes")
+        block_sizes = task_block_sizes(cfg)
         family = QuadraticFamily(
             block_sizes=tuple(block_sizes),
             ranks=tuple(cfg.get_float_list("task", "ranks", [1.0] * len(block_sizes))),

@@ -19,7 +19,13 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import meta_trainer, pertnn as pertnn_mod
-from .config import ExperimentConfig, build_task_source, check_range, task_opnorms
+from .config import (
+    ExperimentConfig,
+    build_task_source,
+    check_range,
+    task_block_sizes,
+    task_opnorms,
+)
 from .errors import ConfigError, DimensionMismatchError, DivergenceError
 from .paramspace import NoiseSeed, PerturbScales
 from .testbeds import make_rank_family
@@ -134,6 +140,12 @@ def _sorted_rows(rows: list[str]) -> list[str]:
     return sorted(rows, key=key)
 
 
+def _train_tasks(cfg: ExperimentConfig, source) -> list:
+    """The [train] tasks of a quadratic family, at least one."""
+    n_tasks = check_range("train", "tasks", cfg.get_int("train", "tasks", 1), 1)
+    return source.make_tasks(n_tasks)
+
+
 def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True):
     """Meta-train a finetuner on `tasks` per [train]; returns (pertnn, MetaLog)."""
     cfg.require_section("train")
@@ -150,7 +162,7 @@ def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True):
         seed=seed,
         normalize=normalize,
     )
-    hidden = cfg.get_int("train", "hidden", 64)
+    hidden = check_range("train", "hidden", cfg.get_int("train", "hidden", 64), 1)
     init_params = pertnn_mod.init(tasks[0].partition, hidden, NoiseSeed(seed))
     return meta_trainer.train(meta_cfg, tasks, init_params)
 
@@ -181,7 +193,7 @@ def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, timing: bool = Fal
     kind, source = build_task_source(cfg)
     if kind != "quadratic":
         raise ConfigError("train-finetuner currently expects a quadratic task family")
-    tasks = source.make_tasks(cfg.get_int("train", "tasks", 1))
+    tasks = _train_tasks(cfg, source)
     trained, log = _meta_train(
         cfg, tasks, normalize=cfg.get_bool("train", "normalize", True)
     )
@@ -234,8 +246,9 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
     methods = cfg.get_str_list("compare", "methods", ["mezo", "finetuner"])
     seeds, steps, epsilon, batch_size = _run_settings(cfg, "compare")
     lr_grid = check_range("compare", "lr_grid", cfg.get_float_list("compare", "lr_grid"), 0.0)
-    n_tasks = cfg.get_int("compare", "tasks", 1)
-    task_start = cfg.get_int("compare", "task_start", 0)
+    n_tasks = check_range("compare", "tasks", cfg.get_int("compare", "tasks", 1), 1)
+    task_start = check_range("compare", "task_start",
+                             cfg.get_int("compare", "task_start", 0), 0)
     threshold = cfg.get_float("compare", "threshold", 0.5)
     window = cfg.get_float("compare", "final_window", 0.1)
     tasks = source.make_tasks(n_tasks, start=task_start)
@@ -385,7 +398,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
             raise ConfigError("[ablate] reset/normalization axes need a quadratic family")
         reset_values = [True, False] if "reset" in axes else [True]
         norm_values = [True, False] if "normalization" in axes else [True]
-        tasks = source.make_tasks(cfg.get_int("train", "tasks", 1))
+        tasks = _train_tasks(cfg, source)
         for reset in reset_values:
             for norm in norm_values:
                 cell_name = f"reset={'on' if reset else 'off'}+norm={'on' if norm else 'off'}"
@@ -403,7 +416,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
 def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
     cfg.require_section("bounds")
     cfg.require_section("task")
-    block_sizes = cfg.get_int_list("task", "block_sizes")
+    block_sizes = task_block_sizes(cfg)
     opnorms = task_opnorms(cfg, len(block_sizes))
     profiles_raw = cfg.get_str("bounds", "rank_profiles")
     profiles = []

@@ -5,8 +5,11 @@ Perturbation noise is never stored: every draw is regenerated bit-exactly from a
 reversed, and re-applied without keeping a second parameter-sized buffer alive.
 A walk regenerates the noise in fixed-size chunks into reused scratch, so its
 own memory is O(chunk) at any dimension, and it can apply several moves along
-one regeneration.  Parameters and scales may carry a leading row axis: the
-rows of a population share one noise stream, so one draw serves every row.
+one regeneration.  A vector of one span (d <= 32768 values) keeps its noise
+between walks, so the three walks of an optimizer step draw it once; a longer
+vector regenerates it on every walk.  Parameters and scales may carry a
+leading row axis: the rows of a population share one noise stream, so one
+draw serves every row.
 """
 
 from __future__ import annotations
@@ -231,6 +234,34 @@ def sample_block_noise(
     return u
 
 
+class _KeptNoise:
+    """The z of the last one-span walk, so that the walks of a step draw it once.
+
+    A partition of one span (d <= _CHUNK) draws all of its z in one call.
+    The key (seed, stream, d) names that draw: a walk with another seed,
+    stream or length draws afresh into the buffer, so a kept z is never
+    stale.  The buffer holds one span, at most one chunk.
+    """
+
+    def __init__(self):
+        self.key = None
+        self.z = np.empty(0)
+
+    def draw(self, seed: NoiseSeed, n: int) -> np.ndarray:
+        key = (seed.seed, seed.stream, n)
+        if key != self.key:
+            self.key = None  # no key names a half-drawn buffer
+            if len(self.z) != n:
+                self.z = None  # free the old span before taking the new one
+                self.z = np.empty(n)
+            _stream_rng(seed).standard_normal(out=self.z)
+            self.key = key
+        return self.z
+
+
+_KEPT = _KeptNoise()
+
+
 def perturb_in_place(
     theta: ParamVector, scales: PerturbScales, seed: NoiseSeed, *steps
 ) -> None:
@@ -245,6 +276,11 @@ def perturb_in_place(
     per row, never a block- or d-sized buffer, which is the whole point of
     the store-a-seed design.
 
+    A partition of one span (d <= 32768 values) keeps its z between calls,
+    for a vector or for rows, so the three walks of an optimizer step draw it
+    once; a longer partition regenerates it on every walk.  Either way each
+    walk applies the same z bits, and the kept z is at most one chunk.
+
     A vector that became non-finite raises NumericOverflowError.  Rows are
     left to the caller to check, since one row's overflow must not stop the
     others.
@@ -257,14 +293,17 @@ def perturb_in_place(
         # vector keeps the scalar factors that numpy multiplies fastest
         stds = stds.reshape(-1, partition.n_blocks).T[..., None]
         steps = [np.asarray(step)[..., None] for step in steps]
-    gen = _stream_rng(seed)
-    z_buf = np.empty(partition.max_span)
+    if len(partition.spans) == 1:
+        gen, z_buf = None, _KEPT.draw(seed, partition.total)
+    else:
+        gen, z_buf = _stream_rng(seed), np.empty(partition.max_span)
     move_buf = np.empty(rows.shape[:-1] + (partition.max_span,))
     for sl, n, pieces in partition.spans:
         z = z_buf[:n]
         move = move_buf[..., :n]
         dst = rows[..., sl]
-        gen.standard_normal(out=z)
+        if gen is not None:
+            gen.standard_normal(out=z)
         for step in steps:
             for part, i in pieces:
                 np.multiply(z[part], step * stds[i], out=move[..., part])
@@ -275,15 +314,25 @@ def perturb_in_place(
         raise NumericOverflowError("perturbation produced non-finite parameters")
 
 
-def block_stats(theta: ParamVector, block: int):
-    """Arithmetic mean and population variance (divide by d_i) of one block.
+def block_stats(theta: ParamVector):
+    """Arithmetic mean and population variance (divide by d_i) of every block.
 
-    Floats for a vector; (R,) arrays, one entry per row, for rows.
+    Two (..., n_blocks) arrays: (n_blocks,) for a vector, (R, n_blocks) for
+    rows.  Each entry is bit for bit np.mean and np.var of its block: the
+    same ufunc reductions on the same slice, without numpy's Python-level
+    wrappers and with the block sum taken once.
     """
-    vals = theta.values[..., theta.partition.block_slice(block)]
-    # numpy's default ddof=0 is the population variance; a row reduction sums
-    # each row exactly as the same reduction over that row alone
-    mean, var = vals.mean(axis=-1), vals.var(axis=-1)
-    if vals.ndim == 1:
-        return float(mean), float(var)
-    return mean, var
+    values, partition = theta.values, theta.partition
+    means = np.empty(values.shape[:-1] + (partition.n_blocks,))
+    variances = np.empty_like(means)
+    for i, (sl, n) in enumerate(zip(partition.slices, partition.py_sizes)):
+        vals = values[..., sl]
+        # a row reduction sums each row exactly as the same reduction over
+        # that row alone, so rows match their vectors too
+        mean = np.add.reduce(vals, axis=-1, keepdims=True)
+        mean /= n
+        dev = np.subtract(vals, mean)  # a block-sized temporary, as in np.var
+        np.square(dev, out=dev)
+        means[..., i] = mean[..., 0]
+        variances[..., i] = np.add.reduce(dev, axis=-1) / n
+    return means, variances

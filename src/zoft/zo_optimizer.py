@@ -12,7 +12,7 @@ times and never stores it.  `two_point` is that walk, and the only copy of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,6 +106,9 @@ class OptState:
     prev_losses: LossPair | None = None
     prev_scales: np.ndarray | None = None
     t: int = 0
+    # mezo's unit scales, built and checked once for each population shape
+    _unit_scales: PerturbScales | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
 
 def _budget_factor(raw: PerturbScales):
@@ -159,8 +162,7 @@ def step_features(theta: ParamVector, prev_losses: LossPair,
     features[..., 0] = np.asarray(prev_losses.plus)[..., None]
     features[..., 1] = np.asarray(prev_losses.minus)[..., None]
     features[..., 2] = prev_scales
-    for i in range(n):
-        features[..., i, 3], features[..., i, 4] = block_stats(theta, i)
+    features[..., 3], features[..., 4] = block_stats(theta)
     return features
 
 
@@ -185,7 +187,12 @@ def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
     partition = theta.partition
     lead = theta.values.shape[:-1]  # () for one run, (R,) for rows
     if config.mode == "mezo":
-        return PerturbScales(np.ones(lead + (partition.n_blocks,)), partition)
+        unit = state._unit_scales
+        if unit is None or unit.partition is not partition or unit.stds.shape[:-1] != lead:
+            unit = PerturbScales(np.ones(lead + (partition.n_blocks,)), partition)
+            unit.stds.flags.writeable = False  # every step of the run shares it
+            state._unit_scales = unit
+        return unit
     if pertnn is None:
         raise ValueError("finetuner mode requires scale-network parameters")
     prev_losses = state.prev_losses
@@ -385,8 +392,9 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
     loss, plus, minus, coeff = np.empty((4, n_rows, n_steps))
     scales = np.empty((n_rows, n_steps, partition.n_blocks))
     live = np.arange(n_rows)  # the caller's row of each population row
+    at = slice(None)  # where live rows write their columns: all, until one leaves
     outcomes = [None] * n_rows
-    initial = None
+    limit = None  # each row's divergence threshold, 1e6 x its initial loss
     rates = lrs if theta.values.ndim == 2 else lrs[0]
     for t in range(1, n_steps + 1):
         batch = loss_of.batch(config.batch_size, config.seed * 1000003 + t)
@@ -400,14 +408,14 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
             live = live[:0]
             break
         now = np.atleast_1d(record.loss)
-        loss[live, t - 1] = now
-        plus[live, t - 1] = record.losses.plus
-        minus[live, t - 1] = record.losses.minus
-        coeff[live, t - 1] = record.coeff
-        scales[live, t - 1] = record.scales
-        if initial is None:
-            initial = np.abs(now) + 1e-300
-        blown = np.abs(now) > DIVERGENCE_FACTOR * initial
+        loss[at, t - 1] = now
+        plus[at, t - 1] = record.losses.plus
+        minus[at, t - 1] = record.losses.minus
+        coeff[at, t - 1] = record.coeff
+        scales[at, t - 1] = record.scales
+        if limit is None:
+            limit = DIVERGENCE_FACTOR * (np.abs(now) + 1e-300)
+        blown = np.abs(now) > limit
         if not (failures or blown.any()):
             continue
         failed = np.zeros(len(live), dtype=bool)
@@ -421,12 +429,12 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
                     f"loss {now[k]:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x "
                     f"initial loss at step {t}")
         keep = np.flatnonzero(~(failed | blown))
-        live = live[keep]
+        live = at = live[keep]
         if not len(live):
             break
         _keep_rows(theta, state, keep)
         loss_of.keep(keep)
-        rates, initial = rates[keep], initial[keep]
+        rates, limit = rates[keep], limit[keep]
     for r in live.tolist():
         outcomes[r] = Trajectory(loss[r], plus[r], minus[r], coeff[r], scales[r])
     return outcomes

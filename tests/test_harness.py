@@ -460,8 +460,18 @@ steps = 5
         ("finetune", TASK + FINETUNE.replace("steps = 3", "steps = -3")),
         ("finetune", TASK + FINETUNE + "epsilon = 0\n"),
         ("finetune", TASK + FINETUNE + "batch_size = 0\n"),
+        ("finetune", TASK.replace("block_sizes = 4, 4", "block_sizes = 0, 16") + FINETUNE),
+        ("verify-bounds", BOUNDS.replace("block_sizes = 4, 8", "block_sizes = 0, 16")),
+        ("train-finetuner", TASK + TRAIN.replace("hidden = 8", "hidden = 0")),
+        ("train-finetuner", TASK + TRAIN.replace("tasks = 2", "tasks = 0")),
+        ("compare", TASK + "[compare]\nmethods = mezo\nseeds = 0\nlr_grid = 0.01\n"
+                    "steps = 3\ntasks = 0\n"),
+        ("compare", TASK + "[compare]\nmethods = mezo\nseeds = 0\nlr_grid = 0.01\n"
+                    "steps = 3\ntask_start = -5\n"),
     ], ids=["opnorms-inf", "bounds-opnorms-inf", "init-scale-nan", "negative-noise-tau",
-            "negative-steps", "zero-epsilon", "zero-batch-size"])
+            "negative-steps", "zero-epsilon", "zero-batch-size", "zero-block-size",
+            "bounds-zero-block-size", "zero-hidden", "zero-train-tasks", "zero-compare-tasks",
+            "negative-task-start"])
     def test_bad_task_or_run_number(self, tmp_path, capsys, monkeypatch, command, text):
         # unchecked, these diverge (exit 3), write nan bounds (exit 0) or
         # raise a traceback (exit 1); each must be a config error before any run
@@ -470,6 +480,7 @@ steps = 5
 
         monkeypatch.setattr(harness, "run_population", never)
         monkeypatch.setattr(harness.bounds_mod, "verify_bound", never)
+        monkeypatch.setattr(harness.meta_trainer, "train", never)
         cfg = write_config(tmp_path, text)
         out = tmp_path / "o"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2

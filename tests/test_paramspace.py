@@ -9,6 +9,7 @@ from zoft.errors import (
     NumericOverflowError,
     PartitionMismatchError,
 )
+from zoft import paramspace
 from zoft.paramspace import (
     BlockPartition,
     NoiseSeed,
@@ -267,14 +268,127 @@ class TestPerturbInPlace:
         # signal to abort the run rather than continue
 
 
+class TestKeptNoise:
+    """A one-span vector keeps its z between walks; it must never go stale."""
+
+    @staticmethod
+    def walk_equals_reference(p, seed, rows, rng):
+        # unit stds with any step, or any stds with step 1: both sides then
+        # round z * stds * step the same way, so the walk matches bit for bit
+        if rng.random() < 0.5:
+            stds, step = np.ones(p.n_blocks), float(rng.choice([0.37, -2e-3, 1.5]))
+        else:
+            stds, step = rng.uniform(0.2, 3.0, size=p.n_blocks), 1.0
+        start = rng.normal(size=(rows, p.total) if rows else p.total)
+        expected = start + step * sample_block_noise(p, PerturbScales(stds, p), seed)
+        theta = ParamVector(start.copy(), p)
+        scales = PerturbScales(np.broadcast_to(stds, start.shape[:-1] + stds.shape), p)
+        perturb_in_place(theta, scales, seed, step)
+        assert np.array_equal(theta.values, expected), (p, seed, rows)
+
+    def test_interleaved_walks_match_fresh_draws(self):
+        one = two_block_partition()  # 8 values
+        same_length = BlockPartition([("x", 6), ("y", 2)])  # 8 values, other blocks
+        other_length = BlockPartition([("a", 5), ("b", 7)])
+        full_chunk = BlockPartition([("a", _CHUNK - 9), ("b", 9)])  # one span exactly
+        two_spans = BlockPartition([("a", _CHUNK), ("b", 1)])
+        multi = multi_chunk_partition()
+        partitions = [one, same_length, other_length, full_chunk, two_spans, multi]
+        seeds = [NoiseSeed(1, 1), NoiseSeed(1, 2), NoiseSeed(2, 1), NoiseSeed(2, 2)]
+        rng = np.random.default_rng(0)
+        # a step's three walks on one key, then every change of seed, stream,
+        # length and span count, in both orders and with rows
+        for p, seed in [(one, seeds[0])] * 3 + [
+                (one, seeds[1]), (one, seeds[2]), (one, seeds[3]), (other_length, seeds[3]),
+                (one, seeds[3]), (same_length, seeds[3]), (multi, seeds[3]), (one, seeds[3]),
+                (full_chunk, seeds[3]), (two_spans, seeds[3]), (full_chunk, seeds[3])]:
+            self.walk_equals_reference(p, seed, 0, rng)
+        for _ in range(60):
+            p = partitions[rng.integers(len(partitions))]
+            seed = seeds[rng.integers(len(seeds))]
+            rows = int(rng.choice([0, 0, 3]))
+            if rng.random() < 0.2:
+                # a direct draw rewinds the shared generator in between
+                sample_block_noise(p, PerturbScales.unit(p), seeds[0])
+            self.walk_equals_reference(p, seed, rows, rng)
+
+    def test_one_span_draws_once_per_step(self, monkeypatch):
+        # the three walks of a step on one key: one draw for one span, a
+        # regeneration per walk for several spans
+        rewinds = []
+        original = paramspace._stream_rng
+        monkeypatch.setattr(paramspace, "_stream_rng",
+                            lambda seed: rewinds.append(seed) or original(seed))
+        for p, expected in [(two_block_partition(), 1),
+                            (BlockPartition([("w", _CHUNK)]), 1),
+                            (BlockPartition([("w", _CHUNK + 1)]), 3)]:
+            rewinds.clear()
+            theta = ParamVector(np.zeros(p.total), p)
+            seed = NoiseSeed(17, stream=123)
+            for step in (1e-3, -2e-3, 1e-3):
+                perturb_in_place(theta, PerturbScales.unit(p), seed, step)
+            assert len(rewinds) == expected, p
+
+    def test_held_noise_is_at_most_one_chunk(self):
+        chunk = BlockPartition([("w", _CHUNK)])
+        small = two_block_partition()
+
+        def walk(p, stream):
+            perturb_in_place(ParamVector(np.zeros(p.total), p), PerturbScales.unit(p),
+                             NoiseSeed(23, stream), 0.1)
+
+        chunk_bytes = _CHUNK * 8
+        tracemalloc.start()
+        try:
+            walk(small, 1)  # the kept buffer now holds 8 values
+            base = tracemalloc.get_traced_memory()[0]
+            held = []
+            for p, stream in [(chunk, 2), (multi_chunk_partition(), 3), (chunk, 4),
+                              (small, 5)]:
+                walk(p, stream)
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+        slack = 4096  # the stream-state cache's new entries
+        # one chunk of z stays held after a chunk-sized walk; a multi-span
+        # walk keeps nothing of its own, and a shorter vector frees the chunk
+        assert chunk_bytes <= held[0] <= chunk_bytes + slack
+        assert held[1] <= chunk_bytes + slack and held[2] <= chunk_bytes + slack
+        assert held[3] <= slack
+
+
+def reference_block_stats(values, partition):
+    """Per-block np.mean and np.var: the numbers block_stats must equal exactly."""
+    means = [values[..., sl].mean(axis=-1) for sl in partition.slices]
+    variances = [values[..., sl].var(axis=-1) for sl in partition.slices]
+    return np.stack(means, axis=-1), np.stack(variances, axis=-1)
+
+
 class TestBlockStats:
     def test_matches_numpy(self):
         p = two_block_partition()
         values = np.array([1.0, 2.0, 6.0, -1.0, 0.0, 1.0, 2.0, 3.0])
-        theta = ParamVector(values, p)
-        mean, var = block_stats(theta, 0)
-        assert mean == pytest.approx(values[:3].mean())
-        assert var == pytest.approx(values[:3].var())
-        mean, var = block_stats(theta, 1)
-        assert mean == pytest.approx(values[3:].mean())
-        assert var == pytest.approx(values[3:].var())
+        mean, var = block_stats(ParamVector(values, p))
+        assert mean.tolist() == [values[:3].mean(), values[3:].mean()]
+        assert var.tolist() == [values[:3].var(), values[3:].var()]
+
+    @pytest.mark.parametrize("rows", [0, 1, 4])
+    def test_bit_identical_to_per_block_numpy(self, rows):
+        # ragged blocks from 1 value to past numpy's 128-value pairwise-sum
+        # block, offset from zero so that the deviations cancel digits
+        rng = np.random.default_rng(100 + rows)
+        for _ in range(40):
+            sizes = [int(s) for s in rng.integers(1, 700, size=rng.integers(1, 7))]
+            sizes += [1, int(rng.integers(129, 2000))]
+            rng.shuffle(sizes)
+            p = BlockPartition([(f"b{i}", s) for i, s in enumerate(sizes)])
+            shape = (rows, p.total) if rows else (p.total,)
+            values = rng.uniform(-1e3, 1e3) + rng.uniform(1e-3, 1e2) * rng.normal(size=shape)
+            theta = ParamVector(values, p)
+            mean, var = block_stats(theta)
+            ref_mean, ref_var = reference_block_stats(values, p)
+            assert mean.shape == var.shape == shape[:-1] + (p.n_blocks,)
+            assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
+            for r in range(rows):  # a row's stats are its vector's, bit for bit
+                row_mean, row_var = block_stats(ParamVector(values[r], p))
+                assert np.array_equal(mean[r], row_mean) and np.array_equal(var[r], row_var)
