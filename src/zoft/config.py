@@ -1,23 +1,135 @@
 """INI-style experiment configuration: sections of key=value lines.
 
-Lists are comma-separated, '#' starts a comment.  Every accessor raises
-ConfigError naming the offending section and key.
+Lists are comma-separated, '#' starts a comment.  KEYS declares every section
+and key a config may hold, with its type, default and bound; loading rejects
+anything it does not declare, and `ExperimentConfig.get` returns only values
+that pass their declared check.  Each error is a ConfigError that names the
+offending section and key, so a command that reads its keys first fails
+before any run or meta-training starts.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
 from .testbeds import MLPTask, QuadraticFamily
+
+REQUIRED = None  # the default of a key that a config must set
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: `type` is str, int, float or bool, and a `many` key is
+    a non-empty comma-separated list of them.  `default` is REQUIRED, a value,
+    or a function of the config that works it out.  A number must be finite
+    and >= `low` (> `low` when `strict`); a value must be non-empty and, when
+    `choices` are given, one of them.
+    """
+
+    type: type
+    default: object = REQUIRED
+    many: bool = False
+    low: float = -math.inf
+    strict: bool = False
+    choices: tuple = ()
+
+
+def _one_per_block(cfg: "ExperimentConfig") -> list:
+    return [1.0] * len(cfg.get("task", "block_sizes"))
+
+
+_METHOD_NAMES = ("mezo", "finetuner")
+_METHODS = Key(str, _METHOD_NAMES, many=True, choices=_METHOD_NAMES)
+_SEED = Key(int, 0, low=0)
+# keys that the run sections and [train] share; each picks the ones it reads
+_RUN = {
+    "seeds": Key(int, many=True, low=0),
+    "steps": Key(int, low=0),
+    "epsilon": Key(float, 1e-3, low=0, strict=True),
+    "batch_size": Key(int, 16, low=1),
+    "checkpoint": Key(str, "finetuner.ckpt"),
+    "task_index": Key(int, 0, low=0),
+    "granularity": Key(str, "block", choices=("block", "layer")),
+    "final_window": Key(float, 0.1, low=0, strict=True),
+}
+
+
+def _run(shared: str, **own: Key) -> dict:
+    return {key: _RUN[key] for key in shared.split()} | own
+
+
+KEYS = {
+    "task": {
+        "kind": Key(str, choices=("quadratic", "mlp")),
+        "seed": _SEED,
+        "block_sizes": Key(int, many=True, low=1),
+        "ranks": Key(float, _one_per_block, many=True, low=1),
+        "opnorms": Key(float, _one_per_block, many=True, low=0, strict=True),
+        "opnorm_jitter": Key(float, 0.0, low=0),
+        "shift_scale": Key(float, 1.0),
+        "init_scale": Key(float, (1.0,), many=True),  # one, or one per block
+        "noise_tau": Key(float, 0.0, low=0),
+        "n_in": Key(int, 4, low=1), "n_hidden": Key(int, 8, low=1),
+        "n_out": Key(int, 3, low=1), "n_samples": Key(int, 120, low=1),
+    },
+    "train": _run("steps epsilon batch_size checkpoint", seed=_SEED,
+                  tasks=Key(int, 1, low=1), hidden=Key(int, 64, low=1),
+                  eta1=Key(float, low=0, strict=True), eta2=Key(float, low=0),
+                  reset_period=Key(int, 50, low=1), normalize=Key(bool, True)),
+    "finetune": _run("seeds steps epsilon batch_size checkpoint task_index granularity",
+                     mode=Key(str, "mezo", choices=_METHOD_NAMES),
+                     lr=Key(float, low=0), experiment=Key(str, "finetune")),
+    "compare": _run("seeds steps epsilon batch_size checkpoint final_window",
+                    methods=_METHODS, lr_grid=Key(float, many=True, low=0),
+                    tasks=Key(int, 1, low=1), task_start=Key(int, 0, low=0),
+                    threshold=Key(float, 0.5, low=0, strict=True)),
+    "sweep": _run("seeds steps epsilon batch_size checkpoint task_index granularity "
+                  "final_window", methods=_METHODS,
+                  lr_grid=Key(float, many=True, low=0),  # spanning >= 100x
+                  plateau_ratio=Key(float, 0.9, low=0, strict=True),
+                  experiment=Key(str, "sweep")),
+    "ablate": _run("seeds steps epsilon batch_size task_index final_window",
+                   axes=Key(str, many=True, choices=("reset", "normalization", "partition")),
+                   lr=Key(float, low=0)),
+    "bounds": {
+        "rank_profiles": Key(str),  # per-block ranks, profiles split by ';'
+        "etas": Key(float, many=True, low=0),
+        "samples": Key(int, 100_000, low=2),
+        "seed": _SEED,
+    },
+}
+
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _parse(spec: Key, text: str, where: str):
+    """One item of a key, converted to its type and checked."""
+    try:
+        value = _BOOLS[text.lower()] if spec.type is bool else spec.type(text)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{where}={text!r} is not {_NAMES[spec.type]}") from exc
+    if spec.choices and value not in spec.choices:
+        raise ConfigError(f"{where}={text!r} must be one of {', '.join(spec.choices)}")
+    if spec.type in (int, float) and not (
+            math.isfinite(value) and (value > spec.low if spec.strict else value >= spec.low)):
+        bound = "" if spec.low == -math.inf else f" and {'>' if spec.strict else '>='} {spec.low:g}"
+        raise ConfigError(f"{where}={text!r} must be finite{bound}")
+    return value
 
 
 class ExperimentConfig:
     def __init__(self, parser: configparser.ConfigParser, path: str):
         self._parser = parser
         self.path = path
+        for section in parser.sections():
+            for key in parser[section]:
+                self._spec(section, key)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -32,8 +144,17 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: {exc}") from exc
         return cls(parser, str(path))
 
+    def _spec(self, section: str, key: str) -> Key:
+        if section not in KEYS:
+            raise ConfigError(f"{self.path}: unknown section [{section}]; "
+                              f"choose from {', '.join(KEYS)}")
+        if key not in KEYS[section]:
+            raise ConfigError(f"{self.path}: [{section}] has no key '{key}'")
+        return KEYS[section][key]
+
     def set(self, section: str, key: str, value: str) -> None:
-        """Set (or override) one key; the section must exist."""
+        """Set (or override) one declared key; the section must exist."""
+        self._spec(section, key)
         self.require_section(section)
         self._parser.set(section, key, value)
 
@@ -44,114 +165,23 @@ class ExperimentConfig:
         if not self._parser.has_section(section):
             raise ConfigError(f"{self.path}: missing required section [{section}]")
 
-    def _raw(self, section: str, key: str, default=None):
+    def get(self, section: str, key: str):
+        """[section] `key` as KEYS declares it: parsed, checked, or its default."""
+        spec = self._spec(section, key)
         self.require_section(section)
         if not self._parser.has_option(section, key):
-            if default is not None:
-                return None
-            raise ConfigError(f"{self.path}: [{section}] is missing key '{key}'")
-        return self._parser.get(section, key)
-
-    def get_str(self, section, key, default=None) -> str:
-        raw = self._raw(section, key, default)
-        return default if raw is None else raw.strip()
-
-    def get_int(self, section, key, default=None) -> int:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: [{section}] {key}={raw!r} is not an integer") from exc
-
-    def get_float(self, section, key, default=None) -> float:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: [{section}] {key}={raw!r} is not a number") from exc
-
-    def get_bool(self, section, key, default=None) -> bool:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"{self.path}: [{section}] {key}={raw!r} is not a boolean")
-
-    def _split(self, section, key, default):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return list(default)
-        return [item.strip() for item in raw.split(",") if item.strip()]
-
-    def get_str_list(self, section, key, default=None) -> list[str]:
-        return self._split(section, key, default)
-
-    def get_int_list(self, section, key, default=None) -> list[int]:
-        items = self._split(section, key, default)
-        try:
-            return [int(v) for v in items]
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: [{section}] {key} must be a list of integers") from exc
-
-    def get_float_list(self, section, key, default=None) -> list[float]:
-        items = self._split(section, key, default)
-        try:
-            return [float(v) for v in items]
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: [{section}] {key} must be a list of numbers") from exc
-
-
-def check_range(section: str, key: str, values, low: float = -math.inf,
-                strict: bool = False):
-    """The number or list of numbers read from [section] `key`, checked.
-
-    A list must be non-empty, and every value must be finite and >= low
-    (> low when strict), so that a bad value is a config error (exit 2)
-    before any run or meta-training starts.
-    """
-    items = values if isinstance(values, list) else [values]
-    if not items:
-        raise ConfigError(f"[{section}] {key} must be non-empty")
-    bad = [v for v in items
-           if not (-math.inf < v < math.inf and (v > low if strict else v >= low))]
-    if bad:
-        bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
-        raise ConfigError(
-            f"[{section}] {key} must be finite{bound}, got {', '.join(map(str, bad))}"
-        )
-    return values
-
-
-def _init_scale(cfg: ExperimentConfig, n_blocks: int):
-    """[task] init_scale: a single number, or one per block."""
-    values = check_range("task", "init_scale", cfg.get_float_list("task", "init_scale", [1.0]))
-    if len(values) == 1:
-        return values[0]
-    if len(values) != n_blocks:
-        raise ConfigError(
-            f"{cfg.path}: [task] init_scale needs 1 or {n_blocks} values, "
-            f"got {len(values)}"
-        )
-    return tuple(values)
-
-
-def task_opnorms(cfg: ExperimentConfig, n_blocks: int) -> list:
-    """[task] opnorms, each finite and > 0 (default: 1 per block)."""
-    return check_range("task", "opnorms", cfg.get_float_list("task", "opnorms", [1.0] * n_blocks),
-                       0.0, strict=True)
-
-
-def task_block_sizes(cfg: ExperimentConfig) -> list:
-    """[task] block_sizes, each >= 1."""
-    return check_range("task", "block_sizes", cfg.get_int_list("task", "block_sizes"), 1)
+            if spec.default is REQUIRED:
+                raise ConfigError(f"{self.path}: [{section}] is missing key '{key}'")
+            if callable(spec.default):
+                return spec.default(self)
+            return list(spec.default) if spec.many else spec.default
+        where = f"{self.path}: [{section}] {key}"
+        raw = self._parser.get(section, key).strip()
+        items = [item.strip() for item in raw.split(",") if item.strip()] if spec.many else [raw]
+        if not items or not items[0]:
+            raise ConfigError(f"{where} must be non-empty")
+        values = [_parse(spec, item, where) for item in items]
+        return values if spec.many else values[0]
 
 
 def build_task_source(cfg: ExperimentConfig):
@@ -161,32 +191,29 @@ def build_task_source(cfg: ExperimentConfig):
     QuadraticFamily (tasks indexed by integer); for kind "mlp" a factory
     taking a granularity and returning an MLPTask.
     """
-    cfg.require_section("task")
-    kind = cfg.get_str("task", "kind")
-    seed = check_range("task", "seed", cfg.get_int("task", "seed", 0), 0)
-    if kind == "quadratic":
-        block_sizes = task_block_sizes(cfg)
-        family = QuadraticFamily(
-            block_sizes=tuple(block_sizes),
-            ranks=tuple(cfg.get_float_list("task", "ranks", [1.0] * len(block_sizes))),
-            opnorms=tuple(task_opnorms(cfg, len(block_sizes))),
-            opnorm_jitter=cfg.get_float("task", "opnorm_jitter", 0.0),
-            shift_scale=cfg.get_float("task", "shift_scale", 1.0),
-            init_scale=_init_scale(cfg, len(block_sizes)),
-            noise_tau=check_range("task", "noise_tau", cfg.get_float("task", "noise_tau", 0.0),
-                                  0.0),
-            seed=seed,
-        )
-        return kind, family
+    kind = cfg.get("task", "kind")
+    seed = cfg.get("task", "seed")
     if kind == "mlp":
+        sizes = {key: cfg.get("task", key) for key in ("n_in", "n_hidden", "n_out", "n_samples")}
+
         def factory(granularity="block", data_seed=seed):
-            return MLPTask(
-                n_in=cfg.get_int("task", "n_in", 4),
-                n_hidden=cfg.get_int("task", "n_hidden", 8),
-                n_out=cfg.get_int("task", "n_out", 3),
-                n_samples=cfg.get_int("task", "n_samples", 120),
-                data_seed=data_seed,
-                granularity=granularity,
-            )
+            return MLPTask(**sizes, data_seed=data_seed, granularity=granularity)
         return kind, factory
-    raise ConfigError(f"{cfg.path}: [task] kind={kind!r} is not 'quadratic' or 'mlp'")
+    block_sizes = cfg.get("task", "block_sizes")
+    init_scale = cfg.get("task", "init_scale")
+    if len(init_scale) not in (1, len(block_sizes)):
+        raise ConfigError(
+            f"{cfg.path}: [task] init_scale needs 1 or {len(block_sizes)} values, "
+            f"got {len(init_scale)}"
+        )
+    family = QuadraticFamily(
+        block_sizes=tuple(block_sizes),
+        ranks=tuple(cfg.get("task", "ranks")),
+        opnorms=tuple(cfg.get("task", "opnorms")),
+        opnorm_jitter=cfg.get("task", "opnorm_jitter"),
+        shift_scale=cfg.get("task", "shift_scale"),
+        init_scale=init_scale[0] if len(init_scale) == 1 else tuple(init_scale),
+        noise_tau=cfg.get("task", "noise_tau"),
+        seed=seed,
+    )
+    return kind, family

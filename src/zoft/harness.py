@@ -19,13 +19,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import meta_trainer, pertnn as pertnn_mod
-from .config import (
-    ExperimentConfig,
-    build_task_source,
-    check_range,
-    task_block_sizes,
-    task_opnorms,
-)
+from .config import ExperimentConfig, build_task_source
 from .errors import ConfigError, DimensionMismatchError, DivergenceError
 from .paramspace import NoiseSeed, PerturbScales
 from .testbeds import make_rank_family
@@ -39,14 +33,8 @@ def _fmt(x: float) -> str:
 
 
 def _run_settings(cfg: ExperimentConfig, section: str):
-    """[section]'s seeds, steps, epsilon and batch_size, checked."""
-    return (
-        check_range(section, "seeds", cfg.get_int_list(section, "seeds"), 0),
-        check_range(section, "steps", cfg.get_int(section, "steps"), 0),
-        check_range(section, "epsilon", cfg.get_float(section, "epsilon", 1e-3), 0.0,
-                    strict=True),
-        check_range(section, "batch_size", cfg.get_int(section, "batch_size", 16), 1),
-    )
+    """[section]'s seeds, steps, epsilon and batch_size."""
+    return [cfg.get(section, key) for key in ("seeds", "steps", "epsilon", "batch_size")]
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -140,30 +128,23 @@ def _sorted_rows(rows: list[str]) -> list[str]:
     return sorted(rows, key=key)
 
 
-def _train_tasks(cfg: ExperimentConfig, source) -> list:
-    """The [train] tasks of a quadratic family, at least one."""
-    n_tasks = check_range("train", "tasks", cfg.get_int("train", "tasks", 1), 1)
-    return source.make_tasks(n_tasks)
-
-
 def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True):
     """Meta-train a finetuner on `tasks` per [train]; returns (pertnn, MetaLog)."""
-    cfg.require_section("train")
-    steps = cfg.get_int("train", "steps")
-    reset_period = cfg.get_int("train", "reset_period", 50)
-    seed = check_range("train", "seed", cfg.get_int("train", "seed", 0), 0)
+    steps = cfg.get("train", "steps")
+    reset_period = cfg.get("train", "reset_period")
+    seed = cfg.get("train", "seed")
     meta_cfg = meta_trainer.MetaConfig(
-        eta1=cfg.get_float("train", "eta1"),
-        eta2=cfg.get_float("train", "eta2"),
+        eta1=cfg.get("train", "eta1"),
+        eta2=cfg.get("train", "eta2"),
         steps=steps,
-        epsilon=cfg.get_float("train", "epsilon", 1e-3),
+        epsilon=cfg.get("train", "epsilon"),
         reset_period=reset_period if reset else steps + 1,
-        batch_size=cfg.get_int("train", "batch_size", 16),
+        batch_size=cfg.get("train", "batch_size"),
         seed=seed,
         normalize=normalize,
     )
-    hidden = check_range("train", "hidden", cfg.get_int("train", "hidden", 64), 1)
-    init_params = pertnn_mod.init(tasks[0].partition, hidden, NoiseSeed(seed))
+    init_params = pertnn_mod.init(tasks[0].partition, cfg.get("train", "hidden"),
+                                  NoiseSeed(seed))
     return meta_trainer.train(meta_cfg, tasks, init_params)
 
 
@@ -172,7 +153,7 @@ def _load_checkpoint_if_needed(cfg: ExperimentConfig, section, methods, out_dir:
     """Load the section's checkpoint when a method needs it, for `partition`."""
     if not any(m == "finetuner" for m in methods):
         return None
-    name = cfg.get_str(section, "checkpoint", "finetuner.ckpt")
+    name = cfg.get(section, "checkpoint")
     path = Path(name)
     if not path.is_absolute():
         path = out_dir / name
@@ -185,6 +166,14 @@ def _load_checkpoint_if_needed(cfg: ExperimentConfig, section, methods, out_dir:
     return params
 
 
+def _model(cfg: ExperimentConfig, section: str, kind: str, source):
+    """The one model a [section] runs: a family's task_index, or the MLP at
+    its granularity."""
+    if kind == "quadratic":
+        return source.make_task(cfg.get(section, "task_index"))
+    return source(cfg.get(section, "granularity"))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -193,11 +182,9 @@ def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, timing: bool = Fal
     kind, source = build_task_source(cfg)
     if kind != "quadratic":
         raise ConfigError("train-finetuner currently expects a quadratic task family")
-    tasks = _train_tasks(cfg, source)
-    trained, log = _meta_train(
-        cfg, tasks, normalize=cfg.get_bool("train", "normalize", True)
-    )
-    ckpt = out_dir / cfg.get_str("train", "checkpoint", "finetuner.ckpt")
+    tasks = source.make_tasks(cfg.get("train", "tasks"))
+    trained, log = _meta_train(cfg, tasks, normalize=cfg.get("train", "normalize"))
+    ckpt = out_dir / cfg.get("train", "checkpoint")
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     pertnn_mod.save(trained, ckpt)
     lines = ["step,task,l_zo,loss,reset"]
@@ -211,22 +198,16 @@ def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, timing: bool = Fal
 
 def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
     kind, source = build_task_source(cfg)
-    cfg.require_section("finetune")
-    method = cfg.get_str("finetune", "mode", "mezo")
-    if method not in ("mezo", "finetuner"):
-        raise ConfigError(f"[finetune] mode={method!r} must be mezo or finetuner")
+    method = cfg.get("finetune", "mode")
     seeds, steps, epsilon, batch_size = _run_settings(cfg, "finetune")
-    lr = check_range("finetune", "lr", cfg.get_float("finetune", "lr"), 0.0)
-    if kind == "quadratic":
-        model = source.make_task(cfg.get_int("finetune", "task_index", 0))
-    else:
-        model = source(cfg.get_str("finetune", "granularity", "block"))
+    lr = cfg.get("finetune", "lr")
+    model = _model(cfg, "finetune", kind, source)
+    experiment = cfg.get("finetune", "experiment")
     params = _load_checkpoint_if_needed(cfg, "finetune", [method], out_dir,
                                         model.partition)
 
     results = _run_cells([(model, method, lr, seed) for seed in seeds],
                          steps, epsilon, batch_size, params, timing=timing)
-    experiment = cfg.get_str("finetune", "experiment", "finetune")
     rows = []
     for result in results:
         if result.diverged:
@@ -242,15 +223,12 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
     kind, source = build_task_source(cfg)
     if kind != "quadratic":
         raise ConfigError("compare expects a quadratic task family")
-    cfg.require_section("compare")
-    methods = cfg.get_str_list("compare", "methods", ["mezo", "finetuner"])
+    methods = cfg.get("compare", "methods")
     seeds, steps, epsilon, batch_size = _run_settings(cfg, "compare")
-    lr_grid = check_range("compare", "lr_grid", cfg.get_float_list("compare", "lr_grid"), 0.0)
-    n_tasks = check_range("compare", "tasks", cfg.get_int("compare", "tasks", 1), 1)
-    task_start = check_range("compare", "task_start",
-                             cfg.get_int("compare", "task_start", 0), 0)
-    threshold = cfg.get_float("compare", "threshold", 0.5)
-    window = cfg.get_float("compare", "final_window", 0.1)
+    lr_grid = cfg.get("compare", "lr_grid")
+    n_tasks, task_start = cfg.get("compare", "tasks"), cfg.get("compare", "task_start")
+    threshold = cfg.get("compare", "threshold")
+    window = cfg.get("compare", "final_window")
     tasks = source.make_tasks(n_tasks, start=task_start)
     params = _load_checkpoint_if_needed(cfg, "compare", methods, out_dir,
                                         tasks[0].partition)
@@ -276,12 +254,12 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
         ]))
     _write_lines(out_dir / "compare.csv", lines)
 
-    summary = _compare_summary(methods, tasks, seeds, best, steps)
+    summary = _compare_summary(methods, tasks, seeds, best, steps, window)
     _write_lines(out_dir / "summary.txt", summary)
     return 0
 
 
-def _compare_summary(methods, tasks, seeds, best, steps):
+def _compare_summary(methods, tasks, seeds, best, steps, window):
     """Aligned text table: per-method medians plus pairwise win tally."""
     col = max(len(m) for m in methods) + 2
     lines = [f"{'method':<{col}}{'median_final':>14}{'median_steps':>14}"]
@@ -291,7 +269,7 @@ def _compare_summary(methods, tasks, seeds, best, steps):
         for task in tasks:
             for seed in seeds:
                 chosen, stt = best[(method, task.name, seed)]
-                finals.append(chosen.final_window_mean())
+                finals.append(chosen.final_window_mean(window))
                 step_counts.append(stt if stt is not None else steps + 1)
         med_steps[method] = statistics.median(step_counts)
         lines.append(
@@ -327,29 +305,25 @@ def _compare_summary(methods, tasks, seeds, best, steps):
 
 def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
     kind, source = build_task_source(cfg)
-    cfg.require_section("sweep")
-    methods = cfg.get_str_list("sweep", "methods", ["mezo", "finetuner"])
+    methods = cfg.get("sweep", "methods")
     seeds, steps, epsilon, batch_size = _run_settings(cfg, "sweep")
-    lr_grid = sorted(check_range("sweep", "lr_grid", cfg.get_float_list("sweep", "lr_grid"), 0.0))
+    lr_grid = sorted(cfg.get("sweep", "lr_grid"))
     positive = [lr for lr in lr_grid if lr > 0.0]
     if len(lr_grid) < 3 or not positive or positive[-1] < 100.0 * positive[0]:
         raise ConfigError(
             "[sweep] lr_grid needs >= 3 values whose positive entries span "
             ">= 2 orders of magnitude"
         )
-    plateau_ratio = cfg.get_float("sweep", "plateau_ratio", 0.9)
-    window = cfg.get_float("sweep", "final_window", 0.1)
-    if kind == "quadratic":
-        model = source.make_task(cfg.get_int("sweep", "task_index", 0))
-    else:
-        model = source(cfg.get_str("sweep", "granularity", "block"))
+    plateau_ratio = cfg.get("sweep", "plateau_ratio")
+    window = cfg.get("sweep", "final_window")
+    model = _model(cfg, "sweep", kind, source)
+    experiment = cfg.get("sweep", "experiment")
     params = _load_checkpoint_if_needed(cfg, "sweep", methods, out_dir,
                                         model.partition)
 
     jobs = [(model, method, lr, seed)
             for method in methods for lr in lr_grid for seed in seeds]
     results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing)
-    experiment = cfg.get_str("sweep", "experiment", "sweep")
     curve_rows, flag_lines = [], ["method,lr,seed,flag,final_mean"]
     for result in sorted(results, key=lambda r: (r.method, r.lr, r.seed)):
         curve_rows.extend(_run_rows(experiment, result))
@@ -369,16 +343,11 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
 
 def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
     kind, source = build_task_source(cfg)
-    cfg.require_section("ablate")
-    axes = cfg.get_str_list("ablate", "axes")
-    known = {"reset", "normalization", "partition"}
-    unknown = [a for a in axes if a not in known]
-    if unknown:
-        raise ConfigError(f"[ablate] unknown axes {unknown}; choose from {sorted(known)}")
+    axes = cfg.get("ablate", "axes")
     seeds, steps, epsilon, batch_size = _run_settings(cfg, "ablate")
-    lr = check_range("ablate", "lr", cfg.get_float("ablate", "lr"), 0.0)
-    window = cfg.get_float("ablate", "final_window", 0.1)
-    eval_task_index = cfg.get_int("ablate", "task_index", 0)
+    lr = cfg.get("ablate", "lr")
+    window = cfg.get("ablate", "final_window")
+    eval_task_index = cfg.get("ablate", "task_index")
 
     lines = ["cell,seed,final_loss"]
 
@@ -398,7 +367,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
             raise ConfigError("[ablate] reset/normalization axes need a quadratic family")
         reset_values = [True, False] if "reset" in axes else [True]
         norm_values = [True, False] if "normalization" in axes else [True]
-        tasks = _train_tasks(cfg, source)
+        tasks = source.make_tasks(cfg.get("train", "tasks"))
         for reset in reset_values:
             for norm in norm_values:
                 cell_name = f"reset={'on' if reset else 'off'}+norm={'on' if norm else 'off'}"
@@ -414,11 +383,9 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
-    cfg.require_section("bounds")
-    cfg.require_section("task")
-    block_sizes = task_block_sizes(cfg)
-    opnorms = task_opnorms(cfg, len(block_sizes))
-    profiles_raw = cfg.get_str("bounds", "rank_profiles")
+    block_sizes = cfg.get("task", "block_sizes")
+    opnorms = cfg.get("task", "opnorms")
+    profiles_raw = cfg.get("bounds", "rank_profiles")
     profiles = []
     for chunk in profiles_raw.split(";"):
         chunk = chunk.strip()
@@ -436,12 +403,10 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, timing: bool = False
         profiles.append(ranks)
     if not profiles:
         raise ConfigError("[bounds] rank_profiles must be non-empty")
-    etas = check_range("bounds", "etas", cfg.get_float_list("bounds", "etas"), 0.0)
-    samples = cfg.get_int("bounds", "samples", 100_000)
-    if samples < 2:
-        raise ConfigError(f"[bounds] samples={samples} must be >= 2 for a Monte-Carlo stderr")
-    seed = check_range("bounds", "seed", cfg.get_int("bounds", "seed", 0), 0)
-    shift_scale = cfg.get_float("task", "shift_scale", 1.0)
+    etas = cfg.get("bounds", "etas")
+    samples = cfg.get("bounds", "samples")
+    seed = cfg.get("bounds", "seed")
+    shift_scale = cfg.get("task", "shift_scale")
 
     lines = ["ranks,eta,mezo_bound,blockwise_unit,blockwise_optimal,"
              "mc_mean,mc_stderr,closed_form,ok"]

@@ -1,0 +1,72 @@
+"""CLI fuzz: one declared key of a demo config set to a bad or edge value.
+
+Every case must end in a documented exit code (0, 2, 3 or 4), never in an
+uncaught exception.  Steps, tasks, seeds and samples are clamped first and
+the value pool holds no large valid number, so no case runs long.
+"""
+
+import configparser
+import shutil
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from zoft import cli
+from zoft.config import KEYS
+
+CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
+COMMANDS = {"train": "train-finetuner", "finetune": "finetune", "compare": "compare",
+            "sweep": "sweep-lr", "ablate": "ablate", "bounds": "verify-bounds"}
+SMALL = {"steps": "3", "tasks": "2", "seeds": "0", "samples": "200"}
+# negative, zero, non-finite, empty, non-numeric and an unknown choice
+POOL = ["-1", "0", "nan", "inf", "", "x1", "dropout"]
+
+
+def clamped(name: str) -> dict:
+    """The demo config `name` as {section: {key: value}}, run sizes clamped."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read(CONFIGS / f"{name}.ini", encoding="utf-8")
+    return {section: {key: SMALL.get(key, value) for key, value in parser[section].items()}
+            for section in parser.sections()}
+
+
+def write_ini(path: Path, sections: dict) -> Path:
+    lines = []
+    for section, keys in sections.items():
+        lines += [f"[{section}]"] + [f"{key} = {value}" for key, value in keys.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_one_bad_key_never_raises(tmp_path):
+    ckpt = tmp_path / "finetuner.ckpt"
+    assert cli.main(["train-finetuner", "--config",
+                     str(write_ini(tmp_path / "train.ini", clamped("train"))),
+                     "--out", str(tmp_path)]) == 0
+    codes = []
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def case(data):
+        name = data.draw(st.sampled_from(sorted(COMMANDS)))
+        sections = clamped(name)
+        section = data.draw(st.sampled_from(sorted(sections)))
+        key = data.draw(st.sampled_from(sorted(KEYS[section])))
+        value = data.draw(st.sampled_from(POOL))
+        sections[section][key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            shutil.copy(ckpt, out)
+            path = write_ini(out / f"{name}.ini", sections)
+            with np.errstate(all="ignore"):
+                code = cli.main([COMMANDS[name], "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3, 4), (name, section, key, value, code)
+        codes.append(code)
+
+    start = time.perf_counter()
+    case()
+    assert time.perf_counter() - start < 10.0
+    assert {0, 2} <= set(codes)

@@ -1,6 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from zoft.config import ExperimentConfig, build_task_source
+from zoft.config import KEYS, ExperimentConfig, build_task_source
 from zoft.errors import ConfigError
 from zoft.testbeds import MLPTask, QuadraticFamily
 
@@ -18,10 +21,14 @@ block_sizes = 4, 8
 ranks = 1.0, 4.0
 seed = 7
 
-[run]
+[finetune]
 steps = 100        # trailing comment
 lr = 0.05
-verbose = yes
+
+[train]
+normalize = yes
+
+[compare]
 methods = mezo, finetuner
 """
 
@@ -29,46 +36,87 @@ methods = mezo, finetuner
 class TestAccessors:
     def test_typed_reads(self, tmp_path):
         cfg = write_cfg(tmp_path, BASIC)
-        assert cfg.get_int("run", "steps") == 100
-        assert cfg.get_float("run", "lr") == 0.05
-        assert cfg.get_bool("run", "verbose") is True
-        assert cfg.get_str_list("run", "methods") == ["mezo", "finetuner"]
-        assert cfg.get_int_list("task", "block_sizes") == [4, 8]
-        assert cfg.get_float_list("task", "ranks") == [1.0, 4.0]
+        assert cfg.get("finetune", "steps") == 100
+        assert cfg.get("finetune", "lr") == 0.05
+        assert cfg.get("train", "normalize") is True
+        assert cfg.get("compare", "methods") == ["mezo", "finetuner"]
+        assert cfg.get("task", "block_sizes") == [4, 8]
+        assert cfg.get("task", "ranks") == [1.0, 4.0]
 
     def test_defaults(self, tmp_path):
         cfg = write_cfg(tmp_path, BASIC)
-        assert cfg.get_int("run", "batch_size", 16) == 16
-        assert cfg.get_str("run", "mode", "mezo") == "mezo"
+        assert cfg.get("finetune", "batch_size") == 16
+        assert cfg.get("finetune", "mode") == "mezo"
+        # worked out by the reader: one per block
+        assert cfg.get("task", "opnorms") == [1.0, 1.0]
 
     def test_missing_section_names_it(self, tmp_path):
         cfg = write_cfg(tmp_path, BASIC)
-        with pytest.raises(ConfigError, match=r"\[compare\]"):
-            cfg.get_int("compare", "steps")
+        with pytest.raises(ConfigError, match=r"\[sweep\]"):
+            cfg.get("sweep", "steps")
 
     def test_missing_key_names_it(self, tmp_path):
         cfg = write_cfg(tmp_path, BASIC)
-        with pytest.raises(ConfigError, match=r"\[run\].*'epsilon'"):
-            cfg.get_float("run", "epsilon")
+        with pytest.raises(ConfigError, match=r"\[compare\].*'lr_grid'"):
+            cfg.get("compare", "lr_grid")
 
-    @pytest.mark.parametrize("getter,key", [
-        ("get_int", "lr"), ("get_bool", "steps"),
-    ])
-    def test_type_errors_name_key(self, tmp_path, getter, key):
+    @pytest.mark.parametrize("section, key, text", [
+        ("finetune", "steps", "0.05"), ("train", "normalize", "100"),
+    ], ids=["int-steps", "bool-normalize"])
+    def test_type_errors_name_key(self, tmp_path, section, key, text):
         cfg = write_cfg(tmp_path, BASIC)
+        cfg.set(section, key, text)
         with pytest.raises(ConfigError, match=key):
-            getattr(cfg, getter)("run", key)
+            cfg.get(section, key)
 
     def test_bad_float_list(self, tmp_path):
         cfg = write_cfg(tmp_path, BASIC)
-        with pytest.raises(ConfigError, match="methods"):
-            cfg.get_float_list("run", "methods")
+        cfg.set("compare", "lr_grid", "mezo, finetuner")
+        with pytest.raises(ConfigError, match="lr_grid"):
+            cfg.get("compare", "lr_grid")
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("key_without_section = 1\n")
         with pytest.raises(ConfigError):
             ExperimentConfig.load(path)
+
+
+class TestDeclaredKeys:
+    def test_undeclared_key_names_it(self, tmp_path):
+        # a typo used to run silently with the default epsilon
+        with pytest.raises(ConfigError, match=r"\[finetune\].*'epsilion'"):
+            write_cfg(tmp_path, BASIC.replace("lr = 0.05", "lr = 0.05\nepsilion = 0.01"))
+
+    def test_undeclared_section_names_it(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[run\]"):
+            write_cfg(tmp_path, BASIC + "\n[run]\nsteps = 1\n")
+
+    def test_set_rejects_undeclared_key(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASIC)
+        with pytest.raises(ConfigError, match="'verbose'"):
+            cfg.set("train", "verbose", "yes")
+
+    @pytest.mark.parametrize("section, key, text, message", [
+        ("finetune", "lr", "nan", "finite and >= 0"),
+        ("finetune", "epsilon", "0", "finite and > 0"),
+        ("task", "shift_scale", "inf", "must be finite"),
+        ("finetune", "mode", "adam", "one of mezo, finetuner"),
+        ("compare", "methods", "mezo, foo", "one of mezo, finetuner"),
+        ("compare", "methods", " , ", "non-empty"),
+        ("finetune", "experiment", "", "non-empty"),
+    ])
+    def test_checked_values_name_section_and_key(self, tmp_path, section, key, text,
+                                                 message):
+        cfg = write_cfg(tmp_path, BASIC)
+        cfg.set(section, key, text)
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}.*{message}"):
+            cfg.get(section, key)
+
+    def test_readme_lists_every_declared_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, flags=re.M)
+        assert sorted(rows) == sorted((s, k) for s, keys in KEYS.items() for k in keys)
 
 
 class TestBuildTaskSource:
@@ -116,6 +164,6 @@ seed = 1
             build_task_source(cfg)
 
     def test_missing_task_section(self, tmp_path):
-        cfg = write_cfg(tmp_path, "[run]\nsteps = 1\n")
+        cfg = write_cfg(tmp_path, "[train]\nsteps = 1\n")
         with pytest.raises(ConfigError, match=r"\[task\]"):
             build_task_source(cfg)

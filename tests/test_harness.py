@@ -43,6 +43,35 @@ lr = 0.05
 steps = 3
 """
 
+MLP = """
+[task]
+kind = mlp
+"""
+
+SWEEP = """
+[sweep]
+methods = mezo
+seeds = 0
+lr_grid = 0.001, 0.01, 0.1
+steps = 3
+"""
+
+COMPARE = """
+[compare]
+methods = mezo
+seeds = 0
+lr_grid = 0.01
+steps = 3
+"""
+
+ABLATE = """
+[ablate]
+axes = reset
+seeds = 0
+lr = 0.05
+steps = 3
+"""
+
 BOUNDS = """
 [task]
 block_sizes = 4, 8
@@ -177,6 +206,16 @@ batch_size = 4
         summary = (out / "summary.txt").read_text()
         assert "task-seed pairs" in summary
         assert "median steps ratio" in summary
+
+    def test_summary_uses_the_configured_final_window(self, tmp_path):
+        # the summary's median_final read the 0.1 default, not final_window
+        cfg = write_config(tmp_path, TASK + COMPARE.replace("steps = 3", "steps = 30")
+                           + "final_window = 0.9\n")
+        out = tmp_path / "out"
+        assert self.run(["compare", "--config", cfg, "--out", out]) == 0
+        final_mean = (out / "compare.csv").read_text().splitlines()[1].split(",")[4]
+        summary = (out / "summary.txt").read_text().splitlines()[1].split()
+        assert float(summary[1]) == pytest.approx(float(final_mean), rel=1e-5)
 
     def test_seed_override_changes_tasks(self, tmp_path):
         cfg = write_config(tmp_path, TASK + """
@@ -451,30 +490,65 @@ steps = 5
         assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
         assert "zoft: config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, text", [
-        ("finetune", TASK.replace("opnorms = 1.0, 1.0", "opnorms = 1.0, inf") + FINETUNE),
+    @pytest.mark.parametrize("command, text, names", [
+        ("finetune", TASK.replace("opnorms = 1.0, 1.0", "opnorms = 1.0, inf") + FINETUNE,
+         "[task] opnorms"),
         ("verify-bounds", BOUNDS.replace("block_sizes = 4, 8",
-                                         "block_sizes = 4, 8\nopnorms = 1, inf")),
-        ("finetune", TASK + "init_scale = nan\n" + FINETUNE),
-        ("finetune", TASK + "noise_tau = -1\n" + FINETUNE),
-        ("finetune", TASK + FINETUNE.replace("steps = 3", "steps = -3")),
-        ("finetune", TASK + FINETUNE + "epsilon = 0\n"),
-        ("finetune", TASK + FINETUNE + "batch_size = 0\n"),
-        ("finetune", TASK.replace("block_sizes = 4, 4", "block_sizes = 0, 16") + FINETUNE),
-        ("verify-bounds", BOUNDS.replace("block_sizes = 4, 8", "block_sizes = 0, 16")),
-        ("train-finetuner", TASK + TRAIN.replace("hidden = 8", "hidden = 0")),
-        ("train-finetuner", TASK + TRAIN.replace("tasks = 2", "tasks = 0")),
+                                         "block_sizes = 4, 8\nopnorms = 1, inf"),
+         "[task] opnorms"),
+        ("finetune", TASK + "init_scale = nan\n" + FINETUNE, "[task] init_scale"),
+        ("finetune", TASK + "noise_tau = -1\n" + FINETUNE, "[task] noise_tau"),
+        ("finetune", TASK + FINETUNE.replace("steps = 3", "steps = -3"), "[finetune] steps"),
+        ("finetune", TASK + FINETUNE + "epsilon = 0\n", "[finetune] epsilon"),
+        ("finetune", TASK + FINETUNE + "batch_size = 0\n", "[finetune] batch_size"),
+        ("finetune", TASK.replace("block_sizes = 4, 4", "block_sizes = 0, 16") + FINETUNE,
+         "[task] block_sizes"),
+        ("verify-bounds", BOUNDS.replace("block_sizes = 4, 8", "block_sizes = 0, 16"),
+         "[task] block_sizes"),
+        ("train-finetuner", TASK + TRAIN.replace("hidden = 8", "hidden = 0"), "[train] hidden"),
+        ("train-finetuner", TASK + TRAIN.replace("tasks = 2", "tasks = 0"), "[train] tasks"),
         ("compare", TASK + "[compare]\nmethods = mezo\nseeds = 0\nlr_grid = 0.01\n"
-                    "steps = 3\ntasks = 0\n"),
+                    "steps = 3\ntasks = 0\n", "[compare] tasks"),
         ("compare", TASK + "[compare]\nmethods = mezo\nseeds = 0\nlr_grid = 0.01\n"
-                    "steps = 3\ntask_start = -5\n"),
+                    "steps = 3\ntask_start = -5\n", "[compare] task_start"),
+        ("finetune", TASK + FINETUNE + "task_index = -1\n", "[finetune] task_index"),
+        ("sweep-lr", TASK + SWEEP + "task_index = -1\n", "[sweep] task_index"),
+        ("ablate", TASK + TRAIN + ABLATE + "task_index = -1\n", "[ablate] task_index"),
+        ("compare", TASK + COMPARE.replace("methods = mezo", "methods = foo, mezo"),
+         "[compare] methods"),
+        ("compare", TASK + COMPARE.replace("methods = mezo", "methods ="),
+         "[compare] methods"),
+        ("sweep-lr", TASK + SWEEP.replace("methods = mezo", "methods = foo, mezo"),
+         "[sweep] methods"),
+        ("sweep-lr", TASK + SWEEP.replace("methods = mezo", "methods ="), "[sweep] methods"),
+        ("finetune", MLP + "n_in = 0\n" + FINETUNE, "[task] n_in"),
+        ("finetune", MLP + "n_hidden = 0\n" + FINETUNE, "[task] n_hidden"),
+        ("finetune", MLP + "n_out = 0\n" + FINETUNE, "[task] n_out"),
+        ("finetune", MLP + "n_samples = 0\n" + FINETUNE, "[task] n_samples"),
+        ("train-finetuner", TASK + "shift_scale = nan\n" + TRAIN, "[task] shift_scale"),
+        ("verify-bounds", BOUNDS.replace("block_sizes = 4, 8",
+                                         "block_sizes = 4, 8\nshift_scale = nan"),
+         "[task] shift_scale"),
+        ("train-finetuner", TASK + TRAIN.replace("batch_size = 4", "batch_size = 0"),
+         "[train] batch_size"),
+        ("compare", TASK + COMPARE + "threshold = nan\n", "[compare] threshold"),
+        ("sweep-lr", TASK + SWEEP + "plateau_ratio = nan\n", "[sweep] plateau_ratio"),
+        ("compare", TASK + COMPARE + "final_window = 0\n", "[compare] final_window"),
     ], ids=["opnorms-inf", "bounds-opnorms-inf", "init-scale-nan", "negative-noise-tau",
             "negative-steps", "zero-epsilon", "zero-batch-size", "zero-block-size",
             "bounds-zero-block-size", "zero-hidden", "zero-train-tasks", "zero-compare-tasks",
-            "negative-task-start"])
-    def test_bad_task_or_run_number(self, tmp_path, capsys, monkeypatch, command, text):
-        # unchecked, these diverge (exit 3), write nan bounds (exit 0) or
-        # raise a traceback (exit 1); each must be a config error before any run
+            "negative-task-start", "finetune-negative-task-index",
+            "sweep-negative-task-index", "ablate-negative-task-index",
+            "compare-unknown-method", "compare-no-methods", "sweep-unknown-method",
+            "sweep-no-methods", "mlp-zero-n-in", "mlp-zero-n-hidden", "mlp-zero-n-out",
+            "mlp-zero-n-samples", "train-shift-scale-nan", "bounds-shift-scale-nan",
+            "train-zero-batch-size", "threshold-nan", "plateau-ratio-nan",
+            "zero-final-window"])
+    def test_bad_task_or_run_number(self, tmp_path, capsys, monkeypatch, command, text,
+                                    names):
+        # unchecked, these diverge (exit 3), write nan bounds (exit 0), run
+        # silently (exit 0) or raise a traceback (exit 1); each must be a
+        # config error naming its section and key before any run
         def never(*args, **kwargs):
             raise AssertionError("ran before the config was checked")
 
@@ -484,7 +558,17 @@ steps = 5
         cfg = write_config(tmp_path, text)
         out = tmp_path / "o"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert "zoft: config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "zoft: config error" in err and names in err
+        assert "Traceback" not in err
+
+    def test_undeclared_key_is_rejected(self, tmp_path, capsys):
+        # a typo used to run silently with the default epsilon of 1e-3
+        cfg = write_config(tmp_path, TASK + FINETUNE + "epsilion = 0.01\n")
+        out = tmp_path / "o"
+        assert cli.main(["finetune", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "[finetune] has no key 'epsilion'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bound_violation_exception(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, "[task]\nkind = quadratic\nblock_sizes = 4\n")
