@@ -20,7 +20,6 @@ from zoft.pertnn import forward_all
 from zoft.pertnn import init as pertnn_init
 from zoft.testbeds import QuadraticFamily
 from zoft.zo_optimizer import LossPair, normalize_scales, step_features
-from zoft.paramspace import PerturbScales
 
 
 def emitted_stds(params, task):
@@ -28,7 +27,7 @@ def emitted_stds(params, task):
     l0 = float(task.loss(theta.values, None))
     feats = step_features(theta, LossPair(l0, l0), np.ones(task.partition.n_blocks))
     raw, _ = forward_all(params, feats)
-    return normalize_scales(PerturbScales(raw, task.partition)).stds
+    return normalize_scales(raw, task.partition)
 
 
 def main():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import harness
 from .config import ExperimentConfig
-from .errors import BoundViolationError, CheckpointError, ConfigError, DivergenceError
+from .errors import CheckpointError, ConfigError, DivergenceError
 
 _COMMANDS = {
     "train-finetuner": harness.cmd_train_finetuner,
@@ -50,15 +50,12 @@ def main(argv=None) -> int:
         if args.seed is not None and cfg.has_section(section):
             cfg.set(section, "seed", str(args.seed))
         code = _COMMANDS[args.command](cfg, Path(args.out), timing=args.timing)
-    except (ConfigError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, OSError) as exc:
         print(f"zoft: config error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"zoft: divergence: {exc}", file=sys.stderr)
         return 3
-    except BoundViolationError as exc:
-        print(f"zoft: bound violation: {exc}", file=sys.stderr)
-        return 4
     if code == 4:
         print("zoft: bound violation (see bounds.csv)", file=sys.stderr)
     return code

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .testbeds import MLPTask, QuadraticFamily
+from .testbeds import MLPTask, QuadraticFamily, check_ranks
 
 REQUIRED = None  # the default of a key that a config must set
 
@@ -206,9 +206,11 @@ def build_task_source(cfg: ExperimentConfig):
             f"{cfg.path}: [task] init_scale needs 1 or {len(block_sizes)} values, "
             f"got {len(init_scale)}"
         )
+    ranks = cfg.get("task", "ranks")
+    check_ranks(f"{cfg.path}: [task] ranks", block_sizes, ranks)
     family = QuadraticFamily(
         block_sizes=tuple(block_sizes),
-        ranks=tuple(cfg.get("task", "ranks")),
+        ranks=tuple(ranks),
         opnorms=tuple(cfg.get("task", "opnorms")),
         opnorm_jitter=cfg.get("task", "opnorm_jitter"),
         shift_scale=cfg.get("task", "shift_scale"),

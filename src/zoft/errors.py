@@ -47,7 +47,3 @@ class ConfigError(ZoftError):
 
 class DegenerateBoundError(ZoftError):
     """The blockwise bound has no curvature term to optimize against."""
-
-
-class BoundViolationError(ZoftError):
-    """A measured loss decrease exceeded its theoretical upper bound."""

@@ -20,9 +20,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import meta_trainer, pertnn as pertnn_mod
 from .config import ExperimentConfig, build_task_source
-from .errors import ConfigError, DimensionMismatchError, DivergenceError
+from .errors import ConfigError, DegenerateBoundError, DimensionMismatchError, DivergenceError
 from .paramspace import NoiseSeed, PerturbScales
-from .testbeds import make_rank_family
+from .testbeds import check_ranks, make_rank_family
 from .zo_optimizer import Trajectory, ZOConfig, run_population
 
 RUN_ROW_HEADER = "experiment,method,task,seed,lr,step,loss,wall_ms,scale_min,scale_med,scale_max"
@@ -395,11 +395,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, timing: bool = False
             ranks = [float(v) for v in chunk.split(",")]
         except ValueError as exc:
             raise ConfigError(f"[bounds] malformed rank profile {chunk!r}") from exc
-        if len(ranks) != len(block_sizes):
-            raise ConfigError(
-                f"[bounds] rank profile {chunk!r} has {len(ranks)} entries "
-                f"for {len(block_sizes)} blocks"
-            )
+        # every profile is checked before the first Monte-Carlo draw
+        check_ranks(f"{cfg.path}: [bounds] rank_profiles profile {chunk!r}", block_sizes, ranks)
         profiles.append(ranks)
     if not profiles:
         raise ConfigError("[bounds] rank_profiles must be non-empty")
@@ -414,12 +411,20 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, timing: bool = False
     for ranks in profiles:
         task = make_rank_family(block_sizes, ranks, opnorms, init_scale=shift_scale,
                                 seed=seed)
-        # one Monte-Carlo draw per profile scores every step size
-        reports = bounds_mod.verify_bound(
-            task, task.init_theta(seed), PerturbScales.unit(task.partition), etas,
-            n=samples, seed=seed,
-        )
         rank_str = "|".join(_fmt(r) for r in ranks)
+        # one Monte-Carlo draw per profile scores every step size
+        try:
+            reports = bounds_mod.verify_bound(
+                task, task.init_theta(seed), PerturbScales.unit(task.partition), etas,
+                n=samples, seed=seed,
+            )
+        except (DegenerateBoundError, OverflowError) as exc:
+            # an eta whose square overflows, or an eta or shift so small that
+            # every quadratic coefficient is 0
+            raise ConfigError(
+                f"{cfg.path}: rank profile {rank_str} has no finite bound with a non-zero "
+                f"quadratic term at [bounds] etas = {', '.join(map(_fmt, etas))} and "
+                f"[task] shift_scale = {_fmt(shift_scale)}") from exc
         for eta, report in zip(etas, reports):
             lines.append(",".join([
                 rank_str, _fmt(eta), _fmt(report.mezo_bound),

@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pertnn as pertnn_mod
-from .errors import ConfigError, DivergenceError, NumericOverflowError
-from .paramspace import ParamVector, PerturbScales
+from .errors import ConfigError, DivergenceError, InvalidScaleError, NumericOverflowError
+from .paramspace import ParamVector
 from .zo_optimizer import (
     DIVERGENCE_FACTOR,
     LossPair,
-    normalize_scales,
+    _divergence,
+    _used_scales,
     normalize_scales_vjp,
     step_features,
 )
@@ -87,11 +88,7 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
         l0 = float(task.loss(theta.values, batch))
         prev_pair = LossPair(l0, l0)
     features = step_features(theta, prev_pair, task_state.scales)
-    raws, cache = pertnn_mod.forward_all(pertnn, features)
-    if normalize:
-        used = normalize_scales(PerturbScales(raws, theta.partition)).stds
-    else:
-        used = raws.copy()
+    raws, used, cache = _used_scales(pertnn, features, theta.partition, normalize)
     u = np.repeat(used, theta.partition.sizes) * z
     loss_plus = float(task.loss(theta.values + epsilon * u, batch))
     loss_minus = float(task.loss(theta.values - epsilon * u, batch))
@@ -122,7 +119,7 @@ def meta_grad(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     d_used = -config.eta1 * ev.coeff * dots
     d_raw = d_used
     if config.normalize:
-        d_raw = normalize_scales_vjp(PerturbScales(ev.raw_stds, theta.partition), d_used)
+        d_raw = normalize_scales_vjp(ev.raw_stds, theta.partition, d_used)
     grads, _ = pertnn_mod.backward(pertnn, ev.cache, d_raw)
     return grads, ev
 
@@ -188,10 +185,8 @@ def train(config: MetaConfig, tasks, pertnn, theta0: np.ndarray | None = None):
             )
             try:
                 record = meta_step(theta, pertnn, task, states[idx], batch, config, z)
-            except NumericOverflowError as exc:
-                raise DivergenceError(
-                    f"non-finite value in meta-training at step {t}: {exc}"
-                ) from exc
+            except (NumericOverflowError, InvalidScaleError) as exc:
+                raise _divergence(t, exc) from exc
             record.t = t
             log.records.append(record)
             if initial_loss is None:

@@ -114,7 +114,8 @@ def forward_all(params: PertNNParams, features: np.ndarray):
 
     features is (n_blocks, 5), or (R, n_blocks, 5) for R rows in one batched
     pass.  Returns (raw_stds, cache); raw_stds has the features' shape without
-    the last axis.
+    the last axis.  Nothing is checked here: a step checks every row once
+    (see zo_optimizer._used_scales).
     """
     if features.ndim not in (2, 3) or features.shape[-2:] != (params.n_blocks, N_FEATURES):
         raise PartitionMismatchError(
@@ -123,12 +124,7 @@ def forward_all(params: PertNNParams, features: np.ndarray):
         )
     h = np.tanh((params.w1 @ features[..., None])[..., 0] + params.b1)
     y = (params.w2[..., None, :] @ h[..., None])[..., 0, 0] + params.b2
-    raw = np.logaddexp(0.0, y)
-    if not np.all(np.isfinite(raw)):
-        names = np.array(params.block_names)
-        bad = names[~np.isfinite(raw).reshape(-1, len(names)).all(axis=0)]
-        raise NumericOverflowError(f"non-finite activation in blocks {', '.join(bad)}")
-    return raw, ForwardCache(x=features, h=h, y=y)
+    return np.logaddexp(0.0, y), ForwardCache(x=features, h=h, y=y)
 
 
 def backward(params: PertNNParams, cache: ForwardCache, upstream):

@@ -171,6 +171,16 @@ class QuadraticRows:
         return out
 
 
+def check_ranks(where: str, block_sizes, ranks) -> None:
+    """A ConfigError naming `where` unless each block has one rank in [1, d_i]."""
+    if len(ranks) != len(block_sizes):
+        raise ConfigError(f"{where} has {len(ranks)} ranks for {len(block_sizes)} blocks")
+    for i, (rank, size) in enumerate(zip(ranks, block_sizes)):
+        if not 1 <= rank <= size:
+            raise ConfigError(f"{where}: rank {rank:g} of block {i} is infeasible "
+                              f"for its size {size}")
+
+
 def make_rank_family(block_sizes, ranks, opnorms, **kwargs) -> QuadraticTask:
     """Build a quadratic whose block spectra hit the requested effective ranks.
 
@@ -181,13 +191,12 @@ def make_rank_family(block_sizes, ranks, opnorms, **kwargs) -> QuadraticTask:
     block_sizes = [int(s) for s in block_sizes]
     ranks = [float(r) for r in ranks]
     opnorms = [float(L) for L in opnorms]
-    if not (len(block_sizes) == len(ranks) == len(opnorms)):
-        raise ConfigError("block_sizes, ranks and opnorms must have equal length")
+    check_ranks("ranks", block_sizes, ranks)
+    if len(opnorms) != len(block_sizes):
+        raise ConfigError("block_sizes and opnorms must have equal length")
     partition = BlockPartition([(f"block{i}", s) for i, s in enumerate(block_sizes)])
     eigs = np.empty(partition.total)
     for i, (d_i, r_i, L) in enumerate(zip(block_sizes, ranks, opnorms)):
-        if not (1.0 <= r_i <= d_i):
-            raise ConfigError(f"block {i}: rank {r_i} infeasible for size {d_i}")
         if L <= 0:
             raise ConfigError(f"block {i}: operator norm must be positive")
         sl = partition.block_slice(i)

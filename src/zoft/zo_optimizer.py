@@ -111,43 +111,34 @@ class OptState:
                                                compare=False)
 
 
-def _budget_factor(raw: PerturbScales):
-    """The variance budget sum_i d_i s_i^2 of raw and the factor sqrt(d / budget).
+def _budget_factor(stds: np.ndarray, partition):
+    """The variance budget sum_i d_i s_i^2 of stds and the factor sqrt(d / budget).
 
-    Floats for one set of scales; (R,) arrays for (R, n_blocks) rows.
+    0-d for one set of scales; (R,) arrays for (R, n_blocks) rows.
     """
-    if (raw.stds <= 0).any():
-        raise InvalidScaleError(f"cannot normalize non-positive scales {raw.stds}")
-    if raw.stds.ndim == 1:
-        budget = raw.budget()
-        valid = budget > 0 and math.isfinite(budget)
-    else:
-        # vecdot runs one BLAS dot per row, as budget() does; a matrix
-        # product may sum in another order, and every trajectory depends on
-        # these bits
-        budget = np.vecdot(raw.stds**2, raw.partition.sizes)
-        valid = (budget > 0).all() and np.isfinite(budget).all()
-    if not valid:
-        raise InvalidScaleError(f"invalid variance budget {budget}")
-    return budget, np.sqrt(raw.partition.total / budget)
+    # vecdot runs one BLAS dot per row, as np.dot does for one vector; a
+    # matrix product may sum in another order, and every trajectory depends
+    # on these bits
+    budget = np.vecdot(stds**2, partition.sizes)
+    return budget, np.sqrt(partition.total / budget)
 
 
-def normalize_scales(raw: PerturbScales) -> PerturbScales:
+def normalize_scales(stds: np.ndarray, partition) -> np.ndarray:
     """Rescale so that sum_i d_i s_i^2 = d, preserving pairwise ratios (per row
-    for rows of scales)."""
-    _, factor = _budget_factor(raw)
-    return PerturbScales(raw.stds * factor[..., None], raw.partition)
+    for rows of scales).  Checks nothing: see _used_scales."""
+    _, factor = _budget_factor(stds, partition)
+    return stds * factor[..., None]
 
 
-def normalize_scales_vjp(raw: PerturbScales, upstream: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. normalize_scales(raw).stds back to raw.stds.
+def normalize_scales_vjp(stds: np.ndarray, partition, upstream: np.ndarray) -> np.ndarray:
+    """Pull a gradient w.r.t. normalize_scales(stds) back to stds.
 
     With s' = factor * s:  d s'_i / d s_k = factor * delta_ik - s'_i d_k s_k / budget,
     which couples every block through the shared budget.
     """
-    budget, factor = _budget_factor(raw)
-    inner = float(upstream @ (raw.stds * factor))
-    return factor * upstream - (raw.partition.sizes * raw.stds / budget) * inner
+    budget, factor = _budget_factor(stds, partition)
+    inner = float(upstream @ (stds * factor))
+    return factor * upstream - (partition.sizes * stds / budget) * inner
 
 
 def step_features(theta: ParamVector, prev_losses: LossPair,
@@ -177,10 +168,28 @@ def _flag(failures, bad, error) -> None:
         failures.setdefault(r, error)
 
 
-def _scales_of(pertnn, features, partition, normalize) -> PerturbScales:
-    raws, _ = pertnn_mod.forward_all(pertnn, features)
-    raw_scales = PerturbScales(raws, partition)
-    return normalize_scales(raw_scales) if normalize else raw_scales
+def _used_scales(pertnn, features, partition, normalize, failures=None):
+    """(raw, used, cache): the scale network's stds for `features`, the stds a
+    step samples with (raw, or normalized to the budget) and the forward cache.
+
+    Each row is checked once, through _flag: a non-finite network output is
+    NumericOverflowError, a non-finite or non-positive used scale (a softplus
+    that underflows to 0, a budget that under- or overflows) InvalidScaleError.
+    A flagged row samples with unit scales until the step ends.
+    """
+    raw, cache = pertnn_mod.forward_all(pertnn, features)
+    used = normalize_scales(raw, partition) if normalize else raw
+    valid = (used > 0) & (used < np.inf)
+    if valid.all():  # a non-finite raw std makes its row's used stds non-finite
+        return raw, used, cache
+    names, finite = np.array(pertnn.block_names), np.isfinite(raw)
+    blocks = ", ".join(names[~finite.reshape(-1, len(names)).all(axis=0)])
+    _flag(failures, ~finite.all(axis=-1),
+          NumericOverflowError(f"non-finite activation in blocks {blocks}"))
+    bad = ~valid.all(axis=-1)
+    _flag(failures, bad, InvalidScaleError(
+        f"scales must be finite and strictly positive, got {used[bad] if bad.ndim else used}"))
+    return raw, np.where(bad[..., None], 1.0, used), cache
 
 
 def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
@@ -204,20 +213,10 @@ def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
     prev_scales = (state.prev_scales if state.prev_scales is not None
                    else np.ones(partition.n_blocks))
     features = step_features(theta, prev_losses, prev_scales)
-    try:
-        return _scales_of(pertnn, features, partition, config.normalize)
-    except (NumericOverflowError, InvalidScaleError):
-        if not lead:
-            raise
-    # some row failed: redo the rows one by one so that only the failing ones
-    # are flagged; unit scales stand in for them until the step ends
-    stds = np.ones(lead + (partition.n_blocks,))
-    for r in range(len(stds)):
-        try:
-            stds[r] = _scales_of(pertnn, features[r], partition, config.normalize).stds
-        except (NumericOverflowError, InvalidScaleError) as exc:
-            _flag(failures, np.arange(len(stds)) == r, exc)
-    return PerturbScales(stds, partition)
+    # a vector raises at its first failure, whatever the caller keeps
+    _, used, _ = _used_scales(pertnn, features, partition, config.normalize,
+                              failures if lead else None)
+    return PerturbScales(used, partition)
 
 
 def two_point(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,

@@ -14,7 +14,7 @@ from zoft.bounds import (
     rank_coefficient,
     verify_bound,
 )
-from zoft.errors import BoundViolationError, DegenerateBoundError
+from zoft.errors import DegenerateBoundError
 from zoft.paramspace import BlockPartition, PerturbScales
 from zoft.testbeds import QuadraticTask, make_rank_family
 
@@ -285,14 +285,6 @@ class TestVerifyBound:
         assert not gaussian.ok
         assert any("exceeds blockwise bound" in v for v in gaussian.violations)
         assert sphere.ok, sphere.violations
-
-    def test_raise_on_violation(self):
-        task = make_rank_family([4, 4], [1.0, 4.0], [1.0, 1.0], seed=0)
-        theta = task.init_theta(0)
-        sc = PerturbScales.unit(task.partition)
-        with pytest.raises(BoundViolationError):
-            verify_bound(task, theta, sc, eta=0.1, law="gaussian", n=200_000,
-                         raise_on_violation=True)
 
     def test_eta_zero_report(self):
         task = make_rank_family([3, 5], [1.0, 4.0], [1.0, 1.0], seed=0)

@@ -1,8 +1,9 @@
 """CLI fuzz: one declared key of a demo config set to a bad or edge value.
 
 Every case must end in a documented exit code (0, 2, 3 or 4), never in an
-uncaught exception.  Steps, tasks, seeds and samples are clamped first and
-the value pool holds no large valid number, so no case runs long.
+uncaught exception.  Steps, tasks, seeds and samples are clamped first, and
+the pool's one large number, 1e300, is no int: every count rejects it, so no
+case runs long.
 """
 
 import configparser
@@ -21,8 +22,9 @@ CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 COMMANDS = {"train": "train-finetuner", "finetune": "finetune", "compare": "compare",
             "sweep": "sweep-lr", "ablate": "ablate", "bounds": "verify-bounds"}
 SMALL = {"steps": "3", "tasks": "2", "seeds": "0", "samples": "200"}
-# negative, zero, non-finite, empty, non-numeric and an unknown choice
-POOL = ["-1", "0", "nan", "inf", "", "x1", "dropout"]
+# negative, zero, non-finite, empty, non-numeric, an unknown choice, and
+# floats whose squares overflow or underflow
+POOL = ["-1", "0", "nan", "inf", "", "x1", "dropout", "1e300", "1e-300"]
 
 
 def clamped(name: str) -> dict:

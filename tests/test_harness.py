@@ -3,7 +3,7 @@ import pytest
 
 from zoft import cli, harness
 from zoft.config import ExperimentConfig
-from zoft.errors import BoundViolationError, ConfigError
+from zoft.errors import ConfigError
 from zoft.harness import (
     RUN_ROW_HEADER,
     RunResult,
@@ -12,6 +12,8 @@ from zoft.harness import (
     cmd_sweep_lr,
 )
 from zoft.zo_optimizer import Trajectory
+
+from test_cli_fuzz import COMMANDS, clamped, write_ini
 
 TASK = """
 [task]
@@ -430,22 +432,66 @@ steps = 5
         assert code == 3
         assert "zoft: divergence" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bounds", [
-        "rank_profiles = 1,4\netas = 0.02\nsamples = 1\n",
-        "rank_profiles = 1,4\netas = 0.02, -0.01\nsamples = 100\n",
-        "rank_profiles = 1,4\netas =\nsamples = 100\n",
-        "rank_profiles =\netas = 0.02\nsamples = 100\n",
-    ], ids=["one-sample", "negative-eta", "no-etas", "no-profiles"])
-    def test_bad_verify_bounds_input(self, tmp_path, capsys, bounds):
+    @pytest.mark.parametrize("task, bounds, names", [
+        ("", "rank_profiles = 1,4\netas = 0.02\nsamples = 1\n", "[bounds] samples"),
+        ("", "rank_profiles = 1,4\netas = 0.02, -0.01\nsamples = 100\n", "[bounds] etas"),
+        ("", "rank_profiles = 1,4\netas =\nsamples = 100\n", "[bounds] etas"),
+        ("", "rank_profiles =\netas = 0.02\nsamples = 100\n", "[bounds] rank_profiles"),
+        ("", "rank_profiles = 1,4\netas = 1e300\nsamples = 100\n", "[bounds] etas"),
+        ("", "rank_profiles = 1,4\netas = 1e-300\nsamples = 100\n", "[bounds] etas"),
+        ("shift_scale = 0\n", "rank_profiles = 1,4\netas = 0.02\nsamples = 100\n",
+         "[task] shift_scale"),
+        ("shift_scale = 1e-300\n", "rank_profiles = 1,4\netas = 0.02\nsamples = 100\n",
+         "[task] shift_scale"),
+    ], ids=["one-sample", "negative-eta", "no-etas", "no-profiles", "huge-eta", "tiny-eta",
+            "zero-shift", "tiny-shift"])
+    def test_bad_verify_bounds_input(self, tmp_path, capsys, task, bounds, names):
         # one sample has no stderr, so every check passed vacuously; a
         # negative eta was a traceback; no etas or profiles wrote a
-        # header-only bounds.csv
-        cfg = write_config(tmp_path, "[task]\nblock_sizes = 4, 8\n\n[bounds]\n"
+        # header-only bounds.csv; a step size whose square overflows
+        # (OverflowError), or a bound whose quadratic term is 0 everywhere
+        # (DegenerateBoundError) was a traceback
+        cfg = write_config(tmp_path, "[task]\nblock_sizes = 4, 8\n" + task + "\n[bounds]\n"
                            "seed = 0\n" + bounds)
         out = tmp_path / "o"
         assert cli.main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "zoft: config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "zoft: config error" in err and names in err
+        if "e300" in bounds or task:
+            assert "rank profile 1|4" in err
+        assert "Traceback" not in err
         assert not (out / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "eta1", "1e3"), ("train", "eta2", "1e300"),
+        ("task", "init_scale", "1e3"), ("task", "noise_tau", "1e300"),
+    ])
+    def test_invalid_scales_in_meta_training_are_divergence(self, tmp_path, capsys,
+                                                            command, section, key, value):
+        # each drives the network to a scale of 0 or an overflowing budget at
+        # meta-step 1, which was an InvalidScaleError traceback
+        sections = clamped(command)
+        sections[section][key] = value
+        cfg = write_ini(tmp_path / "exp.ini", sections)
+        with np.errstate(all="ignore"):
+            code = cli.main([COMMANDS[command], "--config", str(cfg),
+                             "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "zoft: divergence: invalid scales at step 1" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_that_is_a_directory(self, tmp_path, capsys):
+        # reading it was an IsADirectoryError traceback
+        out = tmp_path / "o"
+        (out / "sub").mkdir(parents=True)
+        cfg = write_config(tmp_path, TASK + FINETUNE.replace("mode = mezo", "mode = finetuner")
+                           + "checkpoint = sub\n")
+        assert cli.main(["finetune", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "zoft: config error" in err and "Is a directory" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, section", [
         ("finetune", "[finetune]\nmode = mezo\nseeds = 0\nlr = -0.05\nsteps = 3\n"),
@@ -534,6 +580,10 @@ steps = 5
         ("compare", TASK + COMPARE + "threshold = nan\n", "[compare] threshold"),
         ("sweep-lr", TASK + SWEEP + "plateau_ratio = nan\n", "[sweep] plateau_ratio"),
         ("compare", TASK + COMPARE + "final_window = 0\n", "[compare] final_window"),
+        ("finetune", TASK.replace("ranks = 2.0, 3.0", "ranks = 2.0, 9.0") + FINETUNE,
+         "[task] ranks: rank 9 of block 1"),
+        ("verify-bounds", BOUNDS.replace("rank_profiles = 1, 4", "rank_profiles = 1, 4; 9, 4"),
+         "[bounds] rank_profiles profile '9, 4': rank 9 of block 0"),
     ], ids=["opnorms-inf", "bounds-opnorms-inf", "init-scale-nan", "negative-noise-tau",
             "negative-steps", "zero-epsilon", "zero-batch-size", "zero-block-size",
             "bounds-zero-block-size", "zero-hidden", "zero-train-tasks", "zero-compare-tasks",
@@ -543,7 +593,7 @@ steps = 5
             "sweep-no-methods", "mlp-zero-n-in", "mlp-zero-n-hidden", "mlp-zero-n-out",
             "mlp-zero-n-samples", "train-shift-scale-nan", "bounds-shift-scale-nan",
             "train-zero-batch-size", "threshold-nan", "plateau-ratio-nan",
-            "zero-final-window"])
+            "zero-final-window", "infeasible-rank", "infeasible-rank-profile"])
     def test_bad_task_or_run_number(self, tmp_path, capsys, monkeypatch, command, text,
                                     names):
         # unchecked, these diverge (exit 3), write nan bounds (exit 0), run
@@ -569,16 +619,6 @@ steps = 5
         assert cli.main(["finetune", "--config", str(cfg), "--out", str(out)]) == 2
         assert "[finetune] has no key 'epsilion'" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_bound_violation_exception(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, "[task]\nkind = quadratic\nblock_sizes = 4\n")
-
-        def boom(*args, **kwargs):
-            raise BoundViolationError("synthetic")
-
-        monkeypatch.setitem(cli._COMMANDS, "verify-bounds", boom)
-        assert cli.main(["verify-bounds", "--config", str(cfg),
-                         "--out", str(tmp_path / "o")]) == 4
 
     def test_bound_violation_return_code(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, "[task]\nkind = quadratic\nblock_sizes = 4\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zoft.errors import ConfigError, DivergenceError
+from zoft.errors import ConfigError, DivergenceError, InvalidScaleError
 from zoft.meta_trainer import (
     MetaConfig,
     TaskState,
@@ -12,7 +12,7 @@ from zoft.meta_trainer import (
     meta_step,
     train,
 )
-from zoft.paramspace import BlockPartition, NoiseSeed, ParamVector
+from zoft.paramspace import BlockPartition, NoiseSeed, ParamVector, PerturbScales
 from zoft.testbeds import QuadraticFamily, QuadraticTask
 from zoft.zo_optimizer import LossPair, step_features
 from zoft import pertnn
@@ -239,6 +239,32 @@ class TestMetaStepAndTrain:
         assert not np.array_equal(net.b2, before_b2)
         assert state.loss_pair is not None
         assert rec.loss == pytest.approx(task.loss(before_theta, 0))
+
+    def test_meta_step_builds_no_perturb_scales(self, monkeypatch):
+        # the scales stay arrays from the network to the backward pass
+        built = []
+        check = PerturbScales.__post_init__
+        monkeypatch.setattr(PerturbScales, "__post_init__",
+                            lambda self: built.append(1) or check(self))
+        task = two_block_task()
+        theta = ParamVector(task.init_theta(0), task.partition)
+        net = pertnn.init(task.partition, hidden=4, seed=NoiseSeed(0))
+        z = np.random.default_rng(1).standard_normal(5)
+        for normalize in (True, False):
+            config = MetaConfig(eta1=0.05, eta2=0.1, steps=1, seed=0, normalize=normalize)
+            meta_step(theta, net, task, TaskState.fresh(2), 0, config, z)
+        assert built == []
+
+    def test_invalid_scales_are_divergence(self):
+        # b2 = -800 underflows every block's softplus to 0: no budget to meet
+        fam = QuadraticFamily(block_sizes=(2, 3), ranks=(2.0, 3.0), seed=0)
+        tasks = fam.make_tasks(1)
+        net = pertnn.constant_params(tasks[0].partition, 2)
+        net.b2[:] = -800.0
+        with pytest.raises(DivergenceError, match="invalid scales at step 1") as info, \
+                np.errstate(divide="ignore", invalid="ignore"):
+            train(MetaConfig(eta1=0.05, eta2=0.01, steps=2, seed=0), tasks, net)
+        assert isinstance(info.value.__cause__, InvalidScaleError)
 
     def test_train_record_accounting(self):
         fam = QuadraticFamily(block_sizes=(2, 3), ranks=(1.0, 3.0), seed=0)

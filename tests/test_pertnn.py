@@ -13,6 +13,7 @@ from zoft.errors import (
 )
 from zoft.paramspace import BlockPartition, NoiseSeed
 from zoft import pertnn
+from zoft.zo_optimizer import _used_scales
 
 
 def partition():
@@ -94,10 +95,20 @@ class TestForward:
         assert raw == pytest.approx(expected, rel=1e-15)
 
     def test_input_validation(self):
-        features = np.ones((2, 5))
-        features[1, 3] = np.nan
-        with pytest.raises(NumericOverflowError), np.errstate(invalid="ignore"):
-            pertnn.forward_all(random_params(), features)
+        # forward_all checks nothing; the step's one pass flags a NaN feature
+        # row, and only that row, or raises for a vector
+        features = np.ones((3, 2, 5))
+        features[1, 1, 3] = np.nan
+        failures = {}
+        with np.errstate(invalid="ignore"):
+            _, used, _ = _used_scales(random_params(), features, partition(), True,
+                                      failures)
+            assert list(failures) == [1]
+            assert isinstance(failures[1], NumericOverflowError)
+            assert "blocks b" in str(failures[1])
+            assert np.all(used[1] == 1.0) and np.all(np.isfinite(used))
+            with pytest.raises(NumericOverflowError, match="blocks b"):
+                _used_scales(random_params(), features[1], partition(), False)
 
     def test_forward_all_shape_check(self):
         params = random_params()

@@ -194,6 +194,33 @@ class TestFailures:
         with pytest.raises(DivergenceError, match="invalid scales"):
             run_finetune(near, 0.05, config, net)
 
+    def test_bad_network_output_and_overflowing_budget_leave_only_their_rows(self):
+        # h0 = tanh(block mean), h1 = tanh(100) == 1 and y = 1e308 (h0 + h1):
+        # a mean near -100 makes h0 == -1 and y == 0 (unit raw scales), one
+        # near 0 gives y ~ 1e308, whose square overflows the budget, and one
+        # near 100 overflows y itself
+        def task(mean, init_scale=1.0):
+            return make_rank_family([4, 4], [2.0, 3.0], [1.0, 1.0], seed=0,
+                                    init_scale=init_scale, theta_star=np.full(8, mean))
+        healthy, budget, overflow = task(-100.0), task(0.0, 0.1), task(100.0)
+        net = pertnn.constant_params(healthy.partition, 2)
+        net.w1[:, 0, 3] = 1.0
+        net.b1[:, 1] = 100.0
+        net.w2[:] = 1e308
+        config = ZOConfig(5, mode="finetuner", seed=0)
+        models = [healthy, budget, healthy, overflow]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = assert_rows_match(models, [0.05, 0.05, 0.1, 0.05], config, net)
+            causes = [type(o.__cause__) if isinstance(o, DivergenceError) else None
+                      for o in outcomes]
+            assert causes == [None, InvalidScaleError, None, NumericOverflowError]
+            assert all(np.allclose(o.scales, 1.0) for o in (outcomes[0], outcomes[2]))
+            with pytest.raises(DivergenceError, match="non-finite value at step 1: "
+                               "non-finite activation in blocks block0, block1"):
+                run_finetune(overflow, 0.05, config, net)
+            with pytest.raises(DivergenceError, match="invalid scales at step 1"):
+                run_finetune(budget, 0.05, config, net)
+
     def test_rejects_mismatched_inputs(self):
         model = make_rank_family([4, 4], [2.0, 3.0], [1.0, 1.0], seed=0)
         other = make_rank_family([4, 5], [2.0, 3.0], [1.0, 1.0], seed=0)

@@ -20,6 +20,7 @@ from zoft.zo_optimizer import (
     StepRecord,
     ZOConfig,
     _scales_for_step,
+    _used_scales,
     normalize_scales,
     run_finetune,
     step,
@@ -66,32 +67,44 @@ def reference_step(theta, state, batch, config, loss_of, learning_rate, pertnn=N
 class TestNormalizeScales:
     def test_budget_is_dimension(self):
         p = partition()
-        raw = PerturbScales(np.array([0.3, 7.0]), p)
-        out = normalize_scales(raw)
-        assert out.budget() == pytest.approx(p.total, rel=1e-15)
+        out = normalize_scales(np.array([0.3, 7.0]), p)
+        assert float(p.sizes @ out**2) == pytest.approx(p.total, rel=1e-15)
 
     def test_ratios_preserved(self):
-        p = partition()
-        raw = PerturbScales(np.array([0.3, 7.0]), p)
-        out = normalize_scales(raw)
-        assert out.stds[1] / out.stds[0] == pytest.approx(7.0 / 0.3, rel=1e-12)
+        out = normalize_scales(np.array([0.3, 7.0]), partition())
+        assert out[1] / out[0] == pytest.approx(7.0 / 0.3, rel=1e-12)
 
     def test_unit_scales_fixed_point(self):
-        out = normalize_scales(PerturbScales.unit(partition()))
-        assert np.allclose(out.stds, 1.0, rtol=1e-15)
+        out = normalize_scales(np.ones(2), partition())
+        assert np.allclose(out, 1.0, rtol=1e-15)
 
     def test_rejects_nonpositive(self):
+        # normalization checks nothing; the step's one check flags a raw
+        # scale whose softplus underflows to 0, which normalizing keeps at 0
+        net = pertnn.constant_params(partition(), hidden=1)
+        net.b2[1] = -800.0
+        features = np.zeros((2, 5))
         with pytest.raises(InvalidScaleError):
-            normalize_scales(
-                PerturbScales(np.array([1.0, 0.0]), partition(), allow_zero=True)
-            )
+            _used_scales(net, features, partition(), normalize=True)
+        failures = {}
+        _, used, _ = _used_scales(net, np.zeros((3, 2, 5)), partition(), True, failures)
+        assert list(failures) == [0, 1, 2] and np.all(used == 1.0)
 
     @given(s1=st.floats(1e-3, 1e3), s2=st.floats(1e-3, 1e3))
     @settings(max_examples=100, deadline=None)
     def test_budget_property(self, s1, s2):
         p = partition()
-        out = normalize_scales(PerturbScales(np.array([s1, s2]), p))
-        assert out.budget() == pytest.approx(p.total, rel=1e-12)
+        out = normalize_scales(np.array([s1, s2]), p)
+        assert float(p.sizes @ out**2) == pytest.approx(p.total, rel=1e-12)
+
+    def test_rows_match_one_vector_at_a_time(self):
+        p = partition()
+        rows = np.random.default_rng(0).uniform(0.05, 20.0, (7, 2))
+        out = normalize_scales(rows, p)
+        for row, want in zip(rows, out):
+            assert np.array_equal(normalize_scales(row, p), want)
+            # and the budget of one vector is np.dot's, bit for bit
+            assert np.vecdot(row**2, p.sizes) == float(np.dot(p.sizes, row**2))
 
 
 class TestSPSAEstimate:
@@ -228,6 +241,26 @@ class TestStep:
         assert _scales_for_step(vector, state, config, None, 0.0).stds.shape == (2,)
         other = ParamVector(np.zeros(8), BlockPartition([("x", 4), ("y", 4)]))
         assert _scales_for_step(other, state, config, None, 0.0).partition is other.partition
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_finetuner_step_builds_one_perturb_scales(self, monkeypatch, rows):
+        built = []
+        check = PerturbScales.__post_init__
+        monkeypatch.setattr(PerturbScales, "__post_init__",
+                            lambda self: built.append(1) or check(self))
+        task = quadratic()
+        start = task.init_theta(0)
+        theta = ParamVector(start if rows is None else np.tile(start, (rows, 1)),
+                            partition())
+        state = OptState()
+        net = pertnn.init(partition(), hidden=8, seed=NoiseSeed(2))
+        config = ZOConfig(1, mode="finetuner", seed=0)
+        loss = task.loss if rows is None else (
+            lambda values, batch: np.array([task.loss(v) for v in values]))
+        lr = 0.05 if rows is None else np.full(rows, 0.05)
+        for t in range(1, 4):
+            step(theta, state, t, config, loss, lr, net, failures={})
+            assert len(built) == t
 
     def test_budget_invariant_every_step(self):
         task = quadratic()
