@@ -14,11 +14,12 @@ matching the deployed optimizer is also available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBoundError
+from .errors import DegenerateBoundError, NumericOverflowError
 from .paramspace import _CHUNK, BlockPartition, PerturbScales
 from .testbeds import QuadraticTask
 
@@ -303,6 +304,7 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
                  law: str = "sphere") -> BoundReport | list[BoundReport]:
     """Evaluate both bounds against the measured expected decrease.
 
+    A bound or measurement that is not finite raises NumericOverflowError.
     Checks, each recorded as a violation string when it fails:
       * measured E[dL] <= blockwise bound at the given scales + 4 stderr,
       * blockwise(optimal) <= blockwise(unit) <= uniform-rank bound,
@@ -344,6 +346,10 @@ def _report(inputs: BoundInputs, task: QuadraticTask, scales: PerturbScales,
     else:
         opt = optimal_scales(inputs)
     bw_opt = blockwise_bound(inputs, opt)
+    # a nan makes every check below false and an infinite stderr makes its
+    # slack infinite: either would pass every check
+    if not all(map(math.isfinite, (mz, bw_unit, bw_given, bw_opt, mc_mean, mc_stderr, closed))):
+        raise NumericOverflowError(f"non-finite bound or measured decrease at eta {eta:g}")
 
     violations = []
     slack = 4.0 * mc_stderr

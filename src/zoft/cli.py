@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness
 from .config import ExperimentConfig
 from .errors import CheckpointError, ConfigError, DivergenceError
@@ -49,7 +51,10 @@ def main(argv=None) -> int:
         section = "bounds" if args.command == "verify-bounds" else "task"
         if args.seed is not None and cfg.has_section(section):
             cfg.set(section, "seed", str(args.seed))
-        code = _COMMANDS[args.command](cfg, Path(args.out), timing=args.timing)
+        # every value the package produces is checked where it is used, so a
+        # numpy warning would only print ahead of the documented error line
+        with np.errstate(all="ignore"):
+            code = _COMMANDS[args.command](cfg, Path(args.out), timing=args.timing)
     except (ConfigError, CheckpointError, OSError) as exc:
         print(f"zoft: config error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,13 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import meta_trainer, pertnn as pertnn_mod
 from .config import ExperimentConfig, build_task_source
-from .errors import ConfigError, DegenerateBoundError, DimensionMismatchError, DivergenceError
+from .errors import (
+    ConfigError,
+    DegenerateBoundError,
+    DimensionMismatchError,
+    DivergenceError,
+    NumericOverflowError,
+)
 from .paramspace import NoiseSeed, PerturbScales
 from .testbeds import check_ranks, make_rank_family
 from .zo_optimizer import Trajectory, ZOConfig, run_population
@@ -418,9 +424,10 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir: Path, timing: bool = False
                 task, task.init_theta(seed), PerturbScales.unit(task.partition), etas,
                 n=samples, seed=seed,
             )
-        except (DegenerateBoundError, OverflowError) as exc:
-            # an eta whose square overflows, or an eta or shift so small that
-            # every quadratic coefficient is 0
+        except (DegenerateBoundError, NumericOverflowError, OverflowError) as exc:
+            # an eta whose square overflows, an eta or shift so large that a
+            # bound or the measured decrease is not finite, or an eta or
+            # shift so small that every quadratic coefficient is 0
             raise ConfigError(
                 f"{cfg.path}: rank profile {rank_str} has no finite bound with a non-zero "
                 f"quadratic term at [bounds] etas = {', '.join(map(_fmt, etas))} and "

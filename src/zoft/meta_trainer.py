@@ -73,10 +73,8 @@ class MetaEval:
     loss_pair: LossPair
     raw_stds: np.ndarray
     used_stds: np.ndarray
-    u: np.ndarray
     theta1: np.ndarray
     cache: pertnn_mod.ForwardCache
-    z: np.ndarray
 
 
 def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
@@ -97,7 +95,7 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     l_zo = float(task.loss(theta1, batch))
     return MetaEval(
         l_zo=l_zo, coeff=coeff, loss_pair=LossPair(loss_plus, loss_minus),
-        raw_stds=raws, used_stds=used, u=u, theta1=theta1, cache=cache, z=z,
+        raw_stds=raws, used_stds=used, theta1=theta1, cache=cache,
     )
 
 

@@ -322,17 +322,19 @@ def block_stats(theta: ParamVector):
     same ufunc reductions on the same slice, without numpy's Python-level
     wrappers and with the block sum taken once.
     """
-    values, partition = theta.values, theta.partition
-    means = np.empty(values.shape[:-1] + (partition.n_blocks,))
+    # one path for both shapes: through the transpose a block is values[sl]
+    # and its mean a scalar (vector) or one value per row that broadcasts
+    # without indexing; a vector's transpose is itself
+    values, partition = theta.values.T, theta.partition
+    means = np.empty((partition.n_blocks,) + values.shape[1:])
     variances = np.empty_like(means)
     for i, (sl, n) in enumerate(zip(partition.slices, partition.py_sizes)):
-        vals = values[..., sl]
-        # a row reduction sums each row exactly as the same reduction over
-        # that row alone, so rows match their vectors too
-        mean = np.add.reduce(vals, axis=-1, keepdims=True)
-        mean /= n
+        vals = values[sl]
+        # the reductions run along each row's memory, exactly as the same
+        # reduction over that row alone, so rows match their vectors too
+        mean = np.add.reduce(vals) / n
         dev = np.subtract(vals, mean)  # a block-sized temporary, as in np.var
         np.square(dev, out=dev)
-        means[..., i] = mean[..., 0]
-        variances[..., i] = np.add.reduce(dev, axis=-1) / n
-    return means, variances
+        means[i] = mean
+        variances[i] = np.add.reduce(dev) / n
+    return means.T, variances.T

@@ -69,6 +69,15 @@ class PertNNParams:
     def arrays(self) -> tuple:
         return (self.w1, self.b1, self.w2, self.b2)
 
+    @classmethod
+    def _wrap(cls, block_names, hidden, w1, b1, w2, b2) -> "PertNNParams":
+        """Unchecked: for arrays of the right shapes that the package computed
+        itself, such as gradients.  Weights from outside go through __init__."""
+        params = cls.__new__(cls)
+        params.block_names, params.hidden = block_names, hidden
+        params.w1, params.b1, params.w2, params.b2 = w1, b1, w2, b2
+        return params
+
     def copy(self) -> "PertNNParams":
         return PertNNParams(self.block_names, self.hidden,
                             *(a.copy() for a in self.arrays))
@@ -132,19 +141,19 @@ def backward(params: PertNNParams, cache: ForwardCache, upstream):
 
     `upstream` is a scalar or one value per block, and the cache is of one
     (n_blocks, 5) feature matrix.  Returns (grad_params, grad_input);
-    grad_input has the shape of cache.x.
+    grad_input has the shape of cache.x.  The gradients are new arrays that
+    alias neither the parameters nor the cache, and are not checked.
     """
     w1, w2 = params.w1, params.w2
     if cache.h.shape != w2.shape or cache.x.shape != w1.shape[:-2] + (N_FEATURES,):
         raise ContractViolationError("cache does not match these parameters")
-    sig = np.reshape([_sigmoid(v) for v in np.ravel(cache.y).tolist()], np.shape(cache.y))
+    sig = np.array([_sigmoid(v) for v in cache.y.tolist()])
     dy = upstream * sig
     dpre = (dy[..., None] * w2) * (1.0 - cache.h**2)
-    grads = params.zeros_like()
-    grads.w2[:] = dy[..., None] * cache.h
-    grads.b2[:] = dy
-    grads.w1[:] = dpre[..., :, None] * cache.x[..., None, :]
-    grads.b1[:] = dpre
+    grads = PertNNParams._wrap(
+        params.block_names, params.hidden,
+        dpre[..., :, None] * cache.x[..., None, :], dpre, dy[..., None] * cache.h, dy,
+    )
     grad_input = (w1.swapaxes(-1, -2) @ dpre[..., None])[..., 0]
     return grads, grad_input
 

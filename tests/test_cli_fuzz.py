@@ -12,7 +12,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from zoft import cli
@@ -63,8 +62,7 @@ def test_one_bad_key_never_raises(tmp_path):
             out = Path(tmp)
             shutil.copy(ckpt, out)
             path = write_ini(out / f"{name}.ini", sections)
-            with np.errstate(all="ignore"):
-                code = cli.main([COMMANDS[name], "--config", str(path), "--out", str(out)])
+            code = cli.main([COMMANDS[name], "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3, 4), (name, section, key, value, code)
         codes.append(code)
 

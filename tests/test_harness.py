@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zoft
 from zoft import cli, harness
 from zoft.config import ExperimentConfig
 from zoft.errors import ConfigError
@@ -361,11 +367,10 @@ lr_grid = 0.001, 0.01, 1e155
 steps = 20
 batch_size = 4
 """)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["finetune", "--config", str(cfg),
-                             "--out", str(tmp_path / "f")]) == 3
-            assert cli.main(["sweep-lr", "--config", str(cfg),
-                             "--out", str(tmp_path / "s")]) == 0
+        assert cli.main(["finetune", "--config", str(cfg),
+                         "--out", str(tmp_path / "f")]) == 3
+        assert cli.main(["sweep-lr", "--config", str(cfg),
+                         "--out", str(tmp_path / "s")]) == 0
         flags = (tmp_path / "s" / "sweep_flags.csv").read_text().splitlines()[1:]
         assert [line.split(",")[3] for line in flags][-1] == "diverged"
 
@@ -426,9 +431,8 @@ steps = 5
 
     def test_meta_training_overflow_is_divergence(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TASK + TRAIN.replace("eta1 = 0.05", "eta1 = 1e200"))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["train-finetuner", "--config", str(cfg),
-                             "--out", str(tmp_path / "o")])
+        code = cli.main(["train-finetuner", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
         assert code == 3
         assert "zoft: divergence" in capsys.readouterr().err
 
@@ -443,14 +447,20 @@ steps = 5
          "[task] shift_scale"),
         ("shift_scale = 1e-300\n", "rank_profiles = 1,4\netas = 0.02\nsamples = 100\n",
          "[task] shift_scale"),
+        ("shift_scale = 1e160\n", "rank_profiles = 1,4\netas = 0.02\nsamples = 100\n",
+         "[task] shift_scale"),
+        ("shift_scale = 1e150\n", "rank_profiles = 1,4\netas = 0.02\nsamples = 100\n",
+         "[task] shift_scale"),
     ], ids=["one-sample", "negative-eta", "no-etas", "no-profiles", "huge-eta", "tiny-eta",
-            "zero-shift", "tiny-shift"])
+            "zero-shift", "tiny-shift", "nan-bounds", "inf-stderr"])
     def test_bad_verify_bounds_input(self, tmp_path, capsys, task, bounds, names):
         # one sample has no stderr, so every check passed vacuously; a
         # negative eta was a traceback; no etas or profiles wrote a
         # header-only bounds.csv; a step size whose square overflows
         # (OverflowError), or a bound whose quadratic term is 0 everywhere
-        # (DegenerateBoundError) was a traceback
+        # (DegenerateBoundError) was a traceback; a shift so large that the
+        # bounds are nan, or that the Monte-Carlo stderr is infinite, passed
+        # every check and exited 0
         cfg = write_config(tmp_path, "[task]\nblock_sizes = 4, 8\n" + task + "\n[bounds]\n"
                            "seed = 0\n" + bounds)
         out = tmp_path / "o"
@@ -474,13 +484,33 @@ steps = 5
         sections = clamped(command)
         sections[section][key] = value
         cfg = write_ini(tmp_path / "exp.ini", sections)
-        with np.errstate(all="ignore"):
-            code = cli.main([COMMANDS[command], "--config", str(cfg),
-                             "--out", str(tmp_path / "o")])
+        code = cli.main([COMMANDS[command], "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 3
         assert "zoft: divergence: invalid scales at step 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, section, key, value, code, line", [
+        ("train", "train", "eta2", "1e300", 3, "zoft: divergence: invalid scales at step 1"),
+        ("bounds", "bounds", "etas", "1e100", 2, "zoft: config error: "),
+    ], ids=["eta2-1e300", "etas-1e100"])
+    def test_stderr_holds_only_the_error_line(self, tmp_path, command, section, key, value,
+                                              code, line):
+        # numpy RuntimeWarnings printed ahead of the error line; pytest
+        # captures warnings in process, so the command runs in its own
+        sections = clamped(command)
+        sections[section][key] = value
+        cfg = write_ini(tmp_path / "exp.ini", sections)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(zoft.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "zoft.cli", COMMANDS[command], "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(line), proc.stderr
 
     def test_checkpoint_that_is_a_directory(self, tmp_path, capsys):
         # reading it was an IsADirectoryError traceback

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,8 +12,10 @@ from zoft.errors import (
     NumericOverflowError,
     TruncatedCheckpointError,
 )
-from zoft.paramspace import BlockPartition, NoiseSeed
+from zoft.meta_trainer import MetaConfig, TaskState, meta_step
+from zoft.paramspace import BlockPartition, NoiseSeed, ParamVector
 from zoft import pertnn
+from zoft.testbeds import QuadraticTask
 from zoft.zo_optimizer import _used_scales
 
 
@@ -168,6 +171,46 @@ class TestBackward:
         _, cache = forward_block(other, np.ones(5), 0)
         with pytest.raises(ContractViolationError):
             pertnn.backward(params, cache, 1.0)
+
+
+class TestLeanBackward:
+    """backward wraps the arrays it computes without checking them."""
+
+    def test_gradients_alias_nothing(self):
+        params = random_params()
+        features = np.random.default_rng(0).normal(size=(params.n_blocks, pertnn.N_FEATURES))
+        _, cache = pertnn.forward_all(params, features)
+        upstream = np.array([0.5, -2.0])
+        kept = [a.copy() for a in (*params.arrays, cache.x, cache.h, cache.y, upstream)]
+        grads, grad_input = pertnn.backward(params, cache, upstream)
+        gin = grad_input.copy()
+        assert grads.block_names == params.block_names and grads.hidden == params.hidden
+        for a, b in itertools.combinations((*grads.arrays, grad_input), 2):
+            assert not np.shares_memory(a, b)
+        for arr in grads.arrays:
+            arr += 1.0
+        now = (*params.arrays, cache.x, cache.h, cache.y, upstream)
+        assert all(np.array_equal(a, b) for a, b in zip(now, kept))
+        assert np.array_equal(grad_input, gin)
+
+    def test_meta_step_builds_no_validated_params(self, monkeypatch):
+        # the network's weights are checked where they come from outside
+        # (init, load, copy); a meta-step's gradients are the package's own
+        built = []
+        check = pertnn.PertNNParams.__init__
+        monkeypatch.setattr(pertnn.PertNNParams, "__init__",
+                            lambda self, *args: built.append(1) or check(self, *args))
+        part = BlockPartition([("a", 2), ("b", 3)])
+        rng = np.random.default_rng(0)
+        task = QuadraticTask(part, eigs=rng.uniform(0.2, 2.0, 5), theta_star=rng.normal(size=5))
+        theta = ParamVector(task.init_theta(0), part)
+        net = pertnn.init(part, hidden=4, seed=NoiseSeed(0))
+        built.clear()
+        z = rng.standard_normal(5)
+        for normalize in (True, False):
+            config = MetaConfig(eta1=0.05, eta2=0.1, steps=1, seed=0, normalize=normalize)
+            meta_step(theta, net, task, TaskState.fresh(2), 0, config, z)
+        assert built == []
 
 
 class TestParams:
