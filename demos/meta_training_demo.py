@@ -45,10 +45,9 @@ def main():
     trained, log = train(cfg, tasks, init_params)
 
     print("\nmeta objective at reset boundaries:")
-    for t in [1] + list(log.reset_steps):
-        recs = [r for r in log.records if r.t == t]
+    for t in [1] + log.reset_steps:
         print(f"  step {t:>3}: mean l_zo over tasks = "
-              f"{np.mean([r.l_zo for r in recs]):.4f}")
+              f"{np.mean(log.l_zo[log.t == t]):.4f}")
 
     print("\nstds after training: ", np.round(emitted_stds(trained, probe), 3))
     print("(block 2 is flat and far from optimum; it should get the larger std)")

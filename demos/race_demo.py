@@ -36,8 +36,8 @@ def main():
     print("meta-training on 8 tasks for 500 steps ...")
     trained, log = train(meta_cfg, tasks,
                          pertnn_init(tasks[0].partition, 32, NoiseSeed(0)))
-    print(f"meta objective: first {log.records[0].l_zo:.4f}, "
-          f"last {log.records[-1].l_zo:.4f}")
+    print(f"meta objective: first {log.l_zo[0]:.4f}, "
+          f"last {log.l_zo[-1]:.4f}")
 
     held_out = family.make_task(100)
     grid = [0.02, 0.05, 0.125]

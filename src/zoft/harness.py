@@ -44,9 +44,14 @@ def _run_settings(cfg: ExperimentConfig, section: str):
 
 
 def _write_lines(path: Path, lines) -> None:
+    """Write each line of the iterable `lines`, UTF-8 and ending in a newline,
+    one at a time: a generator's text is never held whole.  The file is binary,
+    so each encoded line goes straight into the file's buffer; a text file
+    would keep every small write as a string object until its chunk fills."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    with open(path, "wb") as f:
+        for line in lines:
+            f.write(f"{line}\n".encode())
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +198,15 @@ def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, timing: bool = Fal
     ckpt = out_dir / cfg.get("train", "checkpoint")
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     pertnn_mod.save(trained, ckpt)
-    lines = ["step,task,l_zo,loss,reset"]
-    for rec in log.records:
-        lines.append(
-            f"{rec.t},{rec.task},{_fmt(rec.l_zo)},{_fmt(rec.loss)},{int(rec.reset)}"
-        )
-    _write_lines(out_dir / "meta_log.csv", lines)
+    _write_lines(out_dir / "meta_log.csv", _meta_log_rows(log))
     return 0
+
+
+def _meta_log_rows(log: meta_trainer.MetaLog):
+    """meta_log.csv's lines, made one at a time from the log's columns."""
+    yield "step,task,l_zo,loss,reset"
+    for t, task, l_zo, loss, reset in zip(log.t, log.task, log.l_zo, log.loss, log.reset):
+        yield f"{t},{log.task_names[task]},{_fmt(l_zo)},{_fmt(loss)},{int(reset)}"
 
 
 def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:

@@ -6,12 +6,15 @@ the post-update loss is backpropagated to the network's weights through the
 reparameterized perturbation u = s(omega) * z.  The finite-difference
 coefficient c is treated as a constant during that backward pass (gradient
 cut-off), tasks are shuffled every outer step, and the model is periodically
-reset to its initial state.
+reset to its initial state.  The run's log is columnar (MetaLog): one entry
+per inner step in arrays allocated before the first step, with no record
+object kept per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,13 +125,9 @@ def meta_grad(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     return grads, ev
 
 
-@dataclass
-class MetaStepRecord:
-    t: int
-    task: str
+class MetaStepRecord(NamedTuple):
     l_zo: float
     loss: float  # unperturbed loss before the model's SGD move
-    reset: bool = False
 
 
 def meta_step(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
@@ -140,13 +139,31 @@ def meta_step(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     theta.values -= config.eta1 * task.grad(theta.values, batch)
     task_state.loss_pair = ev.loss_pair
     task_state.scales = ev.used_stds.copy()
-    return MetaStepRecord(t=0, task=task.name, l_zo=ev.l_zo, loss=loss_t)
+    return MetaStepRecord(l_zo=ev.l_zo, loss=loss_t)
 
 
 @dataclass
 class MetaLog:
-    records: list = field(default_factory=list)
-    reset_steps: list = field(default_factory=list)
+    """A meta-training run's inner steps as columns: entry k holds the k-th
+    inner step, in the order train ran them."""
+
+    task_names: tuple  # the names that `task` indexes
+    t: np.ndarray  # (n,) outer step
+    task: np.ndarray  # (n,) index of the step's task
+    l_zo: np.ndarray  # (n,) post-update loss of the meta-objective
+    loss: np.ndarray  # (n,) unperturbed loss before the model's SGD move
+    reset: np.ndarray  # (n,) bool: the model was reset after this step
+
+    @classmethod
+    def empty(cls, task_names, n: int) -> "MetaLog":
+        return cls(tuple(task_names), np.zeros(n, dtype=np.int64),
+                   np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n),
+                   np.zeros(n, dtype=bool))
+
+    @property
+    def reset_steps(self) -> list:
+        """The outer steps after which the model was reset."""
+        return self.t[self.reset].tolist()
 
 
 def train(config: MetaConfig, tasks, pertnn, theta0: np.ndarray | None = None):
@@ -154,7 +171,8 @@ def train(config: MetaConfig, tasks, pertnn, theta0: np.ndarray | None = None):
 
     All tasks must share one partition; the model parameters are shared across
     tasks and follow the first-order trajectory, reset to theta0 every
-    reset_period outer steps.
+    reset_period outer steps.  The log's columns are allocated up front, so
+    nothing else the loop keeps grows with the step count.
     """
     if not tasks:
         raise ConfigError("task list must not be empty")
@@ -169,7 +187,8 @@ def train(config: MetaConfig, tasks, pertnn, theta0: np.ndarray | None = None):
     theta = ParamVector(theta0.copy(), partition)
     states = [TaskState.fresh(partition.n_blocks) for _ in tasks]
     shuffle_rng = np.random.default_rng([_SHUFFLE_TAG, config.seed])
-    log = MetaLog()
+    log = MetaLog.empty([task.name for task in tasks], config.steps * len(tasks))
+    k = 0  # the log entry of the next inner step
     initial_loss = None
     for t in range(1, config.steps + 1):
         order = shuffle_rng.permutation(len(tasks))
@@ -182,19 +201,18 @@ def train(config: MetaConfig, tasks, pertnn, theta0: np.ndarray | None = None):
                 partition.total
             )
             try:
-                record = meta_step(theta, pertnn, task, states[idx], batch, config, z)
+                l_zo, loss = meta_step(theta, pertnn, task, states[idx], batch, config, z)
             except (NumericOverflowError, InvalidScaleError) as exc:
                 raise _divergence(t, exc) from exc
-            record.t = t
-            log.records.append(record)
+            log.t[k], log.task[k], log.l_zo[k], log.loss[k] = t, idx, l_zo, loss
+            k += 1
             if initial_loss is None:
-                initial_loss = abs(record.loss) + 1e-300
-            if abs(record.loss) > DIVERGENCE_FACTOR * initial_loss:
+                initial_loss = abs(loss) + 1e-300
+            if abs(loss) > DIVERGENCE_FACTOR * initial_loss:
                 raise DivergenceError(
-                    f"meta-training loss {record.loss:.3e} diverged at step {t}"
+                    f"meta-training loss {loss:.3e} diverged at step {t}"
                 )
         if t % config.reset_period == 0:
             theta.values[:] = theta0
-            log.reset_steps.append(t)
-            log.records[-1].reset = True
+            log.reset[k - 1] = True
     return pertnn, log

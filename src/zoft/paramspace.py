@@ -3,6 +3,9 @@
 Perturbation noise is never stored: every draw is regenerated bit-exactly from a
 (seed, stream) pair, consumed block by block, so a perturbation can be applied,
 reversed, and re-applied without keeping a second parameter-sized buffer alive.
+A stream is reached by rewinding one shared generator to its seed's base state
+and advancing it, so nothing is kept per stream, and a run's memory does not
+grow with its step count.
 A walk regenerates the noise in fixed-size chunks into reused scratch, so its
 own memory is O(chunk) at any dimension, and it can apply several moves along
 one regeneration.  A vector of one span (d <= 32768 values) keeps its noise
@@ -187,26 +190,19 @@ def _generator() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-@lru_cache(maxsize=8192)
-def _stream_rng_state(seed: int, stream: int):
-    bg = _generator().bit_generator
-    bg.state = _base_rng_state(seed)
-    if stream:
-        bg.advance((stream * _STREAM_STRIDE) & _STATE_MASK)
-    return bg.state
-
-
 def _stream_rng(seed: NoiseSeed) -> np.random.Generator:
     """Generator rewound to the start of the (seed, stream) noise stream.
 
     Stream k of a given seed is PCG64 seeded from (tag, seed) and advanced by
     k * stride states; blocks are drawn from it sequentially in partition
-    order.  Stream states are cached and the module's generator is rewound
-    to the cached state, since the same stream is replayed several times per
-    optimizer step.
+    order.  Only the seed's base state is cached: every call rewinds the
+    module's generator to it and advances, so nothing is kept per stream,
+    although every optimizer step opens a new one.
     """
     gen = _generator()
-    gen.bit_generator.state = _stream_rng_state(seed.seed, seed.stream)
+    gen.bit_generator.state = _base_rng_state(seed.seed)
+    if seed.stream:
+        gen.bit_generator.advance((seed.stream * _STREAM_STRIDE) & _STATE_MASK)
     return gen
 
 

@@ -272,9 +272,9 @@ class TestMetaStepAndTrain:
         net = pertnn.init(tasks[0].partition, hidden=4, seed=NoiseSeed(0))
         config = MetaConfig(eta1=0.05, eta2=0.01, steps=12, reset_period=5, seed=0)
         _, log = train(config, tasks, net)
-        assert len(log.records) == 12 * 3
+        assert len(log.l_zo) == 12 * 3
         assert log.reset_steps == [5, 10]
-        flagged = [r.t for r in log.records if r.reset]
+        flagged = log.t[log.reset].tolist()
         assert flagged == [5, 10]
 
     def test_train_is_deterministic_and_pure(self):
@@ -285,7 +285,7 @@ class TestMetaStepAndTrain:
         out1, log1 = train(config, tasks, net)
         out2, log2 = train(config, tasks, net)
         assert out1.equals(out2)
-        assert [r.l_zo for r in log1.records] == [r.l_zo for r in log2.records]
+        assert log1.l_zo.tolist() == log2.l_zo.tolist()
         # the input network is untouched
         assert net.equals(pertnn.init(tasks[0].partition, hidden=4, seed=NoiseSeed(0)))
 
@@ -296,7 +296,7 @@ class TestMetaStepAndTrain:
         config = MetaConfig(eta1=0.05, eta2=0.0, steps=6, seed=0)
         _, log = train(config, tasks, net)
         orders = [
-            tuple(r.task for r in log.records[k * 4 : (k + 1) * 4])
+            tuple(log.task_names[i] for i in log.task[k * 4 : (k + 1) * 4])
             for k in range(6)
         ]
         assert len(set(orders)) > 1  # not always the listed order
