@@ -3,14 +3,16 @@
 A run keeps its parameters, its output columns and O(chunk) scratch.  Each
 test measures the tracemalloc peak of a short and a long run and bounds the
 difference by the bytes of the output columns that the longer run adds, plus
-a small slack for allocator noise.
+a small slack for allocator noise.  The command line's parser, which only the
+collector can free, is gone before the command runs.
 """
 
+import argparse
 import gc
 import sys
 import tracemalloc
 
-from zoft import pertnn
+from zoft import cli, pertnn
 from zoft.harness import _write_lines
 from zoft.meta_trainer import MetaConfig, train
 from zoft.paramspace import NoiseSeed
@@ -111,3 +113,13 @@ class TestMemoryGrowth:
         assert path.read_bytes() == "".join(f"{line}\n" for line in lines(20_000)).encode()
         # a few KB of file buffer, against the text's 757 KB
         assert peak <= 16 * 1024
+
+
+def test_command_line_parser_is_freed_before_the_command():
+    def parsers() -> int:
+        return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+    before = parsers()
+    args = cli._parse_args(["train-finetuner", "--config", "train.ini"])
+    assert args.command == "train-finetuner"
+    assert parsers() == before
