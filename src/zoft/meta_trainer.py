@@ -13,6 +13,7 @@ object kept per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,6 +81,14 @@ class MetaEval:
     cache: pertnn_mod.ForwardCache
 
 
+def _finite_pair(plus: float, minus: float) -> LossPair:
+    """The pair, or NumericOverflowError: meta-training stops at its first
+    non-finite loss."""
+    if not (math.isfinite(plus) and math.isfinite(minus)):
+        raise NumericOverflowError(f"non-finite perturbed losses ({plus}, {minus})")
+    return LossPair(plus, minus)
+
+
 def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
               epsilon: float, eta1: float, z: np.ndarray,
               normalize: bool = True) -> MetaEval:
@@ -87,17 +96,18 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     prev_pair = task_state.loss_pair
     if prev_pair is None:
         l0 = float(task.loss(theta.values, batch))
-        prev_pair = LossPair(l0, l0)
+        prev_pair = _finite_pair(l0, l0)
     features = step_features(theta, prev_pair, task_state.scales)
     raws, used, cache = _used_scales(pertnn, features, theta.partition, normalize)
     u = np.repeat(used, theta.partition.sizes) * z
     loss_plus = float(task.loss(theta.values + epsilon * u, batch))
     loss_minus = float(task.loss(theta.values - epsilon * u, batch))
+    pair = _finite_pair(loss_plus, loss_minus)
     coeff = (loss_plus - loss_minus) / (2.0 * epsilon)
     theta1 = theta.values - eta1 * coeff * u
     l_zo = float(task.loss(theta1, batch))
     return MetaEval(
-        l_zo=l_zo, coeff=coeff, loss_pair=LossPair(loss_plus, loss_minus),
+        l_zo=l_zo, coeff=coeff, loss_pair=pair,
         raw_stds=raws, used_stds=used, theta1=theta1, cache=cache,
     )
 

@@ -8,16 +8,15 @@ and advancing it, so nothing is kept per stream, and a run's memory does not
 grow with its step count.
 A walk regenerates the noise in fixed-size chunks into reused scratch, so its
 own memory is O(chunk) at any dimension, and it can apply several moves along
-one regeneration.  A vector of one span (d <= 32768 values) keeps its noise
+one regeneration.  A partition of one span (d <= 32768 values) keeps its noise
 between walks, so the three walks of an optimizer step draw it once; a longer
-vector regenerates it on every walk.  Parameters and scales may carry a
-leading row axis: the rows of a population share one noise stream, so one
-draw serves every row.
+one regenerates it on every walk.  Parameters are (R, d) rows, one per run of
+a population, and a single (d,) vector walks as one row: the rows share one
+noise stream, so one draw serves every row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -83,22 +82,23 @@ def _span_plan(offsets, sizes) -> tuple:
     """The noise walk's plan: [0, d) cut into spans of up to _CHUNK values.
 
     A span may cover several blocks, and a block wider than a chunk spreads
-    over several spans.  Each span is (slice, length, pieces), with one
-    (sub-slice of the span, block index) piece per block it covers, in
-    partition order.
+    over several spans.  Each span is (slice, length, lengths, blocks): the
+    blocks it covers as a slice of block indices, and the length of each
+    one's piece of the span, in partition order.
     """
     total, n = offsets[-1] + sizes[-1], len(sizes)
     spans, i = [], 0
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        pieces = []
+        first, lengths = i, []
         while i < n and offsets[i] < hi:
             end = offsets[i] + sizes[i]
-            pieces.append((slice(max(offsets[i], lo) - lo, min(end, hi) - lo), i))
+            lengths.append(min(end, hi) - max(offsets[i], lo))
             if end > hi:
                 break  # the block goes on in the next span
             i += 1
-        spans.append((slice(lo, hi), hi - lo, tuple(pieces)))
+        spans.append((slice(lo, hi), hi - lo, np.array(lengths, dtype=np.intp),
+                      slice(first, first + len(lengths))))
     return tuple(spans)
 
 
@@ -140,13 +140,15 @@ class PerturbScales:
             raise PartitionMismatchError(
                 f"expected {self.partition.n_blocks} scales, got {self.stds.shape}"
             )
+        # one pass over valid scales; a failure then names what is wrong
+        low = self.stds >= 0.0 if self.allow_zero else self.stds > 0.0
+        if np.count_nonzero(low & (self.stds < np.inf)) == self.stds.size:
+            return
         if not np.isfinite(self.stds).all():
             raise InvalidScaleError("scales must be finite")
-        lo = 0.0 if self.allow_zero else None
-        if lo is None and (self.stds <= 0).any():
-            raise InvalidScaleError(f"scales must be strictly positive, got {self.stds}")
-        if self.allow_zero and np.any(self.stds < 0):
+        if self.allow_zero:
             raise InvalidScaleError(f"scales must be nonnegative, got {self.stds}")
+        raise InvalidScaleError(f"scales must be strictly positive, got {self.stds}")
 
     def per_coordinate(self) -> np.ndarray:
         """Expand to a length-d vector of per-coordinate standard deviations."""
@@ -263,51 +265,46 @@ def perturb_in_place(
 ) -> None:
     """theta <- theta + step * u(seed, scales) for each step in order.
 
-    theta may hold (R, d) rows, scales (R, n_blocks) rows and each step one
-    value per row; every row sees the same z, so z is drawn once for all.  u
-    is regenerated once, span by span (see _span_plan): each span's z is drawn
-    in one call, scaled block by block, and every step is applied to it
-    before the next span is drawn, so the result is bit-identical to one call
-    per step, per row and per block.  Scratch is one chunk of z and one chunk
-    per row, never a block- or d-sized buffer, which is the whole point of
-    the store-a-seed design.
+    theta holds (R, d) rows, or one (d,) vector that walks as one row;
+    scales hold one row per theta row or one set that every row shares, and
+    each step is one value, or one value per row.  Every row sees the same
+    z, so z is drawn once for all.  u is regenerated once, span by span (see
+    _span_plan): each span's z is drawn in one call, and every step is
+    applied to it before the next span is drawn.  Each step's factors
+    step * stds[i] are formed once per walk and spread over the values of
+    each span, so the result is bit-identical to one call per step, per row
+    and per block.  Scratch is one chunk of z and one chunk per row, never a
+    block- or d-sized buffer, which is the whole point of the store-a-seed
+    design.
 
     A partition of one span (d <= 32768 values) keeps its z between calls,
-    for a vector or for rows, so the three walks of an optimizer step draw it
-    once; a longer partition regenerates it on every walk.  Either way each
-    walk applies the same z bits, and the kept z is at most one chunk.
+    so the three walks of an optimizer step draw it once; a longer partition
+    regenerates it on every walk.  Either way each walk applies the same z
+    bits, and the kept z is at most one chunk.
 
-    A vector that became non-finite raises NumericOverflowError.  Rows are
-    left to the caller to check, since one row's overflow must not stop the
-    others.
+    Nothing here checks for overflow: the caller checks finiteness once per
+    step, since one row's overflow must not stop the others.
     """
     partition = theta.partition
     _check_scales(partition, scales)
-    rows, stds = theta.values, scales.stds
-    if rows.ndim == 2:
-        # per-row factors step * stds[i] as one (R, 1) column per block; a
-        # vector keeps the scalar factors that numpy multiplies fastest
-        stds = stds.reshape(-1, partition.n_blocks).T[..., None]
-        steps = [np.asarray(step)[..., None] for step in steps]
+    rows = theta.values.reshape(-1, partition.total)  # a view, for a vector too
+    # each step's (R, n_blocks) factors in one multiply
+    per_block = scales.stds.reshape(-1, partition.n_blocks).T
+    factors = [(per_block * step).T for step in steps]
     if len(partition.spans) == 1:
-        gen, z_buf = None, _KEPT.draw(seed, partition.total)
+        gen, z = None, _KEPT.draw(seed, partition.total)
     else:
         gen, z_buf = _stream_rng(seed), np.empty(partition.max_span)
-    move_buf = np.empty(rows.shape[:-1] + (partition.max_span,))
-    for sl, n, pieces in partition.spans:
-        z = z_buf[:n]
-        move = move_buf[..., :n]
-        dst = rows[..., sl]
+    for sl, n, lengths, blocks in partition.spans:
         if gen is not None:
+            z = z_buf[:n]
             gen.standard_normal(out=z)
-        for step in steps:
-            for part, i in pieces:
-                np.multiply(z[part], step * stds[i], out=move[..., part])
+        dst = rows[:, sl]
+        for factor in factors:
+            move = factor[:, blocks].repeat(lengths, axis=1)  # each value's factor
+            move *= z
             dst += move
-    # one cheap reduction: any inf/nan entry makes the sum non-finite, and a
-    # finite move never makes a non-finite entry finite again
-    if theta.values.ndim == 1 and not math.isfinite(rows.sum()):
-        raise NumericOverflowError("perturbation produced non-finite parameters")
+            del move  # one chunk per row at a time
 
 
 def block_stats(theta: ParamVector):

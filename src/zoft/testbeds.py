@@ -332,13 +332,7 @@ class MLPTask:
         replace = batch_size > self.n_samples
         return rng.choice(self.n_samples, size=batch_size, replace=replace)
 
-    def loss(self, values: np.ndarray, batch):
-        """The loss of a (d,) vector, or one loss per row of (R, d) rows."""
-        if values.ndim == 2:
-            return np.array([self._loss(row, batch) for row in values])
-        return self._loss(values, batch)
-
-    def _loss(self, values: np.ndarray, batch) -> float:
+    def loss(self, values: np.ndarray, batch) -> float:
         w1, b1, w2, b2 = self._unpack(values)
         xb, yb = self.X[batch], self.y[batch]
         hidden = np.tanh(xb @ w1 + b1)

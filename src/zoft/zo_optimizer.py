@@ -7,11 +7,14 @@ by walking theta in place to theta + eps*u and then to theta - eps*u.  A third
 regeneration of the same noise from its seed moves theta back by +eps and
 applies the update -lr*c*u in one fused walk, so a step regenerates u three
 times and never stores it.  `two_point` is that walk, and the only copy of it.
+
+Every fine-tuning run steps as rows: `run_population` holds R runs as (R, d)
+rows, and a single run is its one-row case.  A (d,) vector passed to `step`
+or `two_point` walks through the same statements as one row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,16 +60,11 @@ class ZOConfig:
 
 @dataclass
 class LossPair:
-    """The two perturbed losses of a step: floats for one run, or (R,) arrays
-    for a population, whose rows `step` checks one by one."""
+    """The two perturbed losses of a step: one entry per row, or what the
+    loss oracle returns for a (d,) vector.  Checking them is the step's job."""
 
     plus: float | np.ndarray
     minus: float | np.ndarray
-
-    def __post_init__(self):
-        if isinstance(self.plus, float) and not (
-                math.isfinite(self.plus) and math.isfinite(self.minus)):
-            raise NumericOverflowError(f"non-finite perturbed losses ({self.plus}, {self.minus})")
 
 
 @dataclass
@@ -160,7 +158,7 @@ def step_features(theta: ParamVector, prev_losses: LossPair,
 def _flag(failures, bad, error) -> None:
     """Record `error` for every row where `bad` holds; raise it when the
     caller keeps no failure record."""
-    if not bad.any():
+    if not np.count_nonzero(bad):
         return
     if failures is None:
         raise error
@@ -180,7 +178,8 @@ def _used_scales(pertnn, features, partition, normalize, failures=None):
     raw, cache = pertnn_mod.forward_all(pertnn, features)
     used = normalize_scales(raw, partition) if normalize else raw
     valid = (used > 0) & (used < np.inf)
-    if valid.all():  # a non-finite raw std makes its row's used stds non-finite
+    # a non-finite raw std makes its row's used stds non-finite
+    if np.count_nonzero(valid) == valid.size:
         return raw, used, cache
     names, finite = np.array(pertnn.block_names), np.isfinite(raw)
     blocks = ", ".join(names[~finite.reshape(-1, len(names)).all(axis=0)])
@@ -188,17 +187,17 @@ def _used_scales(pertnn, features, partition, normalize, failures=None):
           NumericOverflowError(f"non-finite activation in blocks {blocks}"))
     bad = ~valid.all(axis=-1)
     _flag(failures, bad, InvalidScaleError(
-        f"scales must be finite and strictly positive, got {used[bad] if bad.ndim else used}"))
+        f"scales must be finite and strictly positive, got {used[bad].ravel()}"))
     return raw, np.where(bad[..., None], 1.0, used), cache
 
 
 def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
     partition = theta.partition
-    lead = theta.values.shape[:-1]  # () for one run, (R,) for rows
     if config.mode == "mezo":
+        shape = theta.values.shape[:-1] + (partition.n_blocks,)
         unit = state._unit_scales
-        if unit is None or unit.partition is not partition or unit.stds.shape[:-1] != lead:
-            unit = PerturbScales(np.ones(lead + (partition.n_blocks,)), partition)
+        if unit is None or unit.partition is not partition or unit.stds.shape != shape:
+            unit = PerturbScales(np.ones(shape), partition)
             unit.stds.flags.writeable = False  # every step of the run shares it
             state._unit_scales = unit
         return unit
@@ -206,16 +205,13 @@ def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
         raise ValueError("finetuner mode requires scale-network parameters")
     prev_losses = state.prev_losses
     if prev_losses is None:
-        prev_losses = LossPair(current_loss, current_loss)  # raises for one vector
-        if lead:
-            _flag(failures, ~np.isfinite(current_loss),
-                  NumericOverflowError(f"non-finite loss {current_loss}"))
+        prev_losses = LossPair(current_loss, current_loss)
+        _flag(failures, ~np.isfinite(current_loss),
+              NumericOverflowError(f"non-finite loss {current_loss}"))
     prev_scales = (state.prev_scales if state.prev_scales is not None
                    else np.ones(partition.n_blocks))
     features = step_features(theta, prev_losses, prev_scales)
-    # a vector raises at its first failure, whatever the caller keeps
-    _, used, _ = _used_scales(pertnn, features, partition, config.normalize,
-                              failures if lead else None)
+    _, used, _ = _used_scales(pertnn, features, partition, config.normalize, failures)
     return PerturbScales(used, partition)
 
 
@@ -234,28 +230,21 @@ def two_point(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
     losses raise before the restore; given a `failures` dict, rows record
     them there instead (see step).
     """
-    perturb_in_place(theta, scales, seed, +epsilon)  # raises for one vector
+    perturb_in_place(theta, scales, seed, +epsilon)
     plus = losses()
     perturb_in_place(theta, scales, seed, -2.0 * epsilon)
     minus = losses()
-    pair = LossPair(plus, minus)  # raises for one vector
+    _flag(failures, ~(np.isfinite(plus) & np.isfinite(minus)),
+          NumericOverflowError("non-finite perturbed losses"))
     coeff = (plus - minus) / (2.0 * epsilon)
-    # the restore and the update share one regeneration of u; a run with a
-    # zero coefficient or rate gets the plain restore (a zero move adds +-0,
-    # which changes no entry a walk can leave behind: only -0 + +0 differs,
-    # and a walk's nonzero moves never leave a -0).  A vector decides on
-    # Python floats, which costs a fraction of np.where on 0-d arrays.
-    if theta.values.ndim == 1:
-        skip = coeff == 0.0 or learning_rate == 0.0
-        moves = () if skip else (-learning_rate * coeff,)
-    else:
-        _flag(failures, ~(np.isfinite(plus) & np.isfinite(minus)),
-              NumericOverflowError("non-finite perturbed losses"))
-        lr = np.asarray(learning_rate, dtype=np.float64)
-        update = np.where((coeff == 0.0) | (lr == 0.0), 0.0, -lr * coeff)
-        moves = (update,) if update.any() else ()
+    # the restore and the update share one regeneration of u, and when no
+    # run moves it is the plain restore.  A zero update in a row that stays
+    # while others move adds z * (+-0) = +-0, which changes no entry a walk
+    # can leave behind: only -0 + +0 differs, and a walk never leaves a -0.
+    update = -learning_rate * coeff
+    moves = (update,) if np.count_nonzero(update) else ()
     perturb_in_place(theta, scales, seed, +epsilon, *moves)
-    return pair, coeff
+    return LossPair(plus, minus), coeff
 
 
 def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
@@ -265,30 +254,28 @@ def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
     ``loss_of(values, batch)`` is the batch loss oracle; both perturbed
     evaluations use the same batch.
 
-    theta may hold (R, d) rows: a population of runs that share config, and
-    so every noise draw, and differ in their losses (loss_of maps the rows to
-    R losses) and in `learning_rate`, then one rate per row.  The record's
-    fields then hold one entry per row.  A failure (a non-finite value or
-    invalid scales) raises; given a `failures` dict, each failing row is
-    recorded there as row -> error instead, and the other rows step on
-    unchanged.
+    theta holds (R, d) rows: a population of runs that share config, and so
+    every noise draw, and differ in their losses (loss_of maps the rows to R
+    losses) and in `learning_rate`, one rate per row.  The record's fields
+    hold one entry per row.  A (d,) vector steps through the same
+    statements as one row, with loss_of's value and a scalar rate.  A
+    failure (a non-finite loss or parameter, or invalid scales) raises; given
+    a `failures` dict, each failing row is recorded there as row -> error
+    instead, and the other rows step on unchanged.
     """
     t = state.t + 1
-    single = theta.values.ndim == 1
 
     def losses():
-        out = loss_of(theta.values, batch)
-        return float(out) if single else out
+        return loss_of(theta.values, batch)
 
     current_loss = losses()
     scales = _scales_for_step(theta, state, config, pertnn, current_loss, failures)
     pair, coeff = two_point(theta, scales, NoiseSeed(config.seed, stream=t),
                             config.epsilon, losses, learning_rate, failures)
-    if not single:
-        # once per step: an inf/nan entry makes its row's sum non-finite, and
-        # no later move of the step makes it finite again
-        _flag(failures, ~np.isfinite(theta.values.sum(axis=1)),
-              NumericOverflowError("perturbation produced non-finite parameters"))
+    # once per step: an inf/nan entry makes its row's sum non-finite, and no
+    # later move of the step makes it finite again
+    _flag(failures, ~np.isfinite(np.add.reduce(theta.values, axis=-1)),
+          NumericOverflowError("perturbation produced non-finite parameters"))
     state.prev_losses = pair
     state.prev_scales = scales.stds.copy()
     state.t = t
@@ -308,9 +295,9 @@ def _runs(models) -> list:
 
 def _initial_rows(models, seed: int) -> np.ndarray:
     """(R, d) starting rows; one model's rows share one init_theta call.  A
-    single row stays a plain (d,) vector."""
+    single row is a view of its start vector, never a second d-sized copy."""
     if len(models) == 1:
-        return models[0].init_theta(seed)
+        return models[0].init_theta(seed)[None]
     values = np.empty((len(models), models[0].partition.total))
     for model, rows in _runs(models):
         values[rows] = model.init_theta(seed)
@@ -325,8 +312,8 @@ def _divergence(t: int, error: Exception) -> DivergenceError:
 
 
 class _ModelRuns:
-    """The loss oracle of rows whose models are called one run of rows at a
-    time (see _runs); a single row calls its model's vector loss."""
+    """The loss oracle of rows whose models are called one row at a time,
+    each with its model's (d,) vector loss and its run's batch (see _runs)."""
 
     def __init__(self, models):
         self.models = models
@@ -341,11 +328,10 @@ class _ModelRuns:
         return [model.sample_batch(batch_size, key) for model, _ in self.runs]
 
     def __call__(self, values, batches):
-        if len(self.runs) == 1:
-            return self.runs[0][0].loss(values, batches[0])
         out = np.empty(len(values))
         for (model, rows), batch in zip(self.runs, batches):
-            out[rows] = model.loss(values[rows], batch)
+            for r in range(rows.start, rows.stop):
+                out[r] = model.loss(values[r], batch)
         return out
 
 
@@ -370,9 +356,8 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
     Returns one entry per row: its Trajectory, or the DivergenceError that
     ended it.  A row diverges once its loss exceeds 1e6 x its initial loss,
     or once a loss, a parameter or a scale becomes non-finite or invalid; it
-    then leaves the population and the others go on unchanged.  A population
-    of one row steps it as a plain (d,) vector, which takes numpy's scalar
-    fast paths and raises at its first failure.
+    then leaves the population and the others go on unchanged.  One row is
+    the same population: run_finetune is that case.
     """
     models = list(models)
     lrs = np.array(learning_rates, dtype=np.float64)
@@ -394,19 +379,12 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
     at = slice(None)  # where live rows write their columns: all, until one leaves
     outcomes = [None] * n_rows
     limit = None  # each row's divergence threshold, 1e6 x its initial loss
-    rates = lrs if theta.values.ndim == 2 else lrs[0]
     for t in range(1, n_steps + 1):
         batch = loss_of.batch(config.batch_size, config.seed * 1000003 + t)
         failures = {}
-        try:
-            record = step(theta, state, batch, config, loss_of, rates, pertnn,
-                          failures=failures)
-        except (NumericOverflowError, InvalidScaleError) as exc:
-            # only a plain vector raises: the population's one row has failed
-            outcomes[live[0]] = _divergence(t, exc)
-            live = live[:0]
-            break
-        now = np.atleast_1d(record.loss)
+        record = step(theta, state, batch, config, loss_of, lrs, pertnn,
+                      failures=failures)
+        now = record.loss
         loss[at, t - 1] = now
         plus[at, t - 1] = record.losses.plus
         minus[at, t - 1] = record.losses.minus
@@ -415,7 +393,7 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
         if limit is None:
             limit = DIVERGENCE_FACTOR * (np.abs(now) + 1e-300)
         blown = np.abs(now) > limit
-        if not (failures or blown.any()):
+        if not (failures or np.count_nonzero(blown)):
             continue
         failed = np.zeros(len(live), dtype=bool)
         failed[list(failures)] = True
@@ -433,7 +411,7 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
             break
         _keep_rows(theta, state, keep)
         loss_of.keep(keep)
-        rates, limit = rates[keep], limit[keep]
+        lrs, limit = lrs[keep], limit[keep]
     for r in live.tolist():
         outcomes[r] = Trajectory(loss[r], plus[r], minus[r], coeff[r], scales[r])
     return outcomes

@@ -129,7 +129,8 @@ class TestEstimatorMean:
 
         expected = np.repeat(scales.stds**2, p.sizes) * grad
         assert np.all(np.abs(mean - expected) <= 4.0 * stderr)
-        assert time.perf_counter() - start < 10.0
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"took {elapsed:.2f} s of its 10 s budget"
 
 
 class TestVarianceBudget:

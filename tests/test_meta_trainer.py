@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from zoft.errors import ConfigError, DivergenceError, InvalidScaleError
+from zoft.errors import (
+    ConfigError,
+    DivergenceError,
+    InvalidScaleError,
+    NumericOverflowError,
+)
 from zoft.meta_trainer import (
     MetaConfig,
     TaskState,
@@ -265,6 +270,23 @@ class TestMetaStepAndTrain:
                 np.errstate(divide="ignore", invalid="ignore"):
             train(MetaConfig(eta1=0.05, eta2=0.01, steps=2, seed=0), tasks, net)
         assert isinstance(info.value.__cause__, InvalidScaleError)
+
+    def test_non_finite_perturbed_loss_is_divergence(self):
+        # the start loss is finite and the +eps loss is not: meta_loss raises
+        # at once, so one meta-step is enough to end the run
+        task = two_block_task()
+        net = pertnn.init(task.partition, hidden=4, seed=NoiseSeed(0))
+        vector_loss, calls = task.loss, []
+
+        def loss(values, batch=0):
+            calls.append(1)
+            return math.inf if len(calls) == 2 else vector_loss(values, batch)
+
+        task.loss = loss
+        with pytest.raises(DivergenceError, match="non-finite value at step 1: "
+                           "non-finite perturbed losses") as info:
+            train(MetaConfig(eta1=0.05, eta2=0.01, steps=1, seed=0), [task], net)
+        assert isinstance(info.value.__cause__, NumericOverflowError)
 
     def test_train_record_accounting(self):
         fam = QuadraticFamily(block_sizes=(2, 3), ranks=(1.0, 3.0), seed=0)

@@ -1,7 +1,11 @@
 """Population runs: every row equals its own single run, bit for bit.
 
-The reference is the single-run loop over one parameter vector: `step` on a
-(d,) vector, which raises at the first non-finite value or invalid scale.
+The reference is a plain loop of `step` calls on one (d,) parameter vector
+with no failure record, so it raises at the first non-finite value or
+invalid scale.  A vector steps through the same statements as one row, so
+what the reference checks is run_population's own work: one noise draw for
+every row, the rows' loss oracles, the divergence guard and the removal of
+failed rows.
 """
 
 import tracemalloc
@@ -252,6 +256,30 @@ def test_population_walk_allocates_no_parameter_sized_buffer():
         if started:
             tracemalloc.stop()
     assert peak <= 0.1 * theta.values.nbytes
+
+
+def test_one_row_starts_from_its_start_vector_without_a_copy():
+    # a one-row mezo step at d ~ 1e6 on an MLP, whose loss allocates little:
+    # the peak is init_theta's two d-sized arrays.  It was 16,065,952 B
+    # when a single run stepped as a (d,) vector (tracemalloc, Python 3.11,
+    # numpy 2.4); copying the start vector into fresh (1, d) rows adds a
+    # third, 24.1 MB
+    model = MLPTask(n_in=1000, n_hidden=1000, n_out=3)
+    config = ZOConfig(1, mode="mezo", seed=0)
+    run_population([model], [1e-3], config)  # warm caches
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        [outcome] = run_population([model], [1e-3], config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert not isinstance(outcome, DivergenceError)
+    assert peak <= 1.05 * 16_065_952, peak
 
 
 def test_columnar_trajectories_halve_the_record_objects_peak():

@@ -217,6 +217,26 @@ class TestTwoPointUpdate:
             two_point(single, sc, seed, 1e-3, lambda: task.loss(single.values), 0.1)
             assert np.array_equal(rows.values[r], single.values)
 
+    def test_overflow_detected(self):
+        # the walk checks nothing; two_point flags the non-finite losses of
+        # a walk that overflowed: a vector raises, a row of a population is
+        # recorded and the other rows are spared
+        huge = np.array([1e300, 1e300])
+        theta = ParamVector(np.zeros(8), partition())
+        with pytest.raises(NumericOverflowError), \
+                np.errstate(over="ignore", invalid="ignore"):
+            two_point(theta, PerturbScales(huge, partition()), NoiseSeed(0), 1e300,
+                      lambda: float(theta.values.sum()), 0.0)
+        rows = ParamVector(np.zeros((3, 8)), partition())
+        scales = PerturbScales(np.stack([np.ones(2), huge, np.ones(2)]), partition())
+        failures = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            two_point(rows, scales, NoiseSeed(0), 1e300,
+                      lambda: rows.values.sum(axis=1), np.zeros(3), failures)
+        assert list(failures) == [1]
+        assert isinstance(failures[1], NumericOverflowError)
+        assert np.isfinite(rows.values[[0, 2]]).all()
+
 
 class TestStep:
     def test_mezo_uses_unit_scales(self):
