@@ -2,9 +2,10 @@
 
 Implements the uniform-rank bound for the plain Sigma = I estimator, its
 block-wise refinement with per-block perturbation variances sigma_j^2, the
-constrained minimizer of the block-wise bound under the variance budget
-sum_j d_j sigma_j^2 = d, and Monte-Carlo / closed-form evaluations of the
-actual expected decrease for cross-checking.
+exact minimizer of the block-wise bound under the variance budget
+sum_j d_j sigma_j^2 = d (water-filling, solved in closed form on sorted
+breakpoints), and Monte-Carlo / closed-form evaluations of the actual
+expected decrease for cross-checking.
 
 The block-wise bound is stated for the block-by-block update scheme (each
 block is perturbed and updated with its own two-point estimate), so the
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBoundError, NumericOverflowError
-from .paramspace import _CHUNK, BlockPartition, PerturbScales
+from .paramspace import _CHUNK, PerturbScales
 from .testbeds import QuadraticTask
 
 _MC_TAG = 0x0B0C4D
@@ -83,28 +84,6 @@ def mezo_bound(inputs: BoundInputs) -> float:
             + 0.5 * inputs.eta**2 * inputs.smoothness * coef * (g2 + noise))
 
 
-def _variances(inputs: BoundInputs, scales) -> np.ndarray:
-    if scales is None:
-        return np.ones(len(inputs.block_sizes))
-    if isinstance(scales, PerturbScales):
-        return scales.stds**2
-    return np.asarray(scales, dtype=np.float64) ** 2
-
-
-def blockwise_bound(inputs: BoundInputs, scales=None) -> float:
-    """Per-block bound summed over blocks; ``scales`` holds stds (None = unit)."""
-    if inputs.eta == 0:
-        return 0.0
-    v = _variances(inputs, scales)
-    d = inputs.dim
-    noise = inputs.noise_trace / inputs.batch_size
-    coefs = rank_coefficient(d, inputs.ranks)
-    terms = (-inputs.eta * v * inputs.grad_sqnorms
-             + 0.5 * inputs.eta**2 * v**2 * inputs.smoothness * coefs
-             * (inputs.grad_sqnorms + noise))
-    return float(terms.sum())
-
-
 def _bound_coeffs(inputs: BoundInputs):
     """Linear / quadratic coefficients a_j, b_j of -a_j v_j + b_j v_j^2."""
     noise = inputs.noise_trace / inputs.batch_size
@@ -115,59 +94,57 @@ def _bound_coeffs(inputs: BoundInputs):
     return a, b
 
 
-def optimal_scales(inputs: BoundInputs) -> PerturbScales:
-    """Minimize the blockwise bound over sigma_j^2 >= 0 under the variance budget.
+def blockwise_bound(inputs: BoundInputs, stds=None) -> float:
+    """Per-block bound summed over blocks at per-block ``stds`` (None = unit)."""
+    if inputs.eta == 0:
+        return 0.0
+    v = 1.0 if stds is None else np.asarray(stds, dtype=np.float64) ** 2
+    a, b = _bound_coeffs(inputs)
+    return float((-a * v + b * v**2).sum())
 
-    KKT stationarity gives sigma_j^2 = max(0, (a_j - mu d_j) / (2 b_j)); the
-    multiplier mu is found by bisection on the (monotone) budget residual.
+
+def optimal_scales(inputs: BoundInputs) -> np.ndarray:
+    """The (n_blocks,) stds that minimize the blockwise bound under the budget.
+
+    Minimizes sum_j -a_j v_j + b_j v_j^2 over v_j = sigma_j^2 >= 0 subject to
+    sum_j d_j v_j = d by water-filling (Boyd and Vandenberghe, *Convex
+    Optimization*, Example 5.2).  KKT stationarity gives a curved block
+    (b_j > 0) v_j = d_j max(0, t_j - mu) / (2 b_j) at breakpoint t_j = a_j / d_j,
+    so the budget spent is piecewise linear and decreasing in mu.  With the
+    breakpoints sorted, the budget at each one is a running sum of
+    nonnegative terms; the piece on which it meets d gives mu in one linear
+    solve.  A flat block (b_j = 0: no gradient and no noise, so a_j = 0)
+    adds nothing to the bound at any variance, which holds mu at 0 or above:
+    the budget the curved blocks leave at mu = 0 goes to the flat blocks at
+    equal per-coordinate variance.
     """
     a, b = _bound_coeffs(inputs)
-    if np.all(b == 0):
+    curved = b > 0
+    if not curved.any():
         raise DegenerateBoundError("all quadratic bound coefficients are zero")
     d = float(inputs.dim)
     sizes = inputs.block_sizes.astype(np.float64)
-
-    def budget(mu: float) -> float:
-        total = 0.0
-        for a_j, b_j, d_j in zip(a, b, sizes):
-            slope = a_j - mu * d_j
-            if b_j > 0:
-                total += d_j * max(0.0, slope) / (2.0 * b_j)
-            elif slope > 0:
-                return np.inf
-        return total
-
-    hi = float(np.max(a / sizes))  # budget(hi) == 0
-    lo = 0.0
-    if budget(lo) < d:
-        lo = -1.0
-        while budget(lo) < d:
-            lo *= 2.0
-            if lo < -1e30:
-                raise DegenerateBoundError("budget cannot be met at any multiplier")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if budget(mid) >= d:
-            lo = mid
-        else:
-            hi = mid
-        if abs(budget(mid) - d) <= 1e-12 * d:
-            lo = hi = mid
-            break
-    mu = 0.5 * (lo + hi)
-    v = np.array(
-        [max(0.0, (a_j - mu * d_j)) / (2.0 * b_j) if b_j > 0 else 0.0
-         for a_j, b_j, d_j in zip(a, b, sizes)]
-    )
-    total = float(sizes @ v)
-    if total > 0:
-        v *= d / total  # pin the budget exactly
-    partition = BlockPartition(
-        [(f"block{i}", int(s)) for i, s in enumerate(inputs.block_sizes)]
-    )
-    return PerturbScales(np.sqrt(v), partition, allow_zero=True)
+    t = a / sizes
+    # curved breakpoints, highest first: block order[i] is active while mu < ts[i]
+    order = np.flatnonzero(curved)[np.argsort(-t[curved], kind="stable")]
+    ts = t[order]
+    slopes = np.cumsum(sizes[order] ** 2 / (2.0 * b[order]))
+    # budget spent at each breakpoint, from the differences of the
+    # breakpoints rather than of mu, so nothing cancels
+    spent = np.concatenate(([0.0], np.cumsum(slopes[:-1] * (ts[:-1] - ts[1:]))))
+    k = np.count_nonzero(spent < d) - 1  # the last active breakpoint
+    shift = (d - spent[k]) / slopes[k]  # ts[k] - mu
+    gaps = ts - ts[k] + shift  # t_j - mu
+    flat = ~curved
+    clamped = flat.any() and shift > ts[k]  # mu < 0
+    if clamped:
+        gaps = ts  # mu = 0
+    v = np.zeros_like(a)
+    v[order] = sizes[order] * np.maximum(gaps, 0.0) / (2.0 * b[order])
+    if clamped:
+        v[flat] = max(0.0, d - float(sizes @ v)) / sizes[flat].sum()
+    v *= d / (sizes @ v)  # pin the budget exactly
+    return np.sqrt(v)
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +305,21 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
     )
     closed, _ = expected_decrease(task, theta, scales, etas, mode="closed_form", law=law)
     reports = [
-        _report(inp, task, scales, float(m), float(s), float(c))
+        _report(inp, scales.stds, float(m), float(s), float(c))
         for inp, m, s, c in zip(inputs, mc_means, mc_stderrs, closed)
     ]
     return reports[0] if single else reports
 
 
-def _report(inputs: BoundInputs, task: QuadraticTask, scales: PerturbScales,
-            mc_mean: float, mc_stderr: float, closed: float) -> BoundReport:
+def _report(inputs: BoundInputs, stds: np.ndarray, mc_mean: float, mc_stderr: float,
+            closed: float) -> BoundReport:
     """The bounds at one step size, checked against its measured decrease."""
     eta = inputs.eta
     mz = mezo_bound(inputs)
     bw_unit = blockwise_bound(inputs)
-    bw_given = blockwise_bound(inputs, scales)
-    if eta == 0:
-        opt = PerturbScales.unit(task.partition)  # nothing to optimize
-    else:
-        opt = optimal_scales(inputs)
+    bw_given = blockwise_bound(inputs, stds)
+    # a step size of 0 leaves nothing to optimize
+    opt = optimal_scales(inputs) if eta else np.ones(len(stds))
     bw_opt = blockwise_bound(inputs, opt)
     # a nan makes every check below false and an infinite stderr makes its
     # slack infinite: either would pass every check
@@ -374,9 +349,9 @@ def _report(inputs: BoundInputs, task: QuadraticTask, scales: PerturbScales,
         )
     return BoundReport(
         eta=eta, smoothness=inputs.smoothness, ranks=inputs.ranks,
-        grad_sqnorms=inputs.grad_sqnorms, scale_stds=scales.stds.copy(),
+        grad_sqnorms=inputs.grad_sqnorms, scale_stds=stds.copy(),
         mezo_bound=mz, blockwise_unit=bw_unit, blockwise_given=bw_given,
-        blockwise_optimal=bw_opt, optimal_stds=opt.stds.copy(),
+        blockwise_optimal=bw_opt, optimal_stds=opt,
         mc_mean=mc_mean, mc_stderr=mc_stderr, closed_form=closed,
         violations=violations,
     )

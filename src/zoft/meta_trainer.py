@@ -131,7 +131,7 @@ def meta_grad(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     d_raw = d_used
     if config.normalize:
         d_raw = normalize_scales_vjp(ev.raw_stds, theta.partition, d_used)
-    grads, _ = pertnn_mod.backward(pertnn, ev.cache, d_raw)
+    grads = pertnn_mod.backward(pertnn, ev.cache, d_raw)
     return grads, ev
 
 

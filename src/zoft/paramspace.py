@@ -17,7 +17,7 @@ noise stream, so one draw serves every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -132,7 +132,6 @@ class PerturbScales:
 
     stds: np.ndarray
     partition: BlockPartition
-    allow_zero: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         self.stds = np.asarray(self.stds, dtype=np.float64)
@@ -141,13 +140,10 @@ class PerturbScales:
                 f"expected {self.partition.n_blocks} scales, got {self.stds.shape}"
             )
         # one pass over valid scales; a failure then names what is wrong
-        low = self.stds >= 0.0 if self.allow_zero else self.stds > 0.0
-        if np.count_nonzero(low & (self.stds < np.inf)) == self.stds.size:
+        if np.count_nonzero((self.stds > 0.0) & (self.stds < np.inf)) == self.stds.size:
             return
         if not np.isfinite(self.stds).all():
             raise InvalidScaleError("scales must be finite")
-        if self.allow_zero:
-            raise InvalidScaleError(f"scales must be nonnegative, got {self.stds}")
         raise InvalidScaleError(f"scales must be strictly positive, got {self.stds}")
 
     def per_coordinate(self) -> np.ndarray:

@@ -140,22 +140,19 @@ def backward(params: PertNNParams, cache: ForwardCache, upstream):
     """Exact gradients of sum_i upstream_i * raw_std_i over every block.
 
     `upstream` is a scalar or one value per block, and the cache is of one
-    (n_blocks, 5) feature matrix.  Returns (grad_params, grad_input);
-    grad_input has the shape of cache.x.  The gradients are new arrays that
-    alias neither the parameters nor the cache, and are not checked.
+    (n_blocks, 5) feature matrix.  Returns the parameter gradients as new
+    arrays that alias neither the parameters nor the cache, unchecked.
     """
-    w1, w2 = params.w1, params.w2
-    if cache.h.shape != w2.shape or cache.x.shape != w1.shape[:-2] + (N_FEATURES,):
+    w2 = params.w2
+    if cache.h.shape != w2.shape or cache.x.shape != params.w1.shape[:-2] + (N_FEATURES,):
         raise ContractViolationError("cache does not match these parameters")
     sig = np.array([_sigmoid(v) for v in cache.y.tolist()])
     dy = upstream * sig
     dpre = (dy[..., None] * w2) * (1.0 - cache.h**2)
-    grads = PertNNParams._wrap(
+    return PertNNParams._wrap(
         params.block_names, params.hidden,
         dpre[..., :, None] * cache.x[..., None, :], dpre, dy[..., None] * cache.h, dy,
     )
-    grad_input = (w1.swapaxes(-1, -2) @ dpre[..., None])[..., 0]
-    return grads, grad_input
 
 
 def init(partition: BlockPartition, hidden: int = 64, seed: NoiseSeed = NoiseSeed(0)) -> PertNNParams:

@@ -156,14 +156,17 @@ def step_features(theta: ParamVector, prev_losses: LossPair,
 
 
 def _flag(failures, bad, error) -> None:
-    """Record `error` for every row where `bad` holds; raise it when the
-    caller keeps no failure record."""
+    """Record `error(r)`, an error built from row r alone, for every row r
+    where `bad` holds and that has none yet; raise the first row's error when
+    the caller keeps no failure record.  A (d,) vector is row 0."""
     if not np.count_nonzero(bad):
         return
+    rows = np.flatnonzero(bad).tolist()
     if failures is None:
-        raise error
-    for r in np.flatnonzero(bad).tolist():
-        failures.setdefault(r, error)
+        raise error(rows[0])
+    for r in rows:
+        if r not in failures:
+            failures[r] = error(r)
 
 
 def _used_scales(pertnn, features, partition, normalize, failures=None):
@@ -181,13 +184,13 @@ def _used_scales(pertnn, features, partition, normalize, failures=None):
     # a non-finite raw std makes its row's used stds non-finite
     if np.count_nonzero(valid) == valid.size:
         return raw, used, cache
-    names, finite = np.array(pertnn.block_names), np.isfinite(raw)
-    blocks = ", ".join(names[~finite.reshape(-1, len(names)).all(axis=0)])
-    _flag(failures, ~finite.all(axis=-1),
-          NumericOverflowError(f"non-finite activation in blocks {blocks}"))
+    names = np.array(pertnn.block_names)
+    finite, rows = np.isfinite(np.atleast_2d(raw)), np.atleast_2d(used)
+    _flag(failures, ~finite.all(axis=-1), lambda r: NumericOverflowError(
+        f"non-finite activation in blocks {', '.join(names[~finite[r]])}"))
     bad = ~valid.all(axis=-1)
-    _flag(failures, bad, InvalidScaleError(
-        f"scales must be finite and strictly positive, got {used[bad].ravel()}"))
+    _flag(failures, bad, lambda r: InvalidScaleError(
+        f"scales must be finite and strictly positive, got {rows[r]}"))
     return raw, np.where(bad[..., None], 1.0, used), cache
 
 
@@ -206,8 +209,8 @@ def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
     prev_losses = state.prev_losses
     if prev_losses is None:
         prev_losses = LossPair(current_loss, current_loss)
-        _flag(failures, ~np.isfinite(current_loss),
-              NumericOverflowError(f"non-finite loss {current_loss}"))
+        _flag(failures, ~np.isfinite(current_loss), lambda r: NumericOverflowError(
+            f"non-finite loss {np.atleast_1d(current_loss)[r]}"))
     prev_scales = (state.prev_scales if state.prev_scales is not None
                    else np.ones(partition.n_blocks))
     features = step_features(theta, prev_losses, prev_scales)
@@ -235,7 +238,7 @@ def two_point(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
     perturb_in_place(theta, scales, seed, -2.0 * epsilon)
     minus = losses()
     _flag(failures, ~(np.isfinite(plus) & np.isfinite(minus)),
-          NumericOverflowError("non-finite perturbed losses"))
+          lambda r: NumericOverflowError("non-finite perturbed losses"))
     coeff = (plus - minus) / (2.0 * epsilon)
     # the restore and the update share one regeneration of u, and when no
     # run moves it is the plain restore.  A zero update in a row that stays
@@ -275,7 +278,7 @@ def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
     # once per step: an inf/nan entry makes its row's sum non-finite, and no
     # later move of the step makes it finite again
     _flag(failures, ~np.isfinite(np.add.reduce(theta.values, axis=-1)),
-          NumericOverflowError("perturbation produced non-finite parameters"))
+          lambda r: NumericOverflowError("perturbation produced non-finite parameters"))
     state.prev_losses = pair
     state.prev_scales = scales.stds.copy()
     state.t = t

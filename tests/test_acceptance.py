@@ -51,12 +51,11 @@ def forward_block(params, x, block):
 
 
 def backward_block(params, cache, upstream, block):
-    """backward with `upstream` on block `block` and 0 on the others; returns
-    the parameter gradients and the gradient of that block's features."""
+    """backward with `upstream` on block `block` and 0 on the others: the
+    parameter gradients."""
     vector = np.zeros(params.n_blocks)
     vector[block] = upstream
-    grads, grad_input = pertnn.backward(params, cache, vector)
-    return grads, grad_input[block]
+    return pertnn.backward(params, cache, vector)
 
 
 def race_family():
@@ -179,7 +178,7 @@ class TestGradientExactness:
             block = int(rng.integers(0, 2))
             upstream = float(rng.uniform(0.5, 2.0))
             _, cache = forward_block(params, x, block)
-            grads, gin = backward_block(params, cache, upstream, block)
+            grads = backward_block(params, cache, upstream, block)
             eps = 1e-6
             arrays = [(params.w1[block], grads.w1[block]),
                       (params.b1[block], grads.b1[block]),
@@ -195,14 +194,6 @@ class TestGradientExactness:
                     fd = upstream * (up - dn) / (2 * eps)
                     denom = max(abs(fd), abs(garr.flat[j]), 1e-8)
                     worst_net = max(worst_net, abs(fd - garr.flat[j]) / denom)
-            for j in range(5):
-                xp, xm = x.copy(), x.copy()
-                xp[j] += eps
-                xm[j] -= eps
-                fd = upstream * (forward_block(params, xp, block)[0]
-                                 - forward_block(params, xm, block)[0]) / (2 * eps)
-                denom = max(abs(fd), abs(gin[j]), 1e-8)
-                worst_net = max(worst_net, abs(fd - gin[j]) / denom)
 
             # --- quadratic testbed ---
             d = int(sizes.sum())
@@ -570,8 +561,14 @@ class TestCLIDeterminism:
         "meta_log.csv": "6a351f34e4e2164f0d69cf87d9a7e45c764c9650be5db6c8c10f7cb601cd900d",
     }
     # SHA-256 of bounds.csv for BOUNDS_SECTION, recorded with one unchunked
-    # Monte-Carlo draw per (rank profile, step size) cell
-    RECORDED_BOUNDS_DIGEST = "acec03d26e9fa7794374024df1987c0927a37132a8de0520385938c88758c29c"
+    # Monte-Carlo draw per (rank profile, step size) cell; and at step size 0.3,
+    # where every profile's optimal scales have a negative budget multiplier,
+    # recorded with the bisection that exact water-filling replaced
+    RECORDED_BOUNDS_DIGESTS = {
+        BOUNDS_SECTION: "acec03d26e9fa7794374024df1987c0927a37132a8de0520385938c88758c29c",
+        BOUNDS_SECTION.replace("0.02, 0.03, 0.05", "0.3"):
+            "e4e34d76f5c88c93eeb49d74a33e1908363efdd8283e8a575e45baf870283a52",
+    }
 
     CONFIGS = {
         "train-finetuner": TASK_SECTION + TRAIN_SECTION,
@@ -671,9 +668,10 @@ batch_size = 1
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
 
     def test_verify_bounds_matches_recorded_digest(self, tmp_path):
-        cfg = tmp_path / "bounds.ini"
-        cfg.write_text(BOUNDS_SECTION, encoding="utf-8")
-        out = tmp_path / "out"
-        assert cli.main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 0
-        digest = hashlib.sha256((out / "bounds.csv").read_bytes()).hexdigest()
-        assert digest == self.RECORDED_BOUNDS_DIGEST
+        for k, (text, want) in enumerate(self.RECORDED_BOUNDS_DIGESTS.items()):
+            cfg = tmp_path / f"bounds-{k}.ini"
+            cfg.write_text(text, encoding="utf-8")
+            out = tmp_path / f"out-{k}"
+            assert cli.main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 0
+            digest = hashlib.sha256((out / "bounds.csv").read_bytes()).hexdigest()
+            assert digest == want, text

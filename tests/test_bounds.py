@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from zoft.bounds import (
     _MC_TAG,
     BoundInputs,
+    _bound_coeffs,
     blockwise_bound,
     expected_decrease,
     mezo_bound,
@@ -130,24 +131,52 @@ class TestBoundOrdering:
         assert blockwise_bound(noisy) > blockwise_bound(quiet)
 
 
+def kkt_residuals(inp, stds):
+    """Spread of the active blocks' multipliers mu_j = (a_j - 2 b_j v_j) / d_j,
+    and how far an inactive block's breakpoint a_j / d_j rises above their mean,
+    both over max(1, max_j a_j / d_j)."""
+    a, b = _bound_coeffs(inp)
+    v, sizes = stds**2, inp.block_sizes
+    active = v > 0
+    mus = (a - 2.0 * b * v)[active] / sizes[active]
+    above = a[~active] / sizes[~active] - mus.mean()
+    scale = max(1.0, float(np.max(a / sizes)))
+    return float(np.ptp(mus)) / scale, float(np.max(above, initial=0.0)) / scale
+
+
+@st.composite
+def bound_inputs(draw):
+    n = draw(st.integers(1, 40))
+    sizes = draw(st.lists(st.integers(1, 500), min_size=n, max_size=n))
+    ranks = [draw(st.floats(1.0, float(s))) for s in sizes]
+    # about a third of the blocks have zero gradient
+    grads = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+                          min_size=n, max_size=n))
+    noise = draw(st.one_of(st.just(0.0), st.floats(1e-2, 1e2)))
+    if noise == 0.0 and not any(grads):
+        grads[0] = 1.0  # some block must be curved
+    return BoundInputs(eta=draw(st.floats(1e-4, 1.0)), smoothness=draw(st.floats(0.1, 10.0)),
+                       block_sizes=sizes, ranks=ranks, grad_sqnorms=grads,
+                       noise_trace=noise)
+
+
 class TestOptimalScales:
     def test_symmetric_blocks_give_unit_scales(self):
         inp = BoundInputs(eta=0.1, smoothness=1.0, block_sizes=[3, 3],
                           ranks=[2.0, 2.0], grad_sqnorms=[1.0, 1.0])
-        opt = optimal_scales(inp)
-        assert np.allclose(opt.stds, 1.0, rtol=1e-10)
+        assert np.allclose(optimal_scales(inp), 1.0, rtol=1e-10)
 
     def test_budget_pinned(self):
         task = make_rank_family([4, 8, 6], [1.0, 5.0, 3.0], [1.5, 1.0, 0.7], seed=2)
         inp = BoundInputs.from_task(task, task.init_theta(0), eta=0.05)
-        opt = optimal_scales(inp)
-        assert opt.budget() == pytest.approx(inp.dim, rel=1e-12)
+        stds = optimal_scales(inp)
+        assert inp.block_sizes @ stds**2 == pytest.approx(inp.dim, rel=1e-12)
 
     def test_shifts_variance_toward_high_gradient_block(self):
         inp = BoundInputs(eta=0.05, smoothness=1.0, block_sizes=[4, 4],
                           ranks=[2.0, 2.0], grad_sqnorms=[4.0, 0.5])
-        opt = optimal_scales(inp)
-        assert opt.stds[0] > 1.0 > opt.stds[1]
+        stds = optimal_scales(inp)
+        assert stds[0] > 1.0 > stds[1]
 
     def test_beats_exhaustive_grid(self):
         # one free variance on two blocks; scan it and compare bound values
@@ -164,30 +193,77 @@ class TestOptimalScales:
         assert achieved <= best + 1e-10
         assert achieved == pytest.approx(best, rel=1e-6)
 
+    def test_flat_block_takes_the_budget_the_curved_block_leaves(self):
+        # block 1 has no gradient and no noise, so its bound term is 0 at any
+        # variance; the curved block's own optimum spends 4 x 0.625 of the 8,
+        # and the rest belongs on the flat block, not pinned back onto block 0
+        inp = BoundInputs(eta=0.5, smoothness=1.0, block_sizes=[4, 4],
+                          ranks=[2.0, 2.0], grad_sqnorms=[1.0, 0.0])
+        stds = optimal_scales(inp)
+        assert np.allclose(stds**2, [0.625, 1.375], rtol=1e-12)
+        grid = min(blockwise_bound(inp, np.sqrt([v0, 2.0 - v0]))
+                   for v0 in np.linspace(0.0, 2.0, 20001))
+        achieved = blockwise_bound(inp, stds)
+        assert achieved <= grid + 1e-12
+        assert achieved < blockwise_bound(inp)
+
     def test_kkt_stationarity(self):
         inp = BoundInputs(eta=0.05, smoothness=2.0, block_sizes=[4, 8, 6],
                           ranks=[1.0, 5.0, 3.0], grad_sqnorms=[3.0, 1.0, 0.2])
-        opt = optimal_scales(inp)
-        v = opt.stds**2
-        from zoft.bounds import _bound_coeffs
+        spread, above = kkt_residuals(inp, optimal_scales(inp))
+        assert spread <= 1e-12 and above <= 1e-12
+
+    def test_budget_unmet_at_zero_multiplier(self):
+        # at a large step the curved blocks' unconstrained optimum spends
+        # less than d, so the shared multiplier is negative
+        inp = BoundInputs(eta=0.5, smoothness=1.0, block_sizes=[8, 24],
+                          ranks=[1.0, 24.0], grad_sqnorms=[1.0, 2.0])
         a, b = _bound_coeffs(inp)
-        # active blocks share one multiplier mu = (a_j - 2 b_j v_j) / d_j
-        mus = [(a[j] - 2.0 * b[j] * v[j]) / inp.block_sizes[j]
-               for j in range(3) if v[j] > 0]
-        assert max(mus) - min(mus) <= 1e-10 * max(1.0, abs(max(mus)))
+        assert inp.block_sizes @ (a / (2.0 * b)) < inp.dim
+        stds = optimal_scales(inp)
+        assert np.all(stds > 0)
+        mus = (a - 2.0 * b * stds**2) / inp.block_sizes
+        assert mus.max() < 0
+        assert np.ptp(mus) <= 1e-12 * max(1.0, abs(mus.max()))
+        assert inp.block_sizes @ stds**2 == pytest.approx(inp.dim, rel=1e-12)
+
+    def test_zero_gradients_with_noise(self):
+        # every a_j = 0, so v_j = -mu d_j / (2 b_j) with mu < 0: every block
+        # is active and b_j v_j / d_j is the same on each
+        inp = BoundInputs(eta=0.1, smoothness=1.0, block_sizes=[4, 12],
+                          ranks=[1.0, 6.0], grad_sqnorms=[0.0, 0.0], noise_trace=2.0)
+        a, b = _bound_coeffs(inp)
+        stds = optimal_scales(inp)
+        assert inp.block_sizes @ stds**2 == pytest.approx(inp.dim, rel=1e-12)
+        assert np.allclose(b * stds**2 / inp.block_sizes,
+                           b[0] * stds[0] ** 2 / inp.block_sizes[0], rtol=1e-12)
 
     def test_zero_gradient_block_gets_zero_variance(self):
         inp = BoundInputs(eta=0.1, smoothness=1.0, block_sizes=[4, 4],
                           ranks=[2.0, 2.0], grad_sqnorms=[1.0, 0.0])
-        opt = optimal_scales(inp)
-        assert opt.stds[1] == 0.0
-        assert opt.budget() == pytest.approx(8.0, rel=1e-12)
+        stds = optimal_scales(inp)
+        assert stds[1] == 0.0
+        assert inp.block_sizes @ stds**2 == pytest.approx(8.0, rel=1e-12)
 
     def test_degenerate_inputs_rejected(self):
         inp = BoundInputs(eta=0.1, smoothness=0.0, block_sizes=[4],
                           ranks=[2.0], grad_sqnorms=[1.0])
         with pytest.raises(DegenerateBoundError):
             optimal_scales(inp)
+
+    @given(inp=bound_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_water_filling_meets_budget_and_kkt(self, inp):
+        stds = optimal_scales(inp)
+        assert stds.shape == (len(inp.block_sizes),)
+        assert np.all(np.isfinite(stds))
+        assert inp.block_sizes @ stds**2 == pytest.approx(inp.dim, rel=1e-12)
+        a, b = _bound_coeffs(inp)
+        if np.all(b > 0):
+            spread, above = kkt_residuals(inp, stds)
+            assert spread <= 1e-12 and above <= 1e-12
+        assert blockwise_bound(inp, stds) <= blockwise_bound(inp) + 1e-12 * (
+            1.0 + abs(blockwise_bound(inp)))
 
 
 class TestExpectedDecrease:

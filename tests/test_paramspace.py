@@ -100,11 +100,6 @@ class TestPerturbScales:
         with pytest.raises(InvalidScaleError):
             PerturbScales(np.array([1.0, 0.0]), two_block_partition())
 
-    def test_allow_zero_admits_zero_but_not_negative(self):
-        PerturbScales(np.array([1.0, 0.0]), two_block_partition(), allow_zero=True)
-        with pytest.raises(InvalidScaleError):
-            PerturbScales(np.array([1.0, -0.5]), two_block_partition(), allow_zero=True)
-
     def test_per_coordinate_expansion(self):
         sc = PerturbScales(np.array([2.0, 3.0]), two_block_partition())
         assert np.array_equal(sc.per_coordinate(), [2, 2, 2, 3, 3, 3, 3, 3])

@@ -198,6 +198,21 @@ class TestFailures:
         with pytest.raises(DivergenceError, match="invalid scales"):
             run_finetune(near, 0.05, config, net)
 
+    def test_each_failing_row_names_only_its_own_scales(self):
+        # b2 = -800 underflows every softplus to 0 and the budget to nan, in
+        # both rows at step 1: each row's error shows its own two scales
+        tasks = [make_rank_family([4, 4], [2.0, 3.0], [1.0, 1.0], seed=k) for k in (0, 1)]
+        net = pertnn.constant_params(tasks[0].partition, 1)
+        net.b2[:] = -800.0
+        config = ZOConfig(3, mode="finetuner", seed=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outcomes = run_population(tasks, [0.05, 0.05], config, net)
+        causes = [o.__cause__ for o in outcomes]
+        assert all(isinstance(c, InvalidScaleError) for c in causes)
+        assert causes[0] is not causes[1]
+        for cause in causes:
+            assert str(cause).endswith("got [nan nan]")
+
     def test_bad_network_output_and_overflowing_budget_leave_only_their_rows(self):
         # h0 = tanh(block mean), h1 = tanh(100) == 1 and y = 1e308 (h0 + h1):
         # a mean near -100 makes h0 == -1 and y == 0 (unit raw scales), one
