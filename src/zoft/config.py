@@ -24,10 +24,11 @@ REQUIRED = None  # the default of a key that a config must set
 @dataclass(frozen=True)
 class Key:
     """One config key: `type` is str, int, float or bool, and a `many` key is
-    a non-empty comma-separated list of them.  `default` is REQUIRED, a value,
-    or a function of the config that works it out.  A number must be finite
-    and >= `low` (> `low` when `strict`); a value must be non-empty and, when
-    `choices` are given, one of them.
+    a non-empty comma-separated list of them, with no value twice when
+    `distinct`.  `default` is REQUIRED, a value, or a function of the config
+    that works it out.  A number must be finite and >= `low` (> `low` when
+    `strict`); a value must be non-empty and, when `choices` are given, one
+    of them.
     """
 
     type: type
@@ -36,6 +37,7 @@ class Key:
     low: float = -math.inf
     strict: bool = False
     choices: tuple = ()
+    distinct: bool = False
 
 
 def _one_per_block(cfg: "ExperimentConfig") -> list:
@@ -43,11 +45,13 @@ def _one_per_block(cfg: "ExperimentConfig") -> list:
 
 
 _METHOD_NAMES = ("mezo", "finetuner")
-_METHODS = Key(str, _METHOD_NAMES, many=True, choices=_METHOD_NAMES)
+# a repeated method, seed or rate would run its jobs twice
+_METHODS = Key(str, _METHOD_NAMES, many=True, choices=_METHOD_NAMES, distinct=True)
+_LR_GRID = Key(float, many=True, low=0, distinct=True)
 _SEED = Key(int, 0, low=0)
 # keys that the run sections and [train] share; each picks the ones it reads
 _RUN = {
-    "seeds": Key(int, many=True, low=0),
+    "seeds": Key(int, many=True, low=0, distinct=True),
     "steps": Key(int, low=0),
     "epsilon": Key(float, 1e-3, low=0, strict=True),
     "batch_size": Key(int, 16, low=1),
@@ -84,12 +88,12 @@ KEYS = {
                      mode=Key(str, "mezo", choices=_METHOD_NAMES),
                      lr=Key(float, low=0), experiment=Key(str, "finetune")),
     "compare": _run("seeds steps epsilon batch_size checkpoint final_window",
-                    methods=_METHODS, lr_grid=Key(float, many=True, low=0),
+                    methods=_METHODS, lr_grid=_LR_GRID,
                     tasks=Key(int, 1, low=1), task_start=Key(int, 0, low=0),
                     threshold=Key(float, 0.5, low=0, strict=True)),
     "sweep": _run("seeds steps epsilon batch_size checkpoint task_index granularity "
                   "final_window", methods=_METHODS,
-                  lr_grid=Key(float, many=True, low=0),  # spanning >= 100x
+                  lr_grid=_LR_GRID,  # spanning >= 100x
                   plateau_ratio=Key(float, 0.9, low=0, strict=True),
                   experiment=Key(str, "sweep")),
     "ablate": _run("seeds steps epsilon batch_size task_index final_window",
@@ -181,6 +185,10 @@ class ExperimentConfig:
         if not items or not items[0]:
             raise ConfigError(f"{where} must be non-empty")
         values = [_parse(spec, item, where) for item in items]
+        if spec.distinct:
+            for k, item in enumerate(items):
+                if values[k] in values[:k]:
+                    raise ConfigError(f"{where}={item!r} repeats an earlier value")
         return values if spec.many else values[0]
 
 

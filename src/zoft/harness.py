@@ -2,10 +2,10 @@
 bound campaigns, and CSV emission.
 
 All commands are deterministic under a fixed config: the runs that share a
-noise seed and a method step together as one population, result rows are
-merged in a fixed sort order before writing, and wall-time columns default to
-0 so reruns are byte-identical (pass timing=True to record real times at the
-cost of that guarantee).
+noise seed step together as one population, MeZO rows beside finetuner rows,
+result rows are merged in a fixed sort order before writing, and wall-time
+columns default to 0 so reruns are byte-identical (pass timing=True to record
+real times at the cost of that guarantee).
 """
 
 from __future__ import annotations
@@ -96,23 +96,27 @@ def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
                timing=False) -> list[RunResult]:
     """Run every (model, method, lr, seed) job; returns RunResults in job order.
 
-    Jobs that share a seed and a method differ only in model and learning
-    rate, so each such group runs as one population (see run_population).
-    With timing, each run's wall time is its population's split evenly.
+    Jobs that share a seed draw the same noise at every step, so each seed's
+    jobs run as one population (see run_population): a MeZO job is a row
+    with unit scales beside the finetuner rows.  With timing, each run's wall
+    time is its population's split evenly over all its rows.
     """
     groups: dict = {}
-    for k, (_, method, _, seed) in enumerate(jobs):
-        groups.setdefault((seed, method), []).append(k)
+    for k, (_, _, _, seed) in enumerate(jobs):
+        groups.setdefault(seed, []).append(k)
     results = [None] * len(jobs)
-    for (seed, method), ks in groups.items():
+    for seed, ks in groups.items():
+        learned = [jobs[k][1] == "finetuner" for k in ks]
+        finetuner = any(learned)
         config = ZOConfig(steps=steps, epsilon=epsilon, batch_size=batch_size,
-                          mode=method, seed=seed, normalize=normalize)
+                          mode="finetuner" if finetuner else "mezo", seed=seed,
+                          normalize=normalize)
         start = time.perf_counter()
         outcomes = run_population([jobs[k][0] for k in ks], [jobs[k][2] for k in ks],
-                                  config, pertnn if method == "finetuner" else None)
+                                  config, pertnn if finetuner else None, learned)
         wall = (time.perf_counter() - start) * 1e3 / len(ks) if timing else 0.0
         for k, outcome in zip(ks, outcomes):
-            model, _, lr, _ = jobs[k]
+            model, method, lr, _ = jobs[k]
             trajectory = None if isinstance(outcome, DivergenceError) else outcome
             results[k] = RunResult(method, model.name, seed, lr, trajectory, wall)
     return results

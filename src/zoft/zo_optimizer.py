@@ -10,7 +10,9 @@ times and never stores it.  `two_point` is that walk, and the only copy of it.
 
 Every fine-tuning run steps as rows: `run_population` holds R runs as (R, d)
 rows, and a single run is its one-row case.  A (d,) vector passed to `step`
-or `two_point` walks through the same statements as one row.
+or `two_point` walks through the same statements as one row.  A MeZO row is
+a row whose scales are exactly 1.0, so MeZO and finetuner rows that share a
+seed step together as one population.
 """
 
 from __future__ import annotations
@@ -84,9 +86,6 @@ class Trajectory:
     """One run's steps as columns: entry k holds step k + 1."""
 
     loss: np.ndarray  # (T,) pre-update, unperturbed
-    plus: np.ndarray  # (T,) perturbed losses
-    minus: np.ndarray
-    coeff: np.ndarray  # (T,)
     scales: np.ndarray  # (T, n_blocks) per-block stds actually used for sampling
 
     @property
@@ -104,6 +103,10 @@ class OptState:
     prev_losses: LossPair | None = None
     prev_scales: np.ndarray | None = None
     t: int = 0
+    # in finetuner mode, one bool per row: True where the row samples with the
+    # scale network's stds, False where it samples with unit scales (a MeZO
+    # row).  None: every row does.
+    learned: np.ndarray | None = None
     # mezo's unit scales, built and checked once for each population shape
     _unit_scales: PerturbScales | None = field(default=None, init=False, repr=False,
                                                compare=False)
@@ -169,29 +172,35 @@ def _flag(failures, bad, error) -> None:
             failures[r] = error(r)
 
 
-def _used_scales(pertnn, features, partition, normalize, failures=None):
+def _used_scales(pertnn, features, partition, normalize, failures=None, learned=None):
     """(raw, used, cache): the scale network's stds for `features`, the stds a
     step samples with (raw, or normalized to the budget) and the forward cache.
 
-    Each row is checked once, through _flag: a non-finite network output is
-    NumericOverflowError, a non-finite or non-positive used scale (a softplus
-    that underflows to 0, a budget that under- or overflows) InvalidScaleError.
-    A flagged row samples with unit scales until the step ends.
+    `learned` (one bool per row; None: every row) marks the rows that sample
+    with the network's stds; the others sample with scales of exactly 1.0.
+    Each learned row is checked once, through _flag: a non-finite network
+    output is NumericOverflowError, a non-finite or non-positive used scale (a
+    softplus that underflows to 0, a budget that under- or overflows)
+    InvalidScaleError.  A flagged row samples with unit scales until the step
+    ends.  A row that is not learned is never flagged.
     """
     raw, cache = pertnn_mod.forward_all(pertnn, features)
     used = normalize_scales(raw, partition) if normalize else raw
     valid = (used > 0) & (used < np.inf)
+    if learned is None:
+        if np.count_nonzero(valid) == valid.size:
+            return raw, used, cache
+        learned = True
     # a non-finite raw std makes its row's used stds non-finite
-    if np.count_nonzero(valid) == valid.size:
-        return raw, used, cache
-    names = np.array(pertnn.block_names)
-    finite, rows = np.isfinite(np.atleast_2d(raw)), np.atleast_2d(used)
-    _flag(failures, ~finite.all(axis=-1), lambda r: NumericOverflowError(
-        f"non-finite activation in blocks {', '.join(names[~finite[r]])}"))
-    bad = ~valid.all(axis=-1)
-    _flag(failures, bad, lambda r: InvalidScaleError(
-        f"scales must be finite and strictly positive, got {rows[r]}"))
-    return raw, np.where(bad[..., None], 1.0, used), cache
+    bad = ~valid.all(axis=-1) & learned
+    if np.count_nonzero(bad):
+        finite, rows = np.isfinite(np.atleast_2d(raw)), np.atleast_2d(used)
+        names = np.array(pertnn.block_names)
+        _flag(failures, ~finite.all(axis=-1) & bad, lambda r: NumericOverflowError(
+            f"non-finite activation in blocks {', '.join(names[~finite[r]])}"))
+        _flag(failures, bad, lambda r: InvalidScaleError(
+            f"scales must be finite and strictly positive, got {rows[r]}"))
+    return raw, np.where((bad | np.logical_not(learned))[..., None], 1.0, used), cache
 
 
 def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
@@ -209,12 +218,16 @@ def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
     prev_losses = state.prev_losses
     if prev_losses is None:
         prev_losses = LossPair(current_loss, current_loss)
-        _flag(failures, ~np.isfinite(current_loss), lambda r: NumericOverflowError(
+        bad = ~np.isfinite(current_loss)
+        if state.learned is not None:
+            bad &= state.learned
+        _flag(failures, bad, lambda r: NumericOverflowError(
             f"non-finite loss {np.atleast_1d(current_loss)[r]}"))
     prev_scales = (state.prev_scales if state.prev_scales is not None
                    else np.ones(partition.n_blocks))
     features = step_features(theta, prev_losses, prev_scales)
-    _, used, _ = _used_scales(pertnn, features, partition, config.normalize, failures)
+    _, used, _ = _used_scales(pertnn, features, partition, config.normalize, failures,
+                              state.learned)
     return PerturbScales(used, partition)
 
 
@@ -346,7 +359,8 @@ def _loss_oracle(models):
     return _ModelRuns(models)
 
 
-def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> list:
+def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
+                   learned=None) -> list:
     """Run one seeded two-point fine-tuning run per row, all in one batched pass.
 
     Row r runs models[r] from models[r].init_theta(config.seed) at
@@ -355,6 +369,12 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
     The models must share one partition; a population of quadratic tasks
     evaluates every row in one stacked loss call, other models' consecutive
     rows share each loss call.
+
+    `learned` holds one bool per row: True for a finetuner row, which samples
+    with the scale network's stds, False for a MeZO row, which samples with
+    scales of exactly 1.0 (default: every row as config.mode says).  A
+    population with finetuner rows runs in finetuner mode, and each of its
+    MeZO rows equals its single run in mezo mode.
 
     Returns one entry per row: its Trajectory, or the DivergenceError that
     ended it.  A row diverges once its loss exceeds 1e6 x its initial loss,
@@ -368,15 +388,21 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
         raise ValueError("need one learning rate per model, and at least one model")
     if np.any(lrs < 0):
         raise ValueError("learning rate must be nonnegative")
+    finetuner = config.mode == "finetuner"
+    learned = np.full(len(models), finetuner) if learned is None else np.array(learned, bool)
+    if learned.shape != lrs.shape:
+        raise ValueError("need one learned flag per model")
+    if np.any(learned) and not finetuner:
+        raise ValueError("finetuner rows need finetuner mode")
     partition = models[0].partition
     if any(model.partition != partition for model in models):
         raise PartitionMismatchError("population models must share one partition")
     theta = ParamVector(_initial_rows(models, config.seed), partition)
-    state = OptState()
+    state = OptState(learned=None if learned.all() else learned)
     loss_of = _loss_oracle(models)
     # the columns of every row's trajectory, filled step by step
     n_rows, n_steps = len(models), config.steps
-    loss, plus, minus, coeff = np.empty((4, n_rows, n_steps))
+    loss = np.empty((n_rows, n_steps))
     scales = np.empty((n_rows, n_steps, partition.n_blocks))
     live = np.arange(n_rows)  # the caller's row of each population row
     at = slice(None)  # where live rows write their columns: all, until one leaves
@@ -389,9 +415,6 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
                       failures=failures)
         now = record.loss
         loss[at, t - 1] = now
-        plus[at, t - 1] = record.losses.plus
-        minus[at, t - 1] = record.losses.minus
-        coeff[at, t - 1] = record.coeff
         scales[at, t - 1] = record.scales
         if limit is None:
             limit = DIVERGENCE_FACTOR * (np.abs(now) + 1e-300)
@@ -416,7 +439,7 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None) -> lis
         loss_of.keep(keep)
         lrs, limit = lrs[keep], limit[keep]
     for r in live.tolist():
-        outcomes[r] = Trajectory(loss[r], plus[r], minus[r], coeff[r], scales[r])
+        outcomes[r] = Trajectory(loss[r], scales[r])
     return outcomes
 
 
@@ -430,6 +453,8 @@ def _keep_rows(theta: ParamVector, state: OptState, keep) -> None:
     state.prev_losses = LossPair(state.prev_losses.plus[keep],
                                  state.prev_losses.minus[keep])
     state.prev_scales = state.prev_scales[keep]
+    if state.learned is not None:
+        state.learned = state.learned[keep]
 
 
 def run_finetune(model, learning_rate: float, config: ZOConfig, pertnn=None) -> Trajectory:

@@ -12,6 +12,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from zoft import cli
@@ -70,3 +71,25 @@ def test_one_bad_key_never_raises(tmp_path):
     case()
     assert time.perf_counter() - start < 10.0
     assert {0, 2} <= set(codes)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("compare", "methods", "mezo, mezo"),
+    ("compare", "seeds", "0, 0"),
+    ("compare", "lr_grid", "0.02, 0.05, 0.020"),
+    ("sweep", "methods", "finetuner, mezo, finetuner"),
+    ("sweep", "seeds", "1, 0, 1"),
+    ("sweep", "lr_grid", "0.002, 0.2, 0.2"),
+    ("finetune", "seeds", "2, 2"),
+    ("ablate", "seeds", "0, 1, 0"),
+])
+def test_repeated_list_value_is_rejected(tmp_path, capsys, name, key, value):
+    # a repeated method, seed or rate ran its jobs twice and exited 0,
+    # counting them twice in summary.txt or writing duplicate rows
+    sections = clamped(name)
+    sections[name][key] = value
+    path = write_ini(tmp_path / f"{name}.ini", sections)
+    assert cli.main([COMMANDS[name], "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"[{name}] {key}=" in err and "repeats an earlier value" in err, err
+    assert not list(tmp_path.glob("*.csv"))

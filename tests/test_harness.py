@@ -17,7 +17,7 @@ from zoft.harness import (
     cmd_ablate,
     cmd_sweep_lr,
 )
-from zoft.zo_optimizer import Trajectory
+from zoft.zo_optimizer import Trajectory, run_population
 
 from test_cli_fuzz import COMMANDS, clamped, write_ini
 
@@ -104,8 +104,7 @@ def load_config(tmp_path, text):
 
 def fake_result(losses, lr=0.1, diverged=False):
     n = len(losses)
-    traj = Trajectory(np.array(losses, dtype=float), np.zeros(n), np.zeros(n),
-                      np.zeros(n), np.ones((n, 2)))
+    traj = Trajectory(np.array(losses, dtype=float), np.ones((n, 2)))
     return RunResult("mezo", "quad0", 0, lr, None if diverged else traj, 0.0)
 
 
@@ -214,6 +213,31 @@ batch_size = 4
         summary = (out / "summary.txt").read_text()
         assert "task-seed pairs" in summary
         assert "median steps ratio" in summary
+
+    def test_compare_steps_each_seed_as_one_population(self, tmp_path, monkeypatch):
+        # both methods' runs share each seed's noise, so one population per
+        # seed steps them all: 2 calls, not one per (seed, method)
+        cfg = write_config(tmp_path, TASK + TRAIN + """
+[compare]
+methods = mezo, finetuner
+seeds = 0, 1
+lr_grid = 0.02, 0.05
+steps = 5
+tasks = 2
+task_start = 10
+batch_size = 4
+""")
+        out = tmp_path / "out"
+        assert self.run(["train-finetuner", "--config", cfg, "--out", out]) == 0
+        calls = []
+
+        def counted(models, lrs, config, pertnn=None, learned=None):
+            calls.append((config.seed, list(learned)))
+            return run_population(models, lrs, config, pertnn, learned)
+
+        monkeypatch.setattr(harness, "run_population", counted)
+        assert self.run(["compare", "--config", cfg, "--out", out]) == 0
+        assert calls == [(seed, ([False] * 2 + [True] * 2) * 2) for seed in (0, 1)]
 
     def test_summary_uses_the_configured_final_window(self, tmp_path):
         # the summary's median_final read the 0.1 default, not final_window

@@ -9,6 +9,7 @@ failed rows.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,29 +64,36 @@ def reference_run(model, lr, config, net):
     return records
 
 
-def assert_rows_match(models, lrs, config, net):
-    outcomes = run_population(models, lrs, config, net)
+def assert_rows_match(models, lrs, config, net, learned=None):
+    """Each row equals its single run in its own method: finetuner where
+    `learned` holds True, mezo where it holds False (default: config.mode)."""
+    outcomes = run_population(models, lrs, config, net, learned)
     assert len(outcomes) == len(models)
-    for model, lr, outcome in zip(models, lrs, outcomes):
-        want = reference_run(model, lr, config, net)
+    if learned is None:
+        learned = [config.mode == "finetuner"] * len(models)
+    for model, lr, own, outcome in zip(models, lrs, learned, outcomes):
+        own_config = replace(config, mode="finetuner" if own else "mezo")
+        want = reference_run(model, lr, own_config, net)
         if want is None:
-            assert isinstance(outcome, DivergenceError), (model.name, lr)
+            assert isinstance(outcome, DivergenceError), (model.name, lr, own)
             with pytest.raises(DivergenceError):
-                run_finetune(model, lr, config, net)
+                run_finetune(model, lr, own_config, net)
             continue
-        assert not isinstance(outcome, DivergenceError), (model.name, lr)
+        assert not isinstance(outcome, DivergenceError), (model.name, lr, own)
         assert len(outcome) == len(want)
         columns = {
             "t": [rec.t for rec in want],
             "loss": [rec.loss for rec in want],
-            "plus": [rec.losses.plus for rec in want],
-            "minus": [rec.losses.minus for rec in want],
-            "coeff": [rec.coeff for rec in want],
             "scales": [rec.scales for rec in want],
         }
         for name, ref in columns.items():
-            assert np.array_equal(getattr(outcome, name), np.array(ref)), (name, lr)
+            assert np.array_equal(getattr(outcome, name), np.array(ref)), (name, lr, own)
     return outcomes
+
+
+def leave_step(outcome) -> int:
+    """The step at which the divergence guard ended a row."""
+    return int(str(outcome).rsplit(" ", 1)[1])
 
 
 def race_family():
@@ -97,19 +105,32 @@ def race_family():
 
 class TestRowsEqualSingleRuns:
     @pytest.mark.parametrize("normalize", [True, False])
-    @pytest.mark.parametrize("mode", ["mezo", "finetuner"])
+    @pytest.mark.parametrize("mode", ["mezo", "finetuner", "mixed"])
     def test_race_family(self, mode, normalize):
-        # 0.125 diverges for mezo by the loss guard and 1e155 by overflow, so
-        # rows leave the population at different steps
+        # 0.125 diverges by the loss guard and 1e155 by overflow, so rows
+        # leave the population at different steps.  A mixed population
+        # alternates mezo and finetuner rows, and on each task the two
+        # methods' 0.125 rows leave at different steps (30 to 41): a mask
+        # that did not leave with its rows would hand rows the other method
         tasks = race_family().make_tasks(2, start=100)
         net = pertnn.init(tasks[0].partition, 16, NoiseSeed(4))
         lrs = [0.02, 0.05, 0.125, 1e155]
-        models = [task for task in tasks for _ in lrs]
-        config = ZOConfig(150, mode=mode, seed=3, normalize=normalize)
+        methods = ["mezo", "finetuner"] if mode == "mixed" else [mode]
+        rows = [(task, lr, method) for task in tasks for lr in lrs for method in methods]
+        config = ZOConfig(150, mode="mezo" if mode == "mezo" else "finetuner", seed=3,
+                          normalize=normalize)
         with np.errstate(over="ignore", invalid="ignore"):
-            outcomes = assert_rows_match(models, lrs * 2, config, net)
-        assert not isinstance(outcomes[0], DivergenceError)
-        assert isinstance(outcomes[3], DivergenceError)
+            outcomes = assert_rows_match([task for task, _, _ in rows],
+                                         [lr for _, lr, _ in rows], config, net,
+                                         [method == "finetuner" for *_, method in rows])
+        diverged = [isinstance(o, DivergenceError) for o in outcomes]
+        assert diverged == [lr > 0.1 for _, lr, _ in rows]
+        guard = {(task.name, method): leave_step(o)
+                 for (task, lr, method), o in zip(rows, outcomes) if lr == 0.125}
+        assert all(1 < t < 150 for t in guard.values())
+        if mode == "mixed":
+            assert all(guard[task.name, "mezo"] != guard[task.name, "finetuner"]
+                       for task in tasks)
 
     def test_mlp_block_partition(self):
         model = MLPTask(n_in=4, n_hidden=8, n_out=3, n_samples=120,
@@ -176,7 +197,7 @@ class TestStackedQuadraticOracle:
         diverged = [o for o in outcomes if isinstance(o, DivergenceError)]
         assert 0 < len(diverged) < len(outcomes)
         guard = [o for o in diverged if "exceeded" in str(o)]
-        assert guard and all(int(str(o).rsplit(" ", 1)[1]) > 1 for o in guard)
+        assert guard and all(leave_step(o) > 1 for o in guard)
 
 
 class TestFailures:
@@ -212,6 +233,45 @@ class TestFailures:
         assert causes[0] is not causes[1]
         for cause in causes:
             assert str(cause).endswith("got [nan nan]")
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_network_failures_leave_only_finetuner_rows(self, normalize):
+        # b2 = -800 underflows every softplus to 0: every finetuner row has
+        # invalid scales at step 1, while the mezo rows beside them, whose
+        # features go through the same network, step on as single runs
+        tasks = [make_rank_family([4, 4], [2.0, 3.0], [1.0, 1.0], seed=k) for k in (0, 1)]
+        net = pertnn.constant_params(tasks[0].partition, 1)
+        net.b2[:] = -800.0
+        config = ZOConfig(5, mode="finetuner", seed=0, normalize=normalize)
+        models = [task for task in tasks for _ in range(2)]
+        learned = [False, True] * 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outcomes = assert_rows_match(models, [0.05] * 4, config, net, learned)
+        for own, outcome in zip(learned, outcomes):
+            if own:
+                assert isinstance(outcome.__cause__, InvalidScaleError)
+                assert str(outcome).startswith("invalid scales at step 1")
+            else:
+                assert not isinstance(outcome, DivergenceError)
+                assert np.array_equal(outcome.scales, np.ones((5, 2)))
+
+    def test_each_method_fails_as_its_single_run(self):
+        # an initial loss that overflows to inf: a finetuner run fails on it
+        # before its scale pass, a mezo run on its perturbed losses, and in a
+        # mixed population each row fails as it does alone
+        task = make_rank_family([4, 4], [2.0, 3.0], [1.0, 1.0], init_scale=1e200, seed=0)
+        net = pertnn.init(task.partition, 4, NoiseSeed(0))
+        config = ZOConfig(3, mode="finetuner", seed=0)
+        learned = [False, True]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = run_population([task, task], [0.05, 0.05], config, net, learned)
+            for own, outcome in zip(learned, outcomes):
+                own_config = replace(config, mode="finetuner" if own else "mezo")
+                with pytest.raises(DivergenceError) as alone:
+                    run_finetune(task, 0.05, own_config, net)
+                assert str(outcome) == str(alone.value)
+        assert str(outcomes[0]).endswith("non-finite perturbed losses")
+        assert str(outcomes[1]).endswith("non-finite loss inf")
 
     def test_bad_network_output_and_overflowing_budget_leave_only_their_rows(self):
         # h0 = tanh(block mean), h1 = tanh(100) == 1 and y = 1e308 (h0 + h1):
@@ -250,6 +310,10 @@ class TestFailures:
             run_population([model], [-0.1], config)
         with pytest.raises(PartitionMismatchError):
             run_population([model, other], [0.05, 0.05], config)
+        with pytest.raises(ValueError):
+            run_population([model, model], [0.05, 0.05], config, learned=[True])
+        with pytest.raises(ValueError):  # mezo mode has no network to sample with
+            run_population([model, model], [0.05, 0.05], config, learned=[False, True])
 
 
 def test_population_walk_allocates_no_parameter_sized_buffer():
