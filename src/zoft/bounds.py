@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBoundError, NumericOverflowError
-from .paramspace import _CHUNK, PerturbScales
+from .paramspace import _CHUNK, PerturbScales, dot
 from .testbeds import QuadraticTask
 
 _MC_TAG = 0x0B0C4D
@@ -203,8 +203,8 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
             terms = []
             for i, sl in enumerate(slices):
                 gj, hj = g[sl], task.eigs[sl]
-                gamma = float(gj @ gj)
-                quad = gamma * float(hj.sum()) + 2.0 * float(gj @ (hj * gj))
+                gamma = dot(gj, gj)
+                quad = gamma * float(hj.sum()) + 2.0 * dot(gj, hj * gj)
                 terms.append((stds[i] ** 2, gamma, fourth_factor(len(gj)), quad))
             means = []
             for e in etas:
@@ -214,9 +214,9 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
                 means.append(total)
         else:
             dvec = scales.per_coordinate() ** 2
-            gdg = float(g @ (dvec * g))
-            tr_dh = float(dvec @ task.eigs)
-            gdhdg = float((dvec * g) @ (task.eigs * (dvec * g)))
+            gdg = dot(g, dvec * g)
+            tr_dh = dot(dvec, task.eigs)
+            gdhdg = dot(dvec * g, task.eigs * (dvec * g))
             quad = gdg * tr_dh + 2.0 * gdhdg
             factor = fourth_factor(len(g))
             means = [-e * gdg + 0.5 * e**2 * factor * quad for e in etas]

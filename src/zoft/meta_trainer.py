@@ -21,7 +21,7 @@ import numpy as np
 
 from . import pertnn as pertnn_mod
 from .errors import ConfigError, DivergenceError, InvalidScaleError, NumericOverflowError
-from .paramspace import ParamVector
+from .paramspace import ParamVector, dot
 from .zo_optimizer import (
     DIVERGENCE_FACTOR,
     LossPair,
@@ -77,6 +77,7 @@ class MetaEval:
     loss_pair: LossPair
     raw_stds: np.ndarray
     used_stds: np.ndarray
+    norm: tuple | None  # the normalization's (budget, factor), None without it
     theta1: np.ndarray
     cache: pertnn_mod.ForwardCache
 
@@ -98,7 +99,7 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
         l0 = float(task.loss(theta.values, batch))
         prev_pair = _finite_pair(l0, l0)
     features = step_features(theta, prev_pair, task_state.scales)
-    raws, used, cache = _used_scales(pertnn, features, theta.partition, normalize)
+    raws, used, cache, norm = _used_scales(pertnn, features, theta.partition, normalize)
     u = np.repeat(used, theta.partition.sizes) * z
     loss_plus = float(task.loss(theta.values + epsilon * u, batch))
     loss_minus = float(task.loss(theta.values - epsilon * u, batch))
@@ -108,7 +109,7 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     l_zo = float(task.loss(theta1, batch))
     return MetaEval(
         l_zo=l_zo, coeff=coeff, loss_pair=pair,
-        raw_stds=raws, used_stds=used, theta1=theta1, cache=cache,
+        raw_stds=raws, used_stds=used, norm=norm, theta1=theta1, cache=cache,
     )
 
 
@@ -124,13 +125,13 @@ def meta_grad(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     ev = meta_loss(theta, pertnn, task, task_state, batch,
                    config.epsilon, config.eta1, z, config.normalize)
     g1 = task.grad(ev.theta1, batch)
-    # one BLAS dot per block: no batched reduction over ragged blocks
-    # reproduces its summation order, and the trajectory depends on its bits
-    dots = np.array([float(g1[sl] @ z[sl]) for sl in theta.partition.slices])
+    # one dot per block: no batched reduction over ragged blocks reproduces
+    # its summation order, and the trajectory depends on its bits
+    dots = np.array([dot(g1[sl], z[sl]) for sl in theta.partition.slices])
     d_used = -config.eta1 * ev.coeff * dots
     d_raw = d_used
     if config.normalize:
-        d_raw = normalize_scales_vjp(ev.raw_stds, theta.partition, d_used)
+        d_raw = normalize_scales_vjp(ev.raw_stds, theta.partition, d_used, ev.norm)
     grads = pertnn_mod.backward(pertnn, ev.cache, d_raw)
     return grads, ev
 

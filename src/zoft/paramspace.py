@@ -33,6 +33,13 @@ _NOISE_TAG = 0x5A0F7B10C
 # ends, within a block or across blocks, does not change the stream.
 _CHUNK = 32768
 
+# A BLAS dot of at most this many values is one single-threaded kernel call.
+# OpenBLAS splits a longer ddot over its threads (from 10,000 values in its
+# kernel sources), and the split changes the rounding, so `dot` sums longer
+# vectors as pieces of this size and a result does not depend on the thread
+# count.
+_DOT_PIECE = 8192
+
 
 class BlockPartition:
     """Ordered, contiguous, non-overlapping named blocks over [0, d)."""
@@ -84,7 +91,8 @@ def _span_plan(offsets, sizes) -> tuple:
     A span may cover several blocks, and a block wider than a chunk spreads
     over several spans.  Each span is (slice, length, lengths, blocks): the
     blocks it covers as a slice of block indices, and the length of each
-    one's piece of the span, in partition order.
+    one's piece of the span, in partition order (None when the span lies
+    inside one block, whose factor column broadcasts over it).
     """
     total, n = offsets[-1] + sizes[-1], len(sizes)
     spans, i = [], 0
@@ -97,7 +105,8 @@ def _span_plan(offsets, sizes) -> tuple:
             if end > hi:
                 break  # the block goes on in the next span
             i += 1
-        spans.append((slice(lo, hi), hi - lo, np.array(lengths, dtype=np.intp),
+        spans.append((slice(lo, hi), hi - lo,
+                      np.array(lengths, dtype=np.intp) if len(lengths) > 1 else None,
                       slice(first, first + len(lengths))))
     return tuple(spans)
 
@@ -116,7 +125,8 @@ class ParamVector:
                 f"vector length {self.values.shape} does not match partition "
                 f"total {self.partition.total}"
             )
-        if not np.all(np.isfinite(self.values)):
+        # min and max propagate a nan, and need no d-sized mask
+        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
             raise NumericOverflowError("parameter vector contains non-finite entries")
 
     def copy(self) -> "ParamVector":
@@ -268,10 +278,10 @@ def perturb_in_place(
     _span_plan): each span's z is drawn in one call, and every step is
     applied to it before the next span is drawn.  Each step's factors
     step * stds[i] are formed once per walk and spread over the values of
-    each span, so the result is bit-identical to one call per step, per row
-    and per block.  Scratch is one chunk of z and one chunk per row, never a
-    block- or d-sized buffer, which is the whole point of the store-a-seed
-    design.
+    each span, or broadcast where the span lies inside one block, so the
+    result is bit-identical to one call per step, per row and per block.
+    Scratch is one chunk of z and one chunk per row, never a block- or
+    d-sized buffer, which is the whole point of the store-a-seed design.
 
     A partition of one span (d <= 32768 values) keeps its z between calls,
     so the three walks of an optimizer step draw it once; a longer partition
@@ -297,10 +307,46 @@ def perturb_in_place(
             gen.standard_normal(out=z)
         dst = rows[:, sl]
         for factor in factors:
-            move = factor[:, blocks].repeat(lengths, axis=1)  # each value's factor
-            move *= z
+            if lengths is None:
+                move = factor[:, blocks] * z
+            else:
+                move = factor[:, blocks].repeat(lengths, axis=1)  # each value's factor
+                move *= z
             dst += move
             del move  # one chunk per row at a time
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b of two 1-D float64 arrays, with bits that do not depend on the
+    BLAS thread count: up to _DOT_PIECE values it is that one call, above it
+    the sum, in index order, of one such call per _DOT_PIECE-value piece."""
+    n = len(a)
+    if n <= _DOT_PIECE:
+        return float(a @ b)
+    total = float(a[:_DOT_PIECE] @ b[:_DOT_PIECE])
+    for lo in range(_DOT_PIECE, n, _DOT_PIECE):
+        total += float(a[lo:lo + _DOT_PIECE] @ b[lo:lo + _DOT_PIECE])
+    return total
+
+
+def _squared_deviations(vals: np.ndarray, mean):
+    """np.add.reduce((vals - mean)**2) along axis 0, bit for bit, with
+    scratch of at most one chunk per row.
+
+    numpy sums a contiguous run pairwise: a run of over 128 values is the
+    sum of its halves, split at n2 = n // 2 rounded down to a multiple of 8.
+    So a block wider than a chunk is split the same way, and the halves'
+    sums add up to the block's.
+    """
+    n = len(vals)
+    if n > _CHUNK:
+        half = n // 2
+        half -= half % 8
+        return (_squared_deviations(vals[:half], mean)
+                + _squared_deviations(vals[half:], mean))
+    dev = np.subtract(vals, mean)
+    np.square(dev, out=dev)
+    return np.add.reduce(dev)
 
 
 def block_stats(theta: ParamVector):
@@ -309,7 +355,8 @@ def block_stats(theta: ParamVector):
     Two (..., n_blocks) arrays: (n_blocks,) for a vector, (R, n_blocks) for
     rows.  Each entry is bit for bit np.mean and np.var of its block: the
     same ufunc reductions on the same slice, without numpy's Python-level
-    wrappers and with the block sum taken once.
+    wrappers, with the block sum taken once and the deviations formed a
+    chunk at a time.
     """
     # one path for both shapes: through the transpose a block is values[sl]
     # and its mean a scalar (vector) or one value per row that broadcasts
@@ -322,8 +369,6 @@ def block_stats(theta: ParamVector):
         # the reductions run along each row's memory, exactly as the same
         # reduction over that row alone, so rows match their vectors too
         mean = np.add.reduce(vals) / n
-        dev = np.subtract(vals, mean)  # a block-sized temporary, as in np.var
-        np.square(dev, out=dev)
         means[i] = mean
-        variances[i] = np.add.reduce(dev) / n
+        variances[i] = _squared_deviations(vals, mean) / n
     return means.T, variances.T

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .paramspace import BlockPartition
+from .paramspace import _DOT_PIECE, BlockPartition
 
 _QNOISE_TAG = 0x0BA7C4
 _QINIT_TAG = 0x71E7A0
@@ -91,6 +91,9 @@ class QuadraticTask:
 
     def loss(self, values: np.ndarray, batch=0) -> float:
         """The loss of a (d,) vector; QuadraticRows evaluates rows of tasks."""
+        if self.dim > _DOT_PIECE:
+            return float(_loss_in_pieces(values, self.theta_star, self.eigs,
+                                         self._batch_noise(batch)))
         delta = values - self.theta_star
         out = 0.5 * float(delta @ (self.eigs * delta))
         xi = self._batch_noise(batch)
@@ -122,13 +125,43 @@ class QuadraticTask:
         return self.theta_star + self._init_sigma * rng.standard_normal(self.dim)
 
 
+def _loss_in_pieces(values, theta_star, eigs, xi):
+    """0.5 delta'(eigs * delta) + xi'delta with delta = values - theta_star,
+    for a (d,) vector or (R, d) rows (xi None: no noise term).
+
+    Each dot is summed as paramspace.dot sums it, one BLAS dot per
+    _DOT_PIECE-value piece in index order, so its bits do not depend on the
+    BLAS thread count.  The piece's delta and eigs * delta go into scratch
+    of one piece per row, never a d-sized temporary.
+    """
+    d = values.shape[-1]
+    delta = np.empty(values.shape[:-1] + (_DOT_PIECE,))
+    curved = np.empty_like(delta)
+    quad = noise = None
+    for lo in range(0, d, _DOT_PIECE):
+        hi = min(lo + _DOT_PIECE, d)
+        piece, scaled = delta[..., :hi - lo], curved[..., :hi - lo]
+        np.subtract(values[..., lo:hi], theta_star[..., lo:hi], out=piece)
+        np.multiply(eigs[..., lo:hi], piece, out=scaled)
+        part = np.vecdot(piece, scaled)
+        quad = part if quad is None else quad + part
+        if xi is not None:
+            part = np.vecdot(piece, xi[..., lo:hi])
+            noise = part if noise is None else noise + part
+    out = 0.5 * quad
+    if xi is not None:
+        out += noise
+    return out
+
+
 class QuadraticRows:
     """The loss oracle of a population of (R, d) rows, row r on tasks[r].
 
     The rows' optima and spectra are stacked into (R, d) arrays, so one call
     evaluates every row, and each row's loss has the bits of its task's
     vector loss: np.vecdot runs one BLAS dot per row, as `QuadraticTask.loss`
-    does (an einsum or a matrix product may sum in another order).
+    does (an einsum or a matrix product may sum in another order), and above
+    _DOT_PIECE values both sum the same pieces.
     Minibatch noise is drawn once per task and batch key.
     """
 
@@ -164,6 +197,9 @@ class QuadraticRows:
         return self._xi
 
     def __call__(self, values: np.ndarray, batch) -> np.ndarray:
+        if values.shape[-1] > _DOT_PIECE:
+            return _loss_in_pieces(values, self.theta_star, self.eigs,
+                                   self._noise(batch) if self.noisy else None)
         delta = values - self.theta_star
         out = 0.5 * np.vecdot(delta, self.eigs * delta)
         if self.noisy:

@@ -124,20 +124,23 @@ def _budget_factor(stds: np.ndarray, partition):
     return budget, np.sqrt(partition.total / budget)
 
 
-def normalize_scales(stds: np.ndarray, partition) -> np.ndarray:
+def normalize_scales(stds: np.ndarray, partition, norm=None) -> np.ndarray:
     """Rescale so that sum_i d_i s_i^2 = d, preserving pairwise ratios (per row
-    for rows of scales).  Checks nothing: see _used_scales."""
-    _, factor = _budget_factor(stds, partition)
+    for rows of scales).  `norm` is _budget_factor(stds, partition), computed
+    here unless the caller has it.  Checks nothing: see _used_scales."""
+    _, factor = _budget_factor(stds, partition) if norm is None else norm
     return stds * factor[..., None]
 
 
-def normalize_scales_vjp(stds: np.ndarray, partition, upstream: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. normalize_scales(stds) back to stds.
+def normalize_scales_vjp(stds: np.ndarray, partition, upstream: np.ndarray,
+                         norm) -> np.ndarray:
+    """Pull a gradient w.r.t. normalize_scales(stds) back to stds, given
+    norm = _budget_factor(stds, partition) from the forward pass.
 
     With s' = factor * s:  d s'_i / d s_k = factor * delta_ik - s'_i d_k s_k / budget,
     which couples every block through the shared budget.
     """
-    budget, factor = _budget_factor(stds, partition)
+    budget, factor = norm
     inner = float(upstream @ (stds * factor))
     return factor * upstream - (partition.sizes * stds / budget) * inner
 
@@ -173,8 +176,9 @@ def _flag(failures, bad, error) -> None:
 
 
 def _used_scales(pertnn, features, partition, normalize, failures=None, learned=None):
-    """(raw, used, cache): the scale network's stds for `features`, the stds a
-    step samples with (raw, or normalized to the budget) and the forward cache.
+    """(raw, used, cache, norm): the scale network's stds for `features`, the
+    stds a step samples with (raw, or normalized to the budget), the forward
+    cache and the normalization's (budget, factor) (None without it).
 
     `learned` (one bool per row; None: every row) marks the rows that sample
     with the network's stds; the others sample with scales of exactly 1.0.
@@ -185,11 +189,14 @@ def _used_scales(pertnn, features, partition, normalize, failures=None, learned=
     ends.  A row that is not learned is never flagged.
     """
     raw, cache = pertnn_mod.forward_all(pertnn, features)
-    used = normalize_scales(raw, partition) if normalize else raw
+    used, norm = raw, None
+    if normalize:
+        norm = _budget_factor(raw, partition)
+        used = normalize_scales(raw, partition, norm)
     valid = (used > 0) & (used < np.inf)
     if learned is None:
         if np.count_nonzero(valid) == valid.size:
-            return raw, used, cache
+            return raw, used, cache, norm
         learned = True
     # a non-finite raw std makes its row's used stds non-finite
     bad = ~valid.all(axis=-1) & learned
@@ -200,7 +207,8 @@ def _used_scales(pertnn, features, partition, normalize, failures=None, learned=
             f"non-finite activation in blocks {', '.join(names[~finite[r]])}"))
         _flag(failures, bad, lambda r: InvalidScaleError(
             f"scales must be finite and strictly positive, got {rows[r]}"))
-    return raw, np.where((bad | np.logical_not(learned))[..., None], 1.0, used), cache
+    return (raw, np.where((bad | np.logical_not(learned))[..., None], 1.0, used), cache,
+            norm)
 
 
 def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
@@ -226,8 +234,8 @@ def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
     prev_scales = (state.prev_scales if state.prev_scales is not None
                    else np.ones(partition.n_blocks))
     features = step_features(theta, prev_losses, prev_scales)
-    _, used, _ = _used_scales(pertnn, features, partition, config.normalize, failures,
-                              state.learned)
+    _, used, _, _ = _used_scales(pertnn, features, partition, config.normalize,
+                                 failures, state.learned)
     return PerturbScales(used, partition)
 
 

@@ -10,6 +10,9 @@ asserted so performance regressions fail loudly.
 
 import filecmp
 import hashlib
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -17,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zoft
 from zoft import cli, pertnn, zo_optimizer
 from zoft.errors import DivergenceError
 from zoft.meta_trainer import MetaConfig, TaskState, meta_grad, train
@@ -675,3 +679,33 @@ batch_size = 1
             assert cli.main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 0
             digest = hashlib.sha256((out / "bounds.csv").read_bytes()).hexdigest()
             assert digest == want, text
+
+
+# A noisy d = 50,123 quadratic, run alone and as a two-row population: every
+# loss call reduces over more values than OpenBLAS runs on one thread.
+BLAS_THREADS_SCRIPT = """
+from zoft.testbeds import make_rank_family
+from zoft.zo_optimizer import ZOConfig, run_finetune, run_population
+model = make_rank_family([40000, 10000, 123], [4000.0, 1000.0, 12.0],
+                         [1.0, 1.0, 1.0], noise_tau=0.5, seed=0)
+config = ZOConfig(steps=20, seed=0)
+runs = [run_finetune(model, 1e-4, config)]
+runs += run_population([model, model], [1e-4, 3e-5], config)
+print(" ".join(float(x).hex() for run in runs for x in run.loss))
+"""
+
+
+class TestBlasThreadCount:
+    def test_large_d_losses_do_not_depend_on_it(self):
+        # the CSVs print 12 digits, which can hide a last-bit difference, so
+        # the raw loss bits are compared
+        losses = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(zoft.__file__).parents[1]))
+            proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            losses.append(proc.stdout.split())
+        assert len(losses[0]) == 60
+        assert losses[0] == losses[1]

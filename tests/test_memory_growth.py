@@ -3,8 +3,10 @@
 A run keeps its parameters, its output columns and O(chunk) scratch.  Each
 test measures the tracemalloc peak of a short and a long run and bounds the
 difference by the bytes of the output columns that the longer run adds, plus
-a small slack for allocator noise.  The command line's parser, which only the
-collector can free, is gone before the command runs.
+a small slack for allocator noise.  At large d, a loss call and a step keep
+a few chunks of scratch above the parameters, never a d-sized temporary.  The
+command line's parser, which only the collector can free, is gone before the
+command runs.
 """
 
 import argparse
@@ -15,9 +17,9 @@ import tracemalloc
 from zoft import cli, pertnn
 from zoft.harness import _write_lines
 from zoft.meta_trainer import MetaConfig, train
-from zoft.paramspace import NoiseSeed
-from zoft.testbeds import QuadraticFamily
-from zoft.zo_optimizer import ZOConfig, run_population
+from zoft.paramspace import _CHUNK, NoiseSeed, ParamVector
+from zoft.testbeds import QuadraticFamily, make_rank_family
+from zoft.zo_optimizer import OptState, ZOConfig, run_population, step
 
 SLACK = 8 * 1024
 
@@ -113,6 +115,27 @@ class TestMemoryGrowth:
         assert path.read_bytes() == "".join(f"{line}\n" for line in lines(20_000)).encode()
         # a few KB of file buffer, against the text's 757 KB
         assert peak <= 16 * 1024
+
+
+class TestLargeDimension:
+    def test_loss_and_step_keep_chunks_not_parameter_copies(self):
+        # d = 200,000: one block of several chunks and one of several dot
+        # pieces; a d-sized temporary is 6.1 chunks
+        model = make_rank_family([150_000, 40_000, 9_990, 10],
+                                 [7500.0, 2000.0, 500.0, 2.0], [1.0, 0.5, 1.0, 2.0],
+                                 seed=0)
+        net = pertnn.init(model.partition, 8, NoiseSeed(0))
+        theta = ParamVector(model.init_theta(0), model.partition)
+        config = ZOConfig(steps=2, mode="finetuner", seed=0)
+        state = OptState()
+        step(theta, state, 1, config, model.loss, 1e-5, net)
+        chunk = 8 * _CHUNK
+        # two dot pieces of scratch
+        assert traced_peak(lambda: model.loss(theta.values, 2)) <= chunk
+        # the walk's chunk of noise and chunk of moves, block_stats' chunk
+        # of deviations freed before the walk
+        assert traced_peak(lambda: step(theta, state, 2, config, model.loss, 1e-5,
+                                        net)) <= 3 * chunk
 
 
 def test_command_line_parser_is_freed_before_the_command():

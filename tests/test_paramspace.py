@@ -78,9 +78,11 @@ class TestParamVector:
         with pytest.raises(PartitionMismatchError):
             ParamVector(np.zeros(7), two_block_partition())
 
-    def test_non_finite_rejected(self):
-        values = np.zeros(8)
-        values[3] = np.inf
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("shape", [(8,), (3, 8)])
+    def test_non_finite_rejected(self, bad, shape):
+        values = np.zeros(shape)
+        values[..., 3] = bad
         with pytest.raises(NumericOverflowError):
             ParamVector(values, two_block_partition())
 
@@ -378,3 +380,23 @@ class TestBlockStats:
             for r in range(rows):  # a row's stats are its vector's, bit for bit
                 row_mean, row_var = block_stats(ParamVector(values[r], p))
                 assert np.array_equal(mean[r], row_mean) and np.array_equal(var[r], row_var)
+
+    # blocks a little under, at and over one chunk, and at numpy's pairwise
+    # split points above it: a block of n values is summed as halves of
+    # n // 2 rounded down to a multiple of 8, so 2 and 4 chunks plus a few
+    # values put a half, or a quarter, just over or under a chunk
+    @given(width=st.sampled_from([_CHUNK, 2 * _CHUNK, 3 * _CHUNK, 4 * _CHUNK]),
+           offset=st.integers(-24, 24), rows=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_wide_blocks_match_numpy(self, width, offset, rows, seed):
+        rng = np.random.default_rng(seed)
+        p = BlockPartition([("head", 3), ("wide", width + offset), ("tail", 129)])
+        shape = (rows, p.total) if rows else (p.total,)
+        values = rng.uniform(-1e3, 1e3) + rng.uniform(1e-3, 1e2) * rng.normal(size=shape)
+        mean, var = block_stats(ParamVector(values, p))
+        ref_mean, ref_var = reference_block_stats(values, p)
+        assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
+        for r in range(rows):
+            row_mean, row_var = block_stats(ParamVector(values[r], p))
+            assert np.array_equal(mean[r], row_mean) and np.array_equal(var[r], row_var)

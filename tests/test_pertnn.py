@@ -103,8 +103,8 @@ class TestForward:
         features[1, 1, 3] = np.nan
         failures = {}
         with np.errstate(invalid="ignore"):
-            _, used, _ = _used_scales(random_params(), features, partition(), True,
-                                      failures)
+            _, used, _, _ = _used_scales(random_params(), features, partition(), True,
+                                         failures)
             assert list(failures) == [1]
             assert isinstance(failures[1], NumericOverflowError)
             assert "blocks b" in str(failures[1])

@@ -3,8 +3,14 @@ import pytest
 from scipy import stats
 
 from zoft.errors import ConfigError
-from zoft.paramspace import BlockPartition
-from zoft.testbeds import MLPTask, QuadraticFamily, QuadraticTask, make_rank_family
+from zoft.paramspace import BlockPartition, dot
+from zoft.testbeds import (
+    MLPTask,
+    QuadraticFamily,
+    QuadraticRows,
+    QuadraticTask,
+    make_rank_family,
+)
 
 
 def fd_grad(loss, theta, batch, eps=1e-6):
@@ -25,6 +31,20 @@ class TestQuadraticTask:
         # 0.5 * (2*(3-1)^2 + 0.5*(0+1)^2)
         assert task.loss(theta) == pytest.approx(4.25)
         assert np.allclose(task.grad(theta), [4.0, 0.5])
+
+    @pytest.mark.parametrize("sizes", [(48, 16), (8192,), (8193,), (40000, 10000, 123)])
+    def test_loss_sums_its_dots_as_dot_does(self, sizes):
+        # one BLAS dot up to 8192 values, 8192-value pieces above; the
+        # vector loss and the stacked rows agree with `dot` bit for bit
+        task = make_rank_family(sizes, [2.0] * len(sizes), [1.0] * len(sizes),
+                                noise_tau=0.5, seed=3,
+                                theta_star=np.linspace(-1.0, 1.0, sum(sizes)))
+        values = task.init_theta(0)
+        delta = values - task.theta_star
+        want = 0.5 * dot(delta, task.eigs * delta) + dot(delta, task._batch_noise(7))
+        assert task.loss(values, 7) == want
+        rows = QuadraticRows([task, task])(np.stack([values, values]), 7)
+        assert rows.tolist() == [want, want]
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(0)

@@ -87,7 +87,7 @@ class TestNormalizeScales:
         with pytest.raises(InvalidScaleError):
             _used_scales(net, features, partition(), normalize=True)
         failures = {}
-        _, used, _ = _used_scales(net, np.zeros((3, 2, 5)), partition(), True, failures)
+        _, used, _, _ = _used_scales(net, np.zeros((3, 2, 5)), partition(), True, failures)
         assert list(failures) == [0, 1, 2] and np.all(used == 1.0)
 
     @given(s1=st.floats(1e-3, 1e3), s2=st.floats(1e-3, 1e3))
