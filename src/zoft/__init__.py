@@ -18,7 +18,7 @@ from .zo_optimizer import (
     normalize_scales,
     run_finetune,
 )
-from .meta_trainer import MetaConfig, TaskState, train
+from .meta_trainer import MetaConfig, train
 from .testbeds import MLPTask, QuadraticFamily, QuadraticTask, make_rank_family
 from .bounds import (
     BoundInputs,
@@ -44,7 +44,6 @@ __all__ = [
     "QuadraticFamily",
     "QuadraticTask",
     "StepRecord",
-    "TaskState",
     "Trajectory",
     "ZOConfig",
     "block_stats",

@@ -21,14 +21,19 @@ from .testbeds import MLPTask, QuadraticFamily, check_ranks
 REQUIRED = None  # the default of a key that a config must set
 
 
+def _fmt(x: float) -> str:
+    """A number as every output file prints it: 12 significant digits."""
+    return format(float(x), ".12g")
+
+
 @dataclass(frozen=True)
 class Key:
     """One config key: `type` is str, int, float or bool, and a `many` key is
     a non-empty comma-separated list of them, with no value twice when
-    `distinct`.  `default` is REQUIRED, a value, or a function of the config
-    that works it out.  A number must be finite and >= `low` (> `low` when
-    `strict`); a value must be non-empty and, when `choices` are given, one
-    of them.
+    `distinct` (nor two numbers that print alike, see _fmt).  `default` is
+    REQUIRED, a value, or a function of the config that works it out.  A
+    number must be finite and >= `low` (> `low` when `strict`); a value must
+    be non-empty and, when `choices` are given, one of them.
     """
 
     type: type
@@ -186,8 +191,9 @@ class ExperimentConfig:
             raise ConfigError(f"{where} must be non-empty")
         values = [_parse(spec, item, where) for item in items]
         if spec.distinct:
+            seen = [_fmt(v) if spec.type is float else v for v in values]
             for k, item in enumerate(items):
-                if values[k] in values[:k]:
+                if seen[k] in seen[:k]:
                     raise ConfigError(f"{where}={item!r} repeats an earlier value")
         return values if spec.many else values[0]
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import meta_trainer, pertnn as pertnn_mod
-from .config import ExperimentConfig, build_task_source
+from .config import ExperimentConfig, _fmt, build_task_source
 from .errors import (
     ConfigError,
     DegenerateBoundError,
@@ -32,10 +32,6 @@ from .testbeds import check_ranks, make_rank_family
 from .zo_optimizer import Trajectory, ZOConfig, run_population
 
 RUN_ROW_HEADER = "experiment,method,task,seed,lr,step,loss,wall_ms,scale_min,scale_med,scale_max"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 def _run_settings(cfg: ExperimentConfig, section: str):

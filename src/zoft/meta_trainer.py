@@ -25,6 +25,7 @@ from .paramspace import ParamVector, dot
 from .zo_optimizer import (
     DIVERGENCE_FACTOR,
     LossPair,
+    OptState,
     _divergence,
     _used_scales,
     normalize_scales_vjp,
@@ -57,18 +58,6 @@ class MetaConfig:
 
 
 @dataclass
-class TaskState:
-    """Per-task carry-over: previous normalized scales and perturbed losses."""
-
-    scales: np.ndarray
-    loss_pair: LossPair | None = None
-
-    @classmethod
-    def fresh(cls, n_blocks: int) -> "TaskState":
-        return cls(scales=np.ones(n_blocks))
-
-
-@dataclass
 class MetaEval:
     """Intermediates of one meta-objective evaluation."""
 
@@ -90,15 +79,15 @@ def _finite_pair(plus: float, minus: float) -> LossPair:
     return LossPair(plus, minus)
 
 
-def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
+def meta_loss(theta: ParamVector, pertnn, task, task_state: OptState, batch,
               epsilon: float, eta1: float, z: np.ndarray,
               normalize: bool = True) -> MetaEval:
     """Post-update loss L(theta - eta1 * c * u) with u = s(omega) * z, z frozen."""
-    prev_pair = task_state.loss_pair
+    prev_pair = task_state.prev_losses
     if prev_pair is None:
         l0 = float(task.loss(theta.values, batch))
         prev_pair = _finite_pair(l0, l0)
-    features = step_features(theta, prev_pair, task_state.scales)
+    features = step_features(theta, prev_pair, task_state.prev_scales)
     raws, used, cache, norm = _used_scales(pertnn, features, theta.partition, normalize)
     u = np.repeat(used, theta.partition.sizes) * z
     loss_plus = float(task.loss(theta.values + epsilon * u, batch))
@@ -113,7 +102,7 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
     )
 
 
-def meta_grad(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
+def meta_grad(theta: ParamVector, pertnn, task, task_state: OptState, batch,
               config: MetaConfig, z: np.ndarray):
     """Gradient of the cut-off meta-objective w.r.t. the network weights.
 
@@ -141,15 +130,15 @@ class MetaStepRecord(NamedTuple):
     loss: float  # unperturbed loss before the model's SGD move
 
 
-def meta_step(theta: ParamVector, pertnn, task, task_state: TaskState, batch,
+def meta_step(theta: ParamVector, pertnn, task, task_state: OptState, batch,
               config: MetaConfig, z: np.ndarray) -> MetaStepRecord:
     """One inner meta-training step: update the network, then move the model."""
     grads, ev = meta_grad(theta, pertnn, task, task_state, batch, config, z)
     pertnn.add_scaled(grads, -config.eta2)
     loss_t = float(task.loss(theta.values, batch))
     theta.values -= config.eta1 * task.grad(theta.values, batch)
-    task_state.loss_pair = ev.loss_pair
-    task_state.scales = ev.used_stds.copy()
+    task_state.prev_losses = ev.loss_pair
+    task_state.prev_scales = ev.used_stds
     return MetaStepRecord(l_zo=ev.l_zo, loss=loss_t)
 
 
@@ -196,7 +185,7 @@ def train(config: MetaConfig, tasks, pertnn, theta0: np.ndarray | None = None):
         theta0 = tasks[0].init_theta(config.seed)
     theta0 = np.asarray(theta0, dtype=np.float64).copy()
     theta = ParamVector(theta0.copy(), partition)
-    states = [TaskState.fresh(partition.n_blocks) for _ in tasks]
+    states = [OptState() for _ in tasks]
     shuffle_rng = np.random.default_rng([_SHUFFLE_TAG, config.seed])
     log = MetaLog.empty([task.name for task in tasks], config.steps * len(tasks))
     k = 0  # the log entry of the next inner step

@@ -160,10 +160,6 @@ class PerturbScales:
         """Expand to a length-d vector of per-coordinate standard deviations."""
         return np.repeat(self.stds, self.partition.sizes)
 
-    def budget(self) -> float:
-        """Total perturbation energy sum_i d_i * s_i**2."""
-        return float(np.dot(self.partition.sizes, self.stds**2))
-
     @classmethod
     def unit(cls, partition: BlockPartition) -> "PerturbScales":
         return cls(np.ones(partition.n_blocks), partition)

@@ -91,15 +91,8 @@ class QuadraticTask:
 
     def loss(self, values: np.ndarray, batch=0) -> float:
         """The loss of a (d,) vector; QuadraticRows evaluates rows of tasks."""
-        if self.dim > _DOT_PIECE:
-            return float(_loss_in_pieces(values, self.theta_star, self.eigs,
-                                         self._batch_noise(batch)))
-        delta = values - self.theta_star
-        out = 0.5 * float(delta @ (self.eigs * delta))
-        xi = self._batch_noise(batch)
-        if xi is not None:
-            out += float(xi @ delta)
-        return out
+        return float(_quadratic_loss(values, self.theta_star, self.eigs,
+                                     self._batch_noise(batch)))
 
     def grad(self, values: np.ndarray, batch=0) -> np.ndarray:
         g = self.eigs * (values - self.theta_star)
@@ -125,9 +118,26 @@ class QuadraticTask:
         return self.theta_star + self._init_sigma * rng.standard_normal(self.dim)
 
 
-def _loss_in_pieces(values, theta_star, eigs, xi):
+def _quadratic_loss(values, theta_star, eigs, xi):
     """0.5 delta'(eigs * delta) + xi'delta with delta = values - theta_star,
     for a (d,) vector or (R, d) rows (xi None: no noise term).
+
+    np.vecdot runs one BLAS dot per row, as `@` does for one vector (an
+    einsum or a matrix product may sum in another order), so a row's loss
+    has the bits of its vector loss; above _DOT_PIECE values both sum the
+    same pieces.
+    """
+    if values.shape[-1] > _DOT_PIECE:
+        return _loss_in_pieces(values, theta_star, eigs, xi)
+    delta = values - theta_star
+    out = 0.5 * np.vecdot(delta, eigs * delta)
+    if xi is not None:
+        out += np.vecdot(delta, xi)
+    return out
+
+
+def _loss_in_pieces(values, theta_star, eigs, xi):
+    """_quadratic_loss above _DOT_PIECE values.
 
     Each dot is summed as paramspace.dot sums it, one BLAS dot per
     _DOT_PIECE-value piece in index order, so its bits do not depend on the
@@ -159,10 +169,8 @@ class QuadraticRows:
 
     The rows' optima and spectra are stacked into (R, d) arrays, so one call
     evaluates every row, and each row's loss has the bits of its task's
-    vector loss: np.vecdot runs one BLAS dot per row, as `QuadraticTask.loss`
-    does (an einsum or a matrix product may sum in another order), and above
-    _DOT_PIECE values both sum the same pieces.
-    Minibatch noise is drawn once per task and batch key.
+    vector loss: both are _quadratic_loss.  Minibatch noise is drawn once per
+    task and batch key.
     """
 
     def __init__(self, tasks):
@@ -175,13 +183,6 @@ class QuadraticRows:
     def batch(self, batch_size: int, key: int):
         # a quadratic batch is its key, whatever the task
         return self.tasks[0].sample_batch(batch_size, key)
-
-    def keep(self, rows) -> None:
-        """Drop every row not in `rows` (ascending), as the population does."""
-        self.tasks = [self.tasks[k] for k in rows]
-        self.eigs, self.theta_star = self.eigs[rows], self.theta_star[rows]
-        if self._xi is not None:
-            self._xi = self._xi[rows]
 
     def _noise(self, batch) -> np.ndarray:
         if batch != self._key:
@@ -197,14 +198,8 @@ class QuadraticRows:
         return self._xi
 
     def __call__(self, values: np.ndarray, batch) -> np.ndarray:
-        if values.shape[-1] > _DOT_PIECE:
-            return _loss_in_pieces(values, self.theta_star, self.eigs,
-                                   self._noise(batch) if self.noisy else None)
-        delta = values - self.theta_star
-        out = 0.5 * np.vecdot(delta, self.eigs * delta)
-        if self.noisy:
-            out += np.vecdot(delta, self._noise(batch))
-        return out
+        return _quadratic_loss(values, self.theta_star, self.eigs,
+                               self._noise(batch) if self.noisy else None)
 
 
 def check_ranks(where: str, block_sizes, ranks) -> None:

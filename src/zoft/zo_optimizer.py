@@ -17,7 +17,7 @@ seed step together as one population.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,8 @@ class Trajectory:
 
 @dataclass
 class OptState:
-    """Carries the previous step's perturbed losses and scales between steps."""
+    """Carries the previous step's perturbed losses and scales between steps,
+    of a fine-tuning run or of a meta-training task."""
 
     prev_losses: LossPair | None = None
     prev_scales: np.ndarray | None = None
@@ -107,9 +108,6 @@ class OptState:
     # scale network's stds, False where it samples with unit scales (a MeZO
     # row).  None: every row does.
     learned: np.ndarray | None = None
-    # mezo's unit scales, built and checked once for each population shape
-    _unit_scales: PerturbScales | None = field(default=None, init=False, repr=False,
-                                               compare=False)
 
 
 def _budget_factor(stds: np.ndarray, partition):
@@ -150,13 +148,14 @@ def step_features(theta: ParamVector, prev_losses: LossPair,
     """(n_blocks, 5) feature matrix: l+, l-, previous scale, block mean, block var.
 
     For (R, d) rows it is (R, n_blocks, 5); prev_losses then holds (R,)
-    arrays and prev_scales is (n_blocks,) or (R, n_blocks).
+    arrays and prev_scales is (n_blocks,) or (R, n_blocks).  A prev_scales
+    of None, before the first step, reads as ones.
     """
     n = theta.partition.n_blocks
     features = np.empty(theta.values.shape[:-1] + (n, pertnn_mod.N_FEATURES))
     features[..., 0] = np.asarray(prev_losses.plus)[..., None]
     features[..., 1] = np.asarray(prev_losses.minus)[..., None]
-    features[..., 2] = prev_scales
+    features[..., 2] = 1.0 if prev_scales is None else prev_scales
     features[..., 3], features[..., 4] = block_stats(theta)
     return features
 
@@ -214,13 +213,8 @@ def _used_scales(pertnn, features, partition, normalize, failures=None, learned=
 def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
     partition = theta.partition
     if config.mode == "mezo":
-        shape = theta.values.shape[:-1] + (partition.n_blocks,)
-        unit = state._unit_scales
-        if unit is None or unit.partition is not partition or unit.stds.shape != shape:
-            unit = PerturbScales(np.ones(shape), partition)
-            unit.stds.flags.writeable = False  # every step of the run shares it
-            state._unit_scales = unit
-        return unit
+        return PerturbScales(np.ones(theta.values.shape[:-1] + (partition.n_blocks,)),
+                             partition)
     if pertnn is None:
         raise ValueError("finetuner mode requires scale-network parameters")
     prev_losses = state.prev_losses
@@ -231,9 +225,7 @@ def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
             bad &= state.learned
         _flag(failures, bad, lambda r: NumericOverflowError(
             f"non-finite loss {np.atleast_1d(current_loss)[r]}"))
-    prev_scales = (state.prev_scales if state.prev_scales is not None
-                   else np.ones(partition.n_blocks))
-    features = step_features(theta, prev_losses, prev_scales)
+    features = step_features(theta, prev_losses, state.prev_scales)
     _, used, _, _ = _used_scales(pertnn, features, partition, config.normalize,
                                  failures, state.learned)
     return PerturbScales(used, partition)
@@ -300,8 +292,9 @@ def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
     # later move of the step makes it finite again
     _flag(failures, ~np.isfinite(np.add.reduce(theta.values, axis=-1)),
           lambda r: NumericOverflowError("perturbation produced non-finite parameters"))
+    # every step builds its scales anew, so the state keeps them uncopied
     state.prev_losses = pair
-    state.prev_scales = scales.stds.copy()
+    state.prev_scales = scales.stds
     state.t = t
     return StepRecord(t=t, loss=current_loss, losses=pair,
                       scales=scales.stds.copy(), coeff=coeff)
@@ -340,13 +333,7 @@ class _ModelRuns:
     each with its model's (d,) vector loss and its run's batch (see _runs)."""
 
     def __init__(self, models):
-        self.models = models
         self.runs = _runs(models)
-
-    def keep(self, rows) -> None:
-        """Drop every row not in `rows` (ascending)."""
-        self.models = [self.models[k] for k in rows]
-        self.runs = _runs(self.models)
 
     def batch(self, batch_size: int, key: int) -> list:
         return [model.sample_batch(batch_size, key) for model, _ in self.runs]
@@ -444,7 +431,7 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
         if not len(live):
             break
         _keep_rows(theta, state, keep)
-        loss_of.keep(keep)
+        loss_of = _loss_oracle([models[r] for r in live.tolist()])
         lrs, limit = lrs[keep], limit[keep]
     for r in live.tolist():
         outcomes[r] = Trajectory(loss[r], scales[r])

@@ -23,7 +23,7 @@ import pytest
 import zoft
 from zoft import cli, pertnn, zo_optimizer
 from zoft.errors import DivergenceError
-from zoft.meta_trainer import MetaConfig, TaskState, meta_grad, train
+from zoft.meta_trainer import MetaConfig, meta_grad, train
 from zoft.paramspace import (
     BlockPartition,
     NoiseSeed,
@@ -33,9 +33,11 @@ from zoft.paramspace import (
     sample_block_noise,
 )
 from zoft.bounds import verify_bound
+from zoft.config import ExperimentConfig, build_task_source
 from zoft.testbeds import MLPTask, QuadraticFamily, QuadraticTask, make_rank_family
 from zoft.zo_optimizer import (
     LossPair,
+    OptState,
     ZOConfig,
     normalize_scales,
     run_finetune,
@@ -245,7 +247,7 @@ class TestMetaGradient:
                                  theta_star=rng.normal(size=5))
             theta = ParamVector(task.init_theta(trial), p)
             net = pertnn.init(p, hidden=3, seed=NoiseSeed(trial))
-            state = TaskState.fresh(2)
+            state = OptState()
             normalize = trial % 2 == 0
             config = MetaConfig(eta1=0.05, eta2=0.0, steps=1, epsilon=1e-3,
                                 seed=0, normalize=normalize)
@@ -254,7 +256,7 @@ class TestMetaGradient:
 
             def frozen(candidate):
                 l0 = float(task.loss(theta.values, 0))
-                feats = step_features(theta, LossPair(l0, l0), state.scales)
+                feats = step_features(theta, LossPair(l0, l0), state.prev_scales)
                 raws, _ = pertnn.forward_all(candidate, feats)
                 if normalize:
                     d = p.total
@@ -502,6 +504,19 @@ seed = 0
 """
 
 
+NOISY_TASK_SECTION = TASK_SECTION.replace("seed = 0", "noise_tau = 0.5\nseed = 0")
+
+MLP_TASK_SECTION = """
+[task]
+kind = mlp
+n_in = 4
+n_hidden = 6
+n_out = 3
+n_samples = 60
+seed = 0
+"""
+
+
 # The largest block (40000) spans two noise chunks.
 WIDE_TASK_SECTION = """
 [task]
@@ -670,6 +685,95 @@ batch_size = 1
         assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 0
         for name, want in self.RECORDED_META_DIGESTS.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+
+    # SHA-256 of every output file of the commands that step populations, with
+    # an initial (untrained) checkpoint: both methods side by side, rates that
+    # diverge so that rows leave mid-run (down to one row in "sweep-one-row"),
+    # a noisy family, the MLP's per-run oracle and the ablation cells.
+    # Recorded with oracles that dropped rows in place and one cached MeZO
+    # scale array per population shape.
+    POPULATION_DIGESTS = {
+        "compare-noisy": ("compare", NOISY_TASK_SECTION + """
+[compare]
+methods = mezo, finetuner
+tasks = 2
+seeds = 0, 1
+lr_grid = 0.02, 0.05, 5.0
+steps = 30
+batch_size = 1
+""", {
+            "compare.csv": "2a749df22437357faebabc68d45cbccbb8d4208f5866858fa203943f6f01f461",
+            "summary.txt": "0993c01451b928d715f0df9979be818534672dc178b2722cab42422093d13352",
+        }),
+        "sweep-one-row": ("sweep-lr", NOISY_TASK_SECTION + """
+[sweep]
+methods = finetuner
+seeds = 2
+lr_grid = 0.05, 1.0, 6.0
+steps = 30
+batch_size = 1
+""", {
+            "sweep_curves.csv": "c1214f339363716133a764c9cb1e78cb54810bbb8d86f104e92dbe73ab408024",
+            "sweep_flags.csv": "2c3543c822ccb324f78961cc2757afac72ad4a8e574805b6cb880ee412cb74ef",
+        }),
+        "sweep": ("sweep-lr", TASK_SECTION + """
+[sweep]
+methods = mezo, finetuner
+seeds = 0, 1
+lr_grid = 0.0005, 0.05, 5.0
+steps = 30
+batch_size = 1
+""", {
+            "sweep_curves.csv": "f54cca0d8aae0253216a45e262909f1a62791aab0a0c055e452ddf7d21b2f5ba",
+            "sweep_flags.csv": "44692db249afd5a5e2d9ed9aa0868fcf96859399c81af8e63da0ddd872f7e53b",
+        }),
+        "sweep-mlp": ("sweep-lr", MLP_TASK_SECTION + """
+[sweep]
+methods = mezo, finetuner
+seeds = 0, 1
+lr_grid = 0.005, 0.5, 500.0
+steps = 30
+batch_size = 4
+""", {
+            "sweep_curves.csv": "8da9c44e7d67f693e3b7fe4dca726b66f9f02acc5d683770ebc5ecf17da6ab98",
+            "sweep_flags.csv": "c5ed68c6bfc28635286dc600b9310a0f609fa43f9670c84928b293dceadcb823",
+        }),
+        "ablate": ("ablate", NOISY_TASK_SECTION + TRAIN_SECTION + """
+[ablate]
+axes = reset, normalization
+seeds = 0, 1
+lr = 0.05
+steps = 30
+batch_size = 1
+""", {
+            "ablation.csv": "e4043f6e89949ee2107ac087f802da6b2b7ea809c7b19cca9eeb433bc6e004e8",
+        }),
+        "ablate-mlp": ("ablate", MLP_TASK_SECTION + TRAIN_SECTION + """
+[ablate]
+axes = partition
+seeds = 0, 1
+lr = 0.05
+steps = 30
+batch_size = 4
+""", {
+            "ablation.csv": "6441b090b9f2e7b0352932008ceec96c4009f981f9afb5ca36e43b2df3c580e5",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", list(POPULATION_DIGESTS))
+    def test_population_commands_match_recorded_digests(self, tmp_path, name):
+        command, text, want = self.POPULATION_DIGESTS[name]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        kind, source = build_task_source(ExperimentConfig.load(cfg))
+        model = source.make_task(0) if kind == "quadratic" else source()
+        pertnn.save(pertnn.init(model.partition, 8, NoiseSeed(0)), out / "finetuner.ckpt")
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.iterdir()) if path.name != "finetuner.ckpt"}
+        assert got == want
 
     def test_verify_bounds_matches_recorded_digest(self, tmp_path):
         for k, (text, want) in enumerate(self.RECORDED_BOUNDS_DIGESTS.items()):

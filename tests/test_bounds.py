@@ -306,7 +306,8 @@ class TestExpectedDecrease:
         task = make_rank_family([3, 5], [1.0, 4.0], [1.2, 0.8], seed=3)
         theta = task.init_theta(1)
         sc = PerturbScales(np.array([0.7, 1.2]), task.partition)
-        sc = PerturbScales(sc.stds * np.sqrt(task.partition.total / sc.budget()),
+        budget = np.dot(task.partition.sizes, sc.stds**2)
+        sc = PerturbScales(sc.stds * np.sqrt(task.partition.total / budget),
                            task.partition)
         closed, _ = expected_decrease(task, theta, sc, 0.05, scheme=scheme, law=law)
         mc, se = expected_decrease(task, theta, sc, 0.05, scheme=scheme, law=law,

@@ -80,6 +80,9 @@ def test_one_bad_key_never_raises(tmp_path):
     ("sweep", "methods", "finetuner, mezo, finetuner"),
     ("sweep", "seeds", "1, 0, 1"),
     ("sweep", "lr_grid", "0.002, 0.2, 0.2"),
+    # rates that print alike (12 significant digits) write identical rows
+    ("compare", "lr_grid", "0.02, 0.05, 0.02000000000001"),
+    ("sweep", "lr_grid", "0.0002, 0.02, 0.02000000000001"),
     ("finetune", "seeds", "2, 2"),
     ("ablate", "seeds", "0, 1, 0"),
 ])

@@ -11,7 +11,6 @@ from zoft.errors import (
 )
 from zoft.meta_trainer import (
     MetaConfig,
-    TaskState,
     meta_grad,
     meta_loss,
     meta_step,
@@ -19,7 +18,7 @@ from zoft.meta_trainer import (
 )
 from zoft.paramspace import BlockPartition, NoiseSeed, ParamVector, PerturbScales
 from zoft.testbeds import QuadraticFamily, QuadraticTask
-from zoft.zo_optimizer import LossPair, step_features
+from zoft.zo_optimizer import LossPair, OptState, step_features
 from zoft import pertnn
 
 
@@ -42,7 +41,7 @@ class TestMetaLoss:
         task = scalar_task()
         theta = ParamVector(np.array([1.0]), task.partition)
         net = pertnn.constant_params(task.partition, hidden=2)
-        ev = meta_loss(theta, net, task, TaskState.fresh(1), batch=0,
+        ev = meta_loss(theta, net, task, OptState(), batch=0,
                        epsilon=0.1, eta1=0.1, z=np.array([1.0]))
         assert ev.coeff == pytest.approx(1.0, rel=1e-12)
         assert ev.l_zo == pytest.approx(0.405, rel=1e-12)
@@ -53,13 +52,13 @@ class TestMetaLoss:
         task = two_block_task()
         theta = ParamVector(task.init_theta(0), task.partition)
         net = pertnn.init(task.partition, hidden=4, seed=NoiseSeed(1))
-        state = TaskState.fresh(2)
+        state = OptState()
         z = np.random.default_rng(0).standard_normal(5)
         ev = meta_loss(theta, net, task, state, 0, 1e-3, 0.05, z)
         # a fresh state must behave exactly like one whose previous loss pair
         # holds the current unperturbed loss twice
         l0 = float(task.loss(theta.values, 0))
-        explicit = TaskState(scales=np.ones(2), loss_pair=LossPair(l0, l0))
+        explicit = OptState(prev_losses=LossPair(l0, l0), prev_scales=np.ones(2))
         ev2 = meta_loss(theta, net, task, explicit, 0, 1e-3, 0.05, z)
         assert ev.l_zo == ev2.l_zo
         assert np.array_equal(ev.used_stds, ev2.used_stds)
@@ -70,7 +69,7 @@ class TestMetaLoss:
         theta = ParamVector(task.init_theta(0), task.partition)
         net = pertnn.init(task.partition, hidden=4, seed=NoiseSeed(1))
         z = np.random.default_rng(0).standard_normal(5)
-        ev = meta_loss(theta, net, task, TaskState.fresh(2), 0, 1e-3, 0.05, z)
+        ev = meta_loss(theta, net, task, OptState(), 0, 1e-3, 0.05, z)
         budget = float(task.partition.sizes @ ev.used_stds**2)
         assert budget == pytest.approx(task.partition.total, rel=1e-12)
 
@@ -82,11 +81,11 @@ class TestMetaGrad:
             from zoft.pertnn import forward_all
             from zoft.zo_optimizer import step_features
             from zoft.zo_optimizer import LossPair
-            prev = state.loss_pair
+            prev = state.prev_losses
             if prev is None:
                 l0 = float(task.loss(theta.values, batch))
                 prev = LossPair(l0, l0)
-            feats = step_features(theta, prev, state.scales)
+            feats = step_features(theta, prev, state.prev_scales)
             raws, _ = forward_all(candidate, feats)
             if config.normalize:
                 d = theta.partition.total
@@ -105,7 +104,7 @@ class TestMetaGrad:
             task = two_block_task(seed=trial)
             theta = ParamVector(task.init_theta(trial), task.partition)
             net = pertnn.init(task.partition, hidden=3, seed=NoiseSeed(trial))
-            state = TaskState.fresh(2)
+            state = OptState()
             config = MetaConfig(eta1=0.05, eta2=0.0, steps=1, epsilon=1e-3,
                                 seed=0, normalize=normalize)
             z = np.random.default_rng(trial).standard_normal(5)
@@ -148,7 +147,7 @@ class TestMetaGrad:
         theta = ParamVector(np.array([1.0]), task.partition)
         net = pertnn.init(task.partition, hidden=4, seed=NoiseSeed(0))
         config = MetaConfig(eta1=0.1, eta2=0.0, steps=1, seed=0)
-        grads, _ = meta_grad(theta, net, task, TaskState.fresh(1), 0, config,
+        grads, _ = meta_grad(theta, net, task, OptState(), 0, config,
                              np.array([0.7]))
         for i in range(net.n_blocks):
             assert np.all(np.abs(grads.w1[i]) <= 1e-12)
@@ -164,7 +163,7 @@ def reference_meta_grad(theta, net, task, state, batch, config, z):
     inline budget normalization and its Jacobian, per-block backward."""
     part = theta.partition
     l0 = float(task.loss(theta.values, batch))
-    feats = step_features(theta, state.loss_pair or LossPair(l0, l0), state.scales)
+    feats = step_features(theta, state.prev_losses or LossPair(l0, l0), state.prev_scales)
     hs, ys, raws = [], [], []
     for i in range(part.n_blocks):
         h = np.tanh(net.w1[i] @ feats[i] + net.b1[i])
@@ -212,15 +211,15 @@ class TestStackedNetworkBitExact:
         net = pertnn.init(part, hidden=hidden, seed=NoiseSeed(n_blocks))
         # outputs of both signs reach both branches of the stable sigmoid
         net.b2[:] = rng.uniform(-4.0, 4.0, n_blocks)
-        state = TaskState(scales=rng.uniform(0.5, 2.0, n_blocks),
-                          loss_pair=LossPair(1.5, 1.25))
+        state = OptState(prev_losses=LossPair(1.5, 1.25),
+                         prev_scales=rng.uniform(0.5, 2.0, n_blocks))
         z = rng.standard_normal(part.total)
         for normalize in (True, False):
             config = MetaConfig(eta1=0.05, eta2=0.0, steps=1, seed=0,
                                 normalize=normalize)
             ref_raws, ref_grads = reference_meta_grad(theta, net, task, state, 0,
                                                       config, z)
-            feats = step_features(theta, state.loss_pair, state.scales)
+            feats = step_features(theta, state.prev_losses, state.prev_scales)
             raws, _ = pertnn.forward_all(net, feats)
             assert np.array_equal(raws, ref_raws)
             grads, ev = meta_grad(theta, net, task, state, 0, config, z)
@@ -237,12 +236,12 @@ class TestMetaStepAndTrain:
         net = pertnn.init(task.partition, hidden=4, seed=NoiseSeed(0))
         before_b2 = net.b2.copy()
         config = MetaConfig(eta1=0.05, eta2=0.1, steps=1, seed=0)
-        state = TaskState.fresh(2)
+        state = OptState()
         z = np.random.default_rng(1).standard_normal(5)
         rec = meta_step(theta, net, task, state, 0, config, z)
         assert not np.array_equal(theta.values, before_theta)
         assert not np.array_equal(net.b2, before_b2)
-        assert state.loss_pair is not None
+        assert state.prev_losses is not None
         assert rec.loss == pytest.approx(task.loss(before_theta, 0))
 
     def test_meta_step_builds_no_perturb_scales(self, monkeypatch):
@@ -257,7 +256,7 @@ class TestMetaStepAndTrain:
         z = np.random.default_rng(1).standard_normal(5)
         for normalize in (True, False):
             config = MetaConfig(eta1=0.05, eta2=0.1, steps=1, seed=0, normalize=normalize)
-            meta_step(theta, net, task, TaskState.fresh(2), 0, config, z)
+            meta_step(theta, net, task, OptState(), 0, config, z)
         assert built == []
 
     def test_invalid_scales_are_divergence(self):

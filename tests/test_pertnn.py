@@ -12,11 +12,11 @@ from zoft.errors import (
     NumericOverflowError,
     TruncatedCheckpointError,
 )
-from zoft.meta_trainer import MetaConfig, TaskState, meta_step
+from zoft.meta_trainer import MetaConfig, meta_step
 from zoft.paramspace import BlockPartition, NoiseSeed, ParamVector
 from zoft import pertnn
 from zoft.testbeds import QuadraticTask
-from zoft.zo_optimizer import _used_scales
+from zoft.zo_optimizer import OptState, _used_scales
 
 
 def partition():
@@ -197,7 +197,7 @@ class TestLeanBackward:
         z = rng.standard_normal(5)
         for normalize in (True, False):
             config = MetaConfig(eta1=0.05, eta2=0.1, steps=1, seed=0, normalize=normalize)
-            meta_step(theta, net, task, TaskState.fresh(2), 0, config, z)
+            meta_step(theta, net, task, OptState(), 0, config, z)
         assert built == []
 
 

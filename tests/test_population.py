@@ -152,7 +152,8 @@ class TestRowsEqualSingleRuns:
 
 class TestStackedQuadraticOracle:
     def test_rows_equal_each_tasks_vector_loss(self):
-        # noisy and noise-free tasks mixed, repeated rows, then compaction
+        # noisy and noise-free tasks mixed, repeated rows, then the oracle
+        # that a population rebuilds from the rows that stay
         family = race_family()
         noisy = QuadraticFamily(**{**vars(family), "noise_tau": 0.7})
         tasks = [noisy.make_task(3), family.make_task(4), noisy.make_task(5)]
@@ -163,7 +164,7 @@ class TestStackedQuadraticOracle:
             want = [task.loss(row, key) for task, row in zip(rows_of, values)]
             assert np.array_equal(oracle(values, key), np.array(want))
         keep = [1, 2, 4]
-        oracle.keep(keep)
+        oracle = QuadraticRows([rows_of[k] for k in keep])
         want = [rows_of[k].loss(values[k], 12) for k in keep]
         assert np.array_equal(oracle(values[keep], 12), np.array(want))
         want = [rows_of[k].loss(values[k], 13) for k in keep]
