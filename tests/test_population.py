@@ -173,7 +173,7 @@ class TestStackedQuadraticOracle:
     @pytest.mark.parametrize("mode", ["mezo", "finetuner"])
     def test_noisy_family_with_a_row_diverging_mid_run(self, mode, monkeypatch):
         # 0.45 leaves the population by the loss guard after some steps,
-        # 1e155 by overflow, so the stacked rows are compacted twice; no row
+        # 1e155 by overflow, so the stacked oracle is rebuilt twice; no row
         # may reach the per-task loss
         family = QuadraticFamily(**{**vars(race_family()), "noise_tau": 0.5})
         tasks = family.make_tasks(3, start=100)
