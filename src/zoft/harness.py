@@ -13,6 +13,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -321,8 +322,9 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
     methods = cfg.get("sweep", "methods")
     seeds, steps, epsilon, batch_size = _run_settings(cfg, "sweep")
     lr_grid = sorted(cfg.get("sweep", "lr_grid"))
-    positive = [lr for lr in lr_grid if lr > 0.0]
-    if len(lr_grid) < 3 or not positive or positive[-1] < 100.0 * positive[0]:
+    # the span of the rates as printed: 100 * 0.07 is 7.000000000000001
+    positive = [Decimal(_fmt(lr)) for lr in lr_grid if lr > 0.0]
+    if len(lr_grid) < 3 or not positive or positive[-1] < 100 * positive[0]:
         raise ConfigError(
             "[sweep] lr_grid needs >= 3 values whose positive entries span "
             ">= 2 orders of magnitude"

@@ -70,9 +70,6 @@ class BlockPartition:
     def n_blocks(self) -> int:
         return len(self.names)
 
-    def block_slice(self, i: int) -> slice:
-        return self.slices[i]
-
     def __eq__(self, other):
         return (
             isinstance(other, BlockPartition)

@@ -82,10 +82,6 @@ class PertNNParams:
         return PertNNParams(self.block_names, self.hidden,
                             *(a.copy() for a in self.arrays))
 
-    def zeros_like(self) -> "PertNNParams":
-        return PertNNParams(self.block_names, self.hidden,
-                            *(np.zeros_like(a) for a in self.arrays))
-
     def add_scaled(self, other: "PertNNParams", factor: float) -> None:
         """In-place self += factor * other (used for SGD updates)."""
         if other.block_names != self.block_names or other.hidden != self.hidden:

@@ -8,7 +8,10 @@ Two families:
   tensors define the block partition.
 
 Both expose the same informal interface: ``partition``, ``init_theta``,
-``sample_batch``, ``loss`` and ``grad``.
+``sample_batch``, ``loss`` and ``grad``.  ``loss`` takes what a ParamVector
+holds: a (d,) vector gives a float, (R, d) rows give R losses, each with the
+bits of its row's vector loss.  Rows of several quadratic tasks are one
+``QuadraticRows`` call.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ class QuadraticTask:
             if scale.shape != (self.partition.n_blocks,):
                 raise ConfigError("init_scale must be scalar or one value per block")
             self._init_sigma = np.repeat(scale, self.partition.sizes)
+        self._noise_key, self._xi = None, None
 
     @property
     def dim(self) -> int:
@@ -77,22 +81,27 @@ class QuadraticTask:
     def effective_ranks(self) -> np.ndarray:
         """Per-block tr(H_i) / ||H_i||_op."""
         ranks = np.empty(self.partition.n_blocks)
-        for i in range(self.partition.n_blocks):
-            lam = self.eigs[self.partition.block_slice(i)]
+        for i, sl in enumerate(self.partition.slices):
+            lam = self.eigs[sl]
             top = lam.max()
             ranks[i] = lam.sum() / top if top > 0 else 1.0
         return ranks
 
     def _batch_noise(self, batch) -> np.ndarray | None:
+        """The noise of batch key `batch`, kept for the last key asked: a step
+        evaluates three losses on one batch and draws it once."""
         if self.noise_tau == 0.0:
             return None
-        rng = np.random.default_rng([_QNOISE_TAG, self.seed, int(batch)])
-        return rng.normal(0.0, np.sqrt(self.noise_tau / self.dim), size=self.dim)
+        if batch != self._noise_key:
+            rng = np.random.default_rng([_QNOISE_TAG, self.seed, int(batch)])
+            self._xi = rng.normal(0.0, np.sqrt(self.noise_tau / self.dim), size=self.dim)
+            self._noise_key = batch
+        return self._xi
 
-    def loss(self, values: np.ndarray, batch=0) -> float:
-        """The loss of a (d,) vector; QuadraticRows evaluates rows of tasks."""
-        return float(_quadratic_loss(values, self.theta_star, self.eigs,
-                                     self._batch_noise(batch)))
+    def loss(self, values: np.ndarray, batch=0):
+        """A float for a (d,) vector, R losses for (R, d) rows."""
+        out = _quadratic_loss(values, self.theta_star, self.eigs, self._batch_noise(batch))
+        return out if values.ndim > 1 else float(out)
 
     def grad(self, values: np.ndarray, batch=0) -> np.ndarray:
         g = self.eigs * (values - self.theta_star)
@@ -104,8 +113,7 @@ class QuadraticTask:
     def block_grad_sqnorms(self, values: np.ndarray, batch=0) -> np.ndarray:
         g = self.grad(values, batch)
         return np.array(
-            [float(np.sum(g[self.partition.block_slice(i)] ** 2))
-             for i in range(self.partition.n_blocks)]
+            [float(np.sum(g[sl] ** 2)) for sl in self.partition.slices]
         )
 
     def sample_batch(self, batch_size: int, seed: int):
@@ -120,7 +128,8 @@ class QuadraticTask:
 
 def _quadratic_loss(values, theta_star, eigs, xi):
     """0.5 delta'(eigs * delta) + xi'delta with delta = values - theta_star,
-    for a (d,) vector or (R, d) rows (xi None: no noise term).
+    for a (d,) vector or (R, d) rows (xi None: no noise term).  theta_star,
+    eigs and xi are (d,), shared by every row, or (R, d), one row each.
 
     np.vecdot runs one BLAS dot per row, as `@` does for one vector (an
     einsum or a matrix product may sum in another order), so a row's loss
@@ -165,12 +174,13 @@ def _loss_in_pieces(values, theta_star, eigs, xi):
 
 
 class QuadraticRows:
-    """The loss oracle of a population of (R, d) rows, row r on tasks[r].
+    """The loss oracle of (R, d) rows of several quadratic tasks, row r on
+    tasks[r].
 
     The rows' optima and spectra are stacked into (R, d) arrays, so one call
     evaluates every row, and each row's loss has the bits of its task's
-    vector loss: both are _quadratic_loss.  Minibatch noise is drawn once per
-    task and batch key.
+    vector loss: both are _quadratic_loss.  Rows of one task need no stack:
+    the task's own loss takes them.
     """
 
     def __init__(self, tasks):
@@ -180,20 +190,15 @@ class QuadraticRows:
         self.noisy = any(task.noise_tau != 0.0 for task in self.tasks)
         self._key, self._xi = None, None
 
-    def batch(self, batch_size: int, key: int):
-        # a quadratic batch is its key, whatever the task
-        return self.tasks[0].sample_batch(batch_size, key)
-
     def _noise(self, batch) -> np.ndarray:
         if batch != self._key:
             # a noise-free task's row stays zero: adding its +0 leaves the
             # non-negative quadratic term's bits unchanged
-            xi, drawn = np.zeros_like(self.theta_star), {}
+            xi = np.zeros_like(self.theta_star)
             for r, task in enumerate(self.tasks):
-                if id(task) not in drawn:
-                    drawn[id(task)] = task._batch_noise(batch)
-                if drawn[id(task)] is not None:
-                    xi[r] = drawn[id(task)]
+                drawn = task._batch_noise(batch)
+                if drawn is not None:
+                    xi[r] = drawn
             self._key, self._xi = batch, xi
         return self._xi
 
@@ -230,12 +235,11 @@ def make_rank_family(block_sizes, ranks, opnorms, **kwargs) -> QuadraticTask:
     for i, (d_i, r_i, L) in enumerate(zip(block_sizes, ranks, opnorms)):
         if L <= 0:
             raise ConfigError(f"block {i}: operator norm must be positive")
-        sl = partition.block_slice(i)
         spectrum = np.empty(d_i)
         spectrum[0] = L
         if d_i > 1:
             spectrum[1:] = L * (r_i - 1.0) / (d_i - 1.0)
-        eigs[sl] = spectrum
+        eigs[partition.slices[i]] = spectrum
     theta_star = kwargs.pop("theta_star", np.zeros(partition.total))
     return QuadraticTask(partition, eigs, theta_star, **kwargs)
 
@@ -256,11 +260,6 @@ class QuadraticFamily:
     init_scale: float | tuple = 1.0  # scalar, or one entry per block
     noise_tau: float = 0.0
     seed: int = 0
-
-    def partition(self) -> BlockPartition:
-        return BlockPartition(
-            [(f"block{i}", int(s)) for i, s in enumerate(self.block_sizes)]
-        )
 
     def make_task(self, index: int) -> QuadraticTask:
         rng = np.random.default_rng([self.seed, int(index)])
@@ -339,10 +338,6 @@ class MLPTask:
         self.y = np.arange(self.n_samples) % self.n_out
         self.X = means[self.y] + rng.standard_normal((self.n_samples, self.n_in))
 
-    @property
-    def dim(self) -> int:
-        return self.partition.total
-
     def _unpack(self, values: np.ndarray):
         i, h, o = self.n_in, self.n_hidden, self.n_out
         w1 = values[: i * h].reshape(i, h)
@@ -363,7 +358,10 @@ class MLPTask:
         replace = batch_size > self.n_samples
         return rng.choice(self.n_samples, size=batch_size, replace=replace)
 
-    def loss(self, values: np.ndarray, batch) -> float:
+    def loss(self, values: np.ndarray, batch):
+        """A float for a (d,) vector, R losses for (R, d) rows."""
+        if values.ndim > 1:
+            return np.array([self.loss(row, batch) for row in values])
         w1, b1, w2, b2 = self._unpack(values)
         xb, yb = self.X[batch], self.y[batch]
         hidden = np.tanh(xb @ w1 + b1)

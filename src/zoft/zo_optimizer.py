@@ -300,24 +300,17 @@ def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
                       scales=scales.stds.copy(), coeff=coeff)
 
 
-def _runs(models) -> list:
-    """(model, rows) for each run of consecutive rows that share one model."""
-    runs, lo = [], 0
-    for r in range(1, len(models) + 1):
-        if r == len(models) or models[r] is not models[lo]:
-            runs.append((models[lo], slice(lo, r)))
-            lo = r
-    return runs
-
-
 def _initial_rows(models, seed: int) -> np.ndarray:
-    """(R, d) starting rows; one model's rows share one init_theta call.  A
-    single row is a view of its start vector, never a second d-sized copy."""
+    """(R, d) starting rows; consecutive rows of one model share one
+    init_theta call.  A single row is a view of its start vector, never a
+    second d-sized copy."""
     if len(models) == 1:
         return models[0].init_theta(seed)[None]
     values = np.empty((len(models), models[0].partition.total))
-    for model, rows in _runs(models):
-        values[rows] = model.init_theta(seed)
+    for r, model in enumerate(models):
+        if r == 0 or model is not models[r - 1]:
+            start = model.init_theta(seed)
+        values[r] = start
     return values
 
 
@@ -328,30 +321,15 @@ def _divergence(t: int, error: Exception) -> DivergenceError:
     return out
 
 
-class _ModelRuns:
-    """The loss oracle of rows whose models are called one row at a time,
-    each with its model's (d,) vector loss and its run's batch (see _runs)."""
-
-    def __init__(self, models):
-        self.runs = _runs(models)
-
-    def batch(self, batch_size: int, key: int) -> list:
-        return [model.sample_batch(batch_size, key) for model, _ in self.runs]
-
-    def __call__(self, values, batches):
-        out = np.empty(len(values))
-        for (model, rows), batch in zip(self.runs, batches):
-            for r in range(rows.start, rows.stop):
-                out[r] = model.loss(values[r], batch)
-        return out
-
-
 def _loss_oracle(models):
-    """One stacked call for two or more quadratic rows, else one call per run
-    of rows that share a model."""
-    if len(models) > 1 and all(type(model) is QuadraticTask for model in models):
+    """The loss of the population's rows: their model's own loss when every
+    row shares one model, one stacked call for rows of several quadratic
+    tasks."""
+    if all(model is models[0] for model in models):
+        return models[0].loss
+    if all(type(model) is QuadraticTask for model in models):
         return QuadraticRows(models)
-    return _ModelRuns(models)
+    raise ValueError("rows of several models must all be quadratic tasks")
 
 
 def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
@@ -361,9 +339,10 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     Row r runs models[r] from models[r].init_theta(config.seed) at
     learning_rates[r].  The rows share config, so every noise draw serves all
     of them, and each row's trajectory equals its single run bit for bit.
-    The models must share one partition; a population of quadratic tasks
-    evaluates every row in one stacked loss call, other models' consecutive
-    rows share each loss call.
+    The models must share one partition, and every step evaluates all rows
+    in one loss call: the model's own loss when the rows share one model,
+    QuadraticRows for rows of several quadratic tasks.  Rows of several
+    models that are not all quadratic tasks raise ValueError.
 
     `learned` holds one bool per row: True for a finetuner row, which samples
     with the scale network's stds, False for a MeZO row, which samples with
@@ -392,9 +371,9 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     partition = models[0].partition
     if any(model.partition != partition for model in models):
         raise PartitionMismatchError("population models must share one partition")
+    loss_of = _loss_oracle(models)
     theta = ParamVector(_initial_rows(models, config.seed), partition)
     state = OptState(learned=None if learned.all() else learned)
-    loss_of = _loss_oracle(models)
     # the columns of every row's trajectory, filled step by step
     n_rows, n_steps = len(models), config.steps
     loss = np.empty((n_rows, n_steps))
@@ -404,7 +383,7 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     outcomes = [None] * n_rows
     limit = None  # each row's divergence threshold, 1e6 x its initial loss
     for t in range(1, n_steps + 1):
-        batch = loss_of.batch(config.batch_size, config.seed * 1000003 + t)
+        batch = models[0].sample_batch(config.batch_size, config.seed * 1000003 + t)
         failures = {}
         record = step(theta, state, batch, config, loss_of, lrs, pertnn,
                       failures=failures)

@@ -672,7 +672,7 @@ batch_size = 1
 """, encoding="utf-8")
         out = tmp_path / "out"
         out.mkdir()
-        partition = QuadraticFamily(block_sizes=(40000, 24, 1)).partition()
+        partition = BlockPartition([("block0", 40000), ("block1", 24), ("block2", 1)])
         pertnn.save(pertnn.init(partition, 8, NoiseSeed(0)), out / "finetuner.ckpt")
         assert cli.main(["finetune", "--config", str(cfg), "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()

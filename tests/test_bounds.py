@@ -37,7 +37,7 @@ def reference_monte_carlo(task, theta, scales, eta, scheme, law, n, seed):
 
     g = task.grad(theta, 0)
     parts = task.partition
-    slices = [parts.block_slice(i) for i in range(parts.n_blocks)]
+    slices = parts.slices
     stds = scales.stds
     rng = np.random.default_rng([_MC_TAG, seed])
     delta = np.zeros(n)

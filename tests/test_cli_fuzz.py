@@ -96,3 +96,12 @@ def test_repeated_list_value_is_rejected(tmp_path, capsys, name, key, value):
     err = capsys.readouterr().err
     assert f"[{name}] {key}=" in err and "repeats an earlier value" in err, err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("grid, code", [("0.07, 0.7, 7.0", 0), ("0.07, 0.7, 6.99", 2)])
+def test_sweep_span_compares_rates_as_printed(tmp_path, grid, code):
+    # 100.0 * 0.07 is 7.000000000000001, yet the rates print as 0.07 and 7
+    sections = clamped("sweep")
+    sections["sweep"].update(methods="mezo", lr_grid=grid)
+    path = write_ini(tmp_path / "sweep.ini", sections)
+    assert cli.main(["sweep-lr", "--config", str(path), "--out", str(tmp_path)]) == code

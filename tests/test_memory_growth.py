@@ -137,6 +137,21 @@ class TestLargeDimension:
         assert traced_peak(lambda: step(theta, state, 2, config, model.loss, 1e-5,
                                         net)) <= 3 * chunk
 
+    def test_rows_of_one_task_share_its_optimum_and_spectrum(self):
+        # 3 mezo rows of one d = 200,000 task keep the rows, init_theta's
+        # start vector and chunks of scratch.  Stacking the task's optimum
+        # and spectrum once per row peaked at 15.46 MB, 3.2x the rows' bytes
+        model = make_rank_family([150_000, 40_000, 9_990, 10],
+                                 [7500.0, 2000.0, 500.0, 2.0], [1.0, 0.5, 1.0, 2.0],
+                                 seed=0)
+        config = ZOConfig(steps=2, mode="mezo", seed=0)
+
+        def run():
+            return run_population([model] * 3, [1e-5] * 3, config)
+
+        run()
+        assert traced_peak(run) <= 1.5 * 3 * 8 * model.partition.total
+
 
 def test_command_line_parser_is_freed_before_the_command():
     def parsers() -> int:

@@ -187,7 +187,8 @@ def reference_meta_grad(theta, net, task, state, batch, config, z):
         d_raw = factor * d_used - (sizes * raws / budget) * float(d_used @ used)
     else:
         d_raw = d_used
-    grads = net.zeros_like()
+    grads = pertnn.PertNNParams(net.block_names, net.hidden,
+                                *(np.zeros_like(a) for a in net.arrays))
     for i in range(part.n_blocks):
         dy = float(d_raw[i]) * _reference_sigmoid(ys[i])
         grads.w2[i] = dy * hs[i]

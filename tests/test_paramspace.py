@@ -54,7 +54,7 @@ class TestBlockPartition:
         p = BlockPartition([("a", 2), ("b", 3), ("c", 1)])
         assert p.total == 6
         assert list(p.offsets) == [0, 2, 5]
-        assert p.block_slice(1) == slice(2, 5)
+        assert p.slices[1] == slice(2, 5)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zoft import pertnn
+from zoft import pertnn, testbeds
 from zoft.errors import (
     DivergenceError,
     InvalidScaleError,
@@ -169,6 +169,31 @@ class TestStackedQuadraticOracle:
         assert np.array_equal(oracle(values[keep], 12), np.array(want))
         want = [rows_of[k].loss(values[k], 13) for k in keep]
         assert np.array_equal(oracle(values[keep], 13), np.array(want))
+        # rows of one task, noisy and noise-free, take the task's own loss
+        for task in tasks[:2]:
+            for key in (11, 11, 12):
+                want = [task.loss(row, key) for row in values]
+                assert np.array_equal(task.loss(values, key), np.array(want))
+        mlp = MLPTask(n_in=4, n_hidden=8, n_out=3)
+        rows = np.random.default_rng(1).normal(size=(3, mlp.partition.total))
+        batch = mlp.sample_batch(16, 0)
+        want = [mlp.loss(row, batch) for row in rows]
+        assert np.array_equal(mlp.loss(rows, batch), np.array(want))
+
+    def test_noisy_run_draws_its_batch_noise_once_per_step(self, monkeypatch):
+        # a step evaluates three losses on one batch, and draws its noise once
+        task = QuadraticFamily(**{**vars(race_family()), "noise_tau": 0.5}).make_task(100)
+        draws = []
+        default_rng = np.random.default_rng
+
+        def counted(seed=None):
+            if isinstance(seed, list) and seed[0] == testbeds._QNOISE_TAG:
+                draws.append(seed[2])
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        run_finetune(task, 0.02, ZOConfig(10, seed=5))
+        assert draws == [5 * 1000003 + t for t in range(1, 11)]
 
     @pytest.mark.parametrize("mode", ["mezo", "finetuner"])
     def test_noisy_family_with_a_row_diverging_mid_run(self, mode, monkeypatch):
@@ -199,6 +224,10 @@ class TestStackedQuadraticOracle:
         assert 0 < len(diverged) < len(outcomes)
         guard = [o for o in diverged if "exceeded" in str(o)]
         assert guard and all(leave_step(o) > 1 for o in guard)
+        # rows of one noisy task: the task's own loss takes them all
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = assert_rows_match([tasks[0]] * 4, lrs, config, net)
+        assert [isinstance(o, DivergenceError) for o in outcomes] == [False, False, True, True]
 
 
 class TestFailures:
@@ -315,6 +344,9 @@ class TestFailures:
             run_population([model, model], [0.05, 0.05], config, learned=[True])
         with pytest.raises(ValueError):  # mezo mode has no network to sample with
             run_population([model, model], [0.05, 0.05], config, learned=[False, True])
+        with pytest.raises(ValueError):  # only quadratic tasks stack their rows
+            run_population([MLPTask(data_seed=0), MLPTask(data_seed=1)], [0.05, 0.05],
+                           config)
 
 
 def test_population_walk_allocates_no_parameter_sized_buffer():

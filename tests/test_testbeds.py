@@ -43,6 +43,7 @@ class TestQuadraticTask:
         delta = values - task.theta_star
         want = 0.5 * dot(delta, task.eigs * delta) + dot(delta, task._batch_noise(7))
         assert task.loss(values, 7) == want
+        assert task.loss(np.stack([values, values]), 7).tolist() == [want, want]
         rows = QuadraticRows([task, task])(np.stack([values, values]), 7)
         assert rows.tolist() == [want, want]
 
@@ -155,7 +156,7 @@ class TestMLPTask:
         layer = MLPTask(n_in=4, n_hidden=8, n_out=3, granularity="layer")
         assert layer.partition.names == ("layer1", "layer2")
         assert list(layer.partition.sizes) == [40, 27]
-        assert block.dim == layer.dim == 67
+        assert block.partition.total == layer.partition.total == 67
 
     def test_granularity_does_not_change_loss(self):
         a = MLPTask(data_seed=1, granularity="block")
@@ -172,7 +173,7 @@ class TestMLPTask:
         task = MLPTask(n_in=3, n_hidden=4, n_out=3, n_samples=30, data_seed=2)
         rng = np.random.default_rng(0)
         for trial in range(5):
-            theta = task.init_theta(trial) + 0.1 * rng.normal(size=task.dim)
+            theta = task.init_theta(trial) + 0.1 * rng.normal(size=task.partition.total)
             batch = task.sample_batch(8, trial)
             g = task.grad(theta, batch)
             fd = fd_grad(task.loss, theta, batch)
