@@ -19,13 +19,13 @@ from zoft.paramspace import NoiseSeed, ParamVector
 from zoft.pertnn import forward_all
 from zoft.pertnn import init as pertnn_init
 from zoft.testbeds import QuadraticFamily
-from zoft.zo_optimizer import LossPair, normalize_scales, step_features
+from zoft.zo_optimizer import OptState, normalize_scales, step_features
 
 
 def emitted_stds(params, task):
     theta = ParamVector(task.init_theta(0), task.partition)
     l0 = float(task.loss(theta.values, None))
-    feats = step_features(theta, LossPair(l0, l0), np.ones(task.partition.n_blocks))
+    feats = step_features(theta, OptState(), l0)
     raw, _ = forward_all(params, feats)
     return normalize_scales(raw, task.partition)
 

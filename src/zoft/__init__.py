@@ -12,7 +12,6 @@ from .paramspace import (
 from .pertnn import PertNNParams
 from .zo_optimizer import (
     LossPair,
-    StepRecord,
     Trajectory,
     ZOConfig,
     normalize_scales,
@@ -43,7 +42,6 @@ __all__ = [
     "PerturbScales",
     "QuadraticFamily",
     "QuadraticTask",
-    "StepRecord",
     "Trajectory",
     "ZOConfig",
     "block_stats",

@@ -59,16 +59,14 @@ class BoundInputs:
         return int(self.block_sizes.sum())
 
     @classmethod
-    def from_task(cls, task: QuadraticTask, theta: np.ndarray, eta: float,
-                  batch=0, batch_size: int = 1) -> "BoundInputs":
+    def from_task(cls, task: QuadraticTask, theta: np.ndarray, eta: float) -> "BoundInputs":
         return cls(
             eta=eta,
             smoothness=task.smoothness,
             block_sizes=task.partition.sizes.copy(),
             ranks=task.effective_ranks(),
-            grad_sqnorms=task.block_grad_sqnorms(theta, batch),
+            grad_sqnorms=task.block_grad_sqnorms(theta),
             noise_trace=task.noise_tau,
-            batch_size=batch_size,
         )
 
 

@@ -191,7 +191,8 @@ class ExperimentConfig:
             raise ConfigError(f"{where} must be non-empty")
         values = [_parse(spec, item, where) for item in items]
         if spec.distinct:
-            seen = [_fmt(v) if spec.type is float else v for v in values]
+            # + 0.0 turns -0.0 into 0.0, which prints apart from it
+            seen = [_fmt(v + 0.0) if spec.type is float else v for v in values]
             for k, item in enumerate(items):
                 if seen[k] in seen[:k]:
                     raise ConfigError(f"{where}={item!r} repeats an earlier value")
@@ -210,8 +211,8 @@ def build_task_source(cfg: ExperimentConfig):
     if kind == "mlp":
         sizes = {key: cfg.get("task", key) for key in ("n_in", "n_hidden", "n_out", "n_samples")}
 
-        def factory(granularity="block", data_seed=seed):
-            return MLPTask(**sizes, data_seed=data_seed, granularity=granularity)
+        def factory(granularity="block"):
+            return MLPTask(**sizes, data_seed=seed, granularity=granularity)
         return kind, factory
     block_sizes = cfg.get("task", "block_sizes")
     init_scale = cfg.get("task", "init_scale")

@@ -61,16 +61,16 @@ class RunResult:
     task: str
     seed: int
     lr: float
-    trajectory: Trajectory | None  # None when diverged
+    outcome: Trajectory | DivergenceError  # the error that ended a diverged run
     wall_ms: float
 
     @property
     def diverged(self) -> bool:
-        return self.trajectory is None
+        return isinstance(self.outcome, DivergenceError)
 
     @property
     def _loss(self) -> np.ndarray:
-        return np.empty(0) if self.trajectory is None else self.trajectory.loss
+        return np.empty(0) if self.diverged else self.outcome.loss
 
     @property
     def initial_loss(self) -> float:
@@ -114,15 +114,14 @@ def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
         wall = (time.perf_counter() - start) * 1e3 / len(ks) if timing else 0.0
         for k, outcome in zip(ks, outcomes):
             model, method, lr, _ = jobs[k]
-            trajectory = None if isinstance(outcome, DivergenceError) else outcome
-            results[k] = RunResult(method, model.name, seed, lr, trajectory, wall)
+            results[k] = RunResult(method, model.name, seed, lr, outcome, wall)
     return results
 
 
 def _run_rows(experiment: str, result: RunResult) -> list[str]:
-    traj = result.trajectory
-    if traj is None:
+    if result.diverged:
         return []
+    traj = result.outcome
     head = ",".join([experiment, result.method, result.task, str(result.seed),
                      _fmt(result.lr)])
     per_step_ms = _fmt(result.wall_ms / max(1, len(traj)))
@@ -226,7 +225,7 @@ def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
     for result in results:
         if result.diverged:
             raise DivergenceError(
-                f"{method} diverged on {model.name} seed {result.seed}"
+                f"{method} diverged on {model.name} seed {result.seed}: {result.outcome}"
             )
         rows.extend(_run_rows(experiment, result))
     _write_lines(out_dir / "trajectory.csv", [RUN_ROW_HEADER] + _sorted_rows(rows))

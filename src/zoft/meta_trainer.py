@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,33 +70,27 @@ class MetaEval:
     cache: pertnn_mod.ForwardCache
 
 
-def _finite_pair(plus: float, minus: float) -> LossPair:
-    """The pair, or NumericOverflowError: meta-training stops at its first
-    non-finite loss."""
-    if not (math.isfinite(plus) and math.isfinite(minus)):
-        raise NumericOverflowError(f"non-finite perturbed losses ({plus}, {minus})")
-    return LossPair(plus, minus)
-
-
 def meta_loss(theta: ParamVector, pertnn, task, task_state: OptState, batch,
               epsilon: float, eta1: float, z: np.ndarray,
               normalize: bool = True) -> MetaEval:
-    """Post-update loss L(theta - eta1 * c * u) with u = s(omega) * z, z frozen."""
-    prev_pair = task_state.prev_losses
-    if prev_pair is None:
-        l0 = float(task.loss(theta.values, batch))
-        prev_pair = _finite_pair(l0, l0)
-    features = step_features(theta, prev_pair, task_state.prev_scales)
+    """Post-update loss L(theta - eta1 * c * u) with u = s(omega) * z, z frozen.
+
+    Meta-training stops at its first non-finite loss: NumericOverflowError.
+    """
+    l0 = float(task.loss(theta.values, batch)) if task_state.prev_losses is None else None
+    features = step_features(theta, task_state, l0)
     raws, used, cache, norm = _used_scales(pertnn, features, theta.partition, normalize)
     u = np.repeat(used, theta.partition.sizes) * z
     loss_plus = float(task.loss(theta.values + epsilon * u, batch))
     loss_minus = float(task.loss(theta.values - epsilon * u, batch))
-    pair = _finite_pair(loss_plus, loss_minus)
+    if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
+        raise NumericOverflowError(
+            f"non-finite perturbed losses ({loss_plus}, {loss_minus})")
     coeff = (loss_plus - loss_minus) / (2.0 * epsilon)
     theta1 = theta.values - eta1 * coeff * u
     l_zo = float(task.loss(theta1, batch))
     return MetaEval(
-        l_zo=l_zo, coeff=coeff, loss_pair=pair,
+        l_zo=l_zo, coeff=coeff, loss_pair=LossPair(loss_plus, loss_minus),
         raw_stds=raws, used_stds=used, norm=norm, theta1=theta1, cache=cache,
     )
 
@@ -125,21 +118,20 @@ def meta_grad(theta: ParamVector, pertnn, task, task_state: OptState, batch,
     return grads, ev
 
 
-class MetaStepRecord(NamedTuple):
-    l_zo: float
-    loss: float  # unperturbed loss before the model's SGD move
-
-
 def meta_step(theta: ParamVector, pertnn, task, task_state: OptState, batch,
-              config: MetaConfig, z: np.ndarray) -> MetaStepRecord:
-    """One inner meta-training step: update the network, then move the model."""
+              config: MetaConfig, z: np.ndarray) -> tuple[float, float]:
+    """One inner meta-training step: update the network, then move the model.
+
+    Returns (l_zo, loss): the meta-objective's post-update loss and the
+    unperturbed loss before the model's SGD move.
+    """
     grads, ev = meta_grad(theta, pertnn, task, task_state, batch, config, z)
     pertnn.add_scaled(grads, -config.eta2)
     loss_t = float(task.loss(theta.values, batch))
     theta.values -= config.eta1 * task.grad(theta.values, batch)
     task_state.prev_losses = ev.loss_pair
     task_state.prev_scales = ev.used_stds
-    return MetaStepRecord(l_zo=ev.l_zo, loss=loss_t)
+    return ev.l_zo, loss_t
 
 
 @dataclass
@@ -166,13 +158,14 @@ class MetaLog:
         return self.t[self.reset].tolist()
 
 
-def train(config: MetaConfig, tasks, pertnn, theta0: np.ndarray | None = None):
+def train(config: MetaConfig, tasks, pertnn):
     """Run the full learning-to-learn loop; returns (pertnn, MetaLog).
 
     All tasks must share one partition; the model parameters are shared across
-    tasks and follow the first-order trajectory, reset to theta0 every
-    reset_period outer steps.  The log's columns are allocated up front, so
-    nothing else the loop keeps grows with the step count.
+    tasks and follow the first-order trajectory from the first task's
+    init_theta(config.seed), reset to it every reset_period outer steps.
+    The log's columns are allocated up front, so nothing else the loop keeps
+    grows with the step count.
     """
     if not tasks:
         raise ConfigError("task list must not be empty")
@@ -181,9 +174,7 @@ def train(config: MetaConfig, tasks, pertnn, theta0: np.ndarray | None = None):
         if task.partition != partition:
             raise ConfigError("all meta-training tasks must share one partition")
     pertnn = pertnn.copy()
-    if theta0 is None:
-        theta0 = tasks[0].init_theta(config.seed)
-    theta0 = np.asarray(theta0, dtype=np.float64).copy()
+    theta0 = tasks[0].init_theta(config.seed)
     theta = ParamVector(theta0.copy(), partition)
     states = [OptState() for _ in tasks]
     shuffle_rng = np.random.default_rng([_SHUFFLE_TAG, config.seed])

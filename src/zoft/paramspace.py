@@ -313,11 +313,8 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     """a @ b of two 1-D float64 arrays, with bits that do not depend on the
     BLAS thread count: up to _DOT_PIECE values it is that one call, above it
     the sum, in index order, of one such call per _DOT_PIECE-value piece."""
-    n = len(a)
-    if n <= _DOT_PIECE:
-        return float(a @ b)
     total = float(a[:_DOT_PIECE] @ b[:_DOT_PIECE])
-    for lo in range(_DOT_PIECE, n, _DOT_PIECE):
+    for lo in range(_DOT_PIECE, len(a), _DOT_PIECE):
         total += float(a[lo:lo + _DOT_PIECE] @ b[lo:lo + _DOT_PIECE])
     return total
 

@@ -70,18 +70,6 @@ class LossPair:
 
 
 @dataclass
-class StepRecord:
-    """One step of one run.  `step` on a population returns one record whose
-    fields hold one entry per row."""
-
-    t: int
-    loss: float  # pre-update, unperturbed
-    losses: LossPair
-    scales: np.ndarray  # per-block stds actually used for sampling
-    coeff: float
-
-
-@dataclass
 class Trajectory:
     """One run's steps as columns: entry k holds step k + 1."""
 
@@ -143,19 +131,29 @@ def normalize_scales_vjp(stds: np.ndarray, partition, upstream: np.ndarray,
     return factor * upstream - (partition.sizes * stds / budget) * inner
 
 
-def step_features(theta: ParamVector, prev_losses: LossPair,
-                  prev_scales: np.ndarray) -> np.ndarray:
+def step_features(theta: ParamVector, state: OptState, current_loss=None,
+                  failures=None) -> np.ndarray:
     """(n_blocks, 5) feature matrix: l+, l-, previous scale, block mean, block var.
 
-    For (R, d) rows it is (R, n_blocks, 5); prev_losses then holds (R,)
-    arrays and prev_scales is (n_blocks,) or (R, n_blocks).  A prev_scales
-    of None, before the first step, reads as ones.
+    For (R, d) rows it is (R, n_blocks, 5).  The losses and scales are the
+    previous step's, carried in `state`.  Before a run's or a task's first
+    step (no losses carried yet) the pair is `current_loss` twice, each
+    learned row (see OptState.learned) whose loss is not finite is flagged
+    through _flag, and the previous scales read as ones.
     """
+    prev_losses = state.prev_losses
+    if prev_losses is None:
+        bad = ~np.isfinite(current_loss)
+        if state.learned is not None:
+            bad &= state.learned
+        _flag(failures, bad, lambda r: NumericOverflowError(
+            f"non-finite loss {np.atleast_1d(current_loss)[r]}"))
+        prev_losses = LossPair(current_loss, current_loss)
     n = theta.partition.n_blocks
     features = np.empty(theta.values.shape[:-1] + (n, pertnn_mod.N_FEATURES))
     features[..., 0] = np.asarray(prev_losses.plus)[..., None]
     features[..., 1] = np.asarray(prev_losses.minus)[..., None]
-    features[..., 2] = 1.0 if prev_scales is None else prev_scales
+    features[..., 2] = 1.0 if state.prev_scales is None else state.prev_scales
     features[..., 3], features[..., 4] = block_stats(theta)
     return features
 
@@ -217,15 +215,7 @@ def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
                              partition)
     if pertnn is None:
         raise ValueError("finetuner mode requires scale-network parameters")
-    prev_losses = state.prev_losses
-    if prev_losses is None:
-        prev_losses = LossPair(current_loss, current_loss)
-        bad = ~np.isfinite(current_loss)
-        if state.learned is not None:
-            bad &= state.learned
-        _flag(failures, bad, lambda r: NumericOverflowError(
-            f"non-finite loss {np.atleast_1d(current_loss)[r]}"))
-    features = step_features(theta, prev_losses, state.prev_scales)
+    features = step_features(theta, state, current_loss, failures)
     _, used, _, _ = _used_scales(pertnn, features, partition, config.normalize,
                                  failures, state.learned)
     return PerturbScales(used, partition)
@@ -264,16 +254,18 @@ def two_point(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
 
 
 def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
-         loss_of, learning_rate, pertnn=None, failures=None) -> StepRecord:
-    """One optimizer step at `learning_rate`; mutates theta and state.
+         loss_of, learning_rate, pertnn=None, failures=None) -> float | np.ndarray:
+    """One optimizer step at `learning_rate`; mutates theta and state, and
+    returns the pre-update, unperturbed loss.  The state then carries the
+    step's perturbed losses and the scales it sampled with.
 
     ``loss_of(values, batch)`` is the batch loss oracle; both perturbed
     evaluations use the same batch.
 
     theta holds (R, d) rows: a population of runs that share config, and so
     every noise draw, and differ in their losses (loss_of maps the rows to R
-    losses) and in `learning_rate`, one rate per row.  The record's fields
-    hold one entry per row.  A (d,) vector steps through the same
+    losses) and in `learning_rate`, one rate per row.  The loss and the
+    state hold one entry per row.  A (d,) vector steps through the same
     statements as one row, with loss_of's value and a scalar rate.  A
     failure (a non-finite loss or parameter, or invalid scales) raises; given
     a `failures` dict, each failing row is recorded there as row -> error
@@ -286,8 +278,8 @@ def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
 
     current_loss = losses()
     scales = _scales_for_step(theta, state, config, pertnn, current_loss, failures)
-    pair, coeff = two_point(theta, scales, NoiseSeed(config.seed, stream=t),
-                            config.epsilon, losses, learning_rate, failures)
+    pair, _ = two_point(theta, scales, NoiseSeed(config.seed, stream=t),
+                        config.epsilon, losses, learning_rate, failures)
     # once per step: an inf/nan entry makes its row's sum non-finite, and no
     # later move of the step makes it finite again
     _flag(failures, ~np.isfinite(np.add.reduce(theta.values, axis=-1)),
@@ -296,8 +288,7 @@ def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
     state.prev_losses = pair
     state.prev_scales = scales.stds
     state.t = t
-    return StepRecord(t=t, loss=current_loss, losses=pair,
-                      scales=scales.stds.copy(), coeff=coeff)
+    return current_loss
 
 
 def _initial_rows(models, seed: int) -> np.ndarray:
@@ -385,11 +376,10 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     for t in range(1, n_steps + 1):
         batch = models[0].sample_batch(config.batch_size, config.seed * 1000003 + t)
         failures = {}
-        record = step(theta, state, batch, config, loss_of, lrs, pertnn,
-                      failures=failures)
-        now = record.loss
+        now = step(theta, state, batch, config, loss_of, lrs, pertnn,
+                   failures=failures)
         loss[at, t - 1] = now
-        scales[at, t - 1] = record.scales
+        scales[at, t - 1] = state.prev_scales
         if limit is None:
             limit = DIVERGENCE_FACTOR * (np.abs(now) + 1e-300)
         blown = np.abs(now) > limit

@@ -36,7 +36,6 @@ from zoft.bounds import verify_bound
 from zoft.config import ExperimentConfig, build_task_source
 from zoft.testbeds import MLPTask, QuadraticFamily, QuadraticTask, make_rank_family
 from zoft.zo_optimizer import (
-    LossPair,
     OptState,
     ZOConfig,
     normalize_scales,
@@ -256,7 +255,7 @@ class TestMetaGradient:
 
             def frozen(candidate):
                 l0 = float(task.loss(theta.values, 0))
-                feats = step_features(theta, LossPair(l0, l0), state.prev_scales)
+                feats = step_features(theta, state, l0)
                 raws, _ = pertnn.forward_all(candidate, feats)
                 if normalize:
                     d = p.total

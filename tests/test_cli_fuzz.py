@@ -83,6 +83,9 @@ def test_one_bad_key_never_raises(tmp_path):
     # rates that print alike (12 significant digits) write identical rows
     ("compare", "lr_grid", "0.02, 0.05, 0.02000000000001"),
     ("sweep", "lr_grid", "0.0002, 0.02, 0.02000000000001"),
+    # -0 is the rate 0, though it prints apart from it
+    ("compare", "lr_grid", "0, -0, 0.05"),
+    ("sweep", "lr_grid", "0.002, 0, 0.2, -0"),
     ("finetune", "seeds", "2, 2"),
     ("ablate", "seeds", "0, 1, 0"),
 ])

@@ -9,7 +9,7 @@ import pytest
 import zoft
 from zoft import cli, harness
 from zoft.config import ExperimentConfig
-from zoft.errors import ConfigError
+from zoft.errors import ConfigError, DivergenceError
 from zoft.harness import (
     RUN_ROW_HEADER,
     RunResult,
@@ -105,7 +105,8 @@ def load_config(tmp_path, text):
 def fake_result(losses, lr=0.1, diverged=False):
     n = len(losses)
     traj = Trajectory(np.array(losses, dtype=float), np.ones((n, 2)))
-    return RunResult("mezo", "quad0", 0, lr, None if diverged else traj, 0.0)
+    outcome = DivergenceError("loss exceeded") if diverged else traj
+    return RunResult("mezo", "quad0", 0, lr, outcome, 0.0)
 
 
 class TestRunResult:
@@ -158,6 +159,29 @@ batch_size = 4
         assert len(lines) == 1 + 30 * 2
         wall = {line.split(",")[7] for line in lines[1:]}
         assert wall == {"0"}  # byte-stable by default
+
+    def test_timing_fills_wall_ms_and_nothing_else(self, tmp_path):
+        cfg = write_config(tmp_path, TASK + """
+[finetune]
+mode = mezo
+seeds = 0, 1
+lr = 0.05
+steps = 5
+batch_size = 4
+""")
+        rows = {}
+        for flags in ([], ["--timing"]):
+            out = tmp_path / ("timed" if flags else "plain")
+            assert self.run(["finetune", "--config", cfg, "--out", out, *flags]) == 0
+            lines = (out / "trajectory.csv").read_text().splitlines()
+            assert lines[0] == RUN_ROW_HEADER
+            rows[bool(flags)] = [line.split(",") for line in lines[1:]]
+        k = RUN_ROW_HEADER.split(",").index("wall_ms")
+        assert {row[k] for row in rows[False]} == {"0"}
+        assert all(float(row[k]) > 0 for row in rows[True])
+        assert ([row[:k] + row[k + 1:] for row in rows[True]]
+                == [row[:k] + row[k + 1:] for row in rows[False]])
+        assert len(rows[True]) == 2 * 5
 
     def test_train_then_finetune_with_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path, TASK + TRAIN + """
@@ -459,6 +483,29 @@ steps = 5
                          "--out", str(tmp_path / "o")])
         assert code == 3
         assert "zoft: divergence" in capsys.readouterr().err
+
+    def test_non_finite_start_loss_is_named_in_meta_training(self, tmp_path, capsys):
+        # the start loss overflows to inf before any perturbed loss exists
+        sections = clamped("train")
+        sections["task"]["init_scale"] = "1e200"
+        cfg = write_ini(tmp_path / "train.ini", sections)
+        assert cli.main(["train-finetuner", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "zoft: divergence: non-finite value at step 1: non-finite loss inf\n")
+
+    def test_finetune_divergence_keeps_its_reason(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["train-finetuner", "--config",
+                         str(write_ini(tmp_path / "train.ini", clamped("train"))),
+                         "--out", str(out)]) == 0
+        sections = clamped("finetune")
+        sections["task"]["init_scale"] = "1e200"
+        cfg = write_ini(tmp_path / "finetune.ini", sections)
+        assert cli.main(["finetune", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "zoft: divergence: finetuner diverged on quad100 seed 0: "
+            "non-finite value at step 1: non-finite loss inf\n")
 
     @pytest.mark.parametrize("task, bounds, names", [
         ("", "rank_profiles = 1,4\netas = 0.02\nsamples = 1\n", "[bounds] samples"),

@@ -79,13 +79,8 @@ class TestMetaGrad:
         """Loss after one update with the finite-difference coefficient frozen."""
         def f(candidate):
             from zoft.pertnn import forward_all
-            from zoft.zo_optimizer import step_features
-            from zoft.zo_optimizer import LossPair
-            prev = state.prev_losses
-            if prev is None:
-                l0 = float(task.loss(theta.values, batch))
-                prev = LossPair(l0, l0)
-            feats = step_features(theta, prev, state.prev_scales)
+            l0 = float(task.loss(theta.values, batch))
+            feats = step_features(theta, state, l0)
             raws, _ = forward_all(candidate, feats)
             if config.normalize:
                 d = theta.partition.total
@@ -163,7 +158,7 @@ def reference_meta_grad(theta, net, task, state, batch, config, z):
     inline budget normalization and its Jacobian, per-block backward."""
     part = theta.partition
     l0 = float(task.loss(theta.values, batch))
-    feats = step_features(theta, state.prev_losses or LossPair(l0, l0), state.prev_scales)
+    feats = step_features(theta, state, l0)
     hs, ys, raws = [], [], []
     for i in range(part.n_blocks):
         h = np.tanh(net.w1[i] @ feats[i] + net.b1[i])
@@ -220,7 +215,7 @@ class TestStackedNetworkBitExact:
                                 normalize=normalize)
             ref_raws, ref_grads = reference_meta_grad(theta, net, task, state, 0,
                                                       config, z)
-            feats = step_features(theta, state.prev_losses, state.prev_scales)
+            feats = step_features(theta, state)
             raws, _ = pertnn.forward_all(net, feats)
             assert np.array_equal(raws, ref_raws)
             grads, ev = meta_grad(theta, net, task, state, 0, config, z)
@@ -239,11 +234,11 @@ class TestMetaStepAndTrain:
         config = MetaConfig(eta1=0.05, eta2=0.1, steps=1, seed=0)
         state = OptState()
         z = np.random.default_rng(1).standard_normal(5)
-        rec = meta_step(theta, net, task, state, 0, config, z)
+        _, loss = meta_step(theta, net, task, state, 0, config, z)
         assert not np.array_equal(theta.values, before_theta)
         assert not np.array_equal(net.b2, before_b2)
         assert state.prev_losses is not None
-        assert rec.loss == pytest.approx(task.loss(before_theta, 0))
+        assert loss == pytest.approx(task.loss(before_theta, 0))
 
     def test_meta_step_builds_no_perturb_scales(self, monkeypatch):
         # the scales stay arrays from the network to the backward pass

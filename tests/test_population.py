@@ -46,20 +46,21 @@ from zoft.zo_optimizer import (
 
 
 def reference_run(model, lr, config, net):
-    """The single-run loop: records, or None where the run diverges."""
+    """The single-run loop: each step's (t, loss, scales), or None where the
+    run diverges."""
     theta = ParamVector(model.init_theta(config.seed), model.partition)
     state = OptState()
     records, initial = [], None
     for t in range(1, config.steps + 1):
         batch = model.sample_batch(config.batch_size, config.seed * 1000003 + t)
         try:
-            record = step(theta, state, batch, config, model.loss, lr, net)
+            loss = step(theta, state, batch, config, model.loss, lr, net)
         except (NumericOverflowError, InvalidScaleError):
             return None
-        records.append(record)
+        records.append((state.t, loss, state.prev_scales))
         if initial is None:
-            initial = abs(record.loss) + 1e-300
-        if abs(record.loss) > DIVERGENCE_FACTOR * initial:
+            initial = abs(loss) + 1e-300
+        if abs(loss) > DIVERGENCE_FACTOR * initial:
             return None
     return records
 
@@ -81,12 +82,7 @@ def assert_rows_match(models, lrs, config, net, learned=None):
             continue
         assert not isinstance(outcome, DivergenceError), (model.name, lr, own)
         assert len(outcome) == len(want)
-        columns = {
-            "t": [rec.t for rec in want],
-            "loss": [rec.loss for rec in want],
-            "scales": [rec.scales for rec in want],
-        }
-        for name, ref in columns.items():
+        for name, ref in zip(("t", "loss", "scales"), zip(*want)):
             assert np.array_equal(getattr(outcome, name), np.array(ref)), (name, lr, own)
     return outcomes
 
@@ -396,7 +392,7 @@ def test_one_row_starts_from_its_start_vector_without_a_copy():
 
 def test_columnar_trajectories_halve_the_record_objects_peak():
     # the race population of 2 tasks x 3 rates, mezo, 400 steps; the 0.08
-    # rows diverge.  Per-row StepRecord and LossPair objects peaked at
+    # rows diverge.  Per-row step record and LossPair objects peaked at
     # 708 KB (tracemalloc, Python 3.11, numpy 2.4); columns need a fraction
     tasks = race_family().make_tasks(2, start=100)
     lrs = [0.02, 0.05, 0.08]

@@ -17,7 +17,6 @@ from zoft import pertnn
 from zoft.zo_optimizer import (
     LossPair,
     OptState,
-    StepRecord,
     ZOConfig,
     _scales_for_step,
     _used_scales,
@@ -41,7 +40,8 @@ def quadratic():
 
 def reference_step(theta, state, batch, config, loss_of, learning_rate, pertnn=None):
     """step as four walks: +eps, -2eps and +eps restore theta, then a fourth
-    walk applies -lr * c * u (skipped when c or lr is 0)."""
+    walk applies -lr * c * u (skipped when c or lr is 0).  Returns the
+    pre-update loss and leaves the pair and scales in state, as step does."""
     t = state.t + 1
     loss = lambda: float(loss_of(theta.values, batch))
     current_loss = loss()
@@ -60,8 +60,7 @@ def reference_step(theta, state, batch, config, loss_of, learning_rate, pertnn=N
     state.prev_losses = pair
     state.prev_scales = scales.stds.copy()
     state.t = t
-    return StepRecord(t=t, loss=current_loss, losses=pair,
-                      scales=scales.stds.copy(), coeff=coeff)
+    return current_loss
 
 
 class TestNormalizeScales:
@@ -242,9 +241,9 @@ class TestStep:
     def test_mezo_uses_unit_scales(self):
         task = quadratic()
         theta = ParamVector(task.init_theta(0), partition())
-        rec = step(theta, OptState(), 0, ZOConfig(1, mode="mezo", seed=0),
-                   task.loss, 0.05)
-        assert np.all(rec.scales == 1.0)
+        state = OptState()
+        step(theta, state, 0, ZOConfig(1, mode="mezo", seed=0), task.loss, 0.05)
+        assert np.all(state.prev_scales == 1.0)
 
     def test_mezo_builds_unit_scales_of_each_shape(self):
         p = partition()
@@ -289,8 +288,8 @@ class TestStep:
         config = ZOConfig(1, mode="finetuner", seed=0)
         d = partition().total
         for t in range(30):
-            rec = step(theta, state, t, config, task.loss, 0.05, net)
-            budget = float(partition().sizes @ rec.scales**2)
+            step(theta, state, t, config, task.loss, 0.05, net)
+            budget = float(partition().sizes @ state.prev_scales**2)
             assert budget == pytest.approx(d, rel=1e-12)
 
     def test_finetuner_requires_network(self):
@@ -306,10 +305,10 @@ class TestStep:
         state = OptState()
         config = ZOConfig(2, mode="mezo", seed=0)
         l0 = task.loss(theta.values.copy())
-        rec1 = step(theta, state, 0, config, task.loss, 0.05)
-        rec2 = step(theta, state, 0, config, task.loss, 0.05)
-        assert rec1.t == 1 and rec2.t == 2
-        assert rec1.loss == pytest.approx(l0)
+        assert step(theta, state, 0, config, task.loss, 0.05) == pytest.approx(l0)
+        assert state.t == 1
+        step(theta, state, 0, config, task.loss, 0.05)
+        assert state.t == 2
 
     @pytest.mark.parametrize("mode", ["mezo", "finetuner"])
     @pytest.mark.parametrize("lr", [1e-5, 0.0])
@@ -326,17 +325,42 @@ class TestStep:
             a = step(fused, fused_state, t, config, task.loss, lr, net)
             b = reference_step(reference, reference_state, t, config, task.loss, lr, net)
             assert np.array_equal(fused.values, reference.values)
-            assert (a.t, a.loss, a.losses, a.coeff) == (b.t, b.loss, b.losses, b.coeff)
-            assert np.array_equal(a.scales, b.scales)
+            assert a == b
+            assert ((fused_state.t, fused_state.prev_losses)
+                    == (reference_state.t, reference_state.prev_losses))
+            assert np.array_equal(fused_state.prev_scales, reference_state.prev_scales)
 
     def test_step_features_layout(self):
         theta = ParamVector(np.arange(8.0), partition())
-        f = step_features(theta, LossPair(2.0, 1.0), np.array([0.5, 0.25]))
+        f = step_features(theta, OptState(LossPair(2.0, 1.0), np.array([0.5, 0.25])))
         assert f.shape == (2, 5)
         assert np.all(f[:, 0] == 2.0) and np.all(f[:, 1] == 1.0)
         assert f[0, 2] == 0.5 and f[1, 2] == 0.25
         assert f[0, 3] == pytest.approx(np.mean(np.arange(3.0)))
         assert f[1, 4] == pytest.approx(np.var(np.arange(3.0, 8.0)))
+
+    def test_first_step_features_read_the_current_loss_and_unit_scales(self):
+        # with no losses carried, the pair is the current loss twice and the
+        # previous scales are ones; a non-finite loss is flagged, on rows
+        # only where the row is learned
+        theta = ParamVector(np.arange(8.0), partition())
+        f = step_features(theta, OptState(), 3.0)
+        assert np.all(f[:, :2] == 3.0) and np.all(f[:, 2] == 1.0)
+        with pytest.raises(NumericOverflowError, match="^non-finite loss inf$"):
+            step_features(theta, OptState(), np.inf)
+        rows = ParamVector(np.tile(np.arange(8.0), (3, 1)), partition())
+        loss = np.array([np.inf, 2.0, np.nan])
+        failures = {}
+        f = step_features(rows, OptState(learned=np.array([True, True, False])),
+                          loss, failures)
+        for column in (0, 1):
+            assert np.array_equal(f[..., column], np.stack([loss, loss], axis=1),
+                                  equal_nan=True)
+        assert np.all(f[..., 2] == 1.0)
+        assert list(failures) == [0] and str(failures[0]) == "non-finite loss inf"
+        failures = {}
+        step_features(rows, OptState(), loss, failures)
+        assert sorted(failures) == [0, 2] and str(failures[2]) == "non-finite loss nan"
 
 
 class TestRunFinetune:
