@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBoundError, NumericOverflowError
-from .paramspace import _CHUNK, PerturbScales, dot
+from .paramspace import _CHUNK, PerturbScales, _squared_deviations, dot
 from .testbeds import QuadraticTask
 
 _MC_TAG = 0x0B0C4D
@@ -149,6 +149,21 @@ def optimal_scales(inputs: BoundInputs) -> np.ndarray:
 # Actual expected decrease on quadratics
 
 
+def _to_sphere(z: np.ndarray) -> None:
+    """Scale each row of z in place to norm sqrt(dim), bit for bit as
+    z *= sqrt(dim) / np.linalg.norm(z, axis=1, keepdims=True): each row's
+    sum of squares is numpy's pairwise sum of that row alone, so it is
+    formed an eighth of a chunk of rows at a time (one row of a block wider
+    than that), with no copy of z."""
+    dim = z.shape[1]
+    rows = max(1, _CHUNK // 8 // dim)
+    sumsq = np.empty(len(z))
+    for lo in range(0, len(z), rows):
+        part = z[lo:lo + rows]
+        np.add.reduce(part * part, axis=1, out=sumsq[lo:lo + rows])
+    z *= (np.sqrt(dim) / np.sqrt(sumsq))[:, None]
+
+
 def _step_sizes(eta) -> list:
     """One step size or a sequence of them, as a list of Python floats."""
     return [float(e) for e in np.atleast_1d(np.asarray(eta, dtype=np.float64))]
@@ -228,6 +243,9 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
         parts = [(g, task.eigs, scales.per_coordinate())]
     rng = np.random.default_rng([_MC_TAG, seed])
     delta = np.zeros((len(etas), n))
+    # one draw buffer for every block: a chunk of rows, or one row of a
+    # block wider than a chunk
+    buffer = np.empty(max(_CHUNK, max(len(gj) for gj, _, _ in parts)))
     for gj, hj, s in parts:
         dim = len(gj)
         rows = max(1, _CHUNK // dim)
@@ -237,16 +255,23 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
         # round a chunk's last rows differently from one (n, dim) product
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            z = rng.standard_normal((hi - lo, dim))
+            u = buffer[:(hi - lo) * dim].reshape(hi - lo, dim)
+            rng.standard_normal(out=u)
             if law == "sphere":
-                z *= np.sqrt(dim) / np.linalg.norm(z, axis=1, keepdims=True)
-            u = s * z
+                _to_sphere(u)
+            u *= s
             c2 = (u @ gj) ** 2
             quad = np.einsum("nk,k,nk->n", u, hj, u)
             for k, e in enumerate(etas):
                 delta[k, lo:hi] += -e * c2 + 0.5 * e**2 * c2 * quad
-    means = [float(row.mean()) for row in delta]
-    stderrs = [float(row.std(ddof=1) / np.sqrt(n)) for row in delta]
+    means, stderrs = [], []
+    for row in delta:
+        # row.mean() and row.std(ddof=1), bit for bit, without std's
+        # n-sized array of deviations
+        mean = row.mean()
+        means.append(float(mean))
+        std = np.sqrt(_squared_deviations(row, mean) / (n - 1))
+        stderrs.append(float(std / np.sqrt(n)))
     if single:
         return means[0], stderrs[0]
     return np.array(means), np.array(stderrs)

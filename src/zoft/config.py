@@ -22,8 +22,9 @@ REQUIRED = None  # the default of a key that a config must set
 
 
 def _fmt(x: float) -> str:
-    """A number as every output file prints it: 12 significant digits."""
-    return format(float(x), ".12g")
+    """A number as every output file prints it: 12 significant digits, and a
+    zero as 0 (+ 0.0 turns -0.0 into 0.0)."""
+    return format(float(x) + 0.0, ".12g")
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,7 @@ class ExperimentConfig:
             raise ConfigError(f"{where} must be non-empty")
         values = [_parse(spec, item, where) for item in items]
         if spec.distinct:
-            # + 0.0 turns -0.0 into 0.0, which prints apart from it
-            seen = [_fmt(v + 0.0) if spec.type is float else v for v in values]
+            seen = [_fmt(v) if spec.type is float else v for v in values]
             for k, item in enumerate(items):
                 if seen[k] in seen[:k]:
                     raise ConfigError(f"{where}={item!r} repeats an earlier value")

@@ -61,13 +61,13 @@ class QuadraticTask:
             raise ConfigError("eigenvalues / optimum must have length d")
         if np.any(self.eigs < 0):
             raise ConfigError("quadratic eigenvalues must be nonnegative")
+        # one sigma per block: init_theta scales each block's slice by it
         scale = np.asarray(self.init_scale, dtype=np.float64)
         if scale.ndim == 0:
-            self._init_sigma = np.full(d, float(scale))
-        else:
-            if scale.shape != (self.partition.n_blocks,):
-                raise ConfigError("init_scale must be scalar or one value per block")
-            self._init_sigma = np.repeat(scale, self.partition.sizes)
+            scale = np.full(self.partition.n_blocks, float(scale))
+        elif scale.shape != (self.partition.n_blocks,):
+            raise ConfigError("init_scale must be scalar or one value per block")
+        self._init_sigma = scale
         self._noise_key, self._xi = None, None
 
     @property
@@ -123,7 +123,10 @@ class QuadraticTask:
 
     def init_theta(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng([_QINIT_TAG, self.seed, int(seed)])
-        return self.theta_star + self._init_sigma * rng.standard_normal(self.dim)
+        z = rng.standard_normal(self.dim)
+        for sl, sigma in zip(self.partition.slices, self._init_sigma.tolist()):
+            z[sl] *= sigma
+        return np.add(self.theta_star, z, out=z)
 
 
 def _quadratic_loss(values, theta_star, eigs, xi):

@@ -342,10 +342,12 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     MeZO rows equals its single run in mezo mode.
 
     Returns one entry per row: its Trajectory, or the DivergenceError that
-    ended it.  A row diverges once its loss exceeds 1e6 x its initial loss,
-    or once a loss, a parameter or a scale becomes non-finite or invalid; it
-    then leaves the population and the others go on unchanged.  One row is
-    the same population: run_finetune is that case.
+    ended it.  A MeZO row's scales are a read-only (T, n_blocks) view of
+    1.0 that no column stores.  A row diverges once its loss exceeds 1e6 x
+    its initial loss, or once a loss, a parameter or a scale becomes
+    non-finite or invalid; it then leaves the population and the others go
+    on unchanged.  One row is the same population: run_finetune is that
+    case.
     """
     models = list(models)
     lrs = np.array(learning_rates, dtype=np.float64)
@@ -365,12 +367,18 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     loss_of = _loss_oracle(models)
     theta = ParamVector(_initial_rows(models, config.seed), partition)
     state = OptState(learned=None if learned.all() else learned)
-    # the columns of every row's trajectory, filled step by step
+    # the columns of every row's trajectory, filled step by step.  Only a
+    # learned row has a scales column: a MeZO row samples with scales of
+    # exactly 1.0 at every step
     n_rows, n_steps = len(models), config.steps
-    loss = np.empty((n_rows, n_steps))
-    scales = np.empty((n_rows, n_steps, partition.n_blocks))
     live = np.arange(n_rows)  # the caller's row of each population row
     at = slice(None)  # where live rows write their columns: all, until one leaves
+    # where the live learned rows sit in the population, and their scales
+    # columns: all columns, until a row leaves
+    learned_at, scales_at = np.flatnonzero(learned), slice(None)
+    column = np.cumsum(learned) - 1  # each learned row's scales column
+    loss = np.empty((n_rows, n_steps))
+    scales = np.empty((len(learned_at), n_steps, partition.n_blocks))
     outcomes = [None] * n_rows
     limit = None  # each row's divergence threshold, 1e6 x its initial loss
     for t in range(1, n_steps + 1):
@@ -379,7 +387,7 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
         now = step(theta, state, batch, config, loss_of, lrs, pertnn,
                    failures=failures)
         loss[at, t - 1] = now
-        scales[at, t - 1] = state.prev_scales
+        scales[scales_at, t - 1] = state.prev_scales[learned_at]
         if limit is None:
             limit = DIVERGENCE_FACTOR * (np.abs(now) + 1e-300)
         blown = np.abs(now) > limit
@@ -400,10 +408,13 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
         if not len(live):
             break
         _keep_rows(theta, state, keep)
+        learned_at = np.flatnonzero(learned[live])
+        scales_at = column[live[learned_at]]
         loss_of = _loss_oracle([models[r] for r in live.tolist()])
         lrs, limit = lrs[keep], limit[keep]
+    ones = np.broadcast_to(1.0, (n_steps, partition.n_blocks))
     for r in live.tolist():
-        outcomes[r] = Trajectory(loss[r], scales[r])
+        outcomes[r] = Trajectory(loss[r], scales[column[r]] if learned[r] else ones)
     return outcomes
 
 

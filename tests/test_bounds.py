@@ -16,7 +16,7 @@ from zoft.bounds import (
     verify_bound,
 )
 from zoft.errors import DegenerateBoundError
-from zoft.paramspace import BlockPartition, PerturbScales
+from zoft.paramspace import _CHUNK, BlockPartition, PerturbScales
 from zoft.testbeds import QuadraticTask, make_rank_family
 
 
@@ -464,6 +464,20 @@ class TestSharedChunkedDraw:
                                      scheme=scheme, law=law, n=n,
                                      seed=1) == (means[k], stderrs[k])
 
+    @pytest.mark.parametrize("law", ["gaussian", "sphere"])
+    @pytest.mark.parametrize("scheme", ["blockwise", "joint"])
+    def test_more_samples_than_a_chunk(self, scheme, law):
+        # n > 32768: the stderr's squared deviations are summed in halves,
+        # as numpy's pairwise sum splits the reference's row.std(ddof=1)
+        task, theta, sc = self.case([8, 24], [2.0, 16.0])
+        n = 70_001
+        means, stderrs = expected_decrease(task, theta, sc, self.ETAS,
+                                           mode="monte_carlo", scheme=scheme,
+                                           law=law, n=n, seed=3)
+        for k, eta in enumerate(self.ETAS):
+            assert (means[k], stderrs[k]) == reference_monte_carlo(
+                task, theta, sc, eta, scheme, law, n, 3)
+
     def test_closed_form_takes_a_sequence(self):
         task, theta, sc = self.case([8, 24], [2.0, 16.0])
         for scheme in ("blockwise", "joint"):
@@ -492,3 +506,20 @@ class TestSharedChunkedDraw:
             tracemalloc.stop()
         assert all(report.ok for report in reports)
         assert peak <= 8 * 2**20, peak
+
+    @pytest.mark.parametrize("law", ["gaussian", "sphere"])
+    def test_peak_memory_is_the_decreases_and_two_chunks(self, law):
+        # the (n_etas, n) decreases, one chunk of draws and less than a chunk
+        # of per-row scratch; the stderr forms no n-sized deviations
+        task = make_rank_family([8, 24], [2.0, 16.0], [1.0, 1.0], seed=0)
+        theta = task.init_theta(0)
+        sc = PerturbScales.unit(task.partition)
+        etas, n = [0.02, 0.03, 0.05], 100_000
+        verify_bound(task, theta, sc, etas, n=1000, seed=0, law=law)
+        tracemalloc.start()
+        try:
+            verify_bound(task, theta, sc, etas, n=n, seed=0, law=law)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(etas) * n * 8 + 2 * 8 * _CHUNK, peak

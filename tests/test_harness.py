@@ -772,6 +772,25 @@ steps = 5
         flags = (tmp_path / "o" / "sweep_flags.csv").read_text().splitlines()
         assert [line.split(",")[1] for line in flags[1:]] == ["0", "0.001", "0.1"]
 
+    def test_negative_zero_rate_prints_as_zero(self, tmp_path):
+        # -0 is the rate-0 run, so both grids write the same bytes
+        outputs = []
+        for zero in ("-0", "0"):
+            cfg = write_config(tmp_path, TASK + f"""
+[sweep]
+methods = mezo, finetuner
+seeds = 0
+lr_grid = {zero}, 0.002, 0.2
+steps = 5
+""" + TRAIN, name=f"sweep{zero}.ini")
+            out = tmp_path / f"out{zero}"
+            assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 0
+            assert cli.main(["sweep-lr", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("sweep_flags.csv", "sweep_curves.csv")])
+        assert outputs[0] == outputs[1]
+        assert b"mezo,0,0," in outputs[0][0] and b"-0" not in outputs[0][0]
+
     def test_flags_cover_regimes(self, tmp_path):
         cfg = load_config(tmp_path, TASK + """
 [sweep]

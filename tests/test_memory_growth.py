@@ -14,12 +14,14 @@ import gc
 import sys
 import tracemalloc
 
+import numpy as np
+
 from zoft import cli, pertnn
 from zoft.harness import _write_lines
 from zoft.meta_trainer import MetaConfig, train
 from zoft.paramspace import _CHUNK, NoiseSeed, ParamVector
 from zoft.testbeds import QuadraticFamily, make_rank_family
-from zoft.zo_optimizer import OptState, ZOConfig, run_population, step
+from zoft.zo_optimizer import OptState, Trajectory, ZOConfig, run_population, step
 
 SLACK = 8 * 1024
 
@@ -88,6 +90,33 @@ class TestMemoryGrowth:
         columns = n_rows * (long - short) * (1 + n_blocks) * 8
         assert peak_growth(run, short, long) <= columns + SLACK
 
+    def test_mixed_population_keeps_scales_of_its_learned_rows_only(self):
+        # 2 tasks x {mezo, finetuner} x 3 learning rates, as compare runs them
+        family = race_family()
+        tasks = family.make_tasks(2)
+        net = pertnn.init(tasks[0].partition, 8, NoiseSeed(0))
+        models = [task for task in tasks for _ in range(6)]
+        learned = ([False] * 3 + [True] * 3) * 2
+        lrs = [0.02, 0.05, 0.08] * 4
+
+        def run(steps):
+            return run_population(models, lrs, ZOConfig(steps=steps, mode="finetuner",
+                                                         seed=11), net, learned)
+
+        short, long = 100, 800
+        n_rows, n_learned = len(models), sum(learned)
+        n_blocks = tasks[0].partition.n_blocks
+        # every row's loss, and the per-block scales of the learned rows
+        columns = (n_rows + n_learned * n_blocks) * (long - short) * 8
+        assert peak_growth(run, short, long) <= columns + SLACK
+        outcomes = run(5)
+        for outcome, is_learned in zip(outcomes, learned):
+            assert isinstance(outcome, Trajectory)
+            assert outcome.scales.shape == (5, n_blocks)
+            if not is_learned:
+                assert np.all(outcome.scales == 1.0)
+                assert not outcome.scales.flags.writeable
+
     def test_meta_training_grows_by_its_log_columns(self):
         tasks = race_family().make_tasks(2)
         net = pertnn.init(tasks[0].partition, 8, NoiseSeed(0))
@@ -136,6 +165,25 @@ class TestLargeDimension:
         # of deviations freed before the walk
         assert traced_peak(lambda: step(theta, state, 2, config, model.loss, 1e-5,
                                         net)) <= 3 * chunk
+
+    def test_a_task_holds_its_spectrum_and_optimum_only(self):
+        # d = 1e6 over blocks of one per-block init sigma each: a per-coordinate
+        # sigma was a third d-sized array
+        sizes = [600_000, 300_000, 99_990, 10]
+        held = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            held.append(make_rank_family(sizes, [100.0, 50.0, 20.0, 2.0], [1.0] * 4,
+                                         init_scale=(0.5, 1.0, 2.0, 4.0), seed=0))
+            held.append(make_rank_family(sizes, [100.0, 50.0, 20.0, 2.0], [1.0] * 4,
+                                         init_scale=1.0, seed=0))
+            held_bytes = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # small objects: the partition, whose plan of 31 noise spans is
+        # about 10 KB, and the task's own fields
+        assert held_bytes <= len(held) * (2 * 8 * sum(sizes) + 2 * SLACK)
 
     def test_rows_of_one_task_share_its_optimum_and_spectrum(self):
         # 3 mezo rows of one d = 200,000 task keep the rows, init_theta's

@@ -5,6 +5,7 @@ from scipy import stats
 from zoft.errors import ConfigError
 from zoft.paramspace import BlockPartition, dot
 from zoft.testbeds import (
+    _QINIT_TAG,
     MLPTask,
     QuadraticFamily,
     QuadraticRows,
@@ -92,6 +93,21 @@ class TestQuadraticTask:
         theta = task.init_theta(0)
         assert np.std(theta[:400]) == pytest.approx(0.5, rel=0.15)
         assert np.std(theta[400:]) == pytest.approx(2.0, rel=0.15)
+
+    @pytest.mark.parametrize("init_scale", [0.7, (0.3, 1.9, 4.1)])
+    def test_init_theta_keeps_the_bits_of_a_per_coordinate_sigma(self, init_scale):
+        # one sigma per block, against the per-coordinate formula; the first
+        # block is wider than a 32768-value chunk
+        sizes = (40000, 17, 300)
+        d = sum(sizes)
+        task = make_rank_family(sizes, [2.0] * 3, [1.0] * 3, init_scale=init_scale,
+                                theta_star=np.random.default_rng(1).standard_normal(d),
+                                seed=4)
+        sigma = np.repeat(np.broadcast_to(init_scale, (3,)), sizes)
+        for seed in (0, 9):
+            z = np.random.default_rng([_QINIT_TAG, task.seed, seed]).standard_normal(d)
+            expected = task.theta_star + sigma * z
+            assert task.init_theta(seed).tobytes() == expected.tobytes()
 
     def test_init_scale_wrong_length(self):
         p = BlockPartition([("a", 2), ("b", 2)])
