@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBoundError, NumericOverflowError
-from .paramspace import _CHUNK, PerturbScales, _squared_deviations, dot
+from .paramspace import _CHUNK, _DOT_PIECE, PerturbScales, _squared_deviations, dot
 from .testbeds import QuadraticTask
 
 _MC_TAG = 0x0B0C4D
@@ -252,7 +252,10 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
         # standard_normal fills row after row, so drawing a block's n rows
         # chunk by chunk consumes the stream exactly as one (n, dim) draw, and
         # the norms and the einsum are row by row; only BLAS's `u @ gj` may
-        # round a chunk's last rows differently from one (n, dim) product
+        # round a chunk's last rows differently from one (n, dim) product.
+        # Above _DOT_PIECE values BLAS splits that product over its threads,
+        # so each row's coefficient is a paramspace.dot there (a chunk holds
+        # at most 3 such rows)
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             u = buffer[:(hi - lo) * dim].reshape(hi - lo, dim)
@@ -260,7 +263,10 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
             if law == "sphere":
                 _to_sphere(u)
             u *= s
-            c2 = (u @ gj) ** 2
+            if dim > _DOT_PIECE:
+                c2 = np.array([dot(row, gj) for row in u]) ** 2
+            else:
+                c2 = (u @ gj) ** 2
             quad = np.einsum("nk,k,nk->n", u, hj, u)
             for k, e in enumerate(etas):
                 delta[k, lo:hi] += -e * c2 + 0.5 * e**2 * c2 * quad

@@ -66,7 +66,7 @@ class MetaEval:
     raw_stds: np.ndarray
     used_stds: np.ndarray
     norm: tuple | None  # the normalization's (budget, factor), None without it
-    theta1: np.ndarray
+    theta1: np.ndarray  # the loss's argument buffer, left holding theta1
     cache: pertnn_mod.ForwardCache
 
 
@@ -75,19 +75,28 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: OptState, batch,
               normalize: bool = True) -> MetaEval:
     """Post-update loss L(theta - eta1 * c * u) with u = s(omega) * z, z frozen.
 
+    u is formed in place in the buffer of its scales' expansion, and each
+    loss's argument, theta1 last, is written into one more buffer: two
+    vectors besides theta and z, with the roundings of theta + epsilon * u.
+    u is freed on return, before meta_grad takes the gradient at theta1.
+
     Meta-training stops at its first non-finite loss: NumericOverflowError.
     """
     l0 = float(task.loss(theta.values, batch)) if task_state.prev_losses is None else None
     features = step_features(theta, task_state, l0)
     raws, used, cache, norm = _used_scales(pertnn, features, theta.partition, normalize)
-    u = np.repeat(used, theta.partition.sizes) * z
-    loss_plus = float(task.loss(theta.values + epsilon * u, batch))
-    loss_minus = float(task.loss(theta.values - epsilon * u, batch))
+    u = np.repeat(used, theta.partition.sizes)
+    u *= z
+    arg = np.multiply(u, epsilon)
+    loss_plus = float(task.loss(np.add(theta.values, arg, out=arg), batch))
+    np.multiply(u, epsilon, out=arg)
+    loss_minus = float(task.loss(np.subtract(theta.values, arg, out=arg), batch))
     if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
         raise NumericOverflowError(
             f"non-finite perturbed losses ({loss_plus}, {loss_minus})")
     coeff = (loss_plus - loss_minus) / (2.0 * epsilon)
-    theta1 = theta.values - eta1 * coeff * u
+    np.multiply(u, eta1 * coeff, out=arg)
+    theta1 = np.subtract(theta.values, arg, out=arg)
     l_zo = float(task.loss(theta1, batch))
     return MetaEval(
         l_zo=l_zo, coeff=coeff, loss_pair=LossPair(loss_plus, loss_minus),
@@ -174,8 +183,9 @@ def train(config: MetaConfig, tasks, pertnn):
         if task.partition != partition:
             raise ConfigError("all meta-training tasks must share one partition")
     pertnn = pertnn.copy()
-    theta0 = tasks[0].init_theta(config.seed)
-    theta = ParamVector(theta0.copy(), partition)
+    # the start is regenerated at each reset: init_theta is a pure function
+    # of the seed, so no copy of it is kept
+    theta = ParamVector(tasks[0].init_theta(config.seed), partition)
     states = [OptState() for _ in tasks]
     shuffle_rng = np.random.default_rng([_SHUFFLE_TAG, config.seed])
     log = MetaLog.empty([task.name for task in tasks], config.steps * len(tasks))
@@ -204,6 +214,6 @@ def train(config: MetaConfig, tasks, pertnn):
                     f"meta-training loss {loss:.3e} diverged at step {t}"
                 )
         if t % config.reset_period == 0:
-            theta.values[:] = theta0
+            theta.values[:] = tasks[0].init_theta(config.seed)
             log.reset[k - 1] = True
     return pertnn, log

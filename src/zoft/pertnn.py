@@ -8,7 +8,7 @@ W2 (B, H) and b2 (B,).  One batched forward and one batched backward serve
 every block at once.  Batched `@` reproduces the per-block products bit for
 bit; the sigmoid in the backward pass stays the scalar `math.exp` form,
 because numpy's vectorised exp rounds differently.
-Checkpoints are a line-oriented text format.
+Checkpoints are a line-oriented text format, written a line at a time.
 """
 
 from __future__ import annotations
@@ -186,20 +186,26 @@ def _fmt_row(row) -> str:
     return " ".join(_fmt(v) for v in np.atleast_1d(row))
 
 
-def save(params: PertNNParams, path) -> None:
-    lines = [
-        CHECKPOINT_MAGIC,
-        f"blocks={params.n_blocks} hidden={params.hidden} features={N_FEATURES}",
-    ]
+def _checkpoint_lines(params: PertNNParams):
+    """The checkpoint's lines, made one at a time."""
+    yield CHECKPOINT_MAGIC
+    yield f"blocks={params.n_blocks} hidden={params.hidden} features={N_FEATURES}"
     for i, name in enumerate(params.block_names):
-        lines.append(name)
+        yield name
         for row in params.w1[i]:
-            lines.append(_fmt_row(row))
-        lines.append(_fmt_row(params.b1[i]))
-        lines.append(_fmt_row(params.w2[i]))
-        lines.append(_fmt(params.b2[i]))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+            yield _fmt_row(row)
+        yield _fmt_row(params.b1[i])
+        yield _fmt_row(params.w2[i])
+        yield _fmt(params.b2[i])
+
+
+def save(params: PertNNParams, path) -> None:
+    """Write the checkpoint a line at a time: the file is binary, so each
+    encoded line goes straight into its buffer, and the text is never held
+    whole."""
+    with open(path, "wb") as f:
+        for line in _checkpoint_lines(params):
+            f.write(f"{line}\n".encode())
 
 
 def _parse_floats(line: str, expected: int, what: str) -> np.ndarray:

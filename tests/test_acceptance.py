@@ -798,17 +798,67 @@ print(" ".join(float(x).hex() for run in runs for x in run.loss))
 """
 
 
+# The Monte-Carlo at blocks wider than one BLAS dot piece, both schemes and
+# both laws, and a 2-meta-step train at d = 50,123: its loss, gradient and
+# meta-gradient dots, and the checkpoint it writes.
+BLAS_THREADS_MC_TRAIN_SCRIPT = """
+import hashlib, tempfile
+from pathlib import Path
+import numpy as np
+from zoft import pertnn
+from zoft.bounds import expected_decrease
+from zoft.meta_trainer import MetaConfig, train
+from zoft.paramspace import NoiseSeed, PerturbScales
+from zoft.testbeds import make_rank_family
+bits = []
+for sizes in ((8, 40000), (20000,)):
+    model = make_rank_family(sizes, [s / 4 for s in sizes], [1.0] * len(sizes), seed=0)
+    theta = model.init_theta(0)
+    scales = PerturbScales(np.linspace(0.5, 1.5, len(sizes)), model.partition)
+    for scheme in ("blockwise", "joint"):
+        for law in ("gaussian", "sphere"):
+            means, stderrs = expected_decrease(model, theta, scales, (0.02, 0.05),
+                                               mode="monte_carlo", scheme=scheme,
+                                               law=law, n=300)
+            bits += [float(x).hex() for x in (*means, *stderrs)]
+model = make_rank_family([40000, 10000, 123], [4000.0, 1000.0, 12.0],
+                         [1.0, 1.0, 1.0], seed=0)
+net, log = train(MetaConfig(eta1=0.05, eta2=0.05, steps=2, seed=0), [model],
+                 pertnn.init(model.partition, 8, NoiseSeed(0)))
+bits += [float(x).hex() for x in (*log.l_zo, *log.loss)]
+with tempfile.TemporaryDirectory() as tmp:
+    pertnn.save(net, Path(tmp) / "finetuner.ckpt")
+    bits.append(hashlib.sha256((Path(tmp) / "finetuner.ckpt").read_bytes()).hexdigest())
+print(" ".join(bits))
+"""
+
+
+def outputs_under_each_thread_count(script: str, timeout: float) -> list:
+    """The whitespace-split stdout of `script` run under OPENBLAS_NUM_THREADS=1
+    and =2, each in its own interpreter."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(zoft.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=timeout)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    return outputs
+
+
 class TestBlasThreadCount:
     def test_large_d_losses_do_not_depend_on_it(self):
         # the CSVs print 12 digits, which can hide a last-bit difference, so
         # the raw loss bits are compared
-        losses = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=str(Path(zoft.__file__).parents[1]))
-            proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT],
-                                  capture_output=True, text=True, env=env, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            losses.append(proc.stdout.split())
+        losses = outputs_under_each_thread_count(BLAS_THREADS_SCRIPT, timeout=120)
         assert len(losses[0]) == 60
         assert losses[0] == losses[1]
+
+    def test_wide_monte_carlo_and_meta_training_do_not_depend_on_it(self):
+        # each run takes about 2 s on a 2-vCPU host.  A row's `u @ g` as one
+        # BLAS product gave other bits under two threads in all 8 cases
+        bits = outputs_under_each_thread_count(BLAS_THREADS_MC_TRAIN_SCRIPT, timeout=60)
+        # 8 cases x 2 step sizes x (mean, stderr), 2 x (l_zo, loss), a digest
+        assert len(bits[0]) == 32 + 4 + 1
+        assert bits[0] == bits[1]

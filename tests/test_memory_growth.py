@@ -4,7 +4,8 @@ A run keeps its parameters, its output columns and O(chunk) scratch.  Each
 test measures the tracemalloc peak of a short and a long run and bounds the
 difference by the bytes of the output columns that the longer run adds, plus
 a small slack for allocator noise.  At large d, a loss call and a step keep
-a few chunks of scratch above the parameters, never a d-sized temporary.  The
+a few chunks of scratch above the parameters, never a d-sized temporary,
+and a meta-step keeps four parameter vectors.  The
 command line's parser, which only the collector can free, is gone before the
 command runs.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from zoft import cli, pertnn
 from zoft.harness import _write_lines
 from zoft.meta_trainer import MetaConfig, train
-from zoft.paramspace import _CHUNK, NoiseSeed, ParamVector
+from zoft.paramspace import _CHUNK, BlockPartition, NoiseSeed, ParamVector
 from zoft.testbeds import QuadraticFamily, make_rank_family
 from zoft.zo_optimizer import OptState, Trajectory, ZOConfig, run_population, step
 
@@ -145,6 +146,18 @@ class TestMemoryGrowth:
         # a few KB of file buffer, against the text's 757 KB
         assert peak <= 16 * 1024
 
+    def test_checkpoint_is_written_a_line_at_a_time(self, tmp_path):
+        # 64 blocks of hidden width 64: 596 KB of text
+        partition = BlockPartition([(f"block{i}", 10) for i in range(64)])
+        net = pertnn.init(partition, 64, NoiseSeed(0))
+        path = tmp_path / "finetuner.ckpt"
+        pertnn.save(net, path)
+        peak = traced_peak(lambda: pertnn.save(net, path))
+        assert pertnn.load(path).equals(net)
+        # a few KB of file buffer, against the text's 596 KB; building the
+        # text whole peaked at 3.4x the file
+        assert peak <= 2 * SLACK
+
 
 class TestLargeDimension:
     def test_loss_and_step_keep_chunks_not_parameter_copies(self):
@@ -165,6 +178,25 @@ class TestLargeDimension:
         # of deviations freed before the walk
         assert traced_peak(lambda: step(theta, state, 2, config, model.loss, 1e-5,
                                         net)) <= 3 * chunk
+
+    def test_meta_training_keeps_four_parameter_vectors(self):
+        # theta, the step's draw z, u and one argument buffer; then theta,
+        # z, the buffer at theta1 and its gradient.  Forming u, epsilon * u
+        # and theta1 as temporaries and keeping a copy of the start for the
+        # reset peaked at 6.01x; this peaks at 4.09x, the rest being the
+        # pieced loss's scratch
+        model = make_rank_family([150_000, 40_000, 9_990, 10],
+                                 [7500.0, 2000.0, 500.0, 2.0], [1.0, 0.5, 1.0, 2.0],
+                                 seed=0)
+        net = pertnn.init(model.partition, 8, NoiseSeed(0))
+        # a reset after the second meta-step
+        config = MetaConfig(eta1=1e-3, eta2=1e-3, steps=3, reset_period=2, seed=0)
+
+        def run():
+            return train(config, [model], net)
+
+        run()
+        assert traced_peak(run) <= 4.1 * 8 * model.partition.total
 
     def test_a_task_holds_its_spectrum_and_optimum_only(self):
         # d = 1e6 over blocks of one per-block init sigma each: a per-coordinate
