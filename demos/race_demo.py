@@ -49,9 +49,10 @@ def main():
         finals = {lr: [] for lr in grid}
         for seed in range(5):
             # the runs of one seed share every noise draw: one population
-            # steps the whole lr grid at once
+            # steps the whole lr grid at once, keeping only its losses
             config = ZOConfig(steps=400, mode=method, seed=seed)
-            outcomes = run_population([held_out] * len(grid), grid, config, params)
+            outcomes = run_population([held_out] * len(grid), grid, config, params,
+                                      record_scales=False)
             for lr, traj in zip(grid, outcomes):
                 if isinstance(traj, DivergenceError):
                     steps[lr].append(401)

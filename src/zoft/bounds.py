@@ -149,19 +149,20 @@ def optimal_scales(inputs: BoundInputs) -> np.ndarray:
 # Actual expected decrease on quadratics
 
 
-def _to_sphere(z: np.ndarray) -> None:
+def _to_sphere(z: np.ndarray, sumsq: np.ndarray) -> None:
     """Scale each row of z in place to norm sqrt(dim), bit for bit as
     z *= sqrt(dim) / np.linalg.norm(z, axis=1, keepdims=True): each row's
     sum of squares is numpy's pairwise sum of that row alone, so it is
     formed an eighth of a chunk of rows at a time (one row of a block wider
-    than that), with no copy of z."""
+    than that), with no copy of z.  `sumsq` is scratch with one entry per
+    row of z."""
     dim = z.shape[1]
     rows = max(1, _CHUNK // 8 // dim)
-    sumsq = np.empty(len(z))
     for lo in range(0, len(z), rows):
         part = z[lo:lo + rows]
         np.add.reduce(part * part, axis=1, out=sumsq[lo:lo + rows])
-    z *= (np.sqrt(dim) / np.sqrt(sumsq))[:, None]
+    np.sqrt(sumsq, out=sumsq)
+    z *= np.divide(np.sqrt(dim), sumsq, out=sumsq)[:, None]
 
 
 def _step_sizes(eta) -> list:
@@ -244,8 +245,10 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
     rng = np.random.default_rng([_MC_TAG, seed])
     delta = np.zeros((len(etas), n))
     # one draw buffer for every block: a chunk of rows, or one row of a
-    # block wider than a chunk
+    # block wider than a chunk; and four per-row scratch rows: c2, quad, a
+    # step size's update and its second term
     buffer = np.empty(max(_CHUNK, max(len(gj) for gj, _, _ in parts)))
+    scratch = np.empty((4, max(1, _CHUNK // min(len(gj) for gj, _, _ in parts))))
     for gj, hj, s in parts:
         dim = len(gj)
         rows = max(1, _CHUNK // dim)
@@ -260,16 +263,26 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
             hi = min(lo + rows, n)
             u = buffer[:(hi - lo) * dim].reshape(hi - lo, dim)
             rng.standard_normal(out=u)
+            c2, quad, update, second = scratch[:, :hi - lo]
             if law == "sphere":
-                _to_sphere(u)
+                _to_sphere(u, c2)
             u *= s
             if dim > _DOT_PIECE:
-                c2 = np.array([dot(row, gj) for row in u]) ** 2
+                for j, row in enumerate(u):
+                    c2[j] = dot(row, gj)
             else:
-                c2 = (u @ gj) ** 2
-            quad = np.einsum("nk,k,nk->n", u, hj, u)
+                np.matmul(u, gj, out=c2)
+            np.square(c2, out=c2)
+            np.einsum("nk,k,nk->n", u, hj, u, out=quad)
             for k, e in enumerate(etas):
-                delta[k, lo:hi] += -e * c2 + 0.5 * e**2 * c2 * quad
+                # (-e * c2) + ((0.5 * e**2) * c2) * quad, in that order
+                np.multiply(c2, -e, out=update)
+                np.multiply(c2, 0.5 * e**2, out=second)
+                second *= quad
+                update += second
+                delta[k, lo:hi] += update
+    # the draws and the scratch go before the stderr pass
+    del buffer, u, scratch, c2, quad, update, second
     means, stderrs = [], []
     for row in delta:
         # row.mean() and row.std(ddof=1), bit for bit, without std's

@@ -90,13 +90,15 @@ class RunResult:
 
 
 def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
-               timing=False) -> list[RunResult]:
+               timing=False, record_scales=True) -> list[RunResult]:
     """Run every (model, method, lr, seed) job; returns RunResults in job order.
 
     Jobs that share a seed draw the same noise at every step, so each seed's
     jobs run as one population (see run_population): a MeZO job is a row
     with unit scales beside the finetuner rows.  With timing, each run's wall
-    time is its population's split evenly over all its rows.
+    time is its population's split evenly over all its rows.  A command that
+    writes no per-step scales (see _run_rows) passes record_scales=False, and
+    its runs keep their loss columns only.
     """
     groups: dict = {}
     for k, (_, _, _, seed) in enumerate(jobs):
@@ -110,7 +112,8 @@ def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
                           normalize=normalize)
         start = time.perf_counter()
         outcomes = run_population([jobs[k][0] for k in ks], [jobs[k][2] for k in ks],
-                                  config, pertnn if finetuner else None, learned)
+                                  config, pertnn if finetuner else None, learned,
+                                  record_scales)
         wall = (time.perf_counter() - start) * 1e3 / len(ks) if timing else 0.0
         for k, outcome in zip(ks, outcomes):
             model, method, lr, _ = jobs[k]
@@ -249,7 +252,8 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
     jobs = [(model, method, lr, seed)
             for model in tasks for method in methods
             for seed in seeds for lr in lr_grid]
-    results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing)
+    results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing,
+                         record_scales=False)
     by_cell: dict = {}
     for result in results:
         by_cell.setdefault((result.method, result.task, result.seed), []).append(result)
@@ -374,7 +378,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
             trained, _ = _meta_train(cfg, [model])
             jobs = [(model, "finetuner", lr, seed) for seed in seeds]
             for result in _run_cells(jobs, steps, epsilon, batch_size, trained,
-                                     timing=timing):
+                                     timing=timing, record_scales=False):
                 lines.append(f"{cell_name},{result.seed},{_fmt(result.final_window_mean(window))}")
     else:
         if kind != "quadratic":
@@ -389,7 +393,8 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
                 model = source.make_task(eval_task_index)
                 jobs = [(model, "finetuner", lr, seed) for seed in seeds]
                 for result in _run_cells(jobs, steps, epsilon, batch_size, trained,
-                                         normalize=norm, timing=timing):
+                                         normalize=norm, timing=timing,
+                                         record_scales=False):
                     final = result.final_window_mean(window) if not result.diverged else float("inf")
                     lines.append(f"{cell_name},{result.seed},{_fmt(final)}")
     _write_lines(out_dir / "ablation.csv", lines)

@@ -149,7 +149,6 @@ class MetaLog:
     inner step, in the order train ran them."""
 
     task_names: tuple  # the names that `task` indexes
-    t: np.ndarray  # (n,) outer step
     task: np.ndarray  # (n,) index of the step's task
     l_zo: np.ndarray  # (n,) post-update loss of the meta-objective
     loss: np.ndarray  # (n,) unperturbed loss before the model's SGD move
@@ -157,9 +156,15 @@ class MetaLog:
 
     @classmethod
     def empty(cls, task_names, n: int) -> "MetaLog":
-        return cls(tuple(task_names), np.zeros(n, dtype=np.int64),
-                   np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n),
-                   np.zeros(n, dtype=bool))
+        return cls(tuple(task_names), np.zeros(n, dtype=np.int64), np.zeros(n),
+                   np.zeros(n), np.zeros(n, dtype=bool))
+
+    @property
+    def t(self) -> np.ndarray:
+        """(n,) outer step of each entry.  Every outer step runs each task
+        once, so entry k is of outer step k // n_tasks + 1 and no column
+        stores it."""
+        return np.arange(len(self.task)) // len(self.task_names) + 1
 
     @property
     def reset_steps(self) -> list:
@@ -183,6 +188,8 @@ def train(config: MetaConfig, tasks, pertnn):
         if task.partition != partition:
             raise ConfigError("all meta-training tasks must share one partition")
     pertnn = pertnn.copy()
+    if config.steps == 0:
+        return pertnn, MetaLog.empty([task.name for task in tasks], 0)
     # the start is regenerated at each reset: init_theta is a pure function
     # of the seed, so no copy of it is kept
     theta = ParamVector(tasks[0].init_theta(config.seed), partition)
@@ -205,7 +212,7 @@ def train(config: MetaConfig, tasks, pertnn):
                 l_zo, loss = meta_step(theta, pertnn, task, states[idx], batch, config, z)
             except (NumericOverflowError, InvalidScaleError) as exc:
                 raise _divergence(t, exc) from exc
-            log.t[k], log.task[k], log.l_zo[k], log.loss[k] = t, idx, l_zo, loss
+            log.task[k], log.l_zo[k], log.loss[k] = idx, l_zo, loss
             k += 1
             if initial_loss is None:
                 initial_loss = abs(loss) + 1e-300

@@ -59,7 +59,8 @@ class QuadraticTask:
         d = self.partition.total
         if self.eigs.shape != (d,) or self.theta_star.shape != (d,):
             raise ConfigError("eigenvalues / optimum must have length d")
-        if np.any(self.eigs < 0):
+        # the least eigenvalue, not a d-sized mask of the negative ones
+        if self.eigs.min() < 0:
             raise ConfigError("quadratic eigenvalues must be nonnegative")
         # one sigma per block: init_theta scales each block's slice by it
         scale = np.asarray(self.init_scale, dtype=np.float64)
@@ -238,12 +239,14 @@ def make_rank_family(block_sizes, ranks, opnorms, **kwargs) -> QuadraticTask:
     for i, (d_i, r_i, L) in enumerate(zip(block_sizes, ranks, opnorms)):
         if L <= 0:
             raise ConfigError(f"block {i}: operator norm must be positive")
-        spectrum = np.empty(d_i)
+        # each block's spectrum is written into eigs, with no block-sized copy
+        spectrum = eigs[partition.slices[i]]
         spectrum[0] = L
         if d_i > 1:
             spectrum[1:] = L * (r_i - 1.0) / (d_i - 1.0)
-        eigs[partition.slices[i]] = spectrum
-    theta_star = kwargs.pop("theta_star", np.zeros(partition.total))
+    theta_star = kwargs.pop("theta_star", None)
+    if theta_star is None:
+        theta_star = np.zeros(partition.total)
     return QuadraticTask(partition, eigs, theta_star, **kwargs)
 
 

@@ -74,7 +74,9 @@ class Trajectory:
     """One run's steps as columns: entry k holds step k + 1."""
 
     loss: np.ndarray  # (T,) pre-update, unperturbed
-    scales: np.ndarray  # (T, n_blocks) per-block stds actually used for sampling
+    # (T, n_blocks) per-block stds actually used for sampling; None: not
+    # recorded (see run_population's record_scales)
+    scales: np.ndarray | None
 
     @property
     def t(self) -> np.ndarray:
@@ -324,7 +326,7 @@ def _loss_oracle(models):
 
 
 def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
-                   learned=None) -> list:
+                   learned=None, record_scales: bool = True) -> list:
     """Run one seeded two-point fine-tuning run per row, all in one batched pass.
 
     Row r runs models[r] from models[r].init_theta(config.seed) at
@@ -343,7 +345,9 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
 
     Returns one entry per row: its Trajectory, or the DivergenceError that
     ended it.  A MeZO row's scales are a read-only (T, n_blocks) view of
-    1.0 that no column stores.  A row diverges once its loss exceeds 1e6 x
+    1.0 that no column stores.  Without `record_scales` no row keeps its
+    per-step scales, only its loss column, and every Trajectory's scales
+    are None.  A row diverges once its loss exceeds 1e6 x
     its initial loss, or once a loss, a parameter or a scale becomes
     non-finite or invalid; it then leaves the population and the others go
     on unchanged.  One row is the same population: run_finetune is that
@@ -368,17 +372,18 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     theta = ParamVector(_initial_rows(models, config.seed), partition)
     state = OptState(learned=None if learned.all() else learned)
     # the columns of every row's trajectory, filled step by step.  Only a
-    # learned row has a scales column: a MeZO row samples with scales of
-    # exactly 1.0 at every step
+    # learned row has a scales column, and only when recording: a MeZO row
+    # samples with scales of exactly 1.0 at every step
     n_rows, n_steps = len(models), config.steps
     live = np.arange(n_rows)  # the caller's row of each population row
     at = slice(None)  # where live rows write their columns: all, until one leaves
-    # where the live learned rows sit in the population, and their scales
-    # columns: all columns, until a row leaves
-    learned_at, scales_at = np.flatnonzero(learned), slice(None)
-    column = np.cumsum(learned) - 1  # each learned row's scales column
     loss = np.empty((n_rows, n_steps))
-    scales = np.empty((len(learned_at), n_steps, partition.n_blocks))
+    if record_scales:
+        # where the live learned rows sit in the population, and their
+        # scales columns: all columns, until a row leaves
+        learned_at, scales_at = np.flatnonzero(learned), slice(None)
+        column = np.cumsum(learned) - 1  # each learned row's scales column
+        scales = np.empty((len(learned_at), n_steps, partition.n_blocks))
     outcomes = [None] * n_rows
     limit = None  # each row's divergence threshold, 1e6 x its initial loss
     for t in range(1, n_steps + 1):
@@ -387,7 +392,8 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
         now = step(theta, state, batch, config, loss_of, lrs, pertnn,
                    failures=failures)
         loss[at, t - 1] = now
-        scales[scales_at, t - 1] = state.prev_scales[learned_at]
+        if record_scales:
+            scales[scales_at, t - 1] = state.prev_scales[learned_at]
         if limit is None:
             limit = DIVERGENCE_FACTOR * (np.abs(now) + 1e-300)
         blown = np.abs(now) > limit
@@ -408,13 +414,17 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
         if not len(live):
             break
         _keep_rows(theta, state, keep)
-        learned_at = np.flatnonzero(learned[live])
-        scales_at = column[live[learned_at]]
+        if record_scales:
+            learned_at = np.flatnonzero(learned[live])
+            scales_at = column[live[learned_at]]
         loss_of = _loss_oracle([models[r] for r in live.tolist()])
         lrs, limit = lrs[keep], limit[keep]
     ones = np.broadcast_to(1.0, (n_steps, partition.n_blocks))
     for r in live.tolist():
-        outcomes[r] = Trajectory(loss[r], scales[column[r]] if learned[r] else ones)
+        used = None
+        if record_scales:
+            used = scales[column[r]] if learned[r] else ones
+        outcomes[r] = Trajectory(loss[r], used)
     return outcomes
 
 

@@ -833,6 +833,33 @@ print(" ".join(bits))
 """
 
 
+# Two finetuner steps on a block wider than a chunk: the features that
+# step_features builds with block_stats, the scales the network makes of
+# them, and the walk that moves theta.  The losses and the block means and
+# variances are O(1), so the network's tanh layer does not saturate; a
+# feature's last bit can still vanish in it, so the features are printed too.
+BLAS_THREADS_STEP_SCRIPT = """
+import hashlib
+import numpy as np
+from zoft import pertnn
+from zoft.paramspace import NoiseSeed, ParamVector
+from zoft.testbeds import make_rank_family
+from zoft.zo_optimizer import OptState, ZOConfig, step, step_features
+model = make_rank_family([70000, 10000, 123], [2.0, 2.0, 2.0], [0.1, 0.1, 0.1],
+                         theta_star=np.full(80123, 1.0), noise_tau=0.5, seed=0)
+net = pertnn.init(model.partition, 8, NoiseSeed(0))
+theta = ParamVector(model.init_theta(0), model.partition)
+state, config = OptState(), ZOConfig(steps=2, mode="finetuner", seed=0)
+bits = []
+for batch in (1, 2):
+    features = step_features(theta, state, model.loss(theta.values, batch))
+    loss = step(theta, state, batch, config, model.loss, 1e-4, net)
+    bits += [float(x).hex() for x in (*features.ravel(), loss, *state.prev_scales)]
+bits.append(hashlib.sha256(theta.values.tobytes()).hexdigest())
+print(" ".join(bits))
+"""
+
+
 def outputs_under_each_thread_count(script: str, timeout: float) -> list:
     """The whitespace-split stdout of `script` run under OPENBLAS_NUM_THREADS=1
     and =2, each in its own interpreter."""
@@ -861,4 +888,11 @@ class TestBlasThreadCount:
         bits = outputs_under_each_thread_count(BLAS_THREADS_MC_TRAIN_SCRIPT, timeout=60)
         # 8 cases x 2 step sizes x (mean, stderr), 2 x (l_zo, loss), a digest
         assert len(bits[0]) == 32 + 4 + 1
+        assert bits[0] == bits[1]
+
+    def test_wide_finetuner_step_does_not_depend_on_it(self):
+        # each run takes about 0.4 s on a 2-vCPU host
+        bits = outputs_under_each_thread_count(BLAS_THREADS_STEP_SCRIPT, timeout=30)
+        # 2 steps x (3 blocks x 5 features, loss, 3 scales), theta's digest
+        assert len(bits[0]) == 2 * (15 + 1 + 3) + 1
         assert bits[0] == bits[1]

@@ -255,13 +255,14 @@ batch_size = 4
         assert self.run(["train-finetuner", "--config", cfg, "--out", out]) == 0
         calls = []
 
-        def counted(models, lrs, config, pertnn=None, learned=None):
-            calls.append((config.seed, list(learned)))
-            return run_population(models, lrs, config, pertnn, learned)
+        def counted(models, lrs, config, pertnn=None, learned=None, record_scales=True):
+            calls.append((config.seed, list(learned), record_scales))
+            return run_population(models, lrs, config, pertnn, learned, record_scales)
 
         monkeypatch.setattr(harness, "run_population", counted)
         assert self.run(["compare", "--config", cfg, "--out", out]) == 0
-        assert calls == [(seed, ([False] * 2 + [True] * 2) * 2) for seed in (0, 1)]
+        # compare writes no per-step scales, so its runs record none
+        assert calls == [(seed, ([False] * 2 + [True] * 2) * 2, False) for seed in (0, 1)]
 
     def test_summary_uses_the_configured_final_window(self, tmp_path):
         # the summary's median_final read the 0.1 default, not final_window
@@ -834,6 +835,23 @@ lr = 0.05
 """)
         with pytest.raises(ConfigError, match="mlp"):
             cmd_ablate(cfg, tmp_path / "o")
+
+    @pytest.mark.parametrize("task, axes", [(TASK, "reset, normalization"),
+                                            (MLP, "partition")],
+                             ids=["reset-normalization", "partition"])
+    def test_runs_record_no_scales(self, tmp_path, monkeypatch, task, axes):
+        # ablation.csv prints each run's final loss, never a scale
+        cfg = load_config(tmp_path, task + TRAIN + ABLATE.replace("axes = reset",
+                                                                  f"axes = {axes}"))
+        flags = []
+
+        def recorded(models, lrs, config, pertnn, learned, record_scales):
+            flags.append(record_scales)
+            return run_population(models, lrs, config, pertnn, learned, record_scales)
+
+        monkeypatch.setattr(harness, "run_population", recorded)
+        assert cmd_ablate(cfg, tmp_path / "out") == 0
+        assert flags == [False] * (2 if axes == "partition" else 4)
 
     def test_reset_normalization_grid(self, tmp_path):
         cfg = load_config(tmp_path, TASK + TRAIN + """

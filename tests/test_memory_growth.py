@@ -12,8 +12,10 @@ command runs.
 
 import argparse
 import gc
+import hashlib
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from zoft.testbeds import QuadraticFamily, make_rank_family
 from zoft.zo_optimizer import OptState, Trajectory, ZOConfig, run_population, step
 
 SLACK = 8 * 1024
+CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 
 
 def race_family():
@@ -118,6 +121,43 @@ class TestMemoryGrowth:
                 assert np.all(outcome.scales == 1.0)
                 assert not outcome.scales.flags.writeable
 
+    def test_population_without_scales_grows_by_its_loss_columns(self):
+        # compare's and ablate's runs: 2 tasks x {mezo, finetuner} x 3
+        # learning rates, keeping every row's loss and no per-step scales
+        family = race_family()
+        tasks = family.make_tasks(2)
+        net = pertnn.init(tasks[0].partition, 8, NoiseSeed(0))
+        models = [task for task in tasks for _ in range(6)]
+        learned = ([False] * 3 + [True] * 3) * 2
+        lrs = [0.02, 0.05, 0.08] * 4
+
+        def run(steps, record_scales=False):
+            return run_population(models, lrs, ZOConfig(steps=steps, mode="finetuner",
+                                                         seed=11), net, learned,
+                                  record_scales=record_scales)
+
+        short, long = 100, 800
+        # every row's loss; recording the scales added the learned rows'
+        # n_learned * n_blocks * 8 bytes a step
+        columns = len(models) * (long - short) * 8
+        assert peak_growth(run, short, long) <= columns + SLACK
+        for kept, recorded in zip(run(5), run(5, record_scales=True)):
+            assert kept.scales is None
+            assert kept.loss.tobytes() == recorded.loss.tobytes()
+
+    def test_compare_writes_what_it_wrote_with_scales_recorded(self, tmp_path):
+        # demos/configs/compare.ini after train.ini, as recorded when every
+        # run kept its per-step scales
+        for command, name in (("train-finetuner", "train.ini"), ("compare", "compare.ini")):
+            args = [command, "--config", str(CONFIGS / name), "--out", str(tmp_path)]
+            assert cli.main(args) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("compare.csv", "summary.txt")}
+        assert digests == {
+            "compare.csv": "4d0d13004a4511d73d01d083134340b2abc80e67a9ee08ab0c080a7f70c27263",
+            "summary.txt": "757e948258c7fe06b7a3498028d77161863765ba1dd215ea2845c4bb71da358b",
+        }
+
     def test_meta_training_grows_by_its_log_columns(self):
         tasks = race_family().make_tasks(2)
         net = pertnn.init(tasks[0].partition, 8, NoiseSeed(0))
@@ -129,8 +169,9 @@ class TestMemoryGrowth:
 
         short, long = 50, 400
         _, log = run(1)
+        # the outer step is the entry's position, not a column
         per_entry = sum(column.itemsize
-                        for column in (log.t, log.task, log.l_zo, log.loss, log.reset))
+                        for column in (log.task, log.l_zo, log.loss, log.reset))
         columns = len(tasks) * (long - short) * per_entry
         assert peak_growth(run, short, long) <= columns + SLACK
 
@@ -216,6 +257,17 @@ class TestLargeDimension:
         # small objects: the partition, whose plan of 31 noise spans is
         # about 10 KB, and the task's own fields
         assert held_bytes <= len(held) * (2 * 8 * sum(sizes) + 2 * SLACK)
+
+    def test_building_a_task_holds_two_parameter_vectors_at_peak(self):
+        # d = 1e6: the family's optimum shift and the spectrum.  A block-sized
+        # spectrum copy, a zero optimum drawn while the shift was passed and a
+        # mask of negative eigenvalues peaked at 3.0x
+        family = QuadraticFamily(block_sizes=(600_000, 300_000, 99_990, 10),
+                                 ranks=(100.0, 50.0, 20.0, 2.0), opnorms=(1.0,) * 4,
+                                 seed=0)
+        family.make_task(0)
+        peak = traced_peak(lambda: family.make_task(1))
+        assert peak <= 2 * 8 * 1_000_000 + 4 * SLACK
 
     def test_rows_of_one_task_share_its_optimum_and_spectrum(self):
         # 3 mezo rows of one d = 200,000 task keep the rows, init_theta's

@@ -290,6 +290,7 @@ class TestMetaStepAndTrain:
         config = MetaConfig(eta1=0.05, eta2=0.01, steps=12, reset_period=5, seed=0)
         _, log = train(config, tasks, net)
         assert len(log.l_zo) == 12 * 3
+        assert log.t.tolist() == [t for t in range(1, 13) for _ in tasks]
         assert log.reset_steps == [5, 10]
         flagged = log.t[log.reset].tolist()
         assert flagged == [5, 10]
@@ -319,6 +320,20 @@ class TestMetaStepAndTrain:
         assert len(set(orders)) > 1  # not always the listed order
         for order in orders:
             assert sorted(order) == sorted(t.name for t in tasks)
+
+    def test_zero_steps_draw_no_start(self, monkeypatch):
+        # a set-up that trains no step returns the network as given and an
+        # empty log, without the d normals of a start it never uses
+        task = QuadraticFamily(block_sizes=(2, 3), ranks=(1.0, 3.0), seed=0).make_task(0)
+        net = pertnn.init(task.partition, hidden=4, seed=NoiseSeed(0))
+
+        def no_start(seed):
+            raise AssertionError("init_theta drawn")
+
+        monkeypatch.setattr(task, "init_theta", no_start)
+        out, log = train(MetaConfig(eta1=0.05, eta2=0.01, steps=0, seed=0), [task], net)
+        assert out.equals(net) and out is not net
+        assert len(log.l_zo) == 0 and log.task_names == (task.name,)
 
     def test_mismatched_partitions_rejected(self):
         a = QuadraticFamily(block_sizes=(2, 3), ranks=(2.0, 3.0), seed=0).make_task(0)

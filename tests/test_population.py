@@ -115,10 +115,19 @@ class TestRowsEqualSingleRuns:
         rows = [(task, lr, method) for task in tasks for lr in lrs for method in methods]
         config = ZOConfig(150, mode="mezo" if mode == "mezo" else "finetuner", seed=3,
                           normalize=normalize)
+        models, learned = [task for task, _, _ in rows], [m == "finetuner" for *_, m in rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            outcomes = assert_rows_match([task for task, _, _ in rows],
-                                         [lr for _, lr, _ in rows], config, net,
-                                         [method == "finetuner" for *_, method in rows])
+            outcomes = assert_rows_match(models, [lr for _, lr, _ in rows], config, net,
+                                         learned)
+            kept = run_population(models, [lr for _, lr, _ in rows], config, net, learned,
+                                  record_scales=False)
+        # without scales the rows keep their losses and leave where they did
+        for outcome, loss_only in zip(outcomes, kept):
+            if isinstance(outcome, DivergenceError):
+                assert str(loss_only) == str(outcome)
+            else:
+                assert loss_only.scales is None
+                assert loss_only.loss.tobytes() == outcome.loss.tobytes()
         diverged = [isinstance(o, DivergenceError) for o in outcomes]
         assert diverged == [lr > 0.1 for _, lr, _ in rows]
         guard = {(task.name, method): leave_step(o)
