@@ -153,16 +153,17 @@ def _to_sphere(z: np.ndarray, sumsq: np.ndarray) -> None:
     """Scale each row of z in place to norm sqrt(dim), bit for bit as
     z *= sqrt(dim) / np.linalg.norm(z, axis=1, keepdims=True): each row's
     sum of squares is numpy's pairwise sum of that row alone, so it is
-    formed an eighth of a chunk of rows at a time (one row of a block wider
-    than that), with no copy of z.  `sumsq` is scratch with one entry per
-    row of z."""
+    formed and applied an eighth of a chunk of rows at a time (one row of a
+    block wider than that), with no copy of z.  Scaling all of z in one
+    multiply would take numpy's 8192-value ufunc buffer (64 KiB) on top.
+    `sumsq` is scratch with one entry per row of z."""
     dim = z.shape[1]
     rows = max(1, _CHUNK // 8 // dim)
     for lo in range(0, len(z), rows):
-        part = z[lo:lo + rows]
-        np.add.reduce(part * part, axis=1, out=sumsq[lo:lo + rows])
-    np.sqrt(sumsq, out=sumsq)
-    z *= np.divide(np.sqrt(dim), sumsq, out=sumsq)[:, None]
+        part, norms = z[lo:lo + rows], sumsq[lo:lo + rows]
+        np.add.reduce(part * part, axis=1, out=norms)
+        np.sqrt(norms, out=norms)
+        part *= np.divide(np.sqrt(dim), norms, out=norms)[:, None]
 
 
 def _step_sizes(eta) -> list:
@@ -299,10 +300,6 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
 @dataclass
 class BoundReport:
     eta: float
-    smoothness: float
-    ranks: np.ndarray
-    grad_sqnorms: np.ndarray
-    scale_stds: np.ndarray
     mezo_bound: float
     blockwise_unit: float
     blockwise_given: float
@@ -390,9 +387,7 @@ def _report(inputs: BoundInputs, stds: np.ndarray, mc_mean: float, mc_stderr: fl
             f"disagree beyond {slack:.2e}"
         )
     return BoundReport(
-        eta=eta, smoothness=inputs.smoothness, ranks=inputs.ranks,
-        grad_sqnorms=inputs.grad_sqnorms, scale_stds=stds.copy(),
-        mezo_bound=mz, blockwise_unit=bw_unit, blockwise_given=bw_given,
+        eta=eta, mezo_bound=mz, blockwise_unit=bw_unit, blockwise_given=bw_given,
         blockwise_optimal=bw_opt, optimal_stds=opt,
         mc_mean=mc_mean, mc_stderr=mc_stderr, closed_form=closed,
         violations=violations,

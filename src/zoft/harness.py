@@ -3,9 +3,9 @@ bound campaigns, and CSV emission.
 
 All commands are deterministic under a fixed config: the runs that share a
 noise seed step together as one population, MeZO rows beside finetuner rows,
-result rows are merged in a fixed sort order before writing, and wall-time
-columns default to 0 so reruns are byte-identical (pass timing=True to record
-real times at the cost of that guarantee).
+each file lists its runs in a fixed order, and wall-time columns default to
+0 so reruns are byte-identical (pass timing=True to record real times at the
+cost of that guarantee).
 """
 
 from __future__ import annotations
@@ -121,25 +121,22 @@ def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
     return results
 
 
-def _run_rows(experiment: str, result: RunResult) -> list[str]:
-    if result.diverged:
-        return []
-    traj = result.outcome
-    head = ",".join([experiment, result.method, result.task, str(result.seed),
-                     _fmt(result.lr)])
-    per_step_ms = _fmt(result.wall_ms / max(1, len(traj)))
-    columns = (traj.loss, traj.scales.min(axis=1), np.median(traj.scales, axis=1),
-               traj.scales.max(axis=1))
-    return [f"{head},{t},{_fmt(loss)},{per_step_ms},{_fmt(smin)},{_fmt(smed)},{_fmt(smax)}"
-            for t, (loss, smin, smed, smax)
-            in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
-
-
-def _sorted_rows(rows: list[str]) -> list[str]:
-    def key(row: str):
-        exp, method, task, seed, lr, step, *_ = row.split(",")
-        return (exp, method, task, int(seed), float(lr), int(step))
-    return sorted(rows, key=key)
+def _run_rows(experiment: str, results):
+    """The header, then each run's rows in step order, one at a time: runs
+    in (method, task, seed, lr) order, and none for a diverged run."""
+    yield RUN_ROW_HEADER
+    for result in sorted(results, key=lambda r: (r.method, r.task, r.seed, r.lr)):
+        if result.diverged:
+            continue
+        traj = result.outcome
+        head = ",".join([experiment, result.method, result.task, str(result.seed),
+                         _fmt(result.lr)])
+        per_step_ms = _fmt(result.wall_ms / max(1, len(traj)))
+        columns = (traj.loss, traj.scales.min(axis=1), np.median(traj.scales, axis=1),
+                   traj.scales.max(axis=1))
+        steps = zip(*(c.tolist() for c in columns))
+        for t, (loss, smin, smed, smax) in enumerate(steps, start=1):
+            yield f"{head},{t},{_fmt(loss)},{per_step_ms},{_fmt(smin)},{_fmt(smed)},{_fmt(smax)}"
 
 
 def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True):
@@ -224,14 +221,12 @@ def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
 
     results = _run_cells([(model, method, lr, seed) for seed in seeds],
                          steps, epsilon, batch_size, params, timing=timing)
-    rows = []
     for result in results:
         if result.diverged:
             raise DivergenceError(
                 f"{method} diverged on {model.name} seed {result.seed}: {result.outcome}"
             )
-        rows.extend(_run_rows(experiment, result))
-    _write_lines(out_dir / "trajectory.csv", [RUN_ROW_HEADER] + _sorted_rows(rows))
+    _write_lines(out_dir / "trajectory.csv", _run_rows(experiment, results))
     return 0
 
 
@@ -257,60 +252,46 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
     by_cell: dict = {}
     for result in results:
         by_cell.setdefault((result.method, result.task, result.seed), []).append(result)
+    # one (final_mean, best_lr, steps_to_threshold) record per cell, at its
+    # best rate; a cell's rates differ, so no tie reaches the run itself
+    records = {}
+    for cell, runs in sorted(by_cell.items()):
+        final, lr, best = min((run.final_window_mean(window), run.lr, run) for run in runs)
+        records[cell] = (final, lr, best.steps_to_threshold(threshold))
 
     lines = ["method,task,seed,best_lr,final_mean,steps_to_threshold"]
-    best: dict = {}
-    for (method, task, seed), runs in sorted(by_cell.items()):
-        chosen = min(runs, key=lambda r: (r.final_window_mean(window), r.lr))
-        stt = chosen.steps_to_threshold(threshold)
-        best[(method, task, seed)] = (chosen, stt)
-        lines.append(",".join([
-            method, task, str(seed), _fmt(chosen.lr),
-            _fmt(chosen.final_window_mean(window)),
-            str(stt) if stt is not None else "",
-        ]))
+    for (method, task, seed), (final, lr, stt) in records.items():
+        lines.append(f"{method},{task},{seed},{_fmt(lr)},{_fmt(final)},"
+                     f"{'' if stt is None else stt}")
     _write_lines(out_dir / "compare.csv", lines)
-
-    summary = _compare_summary(methods, tasks, seeds, best, steps, window)
-    _write_lines(out_dir / "summary.txt", summary)
+    _write_lines(out_dir / "summary.txt", _compare_summary(methods, tasks, seeds, records, steps))
     return 0
 
 
-def _compare_summary(methods, tasks, seeds, best, steps, window):
-    """Aligned text table: per-method medians plus pairwise win tally."""
+def _compare_summary(methods, tasks, seeds, records, steps):
+    """Aligned text table: per-method medians plus pairwise win tally.  A
+    cell that never reaches the threshold counts one step past the last."""
+    counted = {cell: steps + 1 if stt is None else stt
+               for cell, (_, _, stt) in records.items()}
     col = max(len(m) for m in methods) + 2
     lines = [f"{'method':<{col}}{'median_final':>14}{'median_steps':>14}"]
     med_steps = {}
     for method in methods:
-        finals, step_counts = [], []
-        for task in tasks:
-            for seed in seeds:
-                chosen, stt = best[(method, task.name, seed)]
-                finals.append(chosen.final_window_mean(window))
-                step_counts.append(stt if stt is not None else steps + 1)
-        med_steps[method] = statistics.median(step_counts)
+        cells = [(method, task.name, seed) for task in tasks for seed in seeds]
+        med_steps[method] = statistics.median(counted[cell] for cell in cells)
         lines.append(
-            f"{method:<{col}}{statistics.median(finals):>14.6g}"
+            f"{method:<{col}}{statistics.median(records[cell][0] for cell in cells):>14.6g}"
             f"{med_steps[method]:>14.6g}"
         )
     if len(methods) == 2:
         a, b = methods
-        wins = ties = 0
-        total = 0
-        for task in tasks:
-            for seed in seeds:
-                sa = best[(a, task.name, seed)][1]
-                sb = best[(b, task.name, seed)][1]
-                sa = sa if sa is not None else steps + 1
-                sb = sb if sb is not None else steps + 1
-                total += 1
-                if sa < sb:
-                    wins += 1
-                elif sa == sb:
-                    ties += 1
+        pairs = [(counted[(a, task.name, seed)], counted[(b, task.name, seed)])
+                 for task in tasks for seed in seeds]
+        wins = sum(sa < sb for sa, sb in pairs)
+        ties = sum(sa == sb for sa, sb in pairs)
         lines.append("")
         lines.append(
-            f"{a} beats {b} on steps-to-threshold in {wins}/{total} "
+            f"{a} beats {b} on steps-to-threshold in {wins}/{len(pairs)} "
             f"task-seed pairs ({ties} ties)"
         )
         lines.append(
@@ -342,19 +323,17 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
     jobs = [(model, method, lr, seed)
             for method in methods for lr in lr_grid for seed in seeds]
     results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing)
-    curve_rows, flag_lines = [], ["method,lr,seed,flag,final_mean"]
+    _write_lines(out_dir / "sweep_curves.csv", _run_rows(experiment, results))
+    flag_lines = ["method,lr,seed,flag,final_mean"]
     for result in sorted(results, key=lambda r: (r.method, r.lr, r.seed)):
-        curve_rows.extend(_run_rows(experiment, result))
+        final = result.final_window_mean(window)
         if result.diverged:
             flag = "diverged"
-            final = float("inf")
         else:
-            final = result.final_window_mean(window)
             flag = "plateaued" if final > plateau_ratio * result.initial_loss else "converged"
         flag_lines.append(
             f"{result.method},{_fmt(result.lr)},{result.seed},{flag},{_fmt(final)}"
         )
-    _write_lines(out_dir / "sweep_curves.csv", [RUN_ROW_HEADER] + _sorted_rows(curve_rows))
     _write_lines(out_dir / "sweep_flags.csv", flag_lines)
     return 0
 
@@ -367,36 +346,28 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
     window = cfg.get("ablate", "final_window")
     eval_task_index = cfg.get("ablate", "task_index")
 
-    lines = ["cell,seed,final_loss"]
-
+    # each cell's (name, model, meta-training tasks, normalize, reset)
     if "partition" in axes:
         if kind != "mlp":
             raise ConfigError("[ablate] the partition axis needs an mlp task")
-        cells = [("partition=block", "block"), ("partition=layer", "layer")]
-        for cell_name, granularity in cells:
-            model = source(granularity)
-            trained, _ = _meta_train(cfg, [model])
-            jobs = [(model, "finetuner", lr, seed) for seed in seeds]
-            for result in _run_cells(jobs, steps, epsilon, batch_size, trained,
-                                     timing=timing, record_scales=False):
-                lines.append(f"{cell_name},{result.seed},{_fmt(result.final_window_mean(window))}")
+        models = [source(granularity) for granularity in ("block", "layer")]
+        cells = [(f"partition={m.granularity}", m, [m], True, True) for m in models]
     else:
         if kind != "quadratic":
             raise ConfigError("[ablate] reset/normalization axes need a quadratic family")
-        reset_values = [True, False] if "reset" in axes else [True]
-        norm_values = [True, False] if "normalization" in axes else [True]
         tasks = source.make_tasks(cfg.get("train", "tasks"))
-        for reset in reset_values:
-            for norm in norm_values:
-                cell_name = f"reset={'on' if reset else 'off'}+norm={'on' if norm else 'off'}"
-                trained, _ = _meta_train(cfg, tasks, normalize=norm, reset=reset)
-                model = source.make_task(eval_task_index)
-                jobs = [(model, "finetuner", lr, seed) for seed in seeds]
-                for result in _run_cells(jobs, steps, epsilon, batch_size, trained,
-                                         normalize=norm, timing=timing,
-                                         record_scales=False):
-                    final = result.final_window_mean(window) if not result.diverged else float("inf")
-                    lines.append(f"{cell_name},{result.seed},{_fmt(final)}")
+        model = source.make_task(eval_task_index)
+        cells = [(f"reset={'on' if reset else 'off'}+norm={'on' if norm else 'off'}",
+                  model, tasks, norm, reset)
+                 for reset in ((True, False) if "reset" in axes else (True,))
+                 for norm in ((True, False) if "normalization" in axes else (True,))]
+    lines = ["cell,seed,final_loss"]
+    for cell_name, model, train_tasks, norm, reset in cells:
+        trained, _ = _meta_train(cfg, train_tasks, normalize=norm, reset=reset)
+        jobs = [(model, "finetuner", lr, seed) for seed in seeds]
+        for result in _run_cells(jobs, steps, epsilon, batch_size, trained, normalize=norm,
+                                 timing=timing, record_scales=False):
+            lines.append(f"{cell_name},{result.seed},{_fmt(result.final_window_mean(window))}")
     _write_lines(out_dir / "ablation.csv", lines)
     return 0
 

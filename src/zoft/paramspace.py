@@ -55,11 +55,10 @@ class BlockPartition:
             raise ValueError(f"block names must be unique, got {names}")
         self.names = tuple(names)
         self.sizes = np.asarray(sizes, dtype=np.int64)
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
         self.total = int(self.sizes.sum())
         # hot loops index these tuples instead of rebuilding slices per call
         self.py_sizes = tuple(sizes)
-        offs = [int(o) for o in self.offsets]
+        offs = np.cumsum([0, *sizes[:-1]]).tolist()
         self.slices = tuple(
             slice(o, o + s) for o, s in zip(offs, sizes)
         )
@@ -125,9 +124,6 @@ class ParamVector:
         # min and max propagate a nan, and need no d-sized mask
         if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
             raise NumericOverflowError("parameter vector contains non-finite entries")
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.partition)
 
 
 @dataclass

@@ -228,13 +228,19 @@ def make_rank_family(block_sizes, ranks, opnorms, **kwargs) -> QuadraticTask:
     tr / op == ranks[i] exactly: the d_i - 1 remaining eigenvalues are all
     opnorms[i] * (r_i - 1) / (d_i - 1).
     """
+    return _rank_task(None, block_sizes, ranks, opnorms, **kwargs)
+
+
+def _rank_task(partition, block_sizes, ranks, opnorms, **kwargs) -> QuadraticTask:
+    """make_rank_family on `partition` of block_sizes, or on a new one if None."""
     block_sizes = [int(s) for s in block_sizes]
     ranks = [float(r) for r in ranks]
     opnorms = [float(L) for L in opnorms]
     check_ranks("ranks", block_sizes, ranks)
     if len(opnorms) != len(block_sizes):
         raise ConfigError("block_sizes and opnorms must have equal length")
-    partition = BlockPartition([(f"block{i}", s) for i, s in enumerate(block_sizes)])
+    if partition is None:
+        partition = BlockPartition([(f"block{i}", s) for i, s in enumerate(block_sizes)])
     eigs = np.empty(partition.total)
     for i, (d_i, r_i, L) in enumerate(zip(block_sizes, ranks, opnorms)):
         if L <= 0:
@@ -266,6 +272,9 @@ class QuadraticFamily:
     init_scale: float | tuple = 1.0  # scalar, or one entry per block
     noise_tau: float = 0.0
     seed: int = 0
+    # made by the first task, then shared by every task of the family
+    _partition: BlockPartition | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def make_task(self, index: int) -> QuadraticTask:
         rng = np.random.default_rng([self.seed, int(index)])
@@ -276,7 +285,8 @@ class QuadraticFamily:
             )
         d = int(np.sum(self.block_sizes))
         shift = self.shift_scale * rng.standard_normal(d)
-        return make_rank_family(
+        task = _rank_task(
+            self._partition,
             self.block_sizes,
             self.ranks,
             opnorms,
@@ -286,6 +296,8 @@ class QuadraticFamily:
             seed=self.seed * 1000003 + index,
             name=f"quad{index}",
         )
+        self._partition = task.partition
+        return task
 
     def make_tasks(self, n: int, start: int = 0):
         return [self.make_task(start + k) for k in range(n)]

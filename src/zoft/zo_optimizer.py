@@ -78,10 +78,6 @@ class Trajectory:
     # recorded (see run_population's record_scales)
     scales: np.ndarray | None
 
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(1, len(self.loss) + 1)
-
     def __len__(self) -> int:
         return len(self.loss)
 

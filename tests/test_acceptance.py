@@ -95,7 +95,7 @@ def run_cells(models, lrs, method, seed, net, steps=400, batch_size=1,
         k = max(1, steps // 10)
         final = float(np.mean(traj.loss[-k:]))
         hits = np.flatnonzero(traj.loss <= 0.5 * traj.loss[0])
-        stt = int(traj.t[hits[0]]) if len(hits) else steps + 1
+        stt = int(hits[0]) + 1 if len(hits) else steps + 1
         cells.append((final, stt, False))
     return cells
 

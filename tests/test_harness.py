@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,16 +8,16 @@ import numpy as np
 import pytest
 
 import zoft
-from zoft import cli, harness
-from zoft.config import ExperimentConfig
+from zoft import cli, harness, pertnn
+from zoft.config import ExperimentConfig, build_task_source
 from zoft.errors import ConfigError, DivergenceError
 from zoft.harness import (
     RUN_ROW_HEADER,
     RunResult,
-    _sorted_rows,
     cmd_ablate,
     cmd_sweep_lr,
 )
+from zoft.paramspace import NoiseSeed
 from zoft.zo_optimizer import Trajectory, run_population
 
 from test_cli_fuzz import COMMANDS, clamped, write_ini
@@ -126,17 +127,37 @@ class TestRunResult:
         assert r.steps_to_threshold(0.5) is None
 
 
-class TestRowSorting:
-    def test_sorted_numerically_not_lexically(self):
-        rows = [
-            "e,mezo,quad0,10,0.1,2,1,0,1,1,1",
-            "e,mezo,quad0,2,0.1,1,1,0,1,1,1",
-            "e,mezo,quad0,2,0.02,10,1,0,1,1,1",
-            "e,mezo,quad0,2,0.02,9,1,0,1,1,1",
-        ]
-        out = _sorted_rows(rows)
-        assert out[0].split(",")[4] == "0.02" and out[0].split(",")[5] == "9"
-        assert out[-1].split(",")[3] == "10"
+class TestRunRowOrder:
+    # seeds and rates listed out of order, with seed 10 and step 10 before
+    # 2 and 9 as text; 8 of the 30 runs diverge and write no rows
+    SWEEP = TASK + """
+[sweep]
+methods = mezo, finetuner
+seeds = 10, 2, 7
+lr_grid = 5.0, 0.0, 0.07, 0.7, 0.02
+steps = 30
+batch_size = 1
+"""
+    # SHA-256 of sweep_curves.csv, recorded when every printed row was
+    # parsed back to sort the file
+    DIGEST = "c555d5f841c06fe7105f8c03bf7fe12ddee8e5c068881d67d01f0a98d60f5816"
+
+    def test_sweep_curves_in_numeric_order(self, tmp_path):
+        cfg = write_config(tmp_path, self.SWEEP)
+        out = tmp_path / "out"
+        out.mkdir()
+        _, family = build_task_source(ExperimentConfig.load(cfg))
+        partition = family.make_task(0).partition
+        pertnn.save(pertnn.init(partition, 8, NoiseSeed(0)), out / "finetuner.ckpt")
+        assert cli.main(["sweep-lr", "--config", str(cfg), "--out", str(out)]) == 0
+        data = (out / "sweep_curves.csv").read_bytes()
+        lines = data.decode().splitlines()
+        assert lines[0] == RUN_ROW_HEADER
+        keys = [(method, int(seed), float(lr), int(step))
+                for _, method, _, seed, lr, step, *_ in (line.split(",") for line in lines[1:])]
+        assert keys == sorted(keys)
+        assert len({key[:3] for key in keys}) == 22 and len(keys) == 22 * 30
+        assert hashlib.sha256(data).hexdigest() == self.DIGEST
 
 
 class TestCliCommands:

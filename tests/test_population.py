@@ -82,7 +82,9 @@ def assert_rows_match(models, lrs, config, net, learned=None):
             continue
         assert not isinstance(outcome, DivergenceError), (model.name, lr, own)
         assert len(outcome) == len(want)
-        for name, ref in zip(("t", "loss", "scales"), zip(*want)):
+        steps, *columns = zip(*want)
+        assert steps == tuple(range(1, len(want) + 1))
+        for name, ref in zip(("loss", "scales"), columns):
             assert np.array_equal(getattr(outcome, name), np.array(ref)), (name, lr, own)
     return outcomes
 

@@ -158,6 +158,12 @@ class TestQuadraticFamily:
         for k in range(3):
             assert np.allclose(fam.make_task(k).effective_ranks(), [1.0, 8.0])
 
+    def test_tasks_share_one_partition(self):
+        fam = QuadraticFamily(block_sizes=(4, 8), ranks=(1.0, 8.0), seed=0)
+        first, *rest = fam.make_tasks(3)
+        assert all(task.partition is first.partition for task in rest)
+        assert first.partition == make_rank_family((4, 8), (1.0, 8.0), (1.0, 1.0)).partition
+
     def test_make_tasks_start_offset(self):
         fam = QuadraticFamily(seed=1)
         held_out = fam.make_tasks(3, start=10)

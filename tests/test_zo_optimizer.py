@@ -319,7 +319,7 @@ class TestStep:
         net = pertnn.init(task.partition, hidden=8, seed=NoiseSeed(1))
         config = ZOConfig(50, mode=mode, seed=3)
         fused = ParamVector(task.init_theta(3), task.partition)
-        reference = fused.copy()
+        reference = ParamVector(fused.values.copy(), task.partition)
         fused_state, reference_state = OptState(), OptState()
         for t in range(1, 51):
             a = step(fused, fused_state, t, config, task.loss, lr, net)
@@ -368,7 +368,6 @@ class TestRunFinetune:
         task = make_rank_family([4, 4], [4.0, 4.0], [1.0, 1.0], seed=0)
         traj = run_finetune(task, 0.1, ZOConfig(300, mode="mezo", seed=0))
         assert len(traj) == 300
-        assert np.array_equal(traj.t, np.arange(1, 301))
         tail = np.mean(traj.loss[-30:])
         assert tail < 0.2 * traj.loss[0]
 
