@@ -217,7 +217,7 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
         if scheme == "blockwise":
             terms = []
             for i, sl in enumerate(slices):
-                gj, hj = g[sl], task.eigs[sl]
+                gj, hj = g[sl], task.block_eigs(i)
                 gamma = dot(gj, gj)
                 quad = gamma * float(hj.sum()) + 2.0 * dot(gj, hj * gj)
                 terms.append((stds[i] ** 2, gamma, fourth_factor(len(gj)), quad))
@@ -230,8 +230,9 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
         else:
             dvec = scales.per_coordinate() ** 2
             gdg = dot(g, dvec * g)
-            tr_dh = dot(dvec, task.eigs)
-            gdhdg = dot(dvec * g, task.eigs * (dvec * g))
+            eigs = task.eigs
+            tr_dh = dot(dvec, eigs)
+            gdhdg = dot(dvec * g, eigs * (dvec * g))
             quad = gdg * tr_dh + 2.0 * gdhdg
             factor = fourth_factor(len(g))
             means = [-e * gdg + 0.5 * e**2 * factor * quad for e in etas]
@@ -240,7 +241,7 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
     if n < 2:
         raise ValueError(f"monte_carlo needs n >= 2 samples for a stderr, got {n}")
     if scheme == "blockwise":
-        parts = [(g[sl], task.eigs[sl], stds[i]) for i, sl in enumerate(slices)]
+        parts = [(g[sl], task.block_eigs(i), stds[i]) for i, sl in enumerate(slices)]
     else:
         parts = [(g, task.eigs, scales.per_coordinate())]
     rng = np.random.default_rng([_MC_TAG, seed])

@@ -55,6 +55,8 @@ _METHOD_NAMES = ("mezo", "finetuner")
 _METHODS = Key(str, _METHOD_NAMES, many=True, choices=_METHOD_NAMES, distinct=True)
 _LR_GRID = Key(float, many=True, low=0, distinct=True)
 _SEED = Key(int, 0, low=0)
+# a race, sweep or ablation of 0 steps has no final loss to rank
+_SOME_STEPS = Key(int, low=1)
 # keys that the run sections and [train] share; each picks the ones it reads
 _RUN = {
     "seeds": Key(int, many=True, low=0, distinct=True),
@@ -93,16 +95,16 @@ KEYS = {
     "finetune": _run("seeds steps epsilon batch_size checkpoint task_index granularity",
                      mode=Key(str, "mezo", choices=_METHOD_NAMES),
                      lr=Key(float, low=0), experiment=Key(str, "finetune")),
-    "compare": _run("seeds steps epsilon batch_size checkpoint final_window",
-                    methods=_METHODS, lr_grid=_LR_GRID,
+    "compare": _run("seeds epsilon batch_size checkpoint final_window",
+                    steps=_SOME_STEPS, methods=_METHODS, lr_grid=_LR_GRID,
                     tasks=Key(int, 1, low=1), task_start=Key(int, 0, low=0),
                     threshold=Key(float, 0.5, low=0, strict=True)),
-    "sweep": _run("seeds steps epsilon batch_size checkpoint task_index granularity "
-                  "final_window", methods=_METHODS,
+    "sweep": _run("seeds epsilon batch_size checkpoint task_index granularity "
+                  "final_window", steps=_SOME_STEPS, methods=_METHODS,
                   lr_grid=_LR_GRID,  # spanning >= 100x
                   plateau_ratio=Key(float, 0.9, low=0, strict=True),
                   experiment=Key(str, "sweep")),
-    "ablate": _run("seeds steps epsilon batch_size task_index final_window",
+    "ablate": _run("seeds epsilon batch_size task_index final_window", steps=_SOME_STEPS,
                    axes=Key(str, many=True, choices=("reset", "normalization", "partition")),
                    lr=Key(float, low=0)),
     "bounds": {

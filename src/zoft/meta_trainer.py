@@ -36,6 +36,21 @@ _SHUFFLE_TAG = 0x5F0FF1E
 _MBATCH_TAG = 0x3BA7C
 
 
+def _seed_words(*keys: int) -> np.ndarray:
+    """The uint32 entropy that np.random.SeedSequence makes of the list of
+    nonnegative ints `keys`: each as its little-endian 32-bit words, 0 as one
+    word.  A generator seeded with it draws what one seeded with the list
+    does, and SeedSequence copies a uint32 array as it is instead of
+    coercing the list one element at a time."""
+    words = []
+    for key in keys:
+        words.append(key & 0xFFFFFFFF)
+        while key >= 2**32:
+            key >>= 32
+            words.append(key & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 @dataclass
 class MetaConfig:
     eta1: float  # model learning rate (also the ZO step size in the meta-objective)
@@ -205,9 +220,8 @@ def train(config: MetaConfig, tasks, pertnn):
             batch = task.sample_batch(
                 config.batch_size, config.seed * 1000003 + t * 131 + int(idx)
             )
-            z = np.random.default_rng([_Z_TAG, config.seed, t, int(idx)]).standard_normal(
-                partition.total
-            )
+            z = np.random.default_rng(
+                _seed_words(_Z_TAG, config.seed, t, int(idx))).standard_normal(partition.total)
             try:
                 l_zo, loss = meta_step(theta, pertnn, task, states[idx], batch, config, z)
             except (NumericOverflowError, InvalidScaleError) as exc:

@@ -16,6 +16,7 @@ bits of its row's vector loss.  Rows of several quadratic tasks are one
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,33 +35,33 @@ _MINIT_TAG = 0x3317A17
 # Block-diagonal quadratics
 
 
-@dataclass
 class QuadraticTask:
     """L(theta) = 0.5 (theta - theta*)' H (theta - theta*) with diagonal H.
 
-    The Hessian is stored as its eigenvalue vector ``eigs`` (one value per
+    The Hessian is given as its eigenvalue vector ``eigs`` (one value per
     coordinate), so it is exactly block-diagonal for any partition: cross-block
-    coupling is identically zero.  Optional minibatch noise adds a linear term
-    xi' (theta - theta*) with E xi = 0 and tr Cov(xi) = tau, drawn
-    deterministically from the batch key.
+    coupling is identically zero.  A wide rank-family task (make_rank_family
+    above _DOT_PIECE values) keeps it as two numbers per block instead, and
+    ``eigs`` then forms the (d,) vector anew on each access; the loss, the
+    gradient and ``block_eigs`` form only what they use.  Optional minibatch
+    noise adds a linear term xi' (theta - theta*) with E xi = 0 and
+    tr Cov(xi) = tau, drawn deterministically from the batch key.
     """
 
-    partition: BlockPartition
-    eigs: np.ndarray
-    theta_star: np.ndarray
-    noise_tau: float = 0.0
-    init_scale: float | tuple = 1.0  # scalar, or one entry per block
-    seed: int = 0
-    name: str = "quadratic"
-
-    def __post_init__(self):
-        self.eigs = np.asarray(self.eigs, dtype=np.float64)
-        self.theta_star = np.asarray(self.theta_star, dtype=np.float64)
+    def __init__(self, partition: BlockPartition, eigs, theta_star,
+                 noise_tau: float = 0.0, init_scale: float | tuple = 1.0,
+                 seed: int = 0, name: str = "quadratic"):
+        self.partition = partition
+        self.noise_tau, self.init_scale = noise_tau, init_scale  # scalar, or one per block
+        self.seed, self.name = seed, name
+        dense = not isinstance(eigs, _BlockSpectrum)
+        self._eigs = np.asarray(eigs, dtype=np.float64) if dense else eigs
+        self.theta_star = np.asarray(theta_star, dtype=np.float64)
         d = self.partition.total
-        if self.eigs.shape != (d,) or self.theta_star.shape != (d,):
+        if self.theta_star.shape != (d,) or dense and self._eigs.shape != (d,):
             raise ConfigError("eigenvalues / optimum must have length d")
         # the least eigenvalue, not a d-sized mask of the negative ones
-        if self.eigs.min() < 0:
+        if dense and self._eigs.min() < 0:
             raise ConfigError("quadratic eigenvalues must be nonnegative")
         # one sigma per block: init_theta scales each block's slice by it
         scale = np.asarray(self.init_scale, dtype=np.float64)
@@ -76,14 +77,30 @@ class QuadraticTask:
         return self.partition.total
 
     @property
+    def eigs(self) -> np.ndarray:
+        """The (d,) eigenvalues; an O(d) array formed on each access when the
+        spectrum is kept per block."""
+        eigs = self._eigs
+        return eigs if isinstance(eigs, np.ndarray) else eigs.fill(0, self.dim, np.empty(self.dim))
+
+    def block_eigs(self, i: int) -> np.ndarray:
+        """Block i's eigenvalues: a view of a dense spectrum, a new array of
+        one kept per block."""
+        sl = self.partition.slices[i]
+        eigs = self._eigs
+        if isinstance(eigs, np.ndarray):
+            return eigs[sl]
+        return eigs.fill(sl.start, sl.stop, np.empty(sl.stop - sl.start))
+
+    @property
     def smoothness(self) -> float:
-        return float(self.eigs.max())
+        return max(float(self.block_eigs(i).max()) for i in range(self.partition.n_blocks))
 
     def effective_ranks(self) -> np.ndarray:
         """Per-block tr(H_i) / ||H_i||_op."""
         ranks = np.empty(self.partition.n_blocks)
-        for i, sl in enumerate(self.partition.slices):
-            lam = self.eigs[sl]
+        for i in range(self.partition.n_blocks):
+            lam = self.block_eigs(i)
             top = lam.max()
             ranks[i] = lam.sum() / top if top > 0 else 1.0
         return ranks
@@ -101,11 +118,15 @@ class QuadraticTask:
 
     def loss(self, values: np.ndarray, batch=0):
         """A float for a (d,) vector, R losses for (R, d) rows."""
-        out = _quadratic_loss(values, self.theta_star, self.eigs, self._batch_noise(batch))
+        out = _quadratic_loss(values, self.theta_star, self._eigs, self._batch_noise(batch))
         return out if values.ndim > 1 else float(out)
 
     def grad(self, values: np.ndarray, batch=0) -> np.ndarray:
-        g = self.eigs * (values - self.theta_star)
+        eigs = self._eigs
+        if isinstance(eigs, np.ndarray):
+            g = eigs * (values - self.theta_star)
+        else:
+            g = eigs.scale(values - self.theta_star)
         xi = self._batch_noise(batch)
         if xi is not None:
             g = g + xi
@@ -130,10 +151,44 @@ class QuadraticTask:
         return np.add(self.theta_star, z, out=z)
 
 
+class _BlockSpectrum:
+    """A rank-family spectrum as two numbers per block: block i's first
+    eigenvalue is tops[i] and its other d_i - 1 are tails[i].  Each reader
+    forms the values it needs, so the task holds no d-sized spectrum."""
+
+    def __init__(self, partition: BlockPartition, tops, tails):
+        self.starts = [sl.start for sl in partition.slices]
+        self.ends = [sl.stop for sl in partition.slices]
+        self.tops, self.tails = tuple(tops), tuple(tails)
+
+    def fill(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """The eigenvalues of coordinates [lo, hi), written into
+        out[..., :hi - lo] (each row of (R, n) scratch)."""
+        out = out[..., :hi - lo]
+        i = bisect_right(self.starts, lo) - 1
+        while i < len(self.starts) and self.starts[i] < hi:
+            start = self.starts[i]
+            out[..., max(start, lo) - lo:min(self.ends[i], hi) - lo] = self.tails[i]
+            if start >= lo:
+                out[..., start - lo] = self.tops[i]
+            i += 1
+        return out
+
+    def scale(self, delta: np.ndarray) -> np.ndarray:
+        """delta times the eigenvalues, in place: each block times its tail,
+        then its first value times its top, with the bits of a dense product."""
+        for start, end, top, tail in zip(self.starts, self.ends, self.tops, self.tails):
+            first = delta[start]
+            delta[start:end] *= tail
+            delta[start] = top * first
+        return delta
+
+
 def _quadratic_loss(values, theta_star, eigs, xi):
     """0.5 delta'(eigs * delta) + xi'delta with delta = values - theta_star,
     for a (d,) vector or (R, d) rows (xi None: no noise term).  theta_star,
-    eigs and xi are (d,), shared by every row, or (R, d), one row each.
+    eigs and xi are (d,), shared by every row, or (R, d), one row each;
+    above _DOT_PIECE values eigs may also be a _BlockSpectrum.
 
     np.vecdot runs one BLAS dot per row, as `@` does for one vector (an
     einsum or a matrix product may sum in another order), so a row's loss
@@ -155,17 +210,21 @@ def _loss_in_pieces(values, theta_star, eigs, xi):
     Each dot is summed as paramspace.dot sums it, one BLAS dot per
     _DOT_PIECE-value piece in index order, so its bits do not depend on the
     BLAS thread count.  The piece's delta and eigs * delta go into scratch
-    of one piece per row, never a d-sized temporary.
+    of one piece per row, never a d-sized temporary; a _BlockSpectrum forms
+    the piece's eigenvalues in the eigs * delta scratch, which the product
+    then overwrites.
     """
     d = values.shape[-1]
     delta = np.empty(values.shape[:-1] + (_DOT_PIECE,))
     curved = np.empty_like(delta)
+    dense = isinstance(eigs, np.ndarray)
     quad = noise = None
     for lo in range(0, d, _DOT_PIECE):
         hi = min(lo + _DOT_PIECE, d)
         piece, scaled = delta[..., :hi - lo], curved[..., :hi - lo]
         np.subtract(values[..., lo:hi], theta_star[..., lo:hi], out=piece)
-        np.multiply(eigs[..., lo:hi], piece, out=scaled)
+        lam = eigs[..., lo:hi] if dense else eigs.fill(lo, hi, scaled)
+        np.multiply(lam, piece, out=scaled)
         part = np.vecdot(piece, scaled)
         quad = part if quad is None else quad + part
         if xi is not None:
@@ -183,13 +242,17 @@ class QuadraticRows:
 
     The rows' optima and spectra are stacked into (R, d) arrays, so one call
     evaluates every row, and each row's loss has the bits of its task's
-    vector loss: both are _quadratic_loss.  Rows of one task need no stack:
-    the task's own loss takes them.
+    vector loss: both are _quadratic_loss.  A spectrum goes into its row a
+    block at a time.  Rows of one task need no stack: the task's own loss
+    takes them.
     """
 
     def __init__(self, tasks):
         self.tasks = list(tasks)
-        self.eigs = np.stack([task.eigs for task in self.tasks])
+        self.eigs = np.empty((len(self.tasks), self.tasks[0].dim))
+        for row, task in zip(self.eigs, self.tasks):
+            for i, sl in enumerate(task.partition.slices):
+                row[sl] = task.block_eigs(i)
         self.theta_star = np.stack([task.theta_star for task in self.tasks])
         self.noisy = any(task.noise_tau != 0.0 for task in self.tasks)
         self._key, self._xi = None, None
@@ -226,9 +289,17 @@ def make_rank_family(block_sizes, ranks, opnorms, **kwargs) -> QuadraticTask:
 
     Block i gets one eigenvalue equal to opnorms[i] and an equal tail chosen so
     tr / op == ranks[i] exactly: the d_i - 1 remaining eigenvalues are all
-    opnorms[i] * (r_i - 1) / (d_i - 1).
+    opnorms[i] * (r_i - 1) / (d_i - 1).  Above _DOT_PIECE values the task
+    keeps these two numbers per block, not a (d,) spectrum.
     """
     return _rank_task(None, block_sizes, ranks, opnorms, **kwargs)
+
+
+def _tail(size: int, rank: float, top: float) -> float:
+    """The value of a block's size - 1 equal eigenvalues after its top one
+    that makes tr / op == rank.  A block of one value has no tail, and its
+    top stands in."""
+    return top * (rank - 1.0) / (size - 1.0) if size > 1 else top
 
 
 def _rank_task(partition, block_sizes, ranks, opnorms, **kwargs) -> QuadraticTask:
@@ -241,15 +312,19 @@ def _rank_task(partition, block_sizes, ranks, opnorms, **kwargs) -> QuadraticTas
         raise ConfigError("block_sizes and opnorms must have equal length")
     if partition is None:
         partition = BlockPartition([(f"block{i}", s) for i, s in enumerate(block_sizes)])
-    eigs = np.empty(partition.total)
-    for i, (d_i, r_i, L) in enumerate(zip(block_sizes, ranks, opnorms)):
+    for i, L in enumerate(opnorms):
         if L <= 0:
             raise ConfigError(f"block {i}: operator norm must be positive")
-        # each block's spectrum is written into eigs, with no block-sized copy
-        spectrum = eigs[partition.slices[i]]
-        spectrum[0] = L
-        if d_i > 1:
-            spectrum[1:] = L * (r_i - 1.0) / (d_i - 1.0)
+    if partition.total > _DOT_PIECE:
+        eigs = _BlockSpectrum(partition, opnorms, map(_tail, block_sizes, ranks, opnorms))
+    else:
+        # the small-d loss multiplies by a dense spectrum in one call
+        eigs = np.empty(partition.total)
+        for sl, d_i, r_i, L in zip(partition.slices, block_sizes, ranks, opnorms):
+            # each block's spectrum is written into eigs, with no block-sized copy
+            spectrum = eigs[sl]
+            spectrum[:] = _tail(d_i, r_i, L)
+            spectrum[0] = L
     theta_star = kwargs.pop("theta_star", None)
     if theta_star is None:
         theta_star = np.zeros(partition.total)

@@ -735,6 +735,39 @@ steps = 5
         assert "zoft: config error" in err and names in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, section", [
+        ("compare", "compare"), ("sweep", "sweep"), ("ablate", "ablate"),
+    ])
+    def test_zero_steps_is_refused_where_final_losses_are_ranked(
+            self, tmp_path, capsys, monkeypatch, name, section):
+        # with 0 steps every final loss was inf and the command exited 0:
+        # sweep-lr flagged each run converged, compare printed median_final
+        # inf, ablate wrote inf in every cell
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the config was checked")
+
+        monkeypatch.setattr(harness, "run_population", never)
+        monkeypatch.setattr(harness.meta_trainer, "train", never)
+        sections = clamped(name)
+        sections[section]["steps"] = "0"
+        cfg = write_ini(tmp_path / "exp.ini", sections)
+        out = tmp_path / "o"
+        assert cli.main([COMMANDS[name], "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] steps='0' must be finite and >= 1" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["train", "finetune"])
+    def test_zero_steps_still_runs_where_nothing_is_ranked(self, tmp_path, name):
+        # an untrained network's checkpoint is a 0-step train
+        sections = clamped(name)
+        sections[name]["steps"] = "0"
+        if name == "finetune":
+            sections[name]["mode"] = "mezo"  # reads no checkpoint
+        cfg = write_ini(tmp_path / "exp.ini", sections)
+        assert cli.main([COMMANDS[name], "--config", str(cfg), "--out",
+                         str(tmp_path / "o")]) == 0
+
     def test_undeclared_key_is_rejected(self, tmp_path, capsys):
         # a typo used to run silently with the default epsilon of 1e-3
         cfg = write_config(tmp_path, TASK + FINETUNE + "epsilion = 0.01\n")

@@ -258,6 +258,30 @@ class TestLargeDimension:
         # about 10 KB, and the task's own fields
         assert held_bytes <= len(held) * (2 * 8 * sum(sizes) + 2 * SLACK)
 
+    def test_a_wide_rank_task_holds_one_parameter_vector(self):
+        # d = 1e6: the optimum, and the spectrum as two numbers per block.  A
+        # (d,) spectrum was a second parameter-sized vector
+        sizes = [600_000, 300_000, 99_990, 10]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model = make_rank_family(sizes, [100.0, 50.0, 20.0, 2.0], [1.0] * 4, seed=0)
+            held_bytes = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # small objects: the partition, whose plan of 31 noise spans is
+        # about 10 KB, and the task's own fields
+        assert held_bytes <= 8 * model.dim + 2 * SLACK
+
+    def test_a_wide_rank_gradient_is_one_parameter_vector(self):
+        # the gradient is its delta vector, scaled block by block in place:
+        # no d-sized spectrum is formed for it
+        model = make_rank_family([150_000, 40_000, 9_990, 10],
+                                 [7500.0, 2000.0, 500.0, 2.0], [1.0, 0.5, 1.0, 2.0],
+                                 seed=0)
+        theta = model.init_theta(0)
+        assert traced_peak(lambda: model.grad(theta, 0)) <= 8 * model.dim + SLACK
+
     def test_building_a_task_holds_two_parameter_vectors_at_peak(self):
         # d = 1e6: the family's optimum shift and the spectrum.  A block-sized
         # spectrum copy, a zero optimum drawn while the shift was passed and a

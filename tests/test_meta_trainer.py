@@ -10,7 +10,9 @@ from zoft.errors import (
     NumericOverflowError,
 )
 from zoft.meta_trainer import (
+    _Z_TAG,
     MetaConfig,
+    _seed_words,
     meta_grad,
     meta_loss,
     meta_step,
@@ -368,3 +370,16 @@ class TestMetaConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             MetaConfig(**kwargs)
+
+
+class TestSeedWords:
+    @pytest.mark.parametrize("key", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_words_seed_what_the_list_seeds(self, key):
+        # ints of 2**32 and above are split into little-endian 32-bit words
+        keys = (_Z_TAG, key, 3, key)
+        words = _seed_words(*keys)
+        assert words.dtype == np.uint32
+        assert np.array_equal(np.random.SeedSequence(list(keys)).generate_state(8),
+                              np.random.SeedSequence(words).generate_state(8))
+        assert np.array_equal(np.random.default_rng(list(keys)).standard_normal(5),
+                              np.random.default_rng(words).standard_normal(5))

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from zoft.bounds import BoundInputs, expected_decrease
 from zoft.errors import ConfigError
-from zoft.paramspace import BlockPartition, dot
+from zoft.paramspace import BlockPartition, PerturbScales, dot
 from zoft.testbeds import (
     _QINIT_TAG,
+    _BlockSpectrum,
     MLPTask,
     QuadraticFamily,
     QuadraticRows,
@@ -138,6 +140,87 @@ class TestRankFamily:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             make_rank_family([4, 4], [1.0], [1.0, 1.0])
+
+
+# A partition with blocks of one value, blocks narrower than a loss piece
+# (8192 values), one that crosses two piece boundaries and one wider than a
+# noise chunk (32768 values)
+WIDE_SIZES = (1, 300, 20000, 1, 40000, 7)
+WIDE_RANKS = (1.0, 30.0, 2000.0, 1.0, 4000.0, 3.0)
+WIDE_OPNORMS = (2.0, 1.0, 0.5, 3.0, 1.0, 0.25)
+
+
+def wide_task_and_twin(noise_tau=0.0, seed=4):
+    """A wide rank-family task and a QuadraticTask built from its dense eigs."""
+    task = make_rank_family(WIDE_SIZES, WIDE_RANKS, WIDE_OPNORMS, noise_tau=noise_tau,
+                            init_scale=(1.0, 0.5, 2.0, 1.0, 0.3, 4.0), seed=seed,
+                            theta_star=np.linspace(-1.0, 1.0, sum(WIDE_SIZES)))
+    twin = QuadraticTask(task.partition, task.eigs, task.theta_star, noise_tau=noise_tau,
+                         init_scale=task.init_scale, seed=task.seed)
+    return task, twin
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestCompactSpectrum:
+    def test_wide_rank_task_keeps_two_numbers_per_block(self):
+        task, _ = wide_task_and_twin()
+        assert isinstance(task._eigs, _BlockSpectrum)
+        assert isinstance(make_rank_family([8192], [2.0], [1.0])._eigs, np.ndarray)
+        eigs = task.eigs
+        for sl, size, rank, top in zip(task.partition.slices, WIDE_SIZES, WIDE_RANKS,
+                                       WIDE_OPNORMS):
+            assert eigs[sl.start] == top
+            if size > 1:
+                assert np.all(eigs[sl.start + 1:sl.stop] == top * (rank - 1.0) / (size - 1.0))
+        assert np.allclose(task.effective_ranks(), WIDE_RANKS, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("noise_tau", [0.0, 0.5], ids=["noise-free", "noisy"])
+    def test_loss_has_the_bits_of_the_dense_twin(self, noise_tau):
+        task, twin = wide_task_and_twin(noise_tau)
+        rows = np.stack([task.init_theta(k) for k in range(3)])
+        for batch in (0, 7):
+            assert same_bits(task.loss(rows[0], batch), twin.loss(rows[0], batch))
+            assert same_bits(task.loss(rows, batch), twin.loss(rows, batch))
+
+    @pytest.mark.parametrize("noise_tau", [0.0, 0.5], ids=["noise-free", "noisy"])
+    def test_block_readers_have_the_bits_of_the_dense_twin(self, noise_tau):
+        task, twin = wide_task_and_twin(noise_tau)
+        theta = task.init_theta(1)
+        assert same_bits(task.grad(theta, 3), twin.grad(theta, 3))
+        assert same_bits(task.block_grad_sqnorms(theta, 3), twin.block_grad_sqnorms(theta, 3))
+        assert same_bits(task.effective_ranks(), twin.effective_ranks())
+        assert same_bits(task.smoothness, twin.smoothness)
+        for i in range(task.partition.n_blocks):
+            assert same_bits(task.block_eigs(i), twin.block_eigs(i))
+
+    def test_bounds_have_the_bits_of_the_dense_twin(self):
+        task, twin = wide_task_and_twin()
+        theta = task.init_theta(2)
+        scales = PerturbScales(np.linspace(0.5, 1.5, len(WIDE_SIZES)), task.partition)
+        got, want = (BoundInputs.from_task(t, theta, 0.01) for t in (task, twin))
+        assert same_bits(got.smoothness, want.smoothness)
+        assert same_bits(got.ranks, want.ranks)
+        assert same_bits(got.grad_sqnorms, want.grad_sqnorms)
+        for scheme in ("blockwise", "joint"):
+            for law in ("gaussian", "sphere"):
+                closed = [expected_decrease(t, theta, scales, (0.01, 0.02), scheme=scheme,
+                                            law=law)[0] for t in (task, twin)]
+                assert same_bits(*closed)
+            mc = [expected_decrease(t, theta, scales, (0.01, 0.02), mode="monte_carlo",
+                                    scheme=scheme, n=6) for t in (task, twin)]
+            assert same_bits(mc[0][0], mc[1][0]) and same_bits(mc[0][1], mc[1][1])
+
+    def test_stacked_rows_have_the_bits_of_the_dense_twins(self):
+        (a, twin_a), (b, twin_b) = wide_task_and_twin(0.5, 4), wide_task_and_twin(0.0, 5)
+        rows = np.stack([a.init_theta(0), b.init_theta(0)])
+        got, want = QuadraticRows([a, b]), QuadraticRows([twin_a, twin_b])
+        assert same_bits(got.eigs, want.eigs)
+        assert same_bits(got(rows, 7), want(rows, 7))
+        assert same_bits(got(rows, 7), [a.loss(rows[0], 7), b.loss(rows[1], 7)])
 
 
 class TestQuadraticFamily:
