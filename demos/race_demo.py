@@ -18,12 +18,7 @@ from zoft.meta_trainer import MetaConfig, train
 from zoft.paramspace import NoiseSeed
 from zoft.pertnn import init as pertnn_init
 from zoft.testbeds import QuadraticFamily
-from zoft.zo_optimizer import ZOConfig, run_population
-
-
-def steps_to_half(loss):
-    hits = np.flatnonzero(loss <= 0.5 * loss[0])
-    return int(hits[0]) + 1 if len(hits) else None
+from zoft.zo_optimizer import Race, ZOConfig, run_population
 
 
 def main():
@@ -49,18 +44,18 @@ def main():
         finals = {lr: [] for lr in grid}
         for seed in range(5):
             # the runs of one seed share every noise draw: one population
-            # steps the whole lr grid at once, keeping only its losses
+            # steps the whole lr grid at once, each run keeping the step at
+            # which it halves its loss and its last 40 losses
             config = ZOConfig(steps=400, mode=method, seed=seed)
             outcomes = run_population([held_out] * len(grid), grid, config, params,
-                                      record_scales=False)
-            for lr, traj in zip(grid, outcomes):
-                if isinstance(traj, DivergenceError):
+                                      keep=Race(threshold=0.5, window=0.1))
+            for lr, race in zip(grid, outcomes):
+                if isinstance(race, DivergenceError):
                     steps[lr].append(401)
                     finals[lr].append(float("inf"))
                     continue
-                stt = steps_to_half(traj.loss)
-                steps[lr].append(stt if stt is not None else 401)
-                finals[lr].append(np.mean(traj.loss[-40:]))
+                steps[lr].append(race.hit if race.hit is not None else 401)
+                finals[lr].append(np.mean(race.tail))
         by_lr = {lr: (float(np.median(finals[lr])), float(np.median(steps[lr])))
                  for lr in grid}
         lr = min(grid, key=lambda v: by_lr[v])

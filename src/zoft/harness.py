@@ -30,7 +30,14 @@ from .errors import (
 )
 from .paramspace import NoiseSeed, PerturbScales
 from .testbeds import check_ranks, make_rank_family
-from .zo_optimizer import Trajectory, ZOConfig, run_population
+from .zo_optimizer import (
+    Race,
+    RaceSummary,
+    Trajectory,
+    ZOConfig,
+    final_window,
+    run_population,
+)
 
 RUN_ROW_HEADER = "experiment,method,task,seed,lr,step,loss,wall_ms,scale_min,scale_med,scale_max"
 
@@ -61,44 +68,68 @@ class RunResult:
     task: str
     seed: int
     lr: float
-    outcome: Trajectory | DivergenceError  # the error that ended a diverged run
+    # what the run kept (see run_population), or the error that ended it
+    outcome: Trajectory | RaceSummary | DivergenceError
     wall_ms: float
 
     @property
     def diverged(self) -> bool:
         return isinstance(self.outcome, DivergenceError)
 
-    @property
-    def _loss(self) -> np.ndarray:
-        return np.empty(0) if self.diverged else self.outcome.loss
+    def _race(self, what: str, value: float) -> RaceSummary | None:
+        """The RaceSummary the run kept, checked to have been kept for the
+        race's `what` = value; None for a kept Trajectory."""
+        outcome = self.outcome
+        if not isinstance(outcome, RaceSummary):
+            return None
+        if getattr(outcome.race, what) != value:
+            raise ValueError(f"the run kept a race {what} of "
+                             f"{getattr(outcome.race, what)}, not {value}")
+        return outcome
 
     @property
     def initial_loss(self) -> float:
-        return float(self._loss[0]) if len(self._loss) else float("nan")
+        outcome = self.outcome
+        if self.diverged:
+            return float("nan")
+        if isinstance(outcome, RaceSummary):
+            return outcome.first
+        return float(outcome.loss[0]) if len(outcome.loss) else float("nan")
 
     def final_window_mean(self, window: float = 0.1) -> float:
-        if not len(self._loss):
+        if self.diverged:
             return float("inf")
-        k = max(1, int(round(window * len(self._loss))))
-        return float(np.mean(self._loss[-k:]))
+        race = self._race("window", window)
+        if race is None:
+            loss = self.outcome.loss
+            tail = loss[len(loss) - final_window(window, len(loss)):]
+        else:
+            tail = race.tail
+        return float(np.mean(tail)) if len(tail) else float("inf")
 
     def steps_to_threshold(self, ratio: float = 0.5):
-        if not len(self._loss):
+        if self.diverged:
             return None
-        hits = np.flatnonzero(self._loss <= ratio * self._loss[0])
+        race = self._race("threshold", ratio)
+        if race is not None:
+            return race.hit
+        loss = self.outcome.loss
+        if not len(loss):
+            return None
+        hits = np.flatnonzero(loss <= ratio * loss[0])
         return int(hits[0]) + 1 if len(hits) else None
 
 
 def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
-               timing=False, record_scales=True) -> list[RunResult]:
+               timing=False, keep=None) -> list[RunResult]:
     """Run every (model, method, lr, seed) job; returns RunResults in job order.
 
     Jobs that share a seed draw the same noise at every step, so each seed's
     jobs run as one population (see run_population): a MeZO job is a row
     with unit scales beside the finetuner rows.  With timing, each run's wall
-    time is its population's split evenly over all its rows.  A command that
-    writes no per-step scales (see _run_rows) passes record_scales=False, and
-    its runs keep their loss columns only.
+    time is its population's split evenly over all its rows.  `keep` is what
+    each run keeps (see run_population): a command that writes every step
+    (see _run_rows) keeps the Trajectory, a race its Race's summary.
     """
     groups: dict = {}
     for k, (_, _, _, seed) in enumerate(jobs):
@@ -112,8 +143,7 @@ def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
                           normalize=normalize)
         start = time.perf_counter()
         outcomes = run_population([jobs[k][0] for k in ks], [jobs[k][2] for k in ks],
-                                  config, pertnn if finetuner else None, learned,
-                                  record_scales)
+                                  config, pertnn if finetuner else None, learned, keep)
         wall = (time.perf_counter() - start) * 1e3 / len(ks) if timing else 0.0
         for k, outcome in zip(ks, outcomes):
             model, method, lr, _ = jobs[k]
@@ -248,7 +278,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
             for model in tasks for method in methods
             for seed in seeds for lr in lr_grid]
     results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing,
-                         record_scales=False)
+                         keep=Race(threshold, window))
     by_cell: dict = {}
     for result in results:
         by_cell.setdefault((result.method, result.task, result.seed), []).append(result)
@@ -366,7 +396,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
         trained, _ = _meta_train(cfg, train_tasks, normalize=norm, reset=reset)
         jobs = [(model, "finetuner", lr, seed) for seed in seeds]
         for result in _run_cells(jobs, steps, epsilon, batch_size, trained, normalize=norm,
-                                 timing=timing, record_scales=False):
+                                 timing=timing, keep=Race(window=window)):
             lines.append(f"{cell_name},{result.seed},{_fmt(result.final_window_mean(window))}")
     _write_lines(out_dir / "ablation.csv", lines)
     return 0

@@ -149,6 +149,15 @@ class PerturbScales:
             raise InvalidScaleError("scales must be finite")
         raise InvalidScaleError(f"scales must be strictly positive, got {self.stds}")
 
+    @classmethod
+    def _wrap(cls, stds: np.ndarray, partition: BlockPartition) -> "PerturbScales":
+        """Unchecked: for float64 scales of the right shape that the package
+        has just checked itself (see zo_optimizer._used_scales).  Scales from
+        outside go through __init__."""
+        scales = cls.__new__(cls)
+        scales.stds, scales.partition = stds, partition
+        return scales
+
     def per_coordinate(self) -> np.ndarray:
         """Expand to a length-d vector of per-coordinate standard deviations."""
         return np.repeat(self.stds, self.partition.sizes)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CheckpointError,
     ContractViolationError,
     DimensionMismatchError,
     MagicMismatchError,
@@ -221,15 +222,19 @@ def _parse_floats(line: str, expected: int, what: str) -> np.ndarray:
 
 
 def load(path) -> PertNNParams:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         got = lines[0] if lines else "<empty file>"
         raise MagicMismatchError(f"expected magic {CHECKPOINT_MAGIC!r}, got {got!r}")
     if len(lines) < 2:
         raise TruncatedCheckpointError("missing header line")
-    header = dict(kv.split("=", 1) for kv in lines[1].split())
     try:
+        header = dict(kv.split("=", 1) for kv in lines[1].split())
         n_blocks = int(header["blocks"])
         hidden = int(header["hidden"])
         features = int(header["features"])
@@ -260,4 +265,8 @@ def load(path) -> PertNNParams:
         w2.append(_parse_floats(lines[pos + 1], hidden, f"block {b} W2"))
         b2.append(float(_parse_floats(lines[pos + 2], 1, f"block {b} b2")[0]))
         pos += 3
-    return PertNNParams(names, hidden, w1, b1, w2, b2)
+    try:
+        return PertNNParams(names, hidden, w1, b1, w2, b2)
+    except NumericOverflowError as exc:
+        # `float` reads "nan", "inf" and "1e999" as weights
+        raise CheckpointError(f"{path}: {exc}") from exc

@@ -94,6 +94,11 @@ class QuadraticTask:
 
     @property
     def smoothness(self) -> float:
+        eigs = self._eigs
+        if isinstance(eigs, _BlockSpectrum):
+            # a block's values are its top and its tail (its top again for
+            # a block of one value)
+            return float(max(map(max, eigs.tops, eigs.tails)))
         return max(float(self.block_eigs(i).max()) for i in range(self.partition.n_blocks))
 
     def effective_ranks(self) -> np.ndarray:
@@ -129,7 +134,7 @@ class QuadraticTask:
             g = eigs.scale(values - self.theta_star)
         xi = self._batch_noise(batch)
         if xi is not None:
-            g = g + xi
+            g += xi  # g is a new array either way
         return g
 
     def block_grad_sqnorms(self, values: np.ndarray, batch=0) -> np.ndarray:

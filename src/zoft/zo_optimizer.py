@@ -74,12 +74,37 @@ class Trajectory:
     """One run's steps as columns: entry k holds step k + 1."""
 
     loss: np.ndarray  # (T,) pre-update, unperturbed
-    # (T, n_blocks) per-block stds actually used for sampling; None: not
-    # recorded (see run_population's record_scales)
-    scales: np.ndarray | None
+    scales: np.ndarray  # (T, n_blocks) per-block stds actually used for sampling
 
     def __len__(self) -> int:
         return len(self.loss)
+
+
+@dataclass(frozen=True)
+class Race:
+    """What a race reads of a run: the first step whose loss is at most
+    `threshold` x the first step's loss, and the mean loss of the last
+    `window` fraction of the steps (see final_window)."""
+
+    threshold: float = 0.5
+    window: float = 0.1
+
+
+@dataclass
+class RaceSummary:
+    """What a run keeps for a Race in place of its loss column."""
+
+    race: Race
+    first: float  # the first step's loss; nan for a run of no steps
+    hit: int | None  # the first step whose loss <= race.threshold * first
+    tail: np.ndarray  # the last final_window(race.window, T) losses, in step order
+
+
+def final_window(window: float, steps: int) -> int:
+    """How many last steps a final window of `window` covers:
+    k = max(1, round(window * steps)), at most every step."""
+    # a window of 1 or more covers every step; window * steps may not fit an int
+    return steps if window >= 1 else min(steps, max(1, int(round(window * steps))))
 
 
 @dataclass
@@ -207,16 +232,18 @@ def _used_scales(pertnn, features, partition, normalize, failures=None, learned=
 
 
 def _scales_for_step(theta, state, config, pertnn, current_loss, failures=None):
+    """The step's scales, wrapped unchecked: ones, or the used scales that
+    _used_scales has just checked."""
     partition = theta.partition
     if config.mode == "mezo":
-        return PerturbScales(np.ones(theta.values.shape[:-1] + (partition.n_blocks,)),
-                             partition)
+        return PerturbScales._wrap(np.ones(theta.values.shape[:-1] + (partition.n_blocks,)),
+                                   partition)
     if pertnn is None:
         raise ValueError("finetuner mode requires scale-network parameters")
     features = step_features(theta, state, current_loss, failures)
     _, used, _, _ = _used_scales(pertnn, features, partition, config.normalize,
                                  failures, state.learned)
-    return PerturbScales(used, partition)
+    return PerturbScales._wrap(used, partition)
 
 
 def two_point(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
@@ -322,7 +349,7 @@ def _loss_oracle(models):
 
 
 def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
-                   learned=None, record_scales: bool = True) -> list:
+                   learned=None, keep: Race | None = None) -> list:
     """Run one seeded two-point fine-tuning run per row, all in one batched pass.
 
     Row r runs models[r] from models[r].init_theta(config.seed) at
@@ -339,15 +366,18 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     population with finetuner rows runs in finetuner mode, and each of its
     MeZO rows equals its single run in mezo mode.
 
-    Returns one entry per row: its Trajectory, or the DivergenceError that
-    ended it.  A MeZO row's scales are a read-only (T, n_blocks) view of
-    1.0 that no column stores.  Without `record_scales` no row keeps its
-    per-step scales, only its loss column, and every Trajectory's scales
-    are None.  A row diverges once its loss exceeds 1e6 x
-    its initial loss, or once a loss, a parameter or a scale becomes
-    non-finite or invalid; it then leaves the population and the others go
-    on unchanged.  One row is the same population: run_finetune is that
-    case.
+    `keep` names what each row keeps.  None: every step's loss and scales,
+    its Trajectory; a MeZO row's scales are a read-only (T, n_blocks) view
+    of 1.0 that no column stores.  A Race: the row's RaceSummary alone, its
+    first loss, the step at which it first reaches the race's threshold
+    (tested as each step's loss arrives) and its last final_window losses,
+    with the bits that the Trajectory's loss column would give.
+
+    Returns one entry per row: what it kept, or the DivergenceError that
+    ended it.  A row diverges once its loss exceeds 1e6 x its initial loss,
+    or once a loss, a parameter or a scale becomes non-finite or invalid; it
+    then leaves the population and the others go on unchanged.  One row is
+    the same population: run_finetune is that case.
     """
     models = list(models)
     lrs = np.array(learning_rates, dtype=np.float64)
@@ -367,19 +397,25 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     loss_of = _loss_oracle(models)
     theta = ParamVector(_initial_rows(models, config.seed), partition)
     state = OptState(learned=None if learned.all() else learned)
-    # the columns of every row's trajectory, filled step by step.  Only a
-    # learned row has a scales column, and only when recording: a MeZO row
-    # samples with scales of exactly 1.0 at every step
     n_rows, n_steps = len(models), config.steps
     live = np.arange(n_rows)  # the caller's row of each population row
     at = slice(None)  # where live rows write their columns: all, until one leaves
-    loss = np.empty((n_rows, n_steps))
-    if record_scales:
-        # where the live learned rows sit in the population, and their
-        # scales columns: all columns, until a row leaves
+    if keep is None:
+        # the columns of every row's trajectory, filled step by step.  Only a
+        # learned row has a scales column: a MeZO row samples with scales of
+        # exactly 1.0 at every step.  learned_at: where the live learned rows
+        # sit in the population; scales_at: their columns
+        loss = np.empty((n_rows, n_steps))
         learned_at, scales_at = np.flatnonzero(learned), slice(None)
         column = np.cumsum(learned) - 1  # each learned row's scales column
         scales = np.empty((len(learned_at), n_steps, partition.n_blocks))
+    else:
+        # each row's last losses, filled from step skip + 1 on, and the step
+        # at which it reached threshold x its first loss (0: not yet)
+        skip = n_steps - final_window(keep.window, n_steps)
+        loss = np.empty((n_rows, n_steps - skip))
+        first = np.full(n_rows, np.nan)
+        hit = np.zeros(n_rows, dtype=np.int64)
     outcomes = [None] * n_rows
     limit = None  # each row's divergence threshold, 1e6 x its initial loss
     for t in range(1, n_steps + 1):
@@ -387,11 +423,21 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
         failures = {}
         now = step(theta, state, batch, config, loss_of, lrs, pertnn,
                    failures=failures)
-        loss[at, t - 1] = now
-        if record_scales:
-            scales[scales_at, t - 1] = state.prev_scales[learned_at]
         if limit is None:
             limit = DIVERGENCE_FACTOR * (np.abs(now) + 1e-300)
+            if keep is not None:
+                # each live row's bar; nan once the row has reached it
+                first, bar = now, keep.threshold * now
+        if keep is None:
+            loss[at, t - 1] = now
+            scales[scales_at, t - 1] = state.prev_scales[learned_at]
+        else:
+            if t > skip:
+                loss[at, t - 1 - skip] = now
+            reached = now <= bar
+            if np.count_nonzero(reached):
+                hit[live[reached]] = t
+                bar[reached] = np.nan
         blown = np.abs(now) > limit
         if not (failures or np.count_nonzero(blown)):
             continue
@@ -405,22 +451,24 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
                 outcomes[live[k]] = DivergenceError(
                     f"loss {now[k]:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x "
                     f"initial loss at step {t}")
-        keep = np.flatnonzero(~(failed | blown))
-        live = at = live[keep]
+        stay = np.flatnonzero(~(failed | blown))
+        live = at = live[stay]
         if not len(live):
             break
-        _keep_rows(theta, state, keep)
-        if record_scales:
+        _keep_rows(theta, state, stay)
+        if keep is None:
             learned_at = np.flatnonzero(learned[live])
             scales_at = column[live[learned_at]]
+        else:
+            bar = bar[stay]
         loss_of = _loss_oracle([models[r] for r in live.tolist()])
-        lrs, limit = lrs[keep], limit[keep]
+        lrs, limit = lrs[stay], limit[stay]
     ones = np.broadcast_to(1.0, (n_steps, partition.n_blocks))
     for r in live.tolist():
-        used = None
-        if record_scales:
-            used = scales[column[r]] if learned[r] else ones
-        outcomes[r] = Trajectory(loss[r], used)
+        if keep is None:
+            outcomes[r] = Trajectory(loss[r], scales[column[r]] if learned[r] else ones)
+        else:
+            outcomes[r] = RaceSummary(keep, float(first[r]), int(hit[r]) or None, loss[r])
     return outcomes
 
 

@@ -1,4 +1,5 @@
-"""CLI fuzz: one declared key of a demo config set to a bad or edge value.
+"""CLI fuzz: one declared key of a demo config set to a bad or edge value,
+and a checkpoint corrupted in one way.
 
 Every case must end in a documented exit code (0, 2, 3 or 4), never in an
 uncaught exception.  Steps, tasks, seeds and samples are clamped first, and
@@ -108,3 +109,50 @@ def test_sweep_span_compares_rates_as_printed(tmp_path, grid, code):
     sections["sweep"].update(methods="mezo", lr_grid=grid)
     path = write_ini(tmp_path / "sweep.ini", sections)
     assert cli.main(["sweep-lr", "--config", str(path), "--out", str(tmp_path)]) == code
+
+
+@pytest.fixture(scope="module")
+def checkpoint_lines(tmp_path_factory):
+    """The lines of a checkpoint trained by the clamped train config: two
+    blocks of 1 + 32 + 3 lines each after the magic and the header."""
+    out = tmp_path_factory.mktemp("trained")
+    path = write_ini(out / "train.ini", clamped("train"))
+    assert cli.main(["train-finetuner", "--config", str(path), "--out", str(out)]) == 0
+    return (out / "finetuner.ckpt").read_text(encoding="utf-8").splitlines()
+
+
+def with_field(lines, k: int, value: str) -> list:
+    """The lines with the first field of line k set to `value`."""
+    fields = lines[k].split()
+    return lines[:k] + [" ".join([value] + fields[1:])] + lines[k + 1:]
+
+
+# each corruption, and what the error names
+CORRUPTIONS = {
+    "truncated": (lambda lines: lines[:-5], "ends inside block 1"),
+    "blocks-reordered": (lambda lines: lines[:2] + lines[38:] + lines[2:38],
+                         "checkpoint blocks ['block1', 'block0'] do not match"),
+    "non-numeric": (lambda lines: with_field(lines, 3, "x1"), "block 0 W1 row 0"),
+    "nan-weight": (lambda lines: with_field(lines, 71, "nan"), "block block1: non-finite b1"),
+    # float() reads 1e999 as inf
+    "huge-weight": (lambda lines: with_field(lines, 36, "1e999"),
+                    "block block0: non-finite W2"),
+    "header-without-value": (lambda lines: with_field(lines, 1, "blocks"),
+                             "malformed header 'blocks hidden=32 features=5'"),
+    "not-utf8": (lambda lines: with_field(lines, 2, "\udcff"), "not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("name", ["finetune", "compare", "sweep"])
+def test_corrupted_checkpoint_is_a_config_error(tmp_path, capsys, checkpoint_lines,
+                                                name, corruption):
+    corrupt, names = CORRUPTIONS[corruption]
+    text = "\n".join(corrupt(checkpoint_lines)) + "\n"
+    # a lone surrogate escape writes the one byte that no UTF-8 text holds
+    (tmp_path / "finetuner.ckpt").write_bytes(text.encode("utf-8", "surrogateescape"))
+    path = write_ini(tmp_path / f"{name}.ini", clamped(name))
+    assert cli.main([COMMANDS[name], "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zoft: config error: ") and names in err, err
+    assert not list(tmp_path.glob("*.csv"))

@@ -18,9 +18,10 @@ from zoft.harness import (
     cmd_sweep_lr,
 )
 from zoft.paramspace import NoiseSeed
-from zoft.zo_optimizer import Trajectory, run_population
+from zoft.zo_optimizer import Race, RaceSummary, Trajectory, run_population
 
 from test_cli_fuzz import COMMANDS, clamped, write_ini
+from test_population import leave_step
 
 TASK = """
 [task]
@@ -125,6 +126,124 @@ class TestRunResult:
     def test_steps_to_threshold_never(self):
         r = fake_result([8.0, 7.0, 6.0])
         assert r.steps_to_threshold(0.5) is None
+
+    def test_race_summary_answers_for_its_own_race(self):
+        summary = RaceSummary(Race(threshold=0.5, window=0.1), 8.0, 3, np.array([4.0, 2.0]))
+        r = RunResult("mezo", "quad0", 0, 0.1, summary, 0.0)
+        assert r.initial_loss == 8.0
+        assert r.final_window_mean(0.1) == 3.0
+        assert r.steps_to_threshold(0.5) == 3
+        with pytest.raises(ValueError, match="window of 0.1, not 0.2"):
+            r.final_window_mean(0.2)
+        with pytest.raises(ValueError, match="threshold of 0.5, not 0.25"):
+            r.steps_to_threshold(0.25)
+
+
+RACE_TASK = """
+[task]
+kind = quadratic
+block_sizes = 48, 16
+ranks = 48.0, 16.0
+opnorms = 1.0, 0.05
+shift_scale = 1.0
+init_scale = 0.204, 1.58
+seed = 0
+"""
+
+
+class TestRaceSummary:
+    """compare and ablate write the bytes that every step's loss column gives.
+
+    The column path runs the same populations keeping each run's Trajectory,
+    and RunResult reads it from the loss column, as every run did before runs
+    kept a race summary."""
+
+    @staticmethod
+    def outputs(monkeypatch, command, cfg, out, keep_columns):
+        """The command's output files, and what each of its runs kept."""
+        kept = []
+
+        def population(models, lrs, config, pertnn, learned, keep):
+            outcomes = run_population(models, lrs, config, pertnn, learned,
+                                      None if keep_columns else keep)
+            kept.extend(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(harness, "run_population", population)
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        names = ("compare.csv", "summary.txt") if command == "compare" else ("ablation.csv",)
+        return {name: (out / name).read_bytes() for name in names}, kept
+
+    @pytest.mark.parametrize("steps, race, k, case", [
+        # k = max(1, round(0.5)) = 1; no run halves its loss in 5 steps
+        (5, "", 1, "never"),
+        # k = round(1.5) = 2, and every run reaches 1 x its first loss at step 1
+        (15, "threshold = 1.0", 2, "first"),
+        # a final window of 2.0 keeps every step; the 0.125 runs leave
+        # mid-run, and only some runs reach 0.8 x their first loss
+        (60, "final_window = 2.0\nthreshold = 0.8", 60, "diverged"),
+    ])
+    def test_compare_writes_what_the_loss_columns_give(self, tmp_path, monkeypatch,
+                                                       steps, race, k, case):
+        cfg = write_config(tmp_path, RACE_TASK + TRAIN + f"""
+[compare]
+methods = mezo, finetuner
+checkpoint = {tmp_path / "finetuner.ckpt"}
+seeds = 0, 1
+lr_grid = 0.02, 0.05, 0.125
+steps = {steps}
+tasks = 2
+task_start = 100
+batch_size = 1
+{race}
+""")
+        assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        got, summaries = self.outputs(monkeypatch, "compare", cfg, tmp_path / "summary",
+                                      False)
+        want, columns = self.outputs(monkeypatch, "compare", cfg, tmp_path / "column", True)
+        assert got == want
+        summaries = [s for s in summaries if not isinstance(s, DivergenceError)]
+        assert all(isinstance(s, RaceSummary) for s in summaries)
+        hits = [s.hit for s in summaries]
+        if case == "never":
+            assert hits and set(hits) == {None}
+            assert b",\n" in got["compare.csv"]
+        elif case == "first":
+            assert hits and set(hits) == {1}
+        else:
+            left = [leave_step(c) for c in columns if isinstance(c, DivergenceError)]
+            assert left and all(1 < t < steps for t in left)
+            assert {None} < set(hits)  # some runs reach it and some do not
+        assert all(len(s.tail) == k for s in summaries)
+
+    @pytest.mark.parametrize("command, section", [("compare", COMPARE), ("sweep-lr", SWEEP)])
+    def test_a_window_past_every_step_covers_every_step(self, tmp_path, command, section):
+        # 1e308 x 400 steps is inf, which round() cannot make an int: the
+        # command ended in an OverflowError traceback
+        section = section.replace("steps = 3", "steps = 400")
+        written = []
+        for window in ("1", "1e308"):
+            out = tmp_path / window
+            cfg = write_config(tmp_path, TASK + section + f"final_window = {window}\n")
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("steps, window", [(5, 0.1), (15, 0.1), (15, 2.0)])
+    def test_ablate_writes_what_the_loss_columns_give(self, tmp_path, monkeypatch,
+                                                      steps, window):
+        cfg = write_config(tmp_path, RACE_TASK + TRAIN + f"""
+[ablate]
+axes = reset, normalization
+seeds = 0, 1
+lr = 0.05
+steps = {steps}
+task_index = 100
+final_window = {window}
+""")
+        got, _ = self.outputs(monkeypatch, "ablate", cfg, tmp_path / "summary", False)
+        want, _ = self.outputs(monkeypatch, "ablate", cfg, tmp_path / "column", True)
+        assert got == want
 
 
 class TestRunRowOrder:
@@ -276,14 +395,16 @@ batch_size = 4
         assert self.run(["train-finetuner", "--config", cfg, "--out", out]) == 0
         calls = []
 
-        def counted(models, lrs, config, pertnn=None, learned=None, record_scales=True):
-            calls.append((config.seed, list(learned), record_scales))
-            return run_population(models, lrs, config, pertnn, learned, record_scales)
+        def counted(models, lrs, config, pertnn=None, learned=None, keep=None):
+            calls.append((config.seed, list(learned), keep))
+            return run_population(models, lrs, config, pertnn, learned, keep)
 
         monkeypatch.setattr(harness, "run_population", counted)
         assert self.run(["compare", "--config", cfg, "--out", out]) == 0
-        # compare writes no per-step scales, so its runs record none
-        assert calls == [(seed, ([False] * 2 + [True] * 2) * 2, False) for seed in (0, 1)]
+        # compare writes no per-step loss or scale, so its runs keep a race
+        # summary at the default threshold and window
+        race = Race(threshold=0.5, window=0.1)
+        assert calls == [(seed, ([False] * 2 + [True] * 2) * 2, race) for seed in (0, 1)]
 
     def test_summary_uses_the_configured_final_window(self, tmp_path):
         # the summary's median_final read the 0.1 default, not final_window
@@ -894,18 +1015,20 @@ lr = 0.05
                                             (MLP, "partition")],
                              ids=["reset-normalization", "partition"])
     def test_runs_record_no_scales(self, tmp_path, monkeypatch, task, axes):
-        # ablation.csv prints each run's final loss, never a scale
+        # ablation.csv prints each run's final loss, never a step's loss or
+        # scale
         cfg = load_config(tmp_path, task + TRAIN + ABLATE.replace("axes = reset",
-                                                                  f"axes = {axes}"))
-        flags = []
+                                                                  f"axes = {axes}")
+                          + "final_window = 0.4\n")
+        kept = []
 
-        def recorded(models, lrs, config, pertnn, learned, record_scales):
-            flags.append(record_scales)
-            return run_population(models, lrs, config, pertnn, learned, record_scales)
+        def recorded(models, lrs, config, pertnn, learned, keep):
+            kept.append(keep)
+            return run_population(models, lrs, config, pertnn, learned, keep)
 
         monkeypatch.setattr(harness, "run_population", recorded)
         assert cmd_ablate(cfg, tmp_path / "out") == 0
-        assert flags == [False] * (2 if axes == "partition" else 4)
+        assert kept == [Race(window=0.4)] * (2 if axes == "partition" else 4)
 
     def test_reset_normalization_grid(self, tmp_path):
         cfg = load_config(tmp_path, TASK + TRAIN + """

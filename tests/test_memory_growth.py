@@ -1,9 +1,9 @@
 """Memory that does not grow with the step count.
 
-A run keeps its parameters, its output columns and O(chunk) scratch.  Each
-test measures the tracemalloc peak of a short and a long run and bounds the
-difference by the bytes of the output columns that the longer run adds, plus
-a small slack for allocator noise.  At large d, a loss call and a step keep
+A run keeps its parameters, its output columns (a race's runs: their final
+windows) and O(chunk) scratch.  Each test measures the tracemalloc peak of a
+short and a long run and bounds the difference by the bytes of what the
+longer run keeps, plus a small slack for allocator noise.  At large d, a loss call and a step keep
 a few chunks of scratch above the parameters, never a d-sized temporary,
 and a meta-step keeps four parameter vectors.  The
 command line's parser, which only the collector can free, is gone before the
@@ -18,13 +18,23 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from zoft import cli, pertnn
 from zoft.harness import _write_lines
 from zoft.meta_trainer import MetaConfig, train
 from zoft.paramspace import _CHUNK, BlockPartition, NoiseSeed, ParamVector
 from zoft.testbeds import QuadraticFamily, make_rank_family
-from zoft.zo_optimizer import OptState, Trajectory, ZOConfig, run_population, step
+from zoft.zo_optimizer import (
+    OptState,
+    Trajectory,
+    ZOConfig,
+    final_window,
+    run_population,
+    step,
+)
+
+from test_cli_fuzz import clamped, write_ini
 
 SLACK = 8 * 1024
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
@@ -121,29 +131,26 @@ class TestMemoryGrowth:
                 assert np.all(outcome.scales == 1.0)
                 assert not outcome.scales.flags.writeable
 
-    def test_population_without_scales_grows_by_its_loss_columns(self):
-        # compare's and ablate's runs: 2 tasks x {mezo, finetuner} x 3
-        # learning rates, keeping every row's loss and no per-step scales
-        family = race_family()
-        tasks = family.make_tasks(2)
-        net = pertnn.init(tasks[0].partition, 8, NoiseSeed(0))
-        models = [task for task in tasks for _ in range(6)]
-        learned = ([False] * 3 + [True] * 3) * 2
-        lrs = [0.02, 0.05, 0.08] * 4
+    def test_compare_grows_by_its_final_windows(self, tmp_path):
+        # race-small's compare in one population: 2 tasks x {mezo,
+        # finetuner} x 3 learning rates.  Each run keeps its last
+        # final_window x steps losses; a (T,) loss column per run grew by
+        # 12 x 8 B a step
+        train = clamped("train")
+        assert cli.main(["train-finetuner", "--config",
+                         str(write_ini(tmp_path / "train.ini", train)), "--out",
+                         str(tmp_path)]) == 0
+        race = clamped("compare")
+        race["compare"].update(tasks="2", seeds="0")
 
-        def run(steps, record_scales=False):
-            return run_population(models, lrs, ZOConfig(steps=steps, mode="finetuner",
-                                                         seed=11), net, learned,
-                                  record_scales=record_scales)
+        def run(steps):
+            race["compare"]["steps"] = str(steps)
+            path = write_ini(tmp_path / "compare.ini", race)
+            assert cli.main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 0
 
-        short, long = 100, 800
-        # every row's loss; recording the scales added the learned rows'
-        # n_learned * n_blocks * 8 bytes a step
-        columns = len(models) * (long - short) * 8
-        assert peak_growth(run, short, long) <= columns + SLACK
-        for kept, recorded in zip(run(5), run(5, record_scales=True)):
-            assert kept.scales is None
-            assert kept.loss.tobytes() == recorded.loss.tobytes()
+        short, long = 100, 1600
+        windows = 12 * (final_window(0.1, long) - final_window(0.1, short)) * 8
+        assert peak_growth(run, short, long) <= windows + SLACK
 
     def test_compare_writes_what_it_wrote_with_scales_recorded(self, tmp_path):
         # demos/configs/compare.ini after train.ini, as recorded when every
@@ -273,14 +280,25 @@ class TestLargeDimension:
         # about 10 KB, and the task's own fields
         assert held_bytes <= 8 * model.dim + 2 * SLACK
 
-    def test_a_wide_rank_gradient_is_one_parameter_vector(self):
+    @pytest.mark.parametrize("noise_tau", [0.0, 0.5], ids=["noise-free", "noisy"])
+    def test_a_wide_rank_gradient_is_one_parameter_vector(self, noise_tau):
         # the gradient is its delta vector, scaled block by block in place:
-        # no d-sized spectrum is formed for it
+        # no d-sized spectrum is formed for it, and the batch noise is added
+        # in place (g = g + xi peaked at 2.00x)
+        model = make_rank_family([150_000, 40_000, 9_990, 10],
+                                 [7500.0, 2000.0, 500.0, 2.0], [1.0, 0.5, 1.0, 2.0],
+                                 noise_tau=noise_tau, seed=0)
+        theta = model.init_theta(0)
+        model.grad(theta, 0)  # draws the batch's noise, which the task keeps
+        assert traced_peak(lambda: model.grad(theta, 0)) <= 8 * model.dim + SLACK
+
+    def test_a_wide_rank_smoothness_forms_no_block(self):
+        # the largest of each block's top and tail: forming every block's
+        # eigenvalues peaked at 0.75x the parameter bytes
         model = make_rank_family([150_000, 40_000, 9_990, 10],
                                  [7500.0, 2000.0, 500.0, 2.0], [1.0, 0.5, 1.0, 2.0],
                                  seed=0)
-        theta = model.init_theta(0)
-        assert traced_peak(lambda: model.grad(theta, 0)) <= 8 * model.dim + SLACK
+        assert traced_peak(lambda: model.smoothness) <= SLACK
 
     def test_building_a_task_holds_two_parameter_vectors_at_peak(self):
         # d = 1e6: the family's optimum shift and the spectrum.  A block-sized

@@ -38,6 +38,7 @@ from zoft.testbeds import (
 from zoft.zo_optimizer import (
     DIVERGENCE_FACTOR,
     OptState,
+    Race,
     ZOConfig,
     run_finetune,
     run_population,
@@ -122,14 +123,18 @@ class TestRowsEqualSingleRuns:
             outcomes = assert_rows_match(models, [lr for _, lr, _ in rows], config, net,
                                          learned)
             kept = run_population(models, [lr for _, lr, _ in rows], config, net, learned,
-                                  record_scales=False)
-        # without scales the rows keep their losses and leave where they did
-        for outcome, loss_only in zip(outcomes, kept):
+                                  keep=Race(threshold=0.5, window=0.1))
+        # a race summary holds what the loss column gives, and the rows
+        # leave where they did
+        for outcome, race in zip(outcomes, kept):
             if isinstance(outcome, DivergenceError):
-                assert str(loss_only) == str(outcome)
+                assert str(race) == str(outcome)
             else:
-                assert loss_only.scales is None
-                assert loss_only.loss.tobytes() == outcome.loss.tobytes()
+                column = outcome.loss
+                hits = np.flatnonzero(column <= 0.5 * column[0])
+                assert race.first == column[0]
+                assert race.hit == (int(hits[0]) + 1 if len(hits) else None)
+                assert race.tail.tobytes() == column[-15:].tobytes()
         diverged = [isinstance(o, DivergenceError) for o in outcomes]
         assert diverged == [lr > 0.1 for _, lr, _ in rows]
         guard = {(task.name, method): leave_step(o)

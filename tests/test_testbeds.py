@@ -197,6 +197,13 @@ class TestCompactSpectrum:
         for i in range(task.partition.n_blocks):
             assert same_bits(task.block_eigs(i), twin.block_eigs(i))
 
+    def test_noisy_grad_has_the_bits_of_a_sum(self):
+        # the batch noise is added in place, with the bits of g + xi
+        for task in wide_task_and_twin(0.5):
+            theta = task.init_theta(1)
+            want = task.eigs * (theta - task.theta_star) + task._batch_noise(3)
+            assert same_bits(task.grad(theta, 3), want)
+
     def test_bounds_have_the_bits_of_the_dense_twin(self):
         task, twin = wide_task_and_twin()
         theta = task.init_theta(2)

@@ -262,23 +262,30 @@ class TestStep:
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_finetuner_step_builds_one_perturb_scales(self, monkeypatch, rows):
-        built = []
-        check = PerturbScales.__post_init__
+        # one per step, unchecked: scales are checked where they come from
+        # outside, and a step's are ones or the used scales that
+        # _used_scales has just checked
+        built, checked = [], []
+        wrap, check = PerturbScales._wrap, PerturbScales.__post_init__
+        monkeypatch.setattr(PerturbScales, "_wrap",
+                            lambda *args: built.append(1) or wrap(*args))
         monkeypatch.setattr(PerturbScales, "__post_init__",
-                            lambda self: built.append(1) or check(self))
+                            lambda self: checked.append(1) or check(self))
         task = quadratic()
-        start = task.init_theta(0)
-        theta = ParamVector(start if rows is None else np.tile(start, (rows, 1)),
-                            partition())
-        state = OptState()
         net = pertnn.init(partition(), hidden=8, seed=NoiseSeed(2))
-        config = ZOConfig(1, mode="finetuner", seed=0)
         loss = task.loss if rows is None else (
             lambda values, batch: np.array([task.loss(v) for v in values]))
         lr = 0.05 if rows is None else np.full(rows, 0.05)
-        for t in range(1, 4):
-            step(theta, state, t, config, loss, lr, net, failures={})
-            assert len(built) == t
+        for mode in ("mezo", "finetuner"):
+            start = task.init_theta(0)
+            theta = ParamVector(start if rows is None else np.tile(start, (rows, 1)),
+                                partition())
+            state, config = OptState(), ZOConfig(1, mode=mode, seed=0)
+            built.clear()
+            for t in range(1, 4):
+                step(theta, state, t, config, loss, lr, net, failures={})
+                assert len(built) == t
+        assert checked == []
 
     def test_budget_invariant_every_step(self):
         task = quadratic()
