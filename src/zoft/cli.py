@@ -1,7 +1,8 @@
 """Command line entry point.
 
-Exit codes: 0 success, 2 config error, 3 numeric divergence (including
-invalid perturbation scales), 4 bound violation.
+Exit codes: 0 success, 2 config error (including a run too large for
+memory), 3 numeric divergence (including invalid perturbation scales), 4
+bound violation.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ def main(argv=None) -> int:
             code = _COMMANDS[args.command](cfg, Path(args.out), timing=args.timing)
     except (ConfigError, CheckpointError, OSError) as exc:
         print(f"zoft: config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # sizes that pass every check can still ask for more than there is
+        print(f"zoft: config error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"zoft: divergence: {exc}", file=sys.stderr)

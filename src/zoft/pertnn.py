@@ -8,7 +8,8 @@ W2 (B, H) and b2 (B,).  One batched forward and one batched backward serve
 every block at once.  Batched `@` reproduces the per-block products bit for
 bit; the sigmoid in the backward pass stays the scalar `math.exp` form,
 because numpy's vectorised exp rounds differently.
-Checkpoints are a line-oriented text format, written a line at a time.
+Checkpoints are a line-oriented text format, written and read a line at a
+time; both directions walk one layout, `_block_rows`.
 """
 
 from __future__ import annotations
@@ -89,13 +90,6 @@ class PertNNParams:
             raise PartitionMismatchError("parameter shapes do not match")
         for mine, theirs in zip(self.arrays, other.arrays):
             mine += factor * theirs
-
-    def equals(self, other: "PertNNParams") -> bool:
-        return (
-            self.block_names == other.block_names
-            and self.hidden == other.hidden
-            and all(np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays))
-        )
 
 
 @dataclass
@@ -183,8 +177,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_row(row) -> str:
-    return " ".join(_fmt(v) for v in np.atleast_1d(row))
+def _block_rows(params: PertNNParams, i: int):
+    """Block i's lines after its name, in file order: (what, view) for each,
+    the view being the weights that the line holds."""
+    for r, row in enumerate(params.w1[i]):
+        yield f"W1 row {r}", row
+    yield "b1", params.b1[i]
+    yield "W2", params.w2[i]
+    yield "b2", params.b2[i:i + 1]
 
 
 def _checkpoint_lines(params: PertNNParams):
@@ -193,11 +193,8 @@ def _checkpoint_lines(params: PertNNParams):
     yield f"blocks={params.n_blocks} hidden={params.hidden} features={N_FEATURES}"
     for i, name in enumerate(params.block_names):
         yield name
-        for row in params.w1[i]:
-            yield _fmt_row(row)
-        yield _fmt_row(params.b1[i])
-        yield _fmt_row(params.w2[i])
-        yield _fmt(params.b2[i])
+        for _, row in _block_rows(params, i):
+            yield " ".join(map(_fmt, row))
 
 
 def save(params: PertNNParams, path) -> None:
@@ -209,64 +206,66 @@ def save(params: PertNNParams, path) -> None:
             f.write(f"{line}\n".encode())
 
 
-def _parse_floats(line: str, expected: int, what: str) -> np.ndarray:
+def _parse_floats(line: str, out: np.ndarray, what: str) -> None:
     fields = line.split()
-    if len(fields) != expected:
-        raise DimensionMismatchError(
-            f"{what}: expected {expected} fields, got {len(fields)}"
-        )
+    if len(fields) != out.size:
+        raise DimensionMismatchError(f"{what}: expected {out.size} fields, got {len(fields)}")
     try:
-        return np.array([float(v) for v in fields])
+        out[:] = [float(v) for v in fields]
     except ValueError as exc:
         raise DimensionMismatchError(f"{what}: {exc}") from exc
 
 
-def load(path) -> PertNNParams:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(
-            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        got = lines[0] if lines else "<empty file>"
-        raise MagicMismatchError(f"expected magic {CHECKPOINT_MAGIC!r}, got {got!r}")
-    if len(lines) < 2:
-        raise TruncatedCheckpointError("missing header line")
-    try:
-        header = dict(kv.split("=", 1) for kv in lines[1].split())
-        n_blocks = int(header["blocks"])
-        hidden = int(header["hidden"])
-        features = int(header["features"])
-    except (KeyError, ValueError) as exc:
-        raise DimensionMismatchError(f"malformed header {lines[1]!r}") from exc
-    if features != N_FEATURES:
-        raise DimensionMismatchError(f"unsupported feature count {features}")
-    if n_blocks < 1 or hidden < 1:
-        raise DimensionMismatchError(f"header declares {n_blocks} blocks of width {hidden}")
+def _text_lines(f, path):
+    """The binary file's lines, decoded one at a time, newline stripped; a
+    byte that is not UTF-8 is named by its offset in the file."""
+    at = 0
+    for raw in f:
+        try:
+            yield raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{path}: not UTF-8 text: {exc.reason} at byte {at + exc.start}") from exc
+        at += len(raw)
 
-    names, w1, b1, w2, b2 = [], [], [], [], []
-    pos = 2
-    lines_per_block = 1 + hidden + 3
-    for b in range(n_blocks):
-        if pos + lines_per_block > len(lines):
+
+def load(path) -> PertNNParams:
+    """Read a checkpoint a line at a time, each line parsed straight into the
+    weights it holds (see _block_rows)."""
+    with open(path, "rb") as f:
+        lines = _text_lines(f, path)
+        magic = next(lines, None)
+        if magic != CHECKPOINT_MAGIC:
+            got = "<empty file>" if magic is None else magic
+            raise MagicMismatchError(f"expected magic {CHECKPOINT_MAGIC!r}, got {got!r}")
+        header = next(lines, None)
+        if header is None:
+            raise TruncatedCheckpointError("missing header line")
+        try:
+            fields = dict(kv.split("=", 1) for kv in header.split())
+            n_blocks, hidden, features = (
+                int(fields[k]) for k in ("blocks", "hidden", "features"))
+        except (KeyError, ValueError) as exc:
+            raise DimensionMismatchError(f"malformed header {header!r}") from exc
+        if features != N_FEATURES:
+            raise DimensionMismatchError(f"unsupported feature count {features}")
+        if n_blocks < 1 or hidden < 1:
+            raise DimensionMismatchError(
+                f"header declares {n_blocks} blocks of width {hidden}")
+        names = []
+        shapes = ((hidden, N_FEATURES), (hidden,), (hidden,), ())
+        params = PertNNParams._wrap(
+            names, hidden, *(np.empty((n_blocks, *shape)) for shape in shapes))
+        try:
+            for b in range(n_blocks):
+                names.append(next(lines))
+                for what, row in _block_rows(params, b):
+                    _parse_floats(next(lines), row, f"block {b} {what}")
+        except StopIteration:
             raise TruncatedCheckpointError(
-                f"file declares {n_blocks} blocks but ends inside block {b}"
-            )
-        names.append(lines[pos])
-        pos += 1
-        rows = [
-            _parse_floats(lines[pos + r], N_FEATURES, f"block {b} W1 row {r}")
-            for r in range(hidden)
-        ]
-        pos += hidden
-        w1.append(np.vstack(rows))
-        b1.append(_parse_floats(lines[pos], hidden, f"block {b} b1"))
-        w2.append(_parse_floats(lines[pos + 1], hidden, f"block {b} W2"))
-        b2.append(float(_parse_floats(lines[pos + 2], 1, f"block {b} b2")[0]))
-        pos += 3
+                f"file declares {n_blocks} blocks but ends inside block {b}") from None
     try:
-        return PertNNParams(names, hidden, w1, b1, w2, b2)
+        return PertNNParams(names, hidden, *params.arrays)
     except NumericOverflowError as exc:
         # `float` reads "nan", "inf" and "1e999" as weights
         raise CheckpointError(f"{path}: {exc}") from exc

@@ -320,19 +320,17 @@ def _rank_task(partition, block_sizes, ranks, opnorms, **kwargs) -> QuadraticTas
     for i, L in enumerate(opnorms):
         if L <= 0:
             raise ConfigError(f"block {i}: operator norm must be positive")
-    if partition.total > _DOT_PIECE:
-        eigs = _BlockSpectrum(partition, opnorms, map(_tail, block_sizes, ranks, opnorms))
-    else:
-        # the small-d loss multiplies by a dense spectrum in one call
-        eigs = np.empty(partition.total)
-        for sl, d_i, r_i, L in zip(partition.slices, block_sizes, ranks, opnorms):
-            # each block's spectrum is written into eigs, with no block-sized copy
-            spectrum = eigs[sl]
-            spectrum[:] = _tail(d_i, r_i, L)
-            spectrum[0] = L
+    d = partition.total
+    eigs = _BlockSpectrum(partition, opnorms, map(_tail, block_sizes, ranks, opnorms))
+    if d <= _DOT_PIECE:
+        # the small-d loss multiplies by a dense spectrum in one call; the task
+        # keeps that array, not fill's view of it
+        dense = np.empty(d)
+        eigs.fill(0, d, dense)
+        eigs = dense
     theta_star = kwargs.pop("theta_star", None)
     if theta_star is None:
-        theta_star = np.zeros(partition.total)
+        theta_star = np.zeros(d)
     return QuadraticTask(partition, eigs, theta_star, **kwargs)
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from zoft import cli
 from zoft.config import KEYS
+from zoft.testbeds import QuadraticTask
 
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 COMMANDS = {"train": "train-finetuner", "finetune": "finetune", "compare": "compare",
@@ -127,9 +128,23 @@ def with_field(lines, k: int, value: str) -> list:
     return lines[:k] + [" ".join([value] + fields[1:])] + lines[k + 1:]
 
 
-# each corruption, and what the error names
+def first_line_past(lines, offset: int) -> int:
+    """The index of the first line that starts past byte `offset`."""
+    start = 0
+    for k, line in enumerate(lines):
+        if start > offset:
+            return k
+        start += len(line.encode()) + 1
+    raise ValueError(f"the lines end before byte {offset}")
+
+
+# each corruption, and what the error names ({bad}: the offset of the byte
+# that is not UTF-8)
 CORRUPTIONS = {
     "truncated": (lambda lines: lines[:-5], "ends inside block 1"),
+    "cut-in-w1": (lambda lines: lines[:10], "declares 2 blocks but ends inside block 0"),
+    "b2-missing": (lambda lines: lines[:-1], "declares 2 blocks but ends inside block 1"),
+    "header-only": (lambda lines: lines[:2], "declares 2 blocks but ends inside block 0"),
     "blocks-reordered": (lambda lines: lines[:2] + lines[38:] + lines[2:38],
                          "checkpoint blocks ['block1', 'block0'] do not match"),
     "non-numeric": (lambda lines: with_field(lines, 3, "x1"), "block 0 W1 row 0"),
@@ -140,6 +155,9 @@ CORRUPTIONS = {
     "header-without-value": (lambda lines: with_field(lines, 1, "blocks"),
                              "malformed header 'blocks hidden=32 features=5'"),
     "not-utf8": (lambda lines: with_field(lines, 2, "\udcff"), "not UTF-8 text"),
+    # past the first 8 KiB (one file buffer): the offset counts every line before it
+    "not-utf8-late": (lambda lines: with_field(lines, first_line_past(lines, 8192), "\udcff"),
+                      "not UTF-8 text: invalid start byte at byte {bad}"),
 }
 
 
@@ -150,9 +168,29 @@ def test_corrupted_checkpoint_is_a_config_error(tmp_path, capsys, checkpoint_lin
     corrupt, names = CORRUPTIONS[corruption]
     text = "\n".join(corrupt(checkpoint_lines)) + "\n"
     # a lone surrogate escape writes the one byte that no UTF-8 text holds
-    (tmp_path / "finetuner.ckpt").write_bytes(text.encode("utf-8", "surrogateescape"))
+    data = text.encode("utf-8", "surrogateescape")
+    (tmp_path / "finetuner.ckpt").write_bytes(data)
+    names = names.format(bad=data.find(b"\xff"))
     path = write_ini(tmp_path / f"{name}.ini", clamped(name))
     assert cli.main([COMMANDS[name], "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("zoft: config error: ") and names in err, err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("name", ["finetune", "compare"])
+def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch, checkpoint_lines,
+                                         name):
+    # sizes that pass every check, such as block_sizes = 100000000000, 16,
+    # can still ask numpy for more memory than there is; a start vector that
+    # cannot be allocated stands in for them
+    def no_memory(self, seed):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(QuadraticTask, "init_theta", no_memory)
+    (tmp_path / "finetuner.ckpt").write_text("\n".join(checkpoint_lines) + "\n")
+    path = write_ini(tmp_path / f"{name}.ini", clamped(name))
+    assert cli.main([COMMANDS[name], "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "zoft: config error: out of memory: Unable to allocate 745. GiB for an array\n"
     assert not list(tmp_path.glob("*.csv"))

@@ -35,6 +35,7 @@ from zoft.zo_optimizer import (
 )
 
 from test_cli_fuzz import clamped, write_ini
+from test_pertnn import assert_round_trip
 
 SLACK = 8 * 1024
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
@@ -199,12 +200,24 @@ class TestMemoryGrowth:
         partition = BlockPartition([(f"block{i}", 10) for i in range(64)])
         net = pertnn.init(partition, 64, NoiseSeed(0))
         path = tmp_path / "finetuner.ckpt"
-        pertnn.save(net, path)
+        assert_round_trip(net, path)
         peak = traced_peak(lambda: pertnn.save(net, path))
-        assert pertnn.load(path).equals(net)
         # a few KB of file buffer, against the text's 596 KB; building the
         # text whole peaked at 3.4x the file
         assert peak <= 2 * SLACK
+
+    def test_checkpoint_is_read_a_line_at_a_time(self, tmp_path):
+        # 64 blocks of hidden width 64: 596 KB of text, 230 KB of weights
+        partition = BlockPartition([(f"block{i}", 10) for i in range(64)])
+        net = pertnn.init(partition, 64, NoiseSeed(0))
+        path = tmp_path / "finetuner.ckpt"
+        pertnn.save(net, path)
+        pertnn.load(path)
+        peak = traced_peak(lambda: pertnn.load(path))
+        weights = sum(array.nbytes for array in net.arrays)
+        # the weights, one line and a file buffer; reading the text whole
+        # and stacking per-block lists peaked at 6.3x the weights
+        assert peak <= 1.5 * weights
 
 
 class TestLargeDimension:
