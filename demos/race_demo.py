@@ -48,14 +48,15 @@ def main():
             # which it halves its loss and its last 40 losses
             config = ZOConfig(steps=400, mode=method, seed=seed)
             outcomes = run_population([held_out] * len(grid), grid, config, params,
-                                      keep=Race(threshold=0.5, window=0.1))
-            for lr, race in zip(grid, outcomes):
-                if isinstance(race, DivergenceError):
+                                      race=Race(threshold=0.5, window=0.1),
+                                      columns=False)
+            for lr, record in zip(grid, outcomes):
+                if isinstance(record, DivergenceError):
                     steps[lr].append(401)
                     finals[lr].append(float("inf"))
                     continue
-                steps[lr].append(race.hit if race.hit is not None else 401)
-                finals[lr].append(np.mean(race.tail))
+                steps[lr].append(record.hit if record.hit is not None else 401)
+                finals[lr].append(np.mean(record.tail))
         by_lr = {lr: (float(np.median(finals[lr])), float(np.median(steps[lr])))
                  for lr in grid}
         lr = min(grid, key=lambda v: by_lr[v])

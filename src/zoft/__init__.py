@@ -12,7 +12,7 @@ from .paramspace import (
 from .pertnn import PertNNParams
 from .zo_optimizer import (
     LossPair,
-    Trajectory,
+    RunRecord,
     ZOConfig,
     normalize_scales,
     run_finetune,
@@ -42,7 +42,7 @@ __all__ = [
     "PerturbScales",
     "QuadraticFamily",
     "QuadraticTask",
-    "Trajectory",
+    "RunRecord",
     "ZOConfig",
     "block_stats",
     "blockwise_bound",

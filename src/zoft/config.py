@@ -34,7 +34,8 @@ class Key:
     `distinct` (nor two numbers that print alike, see _fmt).  `default` is
     REQUIRED, a value, or a function of the config that works it out.  A
     number must be finite and >= `low` (> `low` when `strict`); a value must
-    be non-empty and, when `choices` are given, one of them.
+    be non-empty and, when `choices` are given, one of them.  A `cell` value
+    is printed as a CSV cell, so it holds no ',', '"' or line break.
     """
 
     type: type
@@ -44,6 +45,7 @@ class Key:
     strict: bool = False
     choices: tuple = ()
     distinct: bool = False
+    cell: bool = False
 
 
 def _one_per_block(cfg: "ExperimentConfig") -> list:
@@ -94,7 +96,7 @@ KEYS = {
                   reset_period=Key(int, 50, low=1), normalize=Key(bool, True)),
     "finetune": _run("seeds steps epsilon batch_size checkpoint task_index granularity",
                      mode=Key(str, "mezo", choices=_METHOD_NAMES),
-                     lr=Key(float, low=0), experiment=Key(str, "finetune")),
+                     lr=Key(float, low=0), experiment=Key(str, "finetune", cell=True)),
     "compare": _run("seeds epsilon batch_size checkpoint final_window",
                     steps=_SOME_STEPS, methods=_METHODS, lr_grid=_LR_GRID,
                     tasks=Key(int, 1, low=1), task_start=Key(int, 0, low=0),
@@ -103,7 +105,7 @@ KEYS = {
                   "final_window", steps=_SOME_STEPS, methods=_METHODS,
                   lr_grid=_LR_GRID,  # spanning >= 100x
                   plateau_ratio=Key(float, 0.9, low=0, strict=True),
-                  experiment=Key(str, "sweep")),
+                  experiment=Key(str, "sweep", cell=True)),
     "ablate": _run("seeds epsilon batch_size task_index final_window", steps=_SOME_STEPS,
                    axes=Key(str, many=True, choices=("reset", "normalization", "partition")),
                    lr=Key(float, low=0)),
@@ -126,6 +128,8 @@ def _parse(spec: Key, text: str, where: str):
         value = _BOOLS[text.lower()] if spec.type is bool else spec.type(text)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{where}={text!r} is not {_NAMES[spec.type]}") from exc
+    if spec.cell and ("," in value or '"' in value or value.splitlines() != [value]):
+        raise ConfigError(f"{where}={text!r} must hold no ',', '\"' or line break")
     if spec.choices and value not in spec.choices:
         raise ConfigError(f"{where}={text!r} must be one of {', '.join(spec.choices)}")
     if spec.type in (int, float) and not (

@@ -30,14 +30,7 @@ from .errors import (
 )
 from .paramspace import NoiseSeed, PerturbScales
 from .testbeds import check_ranks, make_rank_family
-from .zo_optimizer import (
-    Race,
-    RaceSummary,
-    Trajectory,
-    ZOConfig,
-    final_window,
-    run_population,
-)
+from .zo_optimizer import Race, RunRecord, ZOConfig, run_population
 
 RUN_ROW_HEADER = "experiment,method,task,seed,lr,step,loss,wall_ms,scale_min,scale_med,scale_max"
 
@@ -69,67 +62,39 @@ class RunResult:
     seed: int
     lr: float
     # what the run kept (see run_population), or the error that ended it
-    outcome: Trajectory | RaceSummary | DivergenceError
+    outcome: RunRecord | DivergenceError
     wall_ms: float
 
     @property
     def diverged(self) -> bool:
         return isinstance(self.outcome, DivergenceError)
 
-    def _race(self, what: str, value: float) -> RaceSummary | None:
-        """The RaceSummary the run kept, checked to have been kept for the
-        race's `what` = value; None for a kept Trajectory."""
-        outcome = self.outcome
-        if not isinstance(outcome, RaceSummary):
-            return None
-        if getattr(outcome.race, what) != value:
-            raise ValueError(f"the run kept a race {what} of "
-                             f"{getattr(outcome.race, what)}, not {value}")
-        return outcome
-
     @property
     def initial_loss(self) -> float:
-        outcome = self.outcome
-        if self.diverged:
-            return float("nan")
-        if isinstance(outcome, RaceSummary):
-            return outcome.first
-        return float(outcome.loss[0]) if len(outcome.loss) else float("nan")
+        return float("nan") if self.diverged else self.outcome.first
 
-    def final_window_mean(self, window: float = 0.1) -> float:
-        if self.diverged:
-            return float("inf")
-        race = self._race("window", window)
-        if race is None:
-            loss = self.outcome.loss
-            tail = loss[len(loss) - final_window(window, len(loss)):]
-        else:
-            tail = race.tail
+    @property
+    def final_mean(self) -> float:
+        """The mean of the run's final window; inf for a run that diverged or
+        has no steps."""
+        tail = () if self.diverged else self.outcome.tail
         return float(np.mean(tail)) if len(tail) else float("inf")
 
-    def steps_to_threshold(self, ratio: float = 0.5):
-        if self.diverged:
-            return None
-        race = self._race("threshold", ratio)
-        if race is not None:
-            return race.hit
-        loss = self.outcome.loss
-        if not len(loss):
-            return None
-        hits = np.flatnonzero(loss <= ratio * loss[0])
-        return int(hits[0]) + 1 if len(hits) else None
+    @property
+    def steps_to_threshold(self) -> int | None:
+        return None if self.diverged else self.outcome.hit
 
 
 def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
-               timing=False, keep=None) -> list[RunResult]:
+               timing=False, race=Race(), columns=True) -> list[RunResult]:
     """Run every (model, method, lr, seed) job; returns RunResults in job order.
 
     Jobs that share a seed draw the same noise at every step, so each seed's
     jobs run as one population (see run_population): a MeZO job is a row
     with unit scales beside the finetuner rows.  With timing, each run's wall
-    time is its population's split evenly over all its rows.  `keep` is what
-    each run keeps (see run_population): a command that writes every step
-    (see _run_rows) keeps the Trajectory, a race its Race's summary.
+    time is its population's split evenly over all its rows.  Each run keeps
+    its record for `race`, and with `columns` every step's loss and scales,
+    which a command that writes every step (see _run_rows) needs.
     """
     groups: dict = {}
     for k, (_, _, _, seed) in enumerate(jobs):
@@ -143,7 +108,8 @@ def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
                           normalize=normalize)
         start = time.perf_counter()
         outcomes = run_population([jobs[k][0] for k in ks], [jobs[k][2] for k in ks],
-                                  config, pertnn if finetuner else None, learned, keep)
+                                  config, pertnn if finetuner else None, learned,
+                                  race=race, columns=columns)
         wall = (time.perf_counter() - start) * 1e3 / len(ks) if timing else 0.0
         for k, outcome in zip(ks, outcomes):
             model, method, lr, _ = jobs[k]
@@ -158,12 +124,13 @@ def _run_rows(experiment: str, results):
     for result in sorted(results, key=lambda r: (r.method, r.task, r.seed, r.lr)):
         if result.diverged:
             continue
-        traj = result.outcome
+        record = result.outcome
         head = ",".join([experiment, result.method, result.task, str(result.seed),
                          _fmt(result.lr)])
-        per_step_ms = _fmt(result.wall_ms / max(1, len(traj)))
-        columns = (traj.loss, traj.scales.min(axis=1), np.median(traj.scales, axis=1),
-                   traj.scales.max(axis=1))
+        per_step_ms = _fmt(result.wall_ms / max(1, len(record.loss)))
+        scales = record.scales
+        columns = (record.loss, scales.min(axis=1), np.median(scales, axis=1),
+                   scales.max(axis=1))
         steps = zip(*(c.tolist() for c in columns))
         for t, (loss, smin, smed, smax) in enumerate(steps, start=1):
             yield f"{head},{t},{_fmt(loss)},{per_step_ms},{_fmt(smin)},{_fmt(smed)},{_fmt(smax)}"
@@ -278,7 +245,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
             for model in tasks for method in methods
             for seed in seeds for lr in lr_grid]
     results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing,
-                         keep=Race(threshold, window))
+                         race=Race(threshold, window), columns=False)
     by_cell: dict = {}
     for result in results:
         by_cell.setdefault((result.method, result.task, result.seed), []).append(result)
@@ -286,8 +253,8 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
     # best rate; a cell's rates differ, so no tie reaches the run itself
     records = {}
     for cell, runs in sorted(by_cell.items()):
-        final, lr, best = min((run.final_window_mean(window), run.lr, run) for run in runs)
-        records[cell] = (final, lr, best.steps_to_threshold(threshold))
+        final, lr, best = min((run.final_mean, run.lr, run) for run in runs)
+        records[cell] = (final, lr, best.steps_to_threshold)
 
     lines = ["method,task,seed,best_lr,final_mean,steps_to_threshold"]
     for (method, task, seed), (final, lr, stt) in records.items():
@@ -352,11 +319,12 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
 
     jobs = [(model, method, lr, seed)
             for method in methods for lr in lr_grid for seed in seeds]
-    results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing)
+    results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing,
+                         race=Race(window=window))
     _write_lines(out_dir / "sweep_curves.csv", _run_rows(experiment, results))
     flag_lines = ["method,lr,seed,flag,final_mean"]
     for result in sorted(results, key=lambda r: (r.method, r.lr, r.seed)):
-        final = result.final_window_mean(window)
+        final = result.final_mean
         if result.diverged:
             flag = "diverged"
         else:
@@ -396,8 +364,8 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
         trained, _ = _meta_train(cfg, train_tasks, normalize=norm, reset=reset)
         jobs = [(model, "finetuner", lr, seed) for seed in seeds]
         for result in _run_cells(jobs, steps, epsilon, batch_size, trained, normalize=norm,
-                                 timing=timing, keep=Race(window=window)):
-            lines.append(f"{cell_name},{result.seed},{_fmt(result.final_window_mean(window))}")
+                                 timing=timing, race=Race(window=window), columns=False):
+            lines.append(f"{cell_name},{result.seed},{_fmt(result.final_mean)}")
     _write_lines(out_dir / "ablation.csv", lines)
     return 0
 

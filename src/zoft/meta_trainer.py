@@ -26,6 +26,7 @@ from .zo_optimizer import (
     LossPair,
     OptState,
     _divergence,
+    _start_vector,
     _used_scales,
     normalize_scales_vjp,
     step_features,
@@ -194,7 +195,8 @@ def train(config: MetaConfig, tasks, pertnn):
     tasks and follow the first-order trajectory from the first task's
     init_theta(config.seed), reset to it every reset_period outer steps.
     The log's columns are allocated up front, so nothing else the loop keeps
-    grows with the step count.
+    grows with the step count.  A start vector that is not finite raises
+    ConfigError.
     """
     if not tasks:
         raise ConfigError("task list must not be empty")
@@ -207,7 +209,7 @@ def train(config: MetaConfig, tasks, pertnn):
         return pertnn, MetaLog.empty([task.name for task in tasks], 0)
     # the start is regenerated at each reset: init_theta is a pure function
     # of the seed, so no copy of it is kept
-    theta = ParamVector(tasks[0].init_theta(config.seed), partition)
+    theta = _start_vector(tasks[0].init_theta(config.seed), partition)
     states = [OptState() for _ in tasks]
     shuffle_rng = np.random.default_rng([_SHUFFLE_TAG, config.seed])
     log = MetaLog.empty([task.name for task in tasks], config.steps * len(tasks))

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import pertnn as pertnn_mod
 from .errors import (
+    ConfigError,
     DivergenceError,
     InvalidScaleError,
     NumericOverflowError,
@@ -69,17 +70,6 @@ class LossPair:
     minus: float | np.ndarray
 
 
-@dataclass
-class Trajectory:
-    """One run's steps as columns: entry k holds step k + 1."""
-
-    loss: np.ndarray  # (T,) pre-update, unperturbed
-    scales: np.ndarray  # (T, n_blocks) per-block stds actually used for sampling
-
-    def __len__(self) -> int:
-        return len(self.loss)
-
-
 @dataclass(frozen=True)
 class Race:
     """What a race reads of a run: the first step whose loss is at most
@@ -91,13 +81,15 @@ class Race:
 
 
 @dataclass
-class RaceSummary:
-    """What a run keeps for a Race in place of its loss column."""
+class RunRecord:
+    """What one run kept for its Race, and with columns, every step's loss
+    and scales: entry k of a column holds step k + 1."""
 
-    race: Race
     first: float  # the first step's loss; nan for a run of no steps
     hit: int | None  # the first step whose loss <= race.threshold * first
     tail: np.ndarray  # the last final_window(race.window, T) losses, in step order
+    loss: np.ndarray | None = None  # (T,) pre-update, unperturbed; tail is its end
+    scales: np.ndarray | None = None  # (T, n_blocks) per-block stds used for sampling
 
 
 def final_window(window: float, steps: int) -> int:
@@ -348,8 +340,18 @@ def _loss_oracle(models):
     raise ValueError("rows of several models must all be quadratic tasks")
 
 
+def _start_vector(values: np.ndarray, partition) -> ParamVector:
+    """A run's start vector or rows; one that is not finite is a ConfigError
+    naming the [task] keys that scale it."""
+    try:
+        return ParamVector(values, partition)
+    except NumericOverflowError as exc:
+        raise ConfigError("the start vector is not finite: lower [task] init_scale "
+                          "or shift_scale") from exc
+
+
 def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
-                   learned=None, keep: Race | None = None) -> list:
+                   learned=None, race: Race = Race(), columns: bool = True) -> list:
     """Run one seeded two-point fine-tuning run per row, all in one batched pass.
 
     Row r runs models[r] from models[r].init_theta(config.seed) at
@@ -358,7 +360,8 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     The models must share one partition, and every step evaluates all rows
     in one loss call: the model's own loss when the rows share one model,
     QuadraticRows for rows of several quadratic tasks.  Rows of several
-    models that are not all quadratic tasks raise ValueError.
+    models that are not all quadratic tasks raise ValueError.  A start
+    vector that is not finite raises ConfigError.
 
     `learned` holds one bool per row: True for a finetuner row, which samples
     with the scale network's stds, False for a MeZO row, which samples with
@@ -366,14 +369,14 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     population with finetuner rows runs in finetuner mode, and each of its
     MeZO rows equals its single run in mezo mode.
 
-    `keep` names what each row keeps.  None: every step's loss and scales,
-    its Trajectory; a MeZO row's scales are a read-only (T, n_blocks) view
-    of 1.0 that no column stores.  A Race: the row's RaceSummary alone, its
-    first loss, the step at which it first reaches the race's threshold
-    (tested as each step's loss arrives) and its last final_window losses,
-    with the bits that the Trajectory's loss column would give.
+    Each row keeps a RunRecord for `race`: its first loss, the step at which
+    it first reaches the race's threshold (tested as each step's loss
+    arrives) and its last final_window losses.  With `columns`, it also keeps
+    every step's loss and scales, and its tail is a view of its loss column;
+    a MeZO row's scales are a read-only (T, n_blocks) view of 1.0 that no
+    column stores.  Without, a row keeps no more losses than its tail.
 
-    Returns one entry per row: what it kept, or the DivergenceError that
+    Returns one entry per row: its RunRecord, or the DivergenceError that
     ended it.  A row diverges once its loss exceeds 1e6 x its initial loss,
     or once a loss, a parameter or a scale becomes non-finite or invalid; it
     then leaves the population and the others go on unchanged.  One row is
@@ -395,27 +398,26 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     if any(model.partition != partition for model in models):
         raise PartitionMismatchError("population models must share one partition")
     loss_of = _loss_oracle(models)
-    theta = ParamVector(_initial_rows(models, config.seed), partition)
+    theta = _start_vector(_initial_rows(models, config.seed), partition)
     state = OptState(learned=None if learned.all() else learned)
     n_rows, n_steps = len(models), config.steps
     live = np.arange(n_rows)  # the caller's row of each population row
-    at = slice(None)  # where live rows write their columns: all, until one leaves
-    if keep is None:
-        # the columns of every row's trajectory, filled step by step.  Only a
-        # learned row has a scales column: a MeZO row samples with scales of
-        # exactly 1.0 at every step.  learned_at: where the live learned rows
-        # sit in the population; scales_at: their columns
-        loss = np.empty((n_rows, n_steps))
+    at = slice(None)  # where live rows write their losses: all, until one leaves
+    # each row's losses from step skip + 1 on: every step with columns, else
+    # its tail.  first: each row's first loss; hit: the step at which it
+    # reached threshold x its first loss (0: not yet)
+    tail = final_window(race.window, n_steps)
+    skip = 0 if columns else n_steps - tail
+    loss = np.empty((n_rows, n_steps - skip))
+    first = np.full(n_rows, np.nan)
+    hit = np.zeros(n_rows, dtype=np.int64)
+    if columns:
+        # only a learned row has a scales column: a MeZO row samples with
+        # scales of exactly 1.0 at every step.  learned_at: where the live
+        # learned rows sit in the population; scales_at: their columns
         learned_at, scales_at = np.flatnonzero(learned), slice(None)
         column = np.cumsum(learned) - 1  # each learned row's scales column
         scales = np.empty((len(learned_at), n_steps, partition.n_blocks))
-    else:
-        # each row's last losses, filled from step skip + 1 on, and the step
-        # at which it reached threshold x its first loss (0: not yet)
-        skip = n_steps - final_window(keep.window, n_steps)
-        loss = np.empty((n_rows, n_steps - skip))
-        first = np.full(n_rows, np.nan)
-        hit = np.zeros(n_rows, dtype=np.int64)
     outcomes = [None] * n_rows
     limit = None  # each row's divergence threshold, 1e6 x its initial loss
     for t in range(1, n_steps + 1):
@@ -425,19 +427,16 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
                    failures=failures)
         if limit is None:
             limit = DIVERGENCE_FACTOR * (np.abs(now) + 1e-300)
-            if keep is not None:
-                # each live row's bar; nan once the row has reached it
-                first, bar = now, keep.threshold * now
-        if keep is None:
-            loss[at, t - 1] = now
+            # each live row's bar; nan once the row has reached it
+            first, bar = now, race.threshold * now
+        if t > skip:
+            loss[at, t - 1 - skip] = now
+        if columns:
             scales[scales_at, t - 1] = state.prev_scales[learned_at]
-        else:
-            if t > skip:
-                loss[at, t - 1 - skip] = now
-            reached = now <= bar
-            if np.count_nonzero(reached):
-                hit[live[reached]] = t
-                bar[reached] = np.nan
+        reached = now <= bar
+        if np.count_nonzero(reached):
+            hit[live[reached]] = t
+            bar[reached] = np.nan
         blown = np.abs(now) > limit
         if not (failures or np.count_nonzero(blown)):
             continue
@@ -456,19 +455,16 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
         if not len(live):
             break
         _keep_rows(theta, state, stay)
-        if keep is None:
+        if columns:
             learned_at = np.flatnonzero(learned[live])
             scales_at = column[live[learned_at]]
-        else:
-            bar = bar[stay]
         loss_of = _loss_oracle([models[r] for r in live.tolist()])
-        lrs, limit = lrs[stay], limit[stay]
+        lrs, limit, bar = lrs[stay], limit[stay], bar[stay]
     ones = np.broadcast_to(1.0, (n_steps, partition.n_blocks))
     for r in live.tolist():
-        if keep is None:
-            outcomes[r] = Trajectory(loss[r], scales[column[r]] if learned[r] else ones)
-        else:
-            outcomes[r] = RaceSummary(keep, float(first[r]), int(hit[r]) or None, loss[r])
+        kept = (loss[r], scales[column[r]] if learned[r] else ones) if columns else ()
+        outcomes[r] = RunRecord(float(first[r]), int(hit[r]) or None,
+                                loss[r, loss.shape[1] - tail:], *kept)
     return outcomes
 
 
@@ -486,7 +482,7 @@ def _keep_rows(theta: ParamVector, state: OptState, keep) -> None:
         state.learned = state.learned[keep]
 
 
-def run_finetune(model, learning_rate: float, config: ZOConfig, pertnn=None) -> Trajectory:
+def run_finetune(model, learning_rate: float, config: ZOConfig, pertnn=None) -> RunRecord:
     """Run T steps of seeded two-point fine-tuning on a testbed model.
 
     The model provides init_theta / sample_batch / loss.  A fresh batch is

@@ -194,3 +194,19 @@ def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch, checkpoi
     err = capsys.readouterr().err
     assert err == "zoft: config error: out of memory: Unable to allocate 745. GiB for an array\n"
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("key", ["init_scale", "shift_scale"])
+@pytest.mark.parametrize("name", ["train", "finetune", "compare"])
+def test_start_vector_that_overflows_is_a_config_error(tmp_path, capsys, checkpoint_lines,
+                                                       name, key):
+    # 1e308 x a normal draw past 1.8 is inf, so the start vector is not finite
+    sections = clamped(name)
+    sections["task"][key] = "1e308"
+    (tmp_path / "finetuner.ckpt").write_text("\n".join(checkpoint_lines) + "\n")
+    path = write_ini(tmp_path / f"{name}.ini", sections)
+    assert cli.main([COMMANDS[name], "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("zoft: config error: the start vector is not finite: lower "
+                   "[task] init_scale or shift_scale\n")
+    assert not list(tmp_path.glob("*.csv"))

@@ -113,6 +113,25 @@ class TestDeclaredKeys:
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}.*{message}"):
             cfg.get(section, key)
 
+    @pytest.mark.parametrize("section", ["finetune", "sweep"])
+    @pytest.mark.parametrize("value", ['run,one "q"', "a,b", 'say "hi"',
+                                       "a\n  b", "a\n\tb"])
+    def test_experiment_is_one_csv_cell(self, tmp_path, section, value):
+        # a comma or a quote wrote rows of 12 fields under the 11-field
+        # header, and an indented continuation line split every row in two
+        line = f"experiment = {value}"
+        cfg = write_cfg(tmp_path, BASIC + f"\n[sweep]\n{line}\n" if section == "sweep"
+                        else BASIC.replace("lr = 0.05", f"lr = 0.05\n{line}"))
+        with pytest.raises(ConfigError,
+                           match=rf"\[{section}\] experiment=.* must hold no ',', "
+                                 r"'\"' or line break"):
+            cfg.get(section, "experiment")
+
+    def test_experiment_may_hold_spaces_and_symbols(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASIC.replace("lr = 0.05",
+                                                "lr = 0.05\nexperiment = run one; 'q' | v2"))
+        assert cfg.get("finetune", "experiment") == "run one; 'q' | v2"
+
     def test_readme_lists_every_declared_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, flags=re.M)

@@ -17,8 +17,8 @@ from zoft.harness import (
     cmd_ablate,
     cmd_sweep_lr,
 )
-from zoft.paramspace import NoiseSeed
-from zoft.zo_optimizer import Race, RaceSummary, Trajectory, run_population
+from zoft.paramspace import BlockPartition, NoiseSeed
+from zoft.zo_optimizer import Race, RunRecord, ZOConfig, run_population
 
 from test_cli_fuzz import COMMANDS, clamped, write_ini
 from test_population import leave_step
@@ -104,39 +104,73 @@ def load_config(tmp_path, text):
     return ExperimentConfig.load(write_config(tmp_path, text))
 
 
-def fake_result(losses, lr=0.1, diverged=False):
-    n = len(losses)
-    traj = Trajectory(np.array(losses, dtype=float), np.ones((n, 2)))
-    outcome = DivergenceError("loss exceeded") if diverged else traj
-    return RunResult("mezo", "quad0", 0, lr, outcome, 0.0)
+class Scripted:
+    """A model whose loss at step t is losses[t - 1] for every parameter
+    vector: both perturbed losses equal it, so a run never moves."""
+
+    name = "quad0"
+    partition = BlockPartition([("w", 2)])
+
+    def __init__(self, losses):
+        self.losses = losses
+
+    def init_theta(self, seed):
+        return np.zeros(2)
+
+    def sample_batch(self, batch_size, seed):
+        return seed  # step t of seed 0 samples batch t
+
+    def loss(self, values, batch):
+        return np.full(len(values), self.losses[batch - 1])
+
+
+def fake_result(losses, columns=True):
+    """The RunResult of a seed-0 run whose steps have `losses`, kept for the
+    default race."""
+    [record] = run_population([Scripted(losses)], [0.0], ZOConfig(len(losses)),
+                              columns=columns)
+    return RunResult("mezo", "quad0", 0, 0.0, record, 0.0)
 
 
 class TestRunResult:
     def test_final_window_mean(self):
         r = fake_result([10.0] * 18 + [4.0, 2.0])
-        assert r.final_window_mean(0.1) == pytest.approx(3.0)
+        assert r.final_mean == pytest.approx(3.0)
+        assert r.initial_loss == 10.0
 
     def test_final_window_mean_diverged(self):
-        assert fake_result([1.0], diverged=True).final_window_mean() == float("inf")
+        r = RunResult("mezo", "quad0", 0, 0.1, DivergenceError("loss exceeded"), 0.0)
+        assert r.final_mean == float("inf")
+        assert r.steps_to_threshold is None
+        assert np.isnan(r.initial_loss)
 
     def test_steps_to_threshold(self):
         r = fake_result([8.0, 6.0, 3.9, 1.0])
-        assert r.steps_to_threshold(0.5) == 3
+        assert r.steps_to_threshold == 3
 
     def test_steps_to_threshold_never(self):
         r = fake_result([8.0, 7.0, 6.0])
-        assert r.steps_to_threshold(0.5) is None
+        assert r.steps_to_threshold is None
+
+    def test_a_run_without_columns_reads_alike(self):
+        losses = [10.0] * 18 + [4.0, 2.0]
+        r = fake_result(losses, columns=False)
+        assert r.outcome.loss is None and r.outcome.scales is None
+        assert (r.initial_loss, r.final_mean, r.steps_to_threshold) == (10.0, 3.0, 19)
+        assert r.outcome.tail.tobytes() == fake_result(losses).outcome.tail.tobytes()
+
+    def test_a_run_of_no_steps(self):
+        r = fake_result([])
+        assert r.final_mean == float("inf")
+        assert r.steps_to_threshold is None
+        assert np.isnan(r.initial_loss)
 
     def test_race_summary_answers_for_its_own_race(self):
-        summary = RaceSummary(Race(threshold=0.5, window=0.1), 8.0, 3, np.array([4.0, 2.0]))
-        r = RunResult("mezo", "quad0", 0, 0.1, summary, 0.0)
+        record = RunRecord(8.0, 3, np.array([4.0, 2.0]))
+        r = RunResult("mezo", "quad0", 0, 0.1, record, 0.0)
         assert r.initial_loss == 8.0
-        assert r.final_window_mean(0.1) == 3.0
-        assert r.steps_to_threshold(0.5) == 3
-        with pytest.raises(ValueError, match="window of 0.1, not 0.2"):
-            r.final_window_mean(0.2)
-        with pytest.raises(ValueError, match="threshold of 0.5, not 0.25"):
-            r.steps_to_threshold(0.25)
+        assert r.final_mean == 3.0
+        assert r.steps_to_threshold == 3
 
 
 RACE_TASK = """
@@ -154,18 +188,16 @@ seed = 0
 class TestRaceSummary:
     """compare and ablate write the bytes that every step's loss column gives.
 
-    The column path runs the same populations keeping each run's Trajectory,
-    and RunResult reads it from the loss column, as every run did before runs
-    kept a race summary."""
+    The column path runs the same populations with columns=True, where each
+    run's tail is a view of its full loss column."""
 
     @staticmethod
     def outputs(monkeypatch, command, cfg, out, keep_columns):
         """The command's output files, and what each of its runs kept."""
         kept = []
 
-        def population(models, lrs, config, pertnn, learned, keep):
-            outcomes = run_population(models, lrs, config, pertnn, learned,
-                                      None if keep_columns else keep)
+        def population(*args, race, columns):
+            outcomes = run_population(*args, race=race, columns=keep_columns)
             kept.extend(outcomes)
             return outcomes
 
@@ -203,7 +235,11 @@ batch_size = 1
         want, columns = self.outputs(monkeypatch, "compare", cfg, tmp_path / "column", True)
         assert got == want
         summaries = [s for s in summaries if not isinstance(s, DivergenceError)]
-        assert all(isinstance(s, RaceSummary) for s in summaries)
+        assert all(isinstance(s, RunRecord) and s.loss is None for s in summaries)
+        for c in columns:
+            if not isinstance(c, DivergenceError):
+                assert np.shares_memory(c.tail, c.loss)
+                assert c.tail.tobytes() == c.loss[len(c.loss) - k:].tobytes()
         hits = [s.hit for s in summaries]
         if case == "never":
             assert hits and set(hits) == {None}
@@ -395,16 +431,19 @@ batch_size = 4
         assert self.run(["train-finetuner", "--config", cfg, "--out", out]) == 0
         calls = []
 
-        def counted(models, lrs, config, pertnn=None, learned=None, keep=None):
-            calls.append((config.seed, list(learned), keep))
-            return run_population(models, lrs, config, pertnn, learned, keep)
+        def counted(models, lrs, config, pertnn=None, learned=None, race=Race(),
+                    columns=True):
+            calls.append((config.seed, list(learned), race, columns))
+            return run_population(models, lrs, config, pertnn, learned, race=race,
+                                  columns=columns)
 
         monkeypatch.setattr(harness, "run_population", counted)
         assert self.run(["compare", "--config", cfg, "--out", out]) == 0
-        # compare writes no per-step loss or scale, so its runs keep a race
-        # summary at the default threshold and window
+        # compare writes no per-step loss or scale, so its runs keep no
+        # columns, only their records for the default threshold and window
         race = Race(threshold=0.5, window=0.1)
-        assert calls == [(seed, ([False] * 2 + [True] * 2) * 2, race) for seed in (0, 1)]
+        assert calls == [(seed, ([False] * 2 + [True] * 2) * 2, race, False)
+                         for seed in (0, 1)]
 
     def test_summary_uses_the_configured_final_window(self, tmp_path):
         # the summary's median_final read the 0.1 default, not final_window
@@ -1022,13 +1061,13 @@ lr = 0.05
                           + "final_window = 0.4\n")
         kept = []
 
-        def recorded(models, lrs, config, pertnn, learned, keep):
-            kept.append(keep)
-            return run_population(models, lrs, config, pertnn, learned, keep)
+        def recorded(*args, race, columns):
+            kept.append((race, columns))
+            return run_population(*args, race=race, columns=columns)
 
         monkeypatch.setattr(harness, "run_population", recorded)
         assert cmd_ablate(cfg, tmp_path / "out") == 0
-        assert kept == [Race(window=0.4)] * (2 if axes == "partition" else 4)
+        assert kept == [(Race(window=0.4), False)] * (2 if axes == "partition" else 4)
 
     def test_reset_normalization_grid(self, tmp_path):
         cfg = load_config(tmp_path, TASK + TRAIN + """

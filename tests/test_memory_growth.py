@@ -27,7 +27,7 @@ from zoft.paramspace import _CHUNK, BlockPartition, NoiseSeed, ParamVector
 from zoft.testbeds import QuadraticFamily, make_rank_family
 from zoft.zo_optimizer import (
     OptState,
-    Trajectory,
+    RunRecord,
     ZOConfig,
     final_window,
     run_population,
@@ -126,7 +126,7 @@ class TestMemoryGrowth:
         assert peak_growth(run, short, long) <= columns + SLACK
         outcomes = run(5)
         for outcome, is_learned in zip(outcomes, learned):
-            assert isinstance(outcome, Trajectory)
+            assert isinstance(outcome, RunRecord)
             assert outcome.scales.shape == (5, n_blocks)
             if not is_learned:
                 assert np.all(outcome.scales == 1.0)

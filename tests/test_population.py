@@ -82,7 +82,7 @@ def assert_rows_match(models, lrs, config, net, learned=None):
                 run_finetune(model, lr, own_config, net)
             continue
         assert not isinstance(outcome, DivergenceError), (model.name, lr, own)
-        assert len(outcome) == len(want)
+        assert len(outcome.loss) == len(want)
         steps, *columns = zip(*want)
         assert steps == tuple(range(1, len(want) + 1))
         for name, ref in zip(("loss", "scales"), columns):
@@ -123,18 +123,19 @@ class TestRowsEqualSingleRuns:
             outcomes = assert_rows_match(models, [lr for _, lr, _ in rows], config, net,
                                          learned)
             kept = run_population(models, [lr for _, lr, _ in rows], config, net, learned,
-                                  keep=Race(threshold=0.5, window=0.1))
-        # a race summary holds what the loss column gives, and the rows
-        # leave where they did
-        for outcome, race in zip(outcomes, kept):
+                                  race=Race(threshold=0.5, window=0.1), columns=False)
+        # a record without columns holds what the loss column gives, as one
+        # with columns does, and the rows leave where they did
+        for outcome, record in zip(outcomes, kept):
             if isinstance(outcome, DivergenceError):
-                assert str(race) == str(outcome)
+                assert str(record) == str(outcome)
             else:
                 column = outcome.loss
                 hits = np.flatnonzero(column <= 0.5 * column[0])
-                assert race.first == column[0]
-                assert race.hit == (int(hits[0]) + 1 if len(hits) else None)
-                assert race.tail.tobytes() == column[-15:].tobytes()
+                assert record.loss is None and record.scales is None
+                assert record.first == outcome.first == column[0]
+                assert record.hit == outcome.hit == (int(hits[0]) + 1 if len(hits) else None)
+                assert record.tail.tobytes() == outcome.tail.tobytes() == column[-15:].tobytes()
         diverged = [isinstance(o, DivergenceError) for o in outcomes]
         assert diverged == [lr > 0.1 for _, lr, _ in rows]
         guard = {(task.name, method): leave_step(o)

@@ -374,7 +374,7 @@ class TestRunFinetune:
     def test_loss_decreases_on_easy_quadratic(self):
         task = make_rank_family([4, 4], [4.0, 4.0], [1.0, 1.0], seed=0)
         traj = run_finetune(task, 0.1, ZOConfig(300, mode="mezo", seed=0))
-        assert len(traj) == 300
+        assert len(traj.loss) == 300
         tail = np.mean(traj.loss[-30:])
         assert tail < 0.2 * traj.loss[0]
 
@@ -410,7 +410,7 @@ class TestRunFinetune:
         task = quadratic()
         net = pertnn.init(partition(), hidden=8, seed=NoiseSeed(0))
         traj = run_finetune(task, 0.05, ZOConfig(40, mode="finetuner", seed=0), net)
-        assert len(traj) == 40
+        assert len(traj.loss) == 40
         assert traj.scales.shape == (40, 2) and np.all(np.isfinite(traj.scales))
 
 
