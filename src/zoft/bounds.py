@@ -351,6 +351,13 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
     return reports[0] if single else reports
 
 
+def _slack(stderr: float, a: float, b: float) -> float:
+    """How far a Monte-Carlo mean may sit from `a` or `b`: 4 stderr, but no
+    less than their rounding.  A draw whose every sample gives one decrease
+    (one-value blocks on the sphere) has a stderr of rounding noise alone."""
+    return max(4.0 * stderr, 1e-12 * (abs(a) + abs(b)))
+
+
 def _report(inputs: BoundInputs, stds: np.ndarray, mc_mean: float, mc_stderr: float,
             closed: float) -> BoundReport:
     """The bounds at one step size, checked against its measured decrease."""
@@ -367,7 +374,7 @@ def _report(inputs: BoundInputs, stds: np.ndarray, mc_mean: float, mc_stderr: fl
         raise NumericOverflowError(f"non-finite bound or measured decrease at eta {eta:g}")
 
     violations = []
-    slack = 4.0 * mc_stderr
+    slack = _slack(mc_stderr, mc_mean, bw_given)
     if mc_mean > bw_given + slack:
         violations.append(
             f"measured decrease {mc_mean:.6e} exceeds blockwise bound "
@@ -382,6 +389,7 @@ def _report(inputs: BoundInputs, stds: np.ndarray, mc_mean: float, mc_stderr: fl
         violations.append(
             f"unit-scale blockwise bound {bw_unit:.6e} above uniform bound {mz:.6e}"
         )
+    slack = _slack(mc_stderr, closed, mc_mean)
     if abs(closed - mc_mean) > slack:
         violations.append(
             f"closed form {closed:.6e} and Monte-Carlo {mc_mean:.6e} "

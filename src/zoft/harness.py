@@ -10,6 +10,7 @@ cost of that guarantee).
 
 from __future__ import annotations
 
+import contextlib
 import statistics
 import time
 from dataclasses import dataclass
@@ -136,8 +137,9 @@ def _run_rows(experiment: str, results):
             yield f"{head},{t},{_fmt(loss)},{per_step_ms},{_fmt(smin)},{_fmt(smed)},{_fmt(smax)}"
 
 
-def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True):
-    """Meta-train a finetuner on `tasks` per [train]; returns (pertnn, MetaLog)."""
+def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True, log=None):
+    """Meta-train a finetuner on `tasks` per [train], each inner step handed
+    to `log` (see meta_trainer.train); returns (pertnn, log)."""
     steps = cfg.get("train", "steps")
     reset_period = cfg.get("train", "reset_period")
     seed = cfg.get("train", "seed")
@@ -153,7 +155,7 @@ def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True):
     )
     init_params = pertnn_mod.init(tasks[0].partition, cfg.get("train", "hidden"),
                                   NoiseSeed(seed))
-    return meta_trainer.train(meta_cfg, tasks, init_params)
+    return meta_trainer.train(meta_cfg, tasks, init_params, log)
 
 
 def _load_checkpoint_if_needed(cfg: ExperimentConfig, section, methods, out_dir: Path,
@@ -191,19 +193,58 @@ def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, timing: bool = Fal
     if kind != "quadratic":
         raise ConfigError("train-finetuner currently expects a quadratic task family")
     tasks = source.make_tasks(cfg.get("train", "tasks"))
-    trained, log = _meta_train(cfg, tasks, normalize=cfg.get("train", "normalize"))
-    ckpt = out_dir / cfg.get("train", "checkpoint")
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    pertnn_mod.save(trained, ckpt)
-    _write_lines(out_dir / "meta_log.csv", _meta_log_rows(log))
+    log_path = out_dir / "meta_log.csv"
+    name = cfg.get("train", "checkpoint")
+    ckpt = out_dir / name
+    if ckpt.resolve() in (log_path.resolve(), _part(log_path).resolve()):
+        raise ConfigError(f"[train] checkpoint = {name!r} is where the run writes "
+                          f"{log_path.name}")
+    with _written_on_success(log_path) as f:
+        trained, _ = _meta_train(cfg, tasks, normalize=cfg.get("train", "normalize"),
+                                 log=_MetaLogWriter(f, [task.name for task in tasks]))
+        ckpt.parent.mkdir(parents=True, exist_ok=True)
+        pertnn_mod.save(trained, ckpt)
     return 0
 
 
-def _meta_log_rows(log: meta_trainer.MetaLog):
-    """meta_log.csv's lines, made one at a time from the log's columns."""
-    yield "step,task,l_zo,loss,reset"
-    for t, task, l_zo, loss, reset in zip(log.t, log.task, log.l_zo, log.loss, log.reset):
-        yield f"{t},{log.task_names[task]},{_fmt(l_zo)},{_fmt(loss)},{int(reset)}"
+def _part(path: Path) -> Path:
+    """Where _written_on_success writes `path` until its block succeeds."""
+    return path.with_name(f"{path.name}.part")
+
+
+@contextlib.contextmanager
+def _written_on_success(path: Path):
+    """A binary file, open for the block, that becomes `path` when the block
+    succeeds.  It is written as _part(path), so a block that fails leaves
+    `path` as it was, and removes the directories made for it."""
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = _part(path)
+    try:
+        with open(part, "wb") as f:
+            yield f
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        for d in made:
+            with contextlib.suppress(OSError):  # not empty: something else is in it
+                d.rmdir()
+        raise
+
+
+class _MetaLogWriter:
+    """meta_trainer.train's recorder for meta_log.csv: the header, then each
+    inner step's line, written into the open binary file as the step ends."""
+
+    def __init__(self, f, task_names):
+        self.f, self.task_names, self.n = f, task_names, 0
+        f.write(b"step,task,l_zo,loss,reset\n")
+
+    def append(self, task: int, l_zo: float, loss: float, reset: bool) -> None:
+        t = self.n // len(self.task_names) + 1
+        self.n += 1
+        self.f.write(f"{t},{self.task_names[task]},{_fmt(l_zo)},{_fmt(loss)},"
+                     f"{int(reset)}\n".encode())
 
 
 def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:

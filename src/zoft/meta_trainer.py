@@ -6,9 +6,9 @@ the post-update loss is backpropagated to the network's weights through the
 reparameterized perturbation u = s(omega) * z.  The finite-difference
 coefficient c is treated as a constant during that backward pass (gradient
 cut-off), tasks are shuffled every outer step, and the model is periodically
-reset to its initial state.  The run's log is columnar (MetaLog): one entry
-per inner step in arrays allocated before the first step, with no record
-object kept per step.
+reset to its initial state.  Each inner step is handed to a recorder as it
+ends; the default one is columnar (MetaLog): one entry per inner step in
+arrays allocated before the first step, with no record object kept per step.
 """
 
 from __future__ import annotations
@@ -162,18 +162,26 @@ def meta_step(theta: ParamVector, pertnn, task, task_state: OptState, batch,
 @dataclass
 class MetaLog:
     """A meta-training run's inner steps as columns: entry k holds the k-th
-    inner step, in the order train ran them."""
+    inner step, in the order train ran them.  train fills it through
+    append, as it would any recorder."""
 
     task_names: tuple  # the names that `task` indexes
     task: np.ndarray  # (n,) index of the step's task
     l_zo: np.ndarray  # (n,) post-update loss of the meta-objective
     loss: np.ndarray  # (n,) unperturbed loss before the model's SGD move
     reset: np.ndarray  # (n,) bool: the model was reset after this step
+    n: int = 0  # the entries appended so far
 
     @classmethod
     def empty(cls, task_names, n: int) -> "MetaLog":
+        """Room for n entries, none appended yet."""
         return cls(tuple(task_names), np.zeros(n, dtype=np.int64), np.zeros(n),
                    np.zeros(n), np.zeros(n, dtype=bool))
+
+    def append(self, task: int, l_zo: float, loss: float, reset: bool) -> None:
+        k = self.n
+        self.task[k], self.l_zo[k], self.loss[k], self.reset[k] = task, l_zo, loss, reset
+        self.n = k + 1
 
     @property
     def t(self) -> np.ndarray:
@@ -188,15 +196,17 @@ class MetaLog:
         return self.t[self.reset].tolist()
 
 
-def train(config: MetaConfig, tasks, pertnn):
-    """Run the full learning-to-learn loop; returns (pertnn, MetaLog).
+def train(config: MetaConfig, tasks, pertnn, log=None):
+    """Run the full learning-to-learn loop; returns (pertnn, log).
 
     All tasks must share one partition; the model parameters are shared across
     tasks and follow the first-order trajectory from the first task's
     init_theta(config.seed), reset to it every reset_period outer steps.
-    The log's columns are allocated up front, so nothing else the loop keeps
-    grows with the step count.  A start vector that is not finite raises
-    ConfigError.
+    Each inner step is handed to `log.append(task_index, l_zo, loss, reset)`
+    as it ends, `reset` marking the last inner step of an outer step after
+    which the model is reset.  Without a `log`, a MetaLog with room for every
+    entry records them, so nothing else the loop keeps grows with the step
+    count.  A start vector that is not finite raises ConfigError.
     """
     if not tasks:
         raise ConfigError("task list must not be empty")
@@ -205,18 +215,20 @@ def train(config: MetaConfig, tasks, pertnn):
         if task.partition != partition:
             raise ConfigError("all meta-training tasks must share one partition")
     pertnn = pertnn.copy()
+    if log is None:
+        log = MetaLog.empty([task.name for task in tasks], config.steps * len(tasks))
     if config.steps == 0:
-        return pertnn, MetaLog.empty([task.name for task in tasks], 0)
+        return pertnn, log
     # the start is regenerated at each reset: init_theta is a pure function
     # of the seed, so no copy of it is kept
     theta = _start_vector(tasks[0].init_theta(config.seed), partition)
     states = [OptState() for _ in tasks]
     shuffle_rng = np.random.default_rng([_SHUFFLE_TAG, config.seed])
-    log = MetaLog.empty([task.name for task in tasks], config.steps * len(tasks))
-    k = 0  # the log entry of the next inner step
     initial_loss = None
     for t in range(1, config.steps + 1):
         order = shuffle_rng.permutation(len(tasks))
+        # the outer step's last task is where a reset is recorded
+        reset_after = order[-1] if t % config.reset_period == 0 else None
         for idx in order:
             task = tasks[idx]
             batch = task.sample_batch(
@@ -228,15 +240,13 @@ def train(config: MetaConfig, tasks, pertnn):
                 l_zo, loss = meta_step(theta, pertnn, task, states[idx], batch, config, z)
             except (NumericOverflowError, InvalidScaleError) as exc:
                 raise _divergence(t, exc) from exc
-            log.task[k], log.l_zo[k], log.loss[k] = idx, l_zo, loss
-            k += 1
+            log.append(int(idx), l_zo, loss, idx == reset_after)
             if initial_loss is None:
                 initial_loss = abs(loss) + 1e-300
             if abs(loss) > DIVERGENCE_FACTOR * initial_loss:
                 raise DivergenceError(
                     f"meta-training loss {loss:.3e} diverged at step {t}"
                 )
-        if t % config.reset_period == 0:
+        if reset_after is not None:
             theta.values[:] = tasks[0].init_theta(config.seed)
-            log.reset[k - 1] = True
     return pertnn, log

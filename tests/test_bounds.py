@@ -8,6 +8,7 @@ from zoft.bounds import (
     _MC_TAG,
     BoundInputs,
     _bound_coeffs,
+    _report,
     blockwise_bound,
     expected_decrease,
     mezo_bound,
@@ -394,6 +395,28 @@ class TestVerifyBound:
                 assert getattr(shared, name) == getattr(alone, name), name
             assert np.array_equal(shared.optimal_stds, alone.optimal_stds)
             assert shared.violations == alone.violations
+
+    @pytest.mark.parametrize("sizes", [[1, 1], [1, 1, 1]])
+    def test_one_value_blocks_agree_with_their_closed_form(self, sizes):
+        # every sphere sample of a one-value block is +-s, so every sample
+        # decreases the loss alike and the stderr is rounding noise (8.3e-19
+        # for two blocks): 4 of it flagged a gap of 8.7e-18 as a disagreement
+        task = make_rank_family(sizes, [1.0] * len(sizes), [1.0] * len(sizes), seed=0)
+        report = verify_bound(task, task.init_theta(0), PerturbScales.unit(task.partition),
+                              eta=0.02, n=100)
+        assert report.mc_stderr < 1e-15 * abs(report.mc_mean)
+        assert report.ok, report.violations
+
+    def test_zero_stderr_still_flags_a_real_gap(self):
+        task = make_rank_family([1, 1], [1.0, 1.0], [1.0, 1.0], seed=0)
+        theta = task.init_theta(0)
+        inputs = BoundInputs.from_task(task, theta, 0.02)
+        stds = np.ones(2)
+        bound = blockwise_bound(inputs, stds)
+        mean = bound * (1 - 1e-9)  # above the (negative) bound by 1e-9 of it
+        report = _report(inputs, stds, mean, 0.0, mean * (1 + 1e-9))
+        assert [v.split(" ", 2)[:2] for v in report.violations] == [
+            ["measured", "decrease"], ["closed", "form"]]
 
     def test_bad_step_sizes_and_sample_counts_rejected(self):
         task = make_rank_family([3, 5], [1.0, 4.0], [1.0, 1.0], seed=0)

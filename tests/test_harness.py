@@ -665,6 +665,8 @@ steps = 5
                          "--out", str(tmp_path / "o")])
         assert code == 3
         assert "zoft: divergence" in capsys.readouterr().err
+        # no meta_log.csv, no checkpoint, not even the out dir
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_start_loss_is_named_in_meta_training(self, tmp_path, capsys):
         # the start loss overflows to inf before any perturbed loss exists
@@ -675,6 +677,56 @@ steps = 5
                          "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
             "zoft: divergence: non-finite value at step 1: non-finite loss inf\n")
+
+    def test_meta_training_diverged_mid_log_leaves_no_log_or_checkpoint(self, tmp_path,
+                                                                         capsys):
+        # eta1 = 2.5 diverges at outer step 10, after 18 lines of
+        # meta_log.csv were written
+        sections = clamped("train")
+        sections["train"].update(eta1="2.5", steps="40")
+        cfg = write_ini(tmp_path / "train.ini", sections)
+        out = tmp_path / "sub" / "o"
+        assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "diverged at step 10" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
+
+    def test_diverged_meta_training_keeps_an_earlier_run(self, tmp_path):
+        # the log is streamed under another name until the run succeeds
+        sections = clamped("train")
+        out = tmp_path / "o"
+        cfg = write_ini(tmp_path / "train.ini", sections)
+        assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        sections["train"].update(eta1="2.5", steps="40")
+        cfg = write_ini(tmp_path / "train.ini", sections)
+        assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "hidden", "0"),  # refused as [train] is read, after the log is opened
+        ("task", "init_scale", "1e308"),  # refused at train's start vector
+    ])
+    def test_meta_training_config_error_makes_no_out_dir(self, tmp_path, capsys,
+                                                         section, key, value):
+        sections = clamped("train")
+        sections[section][key] = value
+        cfg = write_ini(tmp_path / "train.ini", sections)
+        out = tmp_path / "sub" / "o"
+        assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("zoft: config error: ")
+        assert not (tmp_path / "sub").exists()
+
+    @pytest.mark.parametrize("name", ["meta_log.csv", "sub/../meta_log.csv",
+                                      "./meta_log.csv", "meta_log.csv.part"])
+    def test_checkpoint_named_as_the_log_is_refused(self, tmp_path, capsys, name):
+        # meta_log.csv overwrote such a checkpoint, and the run exited 0
+        sections = clamped("train")
+        sections["train"]["checkpoint"] = name
+        cfg = write_ini(tmp_path / "train.ini", sections)
+        out = tmp_path / "o"
+        assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"[train] checkpoint = {name!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_finetune_divergence_keeps_its_reason(self, tmp_path, capsys):
         out = tmp_path / "o"
