@@ -23,7 +23,7 @@ def main():
     scales = PerturbScales.unit(task.partition)
     eta = 0.03
 
-    report = verify_bound(task, theta, scales, eta, n=50_000, seed=0)
+    [report] = verify_bound(task, theta, scales, [eta], n=50_000, seed=0)
 
     print(f"quadratic with blocks {list(map(int, task.partition.sizes))}, "
           f"effective ranks {task.effective_ranks()}")

@@ -7,6 +7,9 @@ sum_j d_j sigma_j^2 = d (water-filling, solved in closed form on sorted
 breakpoints), and Monte-Carlo / closed-form evaluations of the actual
 expected decrease for cross-checking.
 
+`BoundInputs` is the task at one point; every bound takes the step size as
+an argument, and `verify_bound` scores a sequence of them from one draw.
+
 The block-wise bound is stated for the block-by-block update scheme (each
 block is perturbed and updated with its own two-point estimate), so the
 default verification scheme simulates exactly that; the "joint" scheme
@@ -32,15 +35,23 @@ def rank_coefficient(d: int, r: float) -> float:
     return (d * r + d - 2.0) / (d + 2.0) + 1.0
 
 
+def _check_step(eta) -> float:
+    """A step size as a Python float; a negative or nan one raises ValueError."""
+    eta = float(eta)
+    if not eta >= 0:
+        raise ValueError(f"step size must be nonnegative, got {eta!r}")
+    return eta
+
+
 @dataclass
 class BoundInputs:
-    eta: float
+    """What the bounds read of a task at one point, at any step size."""
+
     smoothness: float
     block_sizes: np.ndarray
     ranks: np.ndarray
     grad_sqnorms: np.ndarray
     noise_trace: float = 0.0
-    batch_size: int = 1
 
     def __post_init__(self):
         self.block_sizes = np.asarray(self.block_sizes, dtype=np.int64)
@@ -49,8 +60,8 @@ class BoundInputs:
         n = len(self.block_sizes)
         if len(self.ranks) != n or len(self.grad_sqnorms) != n:
             raise ValueError("per-block arrays must have equal length")
-        if self.eta < 0 or self.smoothness < 0 or self.noise_trace < 0:
-            raise ValueError("eta, smoothness, and noise trace must be nonnegative")
+        if self.smoothness < 0 or self.noise_trace < 0:
+            raise ValueError("smoothness and noise trace must be nonnegative")
         if np.any(self.grad_sqnorms < 0):
             raise ValueError("gradient square norms must be nonnegative")
 
@@ -59,9 +70,8 @@ class BoundInputs:
         return int(self.block_sizes.sum())
 
     @classmethod
-    def from_task(cls, task: QuadraticTask, theta: np.ndarray, eta: float) -> "BoundInputs":
+    def from_task(cls, task: QuadraticTask, theta: np.ndarray) -> "BoundInputs":
         return cls(
-            eta=eta,
             smoothness=task.smoothness,
             block_sizes=task.partition.sizes.copy(),
             ranks=task.effective_ranks(),
@@ -70,39 +80,39 @@ class BoundInputs:
         )
 
 
-def mezo_bound(inputs: BoundInputs) -> float:
-    """Uniform-rank upper bound on the expected decrease, r = max_j r_j."""
-    if inputs.eta == 0:
+def mezo_bound(inputs: BoundInputs, eta: float) -> float:
+    """Uniform-rank upper bound on the expected decrease at `eta`, r = max_j r_j."""
+    eta = _check_step(eta)
+    if eta == 0:
         return 0.0
     g2 = float(inputs.grad_sqnorms.sum())
     r = float(inputs.ranks.max())
     coef = rank_coefficient(inputs.dim, r)
-    noise = inputs.noise_trace / inputs.batch_size
-    return (-inputs.eta * g2
-            + 0.5 * inputs.eta**2 * inputs.smoothness * coef * (g2 + noise))
+    return (-eta * g2
+            + 0.5 * eta**2 * inputs.smoothness * coef * (g2 + inputs.noise_trace))
 
 
-def _bound_coeffs(inputs: BoundInputs):
+def _bound_coeffs(inputs: BoundInputs, eta: float):
     """Linear / quadratic coefficients a_j, b_j of -a_j v_j + b_j v_j^2."""
-    noise = inputs.noise_trace / inputs.batch_size
-    a = inputs.eta * inputs.grad_sqnorms
-    b = (0.5 * inputs.eta**2 * inputs.smoothness
+    a = eta * inputs.grad_sqnorms
+    b = (0.5 * eta**2 * inputs.smoothness
          * rank_coefficient(inputs.dim, inputs.ranks)
-         * (inputs.grad_sqnorms + noise))
+         * (inputs.grad_sqnorms + inputs.noise_trace))
     return a, b
 
 
-def blockwise_bound(inputs: BoundInputs, stds=None) -> float:
-    """Per-block bound summed over blocks at per-block ``stds`` (None = unit)."""
-    if inputs.eta == 0:
+def blockwise_bound(inputs: BoundInputs, eta: float, stds=None) -> float:
+    """Per-block bound at `eta` summed over blocks at per-block ``stds`` (None = unit)."""
+    eta = _check_step(eta)
+    if eta == 0:
         return 0.0
     v = 1.0 if stds is None else np.asarray(stds, dtype=np.float64) ** 2
-    a, b = _bound_coeffs(inputs)
+    a, b = _bound_coeffs(inputs, eta)
     return float((-a * v + b * v**2).sum())
 
 
-def optimal_scales(inputs: BoundInputs) -> np.ndarray:
-    """The (n_blocks,) stds that minimize the blockwise bound under the budget.
+def optimal_scales(inputs: BoundInputs, eta: float) -> np.ndarray:
+    """The (n_blocks,) stds that minimize the blockwise bound at `eta` under the budget.
 
     Minimizes sum_j -a_j v_j + b_j v_j^2 over v_j = sigma_j^2 >= 0 subject to
     sum_j d_j v_j = d by water-filling (Boyd and Vandenberghe, *Convex
@@ -116,7 +126,7 @@ def optimal_scales(inputs: BoundInputs) -> np.ndarray:
     the budget the curved blocks leave at mu = 0 goes to the flat blocks at
     equal per-coordinate variance.
     """
-    a, b = _bound_coeffs(inputs)
+    a, b = _bound_coeffs(inputs, _check_step(eta))
     curved = b > 0
     if not curved.any():
         raise DegenerateBoundError("all quadratic bound coefficients are zero")
@@ -166,13 +176,8 @@ def _to_sphere(z: np.ndarray, sumsq: np.ndarray) -> None:
         part *= np.divide(np.sqrt(dim), norms, out=norms)[:, None]
 
 
-def _step_sizes(eta) -> list:
-    """One step size or a sequence of them, as a list of Python floats."""
-    return [float(e) for e in np.atleast_1d(np.asarray(eta, dtype=np.float64))]
-
-
 def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
-                      eta, mode: str = "closed_form", scheme: str = "blockwise",
+                      etas, mode: str = "closed_form", scheme: str = "blockwise",
                       law: str = "gaussian", n: int = 100_000, seed: int = 0):
     """E[L(theta_1) - L(theta_0)] for one ZO step on a deterministic quadratic.
 
@@ -189,12 +194,12 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
     stated for).  Both have E[u u'] = diag(s_i^2 I), but their fourth moments
     differ by a factor dim/(dim+2) in the quadratic term.
 
-    ``eta`` is one step size or a sequence of them.  In Monte Carlo every step
-    size is scored from the same n samples, which are drawn once, block by
-    block, in chunks of about 256 KiB (see the README's Bounds note).
+    ``etas`` is a sequence of step sizes.  In Monte Carlo every step size is
+    scored from the same n samples, which are drawn once, block by block, in
+    chunks of about 256 KiB (see the README's Bounds note).
 
-    Returns ``(mean, stderr)``: floats for one step size, arrays with one
-    entry per step size for a sequence; stderr is None in closed form.
+    Returns ``(means, stderrs)``, arrays with one entry per step size;
+    stderrs is None in closed form.
     """
     if task.noise_tau != 0.0:
         raise ValueError("expected_decrease requires a deterministic quadratic (tau=0)")
@@ -204,8 +209,7 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
         raise ValueError(f"unknown law {law!r}")
     if mode not in ("closed_form", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}")
-    single = np.ndim(eta) == 0
-    etas = _step_sizes(eta)
+    etas = [_check_step(e) for e in etas]
     g, slices = task.grad(theta, 0), task.partition.slices
     stds = scales.stds
 
@@ -236,7 +240,7 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
             quad = gdg * tr_dh + 2.0 * gdhdg
             factor = fourth_factor(len(g))
             means = [-e * gdg + 0.5 * e**2 * factor * quad for e in etas]
-        return (means[0] if single else np.array(means)), None
+        return np.array(means), None
 
     if n < 2:
         raise ValueError(f"monte_carlo needs n >= 2 samples for a stderr, got {n}")
@@ -293,8 +297,6 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
         means.append(float(mean))
         std = np.sqrt(_squared_deviations(row, mean) / (n - 1))
         stderrs.append(float(std / np.sqrt(n)))
-    if single:
-        return means[0], stderrs[0]
     return np.array(means), np.array(stderrs)
 
 
@@ -317,8 +319,8 @@ class BoundReport:
 
 
 def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
-                 eta, n: int = 100_000, seed: int = 0,
-                 law: str = "sphere") -> BoundReport | list[BoundReport]:
+                 etas, n: int = 100_000, seed: int = 0,
+                 law: str = "sphere") -> list[BoundReport]:
     """Evaluate both bounds against the measured expected decrease.
 
     A bound or measurement that is not finite raises NumericOverflowError.
@@ -331,24 +333,22 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
     are derived for; with ``law="gaussian"`` the quadratic term grows by a
     factor (d_j + 2)/d_j per block, so small blocks can exceed the bound.
 
-    ``eta`` is one step size, giving one BoundReport, or a sequence of them,
-    giving one report per step size, all measured from one Monte-Carlo draw.
+    ``etas`` is a sequence of step sizes, giving one report per step size,
+    all measured from one Monte-Carlo draw.
     """
-    single = np.ndim(eta) == 0
-    etas = _step_sizes(eta)
+    # every step size is checked before the draw
+    etas = [_check_step(e) for e in etas]
     if not etas:
         raise ValueError("verify_bound needs at least one step size")
-    # validates every step size before the draw
-    inputs = [BoundInputs.from_task(task, theta, e) for e in etas]
+    inputs = BoundInputs.from_task(task, theta)
     mc_means, mc_stderrs = expected_decrease(
         task, theta, scales, etas, mode="monte_carlo", law=law, n=n, seed=seed
     )
     closed, _ = expected_decrease(task, theta, scales, etas, mode="closed_form", law=law)
-    reports = [
-        _report(inp, scales.stds, float(m), float(s), float(c))
-        for inp, m, s, c in zip(inputs, mc_means, mc_stderrs, closed)
+    return [
+        _report(inputs, e, scales.stds, float(m), float(s), float(c))
+        for e, m, s, c in zip(etas, mc_means, mc_stderrs, closed)
     ]
-    return reports[0] if single else reports
 
 
 def _slack(stderr: float, a: float, b: float) -> float:
@@ -358,16 +358,15 @@ def _slack(stderr: float, a: float, b: float) -> float:
     return max(4.0 * stderr, 1e-12 * (abs(a) + abs(b)))
 
 
-def _report(inputs: BoundInputs, stds: np.ndarray, mc_mean: float, mc_stderr: float,
-            closed: float) -> BoundReport:
-    """The bounds at one step size, checked against its measured decrease."""
-    eta = inputs.eta
-    mz = mezo_bound(inputs)
-    bw_unit = blockwise_bound(inputs)
-    bw_given = blockwise_bound(inputs, stds)
+def _report(inputs: BoundInputs, eta: float, stds: np.ndarray, mc_mean: float,
+            mc_stderr: float, closed: float) -> BoundReport:
+    """The bounds at step size `eta`, checked against its measured decrease."""
+    mz = mezo_bound(inputs, eta)
+    bw_unit = blockwise_bound(inputs, eta)
+    bw_given = blockwise_bound(inputs, eta, stds)
     # a step size of 0 leaves nothing to optimize
-    opt = optimal_scales(inputs) if eta else np.ones(len(stds))
-    bw_opt = blockwise_bound(inputs, opt)
+    opt = optimal_scales(inputs, eta) if eta else np.ones(len(stds))
+    bw_opt = blockwise_bound(inputs, eta, opt)
     # a nan makes every check below false and an infinite stderr makes its
     # slack infinite: either would pass every check
     if not all(map(math.isfinite, (mz, bw_unit, bw_given, bw_opt, mc_mean, mc_stderr, closed))):

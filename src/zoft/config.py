@@ -34,8 +34,9 @@ class Key:
     `distinct` (nor two numbers that print alike, see _fmt).  `default` is
     REQUIRED, a value, or a function of the config that works it out.  A
     number must be finite and >= `low` (> `low` when `strict`); a value must
-    be non-empty and, when `choices` are given, one of them.  A `cell` value
-    is printed as a CSV cell, so it holds no ',', '"' or line break.
+    be non-empty and, when `choices` are given, one of them.  No text value
+    holds a NUL byte, which no file path can hold.  A `cell` value is printed
+    as a CSV cell, so it holds no ',', '"' or line break.
     """
 
     type: type
@@ -128,6 +129,8 @@ def _parse(spec: Key, text: str, where: str):
         value = _BOOLS[text.lower()] if spec.type is bool else spec.type(text)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{where}={text!r} is not {_NAMES[spec.type]}") from exc
+    if spec.type is str and "\0" in value:
+        raise ConfigError(f"{where}={text!r} must hold no NUL byte")
     if spec.cell and ("," in value or '"' in value or value.splitlines() != [value]):
         raise ConfigError(f"{where}={text!r} must hold no ',', '\"' or line break")
     if spec.choices and value not in spec.choices:
@@ -153,7 +156,12 @@ class ExperimentConfig:
             comment_prefixes=("#",), inline_comment_prefixes=("#",),
             interpolation=None,
         )
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            # one decode of the whole file, so the error's start is its offset
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
         try:
             parser.read_string(text, source=str(path))
         except configparser.Error as exc:

@@ -24,9 +24,9 @@ CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 COMMANDS = {"train": "train-finetuner", "finetune": "finetune", "compare": "compare",
             "sweep": "sweep-lr", "ablate": "ablate", "bounds": "verify-bounds"}
 SMALL = {"steps": "3", "tasks": "2", "seeds": "0", "samples": "200"}
-# negative, zero, non-finite, empty, non-numeric, an unknown choice, and
-# floats whose squares overflow or underflow
-POOL = ["-1", "0", "nan", "inf", "", "x1", "dropout", "1e300", "1e-300"]
+# negative, zero, non-finite, empty, non-numeric, an unknown choice, floats
+# whose squares overflow or underflow, and text that no path can hold
+POOL = ["-1", "0", "nan", "inf", "", "x1", "dropout", "1e300", "1e-300", "a\x00b"]
 
 
 def clamped(name: str) -> dict:
@@ -101,6 +101,20 @@ def test_repeated_list_value_is_rejected(tmp_path, capsys, name, key, value):
     err = capsys.readouterr().err
     assert f"[{name}] {key}=" in err and "repeats an earlier value" in err, err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# train-finetuner raised from Path.resolve, and finetune (mode = finetuner)
+# from open, each ending in a traceback with exit 1
+@pytest.mark.parametrize("name", ["train", "finetune"])
+def test_nul_in_a_checkpoint_name_is_a_config_error(tmp_path, capsys, name):
+    sections = clamped(name)
+    sections[name]["checkpoint"] = "a\x00b"
+    path = write_ini(tmp_path / f"{name}.ini", sections)
+    assert cli.main([COMMANDS[name], "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"zoft: config error: {path}: [{name}] checkpoint='a\\x00b' "
+                   "must hold no NUL byte\n"), err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("grid, code", [("0.07, 0.7, 7.0", 0), ("0.07, 0.7, 6.99", 2)])

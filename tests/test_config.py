@@ -105,6 +105,8 @@ class TestDeclaredKeys:
         ("compare", "methods", "mezo, foo", "one of mezo, finetuner"),
         ("compare", "methods", " , ", "non-empty"),
         ("finetune", "experiment", "", "non-empty"),
+        # Path.resolve and open raised on a NUL, ending in a traceback
+        ("finetune", "checkpoint", "a\x00b", "must hold no NUL byte"),
     ])
     def test_checked_values_name_section_and_key(self, tmp_path, section, key, text,
                                                  message):

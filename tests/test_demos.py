@@ -1,4 +1,5 @@
-"""Each demo script runs to completion and prints what it printed when recorded.
+"""Each demo script runs to completion and prints what it printed when recorded,
+and every Python block of the README runs.
 
 The demos print trajectories, meta-objectives and bound checks that depend on
 every bit of the optimizer, so a SHA-256 of their stdout pins the library's
@@ -7,6 +8,7 @@ end-to-end outputs as a user sees them.
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,8 @@ import pytest
 import zoft
 
 DEMOS = Path(__file__).parents[1] / "demos"
+README = Path(__file__).parents[1] / "README.md"
+ENV = dict(os.environ, PYTHONPATH=str(Path(zoft.__file__).parents[1]))
 
 # SHA-256 of each demo's stdout
 RECORDED_STDOUT = {
@@ -32,10 +36,21 @@ def test_every_demo_has_a_recorded_digest():
 
 @pytest.mark.parametrize("name", sorted(RECORDED_STDOUT))
 def test_demo_prints_its_recorded_output(name):
-    env = dict(os.environ, PYTHONPATH=str(Path(zoft.__file__).parents[1]))
     proc = subprocess.run([sys.executable, str(DEMOS / name)], capture_output=True,
-                          env=env, timeout=120)
+                          env=ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == RECORDED_STDOUT[name], \
         proc.stdout.decode()
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # a public-API change must not leave the README's examples broken
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], capture_output=True,
+                              env=ENV, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr == b"", proc.stderr.decode()

@@ -513,6 +513,18 @@ class TestCliExitCodes:
         assert cli.main(["finetune", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
 
+    def test_config_that_is_not_utf8_names_the_byte(self, tmp_path, capsys):
+        # a Latin-1 e-acute in a comment ended in a UnicodeDecodeError traceback
+        data = (TASK + FINETUNE).replace("[finetune]", "# caf\xe9\n[finetune]").encode("latin-1")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes(data)
+        assert cli.main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zoft: config error: ") and err.count("\n") == 1, err
+        bad = data.find(b"\xe9")
+        assert f"not UTF-8 text: invalid continuation byte at byte {bad}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_seeds_rejected(self, tmp_path):
         cfg = write_config(tmp_path, TASK + """
 [finetune]

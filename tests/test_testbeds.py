@@ -208,7 +208,7 @@ class TestCompactSpectrum:
         task, twin = wide_task_and_twin()
         theta = task.init_theta(2)
         scales = PerturbScales(np.linspace(0.5, 1.5, len(WIDE_SIZES)), task.partition)
-        got, want = (BoundInputs.from_task(t, theta, 0.01) for t in (task, twin))
+        got, want = (BoundInputs.from_task(t, theta) for t in (task, twin))
         assert same_bits(got.smoothness, want.smoothness)
         assert same_bits(got.ranks, want.ranks)
         assert same_bits(got.grad_sqnorms, want.grad_sqnorms)
