@@ -70,12 +70,15 @@ class BoundInputs:
         return int(self.block_sizes.sum())
 
     @classmethod
-    def from_task(cls, task: QuadraticTask, theta: np.ndarray) -> "BoundInputs":
+    def from_task(cls, task: QuadraticTask, theta: np.ndarray, grad=None) -> "BoundInputs":
+        """The task at theta; `grad` is task.grad(theta, 0), read here unless
+        the caller has it."""
+        g = task.grad(theta, 0) if grad is None else grad
         return cls(
             smoothness=task.smoothness,
             block_sizes=task.partition.sizes.copy(),
             ranks=task.effective_ranks(),
-            grad_sqnorms=task.block_grad_sqnorms(theta),
+            grad_sqnorms=[float(np.sum(g[sl] ** 2)) for sl in task.partition.slices],
             noise_trace=task.noise_tau,
         )
 
@@ -178,7 +181,8 @@ def _to_sphere(z: np.ndarray, sumsq: np.ndarray) -> None:
 
 def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
                       etas, mode: str = "closed_form", scheme: str = "blockwise",
-                      law: str = "gaussian", n: int = 100_000, seed: int = 0):
+                      law: str = "gaussian", n: int = 100_000, seed: int = 0,
+                      grad=None):
     """E[L(theta_1) - L(theta_0)] for one ZO step on a deterministic quadratic.
 
     For quadratics the central difference is exact, so the two-point
@@ -198,6 +202,8 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
     scored from the same n samples, which are drawn once, block by block, in
     chunks of about 256 KiB (see the README's Bounds note).
 
+    ``grad`` is task.grad(theta, 0), read here unless the caller has it.
+
     Returns ``(means, stderrs)``, arrays with one entry per step size;
     stderrs is None in closed form.
     """
@@ -210,7 +216,8 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
     if mode not in ("closed_form", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}")
     etas = [_check_step(e) for e in etas]
-    g, slices = task.grad(theta, 0), task.partition.slices
+    g = task.grad(theta, 0) if grad is None else grad
+    slices = task.partition.slices
     stds = scales.stds
 
     def fourth_factor(dim: int) -> float:
@@ -340,11 +347,14 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
     etas = [_check_step(e) for e in etas]
     if not etas:
         raise ValueError("verify_bound needs at least one step size")
-    inputs = BoundInputs.from_task(task, theta)
+    # the gradient is read once, for the inputs and for both modes
+    g = task.grad(theta, 0)
+    inputs = BoundInputs.from_task(task, theta, grad=g)
     mc_means, mc_stderrs = expected_decrease(
-        task, theta, scales, etas, mode="monte_carlo", law=law, n=n, seed=seed
+        task, theta, scales, etas, mode="monte_carlo", law=law, n=n, seed=seed, grad=g
     )
-    closed, _ = expected_decrease(task, theta, scales, etas, mode="closed_form", law=law)
+    closed, _ = expected_decrease(task, theta, scales, etas, mode="closed_form", law=law,
+                                  grad=g)
     return [
         _report(inputs, e, scales.stds, float(m), float(s), float(c))
         for e, m, s, c in zip(etas, mc_means, mc_stderrs, closed)

@@ -142,6 +142,21 @@ def _parse(spec: Key, text: str, where: str):
     return value
 
 
+def _parse_error(exc: configparser.Error, text: str) -> str:
+    """What configparser could not read in `text`, on one line that names
+    the line."""
+    # read_string splits lines at "\n" alone, as str.split does
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        line = text.split("\n")[exc.lineno - 1]
+        return f"line {exc.lineno}: {line!r} comes before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        lineno = exc.errors[0][0]  # the first line it could not read
+        line = text.split("\n")[lineno - 1]
+        return f"line {lineno}: {line!r} is neither a [section] header nor a key = value line"
+    # a repeated section or key: configparser's message is one line naming it
+    return " ".join(str(exc).split())
+
+
 class ExperimentConfig:
     def __init__(self, parser: configparser.ConfigParser, path: str):
         self._parser = parser
@@ -157,15 +172,16 @@ class ExperimentConfig:
             interpolation=None,
         )
         try:
-            # one decode of the whole file, so the error's start is its offset
-            text = Path(path).read_text(encoding="utf-8")
+            # one decode of the whole file, so the error's start is its offset;
+            # a byte-order mark is dropped after the decode, which keeps that
+            text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ConfigError(
                 f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
         try:
             parser.read_string(text, source=str(path))
         except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            raise ConfigError(f"{path}: {_parse_error(exc, text)}") from exc
         return cls(parser, str(path))
 
     def _spec(self, section: str, key: str) -> Key:

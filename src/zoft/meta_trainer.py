@@ -34,7 +34,6 @@ from .zo_optimizer import (
 
 _Z_TAG = 0x2E7A2
 _SHUFFLE_TAG = 0x5F0FF1E
-_MBATCH_TAG = 0x3BA7C
 
 
 def _seed_words(*keys: int) -> np.ndarray:

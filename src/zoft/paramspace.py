@@ -159,8 +159,9 @@ class PerturbScales:
         return scales
 
     def per_coordinate(self) -> np.ndarray:
-        """Expand to a length-d vector of per-coordinate standard deviations."""
-        return np.repeat(self.stds, self.partition.sizes)
+        """Expand to per-coordinate standard deviations: a length-d vector, or
+        (R, d) rows for (R, n_blocks) scales."""
+        return np.repeat(self.stds, self.partition.sizes, axis=-1)
 
     @classmethod
     def unit(cls, partition: BlockPartition) -> "PerturbScales":
@@ -206,9 +207,10 @@ def _stream_rng(seed: NoiseSeed) -> np.random.Generator:
     although every optimizer step opens a new one.
     """
     gen = _generator()
-    gen.bit_generator.state = _base_rng_state(seed.seed)
+    bits = gen.bit_generator
+    bits.state = _base_rng_state(seed.seed)
     if seed.stream:
-        gen.bit_generator.advance((seed.stream * _STREAM_STRIDE) & _STATE_MASK)
+        bits.advance((seed.stream * _STREAM_STRIDE) & _STATE_MASK)
     return gen
 
 
@@ -274,17 +276,20 @@ def perturb_in_place(
     each step is one value, or one value per row.  Every row sees the same
     z, so z is drawn once for all.  u is regenerated once, span by span (see
     _span_plan): each span's z is drawn in one call, and every step is
-    applied to it before the next span is drawn.  Each step's factors
-    step * stds[i] are formed once per walk and spread over the values of
-    each span, or broadcast where the span lies inside one block, so the
-    result is bit-identical to one call per step, per row and per block.
-    Scratch is one chunk of z and one chunk per row, never a block- or
-    d-sized buffer, which is the whole point of the store-a-seed design.
+    applied to it before the next span is drawn.  For each span, each
+    step's factors step * stds[i] of the span's blocks are formed in one
+    multiply and spread over the span's values, or broadcast where the span
+    lies inside one block, so the result is bit-identical to one call per
+    step, per row and per block.  Scratch is one chunk of z and one chunk
+    per row, never a block- or d-sized buffer, which is the whole point of
+    the store-a-seed design.
 
     A partition of one span (d <= 32768 values) keeps its z between calls,
     so the three walks of an optimizer step draw it once; a longer partition
     regenerates it on every walk.  Either way each walk applies the same z
-    bits, and the kept z is at most one chunk.
+    bits, and the kept z is at most one chunk.  The one span covers every
+    value and every block, so such a walk slices neither theta nor the
+    scales.
 
     Nothing here checks for overflow: the caller checks finiteness once per
     step, since one row's overflow must not stop the others.
@@ -292,23 +297,27 @@ def perturb_in_place(
     partition = theta.partition
     _check_scales(partition, scales)
     rows = theta.values.reshape(-1, partition.total)  # a view, for a vector too
-    # each step's (R, n_blocks) factors in one multiply
+    # (n_blocks, R): through the transpose, a step of one value per row
+    # scales each row's factors
     per_block = scales.stds.reshape(-1, partition.n_blocks).T
-    factors = [(per_block * step).T for step in steps]
-    if len(partition.spans) == 1:
+    spans = partition.spans
+    if len(spans) == 1:
         gen, z = None, _KEPT.draw(seed, partition.total)
     else:
         gen, z_buf = _stream_rng(seed), np.empty(partition.max_span)
-    for sl, n, lengths, blocks in partition.spans:
-        if gen is not None:
+    for sl, n, lengths, blocks in spans:
+        if gen is None:
+            dst, stds = rows, per_block
+        else:
             z = z_buf[:n]
             gen.standard_normal(out=z)
-        dst = rows[:, sl]
-        for factor in factors:
+            dst, stds = rows[:, sl], per_block[blocks]
+        for step in steps:
+            factor = (stds * step).T  # (R, the span's blocks)
             if lengths is None:
-                move = factor[:, blocks] * z
+                move = factor * z
             else:
-                move = factor[:, blocks].repeat(lengths, axis=1)  # each value's factor
+                move = factor.repeat(lengths, axis=1)  # each value's factor
                 move *= z
             dst += move
             del move  # one chunk per row at a time
@@ -324,46 +333,66 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def _squared_deviations(vals: np.ndarray, mean):
-    """np.add.reduce((vals - mean)**2) along axis 0, bit for bit, with
-    scratch of at most one chunk per row.
+def _squared_deviations(vals: np.ndarray, mean, out=None):
+    """np.add.reduce((vals - mean)**2, axis=-1), bit for bit, with scratch of
+    at most one chunk per row, written into `out` when it is given.
 
     numpy sums a contiguous run pairwise: a run of over 128 values is the
     sum of its halves, split at n2 = n // 2 rounded down to a multiple of 8.
     So a block wider than a chunk is split the same way, and the halves'
     sums add up to the block's.
     """
-    n = len(vals)
+    n = vals.shape[-1]
     if n > _CHUNK:
         half = n // 2
         half -= half % 8
-        return (_squared_deviations(vals[:half], mean)
-                + _squared_deviations(vals[half:], mean))
+        return np.add(_squared_deviations(vals[..., :half], mean),
+                      _squared_deviations(vals[..., half:], mean), out=out)
     dev = np.subtract(vals, mean)
     np.square(dev, out=dev)
-    return np.add.reduce(dev)
+    return np.add.reduce(dev, axis=-1, out=out)
 
 
-def block_stats(theta: ParamVector):
+def block_stats(theta: ParamVector, out=None):
     """Arithmetic mean and population variance (divide by d_i) of every block.
 
     Two (..., n_blocks) arrays: (n_blocks,) for a vector, (R, n_blocks) for
-    rows.  Each entry is bit for bit np.mean and np.var of its block: the
-    same ufunc reductions on the same slice, without numpy's Python-level
-    wrappers, with the block sum taken once and the deviations formed a
-    chunk at a time.
+    rows, written into `out`, a (means, variances) pair of such arrays (two
+    columns of a feature array, say), when it is given.  Each entry is bit
+    for bit np.mean and np.var of its block: the same ufunc reductions on
+    the same values, without numpy's Python-level wrappers.  A vector's
+    statistics are numpy scalars, divided one block at a time.  Rows reduce
+    each block straight into its column, and divide the sums and the
+    squared deviations by the block sizes in one call each.  The deviations
+    of a partition of one span (d <= 32768 values) are formed for every
+    block at once, one chunk per row; a longer partition's are formed a
+    block and a chunk at a time.
     """
-    # one path for both shapes: through the transpose a block is values[sl]
-    # and its mean a scalar (vector) or one value per row that broadcasts
-    # without indexing; a vector's transpose is itself
-    values, partition = theta.values.T, theta.partition
-    means = np.empty((partition.n_blocks,) + values.shape[1:])
-    variances = np.empty_like(means)
-    for i, (sl, n) in enumerate(zip(partition.slices, partition.py_sizes)):
-        vals = values[sl]
-        # the reductions run along each row's memory, exactly as the same
-        # reduction over that row alone, so rows match their vectors too
-        mean = np.add.reduce(vals) / n
-        means[i] = mean
-        variances[i] = _squared_deviations(vals, mean) / n
-    return means.T, variances.T
+    values, partition = theta.values, theta.partition
+    if out is None:
+        shape = values.shape[:-1] + (partition.n_blocks,)
+        out = np.empty(shape), np.empty(shape)
+    means, variances = out
+    slices = partition.slices
+    # each reduction runs along one row's memory, exactly as np.mean's over
+    # that row alone, so rows match their vectors too
+    if values.ndim == 1:
+        for i, (sl, n) in enumerate(zip(slices, partition.py_sizes)):
+            vals = values[sl]
+            means[i] = mean = np.add.reduce(vals) / n
+            variances[i] = _squared_deviations(vals, mean) / n
+        return means, variances
+    sizes = partition.sizes
+    for i, sl in enumerate(slices):
+        np.add.reduce(values[:, sl], axis=1, out=means[:, i])
+    np.divide(means, sizes, out=means)
+    if len(partition.spans) == 1:
+        dev = np.subtract(values, means.repeat(sizes, axis=1))
+        np.square(dev, out=dev)
+        for i, sl in enumerate(slices):
+            np.add.reduce(dev[:, sl], axis=1, out=variances[:, i])
+    else:
+        for i, sl in enumerate(slices):
+            _squared_deviations(values[:, sl], means[:, i, None], out=variances[:, i])
+    np.divide(variances, sizes, out=variances)
+    return means, variances

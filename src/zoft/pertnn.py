@@ -5,9 +5,11 @@ two perturbed losses, last scale, current block mean and variance) to one
 positive raw standard deviation.  The B networks share one hidden width H and
 are stored stacked along a leading block axis: W1 (B, H, 5), b1 (B, H),
 W2 (B, H) and b2 (B,).  One batched forward and one batched backward serve
-every block at once.  Batched `@` reproduces the per-block products bit for
-bit; the sigmoid in the backward pass stays the scalar `math.exp` form,
-because numpy's vectorised exp rounds differently.
+every block at once.  The forward pass's first layer is a batched `@` and
+its second np.vecdot, one dot per block and row; both reproduce the
+per-block products bit for bit, and the bias and tanh are applied in place.
+The sigmoid in the backward pass stays the scalar `math.exp` form, because
+numpy's vectorised exp rounds differently.
 Checkpoints are a line-oriented text format, written and read a line at a
 time; both directions walk one layout, `_block_rows`.
 """
@@ -122,8 +124,11 @@ def forward_all(params: PertNNParams, features: np.ndarray):
             f"expected features of shape ([R,] {params.n_blocks}, {N_FEATURES}), "
             f"got {features.shape}"
         )
-    h = np.tanh((params.w1 @ features[..., None])[..., 0] + params.b1)
-    y = (params.w2[..., None, :] @ h[..., None])[..., 0, 0] + params.b2
+    h = (params.w1 @ features[..., None])[..., 0]
+    h += params.b1
+    np.tanh(h, out=h)
+    y = np.vecdot(params.w2, h)
+    y += params.b2
     return np.logaddexp(0.0, y), ForwardCache(x=features, h=h, y=y)
 
 

@@ -169,7 +169,7 @@ def step_features(theta: ParamVector, state: OptState, current_loss=None,
     features[..., 0] = np.asarray(prev_losses.plus)[..., None]
     features[..., 1] = np.asarray(prev_losses.minus)[..., None]
     features[..., 2] = 1.0 if state.prev_scales is None else state.prev_scales
-    features[..., 3], features[..., 4] = block_stats(theta)
+    block_stats(theta, out=(features[..., 3], features[..., 4]))
     return features
 
 
@@ -194,31 +194,36 @@ def _used_scales(pertnn, features, partition, normalize, failures=None, learned=
 
     `learned` (one bool per row; None: every row) marks the rows that sample
     with the network's stds; the others sample with scales of exactly 1.0.
-    Each learned row is checked once, through _flag: a non-finite network
+    The used scales are tested once, all together; only when one of them
+    fails is each learned row checked, through _flag: a non-finite network
     output is NumericOverflowError, a non-finite or non-positive used scale (a
     softplus that underflows to 0, a budget that under- or overflows)
     InvalidScaleError.  A flagged row samples with unit scales until the step
-    ends.  A row that is not learned is never flagged.
+    ends.  A row that is not learned is never flagged.  The network's output
+    `raw` is never written to.
     """
     raw, cache = pertnn_mod.forward_all(pertnn, features)
     used, norm = raw, None
     if normalize:
         norm = _budget_factor(raw, partition)
         used = normalize_scales(raw, partition, norm)
-    valid = (used > 0) & (used < np.inf)
-    if learned is None:
-        if np.count_nonzero(valid) == valid.size:
+    # the one test: a nan fails min > 0 and max < inf too
+    if np.minimum.reduce(used, axis=None) > 0 and np.maximum.reduce(used, axis=None) < np.inf:
+        if learned is None:
             return raw, used, cache, norm
+        # a new array, as without normalization `used` is `raw`
+        return raw, np.where(learned[..., None], used, 1.0), cache, norm
+    if learned is None:
         learned = True
+    valid = (used > 0) & (used < np.inf)
     # a non-finite raw std makes its row's used stds non-finite
     bad = ~valid.all(axis=-1) & learned
-    if np.count_nonzero(bad):
-        finite, rows = np.isfinite(np.atleast_2d(raw)), np.atleast_2d(used)
-        names = np.array(pertnn.block_names)
-        _flag(failures, ~finite.all(axis=-1) & bad, lambda r: NumericOverflowError(
-            f"non-finite activation in blocks {', '.join(names[~finite[r]])}"))
-        _flag(failures, bad, lambda r: InvalidScaleError(
-            f"scales must be finite and strictly positive, got {rows[r]}"))
+    finite, rows = np.isfinite(np.atleast_2d(raw)), np.atleast_2d(used)
+    names = np.array(pertnn.block_names)
+    _flag(failures, ~finite.all(axis=-1) & bad, lambda r: NumericOverflowError(
+        f"non-finite activation in blocks {', '.join(names[~finite[r]])}"))
+    _flag(failures, bad, lambda r: InvalidScaleError(
+        f"scales must be finite and strictly positive, got {rows[r]}"))
     return (raw, np.where((bad | np.logical_not(learned))[..., None], 1.0, used), cache,
             norm)
 
@@ -257,8 +262,9 @@ def two_point(theta: ParamVector, scales: PerturbScales, seed: NoiseSeed,
     plus = losses()
     perturb_in_place(theta, scales, seed, -2.0 * epsilon)
     minus = losses()
-    _flag(failures, ~(np.isfinite(plus) & np.isfinite(minus)),
-          lambda r: NumericOverflowError("non-finite perturbed losses"))
+    finite = np.isfinite(plus) & np.isfinite(minus)
+    if np.count_nonzero(finite) != finite.size:
+        _flag(failures, ~finite, lambda r: NumericOverflowError("non-finite perturbed losses"))
     coeff = (plus - minus) / (2.0 * epsilon)
     # the restore and the update share one regeneration of u, and when no
     # run moves it is the plain restore.  A zero update in a row that stays
@@ -299,8 +305,10 @@ def step(theta: ParamVector, state: OptState, batch, config: ZOConfig,
                         config.epsilon, losses, learning_rate, failures)
     # once per step: an inf/nan entry makes its row's sum non-finite, and no
     # later move of the step makes it finite again
-    _flag(failures, ~np.isfinite(np.add.reduce(theta.values, axis=-1)),
-          lambda r: NumericOverflowError("perturbation produced non-finite parameters"))
+    finite = np.isfinite(np.add.reduce(theta.values, axis=-1))
+    if np.count_nonzero(finite) != finite.size:
+        _flag(failures, ~finite,
+              lambda r: NumericOverflowError("perturbation produced non-finite parameters"))
     # every step builds its scales anew, so the state keeps them uncopied
     state.prev_losses = pair
     state.prev_scales = scales.stds

@@ -467,8 +467,8 @@ class TestVerifyBound:
             verify_bound(task, theta, sc, [0.02], n=1)
 
     def test_task_is_read_once_for_every_step_size(self, monkeypatch):
-        # one BoundInputs per call: three step sizes read the gradient as
-        # often as one (once for the inputs, once per mode of expected_decrease)
+        # one gradient per call, whatever the number of step sizes: the
+        # inputs and both modes of expected_decrease share it
         task = make_rank_family([3, 5], [1.0, 4.0], [1.0, 1.0], seed=0)
         theta = task.init_theta(0)
         sc = PerturbScales.unit(task.partition)
@@ -478,7 +478,7 @@ class TestVerifyBound:
             verify_bound(task, theta, sc, etas, n=100)
             counts.append(len(calls))
             monkeypatch.undo()
-        assert counts == [3, 3]
+        assert counts == [1, 1]
 
 
 class TestSharedChunkedDraw:

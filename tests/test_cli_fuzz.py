@@ -224,3 +224,35 @@ def test_start_vector_that_overflows_is_a_config_error(tmp_path, capsys, checkpo
     assert err == ("zoft: config error: the start vector is not finite: lower "
                    "[task] init_scale or shift_scale\n")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_byte_order_mark_is_read_as_utf8(tmp_path, capsys):
+    # a UTF-8 byte-order mark ahead of the first section read as part of a
+    # line before any section header: exit 2, with a three-line message
+    codes, errs, outputs = [], [], []
+    for mark in ("", "\ufeff"):
+        out = tmp_path / f"out{len(mark)}"
+        path = write_ini(tmp_path / f"bounds{len(mark)}.ini", clamped("bounds"))
+        path.write_text(mark + path.read_text(encoding="utf-8"), encoding="utf-8")
+        codes.append(cli.main(["verify-bounds", "--config", str(path), "--out", str(out)]))
+        errs.append(capsys.readouterr().err)
+        outputs.append((out / "bounds.csv").read_bytes())
+    assert codes[0] == codes[1] == 0 and errs == ["", ""]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("x = 1\n", "line 1: 'x = 1' comes before any [section] header"),
+    # an indented line with no key before it, then a key without "="
+    ("[bounds]\n  stray\nsamples\n",
+     "line 2: '  stray' is neither a [section] header nor a key = value line"),
+    ("[bounds]\nsamples = 200\nsamples\n",
+     "line 3: 'samples' is neither a [section] header nor a key = value line"),
+])
+def test_unreadable_config_is_one_line(tmp_path, capsys, text, line):
+    # configparser's own messages spanned two or three lines
+    path = tmp_path / "bounds.ini"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["verify-bounds", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"zoft: config error: {path}: {line}\n", err

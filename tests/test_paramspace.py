@@ -100,6 +100,12 @@ class TestPerturbScales:
         sc = PerturbScales(np.array([2.0, 3.0]), two_block_partition())
         assert np.array_equal(sc.per_coordinate(), [2, 2, 2, 3, 3, 3, 3, 3])
 
+    def test_per_coordinate_expansion_of_rows(self):
+        # each row expands on its own, along the last axis
+        sc = PerturbScales(np.array([[2.0, 3.0], [5.0, 7.0]]), two_block_partition())
+        assert np.array_equal(sc.per_coordinate(), [[2, 2, 2, 3, 3, 3, 3, 3],
+                                                    [5, 5, 5, 7, 7, 7, 7, 7]])
+
     def test_budget(self):
         sc = PerturbScales(np.array([2.0, 3.0]), two_block_partition())
         assert np.dot(sc.partition.sizes, sc.stds**2) == 3 * 4.0 + 5 * 9.0
@@ -374,6 +380,24 @@ class TestBlockStats:
             for r in range(rows):  # a row's stats are its vector's, bit for bit
                 row_mean, row_var = block_stats(ParamVector(values[r], p))
                 assert np.array_equal(mean[r], row_mean) and np.array_equal(var[r], row_var)
+
+    @pytest.mark.parametrize("rows", [0, 1, 12])
+    @pytest.mark.parametrize("sizes", [(48, 16), (1, 129, 7), (3, _CHUNK + 77, 129)])
+    def test_written_into_feature_columns(self, rows, sizes):
+        # step_features has the statistics written straight into two strided
+        # columns of its feature array, and the other columns left alone
+        p = BlockPartition([(f"b{i}", s) for i, s in enumerate(sizes)])
+        rng = np.random.default_rng(rows + len(sizes))
+        shape = (rows, p.total) if rows else (p.total,)
+        values = rng.uniform(-1e3, 1e3) + rng.uniform(1e-3, 1e2) * rng.normal(size=shape)
+        features = np.full(shape[:-1] + (p.n_blocks, 5), np.nan)
+        mean, var = block_stats(ParamVector(values, p),
+                                out=(features[..., 3], features[..., 4]))
+        ref_mean, ref_var = reference_block_stats(values, p)
+        assert np.shares_memory(mean, features) and np.shares_memory(var, features)
+        assert np.array_equal(features[..., 3], ref_mean)
+        assert np.array_equal(features[..., 4], ref_var)
+        assert np.isnan(features[..., :3]).all()
 
     # blocks a little under, at and over one chunk, and at numpy's pairwise
     # split points above it: a block of n values is summed as halves of

@@ -135,6 +135,32 @@ class TestForward:
         with pytest.raises(Exception):
             pertnn.forward_all(params, np.zeros((3, 5)))
 
+    # hidden widths around SIMD and pairwise-sum strides, up to 1000; block
+    # counts up to 33; a feature vector, or 1, 12 or 24 rows
+    @pytest.mark.parametrize("hidden", [1, 2, 3, 7, 8, 16, 31, 32, 33, 64, 129, 1000])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 5, 33])
+    def test_second_layer_matches_the_batched_matmul(self, hidden, n_blocks):
+        # forward_all sums W2 . h with np.vecdot; the batched `@` it replaced
+        # is the reference, and every trajectory depends on these bits
+        rng = np.random.default_rng(hidden * 100 + n_blocks)
+        w2 = rng.uniform(-1, 1, (n_blocks, hidden)) / math.sqrt(hidden)
+        for rows in [(), (1,), (12,), (24,)]:
+            h = np.tanh(rng.normal(size=rows + (n_blocks, hidden)))
+            ref = (w2[..., None, :] @ h[..., None])[..., 0, 0]
+            assert np.array_equal(np.vecdot(w2, h), ref)
+
+    @pytest.mark.parametrize("rows", [(), (1,), (12,)])
+    def test_forward_all_matches_the_out_of_place_form(self, rows):
+        # the bias and tanh applied in place leave every bit of h, y and raw
+        p = BlockPartition([(f"b{i}", 3) for i in range(5)])
+        params = pertnn.init(p, hidden=32, seed=NoiseSeed(4))
+        features = np.random.default_rng(5).normal(size=rows + (5, pertnn.N_FEATURES))
+        h = np.tanh((params.w1 @ features[..., None])[..., 0] + params.b1)
+        y = (params.w2[..., None, :] @ h[..., None])[..., 0, 0] + params.b2
+        raw, cache = pertnn.forward_all(params, features)
+        assert np.array_equal(cache.h, h) and np.array_equal(cache.y, y)
+        assert np.array_equal(raw, np.logaddexp(0.0, y))
+
 
 class TestBackward:
     def test_matches_finite_differences(self):

@@ -96,6 +96,38 @@ class TestNormalizeScales:
         out = normalize_scales(np.array([s1, s2]), p)
         assert float(p.sizes @ out**2) == pytest.approx(p.total, rel=1e-12)
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_mixed_rows_sample_with_exactly_one(self, normalize):
+        # every scale is valid, so the one test passes: MeZO rows take 1.0,
+        # learned rows their used scales, and the network's raw output is
+        # left as it was, even where `used` is `raw` (normalization off)
+        p, learned = partition(), np.array([True, False, True, False])
+        net = pertnn.init(p, hidden=4, seed=NoiseSeed(2))
+        features = np.random.default_rng(3).normal(size=(4, 2, 5))
+        raw_alone, _ = pertnn.forward_all(net, features)
+        failures = {}
+        raw, used, _, _ = _used_scales(net, features, p, normalize, failures, learned)
+        assert failures == {} and np.array_equal(raw, raw_alone)
+        want = normalize_scales(raw, p) if normalize else raw
+        assert np.all(used[~learned] == 1.0)
+        assert np.array_equal(used[learned], want[learned])
+
+    def test_invalid_learned_rows_are_flagged_one_by_one(self):
+        # a softplus that underflows to 0 fails the one test; then each
+        # learned row is flagged on its own and samples with 1.0, and the
+        # MeZO rows, which are never flagged, sample with 1.0 too
+        p, learned = partition(), np.array([True, False, True, False])
+        net = pertnn.constant_params(p, hidden=1)
+        net.b2[1] = -800.0
+        features = np.zeros((4, 2, 5))
+        features[1, 0, 0] = np.nan  # a MeZO row's bad feature is its own business
+        failures = {}
+        with np.errstate(invalid="ignore"):
+            _, used, _, _ = _used_scales(net, features, p, True, failures, learned)
+        assert sorted(failures) == [0, 2]
+        assert all(isinstance(failures[r], InvalidScaleError) for r in failures)
+        assert np.all(used == 1.0)
+
     def test_rows_match_one_vector_at_a_time(self):
         p = partition()
         rows = np.random.default_rng(0).uniform(0.05, 20.0, (7, 2))
