@@ -9,6 +9,11 @@ cut-off), tasks are shuffled every outer step, and the model is periodically
 reset to its initial state.  Each inner step is handed to a recorder as it
 ends; the default one is columnar (MetaLog): one entry per inner step in
 arrays allocated before the first step, with no record object kept per step.
+
+An inner step reads the task's loss and gradient at two points, the
+lookahead point theta1 and the model's theta, each in one oracle call,
+``task.loss_and_grad``, that returns both with the bits of ``loss`` and
+``grad``; the two perturbed losses are ``task.loss`` calls.
 """
 
 from __future__ import annotations
@@ -63,8 +68,12 @@ class MetaConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.eta1 <= 0 or self.eta2 < 0:
-            raise ConfigError("epsilon and eta1 must be positive, eta2 nonnegative")
+        # the CLI's rule; a nan passes no comparison, so it fails here too
+        for name, strict in (("epsilon", True), ("eta1", True), ("eta2", False)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+                raise ConfigError(
+                    f"{name}={value!r} must be finite and {'>' if strict else '>='} 0")
         if self.reset_period < 1:
             raise ConfigError("reset_period must be >= 1")
         if self.steps < 0:
@@ -83,6 +92,7 @@ class MetaEval:
     norm: tuple | None  # the normalization's (budget, factor), None without it
     theta1: np.ndarray  # the loss's argument buffer, left holding theta1
     cache: pertnn_mod.ForwardCache
+    grad1: np.ndarray | None  # the gradient at theta1 (meta_grad reads and drops it)
 
 
 def meta_loss(theta: ParamVector, pertnn, task, task_state: OptState, batch,
@@ -93,7 +103,8 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: OptState, batch,
     u is formed in place in the buffer of its scales' expansion, and each
     loss's argument, theta1 last, is written into one more buffer: two
     vectors besides theta and z, with the roundings of theta + epsilon * u.
-    u is freed on return, before meta_grad takes the gradient at theta1.
+    u is freed before the loss at theta1, which is read with the gradient
+    there (MetaEval.grad1) in one task.loss_and_grad call.
 
     Meta-training stops at its first non-finite loss: NumericOverflowError.
     """
@@ -111,11 +122,13 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: OptState, batch,
             f"non-finite perturbed losses ({loss_plus}, {loss_minus})")
     coeff = (loss_plus - loss_minus) / (2.0 * epsilon)
     np.multiply(u, eta1 * coeff, out=arg)
+    del u
     theta1 = np.subtract(theta.values, arg, out=arg)
-    l_zo = float(task.loss(theta1, batch))
+    l_zo, grad1 = task.loss_and_grad(theta1, batch)
     return MetaEval(
         l_zo=l_zo, coeff=coeff, loss_pair=LossPair(loss_plus, loss_minus),
         raw_stds=raws, used_stds=used, norm=norm, theta1=theta1, cache=cache,
+        grad1=grad1,
     )
 
 
@@ -130,14 +143,16 @@ def meta_grad(theta: ParamVector, pertnn, task, task_state: OptState, batch,
     """
     ev = meta_loss(theta, pertnn, task, task_state, batch,
                    config.epsilon, config.eta1, z, config.normalize)
-    g1 = task.grad(ev.theta1, batch)
+    # the gradient is freed on return, before meta_step's gradient at theta
+    g1, ev.grad1 = ev.grad1, None
     # one dot per block: no batched reduction over ragged blocks reproduces
     # its summation order, and the trajectory depends on its bits
-    dots = np.array([dot(g1[sl], z[sl]) for sl in theta.partition.slices])
+    partition = theta.partition
+    dots = np.array([dot(g1[sl], z[sl]) for sl in partition.slices])
     d_used = -config.eta1 * ev.coeff * dots
     d_raw = d_used
     if config.normalize:
-        d_raw = normalize_scales_vjp(ev.raw_stds, theta.partition, d_used, ev.norm)
+        d_raw = normalize_scales_vjp(ev.raw_stds, partition, d_used, ev.norm, ev.used_stds)
     grads = pertnn_mod.backward(pertnn, ev.cache, d_raw)
     return grads, ev
 
@@ -147,12 +162,14 @@ def meta_step(theta: ParamVector, pertnn, task, task_state: OptState, batch,
     """One inner meta-training step: update the network, then move the model.
 
     Returns (l_zo, loss): the meta-objective's post-update loss and the
-    unperturbed loss before the model's SGD move.
+    unperturbed loss before the model's SGD move.  That loss and the move's
+    gradient are one task.loss_and_grad call, and the move is made in place.
     """
     grads, ev = meta_grad(theta, pertnn, task, task_state, batch, config, z)
     pertnn.add_scaled(grads, -config.eta2)
-    loss_t = float(task.loss(theta.values, batch))
-    theta.values -= config.eta1 * task.grad(theta.values, batch)
+    loss_t, g = task.loss_and_grad(theta.values, batch)
+    g *= config.eta1
+    theta.values -= g
     task_state.prev_losses = ev.loss_pair
     task_state.prev_scales = ev.used_stds
     return ev.l_zo, loss_t
@@ -225,21 +242,21 @@ def train(config: MetaConfig, tasks, pertnn, log=None):
     shuffle_rng = np.random.default_rng([_SHUFFLE_TAG, config.seed])
     initial_loss = None
     for t in range(1, config.steps + 1):
-        order = shuffle_rng.permutation(len(tasks))
+        order = shuffle_rng.permutation(len(tasks)).tolist()
         # the outer step's last task is where a reset is recorded
         reset_after = order[-1] if t % config.reset_period == 0 else None
         for idx in order:
             task = tasks[idx]
             batch = task.sample_batch(
-                config.batch_size, config.seed * 1000003 + t * 131 + int(idx)
+                config.batch_size, config.seed * 1000003 + t * 131 + idx
             )
             z = np.random.default_rng(
-                _seed_words(_Z_TAG, config.seed, t, int(idx))).standard_normal(partition.total)
+                _seed_words(_Z_TAG, config.seed, t, idx)).standard_normal(partition.total)
             try:
                 l_zo, loss = meta_step(theta, pertnn, task, states[idx], batch, config, z)
             except (NumericOverflowError, InvalidScaleError) as exc:
                 raise _divergence(t, exc) from exc
-            log.append(int(idx), l_zo, loss, idx == reset_after)
+            log.append(idx, l_zo, loss, idx == reset_after)
             if initial_loss is None:
                 initial_loss = abs(loss) + 1e-300
             if abs(loss) > DIVERGENCE_FACTOR * initial_loss:

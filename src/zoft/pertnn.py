@@ -4,10 +4,12 @@ Every parameter block has its own network mapping five step statistics (last
 two perturbed losses, last scale, current block mean and variance) to one
 positive raw standard deviation.  The B networks share one hidden width H and
 are stored stacked along a leading block axis: W1 (B, H, 5), b1 (B, H),
-W2 (B, H) and b2 (B,).  One batched forward and one batched backward serve
-every block at once.  The forward pass's first layer is a batched `@` and
-its second np.vecdot, one dot per block and row; both reproduce the
-per-block products bit for bit, and the bias and tanh are applied in place.
+W2 (B, H) and b2 (B,), views of one flat buffer in that order, so a copy,
+an update or a backward pass writes one array.  One batched forward and one
+batched backward serve every block at once.  The forward pass's first layer
+is a batched `@` and its second np.vecdot, one dot per block and row; both
+reproduce the per-block products bit for bit, and the bias and tanh are
+applied in place.
 The sigmoid in the backward pass stays the scalar `math.exp` form, because
 numpy's vectorised exp rounds differently.
 Checkpoints are a line-oriented text format, written and read a line at a
@@ -39,31 +41,58 @@ _INIT_TAG = 0x1417BEE
 # softplus(b2) == 1 at zero input, so a fresh network starts near unit scales.
 _B2_INIT = math.log(math.e - 1.0)
 
+# the weight arrays' names, in buffer and checkpoint order
+_WHAT = ("W1", "b1", "W2", "b2")
+
 
 class PertNNParams:
     """Weights of every block's network, stacked along the block axis.
 
     w1 (B, hidden, 5), b1 (B, hidden), w2 (B, hidden), b2 (B,); block i's
-    network is w1[i], b1[i], w2[i], b2[i].
+    network is w1[i], b1[i], w2[i], b2[i].  The four are views of one flat
+    buffer, `flat`, in that order, so a copy or an update is one call.
     """
 
     def __init__(self, block_names, hidden, w1, b1, w2, b2):
         if hidden < 1:
             raise ValueError(f"hidden width must be >= 1, got {hidden}")
+        self._allot(block_names, hidden)
+        for what, mine, arr in zip(_WHAT, self.arrays, (w1, b1, w2, b2)):
+            arr = np.asarray(arr, dtype=np.float64)
+            if arr.shape != mine.shape:
+                raise ValueError(f"{what} shape {arr.shape}, expected {mine.shape}")
+            mine[...] = arr
+        self._check_finite()
+
+    def _allot(self, block_names, hidden) -> None:
+        """Name the blocks and give them one uninitialised flat buffer."""
         self.block_names = tuple(block_names)
         self.hidden = int(hidden)
         n, h = len(self.block_names), self.hidden
-        shapes = {"W1": (n, h, N_FEATURES), "b1": (n, h), "W2": (n, h), "b2": (n,)}
-        arrays = []
-        for (what, shape), arr in zip(shapes.items(), (w1, b1, w2, b2)):
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"{what} shape {arr.shape}, expected {shape}")
+        # where b1, W2 and b2 start
+        b1, w2, b2 = n * h * N_FEATURES, n * h * (N_FEATURES + 1), n * h * (N_FEATURES + 2)
+        flat = self.flat = np.empty(b2 + n)
+        self.w1 = flat[:b1].reshape(n, h, N_FEATURES)
+        self.b1 = flat[b1:w2].reshape(n, h)
+        self.w2 = flat[w2:b2].reshape(n, h)
+        self.b2 = flat[b2:]
+
+    @classmethod
+    def _empty(cls, block_names, hidden) -> "PertNNParams":
+        """Unchecked and uninitialised: for weights that the package writes
+        itself, such as gradients, or checks after writing, as load does.
+        Weights from outside go through __init__."""
+        params = cls.__new__(cls)
+        params._allot(block_names, hidden)
+        return params
+
+    def _check_finite(self) -> None:
+        """NumericOverflowError naming the first weight array, in W1, b1, W2,
+        b2 order, that holds a non-finite value, and its first such block."""
+        for what, arr in zip(_WHAT, self.arrays):
             if not np.isfinite(arr).all():
                 name = self.block_names[np.argwhere(~np.isfinite(arr))[0][0]]
                 raise NumericOverflowError(f"block {name}: non-finite {what}")
-            arrays.append(arr)
-        self.w1, self.b1, self.w2, self.b2 = arrays
 
     @property
     def n_blocks(self) -> int:
@@ -73,25 +102,18 @@ class PertNNParams:
     def arrays(self) -> tuple:
         return (self.w1, self.b1, self.w2, self.b2)
 
-    @classmethod
-    def _wrap(cls, block_names, hidden, w1, b1, w2, b2) -> "PertNNParams":
-        """Unchecked: for arrays of the right shapes that the package computed
-        itself, such as gradients.  Weights from outside go through __init__."""
-        params = cls.__new__(cls)
-        params.block_names, params.hidden = block_names, hidden
-        params.w1, params.b1, params.w2, params.b2 = w1, b1, w2, b2
-        return params
-
     def copy(self) -> "PertNNParams":
-        return PertNNParams(self.block_names, self.hidden,
-                            *(a.copy() for a in self.arrays))
+        out = PertNNParams._empty(self.block_names, self.hidden)
+        out.flat[:] = self.flat
+        out._check_finite()
+        return out
 
     def add_scaled(self, other: "PertNNParams", factor: float) -> None:
-        """In-place self += factor * other (used for SGD updates)."""
+        """In-place self += factor * other (used for SGD updates); `other`
+        is left as it was."""
         if other.block_names != self.block_names or other.hidden != self.hidden:
             raise PartitionMismatchError("parameter shapes do not match")
-        for mine, theirs in zip(self.arrays, other.arrays):
-            mine += factor * theirs
+        self.flat += factor * other.flat
 
 
 @dataclass
@@ -136,19 +158,23 @@ def backward(params: PertNNParams, cache: ForwardCache, upstream):
     """Exact gradients of sum_i upstream_i * raw_std_i over every block.
 
     `upstream` is a scalar or one value per block, and the cache is of one
-    (n_blocks, 5) feature matrix.  Returns the parameter gradients as new
-    arrays that alias neither the parameters nor the cache, unchecked.
+    (n_blocks, 5) feature matrix.  Returns the parameter gradients, written
+    into one new buffer that aliases neither the parameters nor the cache,
+    unchecked.
     """
     w2 = params.w2
     if cache.h.shape != w2.shape or cache.x.shape != params.w1.shape[:-2] + (N_FEATURES,):
         raise ContractViolationError("cache does not match these parameters")
-    sig = np.array([_sigmoid(v) for v in cache.y.tolist()])
-    dy = upstream * sig
-    dpre = (dy[..., None] * w2) * (1.0 - cache.h**2)
-    return PertNNParams._wrap(
-        params.block_names, params.hidden,
-        dpre[..., :, None] * cache.x[..., None, :], dpre, dy[..., None] * cache.h, dy,
-    )
+    grads = PertNNParams._empty(params.block_names, params.hidden)
+    dy = np.multiply(upstream, [_sigmoid(v) for v in cache.y.tolist()], out=grads.b2)
+    # dpre = (dy * w2) * (1 - h**2), in b1's place, with 1 - h**2 in W2's
+    # until W2's gradient overwrites it: no temporary of the weights' size
+    dpre = np.multiply(dy[..., None], w2, out=grads.b1)
+    slope = np.square(cache.h, out=grads.w2)
+    dpre *= np.subtract(1.0, slope, out=slope)
+    np.multiply(dpre[..., :, None], cache.x[..., None, :], out=grads.w1)
+    np.multiply(dy[..., None], cache.h, out=grads.w2)
+    return grads
 
 
 def init(partition: BlockPartition, hidden: int = 64, seed: NoiseSeed = NoiseSeed(0)) -> PertNNParams:
@@ -257,20 +283,20 @@ def load(path) -> PertNNParams:
         if n_blocks < 1 or hidden < 1:
             raise DimensionMismatchError(
                 f"header declares {n_blocks} blocks of width {hidden}")
-        names = []
-        shapes = ((hidden, N_FEATURES), (hidden,), (hidden,), ())
-        params = PertNNParams._wrap(
-            names, hidden, *(np.empty((n_blocks, *shape)) for shape in shapes))
+        names = [""] * n_blocks  # each filled in as its line is read
+        params = PertNNParams._empty(names, hidden)
         try:
             for b in range(n_blocks):
-                names.append(next(lines))
+                names[b] = next(lines)
                 for what, row in _block_rows(params, b):
                     _parse_floats(next(lines), row, f"block {b} {what}")
         except StopIteration:
             raise TruncatedCheckpointError(
                 f"file declares {n_blocks} blocks but ends inside block {b}") from None
+    params.block_names = tuple(names)
     try:
-        return PertNNParams(names, hidden, *params.arrays)
+        params._check_finite()
     except NumericOverflowError as exc:
         # `float` reads "nan", "inf" and "1e999" as weights
         raise CheckpointError(f"{path}: {exc}") from exc
+    return params

@@ -8,10 +8,12 @@ Two families:
   tensors define the block partition.
 
 Both expose the same informal interface: ``partition``, ``init_theta``,
-``sample_batch``, ``loss`` and ``grad``.  ``loss`` takes what a ParamVector
-holds: a (d,) vector gives a float, (R, d) rows give R losses, each with the
-bits of its row's vector loss.  Rows of several quadratic tasks are one
-``QuadraticRows`` call.
+``sample_batch``, ``loss``, ``grad`` and ``loss_and_grad``.  ``loss`` takes
+what a ParamVector holds: a (d,) vector gives a float, (R, d) rows give R
+losses, each with the bits of its row's vector loss.  Rows of several
+quadratic tasks are one ``QuadraticRows`` call.  ``loss_and_grad`` is the
+pair (loss, grad) of a (d,) vector from one pass, each with the bits of its
+own call: meta-training reads both at each point it visits.
 """
 
 from __future__ import annotations
@@ -127,6 +129,10 @@ class QuadraticTask:
         return out if values.ndim > 1 else float(out)
 
     def grad(self, values: np.ndarray, batch=0) -> np.ndarray:
+        """The gradient of a (d,) vector, with the bits of loss_and_grad's.
+        It is its own pass because it needs no piece of scratch: a wide
+        rank task's gradient peaks at one d-sized vector, where
+        loss_and_grad's adds one _DOT_PIECE-value piece for the loss."""
         eigs = self._eigs
         if isinstance(eigs, np.ndarray):
             g = eigs * (values - self.theta_star)
@@ -137,11 +143,14 @@ class QuadraticTask:
             g += xi  # g is a new array either way
         return g
 
-    def block_grad_sqnorms(self, values: np.ndarray, batch=0) -> np.ndarray:
-        g = self.grad(values, batch)
-        return np.array(
-            [float(np.sum(g[sl] ** 2)) for sl in self.partition.slices]
-        )
+    def loss_and_grad(self, values: np.ndarray, batch=0) -> tuple[float, np.ndarray]:
+        """(loss, grad) of a (d,) vector from one pass of the loss, which
+        writes its eigs * delta into the returned gradient and adds the
+        batch noise after summing: the bits of both calls, and one d-sized
+        vector above _DOT_PIECE values."""
+        g = np.empty(values.shape)
+        loss = _quadratic_loss(values, self.theta_star, self._eigs, self._batch_noise(batch), g)
+        return float(loss), g
 
     def sample_batch(self, batch_size: int, seed: int):
         # A quadratic "batch" is just the noise key; the key is the seed itself
@@ -189,11 +198,13 @@ class _BlockSpectrum:
         return delta
 
 
-def _quadratic_loss(values, theta_star, eigs, xi):
+def _quadratic_loss(values, theta_star, eigs, xi, grad=None):
     """0.5 delta'(eigs * delta) + xi'delta with delta = values - theta_star,
     for a (d,) vector or (R, d) rows (xi None: no noise term).  theta_star,
     eigs and xi are (d,), shared by every row, or (R, d), one row each;
-    above _DOT_PIECE values eigs may also be a _BlockSpectrum.
+    above _DOT_PIECE values eigs may also be a _BlockSpectrum.  Given a
+    `grad` buffer of the values' shape, eigs * delta is formed there and xi
+    added after the sums, leaving the gradient in it.
 
     np.vecdot runs one BLAS dot per row, as `@` does for one vector (an
     einsum or a matrix product may sum in another order), so a row's loss
@@ -201,32 +212,36 @@ def _quadratic_loss(values, theta_star, eigs, xi):
     same pieces.
     """
     if values.shape[-1] > _DOT_PIECE:
-        return _loss_in_pieces(values, theta_star, eigs, xi)
+        return _loss_in_pieces(values, theta_star, eigs, xi, grad)
     delta = values - theta_star
-    out = 0.5 * np.vecdot(delta, eigs * delta)
+    out = 0.5 * np.vecdot(delta, np.multiply(eigs, delta, out=grad))
     if xi is not None:
         out += np.vecdot(delta, xi)
+        if grad is not None:
+            grad += xi
     return out
 
 
-def _loss_in_pieces(values, theta_star, eigs, xi):
+def _loss_in_pieces(values, theta_star, eigs, xi, grad=None):
     """_quadratic_loss above _DOT_PIECE values.
 
     Each dot is summed as paramspace.dot sums it, one BLAS dot per
     _DOT_PIECE-value piece in index order, so its bits do not depend on the
     BLAS thread count.  The piece's delta and eigs * delta go into scratch
-    of one piece per row, never a d-sized temporary; a _BlockSpectrum forms
-    the piece's eigenvalues in the eigs * delta scratch, which the product
-    then overwrites.
+    of one piece per row, never a d-sized temporary, or eigs * delta into
+    the piece of `grad`, which then takes the piece's xi; a _BlockSpectrum
+    forms the piece's eigenvalues where eigs * delta goes, and the product
+    then overwrites them.
     """
     d = values.shape[-1]
     delta = np.empty(values.shape[:-1] + (_DOT_PIECE,))
-    curved = np.empty_like(delta)
+    curved = np.empty_like(delta) if grad is None else None
     dense = isinstance(eigs, np.ndarray)
     quad = noise = None
     for lo in range(0, d, _DOT_PIECE):
         hi = min(lo + _DOT_PIECE, d)
-        piece, scaled = delta[..., :hi - lo], curved[..., :hi - lo]
+        piece = delta[..., :hi - lo]
+        scaled = curved[..., :hi - lo] if grad is None else grad[..., lo:hi]
         np.subtract(values[..., lo:hi], theta_star[..., lo:hi], out=piece)
         lam = eigs[..., lo:hi] if dense else eigs.fill(lo, hi, scaled)
         np.multiply(lam, piece, out=scaled)
@@ -235,6 +250,8 @@ def _loss_in_pieces(values, theta_star, eigs, xi):
         if xi is not None:
             part = np.vecdot(piece, xi[..., lo:hi])
             noise = part if noise is None else noise + part
+            if grad is not None:
+                scaled += xi[..., lo:hi]
     out = 0.5 * quad
     if xi is not None:
         out += noise
@@ -454,29 +471,44 @@ class MLPTask:
         replace = batch_size > self.n_samples
         return rng.choice(self.n_samples, size=batch_size, replace=replace)
 
+    def _forward(self, values: np.ndarray, batch):
+        """(w2, inputs, labels, hidden activations, class probabilities) of
+        the batch."""
+        w1, b1, w2, b2 = self._unpack(values)
+        xb, yb = self.X[batch], self.y[batch]
+        hidden = np.tanh(xb @ w1 + b1)
+        return w2, xb, yb, hidden, _softmax_rows(hidden @ w2 + b2)
+
     def loss(self, values: np.ndarray, batch):
         """A float for a (d,) vector, R losses for (R, d) rows."""
         if values.ndim > 1:
             return np.array([self.loss(row, batch) for row in values])
-        w1, b1, w2, b2 = self._unpack(values)
-        xb, yb = self.X[batch], self.y[batch]
-        hidden = np.tanh(xb @ w1 + b1)
-        probs = _softmax_rows(hidden @ w2 + b2)
-        return float(-np.mean(np.log(probs[np.arange(len(yb)), yb])))
+        _, _, yb, _, probs = self._forward(values, batch)
+        return _cross_entropy(probs, yb)
 
     def grad(self, values: np.ndarray, batch) -> np.ndarray:
-        w1, b1, w2, b2 = self._unpack(values)
-        xb, yb = self.X[batch], self.y[batch]
-        n = len(yb)
-        pre = xb @ w1 + b1
-        hidden = np.tanh(pre)
-        probs = _softmax_rows(hidden @ w2 + b2)
-        dlogits = probs.copy()
-        dlogits[np.arange(n), yb] -= 1.0
-        dlogits /= n
-        gw2 = hidden.T @ dlogits
-        gb2 = dlogits.sum(axis=0)
-        dhidden = (dlogits @ w2.T) * (1.0 - hidden**2)
-        gw1 = xb.T @ dhidden
-        gb1 = dhidden.sum(axis=0)
-        return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+        return _backprop(*self._forward(values, batch))
+
+    def loss_and_grad(self, values: np.ndarray, batch) -> tuple[float, np.ndarray]:
+        """(loss, grad) of a (d,) vector from one forward pass."""
+        w2, xb, yb, hidden, probs = self._forward(values, batch)
+        return _cross_entropy(probs, yb), _backprop(w2, xb, yb, hidden, probs)
+
+
+def _cross_entropy(probs: np.ndarray, yb: np.ndarray) -> float:
+    return float(-np.mean(np.log(probs[np.arange(len(yb)), yb])))
+
+
+def _backprop(w2, xb, yb, hidden, probs) -> np.ndarray:
+    """The flat W1 | b1 | W2 | b2 gradient of the mean cross-entropy, from
+    MLPTask._forward's values."""
+    n = len(yb)
+    dlogits = probs.copy()
+    dlogits[np.arange(n), yb] -= 1.0
+    dlogits /= n
+    gw2 = hidden.T @ dlogits
+    gb2 = dlogits.sum(axis=0)
+    dhidden = (dlogits @ w2.T) * (1.0 - hidden**2)
+    gw1 = xb.T @ dhidden
+    gb1 = dhidden.sum(axis=0)
+    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])

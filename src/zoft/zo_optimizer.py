@@ -17,6 +17,7 @@ seed step together as one population.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ class ZOConfig:
     normalize: bool = True  # ablation switch; leave on outside ablations
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # a nan fails no `<= 0` test
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon={self.epsilon!r} must be finite and > 0")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.batch_size < 1:
@@ -134,15 +136,16 @@ def normalize_scales(stds: np.ndarray, partition, norm=None) -> np.ndarray:
 
 
 def normalize_scales_vjp(stds: np.ndarray, partition, upstream: np.ndarray,
-                         norm) -> np.ndarray:
-    """Pull a gradient w.r.t. normalize_scales(stds) back to stds, given
-    norm = _budget_factor(stds, partition) from the forward pass.
+                         norm, used: np.ndarray) -> np.ndarray:
+    """Pull a gradient w.r.t. used = normalize_scales(stds) back to stds,
+    given norm = _budget_factor(stds, partition) and `used` from the forward
+    pass.
 
     With s' = factor * s:  d s'_i / d s_k = factor * delta_ik - s'_i d_k s_k / budget,
     which couples every block through the shared budget.
     """
     budget, factor = norm
-    inner = float(upstream @ (stds * factor))
+    inner = float(upstream @ used)
     return factor * upstream - (partition.sizes * stds / budget) * inner
 
 
@@ -207,8 +210,8 @@ def _used_scales(pertnn, features, partition, normalize, failures=None, learned=
     if normalize:
         norm = _budget_factor(raw, partition)
         used = normalize_scales(raw, partition, norm)
-    # the one test: a nan fails min > 0 and max < inf too
-    if np.minimum.reduce(used, axis=None) > 0 and np.maximum.reduce(used, axis=None) < np.inf:
+    # the one test, of a few values each as a Python float: a nan fails it too
+    if all(0.0 < v < math.inf for v in used.ravel().tolist()):
         if learned is None:
             return raw, used, cache, norm
         # a new array, as without normalization `used` is `raw`

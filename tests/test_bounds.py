@@ -96,7 +96,8 @@ class TestBoundInputs:
         assert list(inp.block_sizes) == [3, 5]
         assert np.allclose(inp.ranks, [1.0, 4.0])
         assert inp.smoothness == 2.0
-        assert np.allclose(inp.grad_sqnorms, task.block_grad_sqnorms(theta))
+        g = task.grad(theta, 0)
+        assert np.allclose(inp.grad_sqnorms, [np.sum(g[sl] ** 2) for sl in task.partition.slices])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -374,6 +374,19 @@ class TestMetaConfigValidation:
         with pytest.raises(ConfigError):
             MetaConfig(**kwargs)
 
+    # a nan passes no `<= 0` test: before it was refused, eta2 = nan trained
+    # one step, poisoned the network and ended in a divergence at step 2
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, rule", [("epsilon", "> 0"), ("eta1", "> 0"),
+                                             ("eta2", ">= 0")])
+    def test_rejects_non_finite(self, field, rule, value):
+        kwargs = dict(eta1=0.05, eta2=0.05, steps=1, epsilon=1e-3) | {field: value}
+        with pytest.raises(ConfigError, match=f"^{field}=.* must be finite and {rule}$"):
+            MetaConfig(**kwargs)
+
+    def test_accepts_a_frozen_network(self):
+        assert MetaConfig(eta1=0.05, eta2=0.0, steps=1).eta2 == 0.0
+
 
 class TestSeedWords:
     @pytest.mark.parametrize("key", [0, 2**32 - 1, 2**32, 2**64 + 5])

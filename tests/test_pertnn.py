@@ -253,12 +253,50 @@ class TestParams:
         a.add_scaled(b, 0.5)
         assert np.allclose(flatten(a), expect, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("factor", [0.5, -0.05, 1.0 / 3.0])
+    def test_add_scaled_has_the_bits_of_per_array_updates(self, factor):
+        a, b = random_params(seed=1), random_params(seed=2)
+        want = [mine.copy() for mine in a.arrays]
+        for mine, theirs in zip(want, b.arrays):
+            mine += factor * theirs
+        a.add_scaled(b, factor)
+        for got, mine in zip(a.arrays, want):
+            assert got.tobytes() == mine.tobytes()
+
+    def test_add_scaled_leaves_its_argument_as_it_was(self):
+        a, b = random_params(seed=1), random_params(seed=2)
+        before = b.flat.copy()
+        a.add_scaled(b, -0.05)
+        assert b.flat.tobytes() == before.tobytes()
+
     def test_copy(self):
         a = random_params()
         b = a.copy()
         assert_same_params(a, b)
         b.w1[0, 0, 0] += 1.0
         assert a.w1[0, 0, 0] != b.w1[0, 0, 0]
+
+    def test_copy_shares_no_memory(self):
+        a = random_params()
+        b = a.copy()
+        for x, y in itertools.product((a.flat, *a.arrays), (b.flat, *b.arrays)):
+            assert not np.shares_memory(x, y)
+
+    def test_weights_are_views_of_one_buffer(self, tmp_path):
+        # W1, b1, W2 and b2, in that order, tile the flat buffer
+        params = random_params()
+        features = np.random.default_rng(0).normal(size=(params.n_blocks, pertnn.N_FEATURES))
+        _, cache = pertnn.forward_all(params, features)
+        pertnn.save(params, tmp_path / "net.ckpt")
+        built = [params, params.copy(), pertnn.load(tmp_path / "net.ckpt"),
+                 pertnn.backward(params, cache, np.array([0.5, -2.0])),
+                 pertnn.PertNNParams(params.block_names, params.hidden, *params.arrays)]
+        for p in built:
+            assert p.flat.ndim == 1 and p.flat.size == sum(a.size for a in p.arrays)
+            for arr in p.arrays:
+                assert arr.base is p.flat
+            tiled = np.concatenate([arr.ravel() for arr in p.arrays])
+            assert tiled.tobytes() == p.flat.tobytes()
 
     def test_init_deterministic(self):
         assert_same_params(random_params(seed=3), random_params(seed=3))

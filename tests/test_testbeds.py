@@ -79,7 +79,7 @@ class TestQuadraticTask:
         p = BlockPartition([("a", 2), ("b", 2)])
         task = QuadraticTask(p, eigs=[1.0, 1.0, 2.0, 2.0], theta_star=np.zeros(4))
         theta = np.array([1.0, 2.0, 1.0, 1.0])
-        assert np.allclose(task.block_grad_sqnorms(theta), [5.0, 8.0])
+        assert np.allclose(BoundInputs.from_task(task, theta).grad_sqnorms, [5.0, 8.0])
 
     def test_validation(self):
         p = BlockPartition([("a", 2)])
@@ -191,7 +191,8 @@ class TestCompactSpectrum:
         task, twin = wide_task_and_twin(noise_tau)
         theta = task.init_theta(1)
         assert same_bits(task.grad(theta, 3), twin.grad(theta, 3))
-        assert same_bits(task.block_grad_sqnorms(theta, 3), twin.block_grad_sqnorms(theta, 3))
+        assert same_bits(BoundInputs.from_task(task, theta, task.grad(theta, 3)).grad_sqnorms,
+                         BoundInputs.from_task(twin, theta, twin.grad(theta, 3)).grad_sqnorms)
         assert same_bits(task.effective_ranks(), twin.effective_ranks())
         assert same_bits(task.smoothness, twin.smoothness)
         for i in range(task.partition.n_blocks):
@@ -319,3 +320,37 @@ class TestMLPTask:
         task = MLPTask()
         assert np.array_equal(task.sample_batch(16, 9), task.sample_batch(16, 9))
         assert not np.array_equal(task.sample_batch(16, 9), task.sample_batch(16, 10))
+
+
+def _fused_cases():
+    """(task, points, batches) of every loss path: a dense and a noisy small
+    quadratic, a wide rank family (a block wider than a chunk) and its dense
+    twin, noise-free and noisy, and the MLP at both granularities."""
+    rng = np.random.default_rng(5)
+    p = BlockPartition([("a", 3), ("b", 4)])
+    eigs, star = rng.uniform(0.1, 2.0, 7), rng.normal(size=7)
+    yield "dense", QuadraticTask(p, eigs=eigs, theta_star=star), (0, 0)
+    yield "noisy", QuadraticTask(p, eigs=eigs, theta_star=star, noise_tau=0.5, seed=1), (2, 3)
+    for tau in (0.0, 0.5):
+        task, twin = wide_task_and_twin(tau)
+        yield f"wide-rank-{tau}", task, (0, 3)
+        yield f"wide-dense-{tau}", twin, (0, 3)
+    for granularity in ("block", "layer"):
+        mlp = MLPTask(data_seed=1, granularity=granularity)
+        yield f"mlp-{granularity}", mlp, (mlp.sample_batch(16, 0), mlp.sample_batch(16, 1))
+
+
+FUSED_CASES = {name: (task, batches) for name, task, batches in _fused_cases()}
+
+
+class TestLossAndGrad:
+    @pytest.mark.parametrize("name", list(FUSED_CASES))
+    def test_has_the_bits_of_loss_and_grad(self, name):
+        task, batches = FUSED_CASES[name]
+        for k, batch in enumerate(batches):
+            theta = task.init_theta(k)
+            loss, grad = task.loss_and_grad(theta, batch)
+            assert type(loss) is float
+            assert same_bits(loss, task.loss(theta, batch))
+            assert same_bits(grad, task.grad(theta, batch))
+            assert not np.shares_memory(grad, theta)

@@ -456,3 +456,8 @@ class TestZOConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             ZOConfig(**kwargs)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="^epsilon=.* must be finite and > 0$"):
+            ZOConfig(1, epsilon=epsilon)
