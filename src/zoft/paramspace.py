@@ -6,13 +6,14 @@ reversed, and re-applied without keeping a second parameter-sized buffer alive.
 A stream is reached by rewinding one shared generator to its seed's base state
 and advancing it, so nothing is kept per stream, and a run's memory does not
 grow with its step count.
-A walk regenerates the noise in fixed-size chunks into reused scratch, so its
-own memory is O(chunk) at any dimension, and it can apply several moves along
-one regeneration.  A partition of one span (d <= 32768 values) keeps its noise
-between walks, so the three walks of an optimizer step draw it once; a longer
-one regenerates it on every walk.  Parameters are (R, d) rows, one per run of
-a population, and a single (d,) vector walks as one row: the rows share one
-noise stream, so one draw serves every row.
+A walk can apply several moves along one regeneration.  A partition of one
+span (d <= 32768 values) keeps its noise between walks, so the three walks of
+an optimizer step draw it once, and its scratch is one chunk per row.  A longer
+one regenerates its noise on every walk, one 8192-value piece at a time into
+reused scratch, so its scratch is one piece of noise and one piece per row at
+any dimension: no more than a loss call's two pieces per row.  Parameters are
+(R, d) rows, one per run of a population, and a single (d,) vector walks as
+one row: the rows share one noise stream, so one draw serves every row.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class BlockPartition:
             slice(o, o + s) for o, s in zip(offs, sizes)
         )
         self.spans = _span_plan(offs, sizes)
-        self.max_span = min(_CHUNK, self.total)
 
     @property
     def n_blocks(self) -> int:
@@ -87,8 +87,10 @@ def _span_plan(offsets, sizes) -> tuple:
     A span may cover several blocks, and a block wider than a chunk spreads
     over several spans.  Each span is (slice, length, lengths, blocks): the
     blocks it covers as a slice of block indices, and the length of each
-    one's piece of the span, in partition order (None when the span lies
-    inside one block, whose factor column broadcasts over it).
+    one's share of the span, in partition order (None when the span lies
+    inside one block, whose factor column broadcasts over it).  A walk of
+    several spans cuts each into _DOT_PIECE-value pieces as it goes, so the
+    plan holds no per-piece entry.
     """
     total, n = offsets[-1] + sizes[-1], len(sizes)
     spans, i = [], 0
@@ -274,22 +276,23 @@ def perturb_in_place(
     theta holds (R, d) rows, or one (d,) vector that walks as one row;
     scales hold one row per theta row or one set that every row shares, and
     each step is one value, or one value per row.  Every row sees the same
-    z, so z is drawn once for all.  u is regenerated once, span by span (see
-    _span_plan): each span's z is drawn in one call, and every step is
-    applied to it before the next span is drawn.  For each span, each
-    step's factors step * stds[i] of the span's blocks are formed in one
-    multiply and spread over the span's values, or broadcast where the span
-    lies inside one block, so the result is bit-identical to one call per
-    step, per row and per block.  Scratch is one chunk of z and one chunk
-    per row, never a block- or d-sized buffer, which is the whole point of
-    the store-a-seed design.
+    z, so z is drawn once for all.  Each step's factors step * stds[i] are
+    formed in one multiply per span (see _span_plan) and spread over the
+    values they scale, or broadcast where the values lie inside one block,
+    so the result is bit-identical to one call per step, per row and per
+    block.
 
-    A partition of one span (d <= 32768 values) keeps its z between calls,
-    so the three walks of an optimizer step draw it once; a longer partition
-    regenerates it on every walk.  Either way each walk applies the same z
-    bits, and the kept z is at most one chunk.  The one span covers every
-    value and every block, so such a walk slices neither theta nor the
-    scales.
+    A partition of one span (d <= 32768 values) draws its z in one call and
+    keeps it between calls, so the three walks of an optimizer step draw it
+    once; its scratch is one chunk per row, for the moves.  The one span
+    covers every value and every block, so such a walk slices neither theta
+    nor the scales.  A longer partition regenerates u on every walk, one
+    _DOT_PIECE-value piece at a time: each piece's z is drawn in one call
+    from the stream, and every step is applied to it before the next piece
+    is drawn.  Its scratch is one piece of z and one piece per row, no more
+    than a loss call's, never a block- or d-sized buffer, which is the
+    whole point of the store-a-seed design.  Either way each walk applies
+    the same z bits.
 
     Nothing here checks for overflow: the caller checks finiteness once per
     step, since one row's overflow must not stop the others.
@@ -302,25 +305,39 @@ def perturb_in_place(
     per_block = scales.stds.reshape(-1, partition.n_blocks).T
     spans = partition.spans
     if len(spans) == 1:
-        gen, z = None, _KEPT.draw(seed, partition.total)
-    else:
-        gen, z_buf = _stream_rng(seed), np.empty(partition.max_span)
-    for sl, n, lengths, blocks in spans:
-        if gen is None:
-            dst, stds = rows, per_block
-        else:
-            z = z_buf[:n]
-            gen.standard_normal(out=z)
-            dst, stds = rows[:, sl], per_block[blocks]
+        z, lengths = _KEPT.draw(seed, partition.total), spans[0][2]
         for step in steps:
-            factor = (stds * step).T  # (R, the span's blocks)
-            if lengths is None:
-                move = factor * z
-            else:
-                move = factor.repeat(lengths, axis=1)  # each value's factor
-                move *= z
-            dst += move
-            del move  # one chunk per row at a time
+            _add_move(rows, (per_block * step).T, lengths, z)
+        return
+    gen, z_buf = _stream_rng(seed), np.empty(_DOT_PIECE)
+    for sl, n, lengths, blocks in spans:
+        dst = rows[:, sl]
+        factors = [(per_block[blocks] * step).T for step in steps]
+        # where each of the span's blocks starts and ends within it
+        bounds = None if lengths is None else np.append(0, lengths.cumsum())
+        piece_lengths = None
+        for lo in range(0, n, _DOT_PIECE):
+            hi = min(lo + _DOT_PIECE, n)
+            z = z_buf[:hi - lo]
+            gen.standard_normal(out=z)
+            if bounds is not None:
+                # the piece's length of each block, 0 for one outside it
+                cut = np.minimum(np.maximum(bounds, lo), hi)
+                piece_lengths = cut[1:] - cut[:-1]
+            for factor in factors:
+                _add_move(dst[:, lo:hi], factor, piece_lengths, z)
+
+
+def _add_move(dst, factor, lengths, z) -> None:
+    """dst += each value's factor times z.  factor is (R, blocks), each
+    column spread over its block's length of the values, or one column
+    broadcast over all of them when lengths is None."""
+    if lengths is None:
+        dst += factor * z
+    else:
+        move = factor.repeat(lengths, axis=1)
+        move *= z
+        dst += move
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -337,15 +354,16 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _squared_deviations(vals: np.ndarray, mean, out=None):
     """np.add.reduce((vals - mean)**2, axis=-1), bit for bit, with scratch of
-    at most one chunk per row, written into `out` when it is given.
+    at most one _DOT_PIECE-value piece per row, written into `out` when it
+    is given.
 
     numpy sums a contiguous run pairwise: a run of over 128 values is the
-    sum of its halves, split at n2 = n // 2 rounded down to a multiple of 8.
-    So a block wider than a chunk is split the same way, and the halves'
-    sums add up to the block's.
+    sum of its halves, split at n2 = n // 2 rounded down to a multiple of 8,
+    whatever the length.  So a run wider than a piece is split the same
+    way, and the halves' sums add up to the run's.
     """
     n = vals.shape[-1]
-    if n > _CHUNK:
+    if n > _DOT_PIECE:
         half = n // 2
         half -= half % 8
         return np.add(_squared_deviations(vals[..., :half], mean),
@@ -368,7 +386,8 @@ def block_stats(theta: ParamVector, out=None):
     squared deviations by the block sizes in one call each.  The deviations
     of a partition of one span (d <= 32768 values) are formed for every
     block at once, one chunk per row; a longer partition's are formed a
-    block and a chunk at a time.
+    block and a _DOT_PIECE-value piece at a time (see _squared_deviations),
+    one piece per row, less than a loss call's scratch.
     """
     values, partition = theta.values, theta.partition
     if out is None:

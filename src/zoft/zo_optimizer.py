@@ -371,8 +371,9 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     The models must share one partition, and every step evaluates all rows
     in one loss call: the model's own loss when the rows share one model,
     QuadraticRows for rows of several quadratic tasks.  Rows of several
-    models that are not all quadratic tasks raise ValueError.  A start
-    vector that is not finite raises ConfigError.
+    models that are not all quadratic tasks raise ValueError, as does a
+    learning rate that is negative or not finite, before the first step.  A
+    start vector that is not finite raises ConfigError.
 
     `learned` holds one bool per row: True for a finetuner row, which samples
     with the scale network's stds, False for a MeZO row, which samples with
@@ -397,8 +398,9 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     lrs = np.array(learning_rates, dtype=np.float64)
     if not models or lrs.shape != (len(models),):
         raise ValueError("need one learning rate per model, and at least one model")
-    if np.any(lrs < 0):
-        raise ValueError("learning rate must be nonnegative")
+    # a nan fails both comparisons
+    if not np.all((lrs >= 0) & (lrs < np.inf)):
+        raise ValueError("learning rate must be finite and nonnegative")
     finetuner = config.mode == "finetuner"
     learned = np.full(len(models), finetuner) if learned is None else np.array(learned, bool)
     if learned.shape != lrs.shape:

@@ -3,11 +3,11 @@
 A run keeps its parameters, its output columns (a race's runs: their final
 windows) and O(chunk) scratch.  Each test measures the tracemalloc peak of a
 short and a long run and bounds the difference by the bytes of what the
-longer run keeps, plus a small slack for allocator noise.  At large d, a loss call and a step keep
-a few chunks of scratch above the parameters, never a d-sized temporary,
-and a meta-step keeps four parameter vectors.  The
-command line's parser, which only the collector can free, is gone before the
-command runs.
+longer run keeps, plus a small slack for allocator noise.  At large d, a
+loss call keeps a few pieces of scratch above the parameters, never a
+d-sized temporary, a step no more than a loss call, and a meta-step keeps
+four parameter vectors.  The command line's parser, which only the
+collector can free, is gone before the command runs.
 """
 
 import argparse
@@ -250,10 +250,32 @@ class TestLargeDimension:
         chunk = 8 * _CHUNK
         # two dot pieces of scratch
         assert traced_peak(lambda: model.loss(theta.values, 2)) <= chunk
-        # the walk's chunk of noise and chunk of moves, block_stats' chunk
-        # of deviations freed before the walk
+        # the walk's piece of noise and piece of moves, block_stats' piece
+        # of deviations freed before the walk (see the test below)
         assert traced_peak(lambda: step(theta, state, 2, config, model.loss, 1e-5,
                                         net)) <= 3 * chunk
+
+    @pytest.mark.parametrize("rows", [0, 3], ids=["vector", "three-rows"])
+    def test_a_step_peaks_at_one_loss_call(self, rows):
+        # above one chunk the walk draws a piece of z and forms a piece of
+        # moves per row, and block_stats forms a piece of deviations per
+        # row, so no stage of a step holds more scratch than a loss call's
+        # two pieces per row.  A walk that drew a chunk of z and formed a
+        # chunk of moves per row peaked at 4x (vector) and 2.7x (three rows)
+        # a loss call
+        model = make_rank_family([150_000, 40_000, 9_990, 10],
+                                 [7500.0, 2000.0, 500.0, 2.0], [1.0, 0.5, 1.0, 2.0],
+                                 seed=0)
+        net = pertnn.init(model.partition, 8, NoiseSeed(0))
+        start = model.init_theta(0)
+        theta = ParamVector(np.stack([start] * rows) if rows else start, model.partition)
+        lrs = np.full(rows, 1e-5) if rows else 1e-5
+        config = ZOConfig(steps=2, mode="finetuner", seed=0)
+        state = OptState()
+        step(theta, state, 1, config, model.loss, lrs, net)
+        loss_peak = traced_peak(lambda: model.loss(theta.values, 2))
+        assert traced_peak(lambda: step(theta, state, 2, config, model.loss, lrs,
+                                        net)) <= loss_peak + SLACK
 
     def test_meta_training_keeps_four_parameter_vectors(self):
         # theta, the step's draw z, u and one argument buffer; then theta,

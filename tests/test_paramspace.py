@@ -16,6 +16,8 @@ from zoft.paramspace import (
     ParamVector,
     PerturbScales,
     _CHUNK,
+    _DOT_PIECE,
+    _squared_deviations,
     _stream_rng,
     block_stats,
     perturb_in_place,
@@ -235,6 +237,24 @@ class TestPerturbInPlace:
             perturb_in_place(theta, PerturbScales(stds, p), seed, 1.0)
             assert np.array_equal(theta.values, reference)
 
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_pieces_cut_blocks_where_the_reference_does(self, rows):
+        # above one chunk the walk draws a piece at a time: here blocks end
+        # inside a span's fourth piece and a later span's second, and a
+        # 3-value block lies inside one piece, so every piece but the first
+        # has blocks of length 0 on either side
+        sizes = [5000, 20_000, 3, 9000, 40_000, 7]
+        p = BlockPartition([(f"b{i}", s) for i, s in enumerate(sizes)])
+        stds = 1.0 + np.arange(p.n_blocks) / 8.0
+        factors = np.array([1.0, 0.5, 2.0][:rows or 1])
+        seed = NoiseSeed(4, stream=6)
+        theta = ParamVector(np.zeros((rows, p.total) if rows else p.total), p)
+        all_stds = np.outer(factors, stds) if rows else stds
+        perturb_in_place(theta, PerturbScales(all_stds, p), seed, 1.0)
+        for row, f in zip(theta.values.reshape(-1, p.total), factors):
+            assert np.array_equal(row, sample_block_noise(p, PerturbScales(f * stds, p),
+                                                          seed))
+
     def test_fused_moves_equal_sequential_walks(self):
         p = multi_chunk_partition()
         sc = PerturbScales(np.array([0.7, 1.3, 2.0]), p)
@@ -399,11 +419,12 @@ class TestBlockStats:
         assert np.array_equal(features[..., 4], ref_var)
         assert np.isnan(features[..., :3]).all()
 
-    # blocks a little under, at and over one chunk, and at numpy's pairwise
-    # split points above it: a block of n values is summed as halves of
-    # n // 2 rounded down to a multiple of 8, so 2 and 4 chunks plus a few
-    # values put a half, or a quarter, just over or under a chunk
-    @given(width=st.sampled_from([_CHUNK, 2 * _CHUNK, 3 * _CHUNK, 4 * _CHUNK]),
+    # blocks a little under, at and over one piece or chunk, and at numpy's
+    # pairwise split points above it: a block of n values is summed as
+    # halves of n // 2 rounded down to a multiple of 8, so 2 and 4 pieces
+    # plus a few values put a half, or a quarter, just over or under a piece
+    @given(width=st.sampled_from([_DOT_PIECE, 2 * _DOT_PIECE, _CHUNK, 2 * _CHUNK,
+                                  3 * _CHUNK, 4 * _CHUNK]),
            offset=st.integers(-24, 24), rows=st.integers(0, 2),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -418,3 +439,29 @@ class TestBlockStats:
         for r in range(rows):
             row_mean, row_var = block_stats(ParamVector(values[r], p))
             assert np.array_equal(mean[r], row_mean) and np.array_equal(var[r], row_var)
+
+
+class TestSquaredDeviations:
+    # under and over numpy's 128-value pairwise block, around one piece and
+    # one chunk, and widths whose halves numpy rounds down to a multiple of
+    # 8 (16,394 and 65,550 split at 8192 and 32,768, not at 8197 and 32,775)
+    @pytest.mark.parametrize("n", [1, 7, 128, 129, 8191, 8192, 8193, 16_394, 32768, 32769,
+                                   65_550, 100_003])
+    @pytest.mark.parametrize("rows", [0, 3])
+    @pytest.mark.parametrize("into", [False, True], ids=["returned", "out"])
+    def test_has_the_bits_of_numpy(self, n, rows, into):
+        rng = np.random.default_rng(n + rows)
+        shape = (rows, n) if rows else (n,)
+        values = 3.0 + rng.normal(size=shape)
+        # block_stats' means: a numpy scalar for a vector, a column for rows
+        mean = np.add.reduce(values, axis=-1, keepdims=bool(rows)) / n
+        expected = np.add.reduce((values - mean) ** 2, axis=-1)
+        if not into:
+            got = _squared_deviations(values, mean)
+        else:
+            # a strided column, as block_stats writes into, for rows
+            out = np.full((rows, 2), np.nan)[:, 1] if rows else np.empty(())
+            got = _squared_deviations(values, mean, out=out)
+            assert got is out
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)

@@ -9,6 +9,7 @@ failed rows.
 """
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -361,9 +362,20 @@ class TestFailures:
             run_population([MLPTask(data_seed=0), MLPTask(data_seed=1)], [0.05, 0.05],
                            config)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -1.0])
+    def test_rejects_a_rate_that_is_not_finite_and_nonnegative(self, lr):
+        # before the first step: a nan or infinite rate once ran to a numpy
+        # RuntimeWarning and a divergence at step 1
+        model = make_rank_family([4, 4], [2.0, 3.0], [1.0, 1.0], seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="learning rate must be finite and "
+                               "nonnegative"):
+                run_population([model, model], [0.05, lr], ZOConfig(2, seed=0))
+
 
 def test_population_walk_allocates_no_parameter_sized_buffer():
-    # R rows share each chunk of z: scratch is one chunk of z and one per
+    # R rows share each piece of z: scratch is one piece of z and one per
     # row, at most a tenth of the rows' parameter bytes
     p = BlockPartition([("a", 750_000), ("b", 250_000)])
     rows = 2
