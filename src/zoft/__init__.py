@@ -15,7 +15,7 @@ from .zo_optimizer import (
     RunRecord,
     ZOConfig,
     normalize_scales,
-    run_finetune,
+    run_population,
 )
 from .meta_trainer import MetaConfig, train
 from .testbeds import MLPTask, QuadraticFamily, QuadraticTask, make_rank_family
@@ -52,7 +52,7 @@ __all__ = [
     "normalize_scales",
     "optimal_scales",
     "perturb_in_place",
-    "run_finetune",
+    "run_population",
     "sample_block_noise",
     "train",
     "verify_bound",

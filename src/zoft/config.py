@@ -29,7 +29,7 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class Key:
-    """One config key: `type` is str, int, float or bool, and a `many` key is
+    """One config key: `type` is str, int or float, and a `many` key is
     a non-empty comma-separated list of them, with no value twice when
     `distinct` (nor two numbers that print alike, see _fmt).  `default` is
     REQUIRED, a value, or a function of the config that works it out.  A
@@ -94,7 +94,7 @@ KEYS = {
     "train": _run("steps epsilon batch_size checkpoint", seed=_SEED,
                   tasks=Key(int, 1, low=1), hidden=Key(int, 64, low=1),
                   eta1=Key(float, low=0, strict=True), eta2=Key(float, low=0),
-                  reset_period=Key(int, 50, low=1), normalize=Key(bool, True)),
+                  reset_period=Key(int, 50, low=1)),
     "finetune": _run("seeds steps epsilon batch_size checkpoint task_index granularity",
                      mode=Key(str, "mezo", choices=_METHOD_NAMES),
                      lr=Key(float, low=0), experiment=Key(str, "finetune", cell=True)),
@@ -118,16 +118,14 @@ KEYS = {
     },
 }
 
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
-          "false": False, "no": False, "off": False, "0": False}
-_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+_NAMES = {int: "an integer", float: "a number"}
 
 
 def _parse(spec: Key, text: str, where: str):
     """One item of a key, converted to its type and checked."""
     try:
-        value = _BOOLS[text.lower()] if spec.type is bool else spec.type(text)
-    except (KeyError, ValueError) as exc:
+        value = spec.type(text)
+    except ValueError as exc:
         raise ConfigError(f"{where}={text!r} is not {_NAMES[spec.type]}") from exc
     if spec.type is str and "\0" in value:
         raise ConfigError(f"{where}={text!r} must hold no NUL byte")

@@ -137,9 +137,9 @@ def _run_rows(experiment: str, results):
             yield f"{head},{t},{_fmt(loss)},{per_step_ms},{_fmt(smin)},{_fmt(smed)},{_fmt(smax)}"
 
 
-def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True, log=None):
+def _meta_train(cfg: ExperimentConfig, tasks, log, normalize=True, reset=True):
     """Meta-train a finetuner on `tasks` per [train], each inner step handed
-    to `log` (see meta_trainer.train); returns (pertnn, log)."""
+    to `log` (see meta_trainer.train); returns the trained network."""
     steps = cfg.get("train", "steps")
     reset_period = cfg.get("train", "reset_period")
     seed = cfg.get("train", "seed")
@@ -155,7 +155,8 @@ def _meta_train(cfg: ExperimentConfig, tasks, normalize=True, reset=True, log=No
     )
     init_params = pertnn_mod.init(tasks[0].partition, cfg.get("train", "hidden"),
                                   NoiseSeed(seed))
-    return meta_trainer.train(meta_cfg, tasks, init_params, log)
+    trained, _ = meta_trainer.train(meta_cfg, tasks, init_params, log)
+    return trained
 
 
 def _load_checkpoint_if_needed(cfg: ExperimentConfig, section, methods, out_dir: Path,
@@ -200,8 +201,7 @@ def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, timing: bool = Fal
         raise ConfigError(f"[train] checkpoint = {name!r} is where the run writes "
                           f"{log_path.name}")
     with _written_on_success(log_path) as f:
-        trained, _ = _meta_train(cfg, tasks, normalize=cfg.get("train", "normalize"),
-                                 log=_MetaLogWriter(f, [task.name for task in tasks]))
+        trained = _meta_train(cfg, tasks, _MetaLogWriter(f, [task.name for task in tasks]))
         ckpt.parent.mkdir(parents=True, exist_ok=True)
         pertnn_mod.save(trained, ckpt)
     return 0
@@ -245,6 +245,14 @@ class _MetaLogWriter:
         self.n += 1
         self.f.write(f"{t},{self.task_names[task]},{_fmt(l_zo)},{_fmt(loss)},"
                      f"{int(reset)}\n".encode())
+
+
+class _Discard:
+    """meta_trainer.train's recorder for a command that writes no log: it
+    keeps nothing of an inner step."""
+
+    def append(self, task: int, l_zo: float, loss: float, reset: bool) -> None:
+        pass
 
 
 def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> int:
@@ -402,7 +410,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
                  for norm in ((True, False) if "normalization" in axes else (True,))]
     lines = ["cell,seed,final_loss"]
     for cell_name, model, train_tasks, norm, reset in cells:
-        trained, _ = _meta_train(cfg, train_tasks, normalize=norm, reset=reset)
+        trained = _meta_train(cfg, train_tasks, _Discard(), normalize=norm, reset=reset)
         jobs = [(model, "finetuner", lr, seed) for seed in seeds]
         for result in _run_cells(jobs, steps, epsilon, batch_size, trained, normalize=norm,
                                  timing=timing, race=Race(window=window), columns=False):

@@ -90,7 +90,6 @@ class MetaEval:
     raw_stds: np.ndarray
     used_stds: np.ndarray
     norm: tuple | None  # the normalization's (budget, factor), None without it
-    theta1: np.ndarray  # the loss's argument buffer, left holding theta1
     cache: pertnn_mod.ForwardCache
     grad1: np.ndarray | None  # the gradient at theta1 (meta_grad reads and drops it)
 
@@ -123,12 +122,10 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: OptState, batch,
     coeff = (loss_plus - loss_minus) / (2.0 * epsilon)
     np.multiply(u, eta1 * coeff, out=arg)
     del u
-    theta1 = np.subtract(theta.values, arg, out=arg)
-    l_zo, grad1 = task.loss_and_grad(theta1, batch)
+    l_zo, grad1 = task.loss_and_grad(np.subtract(theta.values, arg, out=arg), batch)
     return MetaEval(
         l_zo=l_zo, coeff=coeff, loss_pair=LossPair(loss_plus, loss_minus),
-        raw_stds=raws, used_stds=used, norm=norm, theta1=theta1, cache=cache,
-        grad1=grad1,
+        raw_stds=raws, used_stds=used, norm=norm, cache=cache, grad1=grad1,
     )
 
 

@@ -391,8 +391,8 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     Returns one entry per row: its RunRecord, or the DivergenceError that
     ended it.  A row diverges once its loss exceeds 1e6 x its initial loss,
     or once a loss, a parameter or a scale becomes non-finite or invalid; it
-    then leaves the population and the others go on unchanged.  One row is
-    the same population: run_finetune is that case.
+    then leaves the population and the others go on unchanged.  A single
+    run is the one-row case: [outcome] = run_population([model], [lr], config).
     """
     models = list(models)
     lrs = np.array(learning_rates, dtype=np.float64)
@@ -494,16 +494,3 @@ def _keep_rows(theta: ParamVector, state: OptState, keep) -> None:
     if state.learned is not None:
         state.learned = state.learned[keep]
 
-
-def run_finetune(model, learning_rate: float, config: ZOConfig, pertnn=None) -> RunRecord:
-    """Run T steps of seeded two-point fine-tuning on a testbed model.
-
-    The model provides init_theta / sample_batch / loss.  A fresh batch is
-    sampled every step.  Aborts with DivergenceError once the loss exceeds
-    1e6 x the initial loss, or once a loss, a parameter or a scale becomes
-    non-finite or invalid.  This is the one-row case of run_population.
-    """
-    [outcome] = run_population([model], [learning_rate], config, pertnn)
-    if isinstance(outcome, DivergenceError):
-        raise outcome
-    return outcome

@@ -39,7 +39,6 @@ from zoft.zo_optimizer import (
     OptState,
     ZOConfig,
     normalize_scales,
-    run_finetune,
     run_population,
     step_features,
     two_point,
@@ -142,8 +141,8 @@ class TestVarianceBudget:
         family = race_family()
         task = family.make_task(0)
         net = pertnn.init(task.partition, 8, NoiseSeed(3))
-        traj = run_finetune(
-            task, 0.02, ZOConfig(steps=50, mode="finetuner", seed=0),
+        [traj] = run_population(
+            [task], [0.02], ZOConfig(steps=50, mode="finetuner", seed=0),
             net,
         )
         d = task.partition.total
@@ -470,8 +469,8 @@ class TestSeededRegeneration:
         if started:
             tracemalloc.start()
         try:
-            run_finetune(
-                task, 1e-7, ZOConfig(steps=3, mode="finetuner", seed=0),
+            run_population(
+                [task], [1e-7], ZOConfig(steps=3, mode="finetuner", seed=0),
                 net,
             )
         finally:
@@ -788,11 +787,11 @@ batch_size = 4
 # loss call reduces over more values than OpenBLAS runs on one thread.
 BLAS_THREADS_SCRIPT = """
 from zoft.testbeds import make_rank_family
-from zoft.zo_optimizer import ZOConfig, run_finetune, run_population
+from zoft.zo_optimizer import ZOConfig, run_population
 model = make_rank_family([40000, 10000, 123], [4000.0, 1000.0, 12.0],
                          [1.0, 1.0, 1.0], noise_tau=0.5, seed=0)
 config = ZOConfig(steps=20, seed=0)
-runs = [run_finetune(model, 1e-4, config)]
+runs = run_population([model], [1e-4], config)
 runs += run_population([model, model], [1e-4, 3e-5], config)
 print(" ".join(float(x).hex() for run in runs for x in run.loss))
 """

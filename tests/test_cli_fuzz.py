@@ -76,7 +76,7 @@ def test_one_bad_key_never_raises(tmp_path, capsys):
                     assert err == "", cell
                 codes.append(code)
     assert time.perf_counter() - start < 30.0
-    assert len(codes) == 1450 and {0, 2} <= set(codes)
+    assert len(codes) == 1430 and {0, 2} <= set(codes)
 
 
 @pytest.mark.parametrize("name, key, value", [

@@ -25,9 +25,6 @@ seed = 7
 steps = 100        # trailing comment
 lr = 0.05
 
-[train]
-normalize = yes
-
 [compare]
 methods = mezo, finetuner
 """
@@ -38,7 +35,6 @@ class TestAccessors:
         cfg = write_cfg(tmp_path, BASIC)
         assert cfg.get("finetune", "steps") == 100
         assert cfg.get("finetune", "lr") == 0.05
-        assert cfg.get("train", "normalize") is True
         assert cfg.get("compare", "methods") == ["mezo", "finetuner"]
         assert cfg.get("task", "block_sizes") == [4, 8]
         assert cfg.get("task", "ranks") == [1.0, 4.0]
@@ -61,8 +57,8 @@ class TestAccessors:
             cfg.get("compare", "lr_grid")
 
     @pytest.mark.parametrize("section, key, text", [
-        ("finetune", "steps", "0.05"), ("train", "normalize", "100"),
-    ], ids=["int-steps", "bool-normalize"])
+        ("finetune", "steps", "0.05"),
+    ], ids=["int-steps"])
     def test_type_errors_name_key(self, tmp_path, section, key, text):
         cfg = write_cfg(tmp_path, BASIC)
         cfg.set(section, key, text)

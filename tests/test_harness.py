@@ -993,12 +993,20 @@ steps = 5
                          str(tmp_path / "o")]) == 0
 
     def test_undeclared_key_is_rejected(self, tmp_path, capsys):
-        # a typo used to run silently with the default epsilon of 1e-3
-        cfg = write_config(tmp_path, TASK + FINETUNE + "epsilion = 0.01\n")
-        out = tmp_path / "o"
-        assert cli.main(["finetune", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "[finetune] has no key 'epsilion'" in capsys.readouterr().err
-        assert not out.exists()
+        # a typo used to run silently with the default epsilon of 1e-3, and a
+        # network trained unnormalized was deployed normalized
+        for command, text, message in [
+            ("finetune", TASK + FINETUNE + "epsilion = 0.01\n",
+             "[finetune] has no key 'epsilion'"),
+            ("train-finetuner", TASK + TRAIN + "normalize = no\n",
+             "[train] has no key 'normalize'"),
+        ]:
+            cfg = write_config(tmp_path, text)
+            out = tmp_path / "o"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("zoft:") and message in line, line
+            assert not out.exists()
 
     def test_bound_violation_return_code(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, "[task]\nkind = quadratic\nblock_sizes = 4\n")

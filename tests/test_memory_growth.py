@@ -198,6 +198,21 @@ class TestMemoryGrowth:
 
         assert peak_growth(run, 50, 400) <= SLACK
 
+    def test_ablate_is_flat_in_its_train_steps(self, tmp_path):
+        # each cell's meta-training writes no log, so it keeps none: a log
+        # of every inner step grew by about 50 B an inner step
+        sections = clamped("ablate")
+        sections["train"]["tasks"] = "8"
+        sections["ablate"]["axes"] = "reset"
+
+        def run(steps):
+            sections["train"]["steps"] = str(steps)
+            path = write_ini(tmp_path / "ablate.ini", sections)
+            assert cli.main(["ablate", "--config", str(path), "--out",
+                             str(tmp_path)]) == 0
+
+        assert peak_growth(run, 50, 400) <= SLACK
+
     def test_write_lines_streams_a_generator(self, tmp_path):
         def lines(n):
             for k in range(n):

@@ -21,7 +21,7 @@ from zoft.zo_optimizer import (
     _scales_for_step,
     _used_scales,
     normalize_scales,
-    run_finetune,
+    run_population,
     step,
     step_features,
     two_point,
@@ -405,43 +405,44 @@ class TestStep:
 class TestRunFinetune:
     def test_loss_decreases_on_easy_quadratic(self):
         task = make_rank_family([4, 4], [4.0, 4.0], [1.0, 1.0], seed=0)
-        traj = run_finetune(task, 0.1, ZOConfig(300, mode="mezo", seed=0))
+        [traj] = run_population([task], [0.1], ZOConfig(300, mode="mezo", seed=0))
         assert len(traj.loss) == 300
         tail = np.mean(traj.loss[-30:])
         assert tail < 0.2 * traj.loss[0]
 
     def test_deterministic(self):
         task = quadratic()
-        a = run_finetune(task, 0.05, ZOConfig(50, mode="mezo", seed=7))
-        b = run_finetune(task, 0.05, ZOConfig(50, mode="mezo", seed=7))
+        [a] = run_population([task], [0.05], ZOConfig(50, mode="mezo", seed=7))
+        [b] = run_population([task], [0.05], ZOConfig(50, mode="mezo", seed=7))
         assert np.array_equal(a.loss, b.loss)
 
     def test_seed_changes_trajectory(self):
         task = quadratic()
-        a = run_finetune(task, 0.05, ZOConfig(20, mode="mezo", seed=7))
-        b = run_finetune(task, 0.05, ZOConfig(20, mode="mezo", seed=8))
+        [a] = run_population([task], [0.05], ZOConfig(20, mode="mezo", seed=7))
+        [b] = run_population([task], [0.05], ZOConfig(20, mode="mezo", seed=8))
         assert not np.array_equal(a.loss, b.loss)
 
     def test_divergence_guard(self):
         task = make_rank_family([4, 4], [4.0, 4.0], [5.0, 5.0], seed=0)
-        with pytest.raises(DivergenceError):
-            run_finetune(task, 5.0, ZOConfig(500, mode="mezo", seed=0))
+        [outcome] = run_population([task], [5.0], ZOConfig(500, mode="mezo", seed=0))
+        assert isinstance(outcome, DivergenceError)
 
     def test_non_finite_loss_is_divergence(self):
         task = make_rank_family([4, 4], [4.0, 4.0], [1.0, 1.0], seed=0)
-        with pytest.raises(DivergenceError, match="non-finite"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            run_finetune(task, 1e155, ZOConfig(20, mode="mezo", seed=0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            [outcome] = run_population([task], [1e155], ZOConfig(20, mode="mezo", seed=0))
+        assert isinstance(outcome, DivergenceError) and "non-finite" in str(outcome)
 
     @pytest.mark.parametrize("lr", [-0.1, -5e-324, -np.inf])
     def test_rejects_negative_learning_rate(self, lr):
         with pytest.raises(ValueError, match="nonnegative"):
-            run_finetune(quadratic(), lr, ZOConfig(5, mode="mezo", seed=0))
+            run_population([quadratic()], [lr], ZOConfig(5, mode="mezo", seed=0))
 
     def test_finetuner_runs_with_fresh_network(self):
         task = quadratic()
         net = pertnn.init(partition(), hidden=8, seed=NoiseSeed(0))
-        traj = run_finetune(task, 0.05, ZOConfig(40, mode="finetuner", seed=0), net)
+        [traj] = run_population([task], [0.05], ZOConfig(40, mode="finetuner", seed=0),
+                                net)
         assert len(traj.loss) == 40
         assert traj.scales.shape == (40, 2) and np.all(np.isfinite(traj.scales))
 
