@@ -108,7 +108,8 @@ KEYS = {
                   plateau_ratio=Key(float, 0.9, low=0, strict=True),
                   experiment=Key(str, "sweep", cell=True)),
     "ablate": _run("seeds epsilon batch_size task_index final_window", steps=_SOME_STEPS,
-                   axes=Key(str, many=True, choices=("reset", "normalization", "partition")),
+                   axes=Key(str, many=True, choices=("reset", "normalization", "partition"),
+                            distinct=True),
                    lr=Key(float, low=0)),
     "bounds": {
         "rank_profiles": Key(str),  # per-block ranks, profiles split by ';'

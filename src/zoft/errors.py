@@ -6,7 +6,8 @@ class ZoftError(Exception):
 
 
 class PartitionMismatchError(ZoftError):
-    """Scales, vectors, or networks do not agree on the block partition."""
+    """Scales, vectors, networks or activation caches do not agree on the
+    block partition."""
 
 
 class NumericOverflowError(ZoftError):
@@ -17,24 +18,9 @@ class InvalidScaleError(ZoftError):
     """Perturbation scales are non-positive, non-finite, or sum to a zero budget."""
 
 
-class ContractViolationError(ZoftError):
-    """An activation cache or state object does not match its producer."""
-
-
 class CheckpointError(ZoftError):
-    """Base class for checkpoint parse failures."""
-
-
-class MagicMismatchError(CheckpointError):
-    """The checkpoint header does not start with the expected magic string."""
-
-
-class TruncatedCheckpointError(CheckpointError):
-    """The checkpoint ended before all declared blocks were read."""
-
-
-class DimensionMismatchError(CheckpointError):
-    """A checkpoint row has the wrong number of fields."""
+    """A checkpoint file is malformed or was trained for other blocks; the
+    message starts with the file's path."""
 
 
 class DivergenceError(ZoftError):

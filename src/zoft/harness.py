@@ -22,13 +22,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import meta_trainer, pertnn as pertnn_mod
 from .config import ExperimentConfig, _fmt, build_task_source
-from .errors import (
-    ConfigError,
-    DegenerateBoundError,
-    DimensionMismatchError,
-    DivergenceError,
-    NumericOverflowError,
-)
+from .errors import ConfigError, DegenerateBoundError, DivergenceError, NumericOverflowError
 from .paramspace import NoiseSeed, PerturbScales
 from .testbeds import check_ranks, make_rank_family
 from .zo_optimizer import Race, RunRecord, ZOConfig, run_population
@@ -161,20 +155,11 @@ def _meta_train(cfg: ExperimentConfig, tasks, log, normalize=True, reset=True):
 
 def _load_checkpoint_if_needed(cfg: ExperimentConfig, section, methods, out_dir: Path,
                                partition):
-    """Load the section's checkpoint when a method needs it, for `partition`."""
-    if not any(m == "finetuner" for m in methods):
+    """Load the section's checkpoint (a relative name is in `out_dir`) when a
+    method needs it, for `partition`."""
+    if "finetuner" not in methods:
         return None
-    name = cfg.get(section, "checkpoint")
-    path = Path(name)
-    if not path.is_absolute():
-        path = out_dir / name
-    params = pertnn_mod.load(path)
-    if params.block_names != partition.names:
-        raise DimensionMismatchError(
-            f"{path}: checkpoint blocks {list(params.block_names)} do not match "
-            f"the model's blocks {list(partition.names)}"
-        )
-    return params
+    return pertnn_mod.load(out_dir / cfg.get(section, "checkpoint"), partition.names)
 
 
 def _model(cfg: ExperimentConfig, section: str, kind: str, source):
@@ -200,10 +185,10 @@ def cmd_train_finetuner(cfg: ExperimentConfig, out_dir: Path, timing: bool = Fal
     if ckpt.resolve() in (log_path.resolve(), _part(log_path).resolve()):
         raise ConfigError(f"[train] checkpoint = {name!r} is where the run writes "
                           f"{log_path.name}")
-    with _written_on_success(log_path) as f:
-        trained = _meta_train(cfg, tasks, _MetaLogWriter(f, [task.name for task in tasks]))
-        ckpt.parent.mkdir(parents=True, exist_ok=True)
-        pertnn_mod.save(trained, ckpt)
+    with _written_on_success(log_path) as log:
+        trained = _meta_train(cfg, tasks, _MetaLogWriter(log, [task.name for task in tasks]))
+        with _written_on_success(ckpt) as f:
+            pertnn_mod.save(trained, f)
     return 0
 
 
@@ -395,6 +380,10 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
 
     # each cell's (name, model, meta-training tasks, normalize, reset)
     if "partition" in axes:
+        if len(axes) > 1:
+            raise ConfigError(f"[ablate] axes = {', '.join(axes)}: partition must be the "
+                              "only axis, since reset and normalization need a quadratic "
+                              "family")
         if kind != "mlp":
             raise ConfigError("[ablate] the partition axis needs an mlp task")
         models = [source(granularity) for granularity in ("block", "layer")]

@@ -13,25 +13,20 @@ applied in place.
 The sigmoid in the backward pass stays the scalar `math.exp` form, because
 numpy's vectorised exp rounds differently.
 Checkpoints are a line-oriented text format, written and read a line at a
-time; both directions walk one layout, `_block_rows`.
+time; both directions walk one layout, `_block_rows`.  `load` holds every
+check of a checkpoint: its format, its weights, and the blocks it fits.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CheckpointError,
-    ContractViolationError,
-    DimensionMismatchError,
-    MagicMismatchError,
-    NumericOverflowError,
-    TruncatedCheckpointError,
-)
-from .paramspace import BlockPartition, NoiseSeed, PartitionMismatchError
+from .errors import CheckpointError, NumericOverflowError, PartitionMismatchError
+from .paramspace import BlockPartition, NoiseSeed
 
 N_FEATURES = 5
 CHECKPOINT_MAGIC = "ZOFT-PERTNN v1"
@@ -164,7 +159,7 @@ def backward(params: PertNNParams, cache: ForwardCache, upstream):
     """
     w2 = params.w2
     if cache.h.shape != w2.shape or cache.x.shape != params.w1.shape[:-2] + (N_FEATURES,):
-        raise ContractViolationError("cache does not match these parameters")
+        raise PartitionMismatchError("cache does not match these parameters")
     grads = PertNNParams._empty(params.block_names, params.hidden)
     dy = np.multiply(upstream, [_sigmoid(v) for v in cache.y.tolist()], out=grads.b2)
     # dpre = (dy * w2) * (1 - h**2), in b1's place, with 1 - h**2 in W2's
@@ -228,26 +223,25 @@ def _checkpoint_lines(params: PertNNParams):
             yield " ".join(map(_fmt, row))
 
 
-def save(params: PertNNParams, path) -> None:
-    """Write the checkpoint a line at a time: the file is binary, so each
-    encoded line goes straight into its buffer, and the text is never held
-    whole."""
-    with open(path, "wb") as f:
-        for line in _checkpoint_lines(params):
-            f.write(f"{line}\n".encode())
+def save(params: PertNNParams, f) -> None:
+    """Write the checkpoint into the open binary file `f` a line at a time:
+    each encoded line goes straight into the file's buffer, and the text is
+    never held whole."""
+    for line in _checkpoint_lines(params):
+        f.write(f"{line}\n".encode())
 
 
 def _parse_floats(line: str, out: np.ndarray, what: str) -> None:
     fields = line.split()
     if len(fields) != out.size:
-        raise DimensionMismatchError(f"{what}: expected {out.size} fields, got {len(fields)}")
+        raise CheckpointError(f"{what}: expected {out.size} fields, got {len(fields)}")
     try:
         out[:] = [float(v) for v in fields]
     except ValueError as exc:
-        raise DimensionMismatchError(f"{what}: {exc}") from exc
+        raise CheckpointError(f"{what}: {exc}") from exc
 
 
-def _text_lines(f, path):
+def _text_lines(f):
     """The binary file's lines, decoded one at a time, newline stripped; a
     byte that is not UTF-8 is named by its offset in the file."""
     at = 0
@@ -256,47 +250,67 @@ def _text_lines(f, path):
             yield raw.decode("utf-8").rstrip("\r\n")
         except UnicodeDecodeError as exc:
             raise CheckpointError(
-                f"{path}: not UTF-8 text: {exc.reason} at byte {at + exc.start}") from exc
+                f"not UTF-8 text: {exc.reason} at byte {at + exc.start}") from exc
         at += len(raw)
 
 
-def load(path) -> PertNNParams:
-    """Read a checkpoint a line at a time, each line parsed straight into the
-    weights it holds (see _block_rows)."""
-    with open(path, "rb") as f:
-        lines = _text_lines(f, path)
-        magic = next(lines, None)
-        if magic != CHECKPOINT_MAGIC:
-            got = "<empty file>" if magic is None else magic
-            raise MagicMismatchError(f"expected magic {CHECKPOINT_MAGIC!r}, got {got!r}")
-        header = next(lines, None)
-        if header is None:
-            raise TruncatedCheckpointError("missing header line")
-        try:
-            fields = dict(kv.split("=", 1) for kv in header.split())
-            n_blocks, hidden, features = (
-                int(fields[k]) for k in ("blocks", "hidden", "features"))
-        except (KeyError, ValueError) as exc:
-            raise DimensionMismatchError(f"malformed header {header!r}") from exc
-        if features != N_FEATURES:
-            raise DimensionMismatchError(f"unsupported feature count {features}")
-        if n_blocks < 1 or hidden < 1:
-            raise DimensionMismatchError(
-                f"header declares {n_blocks} blocks of width {hidden}")
-        names = [""] * n_blocks  # each filled in as its line is read
-        params = PertNNParams._empty(names, hidden)
-        try:
-            for b in range(n_blocks):
-                names[b] = next(lines)
-                for what, row in _block_rows(params, b):
-                    _parse_floats(next(lines), row, f"block {b} {what}")
-        except StopIteration:
-            raise TruncatedCheckpointError(
-                f"file declares {n_blocks} blocks but ends inside block {b}") from None
-    params.block_names = tuple(names)
+def load(path, block_names) -> PertNNParams:
+    """The checkpoint at `path`, for a model whose blocks are `block_names`.
+
+    Every failure is a CheckpointError whose message starts with the path.
+    A malformed file or a non-finite weight is reported before blocks named
+    other than `block_names`.
+    """
     try:
-        params._check_finite()
-    except NumericOverflowError as exc:
+        with open(path, "rb") as f:
+            params = _read(f, os.fstat(f.fileno()).st_size)
         # `float` reads "nan", "inf" and "1e999" as weights
+        params._check_finite()
+    except (CheckpointError, NumericOverflowError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
+    if params.block_names != tuple(block_names):
+        raise CheckpointError(f"{path}: checkpoint blocks {list(params.block_names)} do "
+                              f"not match the model's blocks {list(block_names)}")
+    return params
+
+
+def _read(f, size: int) -> PertNNParams:
+    """The network in the open binary file `f` of `size` bytes, read a line at
+    a time, each line parsed straight into the weights it holds (see
+    _block_rows).  Its errors name no file: load adds the path."""
+    lines = _text_lines(f)
+    magic = next(lines, None)
+    if magic != CHECKPOINT_MAGIC:
+        got = "<empty file>" if magic is None else magic
+        raise CheckpointError(f"expected magic {CHECKPOINT_MAGIC!r}, got {got!r}")
+    header = next(lines, None)
+    if header is None:
+        raise CheckpointError("missing header line")
+    try:
+        fields = dict(kv.split("=", 1) for kv in header.split())
+        n_blocks, hidden, features = (int(fields[k]) for k in ("blocks", "hidden", "features"))
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"malformed header {header!r}") from exc
+    if features != N_FEATURES:
+        raise CheckpointError(f"unsupported feature count {features}")
+    if n_blocks < 1 or hidden < 1:
+        raise CheckpointError(f"header declares {n_blocks} blocks of width {hidden}")
+    # a weight takes at least a digit and a separator, so the header can ask
+    # for no more weights than the file holds before any are allocated
+    if 2 * n_blocks * (hidden * (N_FEATURES + 2) + 1) > size:
+        raise CheckpointError(f"header declares {n_blocks} blocks of width {hidden}, "
+                              f"more weights than a file of {size} bytes holds")
+    names = [""] * n_blocks  # each filled in as its line is read
+    params = PertNNParams._empty(names, hidden)
+    try:
+        for b in range(n_blocks):
+            names[b] = next(lines)
+            for what, row in _block_rows(params, b):
+                _parse_floats(next(lines), row, f"block {b} {what}")
+    except StopIteration:
+        raise CheckpointError(
+            f"file declares {n_blocks} blocks but ends inside block {b}") from None
+    if next(lines, None) is not None:
+        raise CheckpointError(f"a line follows the {n_blocks} blocks that the header declares")
+    params.block_names = tuple(names)
     return params

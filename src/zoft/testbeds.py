@@ -355,8 +355,10 @@ def _rank_task(partition, block_sizes, ranks, opnorms, **kwargs) -> QuadraticTas
 class QuadraticFamily:
     """Generator of related quadratic tasks sharing a partition and rank profile.
 
-    Each task index gives a fresh optimum shift and (mildly) rescaled spectra,
-    so a scale policy learned on some members transfers to held-out ones.
+    Each task index gives a fresh optimum shift, so a scale policy learned on
+    some members transfers to held-out ones.  Its spectra are rescaled (a
+    log-uniform factor per block) only when `opnorm_jitter > 0`, and the
+    default is 0: every task then shares the family's spectra.
     """
 
     block_sizes: tuple = (4, 28)

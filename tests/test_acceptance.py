@@ -44,6 +44,8 @@ from zoft.zo_optimizer import (
     two_point,
 )
 
+from test_pertnn import write_checkpoint
+
 
 def forward_block(params, x, block):
     """Block `block`'s raw std for the feature vector x, read from forward_all
@@ -671,7 +673,7 @@ batch_size = 1
         out = tmp_path / "out"
         out.mkdir()
         partition = BlockPartition([("block0", 40000), ("block1", 24), ("block2", 1)])
-        pertnn.save(pertnn.init(partition, 8, NoiseSeed(0)), out / "finetuner.ckpt")
+        write_checkpoint(pertnn.init(partition, 8, NoiseSeed(0)), out / "finetuner.ckpt")
         assert cli.main(["finetune", "--config", str(cfg), "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
         assert digest == self.RECORDED_DIGESTS[mode]
@@ -767,7 +769,7 @@ batch_size = 4
         out.mkdir()
         kind, source = build_task_source(ExperimentConfig.load(cfg))
         model = source.make_task(0) if kind == "quadratic" else source()
-        pertnn.save(pertnn.init(model.partition, 8, NoiseSeed(0)), out / "finetuner.ckpt")
+        write_checkpoint(pertnn.init(model.partition, 8, NoiseSeed(0)), out / "finetuner.ckpt")
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
         got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(out.iterdir()) if path.name != "finetuner.ckpt"}
@@ -801,8 +803,7 @@ print(" ".join(float(x).hex() for run in runs for x in run.loss))
 # both laws, and a 2-meta-step train at d = 50,123: its loss, gradient and
 # meta-gradient dots, and the checkpoint it writes.
 BLAS_THREADS_MC_TRAIN_SCRIPT = """
-import hashlib, tempfile
-from pathlib import Path
+import hashlib, io
 import numpy as np
 from zoft import pertnn
 from zoft.bounds import expected_decrease
@@ -825,9 +826,9 @@ model = make_rank_family([40000, 10000, 123], [4000.0, 1000.0, 12.0],
 net, log = train(MetaConfig(eta1=0.05, eta2=0.05, steps=2, seed=0), [model],
                  pertnn.init(model.partition, 8, NoiseSeed(0)))
 bits += [float(x).hex() for x in (*log.l_zo, *log.loss)]
-with tempfile.TemporaryDirectory() as tmp:
-    pertnn.save(net, Path(tmp) / "finetuner.ckpt")
-    bits.append(hashlib.sha256((Path(tmp) / "finetuner.ckpt").read_bytes()).hexdigest())
+ckpt = io.BytesIO()
+pertnn.save(net, ckpt)
+bits.append(hashlib.sha256(ckpt.getvalue()).hexdigest())
 print(" ".join(bits))
 """
 

@@ -94,6 +94,7 @@ def test_one_bad_key_never_raises(tmp_path, capsys):
     ("sweep", "lr_grid", "0.002, 0, 0.2, -0"),
     ("finetune", "seeds", "2, 2"),
     ("ablate", "seeds", "0, 1, 0"),
+    ("ablate", "axes", "reset, normalization, reset"),
 ])
 def test_repeated_list_value_is_rejected(tmp_path, capsys, name, key, value):
     # a repeated method, seed or rate ran its jobs twice and exited 0,
@@ -160,9 +161,15 @@ def first_line_past(lines, offset: int) -> int:
 # that is not UTF-8)
 CORRUPTIONS = {
     "truncated": (lambda lines: lines[:-5], "ends inside block 1"),
-    "cut-in-w1": (lambda lines: lines[:10], "declares 2 blocks but ends inside block 0"),
+    # too short for the weights that the header declares: refused before
+    # any weight is read
+    "cut-in-w1": (lambda lines: lines[:10], "header declares 2 blocks of width 32, more "
+                  "weights than a file of 765 bytes holds"),
     "b2-missing": (lambda lines: lines[:-1], "declares 2 blocks but ends inside block 1"),
-    "header-only": (lambda lines: lines[:2], "declares 2 blocks but ends inside block 0"),
+    "header-only": (lambda lines: lines[:2], "header declares 2 blocks of width 32, more "
+                    "weights than a file of 45 bytes holds"),
+    "trailing-lines": (lambda lines: lines + ["garbage"] + lines[2:],
+                       "a line follows the 2 blocks that the header declares"),
     "blocks-reordered": (lambda lines: lines[:2] + lines[38:] + lines[2:38],
                          "checkpoint blocks ['block1', 'block0'] do not match"),
     "non-numeric": (lambda lines: with_field(lines, 3, "x1"), "block 0 W1 row 0"),
@@ -192,7 +199,8 @@ def test_corrupted_checkpoint_is_a_config_error(tmp_path, capsys, checkpoint_lin
     path = write_ini(tmp_path / f"{name}.ini", clamped(name))
     assert cli.main([COMMANDS[name], "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("zoft: config error: ") and names in err, err
+    assert err.startswith(f"zoft: config error: {tmp_path / 'finetuner.ckpt'}: ") \
+        and names in err, err
     assert not list(tmp_path.glob("*.csv"))
 
 

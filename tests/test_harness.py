@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from zoft.paramspace import BlockPartition, NoiseSeed
 from zoft.zo_optimizer import Race, RunRecord, ZOConfig, run_population
 
 from test_cli_fuzz import COMMANDS, clamped, write_ini
+from test_pertnn import write_checkpoint
 from test_population import leave_step
 
 TASK = """
@@ -303,7 +306,7 @@ batch_size = 1
         out.mkdir()
         _, family = build_task_source(ExperimentConfig.load(cfg))
         partition = family.make_task(0).partition
-        pertnn.save(pertnn.init(partition, 8, NoiseSeed(0)), out / "finetuner.ckpt")
+        write_checkpoint(pertnn.init(partition, 8, NoiseSeed(0)), out / "finetuner.ckpt")
         assert cli.main(["sweep-lr", "--config", str(cfg), "--out", str(out)]) == 0
         data = (out / "sweep_curves.csv").read_bytes()
         lines = data.decode().splitlines()
@@ -714,6 +717,26 @@ steps = 5
         assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 3
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_failed_checkpoint_write_keeps_an_earlier_run(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the checkpoint was written under its own name, so a disk that
+        # filled after 5 lines left a 5-line checkpoint in place of the
+        # earlier one
+        cfg = write_ini(tmp_path / "train.ini", clamped("train"))
+        out = tmp_path / "o"
+        assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        lines = pertnn._checkpoint_lines
+
+        def disk_full(params):
+            yield from itertools.islice(lines(params), 5)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pertnn, "_checkpoint_lines", disk_full)
+        assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "zoft: config error: [Errno 28] No space left on device\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("section, key, value", [
         ("train", "hidden", "0"),  # refused as [train] is read, after the log is opened
         ("task", "init_scale", "1e308"),  # refused at train's start vector
@@ -1121,6 +1144,18 @@ lr = 0.05
 """)
         with pytest.raises(ConfigError, match="mlp"):
             cmd_ablate(cfg, tmp_path / "o")
+
+    def test_partition_axis_stands_alone(self, tmp_path, capsys):
+        # with reset and normalization beside it, an mlp ablation ran the
+        # two partition cells only and exited 0
+        cfg = write_config(tmp_path, MLP + TRAIN + ABLATE.replace(
+            "axes = reset", "axes = partition, reset, normalization"))
+        out = tmp_path / "o"
+        assert cli.main(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "zoft: config error: [ablate] axes = partition, reset, normalization: partition "
+            "must be the only axis, since reset and normalization need a quadratic family\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("task, axes", [(TASK, "reset, normalization"),
                                             (MLP, "partition")],

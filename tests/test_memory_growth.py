@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from zoft import cli, pertnn
+from zoft.errors import CheckpointError
 from zoft.harness import _write_lines
 from zoft.meta_trainer import MetaConfig, train
 from zoft.paramspace import _CHUNK, BlockPartition, NoiseSeed, ParamVector
@@ -35,7 +36,7 @@ from zoft.zo_optimizer import (
 )
 
 from test_cli_fuzz import clamped, write_ini
-from test_pertnn import assert_round_trip
+from test_pertnn import assert_round_trip, write_checkpoint
 
 SLACK = 8 * 1024
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
@@ -231,7 +232,7 @@ class TestMemoryGrowth:
         net = pertnn.init(partition, 64, NoiseSeed(0))
         path = tmp_path / "finetuner.ckpt"
         assert_round_trip(net, path)
-        peak = traced_peak(lambda: pertnn.save(net, path))
+        peak = traced_peak(lambda: write_checkpoint(net, path))
         # a few KB of file buffer, against the text's 596 KB; building the
         # text whole peaked at 3.4x the file
         assert peak <= 2 * SLACK
@@ -241,13 +242,32 @@ class TestMemoryGrowth:
         partition = BlockPartition([(f"block{i}", 10) for i in range(64)])
         net = pertnn.init(partition, 64, NoiseSeed(0))
         path = tmp_path / "finetuner.ckpt"
-        pertnn.save(net, path)
-        pertnn.load(path)
-        peak = traced_peak(lambda: pertnn.load(path))
+        write_checkpoint(net, path)
+        pertnn.load(path, net.block_names)
+        peak = traced_peak(lambda: pertnn.load(path, net.block_names))
         weights = sum(array.nbytes for array in net.arrays)
         # the weights, one line and a file buffer; reading the text whole
         # and stacking per-block lists peaked at 6.3x the weights
         assert peak <= 1.5 * weights
+
+    def test_checkpoint_header_cannot_ask_for_more_than_the_file_holds(self, tmp_path):
+        # 2 blocks of hidden width 2 in 674 bytes, whose header declares
+        # 100,000 blocks: allocating them from the header peaked at 13.6 MB
+        net = pertnn.init(BlockPartition([("block0", 3), ("block1", 5)]), 2, NoiseSeed(0))
+        path = tmp_path / "finetuner.ckpt"
+        write_checkpoint(net, path)
+        path.write_bytes(path.read_bytes().replace(b"blocks=2 ", b"blocks=100000 ", 1))
+        size = path.stat().st_size
+        errors = []
+
+        def load():
+            with pytest.raises(CheckpointError) as info:
+                pertnn.load(path, net.block_names)
+            errors.append(str(info.value))
+
+        assert traced_peak(load) < 64 * 1024
+        assert errors == [f"{path}: header declares 100000 blocks of width 2, more weights "
+                          f"than a file of {size} bytes holds"]
 
 
 class TestLargeDimension:

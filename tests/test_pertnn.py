@@ -1,17 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zoft.errors import (
-    ContractViolationError,
-    DimensionMismatchError,
-    MagicMismatchError,
-    NumericOverflowError,
-    TruncatedCheckpointError,
-)
+from zoft.errors import CheckpointError, NumericOverflowError, PartitionMismatchError
 from zoft.meta_trainer import MetaConfig, meta_step
 from zoft.paramspace import BlockPartition, NoiseSeed, ParamVector
 from zoft import pertnn
@@ -34,13 +29,18 @@ def assert_same_params(a, b):
         assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
 
 
+def write_checkpoint(params, path):
+    with open(path, "wb") as f:
+        pertnn.save(params, f)
+
+
 def assert_round_trip(params, path):
     """Saved and loaded, `params` comes back whole: re-saving the loaded
     network writes the original bytes, and it matches bit for bit."""
-    pertnn.save(params, path)
-    loaded = pertnn.load(path)
+    write_checkpoint(params, path)
+    loaded = pertnn.load(path, params.block_names)
     again = path.with_name(path.name + ".again")
-    pertnn.save(loaded, again)
+    write_checkpoint(loaded, again)
     assert again.read_bytes() == path.read_bytes()
     assert_same_params(loaded, params)
 
@@ -203,7 +203,7 @@ class TestBackward:
         params = random_params(hidden=4)
         other = random_params(hidden=7)
         _, cache = forward_block(other, np.ones(5), 0)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(PartitionMismatchError, match="cache does not match"):
             pertnn.backward(params, cache, 1.0)
 
 
@@ -287,8 +287,8 @@ class TestParams:
         params = random_params()
         features = np.random.default_rng(0).normal(size=(params.n_blocks, pertnn.N_FEATURES))
         _, cache = pertnn.forward_all(params, features)
-        pertnn.save(params, tmp_path / "net.ckpt")
-        built = [params, params.copy(), pertnn.load(tmp_path / "net.ckpt"),
+        write_checkpoint(params, tmp_path / "net.ckpt")
+        built = [params, params.copy(), pertnn.load(tmp_path / "net.ckpt", params.block_names),
                  pertnn.backward(params, cache, np.array([0.5, -2.0])),
                  pertnn.PertNNParams(params.block_names, params.hidden, *params.arrays)]
         for p in built:
@@ -312,33 +312,57 @@ class TestCheckpoint:
     def test_magic_line(self, tmp_path):
         params = random_params()
         path = tmp_path / "net.ckpt"
-        pertnn.save(params, path)
+        write_checkpoint(params, path)
         assert path.read_text().splitlines()[0] == "ZOFT-PERTNN v1"
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text("SOMETHING ELSE\nblocks=1 hidden=2 features=5\n")
-        with pytest.raises(MagicMismatchError):
-            pertnn.load(path)
+        with pytest.raises(CheckpointError,
+                           match="^" + re.escape(f"{path}: expected magic 'ZOFT-PERTNN v1', "
+                                                 "got 'SOMETHING ELSE'")):
+            pertnn.load(path, ["w"])
 
     def test_truncated(self, tmp_path):
         params = random_params()
         path = tmp_path / "net.ckpt"
-        pertnn.save(params, path)
+        write_checkpoint(params, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(TruncatedCheckpointError):
-            pertnn.load(path)
+        with pytest.raises(CheckpointError,
+                           match="^" + re.escape(f"{path}: file declares 2 blocks but ends inside "
+                                                 "block 1")):
+            pertnn.load(path, params.block_names)
 
     def test_bad_row_width(self, tmp_path):
         params = random_params()
         path = tmp_path / "net.ckpt"
-        pertnn.save(params, path)
+        write_checkpoint(params, path)
         lines = path.read_text().splitlines()
         lines[3] = "1.0 2.0"  # a W1 row with too few fields
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DimensionMismatchError):
-            pertnn.load(path)
+        with pytest.raises(CheckpointError,
+                           match="^" + re.escape(f"{path}: block 0 W1 row 0: expected 5 fields, "
+                                                 "got 2")):
+            pertnn.load(path, params.block_names)
+
+    def test_blocks_named_otherwise_are_refused(self, tmp_path):
+        params = random_params()
+        path = tmp_path / "net.ckpt"
+        write_checkpoint(params, path)
+        for names in (("b", "w"), ("w",), ("w", "b", "c")):
+            with pytest.raises(CheckpointError,
+                               match="^" + re.escape(f"{path}: checkpoint blocks ['w', 'b'] "
+                                                     f"do not match the model's blocks "
+                                                     f"{list(names)}")):
+                pertnn.load(path, names)
+        assert_same_params(pertnn.load(path, ["w", "b"]), params)
+        # the names are compared after every weight is read and checked
+        params.b2[1] = np.nan
+        write_checkpoint(params, path)
+        with pytest.raises(CheckpointError,
+                           match="^" + re.escape(f"{path}: block b: non-finite b2")):
+            pertnn.load(path, ["b", "w"])
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
