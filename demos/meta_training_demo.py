@@ -45,7 +45,7 @@ def main():
     trained, log = train(cfg, tasks, init_params)
 
     print("\nmeta objective at reset boundaries:")
-    for t in [1] + log.reset_steps:
+    for t in [1] + log.t[log.reset].tolist():
         print(f"  step {t:>3}: mean l_zo over tasks = "
               f"{np.mean(log.l_zo[log.t == t]):.4f}")
 

@@ -18,7 +18,7 @@ from zoft.meta_trainer import MetaConfig, train
 from zoft.paramspace import NoiseSeed
 from zoft.pertnn import init as pertnn_init
 from zoft.testbeds import QuadraticFamily
-from zoft.zo_optimizer import Race, ZOConfig, run_population
+from zoft.zo_optimizer import ZOConfig, run_population
 
 
 def main():
@@ -45,11 +45,10 @@ def main():
         for seed in range(5):
             # the runs of one seed share every noise draw: one population
             # steps the whole lr grid at once, each run keeping the step at
-            # which it halves its loss and its last 40 losses
+            # which it halves its loss and its last 40 losses (the default
+            # race: threshold 0.5, final window 0.1)
             config = ZOConfig(steps=400, mode=method, seed=seed)
-            outcomes = run_population([held_out] * len(grid), grid, config, params,
-                                      race=Race(threshold=0.5, window=0.1),
-                                      columns=False)
+            outcomes = run_population([held_out] * len(grid), grid, config, params)
             for lr, record in zip(grid, outcomes):
                 if isinstance(record, DivergenceError):
                     steps[lr].append(401)

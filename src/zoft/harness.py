@@ -15,6 +15,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .config import ExperimentConfig, _fmt, build_task_source
 from .errors import ConfigError, DegenerateBoundError, DivergenceError, NumericOverflowError
 from .paramspace import NoiseSeed, PerturbScales
 from .testbeds import check_ranks, make_rank_family
-from .zo_optimizer import Race, RunRecord, ZOConfig, run_population
+from .zo_optimizer import RaceRecorder, RunRecord, ZOConfig, run_population
 
 RUN_ROW_HEADER = "experiment,method,task,seed,lr,step,loss,wall_ms,scale_min,scale_med,scale_max"
 
@@ -35,15 +36,15 @@ def _run_settings(cfg: ExperimentConfig, section: str):
     return [cfg.get(section, key) for key in ("seeds", "steps", "epsilon", "batch_size")]
 
 
-def _write_lines(path: Path, lines) -> None:
-    """Write each line of the iterable `lines`, UTF-8 and ending in a newline,
-    one at a time: a generator's text is never held whole.  The file is binary,
-    so each encoded line goes straight into the file's buffer; a text file
-    would keep every small write as a string object until its chunk fills."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        for line in lines:
-            f.write(f"{line}\n".encode())
+def _write_lines(path: Path, lines, *more) -> None:
+    """Write `lines` to `path`, and each further (path, lines) pair, one UTF-8
+    line at a time (a generator's text is never held whole) through
+    _written_on_success: no file replaces an earlier one before all are whole."""
+    with contextlib.ExitStack() as stack:
+        for p, text in [(path, lines), *more]:
+            f = stack.enter_context(_written_on_success(p))
+            for line in text:
+                f.write(f"{line}\n".encode())
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +82,14 @@ class RunResult:
 
 
 def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
-               timing=False, race=Race(), columns=True) -> list[RunResult]:
+               timing=False, recorder=RaceRecorder) -> list[RunResult]:
     """Run every (model, method, lr, seed) job; returns RunResults in job order.
 
     Jobs that share a seed draw the same noise at every step, so each seed's
     jobs run as one population (see run_population): a MeZO job is a row
     with unit scales beside the finetuner rows.  With timing, each run's wall
-    time is its population's split evenly over all its rows.  Each run keeps
-    its record for `race`, and with `columns` every step's loss and scales,
-    which a command that writes every step (see _run_rows) needs.
+    time is its population's split evenly over all its rows.  A run's
+    outcome is what recorder(n_rows, steps) keeps of it (see _run_rows).
     """
     groups: dict = {}
     for k, (_, _, _, seed) in enumerate(jobs):
@@ -104,12 +104,43 @@ def _run_cells(jobs, steps, epsilon, batch_size, pertnn, normalize=True,
         start = time.perf_counter()
         outcomes = run_population([jobs[k][0] for k in ks], [jobs[k][2] for k in ks],
                                   config, pertnn if finetuner else None, learned,
-                                  race=race, columns=columns)
+                                  recorder(len(ks), steps))
         wall = (time.perf_counter() - start) * 1e3 / len(ks) if timing else 0.0
         for k, outcome in zip(ks, outcomes):
             model, method, lr, _ = jobs[k]
             results[k] = RunResult(method, model.name, seed, lr, outcome, wall)
     return results
+
+
+@dataclass
+class _Trajectory(RunRecord):
+    steps: np.ndarray  # (T, 4): each step's loss and its scales' min, median and max
+
+
+class _Trajectories(RaceRecorder):
+    """Each run's _Trajectory, for a command that writes every step.  Scales
+    wait in a buffer of at most 8192 values (or one step's) and are reduced a
+    block of steps at a time: np.median's bits at a fraction of a call a step."""
+
+    def __init__(self, n_rows: int, steps: int, **race):
+        super().__init__(n_rows, steps, **race)
+        self.steps = np.empty((n_rows, steps, 4))
+        self.held = None  # the scales of the steps not yet reduced
+
+    def append(self, t, rows, losses, scales) -> None:
+        super().append(t, rows, losses, scales)
+        self.steps[rows, t - 1, 0] = losses
+        if self.held is None:  # every row steps at t = 1; a row that leaves holds ones
+            block = min(self.steps.shape[1], max(1, 8192 // scales.size))
+            self.held = np.ones((block,) + scales.shape)
+        j = (t - 1) % len(self.held)  # step t's place in its block
+        self.held[j, rows] = scales
+        if j == len(self.held) - 1 or t == self.steps.shape[1]:
+            for k, reduce in enumerate((np.min, np.median, np.max), start=1):
+                self.steps[:, t - 1 - j:t, k] = reduce(self.held[:j + 1], axis=-1).T
+
+    def result(self, r: int) -> _Trajectory:
+        return _Trajectory(**vars(super().result(r)), steps=self.steps[r])
 
 
 def _run_rows(experiment: str, results):
@@ -119,16 +150,13 @@ def _run_rows(experiment: str, results):
     for result in sorted(results, key=lambda r: (r.method, r.task, r.seed, r.lr)):
         if result.diverged:
             continue
-        record = result.outcome
+        steps = result.outcome.steps
         head = ",".join([experiment, result.method, result.task, str(result.seed),
                          _fmt(result.lr)])
-        per_step_ms = _fmt(result.wall_ms / max(1, len(record.loss)))
-        scales = record.scales
-        columns = (record.loss, scales.min(axis=1), np.median(scales, axis=1),
-                   scales.max(axis=1))
-        steps = zip(*(c.tolist() for c in columns))
-        for t, (loss, smin, smed, smax) in enumerate(steps, start=1):
-            yield f"{head},{t},{_fmt(loss)},{per_step_ms},{_fmt(smin)},{_fmt(smed)},{_fmt(smax)}"
+        per_step_ms = _fmt(result.wall_ms / max(1, len(steps)))
+        for lo in range(0, len(steps), 64):  # 64 steps' numbers as floats at a time
+            for t, (loss, *scale) in enumerate(steps[lo:lo + 64].tolist(), lo + 1):
+                yield f"{head},{t},{_fmt(loss)},{per_step_ms},{','.join(map(_fmt, scale))}"
 
 
 def _meta_train(cfg: ExperimentConfig, tasks, log, normalize=True, reset=True):
@@ -251,7 +279,8 @@ def cmd_finetune(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
                                         model.partition)
 
     results = _run_cells([(model, method, lr, seed) for seed in seeds],
-                         steps, epsilon, batch_size, params, timing=timing)
+                         steps, epsilon, batch_size, params, timing=timing,
+                         recorder=_Trajectories)
     for result in results:
         if result.diverged:
             raise DivergenceError(
@@ -279,7 +308,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
             for model in tasks for method in methods
             for seed in seeds for lr in lr_grid]
     results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing,
-                         race=Race(threshold, window), columns=False)
+                         recorder=partial(RaceRecorder, threshold=threshold, window=window))
     by_cell: dict = {}
     for result in results:
         by_cell.setdefault((result.method, result.task, result.seed), []).append(result)
@@ -294,8 +323,8 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> i
     for (method, task, seed), (final, lr, stt) in records.items():
         lines.append(f"{method},{task},{seed},{_fmt(lr)},{_fmt(final)},"
                      f"{'' if stt is None else stt}")
-    _write_lines(out_dir / "compare.csv", lines)
-    _write_lines(out_dir / "summary.txt", _compare_summary(methods, tasks, seeds, records, steps))
+    _write_lines(out_dir / "compare.csv", lines, (out_dir / "summary.txt", _compare_summary(
+        methods, tasks, seeds, records, steps)))
     return 0
 
 
@@ -354,8 +383,7 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
     jobs = [(model, method, lr, seed)
             for method in methods for lr in lr_grid for seed in seeds]
     results = _run_cells(jobs, steps, epsilon, batch_size, params, timing=timing,
-                         race=Race(window=window))
-    _write_lines(out_dir / "sweep_curves.csv", _run_rows(experiment, results))
+                         recorder=partial(_Trajectories, window=window))
     flag_lines = ["method,lr,seed,flag,final_mean"]
     for result in sorted(results, key=lambda r: (r.method, r.lr, r.seed)):
         final = result.final_mean
@@ -366,7 +394,8 @@ def cmd_sweep_lr(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> 
         flag_lines.append(
             f"{result.method},{_fmt(result.lr)},{result.seed},{flag},{_fmt(final)}"
         )
-    _write_lines(out_dir / "sweep_flags.csv", flag_lines)
+    _write_lines(out_dir / "sweep_curves.csv", _run_rows(experiment, results),
+                 (out_dir / "sweep_flags.csv", flag_lines))
     return 0
 
 
@@ -402,7 +431,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir: Path, timing: bool = False) -> in
         trained = _meta_train(cfg, train_tasks, _Discard(), normalize=norm, reset=reset)
         jobs = [(model, "finetuner", lr, seed) for seed in seeds]
         for result in _run_cells(jobs, steps, epsilon, batch_size, trained, normalize=norm,
-                                 timing=timing, race=Race(window=window), columns=False):
+                                 timing=timing, recorder=partial(RaceRecorder, window=window)):
             lines.append(f"{cell_name},{result.seed},{_fmt(result.final_mean)}")
     _write_lines(out_dir / "ablation.csv", lines)
     return 0

@@ -203,11 +203,6 @@ class MetaLog:
         stores it."""
         return np.arange(len(self.task)) // len(self.task_names) + 1
 
-    @property
-    def reset_steps(self) -> list:
-        """The outer steps after which the model was reset."""
-        return self.t[self.reset].tolist()
-
 
 def train(config: MetaConfig, tasks, pertnn, log=None):
     """Run the full learning-to-learn loop; returns (pertnn, log).

@@ -72,26 +72,13 @@ class LossPair:
     minus: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class Race:
-    """What a race reads of a run: the first step whose loss is at most
-    `threshold` x the first step's loss, and the mean loss of the last
-    `window` fraction of the steps (see final_window)."""
-
-    threshold: float = 0.5
-    window: float = 0.1
-
-
 @dataclass
 class RunRecord:
-    """What one run kept for its Race, and with columns, every step's loss
-    and scales: entry k of a column holds step k + 1."""
+    """What a RaceRecorder kept of one run."""
 
     first: float  # the first step's loss; nan for a run of no steps
-    hit: int | None  # the first step whose loss <= race.threshold * first
-    tail: np.ndarray  # the last final_window(race.window, T) losses, in step order
-    loss: np.ndarray | None = None  # (T,) pre-update, unperturbed; tail is its end
-    scales: np.ndarray | None = None  # (T, n_blocks) per-block stds used for sampling
+    hit: int | None  # the first step whose loss <= threshold * first
+    tail: np.ndarray  # the last final_window(window, T) losses, in step order
 
 
 def final_window(window: float, steps: int) -> int:
@@ -99,6 +86,36 @@ def final_window(window: float, steps: int) -> int:
     k = max(1, round(window * steps)), at most every step."""
     # a window of 1 or more covers every step; window * steps may not fit an int
     return steps if window >= 1 else min(steps, max(1, int(round(window * steps))))
+
+
+class RaceRecorder:
+    """run_population's default recorder: the RunRecord of each of n_rows
+    runs of `steps` steps for a race, which reads the first step whose loss is
+    <= `threshold` x the first step's and the last `window` of the losses."""
+
+    def __init__(self, n_rows: int, steps: int, threshold=0.5, window=0.1):
+        self.threshold, self.window = threshold, window
+        self.tail = np.empty((n_rows, final_window(window, steps)))
+        self.skip = steps - self.tail.shape[1]  # the steps before the tail
+        self.first = np.full(n_rows, np.nan)
+        self.hit = np.zeros(n_rows, dtype=np.int64)  # 0: not yet
+        self.bar = None  # each row's threshold x first loss; nan once reached
+
+    def append(self, t: int, rows, losses: np.ndarray, scales: np.ndarray) -> None:
+        """Step t's unperturbed losses and used scales of the runs `rows`, an
+        index of the caller's runs: a slice of all of them until one leaves."""
+        if t == 1:
+            self.first[rows] = losses
+            self.bar = self.threshold * self.first
+        reached = losses <= self.bar[rows]
+        if np.count_nonzero(reached):
+            self.hit[rows] = np.where(reached, t, self.hit[rows])
+            self.bar[rows] = np.where(reached, np.nan, self.bar[rows])
+        if t > self.skip:
+            self.tail[rows, t - 1 - self.skip] = losses
+
+    def result(self, r: int) -> RunRecord:
+        return RunRecord(float(self.first[r]), int(self.hit[r]) or None, self.tail[r])
 
 
 @dataclass
@@ -362,7 +379,7 @@ def _start_vector(values: np.ndarray, partition) -> ParamVector:
 
 
 def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
-                   learned=None, race: Race = Race(), columns: bool = True) -> list:
+                   learned=None, recorder=None) -> list:
     """Run one seeded two-point fine-tuning run per row, all in one batched pass.
 
     Row r runs models[r] from models[r].init_theta(config.seed) at
@@ -381,18 +398,13 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     population with finetuner rows runs in finetuner mode, and each of its
     MeZO rows equals its single run in mezo mode.
 
-    Each row keeps a RunRecord for `race`: its first loss, the step at which
-    it first reaches the race's threshold (tested as each step's loss
-    arrives) and its last final_window losses.  With `columns`, it also keeps
-    every step's loss and scales, and its tail is a view of its loss column;
-    a MeZO row's scales are a read-only (T, n_blocks) view of 1.0 that no
-    column stores.  Without, a row keeps no more losses than its tail.
-
-    Returns one entry per row: its RunRecord, or the DivergenceError that
-    ended it.  A row diverges once its loss exceeds 1e6 x its initial loss,
-    or once a loss, a parameter or a scale becomes non-finite or invalid; it
-    then leaves the population and the others go on unchanged.  A single
-    run is the one-row case: [outcome] = run_population([model], [lr], config).
+    Each step goes to `recorder` (default: a RaceRecorder) as it ends, and
+    nothing else the run keeps grows with its steps.  Returns one entry per
+    row: recorder.result(r), or the DivergenceError that ended it.  A row
+    diverges once its loss exceeds 1e6 x its initial loss, or once a loss, a
+    parameter or a scale becomes non-finite or invalid; it then leaves the
+    population and the others go on unchanged.  A single run is the one-row
+    case: [outcome] = run_population([model], [lr], config).
     """
     models = list(models)
     lrs = np.array(learning_rates, dtype=np.float64)
@@ -410,75 +422,38 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     partition = models[0].partition
     if any(model.partition != partition for model in models):
         raise PartitionMismatchError("population models must share one partition")
+    recorder = recorder or RaceRecorder(len(models), config.steps)
     loss_of = _loss_oracle(models)
     theta = _start_vector(_initial_rows(models, config.seed), partition)
     state = OptState(learned=None if learned.all() else learned)
-    n_rows, n_steps = len(models), config.steps
-    live = np.arange(n_rows)  # the caller's row of each population row
-    at = slice(None)  # where live rows write their losses: all, until one leaves
-    # each row's losses from step skip + 1 on: every step with columns, else
-    # its tail.  first: each row's first loss; hit: the step at which it
-    # reached threshold x its first loss (0: not yet)
-    tail = final_window(race.window, n_steps)
-    skip = 0 if columns else n_steps - tail
-    loss = np.empty((n_rows, n_steps - skip))
-    first = np.full(n_rows, np.nan)
-    hit = np.zeros(n_rows, dtype=np.int64)
-    if columns:
-        # only a learned row has a scales column: a MeZO row samples with
-        # scales of exactly 1.0 at every step.  learned_at: where the live
-        # learned rows sit in the population; scales_at: their columns
-        learned_at, scales_at = np.flatnonzero(learned), slice(None)
-        column = np.cumsum(learned) - 1  # each learned row's scales column
-        scales = np.empty((len(learned_at), n_steps, partition.n_blocks))
-    outcomes = [None] * n_rows
+    live = np.arange(len(models))  # the caller's row of each population row
+    at = slice(None)  # the same as an index: all rows, until one leaves
+    outcomes = [None] * len(models)
     limit = None  # each row's divergence threshold, 1e6 x its initial loss
-    for t in range(1, n_steps + 1):
+    for t in range(1, config.steps + 1):
         batch = models[0].sample_batch(config.batch_size, config.seed * 1000003 + t)
         failures = {}
         now = step(theta, state, batch, config, loss_of, lrs, pertnn,
                    failures=failures)
         if limit is None:
             limit = DIVERGENCE_FACTOR * (np.abs(now) + 1e-300)
-            # each live row's bar; nan once the row has reached it
-            first, bar = now, race.threshold * now
-        if t > skip:
-            loss[at, t - 1 - skip] = now
-        if columns:
-            scales[scales_at, t - 1] = state.prev_scales[learned_at]
-        reached = now <= bar
-        if np.count_nonzero(reached):
-            hit[live[reached]] = t
-            bar[reached] = np.nan
+        recorder.append(t, at, now, state.prev_scales)
         blown = np.abs(now) > limit
         if not (failures or np.count_nonzero(blown)):
             continue
-        failed = np.zeros(len(live), dtype=bool)
-        failed[list(failures)] = True
-        blown &= ~failed
-        for k in np.flatnonzero(failed | blown).tolist():
-            if failed[k]:
-                outcomes[live[k]] = _divergence(t, failures[k])
-            else:
-                outcomes[live[k]] = DivergenceError(
-                    f"loss {now[k]:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x "
-                    f"initial loss at step {t}")
-        stay = np.flatnonzero(~(failed | blown))
+        for k in np.flatnonzero(blown).tolist():
+            outcomes[live[k]] = DivergenceError(
+                f"loss {now[k]:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x initial loss at step {t}")
+        for k, error in failures.items():  # a failure is what a row reports
+            outcomes[live[k]] = _divergence(t, error)
+        stay = np.flatnonzero([outcomes[r] is None for r in live.tolist()])
         live = at = live[stay]
         if not len(live):
             break
         _keep_rows(theta, state, stay)
-        if columns:
-            learned_at = np.flatnonzero(learned[live])
-            scales_at = column[live[learned_at]]
         loss_of = _loss_oracle([models[r] for r in live.tolist()])
-        lrs, limit, bar = lrs[stay], limit[stay], bar[stay]
-    ones = np.broadcast_to(1.0, (n_steps, partition.n_blocks))
-    for r in live.tolist():
-        kept = (loss[r], scales[column[r]] if learned[r] else ones) if columns else ()
-        outcomes[r] = RunRecord(float(first[r]), int(hit[r]) or None,
-                                loss[r, loss.shape[1] - tail:], *kept)
-    return outcomes
+        lrs, limit = lrs[stay], limit[stay]
+    return [recorder.result(r) if out is None else out for r, out in enumerate(outcomes)]
 
 
 def _keep_rows(theta: ParamVector, state: OptState, keep) -> None:

@@ -45,6 +45,7 @@ from zoft.zo_optimizer import (
 )
 
 from test_pertnn import write_checkpoint
+from test_population import run_every_step
 
 
 def forward_block(params, x, block):
@@ -86,8 +87,7 @@ def run_cells(models, lrs, method, seed, net, steps=400, batch_size=1,
     all run as one population."""
     config = ZOConfig(steps=steps, batch_size=batch_size, mode=method, seed=seed,
                       normalize=normalize)
-    outcomes = run_population(models, lrs, config,
-                              net if method == "finetuner" else None)
+    outcomes = run_every_step(models, lrs, config, net if method == "finetuner" else None)
     cells = []
     for traj in outcomes:
         if isinstance(traj, DivergenceError):
@@ -143,7 +143,7 @@ class TestVarianceBudget:
         family = race_family()
         task = family.make_task(0)
         net = pertnn.init(task.partition, 8, NoiseSeed(3))
-        [traj] = run_population(
+        [traj] = run_every_step(
             [task], [0.02], ZOConfig(steps=50, mode="finetuner", seed=0),
             net,
         )
@@ -793,9 +793,16 @@ from zoft.zo_optimizer import ZOConfig, run_population
 model = make_rank_family([40000, 10000, 123], [4000.0, 1000.0, 12.0],
                          [1.0, 1.0, 1.0], noise_tau=0.5, seed=0)
 config = ZOConfig(steps=20, seed=0)
-runs = run_population([model], [1e-4], config)
-runs += run_population([model, model], [1e-4, 3e-5], config)
-print(" ".join(float(x).hex() for run in runs for x in run.loss))
+bits = []
+class Losses:
+    # each step's losses, as the population hands them over
+    def append(self, t, rows, losses, scales):
+        bits.extend(float(x).hex() for x in losses)
+    def result(self, r):
+        return None
+run_population([model], [1e-4], config, recorder=Losses())
+run_population([model, model], [1e-4, 3e-5], config, recorder=Losses())
+print(" ".join(bits))
 """
 
 

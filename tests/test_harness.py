@@ -20,11 +20,11 @@ from zoft.harness import (
     cmd_sweep_lr,
 )
 from zoft.paramspace import BlockPartition, NoiseSeed
-from zoft.zo_optimizer import Race, RunRecord, ZOConfig, run_population
+from zoft.zo_optimizer import RaceRecorder, RunRecord, ZOConfig, run_population
 
 from test_cli_fuzz import COMMANDS, clamped, write_ini
 from test_pertnn import write_checkpoint
-from test_population import leave_step
+from test_population import EveryStep, leave_step, run_every_step
 
 TASK = """
 [task]
@@ -107,6 +107,34 @@ def load_config(tmp_path, text):
     return ExperimentConfig.load(write_config(tmp_path, text))
 
 
+class FullDisk:
+    """open() on a disk with room for `room` more writes, over every file it
+    opens: each write after those fails with ENOSPC."""
+
+    def __init__(self, room: int):
+        self.room = room
+
+    def __call__(self, path, mode="r"):
+        return _Filling(open(path, mode), self)
+
+
+class _Filling:
+    def __init__(self, f, disk):
+        self.f, self.disk = f, disk
+
+    def write(self, data):
+        if not self.disk.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.disk.room -= 1
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
 class Scripted:
     """A model whose loss at step t is losses[t - 1] for every parameter
     vector: both perturbed losses equal it, so a run never moves."""
@@ -127,11 +155,10 @@ class Scripted:
         return np.full(len(values), self.losses[batch - 1])
 
 
-def fake_result(losses, columns=True):
+def fake_result(losses):
     """The RunResult of a seed-0 run whose steps have `losses`, kept for the
     default race."""
-    [record] = run_population([Scripted(losses)], [0.0], ZOConfig(len(losses)),
-                              columns=columns)
+    [record] = run_population([Scripted(losses)], [0.0], ZOConfig(len(losses)))
     return RunResult("mezo", "quad0", 0, 0.0, record, 0.0)
 
 
@@ -157,10 +184,11 @@ class TestRunResult:
 
     def test_a_run_without_columns_reads_alike(self):
         losses = [10.0] * 18 + [4.0, 2.0]
-        r = fake_result(losses, columns=False)
-        assert r.outcome.loss is None and r.outcome.scales is None
+        r = fake_result(losses)
+        assert type(r.outcome) is RunRecord
         assert (r.initial_loss, r.final_mean, r.steps_to_threshold) == (10.0, 3.0, 19)
-        assert r.outcome.tail.tobytes() == fake_result(losses).outcome.tail.tobytes()
+        [kept] = run_every_step([Scripted(losses)], [0.0], ZOConfig(len(losses)))
+        assert r.outcome.tail.tobytes() == kept.loss[-2:].tobytes() == kept.tail.tobytes()
 
     def test_a_run_of_no_steps(self):
         r = fake_result([])
@@ -191,16 +219,19 @@ seed = 0
 class TestRaceSummary:
     """compare and ablate write the bytes that every step's loss column gives.
 
-    The column path runs the same populations with columns=True, where each
-    run's tail is a view of its full loss column."""
+    The column path runs the same populations with a recorder that keeps
+    every step's loss, for the same race."""
 
     @staticmethod
     def outputs(monkeypatch, command, cfg, out, keep_columns):
         """The command's output files, and what each of its runs kept."""
         kept = []
 
-        def population(*args, race, columns):
-            outcomes = run_population(*args, race=race, columns=keep_columns)
+        def population(models, lrs, config, pertnn, learned, recorder):
+            if keep_columns:
+                recorder = EveryStep(len(models), config.steps,
+                                     threshold=recorder.threshold, window=recorder.window)
+            outcomes = run_population(models, lrs, config, pertnn, learned, recorder)
             kept.extend(outcomes)
             return outcomes
 
@@ -238,10 +269,9 @@ batch_size = 1
         want, columns = self.outputs(monkeypatch, "compare", cfg, tmp_path / "column", True)
         assert got == want
         summaries = [s for s in summaries if not isinstance(s, DivergenceError)]
-        assert all(isinstance(s, RunRecord) and s.loss is None for s in summaries)
+        assert all(type(s) is RunRecord for s in summaries)
         for c in columns:
             if not isinstance(c, DivergenceError):
-                assert np.shares_memory(c.tail, c.loss)
                 assert c.tail.tobytes() == c.loss[len(c.loss) - k:].tobytes()
         hits = [s.hit for s in summaries]
         if case == "never":
@@ -434,18 +464,16 @@ batch_size = 4
         assert self.run(["train-finetuner", "--config", cfg, "--out", out]) == 0
         calls = []
 
-        def counted(models, lrs, config, pertnn=None, learned=None, race=Race(),
-                    columns=True):
-            calls.append((config.seed, list(learned), race, columns))
-            return run_population(models, lrs, config, pertnn, learned, race=race,
-                                  columns=columns)
+        def counted(models, lrs, config, pertnn=None, learned=None, recorder=None):
+            calls.append((config.seed, list(learned), type(recorder), recorder.threshold,
+                          recorder.window))
+            return run_population(models, lrs, config, pertnn, learned, recorder)
 
         monkeypatch.setattr(harness, "run_population", counted)
         assert self.run(["compare", "--config", cfg, "--out", out]) == 0
-        # compare writes no per-step loss or scale, so its runs keep no
-        # columns, only their records for the default threshold and window
-        race = Race(threshold=0.5, window=0.1)
-        assert calls == [(seed, ([False] * 2 + [True] * 2) * 2, race, False)
+        # compare writes no per-step loss or scale, so its runs keep only
+        # their records for the default threshold and window
+        assert calls == [(seed, ([False] * 2 + [True] * 2) * 2, RaceRecorder, 0.5, 0.1)
                          for seed in (0, 1)]
 
     def test_summary_uses_the_configured_final_window(self, tmp_path):
@@ -734,6 +762,38 @@ steps = 5
 
         monkeypatch.setattr(pertnn, "_checkpoint_lines", disk_full)
         assert cli.main(["train-finetuner", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "zoft: config error: [Errno 28] No space left on device\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("name, files", [
+        ("finetune", ["trajectory.csv"]),
+        ("compare", ["compare.csv", "summary.txt"]),
+        ("sweep", ["sweep_curves.csv", "sweep_flags.csv"]),
+        ("ablate", ["ablation.csv"]),
+        ("bounds", ["bounds.csv"]),
+    ])
+    def test_failed_write_keeps_an_earlier_run(self, tmp_path, capsys, monkeypatch, name,
+                                               files):
+        # each command wrote its files under their own names, so a disk that
+        # filled mid-file left a cut file in place of the earlier one; and
+        # compare and sweep-lr, whose first file was whole by then, left
+        # the new run's first file beside the earlier run's second
+        out = tmp_path / "o"
+        if name != "bounds":
+            train = write_ini(tmp_path / "train.ini", clamped("train"))
+            assert cli.main(["train-finetuner", "--config", str(train), "--out", str(out)]) == 0
+        cfg = write_ini(tmp_path / f"{name}.ini", clamped(name))
+        args = [COMMANDS[name], "--config", str(cfg), "--out", str(out)]
+        assert cli.main(args) in (0, 4)
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(files) <= set(before)
+        # the disk fills within the last file: after every line of the first
+        # of two, and the header of either's last
+        room = len(before[files[0]].splitlines()) + 1 if len(files) == 2 else 1
+        monkeypatch.setattr(harness, "open", FullDisk(room), raising=False)
+        # another seed, so that a file the run completes differs from the earlier one
+        assert cli.main(args + ["--seed", "7"]) == 2
         assert capsys.readouterr().err == "zoft: config error: [Errno 28] No space left on device\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -1168,13 +1228,14 @@ lr = 0.05
                           + "final_window = 0.4\n")
         kept = []
 
-        def recorded(*args, race, columns):
-            kept.append((race, columns))
-            return run_population(*args, race=race, columns=columns)
+        def recorded(*args):
+            recorder = args[-1]
+            kept.append((type(recorder), recorder.threshold, recorder.window))
+            return run_population(*args)
 
         monkeypatch.setattr(harness, "run_population", recorded)
         assert cmd_ablate(cfg, tmp_path / "out") == 0
-        assert kept == [(Race(window=0.4), False)] * (2 if axes == "partition" else 4)
+        assert kept == [(RaceRecorder, 0.5, 0.4)] * (2 if axes == "partition" else 4)
 
     def test_reset_normalization_grid(self, tmp_path):
         cfg = load_config(tmp_path, TASK + TRAIN + """

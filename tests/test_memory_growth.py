@@ -88,8 +88,10 @@ def peak_growth(run, short: int, long: int) -> int:
 
 
 class TestMemoryGrowth:
-    def test_population_grows_by_its_trajectory_columns(self):
-        # 2 tasks x 3 learning rates in finetuner mode, as compare runs them
+    def test_population_grows_by_its_final_windows(self):
+        # 2 tasks x 3 learning rates in finetuner mode, as compare runs them:
+        # each row keeps its last final_window losses.  Keeping every step's
+        # loss and scales grew by 6 x 3 x 8 B a step
         family = race_family()
         tasks = family.make_tasks(2)
         net = pertnn.init(tasks[0].partition, 8, NoiseSeed(0))
@@ -101,13 +103,13 @@ class TestMemoryGrowth:
                 models, lrs, ZOConfig(steps=steps, mode="finetuner", seed=11), net)
 
         short, long = 100, 800
-        n_rows, n_blocks = len(models), tasks[0].partition.n_blocks
-        # the loss and the per-block scales of every row
-        columns = n_rows * (long - short) * (1 + n_blocks) * 8
-        assert peak_growth(run, short, long) <= columns + SLACK
+        windows = len(models) * (final_window(0.1, long) - final_window(0.1, short)) * 8
+        assert peak_growth(run, short, long) <= windows + SLACK
 
-    def test_mixed_population_keeps_scales_of_its_learned_rows_only(self):
-        # 2 tasks x {mezo, finetuner} x 3 learning rates, as compare runs them
+    def test_mixed_population_grows_by_its_final_windows(self):
+        # 2 tasks x {mezo, finetuner} x 3 learning rates, as compare runs
+        # them.  Keeping every step's loss, and the scales of the learned
+        # rows, grew by (12 + 6 x 2) x 8 B a step
         family = race_family()
         tasks = family.make_tasks(2)
         net = pertnn.init(tasks[0].partition, 8, NoiseSeed(0))
@@ -120,18 +122,37 @@ class TestMemoryGrowth:
                                                          seed=11), net, learned)
 
         short, long = 100, 800
-        n_rows, n_learned = len(models), sum(learned)
-        n_blocks = tasks[0].partition.n_blocks
-        # every row's loss, and the per-block scales of the learned rows
-        columns = (n_rows + n_learned * n_blocks) * (long - short) * 8
-        assert peak_growth(run, short, long) <= columns + SLACK
-        outcomes = run(5)
-        for outcome, is_learned in zip(outcomes, learned):
-            assert isinstance(outcome, RunRecord)
-            assert outcome.scales.shape == (5, n_blocks)
-            if not is_learned:
-                assert np.all(outcome.scales == 1.0)
-                assert not outcome.scales.flags.writeable
+        windows = len(models) * (final_window(0.1, long) - final_window(0.1, short)) * 8
+        assert peak_growth(run, short, long) <= windows + SLACK
+        for outcome in run(20):
+            assert type(outcome) is RunRecord and outcome.tail.shape == (2,)
+
+    def test_finetune_grows_by_four_numbers_a_step(self, tmp_path):
+        # one finetuner row on 256 blocks: trajectory.csv prints each step's
+        # loss and its scales' min, median and max, and the run keeps those
+        # four numbers a step.  Keeping every step's scales until the file
+        # was written grew by about 4.1 KB a step
+        sizes = [4, 16] * 128
+        sections = clamped("finetune")
+        sections["task"] = {"kind": "quadratic", "seed": "0",
+                            "block_sizes": ", ".join(map(str, sizes)),
+                            "ranks": ", ".join(["1.0"] * len(sizes)),
+                            "opnorms": ", ".join(["1.0"] * len(sizes))}
+        sections["finetune"].update(seeds="0", lr="0.001")
+        task = QuadraticFamily(block_sizes=tuple(sizes), ranks=(1.0,) * len(sizes),
+                               opnorms=(1.0,) * len(sizes)).make_task(0)
+        write_checkpoint(pertnn.init(task.partition, 4, NoiseSeed(0)),
+                         tmp_path / sections["finetune"]["checkpoint"])
+
+        def run(steps):
+            sections["finetune"]["steps"] = str(steps)
+            path = write_ini(tmp_path / "finetune.ini", sections)
+            assert cli.main(["finetune", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+        short, long = 50, 300
+        assert peak_growth(run, short, long) <= (long - short) * 40 + SLACK
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + long and len(set(lines[1:])) == long
 
     def test_compare_grows_by_its_final_windows(self, tmp_path):
         # race-small's compare in one population: 2 tasks x {mezo,

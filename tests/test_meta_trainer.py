@@ -295,7 +295,6 @@ class TestMetaStepAndTrain:
         _, log = train(config, tasks, net)
         assert len(log.l_zo) == 12 * 3
         assert log.t.tolist() == [t for t in range(1, 13) for _ in tasks]
-        assert log.reset_steps == [5, 10]
         flagged = log.t[log.reset].tolist()
         assert flagged == [5, 10]
 

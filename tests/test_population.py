@@ -10,7 +10,7 @@ failed rows.
 
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -39,11 +39,46 @@ from zoft.testbeds import (
 from zoft.zo_optimizer import (
     DIVERGENCE_FACTOR,
     OptState,
-    Race,
+    RaceRecorder,
+    RunRecord,
     ZOConfig,
     run_population,
     step,
 )
+
+
+@dataclass
+class Kept(RunRecord):
+    """A RunRecord with every step's loss, (T,), and scales, (T, n_blocks)."""
+
+    loss: np.ndarray
+    scales: np.ndarray
+
+
+class EveryStep(RaceRecorder):
+    """A recorder that keeps every step: each row's RunRecord for its race,
+    and the loss and the scales it sampled with at each step (a Kept)."""
+
+    def __init__(self, n_rows, steps, **race):
+        super().__init__(n_rows, steps, **race)
+        self.kept = [[] for _ in range(n_rows)]
+
+    def append(self, t, rows, losses, scales):
+        super().append(t, rows, losses, scales)
+        for k, r in enumerate(np.arange(len(self.kept))[rows].tolist()):
+            self.kept[r].append((losses[k], scales[k].copy()))
+
+    def result(self, r):
+        record = super().result(r)
+        return Kept(record.first, record.hit, record.tail,
+                    np.array([loss for loss, _ in self.kept[r]]),
+                    np.array([scales for _, scales in self.kept[r]]))
+
+
+def run_every_step(models, lrs, config, pertnn=None, learned=None):
+    """run_population, each row's outcome a Kept (or its DivergenceError)."""
+    return run_population(models, lrs, config, pertnn, learned,
+                          EveryStep(len(models), config.steps))
 
 
 def reference_run(model, lr, config, net):
@@ -69,7 +104,7 @@ def reference_run(model, lr, config, net):
 def assert_rows_match(models, lrs, config, net, learned=None):
     """Each row equals its single run in its own method: finetuner where
     `learned` holds True, mezo where it holds False (default: config.mode)."""
-    outcomes = run_population(models, lrs, config, net, learned)
+    outcomes = run_every_step(models, lrs, config, net, learned)
     assert len(outcomes) == len(models)
     if learned is None:
         learned = [config.mode == "finetuner"] * len(models)
@@ -122,17 +157,16 @@ class TestRowsEqualSingleRuns:
         with np.errstate(over="ignore", invalid="ignore"):
             outcomes = assert_rows_match(models, [lr for _, lr, _ in rows], config, net,
                                          learned)
-            kept = run_population(models, [lr for _, lr, _ in rows], config, net, learned,
-                                  race=Race(threshold=0.5, window=0.1), columns=False)
-        # a record without columns holds what the loss column gives, as one
-        # with columns does, and the rows leave where they did
+            kept = run_population(models, [lr for _, lr, _ in rows], config, net, learned)
+        # the default record holds what the loss column gives, and the rows
+        # leave where they did
         for outcome, record in zip(outcomes, kept):
             if isinstance(outcome, DivergenceError):
                 assert str(record) == str(outcome)
             else:
                 column = outcome.loss
                 hits = np.flatnonzero(column <= 0.5 * column[0])
-                assert record.loss is None and record.scales is None
+                assert type(record) is RunRecord
                 assert record.first == outcome.first == column[0]
                 assert record.hit == outcome.hit == (int(hits[0]) + 1 if len(hits) else None)
                 assert record.tail.tobytes() == outcome.tail.tobytes() == column[-15:].tobytes()

@@ -27,6 +27,8 @@ from zoft.zo_optimizer import (
     two_point,
 )
 
+from test_population import run_every_step
+
 
 def partition():
     return BlockPartition([("a", 3), ("b", 5)])
@@ -405,21 +407,21 @@ class TestStep:
 class TestRunFinetune:
     def test_loss_decreases_on_easy_quadratic(self):
         task = make_rank_family([4, 4], [4.0, 4.0], [1.0, 1.0], seed=0)
-        [traj] = run_population([task], [0.1], ZOConfig(300, mode="mezo", seed=0))
+        [traj] = run_every_step([task], [0.1], ZOConfig(300, mode="mezo", seed=0))
         assert len(traj.loss) == 300
         tail = np.mean(traj.loss[-30:])
         assert tail < 0.2 * traj.loss[0]
 
     def test_deterministic(self):
         task = quadratic()
-        [a] = run_population([task], [0.05], ZOConfig(50, mode="mezo", seed=7))
-        [b] = run_population([task], [0.05], ZOConfig(50, mode="mezo", seed=7))
+        [a] = run_every_step([task], [0.05], ZOConfig(50, mode="mezo", seed=7))
+        [b] = run_every_step([task], [0.05], ZOConfig(50, mode="mezo", seed=7))
         assert np.array_equal(a.loss, b.loss)
 
     def test_seed_changes_trajectory(self):
         task = quadratic()
-        [a] = run_population([task], [0.05], ZOConfig(20, mode="mezo", seed=7))
-        [b] = run_population([task], [0.05], ZOConfig(20, mode="mezo", seed=8))
+        [a] = run_every_step([task], [0.05], ZOConfig(20, mode="mezo", seed=7))
+        [b] = run_every_step([task], [0.05], ZOConfig(20, mode="mezo", seed=8))
         assert not np.array_equal(a.loss, b.loss)
 
     def test_divergence_guard(self):
@@ -441,7 +443,7 @@ class TestRunFinetune:
     def test_finetuner_runs_with_fresh_network(self):
         task = quadratic()
         net = pertnn.init(partition(), hidden=8, seed=NoiseSeed(0))
-        [traj] = run_population([task], [0.05], ZOConfig(40, mode="finetuner", seed=0),
+        [traj] = run_every_step([task], [0.05], ZOConfig(40, mode="finetuner", seed=0),
                                 net)
         assert len(traj.loss) == 40
         assert traj.scales.shape == (40, 2) and np.all(np.isfinite(traj.scales))
