@@ -154,7 +154,7 @@ def _run_rows(experiment: str, results):
         head = ",".join([experiment, result.method, result.task, str(result.seed),
                          _fmt(result.lr)])
         per_step_ms = _fmt(result.wall_ms / max(1, len(steps)))
-        for lo in range(0, len(steps), 64):  # 64 steps' numbers as floats at a time
+        for lo in range(0, len(steps), 64):  # as floats 64 steps at a time, not all
             for t, (loss, *scale) in enumerate(steps[lo:lo + 64].tolist(), lo + 1):
                 yield f"{head},{t},{_fmt(loss)},{per_step_ms},{','.join(map(_fmt, scale))}"
 

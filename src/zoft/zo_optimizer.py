@@ -422,7 +422,8 @@ def run_population(models, learning_rates, config: ZOConfig, pertnn=None,
     partition = models[0].partition
     if any(model.partition != partition for model in models):
         raise PartitionMismatchError("population models must share one partition")
-    recorder = recorder or RaceRecorder(len(models), config.steps)
+    if recorder is None:
+        recorder = RaceRecorder(len(models), config.steps)
     loss_of = _loss_oracle(models)
     theta = _start_vector(_initial_rows(models, config.seed), partition)
     state = OptState(learned=None if learned.all() else learned)
