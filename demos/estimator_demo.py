@@ -10,7 +10,7 @@ Run: python demos/estimator_demo.py
 
 import numpy as np
 
-from zoft.paramspace import NoiseSeed, ParamVector, PerturbScales, sample_block_noise
+from zoft.paramspace import NoiseSeed, ParamVector, PerturbScales, perturb_in_place
 from zoft.testbeds import make_rank_family
 from zoft.zo_optimizer import two_point
 
@@ -27,11 +27,15 @@ def main():
     n = 20_000
     acc = np.zeros(p.total)
     sq = np.zeros(p.total)
+    u = ParamVector(np.zeros(p.total), p)
     for k in range(n):
         seed = NoiseSeed(0, stream=k)
         # learning rate 0: the walk's last move only restores theta
         _, coeff = two_point(theta, scales, seed, eps, losses, 0.0)
-        ghat = coeff * sample_block_noise(p, scales, seed)
+        # u itself: one unit move from zero
+        u.values.fill(0.0)
+        perturb_in_place(u, scales, seed, 1.0)
+        ghat = coeff * u.values
         acc += ghat
         sq += ghat * ghat
     mean = acc / n

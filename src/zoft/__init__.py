@@ -7,7 +7,6 @@ from .paramspace import (
     PerturbScales,
     block_stats,
     perturb_in_place,
-    sample_block_noise,
 )
 from .pertnn import PertNNParams
 from .zo_optimizer import (
@@ -53,7 +52,6 @@ __all__ = [
     "optimal_scales",
     "perturb_in_place",
     "run_population",
-    "sample_block_noise",
     "train",
     "verify_bound",
 ]

@@ -11,9 +11,8 @@ expected decrease for cross-checking.
 an argument, and `verify_bound` scores a sequence of them from one draw.
 
 The block-wise bound is stated for the block-by-block update scheme (each
-block is perturbed and updated with its own two-point estimate), so the
-default verification scheme simulates exactly that; the "joint" scheme
-matching the deployed optimizer is also available.
+block is perturbed and updated with its own two-point estimate) under the
+norm-controlled sphere law, and that is the one setting simulated here.
 """
 
 from __future__ import annotations
@@ -180,23 +179,16 @@ def _to_sphere(z: np.ndarray, sumsq: np.ndarray) -> None:
 
 
 def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
-                      etas, mode: str = "closed_form", scheme: str = "blockwise",
-                      law: str = "gaussian", n: int = 100_000, seed: int = 0,
+                      etas, mode: str = "closed_form", n: int = 100_000, seed: int = 0,
                       grad=None):
     """E[L(theta_1) - L(theta_0)] for one ZO step on a deterministic quadratic.
 
-    For quadratics the central difference is exact, so the two-point
-    coefficient is c = u' grad L at every epsilon; both modes use that
-    identity, so neither takes an epsilon.  ``scheme`` picks the update law:
-    "blockwise" perturbs and updates one block at a time (the setting of the
-    block-wise bound), "joint" perturbs all blocks at once (the deployed
-    optimizer).
-
-    ``law`` picks the perturbation distribution: "gaussian" draws each block
-    as s_i * z with z standard normal (the method's sampling law); "sphere"
-    draws s_i * sqrt(d_i) * z/|z| (the norm-controlled law the bounds are
-    stated for).  Both have E[u u'] = diag(s_i^2 I), but their fourth moments
-    differ by a factor dim/(dim+2) in the quadratic term.
+    The step is the one the block-wise bound is stated for: each block in
+    turn is perturbed by s_i * sqrt(d_i) * z/|z|, z standard normal (the
+    norm-controlled sphere law, E[u u'] = s_i^2 I), and updated with its
+    own two-point estimate.  For quadratics the central difference is
+    exact, so the two-point coefficient is c = u' grad L at every epsilon;
+    both modes use that identity, so neither takes an epsilon.
 
     ``etas`` is a sequence of step sizes.  In Monte Carlo every step size is
     scored from the same n samples, which are drawn once, block by block, in
@@ -209,10 +201,6 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
     """
     if task.noise_tau != 0.0:
         raise ValueError("expected_decrease requires a deterministic quadratic (tau=0)")
-    if scheme not in ("blockwise", "joint"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if law not in ("gaussian", "sphere"):
-        raise ValueError(f"unknown law {law!r}")
     if mode not in ("closed_form", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}")
     etas = [_check_step(e) for e in etas]
@@ -220,49 +208,34 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
     slices = task.partition.slices
     stds = scales.stds
 
-    def fourth_factor(dim: int) -> float:
-        # E[(u'g)^2 u'Hu] = factor * v^2 * (|g|^2 tr H + 2 g'Hg)
-        return 1.0 if law == "gaussian" else dim / (dim + 2.0)
-
     if mode == "closed_form":
-        if scheme == "blockwise":
-            terms = []
-            for i, sl in enumerate(slices):
-                gj, hj = g[sl], task.block_eigs(i)
-                gamma = dot(gj, gj)
-                quad = gamma * float(hj.sum()) + 2.0 * dot(gj, hj * gj)
-                terms.append((stds[i] ** 2, gamma, fourth_factor(len(gj)), quad))
-            means = []
-            for e in etas:
-                total = 0.0
-                for v, gamma, factor, quad in terms:
-                    total += -e * v * gamma + 0.5 * e**2 * v**2 * factor * quad
-                means.append(total)
-        else:
-            dvec = scales.per_coordinate() ** 2
-            gdg = dot(g, dvec * g)
-            eigs = task.eigs
-            tr_dh = dot(dvec, eigs)
-            gdhdg = dot(dvec * g, eigs * (dvec * g))
-            quad = gdg * tr_dh + 2.0 * gdhdg
-            factor = fourth_factor(len(g))
-            means = [-e * gdg + 0.5 * e**2 * factor * quad for e in etas]
+        # E[(u'g)^2 u'Hu] = v^2 * d/(d+2) * (|g|^2 tr H + 2 g'Hg) on the sphere
+        terms = []
+        for i, sl in enumerate(slices):
+            gj, hj = g[sl], task.block_eigs(i)
+            gamma = dot(gj, gj)
+            quad = gamma * float(hj.sum()) + 2.0 * dot(gj, hj * gj)
+            terms.append((stds[i] ** 2, gamma, len(gj) / (len(gj) + 2.0), quad))
+        means = []
+        for e in etas:
+            total = 0.0
+            for v, gamma, factor, quad in terms:
+                total += -e * v * gamma + 0.5 * e**2 * v**2 * factor * quad
+            means.append(total)
         return np.array(means), None
 
     if n < 2:
         raise ValueError(f"monte_carlo needs n >= 2 samples for a stderr, got {n}")
-    if scheme == "blockwise":
-        parts = [(g[sl], task.block_eigs(i), stds[i]) for i, sl in enumerate(slices)]
-    else:
-        parts = [(g, task.eigs, scales.per_coordinate())]
+    sizes = task.partition.py_sizes
     rng = np.random.default_rng([_MC_TAG, seed])
     delta = np.zeros((len(etas), n))
     # one draw buffer for every block: a chunk of rows, or one row of a
     # block wider than a chunk; and four per-row scratch rows: c2, quad, a
     # step size's update and its second term
-    buffer = np.empty(max(_CHUNK, max(len(gj) for gj, _, _ in parts)))
-    scratch = np.empty((4, max(1, _CHUNK // min(len(gj) for gj, _, _ in parts))))
-    for gj, hj, s in parts:
+    buffer = np.empty(max(_CHUNK, max(sizes)))
+    scratch = np.empty((4, max(1, _CHUNK // min(sizes))))
+    for i, sl in enumerate(slices):
+        gj, hj, s = g[sl], task.block_eigs(i), stds[i]
         dim = len(gj)
         rows = max(1, _CHUNK // dim)
         # standard_normal fills row after row, so drawing a block's n rows
@@ -277,8 +250,7 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
             u = buffer[:(hi - lo) * dim].reshape(hi - lo, dim)
             rng.standard_normal(out=u)
             c2, quad, update, second = scratch[:, :hi - lo]
-            if law == "sphere":
-                _to_sphere(u, c2)
+            _to_sphere(u, c2)
             u *= s
             if dim > _DOT_PIECE:
                 for j, row in enumerate(u):
@@ -326,8 +298,7 @@ class BoundReport:
 
 
 def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
-                 etas, n: int = 100_000, seed: int = 0,
-                 law: str = "sphere") -> list[BoundReport]:
+                 etas, n: int = 100_000, seed: int = 0) -> list[BoundReport]:
     """Evaluate both bounds against the measured expected decrease.
 
     A bound or measurement that is not finite raises NumericOverflowError.
@@ -335,10 +306,6 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
       * measured E[dL] <= blockwise bound at the given scales + 4 stderr,
       * blockwise(optimal) <= blockwise(unit) <= uniform-rank bound,
       * closed form and Monte-Carlo agree within 4 stderr.
-
-    The default sampling law is the norm-controlled "sphere" one the bounds
-    are derived for; with ``law="gaussian"`` the quadratic term grows by a
-    factor (d_j + 2)/d_j per block, so small blocks can exceed the bound.
 
     ``etas`` is a sequence of step sizes, giving one report per step size,
     all measured from one Monte-Carlo draw.
@@ -351,10 +318,9 @@ def verify_bound(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
     g = task.grad(theta, 0)
     inputs = BoundInputs.from_task(task, theta, grad=g)
     mc_means, mc_stderrs = expected_decrease(
-        task, theta, scales, etas, mode="monte_carlo", law=law, n=n, seed=seed, grad=g
+        task, theta, scales, etas, mode="monte_carlo", n=n, seed=seed, grad=g
     )
-    closed, _ = expected_decrease(task, theta, scales, etas, mode="closed_form", law=law,
-                                  grad=g)
+    closed, _ = expected_decrease(task, theta, scales, etas, mode="closed_form", grad=g)
     return [
         _report(inputs, e, scales.stds, float(m), float(s), float(c))
         for e, m, s, c in zip(etas, mc_means, mc_stderrs, closed)

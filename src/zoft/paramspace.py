@@ -160,11 +160,6 @@ class PerturbScales:
         scales.stds, scales.partition = stds, partition
         return scales
 
-    def per_coordinate(self) -> np.ndarray:
-        """Expand to per-coordinate standard deviations: a length-d vector, or
-        (R, d) rows for (R, n_blocks) scales."""
-        return np.repeat(self.stds, self.partition.sizes, axis=-1)
-
     @classmethod
     def unit(cls, partition: BlockPartition) -> "PerturbScales":
         return cls(np.ones(partition.n_blocks), partition)
@@ -221,23 +216,6 @@ def _check_scales(partition: BlockPartition, scales: PerturbScales) -> None:
         return
     if scales.partition != partition:
         raise PartitionMismatchError("scales were built for a different partition")
-
-
-def sample_block_noise(
-    partition: BlockPartition, scales: PerturbScales, seed: NoiseSeed
-) -> np.ndarray:
-    """Draw u of length d with u|block i = stds[i] * z, z iid standard normal.
-
-    The draw is a pure function of (seed, scales): the z values come from one
-    deterministic stream consumed block by block in partition order, so
-    regeneration is bit-exact and scales enter only as per-block multipliers.
-    """
-    _check_scales(partition, scales)
-    u = np.empty(partition.total)
-    gen = _stream_rng(seed)
-    for i, (sl, n) in enumerate(zip(partition.slices, partition.py_sizes)):
-        u[sl] = scales.stds[i] * gen.standard_normal(n)
-    return u
 
 
 class _KeptNoise:

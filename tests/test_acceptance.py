@@ -30,7 +30,6 @@ from zoft.paramspace import (
     ParamVector,
     PerturbScales,
     perturb_in_place,
-    sample_block_noise,
 )
 from zoft.bounds import verify_bound
 from zoft.config import ExperimentConfig, build_task_source
@@ -433,10 +432,17 @@ class TestSeededRegeneration:
     def test_noise_regenerates_bit_identically(self):
         p = BlockPartition([("a", 7), ("b", 13)])
         scales = PerturbScales(np.array([0.3, 2.5]), p)
+
+        def noise(seed):
+            u = ParamVector(np.zeros(p.total), p)
+            perturb_in_place(u, scales, seed, 1.0)
+            return u.values
+
         for stream in (0, 1, 999):
             seed = NoiseSeed(17, stream=stream)
-            u1 = sample_block_noise(p, scales, seed)
-            u2 = sample_block_noise(p, scales, seed)
+            u1 = noise(seed)
+            noise(NoiseSeed(18, stream=stream))  # another draw in between
+            u2 = noise(seed)
             assert np.array_equal(u1, u2)
 
     def test_walk_restores_within_tolerance(self):
@@ -806,8 +812,8 @@ print(" ".join(bits))
 """
 
 
-# The Monte-Carlo at blocks wider than one BLAS dot piece, both schemes and
-# both laws, and a 2-meta-step train at d = 50,123: its loss, gradient and
+# The Monte-Carlo at blocks wider than one BLAS dot piece, and a 2-meta-step
+# train at d = 50,123: its loss, gradient and
 # meta-gradient dots, and the checkpoint it writes.
 BLAS_THREADS_MC_TRAIN_SCRIPT = """
 import hashlib, io
@@ -822,12 +828,9 @@ for sizes in ((8, 40000), (20000,)):
     model = make_rank_family(sizes, [s / 4 for s in sizes], [1.0] * len(sizes), seed=0)
     theta = model.init_theta(0)
     scales = PerturbScales(np.linspace(0.5, 1.5, len(sizes)), model.partition)
-    for scheme in ("blockwise", "joint"):
-        for law in ("gaussian", "sphere"):
-            means, stderrs = expected_decrease(model, theta, scales, (0.02, 0.05),
-                                               mode="monte_carlo", scheme=scheme,
-                                               law=law, n=300)
-            bits += [float(x).hex() for x in (*means, *stderrs)]
+    means, stderrs = expected_decrease(model, theta, scales, (0.02, 0.05),
+                                       mode="monte_carlo", n=300)
+    bits += [float(x).hex() for x in (*means, *stderrs)]
 model = make_rank_family([40000, 10000, 123], [4000.0, 1000.0, 12.0],
                          [1.0, 1.0, 1.0], seed=0)
 net, log = train(MetaConfig(eta1=0.05, eta2=0.05, steps=2, seed=0), [model],
@@ -891,10 +894,10 @@ class TestBlasThreadCount:
 
     def test_wide_monte_carlo_and_meta_training_do_not_depend_on_it(self):
         # each run takes about 2 s on a 2-vCPU host.  A row's `u @ g` as one
-        # BLAS product gave other bits under two threads in all 8 cases
+        # BLAS product gave other bits under two threads in every case
         bits = outputs_under_each_thread_count(BLAS_THREADS_MC_TRAIN_SCRIPT, timeout=60)
-        # 8 cases x 2 step sizes x (mean, stderr), 2 x (l_zo, loss), a digest
-        assert len(bits[0]) == 32 + 4 + 1
+        # 2 cases x 2 step sizes x (mean, stderr), 2 x (l_zo, loss), a digest
+        assert len(bits[0]) == 8 + 4 + 1
         assert bits[0] == bits[1]
 
     def test_wide_finetuner_step_does_not_depend_on_it(self):

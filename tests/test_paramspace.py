@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from zoft.errors import (
     InvalidScaleError,
     NumericOverflowError,
@@ -21,7 +22,6 @@ from zoft.paramspace import (
     _stream_rng,
     block_stats,
     perturb_in_place,
-    sample_block_noise,
 )
 
 _NOISE_TAG = 0x5A0F7B10C
@@ -34,6 +34,21 @@ def two_block_partition():
 def multi_chunk_partition():
     # one block over two full chunks plus a ragged tail, then a 1-entry block
     return BlockPartition([("big", 2 * _CHUNK + 123), ("one", 1), ("small", 5)])
+
+
+def reference_noise(p, stds, seed) -> np.ndarray:
+    """u of the (seed, stream) stream, u|block i = stds[i] * z: the plain
+    reference walk's one unit move from zero."""
+    u = np.zeros(p.total)
+    reference.walk(u, p, stds, seed.seed, seed.stream, 1.0)
+    return u
+
+
+def walked(p, stds, seed) -> np.ndarray:
+    """u as perturb_in_place forms it: one unit move from zero."""
+    theta = ParamVector(np.zeros(p.total), p)
+    perturb_in_place(theta, PerturbScales(stds, p), seed, 1.0)
+    return theta.values
 
 
 def traced_peak_bytes(fn) -> int:
@@ -98,16 +113,6 @@ class TestPerturbScales:
         with pytest.raises(InvalidScaleError):
             PerturbScales(np.array([1.0, 0.0]), two_block_partition())
 
-    def test_per_coordinate_expansion(self):
-        sc = PerturbScales(np.array([2.0, 3.0]), two_block_partition())
-        assert np.array_equal(sc.per_coordinate(), [2, 2, 2, 3, 3, 3, 3, 3])
-
-    def test_per_coordinate_expansion_of_rows(self):
-        # each row expands on its own, along the last axis
-        sc = PerturbScales(np.array([[2.0, 3.0], [5.0, 7.0]]), two_block_partition())
-        assert np.array_equal(sc.per_coordinate(), [[2, 2, 2, 3, 3, 3, 3, 3],
-                                                    [5, 5, 5, 7, 7, 7, 7, 7]])
-
     def test_budget(self):
         sc = PerturbScales(np.array([2.0, 3.0]), two_block_partition())
         assert np.dot(sc.partition.sizes, sc.stds**2) == 3 * 4.0 + 5 * 9.0
@@ -118,31 +123,42 @@ class TestPerturbScales:
 
 
 class TestNoiseStreams:
+    """The noise u as a walk forms it: one unit move from zero."""
+
     def test_regeneration_is_bit_exact(self):
-        p = two_block_partition()
-        sc = PerturbScales(np.array([0.5, 2.0]), p)
-        seed = NoiseSeed(42, stream=7)
-        u1 = sample_block_noise(p, sc, seed)
-        u2 = sample_block_noise(p, sc, seed)
-        assert np.array_equal(u1, u2)
+        # one span keeps its z, several regenerate it; a walk on another
+        # stream in between leaves no trace on either
+        for p in (two_block_partition(), multi_chunk_partition()):
+            stds = np.linspace(0.5, 2.0, p.n_blocks)
+            seed = NoiseSeed(42, stream=7)
+            u1 = walked(p, stds, seed)
+            walked(p, stds, NoiseSeed(42, stream=8))
+            u2 = walked(p, stds, seed)
+            assert np.array_equal(u1, u2)
+            assert np.array_equal(u1, reference_noise(p, stds, seed))
 
     def test_streams_are_distinct(self):
         p = two_block_partition()
-        sc = PerturbScales.unit(p)
-        u1 = sample_block_noise(p, sc, NoiseSeed(42, stream=0))
-        u2 = sample_block_noise(p, sc, NoiseSeed(42, stream=1))
-        u3 = sample_block_noise(p, sc, NoiseSeed(43, stream=0))
+        stds = np.ones(p.n_blocks)
+        u1 = walked(p, stds, NoiseSeed(42, stream=0))
+        u2 = walked(p, stds, NoiseSeed(42, stream=1))
+        u3 = walked(p, stds, NoiseSeed(43, stream=0))
         assert not np.array_equal(u1, u2)
         assert not np.array_equal(u1, u3)
+        assert not np.array_equal(u2, u3)
 
     def test_scales_enter_linearly(self):
         # doubling a block's std must double exactly that slice of the draw
-        p = two_block_partition()
         seed = NoiseSeed(3)
-        u1 = sample_block_noise(p, PerturbScales(np.array([1.0, 1.0]), p), seed)
-        u2 = sample_block_noise(p, PerturbScales(np.array([2.0, 1.0]), p), seed)
-        assert np.array_equal(u2[:3], 2.0 * u1[:3])
-        assert np.array_equal(u2[3:], u1[3:])
+        for p in (two_block_partition(), multi_chunk_partition()):
+            ones = np.ones(p.n_blocks)
+            doubled = ones.copy()
+            doubled[0] = 2.0
+            u1 = walked(p, ones, seed)
+            u2 = walked(p, doubled, seed)
+            first = p.slices[0]
+            assert np.array_equal(u2[first], 2.0 * u1[first])
+            assert np.array_equal(u2[first.stop:], u1[first.stop:])
 
     @given(seed=st.integers(0, 2**32 - 1), stream=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -158,9 +174,9 @@ class TestNoiseStreams:
     def test_block_moments(self):
         # sample covariance of u is diag(s_i^2) per block
         p = two_block_partition()
-        sc = PerturbScales(np.array([2.0, 3.0]), p)
+        stds = np.array([2.0, 3.0])
         draws = np.array(
-            [sample_block_noise(p, sc, NoiseSeed(0, stream=k)) for k in range(20_000)]
+            [walked(p, stds, NoiseSeed(0, stream=k)) for k in range(20_000)]
         )
         var = draws.var(axis=0)
         assert np.allclose(var[:3], 4.0, rtol=0.06)
@@ -174,9 +190,10 @@ class TestPerturbInPlace:
         sc = PerturbScales(np.array([0.7, 1.3]), p)
         seed = NoiseSeed(5, stream=2)
         theta = ParamVector(np.linspace(-1, 1, 8), p)
-        expected = theta.values + 0.25 * sample_block_noise(p, sc, seed)
+        expected = theta.values.copy()
+        reference.walk(expected, p, sc.stds, seed.seed, seed.stream, 0.25)
         perturb_in_place(theta, sc, seed, 0.25)
-        assert np.allclose(theta.values, expected, rtol=0, atol=1e-15)
+        assert np.array_equal(theta.values, expected)
 
     def test_walk_restores_parameters(self):
         p = two_block_partition()
@@ -208,7 +225,7 @@ class TestPerturbInPlace:
         seed = NoiseSeed(5, stream=2)
         theta = ParamVector(np.zeros(p.total), p)
         perturb_in_place(theta, sc, seed, 1.0)
-        assert np.array_equal(theta.values, sample_block_noise(p, sc, seed))
+        assert np.array_equal(theta.values, reference_noise(p, sc.stds, seed))
 
     @pytest.mark.parametrize("rows", [0, 3])
     def test_span_plan_draws_the_per_block_reference(self, rows):
@@ -224,18 +241,16 @@ class TestPerturbInPlace:
         assert p.total % _CHUNK
         stds = 1.0 + np.arange(p.n_blocks) / 8.0
         seed = NoiseSeed(9, stream=3)
-        reference = sample_block_noise(p, PerturbScales(stds, p), seed)
         if rows:
             factors = np.array([1.0, 0.5, 2.0])
             theta = ParamVector(np.zeros((rows, p.total)), p)
             perturb_in_place(theta, PerturbScales(np.outer(factors, stds), p), seed, 1.0)
             for row, f in zip(theta.values, factors):
-                assert np.array_equal(row, sample_block_noise(
-                    p, PerturbScales(f * stds, p), seed))
+                assert np.array_equal(row, reference_noise(p, f * stds, seed))
         else:
             theta = ParamVector(np.zeros(p.total), p)
             perturb_in_place(theta, PerturbScales(stds, p), seed, 1.0)
-            assert np.array_equal(theta.values, reference)
+            assert np.array_equal(theta.values, reference_noise(p, stds, seed))
 
     @pytest.mark.parametrize("rows", [0, 3])
     def test_pieces_cut_blocks_where_the_reference_does(self, rows):
@@ -252,8 +267,7 @@ class TestPerturbInPlace:
         all_stds = np.outer(factors, stds) if rows else stds
         perturb_in_place(theta, PerturbScales(all_stds, p), seed, 1.0)
         for row, f in zip(theta.values.reshape(-1, p.total), factors):
-            assert np.array_equal(row, sample_block_noise(p, PerturbScales(f * stds, p),
-                                                          seed))
+            assert np.array_equal(row, reference_noise(p, f * stds, seed))
 
     def test_fused_moves_equal_sequential_walks(self):
         p = multi_chunk_partition()
@@ -281,14 +295,13 @@ class TestKeptNoise:
 
     @staticmethod
     def walk_equals_reference(p, seed, rows, rng):
-        # unit stds with any step, or any stds with step 1: both sides then
-        # round z * stds * step the same way, so the walk matches bit for bit
-        if rng.random() < 0.5:
-            stds, step = np.ones(p.n_blocks), float(rng.choice([0.37, -2e-3, 1.5]))
-        else:
-            stds, step = rng.uniform(0.2, 3.0, size=p.n_blocks), 1.0
+        # the reference walk rounds (step * s_i) * z as the walk does
+        stds = rng.uniform(0.2, 3.0, size=p.n_blocks)
+        step = float(rng.choice([0.37, -2e-3, 1.5, 1.0]))
         start = rng.normal(size=(rows, p.total) if rows else p.total)
-        expected = start + step * sample_block_noise(p, PerturbScales(stds, p), seed)
+        expected = start.copy()
+        for row in expected.reshape(-1, p.total):
+            reference.walk(row, p, stds, seed.seed, seed.stream, step)
         theta = ParamVector(start.copy(), p)
         scales = PerturbScales(np.broadcast_to(stds, start.shape[:-1] + stds.shape), p)
         perturb_in_place(theta, scales, seed, step)
@@ -316,8 +329,10 @@ class TestKeptNoise:
             seed = seeds[rng.integers(len(seeds))]
             rows = int(rng.choice([0, 0, 3]))
             if rng.random() < 0.2:
-                # a direct draw rewinds the shared generator in between
-                sample_block_noise(p, PerturbScales.unit(p), seeds[0])
+                # a walk on another seed, with a partition of its own,
+                # redraws the kept z in between
+                other = partitions[rng.integers(len(partitions))]
+                walked(other, np.ones(other.n_blocks), NoiseSeed(3, 0))
             self.walk_equals_reference(p, seed, rows, rng)
 
     def test_one_span_draws_once_per_step(self, monkeypatch):

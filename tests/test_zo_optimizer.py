@@ -10,7 +10,6 @@ from zoft.paramspace import (
     PerturbScales,
     _CHUNK,
     perturb_in_place,
-    sample_block_noise,
 )
 from zoft.testbeds import QuadraticTask, make_rank_family
 from zoft import pertnn
@@ -32,6 +31,13 @@ from test_population import run_every_step
 
 def partition():
     return BlockPartition([("a", 3), ("b", 5)])
+
+
+def noise(sc, seed) -> np.ndarray:
+    """u of `seed` at scales sc: one unit walk from zero."""
+    u = ParamVector(np.zeros(sc.partition.total), sc.partition)
+    perturb_in_place(u, sc, seed, 1.0)
+    return u.values
 
 
 def quadratic():
@@ -149,7 +155,7 @@ class TestSPSAEstimate:
         seed = NoiseSeed(9, stream=3)
         g = task.grad(theta.values.copy())
         pair, coeff = two_point(theta, sc, seed, 1e-3, lambda: task.loss(theta.values), 0.0)
-        u = sample_block_noise(partition(), sc, seed)
+        u = noise(sc, seed)
         assert coeff == pytest.approx(float(u @ g), rel=1e-8)
         assert pair.plus != pair.minus
 
@@ -173,12 +179,12 @@ class TestSPSAEstimate:
         for k in range(n):
             seed = NoiseSeed(0, stream=k)
             _, coeff = two_point(theta, sc, seed, 1e-3, lambda: task.loss(theta.values), 0.0)
-            ghat = coeff * sample_block_noise(partition(), sc, seed)
+            ghat = coeff * noise(sc, seed)
             acc += ghat
             sq += ghat**2
         mean = acc / n
         se = np.sqrt((sq / n - mean**2) / n)
-        expected = sc.per_coordinate() ** 2 * g
+        expected = np.repeat(sc.stds**2, sc.partition.sizes) * g
         assert np.all(np.abs(mean - expected) < 4 * se)
 
 
@@ -190,7 +196,7 @@ class TestTwoPointUpdate:
         seed = NoiseSeed(4, stream=1)
         before = theta.values.copy()
         _, coeff = two_point(theta, sc, seed, 1e-3, lambda: task.loss(theta.values), 0.1)
-        u = sample_block_noise(partition(), sc, seed)
+        u = noise(sc, seed)
         assert np.allclose(theta.values, before - 0.1 * coeff * u,
                            rtol=1e-12, atol=1e-15)
 
