@@ -8,7 +8,6 @@ bound violation.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 from pathlib import Path
 
@@ -28,46 +27,25 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zoft",
-        description="Learned per-block perturbation scales for zeroth-order fine-tuning",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="INI experiment config")
-        cmd.add_argument("--out", default="zoft_out", help="output directory")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config's [task] seed "
-                              "([bounds] seed for verify-bounds)")
-        cmd.add_argument("--timing", action="store_true",
-                         help="record real wall times (output no longer byte-stable)")
-    return parser
-
-
-def _parse_args(argv):
-    """The command line, read by a parser that is freed before the command runs.
-
-    argparse's parser is a web of reference cycles (about 35 KB of them), so
-    only the collector frees it.  Left to the automatic collector it lives
-    until the command's first collection, whose timing depends on everything
-    the process allocated before, and so does the command's peak.  Built and
-    read with the collector paused, all of it is still in the youngest
-    generation, and collecting that one generation frees it at once.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _build_parser().parse_args(argv)
-    finally:
-        if enabled:
-            gc.enable()
-        gc.collect(0)
+# Every command takes the same options, so one flat parser, built once per
+# process, reads them all, before or after the command.  `choices` is the
+# dispatch table itself, so its names are read at parse time.
+_PARSER = argparse.ArgumentParser(
+    prog="zoft",
+    description="Learned per-block perturbation scales for zeroth-order fine-tuning",
+)
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("--config", required=True, help="INI experiment config")
+_PARSER.add_argument("--out", default="zoft_out", help="output directory")
+_PARSER.add_argument("--seed", type=int, default=None,
+                     help="override the config's [task] seed "
+                          "([bounds] seed for verify-bounds)")
+_PARSER.add_argument("--timing", action="store_true",
+                     help="record real wall times (output no longer byte-stable)")
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config)
         section = "bounds" if args.command == "verify-bounds" else "task"

@@ -59,6 +59,11 @@ def test_readme_python_blocks_run(tmp_path):
         assert proc.stderr == b"", proc.stderr.decode()
 
 
+def test_readme_command_table_lists_the_commands():
+    rows = re.findall(r"^\| `([a-z-]+)` \|", README.read_text(encoding="utf-8"), flags=re.M)
+    assert rows == list(cli._COMMANDS)
+
+
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 # The demos/configs commands in the order their usage lines give, into one

@@ -97,6 +97,15 @@ seed = 0
 """
 
 
+def run_module(*args, cwd=None) -> subprocess.CompletedProcess:
+    """`python -m zoft.cli *args` in a process of its own, its warnings
+    left at their defaults."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(zoft.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "zoft.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+
+
 def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -369,6 +378,16 @@ batch_size = 4
         wall = {line.split(",")[7] for line in lines[1:]}
         assert wall == {"0"}  # byte-stable by default
 
+    def test_options_may_come_before_the_command(self, tmp_path):
+        cfg = write_config(tmp_path, TASK + COMPARE)
+        after, before = tmp_path / "after", tmp_path / "before"
+        assert self.run(["compare", "--config", cfg, "--out", after]) == 0
+        assert self.run(["--config", cfg, "--out", before, "compare"]) == 0
+        names = sorted(os.listdir(after))
+        assert names == ["compare.csv", "summary.txt"] == sorted(os.listdir(before))
+        for name in names:
+            assert (after / name).read_bytes() == (before / name).read_bytes()
+
     def test_timing_fills_wall_ms_and_nothing_else(self, tmp_path):
         cfg = write_config(tmp_path, TASK + """
 [finetune]
@@ -536,6 +555,34 @@ seed = 0
 
 
 class TestCliExitCodes:
+    @pytest.mark.parametrize("via", ["main", "module"])
+    @pytest.mark.parametrize("args, message", [
+        ([], "the following arguments are required: command"),
+        (["train", "--config", "exp.ini", "--out", "o"], "argument command: invalid choice: 'train'"),
+        (["finetune", "--out", "o"], "the following arguments are required: --config"),
+        (["finetune", "--config", "exp.ini", "--out", "o", "--seed", "x"],
+         "argument --seed: invalid int value: 'x'"),
+        (["finetune", "--config", "exp.ini", "--out", "o", "--steps", "3"],
+         "unrecognized arguments: --steps 3"),
+    ], ids=["no-arguments", "unknown-command", "missing-config", "seed-x", "unknown-flag"])
+    def test_usage_error(self, tmp_path, monkeypatch, capsys, via, args, message):
+        # argparse's usage and error line, exit 2, and nothing written: not
+        # --out, not the default zoft_out
+        write_config(tmp_path, TASK + FINETUNE)
+        monkeypatch.chdir(tmp_path)
+        if via == "main":
+            with pytest.raises(SystemExit) as exc:
+                cli.main(args)
+            code, err = exc.value.code, capsys.readouterr().err
+        else:
+            proc = run_module(*args, cwd=tmp_path)
+            code, err = proc.returncode, proc.stderr
+        assert code == 2
+        last = err.splitlines()[-1]
+        assert last.startswith("zoft") and f"error: {message}" in last, err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["exp.ini"]
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["finetune", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -902,12 +949,7 @@ steps = 5
         sections = clamped(command)
         sections[section][key] = value
         cfg = write_ini(tmp_path / "exp.ini", sections)
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        env["PYTHONPATH"] = str(Path(zoft.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "zoft.cli", COMMANDS[command], "--config", str(cfg),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_module(COMMANDS[command], "--config", cfg, "--out", tmp_path / "o")
         assert proc.returncode == code
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(line), proc.stderr
