@@ -161,21 +161,29 @@ def optimal_scales(inputs: BoundInputs, eta: float) -> np.ndarray:
 # Actual expected decrease on quadratics
 
 
-def _to_sphere(z: np.ndarray, sumsq: np.ndarray) -> None:
+def _to_sphere(z: np.ndarray, sumsq: np.ndarray, squares: np.ndarray) -> None:
     """Scale each row of z in place to norm sqrt(dim), bit for bit as
-    z *= sqrt(dim) / np.linalg.norm(z, axis=1, keepdims=True): each row's
-    sum of squares is numpy's pairwise sum of that row alone, so it is
-    formed and applied an eighth of a chunk of rows at a time (one row of a
-    block wider than that), with no copy of z.  Scaling all of z in one
-    multiply would take numpy's 8192-value ufunc buffer (64 KiB) on top.
-    `sumsq` is scratch with one entry per row of z."""
+    z *= sqrt(dim) / np.linalg.norm(z, axis=1, keepdims=True), with no copy
+    of z.  Each row's sum of squares is numpy's pairwise sum of that row
+    alone, so the squares of as many rows as the flat scratch `squares`
+    holds (at least one) go there at a time and are summed into `sumsq`,
+    which has one entry per row of z; the square root and the divide then
+    run once for every row.  Each row's factor is then copied out along the
+    row in `squares` and multiplied in elementwise: a broadcast multiply
+    would take numpy's ufunc buffer (up to 64 KiB) on top."""
     dim = z.shape[1]
-    rows = max(1, _CHUNK // 8 // dim)
+    rows = len(squares) // dim
     for lo in range(0, len(z), rows):
-        part, norms = z[lo:lo + rows], sumsq[lo:lo + rows]
-        np.add.reduce(part * part, axis=1, out=norms)
-        np.sqrt(norms, out=norms)
-        part *= np.divide(np.sqrt(dim), norms, out=norms)[:, None]
+        part = z[lo:lo + rows]
+        square = np.multiply(part, part, out=squares[:part.size].reshape(part.shape))
+        np.add.reduce(square, axis=1, out=sumsq[lo:lo + rows])
+    np.sqrt(sumsq, out=sumsq)
+    np.divide(np.sqrt(dim), sumsq, out=sumsq)
+    for lo in range(0, len(z), rows):
+        part = z[lo:lo + rows]
+        factor = squares[:part.size].reshape(part.shape)
+        factor[...] = sumsq[lo:lo + rows, None]
+        part *= factor
 
 
 def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbScales,
@@ -231,9 +239,13 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
     delta = np.zeros((len(etas), n))
     # one draw buffer for every block: a chunk of rows, or one row of a
     # block wider than a chunk; and four per-row scratch rows: c2, quad, a
-    # step size's update and its second term
+    # step size's update and its second term.  The last three are idle
+    # while a chunk goes to the sphere, and hold at least an eighth of its
+    # values, or one row of a wider block, as one flat run
     buffer = np.empty(max(_CHUNK, max(sizes)))
-    scratch = np.empty((4, max(1, _CHUNK // min(sizes))))
+    width = max(_CHUNK // min(sizes), -(-max(_CHUNK // 8, max(sizes)) // 3))
+    scratch = np.empty((4, width))
+    squares = scratch[1:].reshape(-1)
     for i, sl in enumerate(slices):
         gj, hj, s = g[sl], task.block_eigs(i), stds[i]
         dim = len(gj)
@@ -250,8 +262,9 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
             u = buffer[:(hi - lo) * dim].reshape(hi - lo, dim)
             rng.standard_normal(out=u)
             c2, quad, update, second = scratch[:, :hi - lo]
-            _to_sphere(u, c2)
-            u *= s
+            _to_sphere(u, c2, squares)
+            if s != 1.0:  # u * 1.0 is u, bit for bit
+                u *= s
             if dim > _DOT_PIECE:
                 for j, row in enumerate(u):
                     c2[j] = dot(row, gj)
@@ -267,7 +280,7 @@ def expected_decrease(task: QuadraticTask, theta: np.ndarray, scales: PerturbSca
                 update += second
                 delta[k, lo:hi] += update
     # the draws and the scratch go before the stderr pass
-    del buffer, u, scratch, c2, quad, update, second
+    del buffer, u, scratch, squares, c2, quad, update, second
     means, stderrs = [], []
     for row in delta:
         # row.mean() and row.std(ddof=1), bit for bit, without std's

@@ -188,14 +188,23 @@ class _BlockSpectrum:
             i += 1
         return out
 
-    def scale(self, delta: np.ndarray) -> np.ndarray:
-        """delta times the eigenvalues, in place: each block times its tail,
-        then its first value times its top, with the bits of a dense product."""
-        for start, end, top, tail in zip(self.starts, self.ends, self.tops, self.tails):
-            first = delta[start]
-            delta[start:end] *= tail
-            delta[start] = top * first
-        return delta
+    def scale(self, delta: np.ndarray, lo: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """delta times the eigenvalues of coordinates [lo, lo + n), n the
+        length of delta's last axis, written into out (delta itself if
+        None): a block's first value times its top, the rest of its share
+        times its tail, with the bits of a dense product."""
+        out = delta if out is None else out
+        hi = lo + delta.shape[-1]
+        i = bisect_right(self.starts, lo) - 1
+        while i < len(self.starts) and self.starts[i] < hi:
+            start = self.starts[i]
+            a, b = max(start, lo) - lo, min(self.ends[i], hi) - lo
+            if start >= lo:
+                out[..., a] = self.tops[i] * delta[..., a]
+                a += 1
+            np.multiply(delta[..., a:b], self.tails[i], out=out[..., a:b])
+            i += 1
+        return out
 
 
 def _quadratic_loss(values, theta_star, eigs, xi, grad=None):
@@ -229,9 +238,9 @@ def _loss_in_pieces(values, theta_star, eigs, xi, grad=None):
     _DOT_PIECE-value piece in index order, so its bits do not depend on the
     BLAS thread count.  The piece's delta and eigs * delta go into scratch
     of one piece per row, never a d-sized temporary, or eigs * delta into
-    the piece of `grad`, which then takes the piece's xi; a _BlockSpectrum
-    forms the piece's eigenvalues where eigs * delta goes, and the product
-    then overwrites them.
+    the piece of `grad`, which then takes the piece's xi.  A _BlockSpectrum
+    forms eigs * delta with `scale`, the method `grad` uses, so the piece's
+    eigenvalues are never formed.
     """
     d = values.shape[-1]
     delta = np.empty(values.shape[:-1] + (_DOT_PIECE,))
@@ -243,8 +252,10 @@ def _loss_in_pieces(values, theta_star, eigs, xi, grad=None):
         piece = delta[..., :hi - lo]
         scaled = curved[..., :hi - lo] if grad is None else grad[..., lo:hi]
         np.subtract(values[..., lo:hi], theta_star[..., lo:hi], out=piece)
-        lam = eigs[..., lo:hi] if dense else eigs.fill(lo, hi, scaled)
-        np.multiply(lam, piece, out=scaled)
+        if dense:
+            np.multiply(eigs[..., lo:hi], piece, out=scaled)
+        else:
+            eigs.scale(piece, lo, scaled)
         part = np.vecdot(piece, scaled)
         quad = part if quad is None else quad + part
         if xi is not None:

@@ -9,6 +9,7 @@ from zoft.bounds import (
     BoundInputs,
     _bound_coeffs,
     _report,
+    _to_sphere,
     blockwise_bound,
     expected_decrease,
     mezo_bound,
@@ -482,10 +483,29 @@ class TestSharedChunkedDraw:
                            task.partition)
         return task, theta, sc
 
-    # below every chunk, one 8-block chunk, and a multiple of no chunk
-    @pytest.mark.parametrize("n", [1000, 4096, 10_001])
-    def test_equals_per_eta_unchunked_reference(self, n):
-        task, theta, sc = self.case([8, 24], [2.0, 16.0])
+    # blocks 8+24 below every chunk, at one 8-block chunk, and at a multiple
+    # of no chunk, where the sphere sums three eighths of a chunk at a time;
+    # a one-value block, whose row sums are single squares, beside a block
+    # of seven rows a chunk; a block of six rows a chunk beside one of three
+    # values; and blocks whose scratch holds one row of squares, so the
+    # sphere takes their chunks row by row.  Unit scales skip `u *= s`.  A
+    # block wider than an eighth of a chunk is drawn as one chunk here, so
+    # that BLAS's `u @ g` has the reference's shape (see the next test)
+    @pytest.mark.parametrize("blocks, ranks, n, unit", [
+        pytest.param([8, 24], [2.0, 16.0], 1000, False, id="1000"),
+        pytest.param([8, 24], [2.0, 16.0], 4096, False, id="4096"),
+        pytest.param([8, 24], [2.0, 16.0], 10_001, False, id="10001"),
+        pytest.param([8, 24], [2.0, 16.0], 10_001, True, id="10001-unit"),
+        pytest.param([1, 4097], [1.0, 16.0], 7, False, id="1+4097"),
+        pytest.param([1, 4097], [1.0, 16.0], 7, True, id="1+4097-unit"),
+        pytest.param([5000, 3], [16.0, 2.0], 6, False, id="5000+3"),
+        pytest.param([5000, 3], [16.0, 2.0], 6, True, id="5000+3-unit"),
+        pytest.param([4097, 5000], [3.0, 40.0], 6, False, id="4097+5000"),
+    ])
+    def test_equals_per_eta_unchunked_reference(self, blocks, ranks, n, unit):
+        task, theta, sc = self.case(blocks, ranks)
+        if unit:
+            sc = PerturbScales.unit(task.partition)
         means, stderrs = expected_decrease(task, theta, sc, self.ETAS,
                                            mode="monte_carlo", n=n, seed=7)
         assert means.shape == stderrs.shape == (len(self.ETAS),)
@@ -496,6 +516,18 @@ class TestSharedChunkedDraw:
             (mean,), (stderr,) = expected_decrease(task, theta, sc, [eta],
                                                    mode="monte_carlo", n=n, seed=7)
             assert (mean, stderr) == ref
+
+    @pytest.mark.parametrize("count, dim, room", [
+        (4096, 8, 3 * 4096), (1365, 24, 3 * 4096), (20, 1, 7), (7, 4097, 3 * 32768),
+        (7, 4097, 5001), (3, 5000, 5000), (10, 3, 10)])
+    def test_sphere_rows_have_the_bits_of_a_norm(self, count, dim, room):
+        # rows summed as many at a time as `room` values of squares hold,
+        # with a last group of fewer rows where count is no multiple of that
+        z = np.random.default_rng(dim).standard_normal((count, dim))
+        want = z * (np.sqrt(dim) / np.linalg.norm(z, axis=1, keepdims=True))
+        sumsq = np.empty(count)
+        _to_sphere(z, sumsq, np.empty(room))
+        assert np.array_equal(z, want)
 
     def test_block_wider_than_a_chunk(self):
         # a 40000-value block is drawn one row per chunk.  The draw, the norms

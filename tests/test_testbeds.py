@@ -150,11 +150,21 @@ WIDE_RANKS = (1.0, 30.0, 2000.0, 1.0, 4000.0, 3.0)
 WIDE_OPNORMS = (2.0, 1.0, 0.5, 3.0, 1.0, 0.25)
 
 
-def wide_task_and_twin(noise_tau=0.0, seed=4):
-    """A wide rank-family task and a QuadraticTask built from its dense eigs."""
-    task = make_rank_family(WIDE_SIZES, WIDE_RANKS, WIDE_OPNORMS, noise_tau=noise_tau,
-                            init_scale=(1.0, 0.5, 2.0, 1.0, 0.3, 4.0), seed=seed,
-                            theta_star=np.linspace(-1.0, 1.0, sum(WIDE_SIZES)))
+WIDE = (WIDE_SIZES, WIDE_RANKS, WIDE_OPNORMS, (1.0, 0.5, 2.0, 1.0, 0.3, 4.0))
+# blocks that start at 0, 8192, 16384 and 32768, so each of their tops is
+# the first value of an 8192-value piece of the loss, and one block of one
+# value and one of a piece less one value between them
+ALIGNED = ((8192, 1, 8191, 16384, 5), (50.0, 1.0, 8191.0, 2.0, 3.0),
+           (1.0, 2.0, 0.5, 3.0, 0.25), (1.0, 0.5, 2.0, 0.3, 4.0))
+
+
+def wide_task_and_twin(noise_tau=0.0, seed=4, profile=WIDE):
+    """A wide rank-family task of `profile` (sizes, ranks, top eigenvalues,
+    init scales) and a QuadraticTask built from its dense eigs."""
+    sizes, ranks, opnorms, init_scale = profile
+    task = make_rank_family(sizes, ranks, opnorms, noise_tau=noise_tau,
+                            init_scale=init_scale, seed=seed,
+                            theta_star=np.linspace(-1.0, 1.0, sum(sizes)))
     twin = QuadraticTask(task.partition, task.eigs, task.theta_star, noise_tau=noise_tau,
                          init_scale=task.init_scale, seed=task.seed)
     return task, twin
@@ -185,6 +195,20 @@ class TestCompactSpectrum:
         for batch in (0, 7):
             assert same_bits(task.loss(rows[0], batch), twin.loss(rows[0], batch))
             assert same_bits(task.loss(rows, batch), twin.loss(rows, batch))
+
+    @pytest.mark.parametrize("noise_tau", [0.0, 0.5], ids=["noise-free", "noisy"])
+    def test_tops_at_piece_starts_have_the_bits_of_the_dense_twin(self, noise_tau):
+        task, twin = wide_task_and_twin(noise_tau, profile=ALIGNED)
+        assert isinstance(task._eigs, _BlockSpectrum)
+        rows = np.stack([task.init_theta(k) for k in range(3)])
+        for batch in (0, 7):
+            assert same_bits(task.loss(rows, batch), twin.loss(rows, batch))
+            for row in rows:
+                assert same_bits(task.loss(row, batch), twin.loss(row, batch))
+                loss, grad = task.loss_and_grad(row, batch)
+                want_loss, want_grad = twin.loss_and_grad(row, batch)
+                assert same_bits(loss, want_loss) and same_bits(grad, want_grad)
+                assert same_bits(task.grad(row, batch), want_grad)
 
     @pytest.mark.parametrize("noise_tau", [0.0, 0.5], ids=["noise-free", "noisy"])
     def test_block_readers_have_the_bits_of_the_dense_twin(self, noise_tau):
