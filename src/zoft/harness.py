@@ -175,9 +175,12 @@ def _meta_train(cfg: ExperimentConfig, tasks, log, normalize=True, reset=True):
         seed=seed,
         normalize=normalize,
     )
-    init_params = pertnn_mod.init(tasks[0].partition, cfg.get("train", "hidden"),
-                                  NoiseSeed(seed))
-    trained, _ = meta_trainer.train(meta_cfg, tasks, init_params, log)
+    # no name holds the initial network: train's copy is the only one alive
+    # while it trains
+    trained, _ = meta_trainer.train(
+        meta_cfg, tasks,
+        pertnn_mod.init(tasks[0].partition, cfg.get("train", "hidden"), NoiseSeed(seed)),
+        log)
     return trained
 
 

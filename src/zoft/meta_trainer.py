@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import pertnn as pertnn_mod
 from .errors import ConfigError, DivergenceError, InvalidScaleError, NumericOverflowError
-from .paramspace import ParamVector, dot
+from .paramspace import _DOT_PIECE, ParamVector, dot
 from .zo_optimizer import (
     DIVERGENCE_FACTOR,
     LossPair,
@@ -76,6 +77,8 @@ class MetaConfig:
                     f"{name}={value!r} must be finite and {'>' if strict else '>='} 0")
         if self.reset_period < 1:
             raise ConfigError("reset_period must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if self.steps < 0:
             raise ConfigError("steps must be nonnegative")
 
@@ -94,35 +97,68 @@ class MetaEval:
     grad1: np.ndarray | None  # the gradient at theta1 (meta_grad reads and drops it)
 
 
+@lru_cache(maxsize=8)
+def _pieces(sizes: tuple) -> tuple:
+    """(values, blocks, lengths) of each _DOT_PIECE-value piece of [0, d)
+    for blocks of `sizes`: the piece's slice, the slice of the blocks that
+    meet it, and each one's share of it.  Made once per partition shape,
+    not on every meta-step."""
+    bounds = np.cumsum((0, *sizes))
+    d = int(bounds[-1])
+    pieces = []
+    for lo in range(0, d, _DOT_PIECE):
+        hi = min(lo + _DOT_PIECE, d)
+        first = int(np.searchsorted(bounds, lo, side="right")) - 1
+        last = int(np.searchsorted(bounds, hi))
+        cut = np.clip(bounds[first:last + 1], lo, hi)
+        pieces.append((slice(lo, hi), slice(first, last), cut[1:] - cut[:-1]))
+    return tuple(pieces)
+
+
 def meta_loss(theta: ParamVector, pertnn, task, task_state: OptState, batch,
               epsilon: float, eta1: float, z: np.ndarray,
               normalize: bool = True) -> MetaEval:
     """Post-update loss L(theta - eta1 * c * u) with u = s(omega) * z, z frozen.
 
-    u is formed in place in the buffer of its scales' expansion, and each
-    loss's argument, theta1 last, is written into one more buffer: two
-    vectors besides theta and z, with the roundings of theta + epsilon * u.
-    u is freed before the loss at theta1, which is read with the gradient
-    there (MetaEval.grad1) in one task.loss_and_grad call.
+    Each loss's argument, theta1 last, is written into one buffer, one
+    vector besides theta and z: u * factor, then theta +- u * factor, with
+    the roundings of the unbuffered expressions.  u is kept for the three
+    arguments only while d is one _DOT_PIECE-value piece, where a loss
+    call's own scratch is as large; a longer u is formed anew in the buffer
+    for each argument, a piece at a time, so no d-sized u is kept.  The
+    loss at theta1 is read with the gradient there (MetaEval.grad1) in one
+    task.loss_and_grad call, which writes the gradient over its argument.
 
     Meta-training stops at its first non-finite loss: NumericOverflowError.
     """
     l0 = float(task.loss(theta.values, batch)) if task_state.prev_losses is None else None
     features = step_features(theta, task_state, l0)
-    raws, used, cache, norm = _used_scales(pertnn, features, theta.partition, normalize)
-    u = np.repeat(used, theta.partition.sizes)
-    u *= z
-    arg = np.multiply(u, epsilon)
-    loss_plus = float(task.loss(np.add(theta.values, arg, out=arg), batch))
-    np.multiply(u, epsilon, out=arg)
-    loss_minus = float(task.loss(np.subtract(theta.values, arg, out=arg), batch))
+    partition = theta.partition
+    raws, used, cache, norm = _used_scales(pertnn, features, partition, normalize)
+    arg = np.empty(partition.total)
+    if partition.total <= _DOT_PIECE:
+        u = used.repeat(partition.sizes)
+        u *= z
+
+        def scaled(factor):
+            return np.multiply(u, factor, out=arg)
+    else:
+        pieces = _pieces(partition.py_sizes)
+
+        def scaled(factor):
+            # one repeat and one multiply per piece, as the walk forms its moves
+            for values, blocks, lengths in pieces:
+                np.multiply(used[blocks].repeat(lengths), z[values], out=arg[values])
+            return np.multiply(arg, factor, out=arg)
+
+    loss_plus = float(task.loss(np.add(theta.values, scaled(epsilon), out=arg), batch))
+    loss_minus = float(task.loss(np.subtract(theta.values, scaled(epsilon), out=arg), batch))
     if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
         raise NumericOverflowError(
             f"non-finite perturbed losses ({loss_plus}, {loss_minus})")
     coeff = (loss_plus - loss_minus) / (2.0 * epsilon)
-    np.multiply(u, eta1 * coeff, out=arg)
-    del u
-    l_zo, grad1 = task.loss_and_grad(np.subtract(theta.values, arg, out=arg), batch)
+    theta1 = np.subtract(theta.values, scaled(eta1 * coeff), out=arg)
+    l_zo, grad1 = task.loss_and_grad(theta1, batch, out=theta1)
     return MetaEval(
         l_zo=l_zo, coeff=coeff, loss_pair=LossPair(loss_plus, loss_minus),
         raw_stds=raws, used_stds=used, norm=norm, cache=cache, grad1=grad1,
@@ -140,12 +176,12 @@ def meta_grad(theta: ParamVector, pertnn, task, task_state: OptState, batch,
     """
     ev = meta_loss(theta, pertnn, task, task_state, batch,
                    config.epsilon, config.eta1, z, config.normalize)
-    # the gradient is freed on return, before meta_step's gradient at theta
     g1, ev.grad1 = ev.grad1, None
     # one dot per block: no batched reduction over ragged blocks reproduces
     # its summation order, and the trajectory depends on its bits
     partition = theta.partition
     dots = np.array([dot(g1[sl], z[sl]) for sl in partition.slices])
+    del g1  # freed before the backward pass and meta_step's gradient at theta
     d_used = -config.eta1 * ev.coeff * dots
     d_raw = d_used
     if config.normalize:

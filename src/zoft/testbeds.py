@@ -118,6 +118,8 @@ class QuadraticTask:
         if self.noise_tau == 0.0:
             return None
         if batch != self._noise_key:
+            # the last key's noise is freed before this key's is drawn
+            self._noise_key, self._xi = None, None
             rng = np.random.default_rng([_QNOISE_TAG, self.seed, int(batch)])
             self._xi = rng.normal(0.0, np.sqrt(self.noise_tau / self.dim), size=self.dim)
             self._noise_key = batch
@@ -143,12 +145,15 @@ class QuadraticTask:
             g += xi  # g is a new array either way
         return g
 
-    def loss_and_grad(self, values: np.ndarray, batch=0) -> tuple[float, np.ndarray]:
+    def loss_and_grad(self, values: np.ndarray, batch=0,
+                      out=None) -> tuple[float, np.ndarray]:
         """(loss, grad) of a (d,) vector from one pass of the loss, which
-        writes its eigs * delta into the returned gradient and adds the
-        batch noise after summing: the bits of both calls, and one d-sized
-        vector above _DOT_PIECE values."""
-        g = np.empty(values.shape)
+        writes its eigs * delta into the returned gradient (`out`, or a new
+        vector) and adds the batch noise after summing: the bits of both
+        calls, and one d-sized vector above _DOT_PIECE values.  `out` may be
+        `values` itself: each value is read into delta before its gradient
+        is written."""
+        g = np.empty(values.shape) if out is None else out
         loss = _quadratic_loss(values, self.theta_star, self._eigs, self._batch_noise(batch), g)
         return float(loss), g
 
@@ -335,8 +340,11 @@ def _tail(size: int, rank: float, top: float) -> float:
     return top * (rank - 1.0) / (size - 1.0) if size > 1 else top
 
 
-def _rank_task(partition, block_sizes, ranks, opnorms, **kwargs) -> QuadraticTask:
-    """make_rank_family on `partition` of block_sizes, or on a new one if None."""
+def _rank_task(partition, block_sizes, ranks, opnorms, spectrum=None,
+               **kwargs) -> QuadraticTask:
+    """make_rank_family on `partition` of block_sizes, or on a new one if None,
+    with `spectrum`, the spectrum of an earlier task of the same sizes, ranks
+    and opnorms, instead of a new one when it is given."""
     block_sizes = [int(s) for s in block_sizes]
     ranks = [float(r) for r in ranks]
     opnorms = [float(L) for L in opnorms]
@@ -349,17 +357,18 @@ def _rank_task(partition, block_sizes, ranks, opnorms, **kwargs) -> QuadraticTas
         if L <= 0:
             raise ConfigError(f"block {i}: operator norm must be positive")
     d = partition.total
-    eigs = _BlockSpectrum(partition, opnorms, map(_tail, block_sizes, ranks, opnorms))
-    if d <= _DOT_PIECE:
-        # the small-d loss multiplies by a dense spectrum in one call; the task
-        # keeps that array, not fill's view of it
-        dense = np.empty(d)
-        eigs.fill(0, d, dense)
-        eigs = dense
+    if spectrum is None:
+        spectrum = _BlockSpectrum(partition, opnorms, map(_tail, block_sizes, ranks, opnorms))
+        if d <= _DOT_PIECE:
+            # the small-d loss multiplies by a dense spectrum in one call; the
+            # task keeps that array, not fill's view of it
+            dense = np.empty(d)
+            spectrum.fill(0, d, dense)
+            spectrum = dense
     theta_star = kwargs.pop("theta_star", None)
     if theta_star is None:
         theta_star = np.zeros(d)
-    return QuadraticTask(partition, eigs, theta_star, **kwargs)
+    return QuadraticTask(partition, spectrum, theta_star, **kwargs)
 
 
 @dataclass
@@ -369,7 +378,9 @@ class QuadraticFamily:
     Each task index gives a fresh optimum shift, so a scale policy learned on
     some members transfers to held-out ones.  Its spectra are rescaled (a
     log-uniform factor per block) only when `opnorm_jitter > 0`, and the
-    default is 0: every task then shares the family's spectra.
+    default is 0.  The first task made builds the partition, and without
+    jitter the spectrum, and every later task shares both objects, so a
+    family holds one of each.
     """
 
     block_sizes: tuple = (4, 28)
@@ -380,14 +391,18 @@ class QuadraticFamily:
     init_scale: float | tuple = 1.0  # scalar, or one entry per block
     noise_tau: float = 0.0
     seed: int = 0
-    # made by the first task, then shared by every task of the family
+    # made by the first task, then shared by every task of the family (the
+    # spectrum only without jitter)
     _partition: BlockPartition | None = field(default=None, init=False, repr=False,
                                               compare=False)
+    _spectrum: np.ndarray | _BlockSpectrum | None = field(default=None, init=False,
+                                                          repr=False, compare=False)
 
     def make_task(self, index: int) -> QuadraticTask:
         rng = np.random.default_rng([self.seed, int(index)])
         opnorms = np.asarray(self.opnorms, dtype=np.float64)
-        if self.opnorm_jitter > 0:
+        jittered = self.opnorm_jitter > 0
+        if jittered:
             opnorms = opnorms * np.exp(
                 rng.uniform(-self.opnorm_jitter, self.opnorm_jitter, size=len(opnorms))
             )
@@ -398,6 +413,7 @@ class QuadraticFamily:
             self.block_sizes,
             self.ranks,
             opnorms,
+            None if jittered else self._spectrum,
             theta_star=shift,
             noise_tau=self.noise_tau,
             init_scale=self.init_scale,
@@ -405,6 +421,8 @@ class QuadraticFamily:
             name=f"quad{index}",
         )
         self._partition = task.partition
+        if not jittered:
+            self._spectrum = task._eigs
         return task
 
     def make_tasks(self, n: int, start: int = 0):
@@ -502,19 +520,22 @@ class MLPTask:
     def grad(self, values: np.ndarray, batch) -> np.ndarray:
         return _backprop(*self._forward(values, batch))
 
-    def loss_and_grad(self, values: np.ndarray, batch) -> tuple[float, np.ndarray]:
-        """(loss, grad) of a (d,) vector from one forward pass."""
+    def loss_and_grad(self, values: np.ndarray, batch,
+                      out=None) -> tuple[float, np.ndarray]:
+        """(loss, grad) of a (d,) vector from one forward pass, the gradient
+        written into `out` when it is given.  `out` may be `values` itself:
+        the gradient is written after every read of the weights."""
         w2, xb, yb, hidden, probs = self._forward(values, batch)
-        return _cross_entropy(probs, yb), _backprop(w2, xb, yb, hidden, probs)
+        return _cross_entropy(probs, yb), _backprop(w2, xb, yb, hidden, probs, out)
 
 
 def _cross_entropy(probs: np.ndarray, yb: np.ndarray) -> float:
     return float(-np.mean(np.log(probs[np.arange(len(yb)), yb])))
 
 
-def _backprop(w2, xb, yb, hidden, probs) -> np.ndarray:
+def _backprop(w2, xb, yb, hidden, probs, out=None) -> np.ndarray:
     """The flat W1 | b1 | W2 | b2 gradient of the mean cross-entropy, from
-    MLPTask._forward's values."""
+    MLPTask._forward's values, written into `out` when it is given."""
     n = len(yb)
     dlogits = probs.copy()
     dlogits[np.arange(n), yb] -= 1.0
@@ -524,4 +545,4 @@ def _backprop(w2, xb, yb, hidden, probs) -> np.ndarray:
     dhidden = (dlogits @ w2.T) * (1.0 - hidden**2)
     gw1 = xb.T @ dhidden
     gb1 = dhidden.sum(axis=0)
-    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2], out=out)

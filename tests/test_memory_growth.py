@@ -6,7 +6,7 @@ short and a long run and bounds the difference by the bytes of what the
 longer run keeps, plus a small slack for allocator noise.  At large d, a
 loss call keeps a few pieces of scratch above the parameters, never a
 d-sized temporary, a step no more than a loss call, and a meta-step keeps
-four parameter vectors.  A command builds no command-line parser, and its
+three parameter vectors.  A command builds no command-line parser, and its
 peak does not depend on when the collector runs.
 """
 
@@ -15,12 +15,13 @@ import gc
 import hashlib
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zoft import cli, pertnn
+from zoft import cli, harness, pertnn
 from zoft.errors import CheckpointError
 from zoft.harness import _write_lines
 from zoft.meta_trainer import MetaConfig, train
@@ -333,24 +334,35 @@ class TestLargeDimension:
         assert traced_peak(lambda: step(theta, state, 2, config, model.loss, lrs,
                                         net)) <= loss_peak + SLACK
 
-    def test_meta_training_keeps_four_parameter_vectors(self):
-        # theta, the step's draw z, u and one argument buffer; then theta,
-        # z, the buffer at theta1 and its gradient.  Forming u, epsilon * u
-        # and theta1 as temporaries and keeping a copy of the start for the
-        # reset peaked at 6.01x; this peaks at 4.09x, the rest being the
-        # pieced loss's scratch
+    @staticmethod
+    def meta_training_peak(noise_tau: float) -> float:
+        """The tracemalloc peak of 3 meta-steps at d = 2e5, with a reset after
+        the second, over the parameter bytes."""
         model = make_rank_family([150_000, 40_000, 9_990, 10],
                                  [7500.0, 2000.0, 500.0, 2.0], [1.0, 0.5, 1.0, 2.0],
-                                 seed=0)
+                                 noise_tau=noise_tau, seed=0)
         net = pertnn.init(model.partition, 8, NoiseSeed(0))
-        # a reset after the second meta-step
         config = MetaConfig(eta1=1e-3, eta2=1e-3, steps=3, reset_period=2, seed=0)
 
         def run():
             return train(config, [model], net)
 
         run()
-        assert traced_peak(run) <= 4.1 * 8 * model.partition.total
+        return (traced_peak(run) - SLACK) / (8 * model.partition.total)
+
+    def test_meta_training_keeps_three_parameter_vectors(self):
+        # theta, the step's draw z and one argument buffer, over which the
+        # gradient at theta1 is written; u = s * z is formed a piece at a
+        # time into the buffer.  Keeping u beside the buffer, and the
+        # gradient beside theta1, peaked at 4.09x; this peaks at 3.09x, the
+        # rest being the pieced loss's scratch
+        assert self.meta_training_peak(0.0) <= 3.1
+
+    def test_noisy_meta_training_adds_only_its_batch_noise(self):
+        # the task keeps one batch's noise, freed before the next batch's is
+        # drawn: holding both while drawing, on top of u and a separate
+        # gradient, peaked at 6.01x
+        assert self.meta_training_peak(0.5) <= 4.1
 
     def test_a_task_holds_its_spectrum_and_optimum_only(self):
         # d = 1e6 over blocks of one per-block init sigma each: a per-coordinate
@@ -447,6 +459,29 @@ def test_a_command_builds_no_parser(tmp_path, monkeypatch):
     path = write_ini(tmp_path / "train.ini", clamped("train"))
     assert cli.main(["train-finetuner", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert built == []
+
+
+def test_train_finetuner_holds_one_scale_network(tmp_path, monkeypatch):
+    # the network pertnn.init builds is freed once train has copied it, so
+    # train's copy is the only network alive while it trains.  A name for
+    # it in the harness kept a second network through every meta-step
+    built, alive = [], []
+    init, append = pertnn.init, harness._MetaLogWriter.append
+
+    def init_recorded(*args, **kwargs):
+        net = init(*args, **kwargs)
+        built.append(weakref.ref(net))
+        return net
+
+    def append_checked(self, *args):
+        alive.append(built[0]() is not None)
+        append(self, *args)
+
+    monkeypatch.setattr(pertnn, "init", init_recorded)
+    monkeypatch.setattr(harness._MetaLogWriter, "append", append_checked)
+    path = write_ini(tmp_path / "train.ini", clamped("train"))
+    assert cli.main(["train-finetuner", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(built) == 1 and alive and not any(alive)
 
 
 @pytest.mark.parametrize("command, name", [("train-finetuner", "train"),

@@ -368,6 +368,8 @@ class TestMetaConfigValidation:
         dict(eta1=0.1, eta2=0.1, steps=1, epsilon=0.0),
         dict(eta1=0.1, eta2=0.1, steps=-1),
         dict(eta1=0.1, eta2=0.1, steps=1, reset_period=0),
+        # the CLI's rule (low = 1) and ZOConfig's
+        dict(eta1=0.1, eta2=0.1, steps=1, batch_size=0),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):

@@ -276,6 +276,44 @@ class TestQuadraticFamily:
         assert all(task.partition is first.partition for task in rest)
         assert first.partition == make_rank_family((4, 8), (1.0, 8.0), (1.0, 1.0)).partition
 
+    @pytest.mark.parametrize("sizes", [(4, 8), (8192, 20000)], ids=["dense", "wide"])
+    def test_tasks_share_one_spectrum(self, sizes):
+        fam = QuadraticFamily(block_sizes=sizes, ranks=(1.0, 8.0), seed=0)
+        first, *rest = fam.make_tasks(3)
+        assert all(task._eigs is first._eigs for task in rest)
+
+    def test_jittered_tasks_keep_their_own_spectra(self):
+        fam = QuadraticFamily(block_sizes=(4, 8), ranks=(1.0, 8.0), opnorm_jitter=0.3,
+                              seed=0)
+        tasks = fam.make_tasks(3)
+        assert len({id(task._eigs) for task in tasks}) == 3
+        assert not np.array_equal(tasks[0].eigs, tasks[1].eigs)
+
+    @pytest.mark.parametrize("sizes, noise_tau", [((48, 16), 0.0), ((48, 16), 0.5),
+                                                  ((8192, 20000), 0.5)],
+                             ids=["dense", "noisy", "wide-noisy"])
+    def test_a_later_task_has_the_bits_of_a_first_one(self, sizes, noise_tau):
+        # task 3 of a family that built tasks 0-2 first, and task 3 as the
+        # first task of a fresh family
+        def family():
+            return QuadraticFamily(block_sizes=sizes, ranks=(4.0, 16.0), opnorms=(1.0, 0.05),
+                                   noise_tau=noise_tau, seed=2)
+
+        later, first = family().make_tasks(4)[3], family().make_task(3)
+        for k, batch in enumerate((0, 1)):
+            theta = first.init_theta(k)
+            assert same_bits(later.loss(theta, batch), first.loss(theta, batch))
+            for got, want in zip(later.loss_and_grad(theta, batch),
+                                 first.loss_and_grad(theta, batch)):
+                assert same_bits(got, want)
+
+    def test_rows_of_a_shared_spectrum_have_their_tasks_bits(self):
+        fam = QuadraticFamily(block_sizes=(48, 16), ranks=(4.0, 16.0), noise_tau=0.5, seed=2)
+        tasks = fam.make_tasks(3)
+        rows = np.stack([task.init_theta(k) for k, task in enumerate(tasks)])
+        want = [task.loss(row, 7) for task, row in zip(tasks, rows)]
+        assert same_bits(QuadraticRows(tasks)(rows, 7), want)
+
     def test_make_tasks_start_offset(self):
         fam = QuadraticFamily(seed=1)
         held_out = fam.make_tasks(3, start=10)
@@ -375,3 +413,14 @@ class TestLossAndGrad:
             assert same_bits(loss, task.loss(theta, batch))
             assert same_bits(grad, task.grad(theta, batch))
             assert not np.shares_memory(grad, theta)
+
+    @pytest.mark.parametrize("name", list(FUSED_CASES))
+    def test_may_write_its_gradient_over_its_argument(self, name):
+        # meta_loss reads the loss and gradient at theta1 with out=theta1
+        task, batches = FUSED_CASES[name]
+        for k, batch in enumerate(batches):
+            theta = task.init_theta(k)
+            want_loss, want_grad = task.loss_and_grad(theta, batch)
+            loss, grad = task.loss_and_grad(theta, batch, out=theta)
+            assert grad is theta
+            assert same_bits(loss, want_loss) and same_bits(grad, want_grad)
