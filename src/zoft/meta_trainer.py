@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import pertnn as pertnn_mod
 from .errors import ConfigError, DivergenceError, InvalidScaleError, NumericOverflowError
-from .paramspace import _DOT_PIECE, ParamVector, dot
+from .paramspace import ParamVector, _span_pieces, dot
 from .zo_optimizer import (
     DIVERGENCE_FACTOR,
     LossPair,
@@ -97,36 +96,17 @@ class MetaEval:
     grad1: np.ndarray | None  # the gradient at theta1 (meta_grad reads and drops it)
 
 
-@lru_cache(maxsize=8)
-def _pieces(sizes: tuple) -> tuple:
-    """(values, blocks, lengths) of each _DOT_PIECE-value piece of [0, d)
-    for blocks of `sizes`: the piece's slice, the slice of the blocks that
-    meet it, and each one's share of it.  Made once per partition shape,
-    not on every meta-step."""
-    bounds = np.cumsum((0, *sizes))
-    d = int(bounds[-1])
-    pieces = []
-    for lo in range(0, d, _DOT_PIECE):
-        hi = min(lo + _DOT_PIECE, d)
-        first = int(np.searchsorted(bounds, lo, side="right")) - 1
-        last = int(np.searchsorted(bounds, hi))
-        cut = np.clip(bounds[first:last + 1], lo, hi)
-        pieces.append((slice(lo, hi), slice(first, last), cut[1:] - cut[:-1]))
-    return tuple(pieces)
-
-
 def meta_loss(theta: ParamVector, pertnn, task, task_state: OptState, batch,
               epsilon: float, eta1: float, z: np.ndarray,
               normalize: bool = True) -> MetaEval:
     """Post-update loss L(theta - eta1 * c * u) with u = s(omega) * z, z frozen.
 
-    Each loss's argument, theta1 last, is written into one buffer, one
-    vector besides theta and z: u * factor, then theta +- u * factor, with
-    the roundings of the unbuffered expressions.  u is kept for the three
-    arguments only while d is one _DOT_PIECE-value piece, where a loss
-    call's own scratch is as large; a longer u is formed anew in the buffer
-    for each argument, a piece at a time, so no d-sized u is kept.  The
-    loss at theta1 is read with the gradient there (MetaEval.grad1) in one
+    Each loss's argument, theta1 last, is written into one buffer, the one
+    parameter vector besides theta and z: u * factor, then theta +- u *
+    factor, with the roundings of the unbuffered expressions.  No u is
+    kept: it is formed anew in the buffer for each argument, one
+    _DOT_PIECE-value piece of the walk's plan at a time.  The loss at
+    theta1 is read with the gradient there (MetaEval.grad1) in one
     task.loss_and_grad call, which writes the gradient over its argument.
 
     Meta-training stops at its first non-finite loss: NumericOverflowError.
@@ -136,20 +116,18 @@ def meta_loss(theta: ParamVector, pertnn, task, task_state: OptState, batch,
     partition = theta.partition
     raws, used, cache, norm = _used_scales(pertnn, features, partition, normalize)
     arg = np.empty(partition.total)
-    if partition.total <= _DOT_PIECE:
-        u = used.repeat(partition.sizes)
-        u *= z
 
-        def scaled(factor):
-            return np.multiply(u, factor, out=arg)
-    else:
-        pieces = _pieces(partition.py_sizes)
-
-        def scaled(factor):
-            # one repeat and one multiply per piece, as the walk forms its moves
-            for values, blocks, lengths in pieces:
-                np.multiply(used[blocks].repeat(lengths), z[values], out=arg[values])
-            return np.multiply(arg, factor, out=arg)
+    def scaled(factor):
+        # one repeat and two multiplies per piece, as the walk forms its moves
+        for sl, n, lengths, blocks in partition.spans:
+            span_used, start = used[blocks], sl.start
+            for lo, hi, piece_lengths in _span_pieces(n, lengths):
+                # inside one block, its one scale broadcasts
+                spread = span_used if piece_lengths is None else span_used.repeat(piece_lengths)
+                piece = arg[start + lo:start + hi]
+                np.multiply(spread, z[start + lo:start + hi], out=piece)
+                piece *= factor
+        return arg
 
     loss_plus = float(task.loss(np.add(theta.values, scaled(epsilon), out=arg), batch))
     loss_minus = float(task.loss(np.subtract(theta.values, scaled(epsilon), out=arg), batch))

@@ -89,8 +89,8 @@ def _span_plan(offsets, sizes) -> tuple:
     blocks it covers as a slice of block indices, and the length of each
     one's share of the span, in partition order (None when the span lies
     inside one block, whose factor column broadcasts over it).  A walk of
-    several spans cuts each into _DOT_PIECE-value pieces as it goes, so the
-    plan holds no per-piece entry.
+    several spans, and meta_trainer.meta_loss, cut each into _DOT_PIECE-value
+    pieces as they go (_span_pieces), so the plan holds no per-piece entry.
     """
     total, n = offsets[-1] + sizes[-1], len(sizes)
     spans, i = [], 0
@@ -291,19 +291,32 @@ def perturb_in_place(
     for sl, n, lengths, blocks in spans:
         dst = rows[:, sl]
         factors = [(per_block[blocks] * step).T for step in steps]
-        # where each of the span's blocks starts and ends within it
-        bounds = None if lengths is None else np.append(0, lengths.cumsum())
-        piece_lengths = None
-        for lo in range(0, n, _DOT_PIECE):
-            hi = min(lo + _DOT_PIECE, n)
+        for lo, hi, piece_lengths in _span_pieces(n, lengths):
             z = z_buf[:hi - lo]
             gen.standard_normal(out=z)
-            if bounds is not None:
-                # the piece's length of each block, 0 for one outside it
-                cut = np.minimum(np.maximum(bounds, lo), hi)
-                piece_lengths = cut[1:] - cut[:-1]
             for factor in factors:
                 _add_move(dst[:, lo:hi], factor, piece_lengths, z)
+
+
+def _span_pieces(n: int, lengths) -> list:
+    """The _DOT_PIECE-value pieces of a span of n values whose blocks have
+    `lengths` (a _span_plan entry): (lo, hi, piece_lengths) of each, in
+    order, with the piece's length of each of the span's blocks, 0 for one
+    outside it.  piece_lengths is None where lengths is (the span lies
+    inside one block), and lengths itself where the span is one piece.  A
+    span holds at most four pieces."""
+    if n <= _DOT_PIECE:
+        return [(0, n, lengths)]
+    if lengths is None:
+        return [(lo, min(lo + _DOT_PIECE, n), None) for lo in range(0, n, _DOT_PIECE)]
+    # where each of the span's blocks starts and ends within it
+    bounds = np.append(0, lengths.cumsum())
+    pieces = []
+    for lo in range(0, n, _DOT_PIECE):
+        hi = min(lo + _DOT_PIECE, n)
+        cut = np.minimum(np.maximum(bounds, lo), hi)
+        pieces.append((lo, hi, cut[1:] - cut[:-1]))
+    return pieces
 
 
 def _add_move(dst, factor, lengths, z) -> None:

@@ -81,7 +81,8 @@ class QuadraticTask:
     @property
     def eigs(self) -> np.ndarray:
         """The (d,) eigenvalues; an O(d) array formed on each access when the
-        spectrum is kept per block."""
+        spectrum is kept per block.  A rank-family task's dense spectrum is
+        read-only: the tasks of a family without jitter share it."""
         eigs = self._eigs
         return eigs if isinstance(eigs, np.ndarray) else eigs.fill(0, self.dim, np.empty(self.dim))
 
@@ -361,9 +362,11 @@ def _rank_task(partition, block_sizes, ranks, opnorms, spectrum=None,
         spectrum = _BlockSpectrum(partition, opnorms, map(_tail, block_sizes, ranks, opnorms))
         if d <= _DOT_PIECE:
             # the small-d loss multiplies by a dense spectrum in one call; the
-            # task keeps that array, not fill's view of it
+            # task keeps that array, not fill's view of it, read-only since
+            # a family's tasks may share it
             dense = np.empty(d)
             spectrum.fill(0, d, dense)
+            dense.setflags(write=False)
             spectrum = dense
     theta_star = kwargs.pop("theta_star", None)
     if theta_star is None:

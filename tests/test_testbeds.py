@@ -281,6 +281,10 @@ class TestQuadraticFamily:
         fam = QuadraticFamily(block_sizes=sizes, ranks=(1.0, 8.0), seed=0)
         first, *rest = fam.make_tasks(3)
         assert all(task._eigs is first._eigs for task in rest)
+        if sizes == (4, 8):
+            # no task can write into the dense spectrum its family shares
+            assert not first.eigs.flags.writeable
+            assert not first.block_eigs(1).flags.writeable
 
     def test_jittered_tasks_keep_their_own_spectra(self):
         fam = QuadraticFamily(block_sizes=(4, 8), ranks=(1.0, 8.0), opnorm_jitter=0.3,
